@@ -5,7 +5,8 @@ Usage: ``endok <command> <input-file> [--json] [--seed N]``.
 Commands operate on a job file (see :mod:`endok.parse` for the grammar)
 and print deterministic text, or a stable JSON document with ``--json``.
 Exit codes: 0 success, 1 input error, 2 verification failure
-(verify-additivity or oracle-check found a mismatch).
+(verify-additivity or oracle-check found a mismatch), 3 internal error (a
+consistency check inside the computation failed).
 """
 
 import argparse
@@ -272,6 +273,9 @@ def main(argv=None):
     except (ParseError, ValueError, ZeroDivisionError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

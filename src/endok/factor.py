@@ -7,9 +7,9 @@ randomized Cantor-Zassenhaus equal-degree splitting.
 
 Over Q: squarefree decomposition, then Zassenhaus on each primitive
 integer part: reduce modulo a good prime, Hensel-lift the modular factors
-above the Mignotte coefficient bound, and recombine subsets.  Degrees
-beyond ``RATIONAL_DEGREE_CAP`` are rejected so recombination stays
-bounded.
+above the Mignotte coefficient bound, and recombine subsets.  Squarefree
+parts of degree beyond ``RATIONAL_DEGREE_CAP`` are rejected so
+recombination stays bounded.
 
 All randomized steps draw from a caller-supplied ``random.Random``; when
 none is given a generator with a fixed seed is used, so repeated runs are
@@ -167,13 +167,13 @@ def _equal_degree_split(h, d, rng):
 
 
 def _factor_rationals(f, rng):
-    if f.degree > RATIONAL_DEGREE_CAP:
-        raise ValueError(
-            f"degree too large: {f.degree} exceeds the factorization cap "
-            f"{RATIONAL_DEGREE_CAP}"
-        )
     out = {}
     for g, mult in squarefree_decomposition(f):
+        if g.degree > RATIONAL_DEGREE_CAP:
+            raise ValueError(
+                f"degree too large: squarefree part of degree {g.degree} exceeds "
+                f"the factorization cap {RATIONAL_DEGREE_CAP}"
+            )
         for q in _factor_squarefree_rationals(g, rng):
             out[q] = out.get(q, 0) + mult
     return list(out.items())

@@ -18,6 +18,7 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    charpoly,
     column_space,
     eval_poly_at_matrix,
     kernel_basis,
@@ -149,15 +150,48 @@ def multiplication_matrix(ideal, p):
     return Matrix(F, grid, cols=len(std))
 
 
+def _candidates(ideal, rng, attempts):
+    """Seeded elements of k[T]/I to probe: the variables, then random
+    linear combinations of them, then random elements over the standard
+    monomials."""
+    F, n = ideal.field, ideal.nvars
+    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    for i in range(n):
+        yield MultiPoly.variable(F, n, i)
+    for _ in range(attempts):
+        yield MultiPoly(F, n, {u: F.random_scalar(rng) for u in units})
+    for _ in range(attempts):
+        yield MultiPoly(
+            F, n, {m: F.random_scalar(rng) for m in ideal.standard_monomials}
+        )
+
+
+def _separating_element(ideal, rng, attempts=25):
+    """For a reduced A = k[T]/I (a product of finite field extensions),
+    find g in A that settles whether A is a field.
+
+    Returns (g, factors), factors being the factored characteristic
+    polynomial of multiplication by g: one irreducible factor of degree
+    dim A makes A = k[g] a field, two or more distinct ones split A into
+    the generalised eigenspaces of g.  None when no candidate settles it.
+    """
+    k = ideal.quotient_dim
+    for g in _candidates(ideal, rng, attempts):
+        factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)), rng)
+        if len(factors) >= 2 or factors[0][0].degree == k:
+            return g, factors
+    return None
+
+
 def quotient_is_field(ideal, rng=None, attempts=25, exhaustive_bound=4096):
     """Decide whether k[T]/I is a field (i.e. I is maximal).
 
-    Strategy: look for an element whose multiplication matrix has minimal
-    polynomial of full degree; the quotient is then k[x]/(that polynomial)
-    and the answer is its irreducibility.  Over a small prime field, fall
-    back to exhaustively checking that every nonzero element is
-    invertible.  This is the slow independent check; production code
-    builds keys constructively and never calls it.
+    Strategy: the quotient is reduced iff every variable's multiplication
+    matrix has squarefree minimal polynomial (both fields are perfect).
+    A reduced quotient is then settled by a separating element.  Over a
+    small prime field, fall back to exhaustively checking that every
+    nonzero element is invertible.  This is the slow independent check;
+    production code builds keys constructively and never calls it.
     """
     from itertools import product as _product
 
@@ -168,18 +202,15 @@ def quotient_is_field(ideal, rng=None, attempts=25, exhaustive_bound=4096):
         return False  # unit ideal: the zero ring
     F = ideal.field
     n = ideal.nvars
-    candidates = [MultiPoly.variable(F, n, i) for i in range(n)]
-    for _ in range(attempts):
-        terms = {}
-        for i in range(n):
-            terms[tuple(1 if j == i else 0 for j in range(n))] = F.random_scalar(rng)
-        candidates.append(MultiPoly(F, n, terms))
-    for cand in candidates:
-        mp = minimal_polynomial(multiplication_matrix(ideal, cand))
-        if mp.degree == k:
-            # quotient = k[cand], so the ideal is maximal iff mp is irreducible
-            factors = factor_univariate(mp, rng)
-            return len(factors) == 1 and factors[0][1] == 1
+    for i in range(n):
+        mp = minimal_polynomial(
+            multiplication_matrix(ideal, MultiPoly.variable(F, n, i))
+        )
+        if squarefree_part(mp) != mp:
+            return False  # t_i has a nonzero nilpotent part
+    found = _separating_element(ideal, rng, attempts)
+    if found is not None:
+        return len(found[1]) == 1
     if F.is_prime_field and F.characteristic**k <= exhaustive_bound:
         p = F.characteristic
         std = ideal.standard_monomials
@@ -457,17 +488,23 @@ class CommutingTuple:
 
     def radical_submodule(self):
         """The subspace Jac(R).V for R = k[T]/Ann(V): the sum of the images
-        of s_i(f_i) with s_i the squarefree part of f_i's minimal
+        of s_i(f_i) with s_i the squarefree part of f_i's characteristic
         polynomial (Seidenberg; needs a perfect field, which both supported
         fields are)."""
-        F, d = self.field, self.dim
-        total = Subspace.zero(F, d)
-        if d == 0:
-            return InvariantSubmodule(self, total)
-        for m in self.mats:
-            s = squarefree_part(minimal_polynomial(m))
-            total = total.sum(column_space(eval_poly_at_matrix(s, [m])))
-        return InvariantSubmodule(self, total)
+        polys = {i: squarefree_part(charpoly(m)) for i, m in enumerate(self.mats)}
+        return InvariantSubmodule(self, self._image_sum(polys))
+
+    def _image_sum(self, polys):
+        """The subspace sum of the images of polys[i](f_i)."""
+        return Subspace(
+            self.field,
+            self.dim,
+            [
+                v
+                for i, q in polys.items()
+                for v in column_space(eval_poly_at_matrix(q, [self.mats[i]])).basis
+            ],
+        )
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -490,30 +527,46 @@ class CommutingTuple:
 
     def _local_pieces(self, rng=None):
         """Split V into local pieces; returns [(submodule, piece, key)]
-        sorted by the canonical key order."""
+        sorted by the canonical key order.
+
+        A work item is (subspace, restricted tuple, qs), where qs maps
+        each generator already known to be primary on the item to the
+        irreducible q_i of its characteristic polynomial; restriction to an
+        invariant subspace keeps it primary, so each generator is factored
+        once per lineage.  The first generator whose characteristic
+        polynomial has two distinct factors splits the item into
+        generalised eigenspaces.  An item on which every generator is
+        primary goes to ``_key``, which either certifies it local or names
+        an element g whose g(f) splits it further.
+        """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
         F, n, d = self.field, self.nvars, self.dim
         if d == 0:
             return []
-        work = [Subspace.full(F, d)]
-        done = []
+        work = [(Subspace.full(F, d), self, {})]
+        out = []
         while work:
-            sp = work.pop()
-            t = self.restrict(sp)
+            sp, t, qs = work.pop()
             split = None
             for i in range(n):
-                factors = factor_univariate(minimal_polynomial(t.mats[i]), rng)
+                if i in qs:
+                    continue
+                factors = factor_univariate(charpoly(t.mats[i]), rng)
                 if len(factors) >= 2:
-                    split = (i, factors)
+                    split = (t.mats[i], factors, i)
                     break
+                qs[i] = factors[0][0]
             if split is None:
-                done.append(sp)
-                continue
-            i, factors = split
-            for q, e in factors:
-                # ker q(f_i)^e is invariant under every f_j by commutativity
-                ker = kernel_basis(eval_poly_at_matrix(q**e, [t.mats[i]]))
+                key, g = t._key(qs, rng)
+                if key is not None:
+                    out.append((InvariantSubmodule(self, sp), t, key))
+                    continue
+                m = eval_poly_at_matrix(g, list(t.mats))
+                split = (m, factor_univariate(charpoly(m), rng), None)
+            m, factors, i = split
+            for q, v in factors:
+                ker = _generalised_eigenspace(m, q, v)
                 vecs = []
                 for kv in ker.basis:
                     w = [F.zero] * d
@@ -521,23 +574,20 @@ class CommutingTuple:
                         if c:
                             w = [F.add(x, F.mul(c, y)) for x, y in zip(w, b)]
                     vecs.append(w)
-                work.append(Subspace(F, d, vecs))
-        if sum(sp.dim for sp in done) != d:
+                child = Subspace(F, d, vecs)
+                child_qs = dict(qs) if i is None else {**qs, i: q}
+                work.append((child, self.restrict(child), child_qs))
+        if sum(sub.dim for sub, _, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
-        stacked = Subspace(F, d, [v for sp in done for v in sp.basis])
+        stacked = Subspace(F, d, [v for sub, _, _ in out for v in sub.space.basis])
         if stacked.dim != d:
             raise RuntimeError("primary decomposition pieces are not independent")
-        out = []
-        for sp in done:
-            piece = self.restrict(sp)
-            key = piece.maximal_ideal_key(rng)
-            out.append((InvariantSubmodule(self, sp), piece, key))
         out.sort(key=lambda item: item[2].sort_key())
         return out
 
     def primary_decomposition(self, rng=None):
         """V as a direct sum of pieces, each local at one maximal ideal:
-        on every piece each f_i acts with irreducible-power minimal
+        on every piece each f_i acts with irreducible-power characteristic
         polynomial.  Pieces come back in canonical key order."""
         return [(sub, piece) for sub, piece, _ in self._local_pieces(rng)]
 
@@ -548,18 +598,57 @@ class CommutingTuple:
             rng = random.Random(DEFAULT_SEED)
         if self.dim == 0:
             raise ValueError("the zero module has no maximal ideal key")
+        qs = {}
         for i, m in enumerate(self.mats):
-            factors = factor_univariate(minimal_polynomial(m), rng)
+            factors = factor_univariate(charpoly(m), rng)
             if len(factors) != 1:
                 raise ValueError(
                     f"tuple is not local: matrix {i} has {len(factors)} distinct "
-                    "irreducible factors in its minimal polynomial"
+                    "irreducible factors in its characteristic polynomial"
                 )
-        ss = self.semisimplify()
+            qs[i] = factors[0][0]
+        key, g = self._key(qs, rng)
+        if key is None:
+            raise ValueError(f"tuple is not local: {g} separates its maximal ideals")
+        return key
+
+    def _key(self, qs, rng):
+        """Key of a tuple on which every f_i has characteristic polynomial a
+        power of the irreducible qs[i], as (key, None); or (None, g) when
+        the tuple is not local, with g(f) splitting it.
+
+        Jac.V is the sum of the images of q_i(f_i), and A = k[T]/Ann(V/Jac.V)
+        is a product of the residue fields.  Each k[t_i]/(q_i) embeds in
+        A, so a residue degree dim A equal to max deg q_i makes A a field;
+        otherwise a separating element decides.
+        """
+        ss = self.quotient(self._image_sum(qs))
         ideal = ss.annihilator_ideal()
         rd = ideal.quotient_dim
-        if rd == 0 or ss.dim % rd:
+        if rd == 0:
+            raise RuntimeError("nonzero semisimple quotient has the unit annihilator")
+        if rd != max(q.degree for q in qs.values()):
+            found = _separating_element(ideal, rng)
+            if found is None:
+                raise RuntimeError("could not certify that a piece is local")
+            g, factors = found
+            if len(factors) >= 2:
+                return None, g
+        # local: V/Jac.V is a vector space over the residue field A
+        if ss.dim % rd:
             raise RuntimeError(
                 "semisimple quotient dimension is not a multiple of the residue degree"
             )
-        return MaximalIdealKey(ideal, rd)
+        return MaximalIdealKey(ideal, rd), None
+
+
+def _generalised_eigenspace(m, q, v):
+    """ker q(m)^v for an irreducible q with q^v exactly dividing the
+    characteristic polynomial of m; its dimension is deg q * v."""
+    ker = kernel_basis(eval_poly_at_matrix(q, [m]).pow(v))
+    if ker.dim != q.degree * v:
+        raise RuntimeError(
+            f"generalised eigenspace of {q} has dimension {ker.dim}, "
+            f"expected {q.degree * v}"
+        )
+    return ker

@@ -124,6 +124,18 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert code == 1 and "do not commute" in err
 
 
+def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
+    from endok.modules import CommutingTuple
+
+    def broken(self, rng=None):
+        raise RuntimeError("primary decomposition lost dimensions")
+
+    monkeypatch.setattr(CommutingTuple, "_local_pieces", broken)
+    code, out, err = run(capsys, ["class", job(tmp_path, DIAG_Q)])
+    assert code == 3 and out == ""
+    assert err == "error: internal: primary decomposition lost dimensions\n"
+
+
 def test_byte_identical_across_runs_and_processes(tmp_path):
     path = job(tmp_path, DIAG_Q)
     outs = [

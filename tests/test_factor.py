@@ -117,9 +117,16 @@ def test_factor_zero_and_constant():
 
 def test_degree_cap_over_rationals():
     t = UniPoly.gen(QQ)
-    f = t ** (RATIONAL_DEGREE_CAP + 1) - UniPoly.one(QQ)
+    f = t ** (RATIONAL_DEGREE_CAP + 1) - UniPoly.one(QQ)  # squarefree
     with pytest.raises(ValueError, match="degree too large"):
         factor_univariate(f)
+
+
+def test_degree_cap_applies_to_squarefree_parts():
+    # the cap bounds recombination, which only sees squarefree parts
+    t = UniPoly.gen(QQ)
+    f = (t - UniPoly.one(QQ)) ** 70
+    assert strs(factor_univariate(f)) == [("t - 1", 70)]
 
 
 def test_multiplicities():
