@@ -1,45 +1,23 @@
-"""Mod-p dense linear-algebra kernels: numba loops with a numpy fallback.
+"""Mod-p dense linear-algebra kernels on int64 residue arrays.
 
-The environment variable ``ENDOK_KERNEL`` selects the implementation:
-
-* ``numba`` - @njit loops (the default whenever numba imports),
-* ``numpy`` - vectorized numpy,
-* ``python`` - disable the array path; matrices then take the generic
-  exact object loops in :mod:`endok.linalg`.
-
-Both array implementations are exact.  They work on int64 residues in
-[0, p) and reduce eagerly; callers only dispatch here for p below
+The kernels are exact.  They work on int64 residues in [0, p) and reduce
+eagerly; :mod:`endok.linalg` only dispatches here for p below
 ``PRIME_LIMIT`` so that no intermediate product can overflow 63 bits.
 """
-
-import os
 
 import numpy as np
 
 PRIME_LIMIT = 1 << 20
 
-_choice = os.environ.get("ENDOK_KERNEL", "").strip().lower() or "auto"
-if _choice not in ("auto", "numba", "numpy", "python"):
-    raise ValueError(
-        f"ENDOK_KERNEL={_choice!r}: expected 'numba', 'numpy' or 'python'"
-    )
-
-HAVE_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise RuntimeError("ENDOK_KERNEL=numba but numba is not importable")
+# The benchmark's run record (perfbench/run.py) reads this name.
+BACKEND = "numpy"
 
 
-def matmul_mod_numpy(a, b, p):
+def matmul_mod(a, b, p):
     return (a @ b) % p
 
 
-def rref_mod_numpy(a, p):
+def rref_mod(a, p):
     """Reduced row echelon form of an int64 residue matrix.
 
     Returns (rref array, list of pivot columns).
@@ -66,92 +44,3 @@ def rref_mod_numpy(a, p):
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pow_mod_int(base, e, p):
-        result = 1
-        base = base % p
-        while e:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        return result
-
-    @njit(cache=True)
-    def _matmul_mod_numba(a, b, p):
-        n, k = a.shape
-        m = b.shape[1]
-        out = np.empty((n, m), dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                acc = 0
-                for l in range(k):
-                    acc += a[i, l] * b[l, j]
-                out[i, j] = acc % p
-        return out
-
-    @njit(cache=True)
-    def _rref_mod_numba(a, p):
-        rows, cols = a.shape
-        pivots = np.empty(cols, dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv == -1:
-                continue
-            if piv != r:
-                for j in range(cols):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            inv = _pow_mod_int(a[r, c], p - 2, p)
-            for j in range(cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(rows):
-                if i != r and a[i, c] != 0:
-                    f = a[i, c]
-                    for j in range(cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            pivots[r] = c
-            r += 1
-        return a, pivots[:r]
-
-    def matmul_mod_numba(a, b, p):
-        return _matmul_mod_numba(
-            np.ascontiguousarray(a, dtype=np.int64),
-            np.ascontiguousarray(b, dtype=np.int64),
-            p,
-        )
-
-    def rref_mod_numba(a, p):
-        arr = np.array(a, dtype=np.int64) % p
-        out, piv = _rref_mod_numba(arr, p)
-        return out, [int(c) for c in piv]
-
-else:
-    matmul_mod_numba = None
-    rref_mod_numba = None
-
-
-if _choice == "python":
-    BACKEND = "python"
-    matmul_mod = matmul_mod_numpy
-    rref_mod = rref_mod_numpy
-elif _choice == "numpy" or not HAVE_NUMBA:
-    BACKEND = "numpy"
-    matmul_mod = matmul_mod_numpy
-    rref_mod = rref_mod_numpy
-else:
-    BACKEND = "numba"
-    matmul_mod = matmul_mod_numba
-    rref_mod = rref_mod_numba

@@ -219,14 +219,6 @@ class TildeClass:
         return f"TildeClass({self!s})"
 
 
-def tilde_mul(a, b):
-    return a * b
-
-
-def tilde_inv(a):
-    return a.inverse()
-
-
 def kelley_spanier_split(t):
     """A single endomorphism's class as (dimension, lambda_t part)."""
     if t.nvars != 1:

@@ -3,8 +3,8 @@
 Matrices are immutable row-major grids of raw field scalars.  Over prime
 fields small enough for int64 arithmetic, multiplication and row
 reduction dispatch to the array kernels in :mod:`endok._kernels`; over Q
-(and when ENDOK_KERNEL=python) everything runs through the generic exact
-loops below.  Both paths compute identical canonical results.
+and larger primes they run through the generic exact loops below.  The
+field alone decides, and both paths compute identical canonical results.
 """
 
 import numpy as np
@@ -15,11 +15,7 @@ from .poly import MultiPoly, UniPoly, uni_lcm
 
 
 def _arrays_enabled(field):
-    return (
-        _kernels.BACKEND != "python"
-        and field.is_prime_field
-        and field.characteristic < _kernels.PRIME_LIMIT
-    )
+    return field.is_prime_field and field.characteristic < _kernels.PRIME_LIMIT
 
 
 class Matrix:
@@ -398,15 +394,6 @@ class Echelon:
         self.pivots.append(lead)
         self.gens += 1
         return True, None
-
-    def contains(self, v):
-        F = self.field
-        work = [F.coerce(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            c = work[p]
-            if c:
-                work = [F.sub(x, F.mul(c, y)) for x, y in zip(work, row)]
-        return not any(work)
 
 
 def kernel_basis(m):

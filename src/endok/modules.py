@@ -419,8 +419,7 @@ class CommutingTuple:
         for m in self.mats:
             cols = []
             for c in comp:
-                e = tuple(F.one if i == c else F.zero for i in range(self.dim))
-                r = sp.reduce(m.mul_vec(e))
+                r = sp.reduce(m.column(c))
                 cols.append(tuple(r[cc] for cc in comp))
             grid = [[cols[j][i] for j in range(len(comp))] for i in range(len(comp))]
             mats.append(Matrix(F, grid, cols=len(comp)))
@@ -567,14 +566,8 @@ class CommutingTuple:
             m, factors, i = split
             for q, v in factors:
                 ker = _generalised_eigenspace(m, q, v)
-                vecs = []
-                for kv in ker.basis:
-                    w = [F.zero] * d
-                    for c, b in zip(kv, sp.basis):
-                        if c:
-                            w = [F.add(x, F.mul(c, y)) for x, y in zip(w, b)]
-                    vecs.append(w)
-                child = Subspace(F, d, vecs)
+                lifted = Matrix(F, ker.basis) @ Matrix(F, sp.basis)
+                child = Subspace(F, d, lifted.entries)
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 work.append((child, self.restrict(child), child_qs))
         if sum(sub.dim for sub, _, _ in out) != d:

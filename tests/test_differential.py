@@ -1,0 +1,86 @@
+"""Differential tests against sympy: characteristic polynomials and their
+factorizations, on random matrices and on members of random commuting
+tuples up to dim 24.
+
+The class path splits on ``linalg.charpoly``, and so does the benchmark's
+class check; sympy gives both an independent reference.  Over F_p, sympy's
+integer characteristic polynomial of the residue matrix is reduced mod p.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from endok.bruteforce import random_commuting_tuple, random_matrix
+from endok.factor import factor_univariate
+from endok.fields import GF, QQ
+from endok.linalg import Matrix, charpoly
+
+from conftest import field_id
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+FIELDS = [QQ, GF(2), GF(3), GF(97)]
+DIMS = (1, 2, 5, 8, 13, 24)
+
+
+def conjugate(m, rng):
+    """m conjugated by random elementary shears, hiding its block form."""
+    F, d = m.field, m.rows
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice([-1, 1])
+        shear = [list(row) for row in Matrix.identity(F, d).entries]
+        inverse = [list(row) for row in shear]
+        shear[i][j], inverse[i][j] = F.coerce(c), F.coerce(-c)
+        m = Matrix(F, shear) @ m @ Matrix(F, inverse)
+    return m
+
+
+def matrices(field):
+    """Random matrices, repeated-factor block sums in disguise, and members
+    of random commuting tuples."""
+    rng = random.Random(7)
+    out = [random_matrix(field, d, rng) for d in DIMS]
+    for d in (3, 4):
+        a = random_matrix(field, d, rng)
+        out.append(conjugate(Matrix.block_diag(field, [a, a, a @ a]), rng))
+    for nvars, d in ((1, 6), (2, 12), (2, 24), (3, 16)):
+        out.extend(random_commuting_tuple(field, nvars, d, rng).mats)
+    return out
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries])
+
+
+def normalise(coeffs, field):
+    """Sympy coefficients, highest first, as monic field scalars, lowest first."""
+    if field.is_rationals:
+        values = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+        lead = values[0]
+        return tuple(v / lead for v in reversed(values))
+    p = field.characteristic
+    values = [int(c) % p for c in coeffs]
+    inv = pow(values[0], p - 2, p)
+    return tuple(v * inv % p for v in reversed(values))
+
+
+def sympy_factors(coeffs, field):
+    """Monic irreducible factors with exponents, as a sorted list."""
+    kw = {} if field.is_rationals else {"modulus": field.characteristic}
+    _, factors = sympy.Poly(list(coeffs), X, **kw).factor_list()
+    return sorted((normalise(f.all_coeffs(), field), e) for f, e in factors)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
+def test_charpoly_and_factors_match_sympy(field):
+    rng = random.Random(11)
+    for m in matrices(field):
+        ours = charpoly(m)
+        theirs = normalise(to_sympy(m).charpoly(X).all_coeffs(), field)
+        assert ours.coeffs == theirs, (m.rows, str(m))
+        factors = sorted((q.coeffs, e) for q, e in factor_univariate(ours, rng))
+        assert factors == sympy_factors(reversed(ours.coeffs), field), str(ours)
