@@ -20,6 +20,7 @@ PRIME_FIELD = "prime-field"
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_PRIME = 2**63  # residues must fit a machine word
+SAMPLE_BOUND = 9  # random_scalar over Q draws numerators from [-9, 9]
 
 
 def is_prime(n):
@@ -145,11 +146,11 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def random_scalar(self, rng, bound=9):
+    def random_scalar(self, rng):
         """Uniform residue over F_p; small random fraction over Q."""
         if self.is_prime_field:
             return rng.randrange(self.characteristic)
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+        return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 4))
 
     def element(self, x):
         return FieldElement(self, x)

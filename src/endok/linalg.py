@@ -190,9 +190,6 @@ class Matrix:
             e >>= 1
         return out
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
-
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
@@ -307,14 +304,6 @@ class Subspace:
     def contains(self, v):
         z = self.field.zero
         return all(x == z for x in self.reduce(v))
-
-    def coords(self, v, check=True):
-        """Coordinates of v in the echelon basis (reads the pivot slots)."""
-        F = self.field
-        v = tuple(F.coerce(x) for x in v)
-        if check and not self.contains(v):
-            raise ValueError("vector is not in the subspace")
-        return tuple(v[p] for p in self.pivots)
 
     def complement_coords(self):
         """Ambient coordinates not used as pivots; they index a complement."""
@@ -495,7 +484,8 @@ def minimal_polynomial(m):
 
 
 def eval_poly_at_matrix(q, ms):
-    """Evaluate a polynomial at square matrices (t_i -> ms[i]).
+    """Evaluate a polynomial at square matrices (t_i -> ms[i]) as a sum of
+    products of cached powers, each scaled by its term's coefficient.
 
     Multivariate evaluation assumes the matrices commute pairwise, which
     callers passing CommutingTuple members always guarantee.
@@ -510,32 +500,23 @@ def eval_poly_at_matrix(q, ms):
     if isinstance(q, UniPoly):
         if len(ms) != 1:
             raise ValueError("univariate evaluation takes exactly one matrix")
-        if q.field != F:
-            raise FieldMismatchError("polynomial and matrix fields differ")
-        acc = Matrix.zeros(F, d, d)
-        ident = Matrix.identity(F, d)
-        for c in reversed(q.coeffs):
-            acc = acc @ ms[0] + ident.scale(c)
-        return acc
+        q = MultiPoly.from_unipoly(q)
     if not isinstance(q, MultiPoly):
         raise TypeError(f"expected UniPoly or MultiPoly, got {q!r}")
     if len(ms) != q.nvars:
         raise ValueError(f"{q.nvars} variables but {len(ms)} matrices")
     if q.field != F:
         raise FieldMismatchError("polynomial and matrix fields differ")
-    powers = [{0: Matrix.identity(F, d)} for _ in ms]
-
-    def var_power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = var_power(i, e - 1) @ ms[i]
-        return cache[e]
-
+    ident = Matrix.identity(F, d)
+    powers = [[ident] for _ in ms]
     acc = Matrix.zeros(F, d, d)
     for exps, c in q.terms:
-        term = Matrix.identity(F, d).scale(c)
+        term = ident
         for i, e in enumerate(exps):
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(cache[-1] @ ms[i])
             if e:
-                term = term @ var_power(i, e)
-        acc = acc + term
+                term = cache[e] if term is ident else term @ cache[e]
+        acc = acc + term.scale(c)
     return acc

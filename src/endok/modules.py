@@ -150,7 +150,11 @@ def multiplication_matrix(ideal, p):
     return Matrix(F, grid, cols=len(std))
 
 
-def _candidates(ideal, rng, attempts):
+SEPARATING_ATTEMPTS = 25  # random probes of each kind for a separating element
+EXHAUSTIVE_BOUND = 4096  # quotient_is_field enumerates k[T]/I when p^dim <= this
+
+
+def _candidates(ideal, rng):
     """Seeded elements of k[T]/I to probe: the variables, then random
     linear combinations of them, then random elements over the standard
     monomials."""
@@ -158,15 +162,15 @@ def _candidates(ideal, rng, attempts):
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     for i in range(n):
         yield MultiPoly.variable(F, n, i)
-    for _ in range(attempts):
+    for _ in range(SEPARATING_ATTEMPTS):
         yield MultiPoly(F, n, {u: F.random_scalar(rng) for u in units})
-    for _ in range(attempts):
+    for _ in range(SEPARATING_ATTEMPTS):
         yield MultiPoly(
             F, n, {m: F.random_scalar(rng) for m in ideal.standard_monomials}
         )
 
 
-def _separating_element(ideal, rng, attempts=25):
+def _separating_element(ideal, rng):
     """For a reduced A = k[T]/I (a product of finite field extensions),
     find g in A that settles whether A is a field.
 
@@ -176,14 +180,14 @@ def _separating_element(ideal, rng, attempts=25):
     the generalised eigenspaces of g.  None when no candidate settles it.
     """
     k = ideal.quotient_dim
-    for g in _candidates(ideal, rng, attempts):
+    for g in _candidates(ideal, rng):
         factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)), rng)
         if len(factors) >= 2 or factors[0][0].degree == k:
             return g, factors
     return None
 
 
-def quotient_is_field(ideal, rng=None, attempts=25, exhaustive_bound=4096):
+def quotient_is_field(ideal, rng=None):
     """Decide whether k[T]/I is a field (i.e. I is maximal).
 
     Strategy: the quotient is reduced iff every variable's multiplication
@@ -208,10 +212,10 @@ def quotient_is_field(ideal, rng=None, attempts=25, exhaustive_bound=4096):
         )
         if squarefree_part(mp) != mp:
             return False  # t_i has a nonzero nilpotent part
-    found = _separating_element(ideal, rng, attempts)
+    found = _separating_element(ideal, rng)
     if found is not None:
         return len(found[1]) == 1
-    if F.is_prime_field and F.characteristic**k <= exhaustive_bound:
+    if F.is_prime_field and F.characteristic**k <= EXHAUSTIVE_BOUND:
         p = F.characteristic
         std = ideal.standard_monomials
         for coeffs in _product(range(p), repeat=k):
@@ -263,10 +267,7 @@ class InvariantSubmodule:
     def __init__(self, t, space):
         if space.field != t.field or space.ambient_dim != t.dim:
             raise ValueError("subspace does not live in the module's space")
-        for k, m in enumerate(t.mats):
-            for v in space.basis:
-                if not space.contains(m.mul_vec(v)):
-                    raise ValueError(f"subspace is not invariant under matrix {k}")
+        t._submodule_maps(space)
         object.__setattr__(self, "parent_dim", t.dim)
         object.__setattr__(self, "space", space)
 
@@ -390,40 +391,40 @@ class CommutingTuple:
                     queue.append(w)
         return InvariantSubmodule(self, Subspace(self.field, self.dim, ech.rows))
 
+    def _submodule_maps(self, sp):
+        """(B, [R_k]) for an echelon subspace, B its basis as columns and R_k
+        the pivot rows of f_k.B.  As w is in the span iff w = sum w[p_i].b_i,
+        B.R_k == f_k.B is exactly invariance under f_k; a failure raises."""
+        F = self.field
+        B = Matrix(F, [[b[i] for b in sp.basis] for i in range(self.dim)], cols=sp.dim)
+        rs = []
+        for k, m in enumerate(self.mats):
+            fb = m @ B
+            r = _submatrix(fb, sp.pivots, range(sp.dim))
+            if B @ r != fb:
+                raise ValueError(f"subspace is not invariant under matrix {k}")
+            rs.append(r)
+        return B, rs
+
     def restrict(self, s):
         """The induced tuple on an invariant subspace, in its echelon basis."""
         sp = self._as_space(s)
-        mats = []
-        for k, m in enumerate(self.mats):
-            cols = []
-            for b in sp.basis:
-                w = m.mul_vec(b)
-                if not sp.contains(w):
-                    raise ValueError(f"subspace is not invariant under matrix {k}")
-                cols.append(sp.coords(w, check=False))
-            grid = [[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)]
-            mats.append(Matrix(self.field, grid, cols=sp.dim))
-        return CommutingTuple(self.field, self.nvars, sp.dim, mats)
+        _, rs = self._submodule_maps(sp)
+        return CommutingTuple(self.field, self.nvars, sp.dim, rs)
 
     def quotient(self, s):
-        """The induced tuple on V/s, using the non-pivot coordinates of the
-        submodule's echelon basis as the complement basis."""
+        """The induced tuple on V/s over the complement basis indexed by the
+        non-pivot coordinates comp: M acts as M[comp, comp] -
+        B[comp, :].M[pivots, comp], with B the submodule's echelon basis."""
         sp = self._as_space(s)
-        for k, m in enumerate(self.mats):
-            for b in sp.basis:
-                if not sp.contains(m.mul_vec(b)):
-                    raise ValueError(f"subspace is not invariant under matrix {k}")
+        B, _ = self._submodule_maps(sp)
         comp = sp.complement_coords()
-        F = self.field
-        mats = []
-        for m in self.mats:
-            cols = []
-            for c in comp:
-                r = sp.reduce(m.column(c))
-                cols.append(tuple(r[cc] for cc in comp))
-            grid = [[cols[j][i] for j in range(len(comp))] for i in range(len(comp))]
-            mats.append(Matrix(F, grid, cols=len(comp)))
-        return CommutingTuple(F, self.nvars, len(comp), mats)
+        bc = _submatrix(B, comp, range(sp.dim))
+        mats = [
+            _submatrix(m, comp, comp) - bc @ _submatrix(m, sp.pivots, comp)
+            for m in self.mats
+        ]
+        return CommutingTuple(self.field, self.nvars, len(comp), mats)
 
     # -- annihilator ideal -----------------------------------------------------
 
@@ -585,36 +586,24 @@ class CommutingTuple:
         return [(sub, piece) for sub, piece, _ in self._local_pieces(rng)]
 
     def maximal_ideal_key(self, rng=None):
-        """The key of the unique maximal ideal over a local tuple's
-        annihilator: the annihilator of the semisimple quotient."""
-        if rng is None:
-            rng = random.Random(DEFAULT_SEED)
+        """The key of a local tuple, the one-piece case of the primary
+        decomposition; ValueError on the zero module or a non-local tuple."""
         if self.dim == 0:
             raise ValueError("the zero module has no maximal ideal key")
-        qs = {}
-        for i, m in enumerate(self.mats):
-            factors = factor_univariate(charpoly(m), rng)
-            if len(factors) != 1:
-                raise ValueError(
-                    f"tuple is not local: matrix {i} has {len(factors)} distinct "
-                    "irreducible factors in its characteristic polynomial"
-                )
-            qs[i] = factors[0][0]
-        key, g = self._key(qs, rng)
-        if key is None:
-            raise ValueError(f"tuple is not local: {g} separates its maximal ideals")
-        return key
+        pieces = self._local_pieces(rng)
+        if len(pieces) != 1:
+            raise ValueError(f"tuple is not local: it has {len(pieces)} local pieces")
+        return pieces[0][2]
 
     def _key(self, qs, rng):
-        """Key of a tuple on which every f_i has characteristic polynomial a
-        power of the irreducible qs[i], as (key, None); or (None, g) when
-        the tuple is not local, with g(f) splitting it.
+        """For a tuple on which every f_i has characteristic polynomial a
+        power of the irreducible qs[i]: (key, None) when it is local, or
+        (None, g) when it is not, with g(f) splitting it.
 
         Jac.V is the sum of the images of q_i(f_i), and A = k[T]/Ann(V/Jac.V)
-        is a product of the residue fields.  Each k[t_i]/(q_i) embeds in
-        A, so a residue degree dim A equal to max deg q_i makes A a field;
-        otherwise a separating element decides.
-        """
+        is the product of the residue fields.  Each k[t_i]/(q_i) embeds in
+        every one of them, so dim A = max deg q_i leaves room for a single
+        field; otherwise a separating element of A decides."""
         ss = self.quotient(self._image_sum(qs))
         ideal = ss.annihilator_ideal()
         rd = ideal.quotient_dim
@@ -633,6 +622,12 @@ class CommutingTuple:
                 "semisimple quotient dimension is not a multiple of the residue degree"
             )
         return MaximalIdealKey(ideal, rd), None
+
+
+def _submatrix(m, rows, cols):
+    """The block of m on the given row and column indices."""
+    grid = [[m.entries[i][j] for j in cols] for i in rows]
+    return Matrix(m.field, grid, cols=len(cols))
 
 
 def _generalised_eigenspace(m, q, v):

@@ -330,12 +330,14 @@ def parse_input(text):
                 raise ParseError(
                     "vars and dim must be declared before matrices", lineno, indent
                 )
+            if len(matrices) >= nvars:
+                raise ParseError(f"extra matrix beyond vars {nvars}", lineno, indent)
             parser = _ExprParser(_tokenize(stripped, lineno, indent), field, nvars)
             m = _parse_matrix_tokens(parser)
             tok = parser.peek()
             if tok.kind != "end":
                 parser.fail("unexpected trailing input", tok)
-            if m.rows != dim:
+            if (m.rows, m.cols) != (dim, dim):
                 raise ParseError(
                     f"matrix is {m.rows}x{m.cols}, expected {dim}x{dim}",
                     lineno,

@@ -267,12 +267,6 @@ class UniPoly:
             out.append(F.mul(ifield, self.coeffs[i]))
         return UniPoly(F, out)
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def __call__(self, x):
         """Evaluate at a scalar by Horner's rule; returns a raw scalar."""
         F = self.field
@@ -299,10 +293,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.field!r}, {self!s})"
-
-
-def uni_divmod(f, g):
-    return divmod(f, g)
 
 
 def uni_gcd(f, g):

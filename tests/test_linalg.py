@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from endok.bruteforce import random_commuting_tuple
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
@@ -104,9 +105,6 @@ def test_subspace_canonical_equality():
     assert not a.contains((1, 0, 0))
     assert a.sum(Subspace(QQ, 3, [(1, 0, 0)])) == Subspace.full(QQ, 3)
     assert a.complement_coords() == (1,)
-    assert a.coords((2, 2, 7)) == (2, 7)
-    with pytest.raises(ValueError):
-        a.coords((1, 0, 0))
 
 
 def test_column_space():
@@ -200,6 +198,33 @@ def test_eval_is_ring_homomorphism():
                 assert eval_poly_at_matrix(p1 + p2, [a]) == eval_poly_at_matrix(
                     p1, [a]
                 ) + eval_poly_at_matrix(p2, [a])
+    for field in (QQ, F3):
+        for n in (2, 3):
+            ms = list(random_commuting_tuple(field, n, 4, rng).mats)
+
+            def ev(p):
+                return eval_poly_at_matrix(p, ms)
+
+            ps = [
+                MultiPoly(
+                    field,
+                    n,
+                    {
+                        tuple(rng.randint(0, 2) for _ in range(n)): field.random_scalar(rng)
+                        for _ in range(3)
+                    },
+                )
+                for _ in range(3)
+            ]
+            ps += [MultiPoly.constant(field, n, 2), MultiPoly.zero(field, n)]
+            for p1 in ps:
+                for p2 in ps:
+                    assert ev(p1 * p2) == ev(p1) @ ev(p2)
+                    assert ev(p1 + p2) == ev(p1) + ev(p2)
+            assert ev(MultiPoly.constant(field, n, 2)) == Matrix.identity(field, 4).scale(2)
+            assert ev(MultiPoly.zero(field, n)).is_zero
+            for i in range(n):
+                assert ev(MultiPoly.variable(field, n, i)) == ms[i]
 
 
 # -- matrices -------------------------------------------------------------------------

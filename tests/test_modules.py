@@ -124,6 +124,44 @@ def test_restrict_quotient_dims_add(field):
         CommutingTuple(field, t.nvars, quo.dim, quo.mats)
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
+def test_restrict_quotient_formulas(field):
+    # restrict: f.B = B.R over the echelon basis B; quotient: pi(f.e_j) =
+    # Q.pi(e_j) with pi(v) = (v - B.v[pivots])[comp].  Transposes of
+    # commuting matrices commute and have the same composition factors,
+    # so only these identities tell R and Q from their transposes.
+    rng = random.Random(22)
+    F = field
+    for _ in range(20):
+        t = random_commuting_tuple(field, rng.randint(2, 3), rng.randint(1, 6), rng)
+        d = t.dim
+        for s in (
+            t.generated_submodule([random_vector(field, d, rng)]),
+            t.generated_submodule([]),
+            InvariantSubmodule(t, Subspace.full(field, d)),
+        ):
+            sp = s.space
+            comp = sp.complement_coords()
+
+            def combine(coeffs):
+                out = [F.zero] * d
+                for b, c in zip(sp.basis, coeffs):
+                    out = [F.add(x, F.mul(c, y)) for x, y in zip(out, b)]
+                return tuple(out)
+
+            def project(v):
+                w = combine([v[p] for p in sp.pivots])
+                return tuple(F.sub(v[c], w[c]) for c in comp)
+
+            sub, quo = t.restrict(s), t.quotient(s)
+            for f, r, q in zip(t.mats, sub.mats, quo.mats):
+                for j, b in enumerate(sp.basis):
+                    assert f.mul_vec(b) == combine(r.column(j))
+                for c in comp:
+                    e = tuple(F.one if i == c else F.zero for i in range(d))
+                    assert project(f.mul_vec(e)) == q.mul_vec(project(e))
+
+
 # -- annihilator ideal -----------------------------------------------------------------
 
 

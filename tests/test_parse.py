@@ -131,6 +131,17 @@ def test_parse_input_errors():
         parse_input("field Q\nvars 1\ndim 1\n").tuple()
 
 
+def test_parse_input_matrix_shape_errors_carry_positions():
+    # a 2x3 matrix under dim 2: the row count alone would let it through
+    with pytest.raises(ParseError, match="matrix is 2x3, expected 2x2") as e:
+        parse_input("field Q\nvars 2\ndim 2\n[[0,1,2];[0,0,3]]\n[[0,0];[0,0]]\n")
+    assert (e.value.line, e.value.column) == (4, 1)
+    # a third matrix under vars 2
+    with pytest.raises(ParseError, match="extra matrix beyond vars 2") as e:
+        parse_input("field Q\nvars 2\ndim 1\n[[0]]\n[[0]]\n  [[1]]\n")
+    assert (e.value.line, e.value.column) == (6, 3)
+
+
 def test_noncommuting_matrices_reported_with_indices():
     job = parse_input(
         "field Q\nvars 2\ndim 2\n[[0,1];[0,0]]\n[[0,0];[1,0]]\n"

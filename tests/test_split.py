@@ -40,8 +40,8 @@ def count_separations(monkeypatch):
     hits = []
     original = modules._separating_element
 
-    def counted(ideal, rng, attempts=25):
-        found = original(ideal, rng, attempts)
+    def counted(ideal, rng):
+        found = original(ideal, rng)
         if found is not None and len(found[1]) >= 2:
             hits.append(found[0])
         return found
