@@ -8,7 +8,6 @@ from .errors import (
 )
 from .fields import GF, QQ, FieldElement, FieldSpec
 from .poly import (
-    GRLEX,
     MultiPoly,
     UniPoly,
     normal_form,

@@ -2,9 +2,11 @@
 
 Raw scalars are plain Python values: ``fractions.Fraction`` over Q (always
 reduced, positive denominator) and ``int`` residues in ``[0, p)`` over F_p,
-so equal elements always have identical representations.  A ``FieldSpec``
-bundles the arithmetic on raw values; ``FieldElement`` pairs one raw value
-with its field for the operator-overloaded surface.
+so equal elements always have identical representations.  ``FieldSpec``
+has one subclass per field, ``Rationals`` (the instance ``QQ``) and
+``PrimeField`` (built by ``GF(p)``), each with the arithmetic on its own
+raw values; ``FieldElement`` pairs one raw value with its field for the
+operator-overloaded surface.
 
 No floating point is used anywhere; every operation is exact.
 """
@@ -12,9 +14,6 @@ No floating point is used anywhere; every operation is exact.
 from fractions import Fraction
 
 from .errors import FieldMismatchError
-
-RATIONALS = "rationals"
-PRIME_FIELD = "prime-field"
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -48,109 +47,32 @@ def is_prime(n):
 
 
 class FieldSpec:
-    """One of the two supported exact fields: Q or F_p for a prime p.
+    """Shared base of the two supported exact fields, ``Rationals`` and
+    ``PrimeField``; build them as ``QQ`` and ``GF(p)``.
 
-    ``characteristic`` is 0 for the rationals and p for F_p.  Both kinds
-    are perfect fields, which the radical computation downstream relies on.
+    ``characteristic`` is 0 for the rationals and p for F_p.  Both are
+    perfect fields, which the radical computation downstream relies on.
+    Each subclass supplies ``zero``, ``one`` and the raw scalar arithmetic
+    for its own representation; fields are equal when their class and
+    characteristic are.
     """
 
-    __slots__ = ("kind", "characteristic")
-
-    def __init__(self, kind, characteristic):
-        if kind == RATIONALS:
-            if characteristic != 0:
-                raise ValueError("the rationals have characteristic 0")
-        elif kind == PRIME_FIELD:
-            if characteristic >= MAX_PRIME:
-                raise ValueError(f"prime {characteristic} does not fit a machine word")
-            if not is_prime(characteristic):
-                raise ValueError(f"{characteristic} is not prime")
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "characteristic", characteristic)
+    __slots__ = ()
+    is_rationals = False
+    is_prime_field = False
 
     def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def rationals(cls):
-        return cls(RATIONALS, 0)
-
-    @classmethod
-    def prime(cls, p):
-        return cls(PRIME_FIELD, p)
-
-    @property
-    def is_rationals(self):
-        return self.kind == RATIONALS
-
-    @property
-    def is_prime_field(self):
-        return self.kind == PRIME_FIELD
-
-    # -- raw scalar arithmetic -------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rationals else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rationals else 1
-
-    def coerce(self, x):
-        """Coerce an int, Fraction or FieldElement to a canonical raw scalar."""
+    def _coerce_element(self, x):
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise FieldMismatchError(f"element of {x.field} used over {self}")
             return x.value
-        if self.is_rationals:
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-        else:
-            p = self.characteristic
-            if isinstance(x, int):
-                return x % p
-            if isinstance(x, Fraction):
-                return self.div(x.numerator % p, x.denominator % p)
         raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
-    def add(self, a, b):
-        if self.is_rationals:
-            return a + b
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        if self.is_rationals:
-            return a - b
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        if self.is_rationals:
-            return a * b
-        return a * b % self.characteristic
-
-    def neg(self, a):
-        if self.is_rationals:
-            return -a
-        return -a % self.characteristic
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError(f"inverse of zero in {self}")
-        if self.is_rationals:
-            return 1 / a
-        return pow(a, self.characteristic - 2, self.characteristic)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def random_scalar(self, rng):
-        """Uniform residue over F_p; small random fraction over Q."""
-        if self.is_prime_field:
-            return rng.randrange(self.characteristic)
-        return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 4))
 
     def element(self, x):
         return FieldElement(self, x)
@@ -158,20 +80,102 @@ class FieldSpec:
     def render(self, a):
         return str(a)
 
-    # -- value semantics ---------------------------------------------------
-
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.characteristic == other.characteristic
-        )
+        return type(other) is type(self) and other.characteristic == self.characteristic
 
     def __hash__(self):
-        return hash((self.kind, self.characteristic))
+        return hash(self.characteristic)
+
+
+class Rationals(FieldSpec):
+    """Q, with raw scalars ``Fraction`` in lowest terms."""
+
+    __slots__ = ()
+    is_rationals = True
+    characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def coerce(self, x):
+        """Coerce an int, Fraction or FieldElement to a canonical raw scalar."""
+        if type(x) is Fraction:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        return self._coerce_element(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self}")
+        return 1 / a
+
+    def random_scalar(self, rng):
+        """A small random fraction."""
+        return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 4))
 
     def __repr__(self):
-        return "Q" if self.is_rationals else f"F{self.characteristic}"
+        return "Q"
+
+
+class PrimeField(FieldSpec):
+    """F_p, with raw scalars ``int`` residues in ``[0, p)``."""
+
+    __slots__ = ("characteristic",)
+    is_prime_field = True
+    zero = 0
+    one = 1
+
+    def __init__(self, p):
+        if p >= MAX_PRIME:
+            raise ValueError(f"prime {p} does not fit a machine word")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "characteristic", p)
+
+    def coerce(self, x):
+        """Coerce an int, Fraction or FieldElement to a canonical raw scalar."""
+        if isinstance(x, int):
+            return x % self.characteristic
+        if isinstance(x, Fraction):
+            p = self.characteristic
+            return self.div(x.numerator % p, x.denominator % p)
+        return self._coerce_element(x)
+
+    def add(self, a, b):
+        return (a + b) % self.characteristic
+
+    def sub(self, a, b):
+        return (a - b) % self.characteristic
+
+    def mul(self, a, b):
+        return a * b % self.characteristic
+
+    def neg(self, a):
+        return -a % self.characteristic
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self}")
+        return pow(a, self.characteristic - 2, self.characteristic)
+
+    def random_scalar(self, rng):
+        """A uniform residue."""
+        return rng.randrange(self.characteristic)
+
+    def __repr__(self):
+        return f"F{self.characteristic}"
 
 
 class FieldElement:
@@ -233,7 +237,7 @@ class FieldElement:
 
 def GF(p):
     """The prime field with p elements."""
-    return FieldSpec.prime(p)
+    return PrimeField(p)
 
 
-QQ = FieldSpec.rationals()
+QQ = Rationals()

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a FieldSpec.
+"""Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
 Matrices are immutable row-major grids of raw field scalars.  Over prime
 fields small enough for int64 arithmetic, multiplication and row
@@ -101,7 +101,7 @@ class Matrix:
 
     @classmethod
     def _from_array(cls, field, arr):
-        return cls(field, [[int(x) for x in row] for row in arr], cols=arr.shape[1])
+        return cls(field, arr.tolist(), cols=arr.shape[1])
 
     # -- arithmetic ----------------------------------------------------------
 

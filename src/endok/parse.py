@@ -24,7 +24,7 @@ Errors carry a line:column position.
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ParseError
-from .fields import FieldSpec
+from .fields import GF, QQ, FieldSpec
 from .ktheory import GrothendieckClass, TildeClass
 from .linalg import Matrix
 from .modules import CommutingTuple, Ideal, MaximalIdealKey
@@ -297,10 +297,10 @@ def parse_input(text):
                 raise ParseError("duplicate field line", lineno, indent)
             parts = rest.split()
             if parts == ["Q"]:
-                field = FieldSpec.rationals()
+                field = QQ
             elif len(parts) == 2 and parts[0] == "F" and parts[1].isdigit():
                 try:
-                    field = FieldSpec.prime(int(parts[1]))
+                    field = GF(int(parts[1]))
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, indent) from None
             else:
@@ -357,14 +357,14 @@ def parse_input(text):
 
 
 def field_to_string(field):
-    return "Q" if field.is_rationals else f"F{field.characteristic}"
+    return repr(field)
 
 
 def field_from_string(s):
     if s == "Q":
-        return FieldSpec.rationals()
+        return QQ
     if s.startswith("F") and s[1:].isdigit():
-        return FieldSpec.prime(int(s[1:]))
+        return GF(int(s[1:]))
     raise ValueError(f"unknown field name {s!r}")
 
 

@@ -41,19 +41,6 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-class GradedLexOrder:
-    """The single monomial order used everywhere: graded lexicographic."""
-
-    name = "grlex"
-    key = staticmethod(grlex_key)
-
-    def __repr__(self):
-        return "GradedLexOrder(t1 > t2 > ... > tn)"
-
-
-GRLEX = GradedLexOrder()
-
-
 def render_monomial(exps, nvars):
     parts = []
     for i, e in enumerate(exps):
@@ -74,7 +61,7 @@ def render_terms(field, terms, nvars):
         return "0"
     out = []
     for exps, coeff in terms:
-        if field.is_rationals and coeff < 0:
+        if coeff < 0:
             sign, mag = "-", -coeff
         else:
             sign, mag = "+", coeff

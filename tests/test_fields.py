@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
+from endok import _kernels
 from endok.errors import FieldMismatchError
-from endok.fields import GF, QQ, FieldElement, FieldSpec, is_prime
+from endok.fields import GF, QQ, FieldElement, is_prime
+from endok.parse import field_from_string, parse_input
 
 from conftest import ALL_FIELDS, field_id
 
@@ -23,11 +26,42 @@ def test_prime_field_product():
 
 def test_construction_rejects_nonprime():
     with pytest.raises(ValueError):
-        FieldSpec.prime(4)
+        GF(4)
     with pytest.raises(ValueError):
-        FieldSpec.prime(1)
+        GF(1)
     with pytest.raises(ValueError):
-        FieldSpec.prime(2**63 + 7)
+        GF(2**63 + 7)
+
+
+def test_field_identity():
+    for p in (2, 3, 97):
+        parsed = parse_input(f"field F {p}\nvars 1\ndim 1\n[[1]]\n").field
+        named = field_from_string(f"F{p}")
+        assert GF(p) == parsed == named
+        assert hash(GF(p)) == hash(parsed) == hash(named)
+    assert parse_input("field Q\nvars 1\ndim 1\n[[1]]\n").field == QQ
+    assert QQ != GF(2) and GF(2) != GF(3) and QQ != GF(3)
+    assert len({QQ, GF(2), GF(3), GF(2), field_from_string("Q")}) == 3
+
+
+def test_field_attributes():
+    big = 2**31 - 1
+    assert big > _kernels.PRIME_LIMIT
+    for F, name, p in ((QQ, "Q", 0), (GF(97), "F97", 97), (GF(big), f"F{big}", big)):
+        assert (repr(F), F.characteristic) == (name, p)
+        assert (F.is_rationals, F.is_prime_field) == (p == 0, p != 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=field_id)
+def test_coerce_types(field):
+    for bad in (2.0, numpy.int64(3), "1", None):
+        with pytest.raises(TypeError):
+            field.coerce(bad)
+    one = field.coerce(True)
+    assert one == field.one == 1 and type(one) is type(field.one)
+    assert field.coerce(False) == field.zero
+    assert type(field.coerce(Fraction(4, 2))) is type(field.one)
+    assert field.coerce(field.element(3)) == field.coerce(3)
 
 
 def test_is_prime_against_trial_division():

@@ -14,7 +14,7 @@ import pytest
 from endok import _kernels, linalg
 from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
-from endok.fields import GF, FieldSpec, is_prime
+from endok.fields import GF, is_prime
 from endok.ktheory import k0_class
 from endok.linalg import Matrix, rref
 from endok.modules import CommutingTuple
@@ -89,7 +89,7 @@ def test_large_prime_uses_generic_path():
     p = _kernels.PRIME_LIMIT + 1
     while not is_prime(p):
         p += 1
-    field = FieldSpec.prime(p)
+    field = GF(p)
     a = Matrix(field, [[p - 1, 1], [0, p - 1]])
     sq = a @ a
     assert sq.entries[0][0] == (p - 1) * (p - 1) % p
@@ -155,7 +155,7 @@ def test_class_over_large_prime_field():
     p = _kernels.PRIME_LIMIT + 1
     while not is_prime(p):
         p += 1
-    field = FieldSpec.prime(p)
+    field = GF(p)
     m = Matrix(field, [[0, 1], [0, 0]])
     t = CommutingTuple(field, 1, 2, [m])
     assert k0_class(t).lines() == ["2 * [t]"]
