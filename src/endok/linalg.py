@@ -2,10 +2,25 @@
 
 Matrices are immutable row-major grids of raw field scalars.  Over prime
 fields small enough for int64 arithmetic, multiplication and row
-reduction dispatch to the array kernels in :mod:`endok._kernels`; over Q
-and larger primes they run through the generic exact loops below.  The
-field alone decides, and both paths compute identical canonical results.
+reduction dispatch to the array kernels in :mod:`endok._kernels`.  Over
+larger primes a product entry is one Python integer dot product reduced
+mod p once.  Over Q both run on Python integers: a product clears each
+row of A and each column of B to integer numerators over one common
+denominator, so an entry is one integer dot product and one ``Fraction``;
+row reduction scales each row to integers, eliminates with integer row
+operations a.row_i - b.row_r, keeps every row primitive by dividing out
+its content, and divides each pivot row by its pivot only at the end.
+The field alone decides, and every path computes the same canonical
+results.
+
+Scalars are coerced once, where they enter: the public ``Matrix``
+constructor coerces and checks its input, while matrices built here from
+already canonical scalars go through ``Matrix._from_canonical``.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -42,14 +57,25 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _from_canonical(cls, field, grid, cols):
+        """A matrix over rows of canonical scalars, all of length cols,
+        taken as they are: no coercion and no shape check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(grid))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(map(tuple, grid)))
+        return m
+
+    @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._from_canonical(field, [(field.zero,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, field, d):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(d)] for i in range(d)])
+        grid = [[o if i == j else z for j in range(d)] for i in range(d)]
+        return cls._from_canonical(field, grid, d)
 
     @classmethod
     def companion(cls, q):
@@ -101,7 +127,7 @@ class Matrix:
 
     @classmethod
     def _from_array(cls, field, arr):
-        return cls(field, arr.tolist(), cols=arr.shape[1])
+        return cls._from_canonical(field, arr.tolist(), arr.shape[1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -116,13 +142,13 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         F = self.field
-        return Matrix(
+        return Matrix._from_canonical(
             F,
             [
                 [F.add(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ],
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -130,12 +156,14 @@ class Matrix:
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(x) for x in row] for row in self.entries], cols=self.cols)
+        grid = [[F.neg(x) for x in row] for row in self.entries]
+        return Matrix._from_canonical(F, grid, self.cols)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        return Matrix(F, [[F.mul(c, x) for x in row] for row in self.entries], cols=self.cols)
+        grid = [[F.mul(c, x) for x in row] for row in self.entries]
+        return Matrix._from_canonical(F, grid, self.cols)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -147,48 +175,50 @@ class Matrix:
         F = self.field
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(F, self.rows, other.cols)
+        p = F.characteristic
         if _arrays_enabled(F):
-            out = _kernels.matmul_mod(self.to_array(), other.to_array(), F.characteristic)
+            out = _kernels.matmul_mod(self.to_array(), other.to_array(), p)
             return Matrix._from_array(F, out)
-        bt = list(zip(*other.entries))
-        grid = []
-        for row in self.entries:
-            out_row = []
-            for col in bt:
-                acc = F.zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                out_row.append(acc)
-            grid.append(out_row)
-        return Matrix(F, grid, cols=other.cols)
+        cols = list(zip(*other.entries))
+        if p:
+            grid = [[sum(map(mul, row, col)) % p for col in cols] for row in self.entries]
+        else:
+            cleared = [_cleared(col) for col in cols]
+            grid = [
+                [_fraction(sum(map(mul, num, cnum)), den * cden) for cnum, cden in cleared]
+                for num, den in map(_cleared, self.entries)
+            ]
+        return Matrix._from_canonical(F, grid, other.cols)
 
     def mul_vec(self, v):
         F = self.field
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = F.zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        p = F.characteristic
+        if p:
+            return tuple(sum(map(mul, row, v)) % p for row in self.entries)
+        vnum, vden = _cleared(v)
+        return tuple(
+            _fraction(sum(map(mul, num, vnum)), den * vden)
+            for num, den in map(_cleared, self.entries)
+        )
 
     def pow(self, e):
         if not self.is_square:
             raise ValueError("matrix power needs a square matrix")
         if e < 0:
             raise ValueError("negative exponent")
-        out = Matrix.identity(self.field, self.rows)
+        if e == 0:
+            return Matrix.identity(self.field, self.rows)
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base @ base
 
     # -- value semantics -----------------------------------------------------
 
@@ -214,39 +244,99 @@ class Matrix:
         return f"Matrix({self.field!r}, {self!s})"
 
 
+_ZERO = Fraction(0)
+
+
+def _fraction(n, d):
+    """The canonical rational n/d, for integers n and d != 0."""
+    return Fraction(n, d) if n else _ZERO
+
+
+def _cleared(xs):
+    """(numerators, den): rationals xs as integers over their least common
+    denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _primitive(row):
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_echelon(grid):
+    """Fraction-free Gauss-Jordan on integer rows.
+
+    Returns (rows, pivots): each pivot column is zero outside its own row,
+    the rows below the last pivot row are zero, and every row is primitive,
+    which keeps the entries from growing between eliminations.
+    """
+    rows = [_primitive(row) for row in grid]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                rows[i] = _primitive([ag * x - bg * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 def rref(m):
     """Reduced row echelon form by exact Gauss-Jordan.
 
     Returns (R, pivots); R is canonical whichever implementation runs.
     """
     F = m.field
-    if m.rows and m.cols and _arrays_enabled(F):
-        arr, pivots = _kernels.rref_mod(m.to_array(), F.characteristic)
+    if not (m.rows and m.cols):
+        return m, []
+    p = F.characteristic
+    if _arrays_enabled(F):
+        arr, pivots = _kernels.rref_mod(m.to_array(), p)
         return Matrix._from_array(F, arr), list(pivots)
+    if not p:
+        rows, pivots = _integer_echelon([_cleared(row)[0] for row in m.entries])
+        for r, c in enumerate(pivots):
+            a = rows[r][c]
+            rows[r] = [_fraction(x, a) for x in rows[r]]
+        for r in range(len(pivots), len(rows)):
+            rows[r] = [_ZERO] * m.cols
+        return Matrix._from_canonical(F, rows, m.cols), pivots
     grid = [list(row) for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
         if r == len(grid):
             break
-        piv = None
-        for i in range(r, len(grid)):
-            if grid[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(grid)) if grid[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-        inv = F.inv(grid[r][c])
-        grid[r] = [F.mul(inv, x) for x in grid[r]]
-        for i in range(len(grid)):
-            if i != r and grid[i][c]:
-                f = grid[i][c]
-                grid[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(grid[i], grid[r])]
+        grid[r], grid[piv] = grid[piv], grid[r]
+        inv = pow(grid[r][c], p - 2, p)
+        prow = [inv * x % p for x in grid[r]]
+        grid[r] = prow
+        for i, row in enumerate(grid):
+            f = row[c]
+            if f and i != r:
+                grid[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return Matrix(F, grid, cols=m.cols), pivots
+    return Matrix._from_canonical(F, grid, m.cols), pivots
 
 
 class Subspace:
@@ -263,7 +353,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
         if vecs:
-            R, piv = rref(Matrix(field, vecs, cols=ambient_dim))
+            R, piv = rref(Matrix._from_canonical(field, vecs, ambient_dim))
             basis = R.entries[: len(piv)]
         else:
             basis, piv = (), []
@@ -508,8 +598,8 @@ def eval_poly_at_matrix(q, ms):
     if q.field != F:
         raise FieldMismatchError("polynomial and matrix fields differ")
     ident = Matrix.identity(F, d)
-    powers = [[ident] for _ in ms]
-    acc = Matrix.zeros(F, d, d)
+    powers = [[ident, m] for m in ms]
+    acc = None
     for exps, c in q.terms:
         term = ident
         for i, e in enumerate(exps):
@@ -518,5 +608,7 @@ def eval_poly_at_matrix(q, ms):
                 cache.append(cache[-1] @ ms[i])
             if e:
                 term = cache[e] if term is ident else term @ cache[e]
-        acc = acc + term.scale(c)
-    return acc
+        if c != F.one:
+            term = term.scale(c)
+        acc = term if acc is None else acc + term
+    return Matrix.zeros(F, d, d) if acc is None else acc

@@ -10,6 +10,7 @@ and the splitting into local pieces supported at single maximal ideals.
 
 import heapq
 import random
+import weakref
 from collections import deque
 
 from .errors import FieldMismatchError, NonCommutingError
@@ -233,7 +234,7 @@ class MaximalIdealKey:
     """Canonical tag of a maximal ideal of k[t1..tn]: its reduced Groebner
     basis plus the residue field degree dim_k k[T]/M."""
 
-    __slots__ = ("ideal", "residue_degree")
+    __slots__ = ("ideal", "residue_degree", "__weakref__")
 
     def __init__(self, ideal, residue_degree):
         if residue_degree != ideal.quotient_dim:
@@ -259,6 +260,12 @@ class MaximalIdealKey:
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
+# The live keys CommutingTuple._key has returned, by ideal.  Every piece at
+# one maximal ideal then shares one key object, so the classes a caller
+# keeps hold each Groebner basis once instead of once per class.
+_KEYS = weakref.WeakValueDictionary()
+
+
 class InvariantSubmodule:
     """A subspace closed under every matrix of a commuting tuple."""
 
@@ -273,6 +280,14 @@ class InvariantSubmodule:
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantSubmodule is immutable")
+
+    @classmethod
+    def _checked(cls, parent_dim, space):
+        """A submodule whose invariance the caller has already checked."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent_dim", parent_dim)
+        object.__setattr__(sub, "space", space)
+        return sub
 
     @property
     def dim(self):
@@ -396,7 +411,8 @@ class CommutingTuple:
         the pivot rows of f_k.B.  As w is in the span iff w = sum w[p_i].b_i,
         B.R_k == f_k.B is exactly invariance under f_k; a failure raises."""
         F = self.field
-        B = Matrix(F, [[b[i] for b in sp.basis] for i in range(self.dim)], cols=sp.dim)
+        grid = [[b[i] for b in sp.basis] for i in range(self.dim)]
+        B = Matrix._from_canonical(F, grid, sp.dim)
         rs = []
         for k, m in enumerate(self.mats):
             fb = m @ B
@@ -560,14 +576,16 @@ class CommutingTuple:
             if split is None:
                 key, g = t._key(qs, rng)
                 if key is not None:
-                    out.append((InvariantSubmodule(self, sp), t, key))
+                    # sp is the whole space, or restrict() checked it when queued
+                    out.append((InvariantSubmodule._checked(d, sp), t, key))
                     continue
                 m = eval_poly_at_matrix(g, list(t.mats))
                 split = (m, factor_univariate(charpoly(m), rng), None)
             m, factors, i = split
+            basis = Matrix._from_canonical(F, sp.basis, d)
             for q, v in factors:
                 ker = _generalised_eigenspace(m, q, v)
-                lifted = Matrix(F, ker.basis) @ Matrix(F, sp.basis)
+                lifted = Matrix._from_canonical(F, ker.basis, sp.dim) @ basis
                 child = Subspace(F, d, lifted.entries)
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 work.append((child, self.restrict(child), child_qs))
@@ -621,13 +639,13 @@ class CommutingTuple:
             raise RuntimeError(
                 "semisimple quotient dimension is not a multiple of the residue degree"
             )
-        return MaximalIdealKey(ideal, rd), None
+        return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
 
 
 def _submatrix(m, rows, cols):
     """The block of m on the given row and column indices."""
     grid = [[m.entries[i][j] for j in cols] for i in rows]
-    return Matrix(m.field, grid, cols=len(cols))
+    return Matrix._from_canonical(m.field, grid, len(cols))
 
 
 def _generalised_eigenspace(m, q, v):

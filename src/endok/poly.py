@@ -104,6 +104,18 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
+    def _from_canonical(cls, field, coeffs):
+        """A polynomial over a list of canonical scalars, low to high, taken
+        as they are apart from trimming trailing zeros; the list is
+        consumed."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "coeffs", tuple(coeffs))
+        return f
+
+    @classmethod
     def zero(cls, field):
         return cls(field, ())
 
@@ -168,14 +180,14 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
-        return UniPoly(F, out)
+        return UniPoly._from_canonical(F, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         F = self.field
-        return UniPoly(F, [F.neg(c) for c in self.coeffs])
+        return UniPoly._from_canonical(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         F = self.field
@@ -191,7 +203,7 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly(F, out)
+        return UniPoly._from_canonical(F, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -199,7 +211,7 @@ class UniPoly:
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        return UniPoly(F, [F.mul(c, a) for a in self.coeffs])
+        return UniPoly._from_canonical(F, [F.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, e):
         if e < 0:
@@ -231,7 +243,7 @@ class UniPoly:
             quo[k] = c
             for i, gc in enumerate(g.coeffs):
                 rem[k + i] = F.sub(rem[k + i], F.mul(c, gc))
-        return UniPoly(F, quo), UniPoly(F, rem[:dg])
+        return UniPoly._from_canonical(F, quo), UniPoly._from_canonical(F, rem[:dg])
 
     def __floordiv__(self, g):
         return divmod(self, g)[0]

@@ -1,6 +1,6 @@
 """Differential tests against sympy: characteristic polynomials and their
 factorizations, on random matrices and on members of random commuting
-tuples up to dim 24.
+tuples up to dim 24, and reduced row echelon forms over Q.
 
 The class path splits on ``linalg.charpoly``, and so does the benchmark's
 class check; sympy gives both an independent reference.  Over F_p, sympy's
@@ -15,7 +15,7 @@ import pytest
 from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
-from endok.linalg import Matrix, charpoly
+from endok.linalg import Matrix, charpoly, rref
 
 from conftest import field_id
 
@@ -84,3 +84,22 @@ def test_charpoly_and_factors_match_sympy(field):
         assert ours.coeffs == theirs, (m.rows, str(m))
         factors = sorted((q.coeffs, e) for q, e in factor_univariate(ours, rng))
         assert factors == sympy_factors(reversed(ours.coeffs), field), str(ours)
+
+
+def test_rational_rref_matches_sympy():
+    rng = random.Random(12)
+    for k in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        grid = [
+            [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows >= 2 and k % 2:  # rank-deficient: one row a combination of the others
+            grid[-1] = [sum(rng.randint(-3, 3) * r[j] for r in grid[:-1]) for j in range(cols)]
+        m = Matrix(QQ, grid)
+        R, pivots = rref(m)
+        theirs, their_pivots = to_sympy(m).rref()
+        assert pivots == list(their_pivots)
+        assert [list(row) for row in R.entries] == [
+            [Fraction(int(x.p), int(x.q)) for x in theirs.row(i)] for i in range(rows)
+        ]

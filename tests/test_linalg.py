@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from endok import linalg
 from endok.bruteforce import random_commuting_tuple
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate
@@ -266,3 +269,152 @@ def test_echelon_tracking():
     added, combo = ech.insert((2, 5, 1))  # = 2*g0 + 1*g1
     assert not added
     assert combo == {0: QQ.coerce(2), 1: QQ.coerce(1)}
+
+
+def test_pow_and_eval_take_no_wasted_products(monkeypatch):
+    m = Matrix(QQ, [[1, 1], [0, 1]])
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    assert m.pow(0) == Matrix.identity(QQ, 2) and not calls
+    assert m.pow(1) == m and not calls
+    # 13 = 0b1101: three squarings, two products into the result
+    assert m.pow(13) == Matrix(QQ, [[1, 13], [0, 1]]) and len(calls) == 5
+    calls.clear()
+    assert eval_poly_at_matrix(UniPoly.gen(QQ), [m]) == m and not calls
+    # t^3 - 2t + 1: the powers m^2 and m^3, one product each
+    q = UniPoly(QQ, [1, -2, 0, 1])
+    assert eval_poly_at_matrix(q, [m]) == Matrix(QQ, [[0, 1], [0, 0]]) and len(calls) == 2
+
+
+def test_public_constructor_coerces_and_checks():
+    assert Matrix(GF(5), [[7, -1]]).entries == ((2, 4),)
+    assert Matrix(QQ, [[Fraction(2, 4)]]).entries == ((Fraction(1, 2),),)
+    for field in (QQ, GF(5)):
+        with pytest.raises(TypeError):
+            Matrix(field, [[1.0]])
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1, 2], [3]])
+
+
+# -- differential: the integer kernels against plain loops ------------------------------
+
+P31 = GF(2**31 - 1)  # above the array limit: products and rref run on Python ints
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 7, 12, 35)
+
+
+def rand_rational_grid(rng, rows, cols):
+    """Signed fractions with mixed denominators, often with a zero row or
+    column and often rank-deficient (a row a combination of two others)."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-20, 20), rng.choice(DENOMINATORS))
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(rows), 3)
+        a, b = entry(), entry()
+        grid[k] = [a * x + b * y for x, y in zip(grid[i], grid[j])]
+    if rng.random() < 0.3:
+        grid[rng.randrange(rows)] = [Fraction(0)] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = Fraction(0)
+    return grid
+
+
+def rand_shapes(rng, count):
+    """(rows, inner, cols) triples, with 1 x k and k x 1 factors among them."""
+    fixed = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (3, 1, 1), (1, 1, 3)]
+    return fixed + [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(count - len(fixed))]
+
+
+def plain_ops(field):
+    """(add, sub, mul, div) on raw scalars by the textbook formulas."""
+    p = field.characteristic
+    if not p:
+        return (
+            (lambda a, b: a + b),
+            (lambda a, b: a - b),
+            (lambda a, b: a * b),
+            (lambda a, b: a / b),
+        )
+    return (
+        (lambda a, b: (a + b) % p),
+        (lambda a, b: (a - b) % p),
+        (lambda a, b: a * b % p),
+        (lambda a, b: a * pow(b, p - 2, p) % p),
+    )
+
+
+def plain_matmul(field, a, b):
+    add, _, mul, _ = plain_ops(field)
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = field.zero
+            for k, x in enumerate(row):
+                acc = add(acc, mul(x, b[k][j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def plain_rref(field, grid):
+    _, sub, mul, div = plain_ops(field)
+    rows = [list(row) for row in grid]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        a = rows[r][c]
+        rows[r] = [div(x, a) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(map(tuple, rows)), pivots
+
+
+@pytest.mark.parametrize("field", [QQ, P31], ids=field_id)
+def test_integer_kernels_match_plain_loops(field):
+    assert not linalg._arrays_enabled(field)
+    rng = random.Random(21)
+    deficient = 0
+    for rows, inner, cols in rand_shapes(rng, 60):
+        a = Matrix(field, rand_rational_grid(rng, rows, inner))
+        b = Matrix(field, rand_rational_grid(rng, inner, cols))
+        ab = plain_matmul(field, a.entries, b.entries)
+        assert (a @ b).entries == ab
+        assert a.mul_vec(b.column(0)) == tuple(row[0] for row in ab)
+        for m in (a, b):
+            R, piv = rref(m)
+            assert (R.entries, piv) == plain_rref(field, m.entries)
+            deficient += len(piv) < min(m.rows, m.cols)
+        for m in (a @ b, R):  # raw scalars of the field's own type
+            assert all(type(x) is type(field.zero) for row in m.entries for x in row)
+    assert deficient >= 20
+
+
+def test_integer_echelon_keeps_rows_primitive():
+    rng = random.Random(22)
+    for rows, cols, _ in rand_shapes(rng, 40):
+        grid = [[int(x * 420) for x in row] for row in rand_rational_grid(rng, rows, cols)]
+        out, pivots = linalg._integer_echelon(grid)
+        for r, row in enumerate(out):
+            if r < len(pivots):
+                assert gcd(*row) == 1, row
+            else:
+                assert not any(row)
+        assert pivots == rref(Matrix(QQ, grid))[1]

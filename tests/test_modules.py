@@ -326,6 +326,31 @@ def test_primary_decomposition_examples():
     assert sorted(s.dim for s, _ in pieces) == [1, 2]
 
 
+def test_primary_decomposition_checks_each_piece_once(monkeypatch):
+    t = CommutingTuple(QQ, 1, 3, [Matrix(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 5]])])
+    checked = []
+    maps = CommutingTuple._submodule_maps
+
+    def counting(self, sp):
+        if self is t:
+            checked.append(sp)
+        return maps(self, sp)
+
+    monkeypatch.setattr(CommutingTuple, "_submodule_maps", counting)
+    pieces = t.primary_decomposition()
+    # one split into two pieces, and one invariance check for each
+    assert len(checked) == 2 and set(checked) == {s.space for s, _ in pieces}
+
+
+def test_equal_keys_share_one_object():
+    rng = random.Random(26)
+    t = random_commuting_tuple(QQ, 2, 5, rng)
+    first, second = k0_class(t), k0_class(t)
+    assert first == second
+    for key in first.support:
+        assert next(k for k in second.support if k == key) is key
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
 def test_primary_decomposition_properties(field):
     rng = random.Random(25)

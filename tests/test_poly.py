@@ -311,3 +311,20 @@ def test_hash_and_immutability():
     m = MultiPoly.one(QQ, 2)
     with pytest.raises(AttributeError):
         m.terms = ()
+
+
+def test_public_constructor_coerces_and_results_stay_canonical():
+    assert UniPoly(F5, [7, -1, 0]).coeffs == (2, 4)
+    for field in (QQ, F5):
+        with pytest.raises(TypeError):
+            UniPoly(field, [1, 1.0])
+    rng = random.Random(31)
+    for field in ALL_FIELDS:
+        kind = type(field.zero)
+        for _ in range(30):
+            f = rand_unipoly(field, rng, 5)
+            g = rand_unipoly(field, rng, 3)
+            for h in (f + g, f - g, f * g, -f, f.scale(3), *divmod(f, g)):
+                assert all(type(c) is kind for c in h.coeffs)
+                assert not h.coeffs or h.coeffs[-1]
+                assert h == UniPoly(field, h.coeffs)
