@@ -1,9 +1,7 @@
 """Irreducible factorization of univariate polynomials over Q and F_p.
 
-Over F_p: squarefree decomposition, then either exhaustive low-degree
-divisor search (when p**degree is small enough to make it cheap, keeping
-tiny cases fully deterministic) or distinct-degree splitting followed by
-randomized Cantor-Zassenhaus equal-degree splitting.
+Over F_p: squarefree decomposition, then distinct-degree splitting
+followed by randomized Cantor-Zassenhaus equal-degree splitting.
 
 Over Q: squarefree decomposition, then Zassenhaus on each primitive
 integer part: reduce modulo a good prime, Hensel-lift the modular factors
@@ -19,13 +17,12 @@ reproducible.
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations, count
 
 from .fields import GF, QQ, is_prime
 from .poly import UniPoly, pow_mod, squarefree_decomposition, uni_gcd, uni_gcdex
 
 DEFAULT_SEED = 0
-DETERMINISTIC_SPLIT_BOUND = 10**6  # exhaustive splitting while p**degree <= this
 RATIONAL_DEGREE_CAP = 64
 
 
@@ -74,34 +71,10 @@ def _factor_squarefree_modp(g, rng):
     """Monic squarefree g over F_p -> unsorted list of monic irreducibles."""
     if g.degree <= 1:
         return [g] if g.degree == 1 else []
-    p = g.field.characteristic
-    if p**g.degree <= DETERMINISTIC_SPLIT_BOUND:
-        return _factor_by_trial_division(g)
     parts = []
     for h, d in _distinct_degree_split(g):
         parts.extend(_equal_degree_split(h, d, rng))
     return parts
-
-
-def _factor_by_trial_division(g):
-    out = []
-    while g.degree > 0:
-        q = _smallest_monic_divisor(g)
-        out.append(q)
-        g = g // q
-    return out
-
-
-def _smallest_monic_divisor(g):
-    # a divisor of minimal degree is automatically irreducible
-    field = g.field
-    p = field.characteristic
-    for d in range(1, g.degree // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            q = UniPoly(field, list(tail) + [1])
-            if (g % q).is_zero:
-                return q
-    return g
 
 
 def _distinct_degree_split(g):

@@ -61,10 +61,6 @@ class Ideal:
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def unit(cls, field, nvars):
-        return cls(field, nvars, [MultiPoly.one(field, nvars)], [])
-
-    @classmethod
     def from_groebner_basis(cls, field, nvars, gens):
         """Rebuild an ideal from a reduced Groebner basis alone, recovering
         the standard monomials as the complement of the leading-term
@@ -446,19 +442,22 @@ class CommutingTuple:
 
     def annihilator_ideal(self):
         """Kernel of evaluation k[t1..tn] -> k[f1..fn], as a reduced
-        Groebner basis plus the standard monomials.
+        Groebner basis plus the standard monomials: the annihilator of the
+        columns of the identity."""
+        return self._annihilator(Matrix.identity(self.field, self.dim))
 
-        Breadth-first over monomials in increasing graded-lex order: each
-        candidate's matrix is reduced against the span of the standard
-        monomials' matrices; a dependency yields a generator (and the
-        candidate is not expanded), independence makes the candidate
-        standard and enqueues its variable multiples.  Terminates because
-        the standard count is at most d^2.
+    def _annihilator(self, start):
+        """The ideal of all p with p(f).start = 0, for a d x c matrix start.
+
+        Buchberger-Moller, breadth-first over monomials in increasing
+        graded-lex order: monomial m maps to f^m.start, whose flattened
+        entries are reduced against those of the standard monomials; a
+        dependency yields a generator (and m is not expanded), independence
+        makes m standard and enqueues its variable multiples.  Terminates
+        because the standard count is at most d*c.
         """
-        F, n, d = self.field, self.nvars, self.dim
-        if d == 0:
-            return Ideal.unit(F, n)
-        ech = Echelon(F, d * d, track=True)
+        F, n = self.field, self.nvars
+        ech = Echelon(F, start.rows * start.cols, track=True)
         std = []
         std_mats = {}
         gens = []
@@ -471,7 +470,7 @@ class CommutingTuple:
             if any(mono_divides(lm, m) for lm in leads):
                 continue
             if m == origin:
-                mat = Matrix.identity(F, d)
+                mat = start
             else:
                 mat = None
                 for i in range(n):
@@ -507,20 +506,11 @@ class CommutingTuple:
         of s_i(f_i) with s_i the squarefree part of f_i's characteristic
         polynomial (Seidenberg; needs a perfect field, which both supported
         fields are)."""
-        polys = {i: squarefree_part(charpoly(m)) for i, m in enumerate(self.mats)}
-        return InvariantSubmodule(self, self._image_sum(polys))
-
-    def _image_sum(self, polys):
-        """The subspace sum of the images of polys[i](f_i)."""
-        return Subspace(
-            self.field,
-            self.dim,
-            [
-                v
-                for i, q in polys.items()
-                for v in column_space(eval_poly_at_matrix(q, [self.mats[i]])).basis
-            ],
-        )
+        images = []
+        for m in self.mats:
+            q = squarefree_part(charpoly(m))
+            images += column_space(eval_poly_at_matrix(q, [m])).basis
+        return InvariantSubmodule(self, Subspace(self.field, self.dim, images))
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -552,8 +542,9 @@ class CommutingTuple:
         once per lineage.  The first generator whose characteristic
         polynomial has two distinct factors splits the item into
         generalised eigenspaces.  An item on which every generator is
-        primary goes to ``_key``, which either certifies it local or names
-        an element g whose g(f) splits it further.
+        primary goes to ``_key``, which keys it by the annihilator of one
+        socle vector and either certifies it local or names an element g
+        whose g(f) splits it further.
         """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
@@ -618,15 +609,27 @@ class CommutingTuple:
         power of the irreducible qs[i]: (key, None) when it is local, or
         (None, g) when it is not, with g(f) splitting it.
 
-        Jac.V is the sum of the images of q_i(f_i), and A = k[T]/Ann(V/Jac.V)
-        is the product of the residue fields.  Each k[t_i]/(q_i) embeds in
-        every one of them, so dim A = max deg q_i leaves room for a single
-        field; otherwise a separating element of A decides."""
-        ss = self.quotient(self._image_sum(qs))
-        ideal = ss.annihilator_ideal()
+        Soc, the intersection of the ker q_i(f_i), is the socle: the
+        q_i(t_i) generate the Jacobson radical (Seidenberg; both fields are
+        perfect).  It has the support of V, and M = Ann(s) for its first
+        basis vector s is the intersection of the maximal ideals at which s
+        has a component.  Each k[t_i]/(q_i) embeds in every residue field,
+        so dim k[T]/M = max deg q_i leaves room for one; otherwise a
+        separating element of k[T]/M decides, and when M is not maximal it
+        splits k[T].s, a submodule of V.  A maximal M is the only point of
+        V iff it kills Soc: a generator g of M with g(f).Soc != 0 is
+        nilpotent on the piece at M and a unit on another, so g(f) splits
+        V.  On a local V, M = Ann(V/Jac.V)."""
+        F, d = self.field, self.dim
+        rows = [
+            row
+            for i, q in qs.items()
+            for row in eval_poly_at_matrix(q, [self.mats[i]]).entries
+        ]
+        soc = kernel_basis(Matrix._from_canonical(F, rows, d))
+        s = Matrix._from_canonical(F, [[x] for x in soc.basis[0]], 1)
+        ideal = self._annihilator(s)
         rd = ideal.quotient_dim
-        if rd == 0:
-            raise RuntimeError("nonzero semisimple quotient has the unit annihilator")
         if rd != max(q.degree for q in qs.values()):
             found = _separating_element(ideal, rng)
             if found is None:
@@ -634,10 +637,15 @@ class CommutingTuple:
             g, factors = found
             if len(factors) >= 2:
                 return None, g
-        # local: V/Jac.V is a vector space over the residue field A
-        if ss.dim % rd:
+        if soc.dim > rd:
+            for g in ideal.gens:
+                gf = eval_poly_at_matrix(g, list(self.mats))
+                if any(any(gf.mul_vec(v)) for v in soc.basis):
+                    return None, g
+        # local: Soc is a vector space over the residue field k[T]/M
+        if soc.dim % rd:
             raise RuntimeError(
-                "semisimple quotient dimension is not a multiple of the residue degree"
+                "socle dimension is not a multiple of the residue degree"
             )
         return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
 

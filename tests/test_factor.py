@@ -149,8 +149,8 @@ def test_deterministic_output():
 
 
 def test_randomized_splitting_path():
-    # p**degree above the deterministic threshold forces distinct-degree plus
-    # Cantor-Zassenhaus splitting
+    # degree 9 and up over F13, so p**degree > 10**6: large inputs for the
+    # distinct-degree plus Cantor-Zassenhaus splitting every F_p factor takes
     rng = random.Random(17)
     F13 = GF(13)
     for _ in range(20):

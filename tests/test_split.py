@@ -3,9 +3,11 @@
 Pieces are split along generalised eigenspaces of the factored
 characteristic polynomials, each generator is factored once per lineage,
 and a piece on which every generator is primary but which is not local is
-split further along a separating element.  Classes are checked against the
-brute-force oracle where enumeration is cheap, and against the class fixed
-by the construction otherwise.
+split further by the key step: along a separating element when its first
+socle vector lies on several points, or along a generator of that vector's
+annihilator that does not kill the whole socle.  Classes are checked
+against the brute-force oracle where enumeration is cheap, and against the
+class fixed by the construction otherwise.
 """
 
 import random
@@ -13,8 +15,9 @@ import random
 import pytest
 
 import endok.modules as modules
+from conftest import conjugate, fat_point, tensor, twisted_points
 from endok.bruteforce import k0_class_oracle, random_commuting_tuple
-from endok.fields import GF
+from endok.fields import GF, QQ
 from endok.ktheory import compare_splittings, k0_class
 from endok.linalg import Matrix, eval_poly_at_matrix
 from endok.modules import CommutingTuple, quotient_is_field
@@ -36,6 +39,23 @@ def bookkeeping(cls):
 
 
 def count_separations(monkeypatch):
+    """Count the elements g with which the key step splits a piece: a
+    separating element, or a generator of a socle vector's annihilator
+    that does not kill the whole socle."""
+    hits = []
+    original = CommutingTuple._key
+
+    def counted(self, qs, rng):
+        key, g = original(self, qs, rng)
+        if key is None:
+            hits.append(g)
+        return key, g
+
+    monkeypatch.setattr(CommutingTuple, "_key", counted)
+    return hits
+
+
+def count_separating_elements(monkeypatch):
     """Count the separating elements that split a piece."""
     hits = []
     original = modules._separating_element
@@ -160,6 +180,62 @@ def test_frobenius_twisted_sums_match_oracle(monkeypatch):
     assert hits
 
 
+def test_conjugated_twisted_sums_split_both_ways(monkeypatch):
+    # in its block basis the first socle vector lies on one point, so its
+    # annihilator is maximal and the socle check splits; in a random basis
+    # it lies on both, so its annihilator is not maximal and a separating
+    # element splits
+    splits = count_separations(monkeypatch)
+    separations = count_separating_elements(monkeypatch)
+    for q in (
+        UniPoly(F2, [1, 1, 1]),
+        UniPoly(F2, [1, 1, 0, 1]),
+        UniPoly(F3, [1, 0, 1]),
+    ):
+        rng = random.Random(34)
+        for _ in range(4):
+            t = CommutingTuple.direct_sum(*twisted_points(q, rng))
+            for u in (t, conjugate(t, rng)):
+                cls = k0_class(u, rng)
+                assert cls == k0_class_oracle(u)
+                assert bookkeeping(cls) == u.dim
+    assert separations
+    assert len(splits) > len(separations)
+
+
+def test_socle_key_matches_semisimple_quotient_key():
+    # every piece's key is the annihilator of its semisimple quotient V/Jac.V
+    tuples = []
+    for field in (F2, F3, F97, QQ):
+        rng = random.Random(35)
+        for n in (1, 2, 3):
+            for _ in range(4):
+                tuples.append(random_commuting_tuple(field, n, rng.randint(1, 8), rng))
+    quadratics = [
+        UniPoly(F2, [1, 1, 1]),
+        UniPoly(F3, [1, 0, 1]),
+        UniPoly(F97, [92, 0, 1]),
+        UniPoly(QQ, [-2, 0, 1]),
+    ]
+    for q in quadratics + [UniPoly(F2, [1, 1, 0, 1])]:
+        rng = random.Random(36)
+        for _ in range(3):
+            t = CommutingTuple.direct_sum(*twisted_points(q, rng))
+            tuples.append(conjugate(t, rng))
+    # non-cyclic fat points, alone and moved to two twisted points: the
+    # socle is wider than the residue field, so the socle check runs on
+    # local pieces
+    for q in quadratics:
+        rng = random.Random(37)
+        for power in (2, 3):
+            fat = fat_point(q.field, 2, power)
+            at = [tensor(pt, fat) for pt in twisted_points(q, rng)]
+            tuples += [fat, conjugate(CommutingTuple.direct_sum(*at), rng)]
+    for t in tuples:
+        for _, piece, key in t._local_pieces(random.Random(0)):
+            assert piece.semisimplify().annihilator_ideal() == key.ideal
+
+
 # -- characteristic-polynomial exponents at or above p --------------------------
 
 
@@ -247,3 +323,32 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     # split generator, so fewer than n factorizations per item
     work_items = len(restricts) + 1
     assert len(factor_calls) < t.nvars * work_items
+
+
+def test_key_builds_no_quotient(monkeypatch):
+    # pieces are keyed from one socle vector: no semisimple quotient, and
+    # every annihilator taken on the class path is of a single column
+    quotients, starts = [], []
+    original_quotient = CommutingTuple.quotient
+    original_annihilator = CommutingTuple._annihilator
+
+    def counting_quotient(self, s):
+        quotients.append(s)
+        return original_quotient(self, s)
+
+    def recording_annihilator(self, start):
+        starts.append(start)
+        return original_annihilator(self, start)
+
+    monkeypatch.setattr(CommutingTuple, "quotient", counting_quotient)
+    monkeypatch.setattr(CommutingTuple, "_annihilator", recording_annihilator)
+    rng = random.Random(38)
+    for field, n in ((F97, 3), (QQ, 2)):
+        t = CommutingTuple.direct_sum(
+            random_commuting_tuple(field, n, 5, rng, block_split=False),
+            random_commuting_tuple(field, n, 4, rng, block_split=False),
+        )
+        cls = k0_class(t, rng)
+        assert bookkeeping(cls) == t.dim
+    assert quotients == []
+    assert starts and all(start.cols == 1 for start in starts)

@@ -1,9 +1,12 @@
 """Byte-identity sweep: the algebra of seeded random commuting tuples,
 rendered as text and compared line by line with a committed golden file.
 
-It covers F2, F3, F97 and Q, n = 1..3, ten seeds each, dim <= 9.  For each
-tuple it records the K0 class, the bases of the primary decomposition,
-the radical basis and the annihilator ideal.  Regenerate the golden file,
+It covers F2, F3, F97 and Q, n = 1..3, ten seeds each, dim <= 9, then
+tuples that no single random matrix produces: sums of two points with the
+same coordinate minimal polynomials, plain and in seeded random bases, and
+sums of non-cyclic fat points.  For each tuple it records the K0 class,
+the bases of the primary decomposition, the radical basis and the
+annihilator ideal.  Regenerate the golden file,
 only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_sweep.py > tests/data/sweep.txt
@@ -15,10 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import conjugate, fat_point, tensor, twisted_points
 from endok.bruteforce import random_commuting_tuple
 from endok.fields import GF, QQ
 from endok.ktheory import k0_class
-from endok.poly import render_monomial
+from endok.linalg import Matrix
+from endok.modules import CommutingTuple
+from endok.poly import UniPoly, render_monomial
 
 FIELDS = [GF(2), GF(3), GF(97), QQ]
 NVARS = (1, 2, 3)
@@ -36,8 +42,12 @@ def tuple_lines(field, nvars, seed):
     rng = random.Random(f"{field!r}/{nvars}/{seed}")
     dim = rng.randint(1, MAX_DIM)
     t = random_commuting_tuple(field, nvars, dim, rng)
-    lines = [f"{field!r} n={nvars} seed={seed} dim={dim}"]
-    lines.append("class " + "; ".join(k0_class(t).lines()))
+    return [f"{field!r} n={nvars} seed={seed} dim={dim}"] + render(t)
+
+
+def render(t):
+    field, nvars = t.field, t.nvars
+    lines = ["class " + "; ".join(k0_class(t).lines())]
     for sub, _ in t.primary_decomposition():
         lines.append("piece " + render_basis(field, sub.space.basis))
     lines.append("radical " + render_basis(field, t.radical_submodule().space.basis))
@@ -48,14 +58,55 @@ def tuple_lines(field, nvars, seed):
     return lines
 
 
+# irreducible q over each field; over Q, q = t^2 - a (see twisted_points)
+TWISTED = [
+    UniPoly(GF(2), [1, 1, 1]),
+    UniPoly(GF(2), [1, 1, 0, 1]),
+    UniPoly(GF(3), [1, 0, 1]),
+    UniPoly(GF(97), [92, 0, 1]),
+    UniPoly(QQ, [-2, 0, 1]),
+]
+
+
+def rational_point(field, coords):
+    return CommutingTuple(field, len(coords), 1, [Matrix(field, [[x]]) for x in coords])
+
+
+def extra_tuples():
+    """(label, tuple) for the two-point and fat-point sums."""
+    for q in TWISTED:
+        for seed in range(3):
+            rng = random.Random(f"twisted {q.field!r} {q} {seed}")
+            t = CommutingTuple.direct_sum(*twisted_points(q, rng))
+            yield f"{q.field!r} twisted {q} seed={seed} dim={t.dim}", t
+            yield f"{q.field!r} twisted {q} seed={seed} conjugated", conjugate(t, rng)
+    for field in FIELDS:
+        for nvars, power in ((2, 2), (2, 3), (3, 2)):
+            fat = fat_point(field, nvars, power)
+            pts = [(0,) * nvars, (1,) + (0,) * (nvars - 1)]
+            at = [tensor(rational_point(field, pt), fat) for pt in pts]
+            rng = random.Random(f"fat {field!r} {nvars} {power}")
+            t = conjugate(CommutingTuple.direct_sum(*at), rng)
+            yield f"{field!r} fat n={nvars} power={power} dim={t.dim}", t
+    for q in TWISTED:
+        rng = random.Random(f"fat twisted {q.field!r} {q}")
+        fat = fat_point(q.field, 2, 2)
+        at = [tensor(pt, fat) for pt in twisted_points(q, rng)]
+        t = conjugate(CommutingTuple.direct_sum(*at), rng)
+        yield f"{q.field!r} fat twisted {q} dim={t.dim}", t
+
+
 def sweep_lines():
-    return [
+    lines = [
         line
         for field in FIELDS
         for nvars in NVARS
         for seed in SEEDS
         for line in tuple_lines(field, nvars, seed)
     ]
+    for label, t in extra_tuples():
+        lines += [label] + render(t)
+    return lines
 
 
 def test_sweep_matches_golden():
