@@ -15,7 +15,7 @@ import random
 from .errors import FieldMismatchError
 from .factor import DEFAULT_SEED, factor_univariate
 from .linalg import charpoly
-from .modules import Ideal, MaximalIdealKey
+from .modules import _KEYS, Ideal, MaximalIdealKey
 from .poly import MultiPoly, UniPoly, signed_reversal, uni_gcd
 
 
@@ -120,7 +120,16 @@ def k0_class(t, rng=None):
     """The class of a commuting tuple: for each local piece with key M,
     dim(piece) / residue_degree(M) composition factors at M.  The division
     is exact; dimension bookkeeping gives
-    sum mult(M) * residue_degree(M) = dim V."""
+    sum mult(M) * residue_degree(M) = dim V.
+
+    For one endomorphism f the class is read off the factored
+    characteristic polynomial (Kelley-Spanier): its piece at (q) is
+    ker q(f)^v with v = v_q(chi_f), of dimension deg q * v, so the
+    multiplicity at (q) is v and no piece is built."""
+    if t.nvars == 1:
+        factors = factor_univariate(charpoly(t.mats[0]), rng)
+        support = {principal_maximal_key(q): v for q, v in factors}
+        return GrothendieckClass(t.field, 1, support)
     support = {}
     for _, piece, key in t._local_pieces(rng):
         if piece.dim % key.residue_degree:
@@ -227,12 +236,15 @@ def kelley_spanier_split(t):
 
 
 def principal_maximal_key(q):
-    """The key of the maximal ideal (q) for a monic irreducible q."""
+    """The key of the maximal ideal (q) for a monic irreducible q: the
+    one live key object for that ideal, shared with the keys
+    ``k0_class`` finds for its pieces."""
     if not q.is_monic or q.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     gens = [MultiPoly.from_unipoly(q)]
     std = [(j,) for j in range(q.degree)]
-    return MaximalIdealKey(Ideal(q.field, 1, gens, std), q.degree)
+    ideal = Ideal(q.field, 1, gens, std)
+    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, q.degree))
 
 
 def tilde_to_free_abelian(a, rng=None):
@@ -281,7 +293,9 @@ def free_abelian_to_tilde(v):
 def compare_splittings(t, rng=None):
     """Consistency of the two n = 1 presentations: the class's image under
     [M] -> (residue degree, signed reversal of M), with (t) -> (1, 1),
-    must equal the (dimension, lambda_t) splitting."""
+    must equal the (dimension, lambda_t) splitting.  Both sides read the
+    characteristic polynomial of f, so this checks the key and reversal
+    bookkeeping, not a splitting into pieces."""
     if t.nvars != 1:
         raise ValueError("comparison is defined for a single endomorphism")
     rank, tilde = kelley_spanier_split(t)

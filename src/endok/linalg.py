@@ -13,9 +13,12 @@ its content, and divides each pivot row by its pivot only at the end.
 The field alone decides, and every path computes the same canonical
 results.
 
-Scalars are coerced once, where they enter: the public ``Matrix``
-constructor coerces and checks its input, while matrices built here from
-already canonical scalars go through ``Matrix._from_canonical``.
+Scalars are coerced once, where they enter: the public ``Matrix`` and
+``Subspace`` constructors coerce and check their input, while matrices
+and subspaces built here from already canonical scalars go through
+``_from_canonical``.  Sums, negation, scaling and the characteristic
+polynomial use Python operators on raw scalars, reducing each entry mod p
+once over F_p.
 """
 
 from fractions import Fraction
@@ -141,28 +144,26 @@ class Matrix:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        F = self.field
-        return Matrix._from_canonical(
-            F,
-            [
-                [F.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
+        p = self.field.characteristic
+        grid = [
+            _canonical([a + b for a, b in zip(r1, r2)], p)
+            for r1, r2 in zip(self.entries, other.entries)
+        ]
+        return Matrix._from_canonical(self.field, grid, self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        F = self.field
-        grid = [[F.neg(x) for x in row] for row in self.entries]
-        return Matrix._from_canonical(F, grid, self.cols)
+        p = self.field.characteristic
+        grid = [_canonical([-x for x in row], p) for row in self.entries]
+        return Matrix._from_canonical(self.field, grid, self.cols)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        grid = [[F.mul(c, x) for x in row] for row in self.entries]
+        p = F.characteristic
+        grid = [_canonical([c * x for x in row], p) for row in self.entries]
         return Matrix._from_canonical(F, grid, self.cols)
 
     def __rmul__(self, c):
@@ -245,6 +246,12 @@ class Matrix:
 
 
 _ZERO = Fraction(0)
+
+
+def _canonical(xs, p):
+    """Scalars computed with Python operators, made canonical: integers
+    reduced mod p over F_p; over Q (p = 0) Fractions already are."""
+    return [x % p for x in xs] if p else xs
 
 
 def _fraction(n, d):
@@ -352,8 +359,20 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        if vecs:
-            R, piv = rref(Matrix._from_canonical(field, vecs, ambient_dim))
+        self._span(field, ambient_dim, vecs)
+
+    @classmethod
+    def _from_canonical(cls, field, ambient_dim, vectors):
+        """The span of a list of vectors of canonical scalars, all of
+        length ambient_dim, taken as they are: no coercion and no length
+        check."""
+        sp = object.__new__(cls)
+        sp._span(field, ambient_dim, vectors)
+        return sp
+
+    def _span(self, field, ambient_dim, vectors):
+        if vectors:
+            R, piv = rref(Matrix._from_canonical(field, vectors, ambient_dim))
             basis = R.entries[: len(piv)]
         else:
             basis, piv = (), []
@@ -371,7 +390,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).entries)
+        basis = Matrix.identity(field, ambient_dim).entries
+        return cls._from_canonical(field, ambient_dim, basis)
 
     @property
     def dim(self):
@@ -403,7 +423,8 @@ class Subspace:
     def sum(self, other):
         if other.field != self.field or other.ambient_dim != self.ambient_dim:
             raise FieldMismatchError("subspace sum needs one ambient space")
-        return Subspace(self.field, self.ambient_dim, self.basis + other.basis)
+        vectors = self.basis + other.basis
+        return Subspace._from_canonical(self.field, self.ambient_dim, vectors)
 
     def __eq__(self, other):
         if isinstance(other, Subspace):
@@ -488,11 +509,12 @@ def kernel_basis(m):
         for i, pc in enumerate(pivots):
             v[pc] = F.neg(R.entries[i][j])
         vectors.append(v)
-    return Subspace(F, m.cols, vectors)
+    return Subspace._from_canonical(F, m.cols, vectors)
 
 
 def column_space(m):
-    return Subspace(m.field, m.rows, [m.column(j) for j in range(m.cols)])
+    columns = [m.column(j) for j in range(m.cols)]
+    return Subspace._from_canonical(m.field, m.rows, columns)
 
 
 def charpoly(m):
@@ -500,14 +522,16 @@ def charpoly(m):
 
     Similarity reduction to upper Hessenberg form, then the standard
     recurrence on characteristic polynomials of leading principal minors
-    (Cohen, Algorithm 2.2.9).
+    (Cohen, Algorithm 2.2.9).  Both run on raw scalars with Python
+    operators, each entry reduced mod p once per update over F_p; the
+    minors' polynomials are coefficient lists, and only the last becomes a
+    ``UniPoly``.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     F = m.field
+    p = F.characteristic
     d = m.rows
-    if d == 0:
-        return UniPoly.one(F)
     h = [list(row) for row in m.entries]
     for j in range(d - 2):
         piv = None
@@ -521,28 +545,36 @@ def charpoly(m):
             h[piv], h[j + 1] = h[j + 1], h[piv]
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = F.inv(h[j + 1][j])
+        pivot_row = h[j + 1]
+        inv = F.inv(pivot_row[j])
         for i in range(j + 2, d):
             if not h[i][j]:
                 continue
-            f = F.mul(h[i][j], inv)
+            f = h[i][j] * inv % p if p else h[i][j] * inv
             # row_i -= f * row_{j+1}, col_{j+1} += f * col_i: a similarity
-            for c in range(j, d):
-                h[i][c] = F.sub(h[i][c], F.mul(f, h[j + 1][c]))
-            for r in range(d):
-                h[r][j + 1] = F.add(h[r][j + 1], F.mul(f, h[r][i]))
-    x = UniPoly.gen(F)
-    polys = [UniPoly.one(F)]
+            tail = [x - f * y for x, y in zip(h[i][j:], pivot_row[j:])]
+            h[i][j:] = _canonical(tail, p)
+            col = _canonical([r[j + 1] + f * r[i] for r in h], p)
+            for r, x in zip(h, col):
+                r[j + 1] = x
+    # polys[k]: coefficients, lowest first, of the k-th leading minor's
+    # characteristic polynomial
+    polys = [[F.one]]
     for k in range(1, d + 1):
-        pk = (x - UniPoly.constant(F, h[k - 1][k - 1])) * polys[k - 1]
+        prev = polys[k - 1]
+        a = h[k - 1][k - 1]
+        pk = [F.zero] + prev
+        for e, c in enumerate(prev):
+            pk[e] -= a * c
         prod = F.one
         for i in range(k - 1, 0, -1):
-            prod = F.mul(prod, h[i][i - 1])
-            coeff = F.mul(h[i - 1][k - 1], prod)
+            prod = prod * h[i][i - 1] % p if p else prod * h[i][i - 1]
+            coeff = h[i - 1][k - 1] * prod
             if coeff:
-                pk = pk - polys[i - 1].scale(coeff)
-        polys.append(pk)
-    return polys[d]
+                for e, c in enumerate(polys[i - 1]):
+                    pk[e] -= coeff * c
+        polys.append(_canonical(pk, p))
+    return UniPoly._from_canonical(F, polys[d])
 
 
 def minimal_polynomial(m):

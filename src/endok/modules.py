@@ -256,9 +256,10 @@ class MaximalIdealKey:
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
-# The live keys CommutingTuple._key has returned, by ideal.  Every piece at
-# one maximal ideal then shares one key object, so the classes a caller
-# keeps hold each Groebner basis once instead of once per class.
+# The live keys CommutingTuple._key and ktheory.principal_maximal_key have
+# returned, by ideal.  Every piece at one maximal ideal then shares one key
+# object, so the classes a caller keeps hold each Groebner basis once
+# instead of once per class.
 _KEYS = weakref.WeakValueDictionary()
 
 
@@ -400,7 +401,8 @@ class CommutingTuple:
                 added, _ = ech.insert(w)
                 if added:
                     queue.append(w)
-        return InvariantSubmodule(self, Subspace(self.field, self.dim, ech.rows))
+        space = Subspace._from_canonical(self.field, self.dim, ech.rows)
+        return InvariantSubmodule(self, space)
 
     def _submodule_maps(self, sp):
         """(B, [R_k]) for an echelon subspace, B its basis as columns and R_k
@@ -510,7 +512,8 @@ class CommutingTuple:
         for m in self.mats:
             q = squarefree_part(charpoly(m))
             images += column_space(eval_poly_at_matrix(q, [m])).basis
-        return InvariantSubmodule(self, Subspace(self.field, self.dim, images))
+        space = Subspace._from_canonical(self.field, self.dim, images)
+        return InvariantSubmodule(self, space)
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -577,12 +580,14 @@ class CommutingTuple:
             for q, v in factors:
                 ker = _generalised_eigenspace(m, q, v)
                 lifted = Matrix._from_canonical(F, ker.basis, sp.dim) @ basis
-                child = Subspace(F, d, lifted.entries)
+                child = Subspace._from_canonical(F, d, lifted.entries)
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 work.append((child, self.restrict(child), child_qs))
         if sum(sub.dim for sub, _, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
-        stacked = Subspace(F, d, [v for sub, _, _ in out for v in sub.space.basis])
+        stacked = Subspace._from_canonical(
+            F, d, [v for sub, _, _ in out for v in sub.space.basis]
+        )
         if stacked.dim != d:
             raise RuntimeError("primary decomposition pieces are not independent")
         out.sort(key=lambda item: item[2].sort_key())

@@ -131,9 +131,21 @@ def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
         raise RuntimeError("primary decomposition lost dimensions")
 
     monkeypatch.setattr(CommutingTuple, "_local_pieces", broken)
-    code, out, err = run(capsys, ["class", job(tmp_path, DIAG_Q)])
+    code, out, err = run(capsys, ["class", job(tmp_path, PAIR_F2)])
     assert code == 3 and out == ""
     assert err == "error: internal: primary decomposition lost dimensions\n"
+
+
+def test_internal_error_exit_3_single_endomorphism(tmp_path, capsys, monkeypatch):
+    import endok.ktheory
+
+    def broken(f, rng=None):
+        raise RuntimeError("factorization failed")
+
+    monkeypatch.setattr(endok.ktheory, "factor_univariate", broken)
+    code, out, err = run(capsys, ["class", job(tmp_path, DIAG_Q)])
+    assert code == 3 and out == ""
+    assert err == "error: internal: factorization failed\n"
 
 
 def test_byte_identical_across_runs_and_processes(tmp_path):

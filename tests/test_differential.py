@@ -1,6 +1,7 @@
 """Differential tests against sympy: characteristic polynomials and their
-factorizations, on random matrices and on members of random commuting
-tuples up to dim 24, and reduced row echelon forms over Q.
+factorizations, on random matrices up to dim 32, on sums of companion
+blocks of polynomial powers and on members of random commuting tuples,
+and reduced row echelon forms over Q.
 
 The class path splits on ``linalg.charpoly``, and so does the benchmark's
 class check; sympy gives both an independent reference.  Over F_p, sympy's
@@ -16,6 +17,7 @@ from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
 from endok.linalg import Matrix, charpoly, rref
+from endok.poly import UniPoly
 
 from conftest import field_id
 
@@ -23,7 +25,7 @@ sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
 FIELDS = [QQ, GF(2), GF(3), GF(97)]
-DIMS = (1, 2, 5, 8, 13, 24)
+DIMS = (1, 2, 5, 8, 13, 24, 32)
 
 
 def conjugate(m, rng):
@@ -39,6 +41,11 @@ def conjugate(m, rng):
     return m
 
 
+def monic(field, degree, rng):
+    coeffs = [field.random_scalar(rng) for _ in range(degree)]
+    return UniPoly(field, coeffs + [field.one])
+
+
 def matrices(field):
     """Random matrices, repeated-factor block sums in disguise, and members
     of random commuting tuples."""
@@ -47,6 +54,10 @@ def matrices(field):
     for d in (3, 4):
         a = random_matrix(field, d, rng)
         out.append(conjugate(Matrix.block_diag(field, [a, a, a @ a]), rng))
+    # one endomorphism: companion blocks of q^3, q and r^2
+    q, r = monic(field, 3, rng), monic(field, 2, rng)
+    blocks = [Matrix.companion(f) for f in (q**3, q, r**2)]
+    out.append(conjugate(Matrix.block_diag(field, blocks), rng))
     for nvars, d in ((1, 6), (2, 12), (2, 24), (3, 16)):
         out.extend(random_commuting_tuple(field, nvars, d, rng).mats)
     return out

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from endok.bruteforce import random_commuting_tuple, random_vector
+from endok import linalg, modules
+from endok.bruteforce import k0_class_oracle, random_commuting_tuple, random_vector
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate, is_irreducible
 from endok.fields import GF, QQ
@@ -22,7 +23,7 @@ from endok.linalg import Matrix
 from endok.modules import CommutingTuple
 from endok.poly import UniPoly
 
-from conftest import ALL_FIELDS, field_id
+from conftest import ALL_FIELDS, conjugate, field_id
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 J = Matrix(QQ, [[0, 1], [0, 0]])
@@ -106,6 +107,110 @@ def test_devissage(field):
         for layer in t.radical_filtration():
             total = total + k0_class(layer, rng)
         assert total == k0_class(t, rng)
+
+
+# -- n = 1: the factored characteristic polynomial against the structural path ------
+
+
+# p^dim up to which the brute-force oracle runs here: its enumeration of
+# subspaces takes 0.3 s at F2 dim 6 and 50 s at F2 dim 8
+ORACLE_BOUND = 81
+
+
+def structural_class(t):
+    """The class summed over the local pieces that ``_local_pieces`` builds:
+    the path every tuple with n >= 2 takes."""
+    support = {}
+    for _, piece, key in t._local_pieces():
+        support[key] = support.get(key, 0) + piece.dim // key.residue_degree
+    return GrothendieckClass(t.field, t.nvars, support)
+
+
+def assert_matches_structural(t):
+    cls = k0_class(t)
+    structural = structural_class(t)
+    assert cls == structural, (t, cls, structural)
+    same = {key: key for key in structural.support}
+    assert all(key is same[key] for key in cls.support)
+    F = t.field
+    if F.is_prime_field and F.characteristic**t.dim <= ORACLE_BOUND:
+        assert cls == k0_class_oracle(t)
+
+
+def single(m):
+    return CommutingTuple(m.field, 1, m.rows, [m])
+
+
+def companion_sum(field, specs, rng):
+    """One endomorphism: companion blocks of q^e for (coefficients of q,
+    e) in specs, in a seeded random basis."""
+    blocks = [Matrix.companion(UniPoly(field, q) ** e) for q, e in specs]
+    return conjugate(single(Matrix.block_diag(field, blocks)), rng)
+
+
+def jordan_sum(field, sizes, rng):
+    """Nilpotent Jordan blocks of the given sizes, in a seeded random basis."""
+    blocks = [
+        Matrix(field, [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
+        for k in sizes
+    ]
+    return conjugate(single(Matrix.block_diag(field, blocks)), rng)
+
+
+# irreducibles, lowest coefficient first, with repeated and mixed degrees
+COMPANION_SPECS = {
+    F2: [([0, 1], 2), ([1, 1], 1), ([1, 1], 3), ([1, 1, 1], 2), ([1, 1, 1], 1)],
+    F3: [([1, 0, 1], 2), ([1, 0, 1], 1), ([1, 1], 2), ([2, 2, 0, 1], 1)],
+    GF(97): [([92, 0, 1], 2), ([94, 1], 3), ([94, 1], 1), ([0, 1], 1)],
+    QQ: [([-2, 0, 1], 2), ([-2, 0, 1], 1), ([-1, 1], 2), ([2, 0, 0, 1], 1), ([0, 1], 1)],
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(97), QQ], ids=field_id)
+def test_single_endomorphism_matches_structural_path(field):
+    rng = random.Random(f"n=1 {field!r}")
+    for d in (0, 1, 2, 3, 4, 6, 8, 11, 16, 20, 24):
+        assert_matches_structural(random_commuting_tuple(field, 1, d, rng))
+    specs = COMPANION_SPECS[field]
+    for k in range(1, len(specs) + 1):
+        assert_matches_structural(companion_sum(field, specs[:k], rng))
+    for sizes in ((1,), (3,), (2, 2, 1), (4, 3, 3, 1)):
+        assert_matches_structural(jordan_sum(field, sizes, rng))
+    for d in (0, 1, 5):
+        assert_matches_structural(CommutingTuple.zeros(field, 1, d))
+
+
+def test_single_endomorphism_builds_no_pieces(monkeypatch):
+    """One endomorphism's class needs no piece and no kernel."""
+    rng = random.Random(42)
+    cases = [
+        companion_sum(QQ, COMPANION_SPECS[QQ], rng),
+        companion_sum(F2, COMPANION_SPECS[F2], rng),
+        jordan_sum(F3, (2, 1), rng),
+        CommutingTuple.zeros(QQ, 1, 0),
+    ]
+    expected = [structural_class(t).lines() for t in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the n = 1 class built a piece or a kernel")
+
+    monkeypatch.setattr(CommutingTuple, "_local_pieces", forbidden)
+    monkeypatch.setattr(modules, "kernel_basis", forbidden)
+    monkeypatch.setattr(linalg, "kernel_basis", forbidden)
+    assert [k0_class(t).lines() for t in cases] == expected
+
+
+def test_principal_keys_are_shared():
+    rng = random.Random(43)
+    t = companion_sum(QQ, COMPANION_SPECS[QQ], rng)
+    cls = k0_class(t)
+    image = tilde_to_free_abelian(TildeClass(lambda_t(t.mats[0])))
+    same = {key: key for key in cls.support}
+    # every key but (t), as the same objects
+    assert len(image.support) == len(cls.support) - 1
+    assert all(key is same[key] for key in image.support)
+    q = UniPoly(QQ, [-2, 0, 1])
+    assert principal_maximal_key(q) is principal_maximal_key(q)
 
 
 # -- lambda_t -----------------------------------------------------------------------

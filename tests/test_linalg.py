@@ -110,6 +110,17 @@ def test_subspace_canonical_equality():
     assert a.complement_coords() == (1,)
 
 
+def test_subspace_public_constructor_coerces_and_checks():
+    assert Subspace(GF(5), 2, [(7, -1)]).basis == ((1, 2),)
+    sp = Subspace(QQ, 2, [(Fraction(2, 4), 1)])
+    assert sp.basis == ((Fraction(1), Fraction(2)),)
+    assert all(type(x) is Fraction for x in sp.basis[0])
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        Subspace(QQ, 3, [(1, 2)])
+    with pytest.raises(TypeError):
+        Subspace(GF(5), 1, [(1.0,)])
+
+
 def test_column_space():
     m = Matrix(QQ, [[1, 2], [2, 4]])
     cs = column_space(m)
@@ -135,6 +146,38 @@ def test_charpoly_against_laplace_oracle(field):
     for _ in range(30):
         m = rand_matrix(field, rng, rng.randint(1, 4))
         assert charpoly(m) == charpoly_laplace(m)
+
+
+@pytest.mark.parametrize("field", [QQ, F3, GF(2**31 - 1)], ids=field_id)
+def test_native_scalar_paths_call_no_field_methods(field, monkeypatch):
+    """Matrix sums, negation, scaling and charpoly run on raw scalars with
+    Python operators, and charpoly builds one UniPoly."""
+    rng = random.Random(13)
+    F = field
+    a, b = rand_matrix(F, rng, 5), rand_matrix(F, rng, 5)
+    c = F.random_scalar(rng)
+    added = [[F.add(x, y) for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]
+    negated = [[F.neg(x) for x in r] for r in a.entries]
+    scaled = [[F.mul(c, x) for x in r] for r in a.entries]
+    expected = charpoly_laplace(a)
+
+    def forbidden(*args):
+        raise AssertionError("per-scalar field method called")
+
+    for name in ("add", "sub", "mul", "neg"):
+        monkeypatch.setattr(type(F), name, forbidden)
+    built = []
+    from_canonical = UniPoly._from_canonical.__func__
+    monkeypatch.setattr(
+        UniPoly,
+        "_from_canonical",
+        classmethod(lambda cls, *args: built.append(1) or from_canonical(cls, *args)),
+    )
+    monkeypatch.setattr(UniPoly, "__init__", forbidden)
+    assert [list(r) for r in (a + b).entries] == added
+    assert [list(r) for r in (-a).entries] == negated
+    assert [list(r) for r in a.scale(c).entries] == scaled
+    assert charpoly(a) == expected and len(built) == 1
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)

@@ -3,8 +3,10 @@ rendered as text and compared line by line with a committed golden file.
 
 It covers F2, F3, F97 and Q, n = 1..3, ten seeds each, dim <= 9, then
 tuples that no single random matrix produces: sums of two points with the
-same coordinate minimal polynomials, plain and in seeded random bases, and
-sums of non-cyclic fat points.  For each tuple it records the K0 class,
+same coordinate minimal polynomials, plain and in seeded random bases,
+sums of non-cyclic fat points, and single endomorphisms of dim 16..32
+made of companion blocks of q^e, with repeated and mixed-degree factors,
+in seeded random bases.  For each tuple it records the K0 class,
 the bases of the primary decomposition, the radical basis and the
 annihilator ideal.  Regenerate the golden file,
 only when an output change is intended, with
@@ -20,6 +22,7 @@ import pytest
 
 from conftest import conjugate, fat_point, tensor, twisted_points
 from endok.bruteforce import random_commuting_tuple
+from endok.factor import is_irreducible
 from endok.fields import GF, QQ
 from endok.ktheory import k0_class
 from endok.linalg import Matrix
@@ -96,6 +99,89 @@ def extra_tuples():
         yield f"{q.field!r} fat twisted {q} dim={t.dim}", t
 
 
+# (field, [(q, e)]): one endomorphism, the sum of the companion blocks of
+# q^e for irreducible q given by coefficients, lowest first
+COMPANION_SUMS = [
+    (
+        GF(2),
+        [([1, 1], 3), ([1, 1, 1], 2), ([1, 1, 1], 2), ([1, 1, 0, 1], 1), ([0, 1], 4)],
+    ),
+    (
+        GF(2),
+        [
+            ([1, 1, 0, 0, 1], 2),
+            ([1, 1, 1], 3),
+            ([1, 1, 0, 1], 2),
+            ([1, 1], 2),
+            ([1, 1], 1),
+            ([0, 1], 1),
+            ([1, 0, 0, 1, 1], 2),
+        ],
+    ),
+    (
+        GF(97),
+        [
+            ([94, 1], 3),
+            ([92, 0, 1], 2),
+            ([92, 0, 1], 1),
+            ([1, 1], 2),
+            ([0, 1], 2),
+            ([95, 0, 0, 1], 1),
+            ([94, 1], 2),
+        ],
+    ),
+    (
+        GF(97),
+        [
+            ([92, 0, 1], 4),
+            ([94, 1], 5),
+            ([94, 1], 1),
+            ([3, 0, 0, 1], 3),
+            ([0, 1], 3),
+            ([1, 1], 2),
+            ([2, 1], 4),
+        ],
+    ),
+    (
+        QQ,
+        [
+            ([-2, 0, 1], 2),
+            ([-1, 1], 3),
+            ([-1, 1], 1),
+            ([2, 0, 0, 1], 1),
+            ([0, 1], 2),
+            ([1, 0, 1], 2),
+        ],
+    ),
+    (
+        QQ,
+        [
+            ([-2, 0, 1], 3),
+            ([3, 1], 2),
+            ([2, 0, 0, 1], 2),
+            ([0, 1], 3),
+            ([-1, 1], 1),
+            ([1, 1, 1], 1),
+            ([-3, 0, 1], 2),
+        ],
+    ),
+]
+
+
+def companion_sums():
+    """(label, tuple) for the conjugated companion sums."""
+    for field, specs in COMPANION_SUMS:
+        blocks = []
+        for coeffs, e in specs:
+            q = UniPoly(field, coeffs)
+            assert q.is_monic and is_irreducible(q, random.Random(0)), q
+            blocks.append(Matrix.companion(q**e))
+        m = Matrix.block_diag(field, blocks)
+        rng = random.Random(f"companion {field!r} {specs}")
+        t = conjugate(CommutingTuple(field, 1, m.rows, [m]), rng)
+        yield f"{field!r} companion sum dim={t.dim}", t
+
+
 def sweep_lines():
     lines = [
         line
@@ -104,7 +190,7 @@ def sweep_lines():
         for seed in SEEDS
         for line in tuple_lines(field, nvars, seed)
     ]
-    for label, t in extra_tuples():
+    for label, t in (*extra_tuples(), *companion_sums()):
         lines += [label] + render(t)
     return lines
 
