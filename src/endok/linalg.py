@@ -443,9 +443,22 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental echelon store; optionally tracks how each stored row was
-    built from the inserted generators, so a dependent vector can be
-    rewritten over them."""
+    """Incremental echelon store over integer rows.
+
+    Over F_p a stored row holds residues with pivot entry 1, and reducing
+    a vector against it is one update (x - b*y) % p per entry.  Over Q a
+    vector is cleared to integers once, a stored row is primitive, and
+    each elimination is the fraction-free step a*w - b*row followed by
+    division by the content, as in ``_integer_echelon``.  Row i has zeros
+    at the pivots of the rows before it, so reducing against the rows in
+    insertion order clears every pivot.
+
+    With ``track`` each row carries beside it the integer combination of
+    the generators (the vectors ``insert`` added, each cleared over Q)
+    that it equals; the combination takes the same row operations and
+    content division as the row, and becomes field scalars only when
+    ``insert`` reports a dependency.
+    """
 
     def __init__(self, field, width, track=False):
         self.field = field
@@ -453,8 +466,8 @@ class Echelon:
         self.track = track
         self.rows = []
         self.pivots = []
-        self.combos = []  # combos[i]: dict gen_index -> coeff with rows[i] = sum
-        self.gens = 0
+        self.combos = []  # combos[i][g]: coefficient of generator g in rows[i]
+        self.dens = []  # dens[g]: the denominator cleared from generator g
 
     @property
     def rank(self):
@@ -462,37 +475,66 @@ class Echelon:
 
     def insert(self, v):
         """Try to add v.  Returns (added, combo): combo rewrites a dependent
-        v over the previously added generators (only when tracking)."""
+        v over the previously added generators, as a dict from generator
+        index to nonzero field scalar (only when tracking)."""
         F = self.field
+        p = F.characteristic
         work = [F.coerce(x) for x in v]
-        combo = {} if self.track else None
-        for row, p, rc in zip(self.rows, self.pivots, self.combos or self.rows):
-            c = work[p]
-            if c:
-                work = [F.sub(x, F.mul(c, y)) for x, y in zip(work, row)]
+        den = 1
+        if not p:
+            work, den = _cleared(work)
+        gens = len(self.rows)
+        # work = sum of combo[g] * generator g, the new vector at index gens
+        combo = [0] * gens + [1] if self.track else None
+        for row, c, rc in zip(self.rows, self.pivots, self.combos or self.rows):
+            b = work[c]
+            if not b:
+                continue
+            if p:
+                work = [(x - b * y) % p for x, y in zip(work, row)]
                 if self.track:
-                    for g, coeff in rc.items():
-                        val = F.add(combo.get(g, F.zero), F.mul(c, coeff))
-                        if val:
-                            combo[g] = val
-                        elif g in combo:
-                            del combo[g]
-        lead = None
-        for j, x in enumerate(work):
-            if x:
-                lead = j
-                break
+                    k = len(rc)
+                    combo[:k] = [(x - b * y) % p for x, y in zip(combo, rc)]
+                continue
+            a = row[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            work = [a * x - b * y for x, y in zip(work, row)]
+            if self.track:
+                k = len(rc)
+                combo = [a * x - b * y for x, y in zip(combo, rc)] + [
+                    a * x for x in combo[k:]
+                ]
+                g = gcd(*work, *combo)
+                if g > 1:
+                    work = [x // g for x in work]
+                    combo = [x // g for x in combo]
+            else:
+                work = _primitive(work)
+        lead = next((j for j, x in enumerate(work) if x), None)
         if lead is None:
-            return False, combo
-        inv = F.inv(work[lead])
-        row = tuple(F.mul(inv, x) for x in work)
-        if self.track:
-            rc = {g: F.mul(inv, F.neg(c)) for g, c in combo.items()}
-            rc[self.gens] = inv
-            self.combos.append(rc)
-        self.rows.append(row)
+            if not self.track:
+                return False, None
+            s = combo[gens]
+            if p:  # s == 1
+                return False, {g: -x % p for g, x in enumerate(combo[:gens]) if x}
+            return False, {
+                g: Fraction(-x * self.dens[g], s * den)
+                for g, x in enumerate(combo[:gens])
+                if x
+            }
+        if p:
+            inv = pow(work[lead], p - 2, p)
+            work = [x * inv % p for x in work]
+            if self.track:
+                combo = [x * inv % p for x in combo]
+        elif not self.track:
+            work = _primitive(work)
+        self.rows.append(work)
         self.pivots.append(lead)
-        self.gens += 1
+        if self.track:
+            self.combos.append(combo)
+        self.dens.append(den)
         return True, None
 
 

@@ -385,24 +385,42 @@ class CommutingTuple:
         raise TypeError(f"expected InvariantSubmodule or Subspace, got {s!r}")
 
     def generated_submodule(self, vectors):
-        """Smallest invariant subspace containing the vectors: close under
-        every matrix by breadth-first application and echelon insertion."""
-        ech = Echelon(self.field, self.dim)
-        queue = deque()
-        for v in vectors:
-            v = tuple(self.field.coerce(x) for x in v)
-            added, _ = ech.insert(v)
-            if added:
-                queue.append(v)
+        """Smallest invariant subspace containing the vectors."""
+        F = self.field
+        vectors = [tuple(F.coerce(x) for x in v) for v in vectors]
+        basis = self._close(Echelon(F, self.dim), vectors)
+        space = Subspace._from_canonical(F, self.dim, basis)
+        return InvariantSubmodule(self, space)
+
+    def _close(self, ech, vectors):
+        """Insert canonical vectors into ech and close its span under every
+        matrix, breadth-first; returns the vectors it added, which span
+        the new part of the closure."""
+        added = [v for v in vectors if ech.insert(v)[0]]
+        queue = deque(added)
         while queue:
             v = queue.popleft()
             for m in self.mats:
                 w = m.mul_vec(v)
-                added, _ = ech.insert(w)
-                if added:
+                if ech.insert(w)[0]:
+                    added.append(w)
                     queue.append(w)
-        space = Subspace._from_canonical(self.field, self.dim, ech.rows)
-        return InvariantSubmodule(self, space)
+        return added
+
+    def _generators(self):
+        """Indices j of identity columns e_j that generate V as a
+        k[T]-module: e_j is taken when it is outside the closure of the
+        columns taken before it."""
+        F, d = self.field, self.dim
+        ech = Echelon(F, d)
+        taken = []
+        for j in range(d):
+            if ech.rank == d:
+                break
+            e = (F.zero,) * j + (F.one,) + (F.zero,) * (d - j - 1)
+            if self._close(ech, [e]):
+                taken.append(j)
+        return taken
 
     def _submodule_maps(self, sp):
         """(B, [R_k]) for an echelon subspace, B its basis as columns and R_k
@@ -444,19 +462,30 @@ class CommutingTuple:
 
     def annihilator_ideal(self):
         """Kernel of evaluation k[t1..tn] -> k[f1..fn], as a reduced
-        Groebner basis plus the standard monomials: the annihilator of the
-        columns of the identity."""
-        return self._annihilator(Matrix.identity(self.field, self.dim))
+        Groebner basis plus the standard monomials.
+
+        It is the annihilator of the identity columns that generate V as
+        a k[T]-module (``_generators``): p(f) kills every vector once it
+        kills the generators, as p(f) commutes with each f_i.  The reduced
+        basis is unique, so starting from d x c instead of d x d changes
+        the width of the search from d^2 to d*c and nothing else.
+        """
+        F, d = self.field, self.dim
+        cols = self._generators()
+        grid = [[F.one if i == j else F.zero for j in cols] for i in range(d)]
+        return self._annihilator(Matrix._from_canonical(F, grid, len(cols)))
 
     def _annihilator(self, start):
         """The ideal of all p with p(f).start = 0, for a d x c matrix start.
 
         Buchberger-Moller, breadth-first over monomials in increasing
-        graded-lex order: monomial m maps to f^m.start, whose flattened
-        entries are reduced against those of the standard monomials; a
-        dependency yields a generator (and m is not expanded), independence
-        makes m standard and enqueues its variable multiples.  Terminates
-        because the standard count is at most d*c.
+        graded-lex order: monomial m maps to f^m.start, whose d*c flattened
+        entries are reduced against those of the standard monomials in a
+        tracking ``Echelon`` (integer rows); a dependency yields a
+        generator, m minus its combination of standard monomials (and m is
+        not expanded), independence makes m standard and enqueues its
+        variable multiples.  Terminates because the standard count is at
+        most d*c.
         """
         F, n = self.field, self.nvars
         ech = Echelon(F, start.rows * start.cols, track=True)

@@ -1,7 +1,8 @@
 """Differential tests against sympy: characteristic polynomials and their
 factorizations, on random matrices up to dim 32, on sums of companion
 blocks of polynomial powers and on members of random commuting tuples,
-and reduced row echelon forms over Q.
+reduced row echelon forms over Q, and the reduced graded-lex Groebner
+bases of annihilator ideals of random commuting tuples up to dim 24.
 
 The class path splits on ``linalg.charpoly``, and so does the benchmark's
 class check; sympy gives both an independent reference.  Over F_p, sympy's
@@ -16,7 +17,7 @@ import pytest
 from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
-from endok.linalg import Matrix, charpoly, rref
+from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
 from endok.poly import UniPoly
 
 from conftest import field_id
@@ -114,3 +115,60 @@ def test_rational_rref_matches_sympy():
         assert [list(row) for row in R.entries] == [
             [Fraction(int(x.p), int(x.q)) for x in theirs.row(i)] for i in range(rows)
         ]
+
+
+def sympy_scalar(x, field):
+    if field.is_rationals:
+        return Fraction(int(x.p), int(x.q))
+    return int(x) % field.characteristic
+
+
+def algebra_dim(t):
+    """dim k[f1..fn]: the rank of the span of the products f^m, closed
+    breadth-first under multiplication by each f_i and measured by rref."""
+    F, d = t.field, t.dim
+
+    def rank(mats):
+        flat = [[x for row in m.entries for x in row] for m in mats]
+        return len(rref(Matrix(F, flat, cols=d * d))[1])
+
+    span = [Matrix.identity(F, d)]
+    queue = list(span)
+    while queue:
+        m = queue.pop()
+        for f in t.mats:
+            w = f @ m
+            if rank(span + [w]) > len(span):
+                span.append(w)
+                queue.append(w)
+    return len(span)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
+def test_annihilator_groebner_basis_matches_sympy(field):
+    rng = random.Random(13)
+    for nvars, d in ((1, 9), (2, 8), (2, 16), (2, 24), (3, 12), (3, 24)):
+        t = random_commuting_tuple(field, nvars, d, rng)
+        ideal = t.annihilator_ideal()
+        syms = sympy.symbols(f"t1:{nvars + 1}")
+        kw = {} if field.is_rationals else {"modulus": field.characteristic}
+        exprs = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod(s**e for s, e in zip(syms, m))
+                for m, c in g.terms
+            )
+            for g in ideal.gens
+        ]
+        basis = sympy.groebner(exprs, *syms, order="grlex", **kw)
+        theirs = sorted(
+            sorted((m, sympy_scalar(c, field)) for m, c in sympy.Poly(g, *syms, **kw).terms())
+            for g in basis.exprs
+        )
+        assert theirs == sorted(sorted(g.terms) for g in ideal.gens), (nvars, d)
+        zero = Matrix.zeros(field, d, d)
+        assert all(eval_poly_at_matrix(g, list(t.mats)) == zero for g in ideal.gens)
+        # over Q the entries of f^m at dim 24 run to dozens of digits, and
+        # each rref of the span there takes about a second
+        if field.is_prime_field or d <= 16:
+            assert ideal.quotient_dim == algebra_dim(t)

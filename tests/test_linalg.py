@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endok import linalg
-from endok.bruteforce import random_commuting_tuple
+from endok.bruteforce import random_commuting_tuple, random_vector
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
@@ -461,3 +463,132 @@ def test_integer_echelon_keeps_rows_primitive():
             else:
                 assert not any(row)
         assert pivots == rref(Matrix(QQ, grid))[1]
+
+
+# -- differential: Echelon against a plain loop over field scalars ------------------
+
+ECHELON_FIELDS = (QQ, F2, GF(97), P31)
+
+
+def plain_echelon(field, vectors):
+    """([(added, combo)], rank) for inserting the vectors in turn: each is
+    reduced against monic rows over field scalars, every row carrying its
+    combination of the added vectors as a dict."""
+    _, sub, mul, div = plain_ops(field)
+    rows = []  # (row, pivot, combo)
+    out = []
+    for v in vectors:
+        work = [field.coerce(x) for x in v]
+        new = len(rows)
+        combo = {new: field.one}  # work = sum of combo[g] * added vector g
+        for row, pivot, rc in rows:
+            c = work[pivot]
+            if c:
+                work = [sub(x, mul(c, y)) for x, y in zip(work, row)]
+                for g, y in rc.items():
+                    combo[g] = sub(combo.get(g, field.zero), mul(c, y))
+        lead = next((j for j, x in enumerate(work) if x), None)
+        if lead is None:
+            dependency = {g: sub(field.zero, x) for g, x in combo.items() if x and g != new}
+            out.append((False, dependency))
+            continue
+        a = work[lead]
+        rows.append(
+            ([div(x, a) for x in work], lead, {g: div(x, a) for g, x in combo.items()})
+        )
+        out.append((True, None))
+    return out, len(rows)
+
+
+def field_scalars(field):
+    if field.is_rationals:
+        return st.builds(
+            Fraction, st.integers(-20, 20), st.sampled_from(DENOMINATORS)
+        )
+    p = field.characteristic
+    return st.integers(-p, 2 * p) | st.integers(0, 2)
+
+
+@st.composite
+def echelon_sequences(draw):
+    """(field, width, vectors): random vectors, and planned dependencies,
+    each a combination of up to three earlier vectors (possibly zero)."""
+    field = draw(st.sampled_from(ECHELON_FIELDS))
+    width = draw(st.integers(0, 6))
+    scalars = field_scalars(field)
+    vectors = []
+    for _ in range(draw(st.integers(1, 10))):
+        if vectors and draw(st.booleans()):
+            picks = draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(vectors) - 1), scalars),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+            v = [sum(c * vectors[i][j] for i, c in picks) for j in range(width)]
+        else:
+            v = draw(st.lists(scalars, min_size=width, max_size=width))
+        vectors.append(v)
+    return field, width, vectors
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(echelon_sequences())
+@example((QQ, 3, [(1, 2, 0), (0, 1, 1), (2, 5, 1)]))
+@example(
+    (
+        QQ,
+        3,
+        [
+            (Fraction(-3, 4), Fraction(5, 6), 0),
+            (Fraction(7, 12), 0, Fraction(-1, 35)),
+            (Fraction(-1, 6), Fraction(5, 6), Fraction(-1, 35)),
+            (0, 0, 0),
+        ],
+    )
+)
+@example((F2, 4, [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 1, 1)]))
+@example((GF(97), 2, [(96, 1), (1, 96), (0, 5)]))
+@example((P31, 3, [(2**31 - 2, 1, 0), (1, 2**30, 3), (0, 2**30 + 1, 3)]))
+@example((QQ, 0, [()]))
+def test_echelon_matches_plain_loop(case):
+    field, width, vectors = case
+    expected, rank = plain_echelon(field, vectors)
+    tracked = Echelon(field, width, track=True)
+    untracked = Echelon(field, width)
+    for v, (added, combo) in zip(vectors, expected):
+        assert tracked.insert(v) == (added, combo), (v, combo)
+        assert untracked.insert(v) == (added, None)
+        if combo:  # the field's own scalars, not integers over Q
+            assert all(type(c) is type(field.one) for c in combo.values())
+    assert tracked.rank == untracked.rank == rank
+
+
+def plain_closure(t, vectors):
+    """The span of the vectors and every image under the matrices, grown
+    until it stops growing, through the public Subspace constructor."""
+    span = Subspace(t.field, t.dim, vectors)
+    while True:
+        images = [m.mul_vec(v) for m in t.mats for v in span.basis]
+        grown = Subspace(t.field, t.dim, span.basis + tuple(images))
+        if grown == span:
+            return span
+        span = grown
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ECHELON_FIELDS),
+    st.integers(1, 3),
+    st.integers(0, 7),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+@example(QQ, 2, 6, 1, 0)
+@example(F2, 1, 7, 2, 5)
+def test_generated_submodule_matches_plain_closure(field, nvars, dim, count, seed):
+    rng = random.Random(seed)
+    t = random_commuting_tuple(field, nvars, dim, rng)
+    vectors = [random_vector(field, dim, rng) for _ in range(count)]
+    assert t.generated_submodule(vectors).space == plain_closure(t, vectors)

@@ -23,9 +23,9 @@ from endok.modules import (
 )
 from endok.poly import MultiPoly, UniPoly
 
-from conftest import ALL_FIELDS, field_id
+from conftest import ALL_FIELDS, conjugate, fat_point, field_id, tensor, twisted_points
 
-F2, F3 = GF(2), GF(3)
+F2, F3, F97 = GF(2), GF(3), GF(97)
 J = Matrix(QQ, [[0, 1], [0, 0]])
 Z2 = Matrix.zeros(QQ, 2, 2)
 
@@ -246,6 +246,66 @@ def test_annihilator_soundness(field):
             val = eval_poly_at_matrix(p, list(t.mats))
             assert val == eval_poly_at_matrix(nf, list(t.mats))
             assert nf.is_zero == (val == zero)
+
+
+def whole_identity_annihilator(t):
+    """The annihilator from the whole identity: every column, d^2 wide."""
+    return t._annihilator(Matrix.identity(t.field, t.dim))
+
+
+def transpose(t):
+    """The dual module: each f_i transposed, which still commute."""
+    mats = [Matrix(t.field, list(zip(*m.entries)), cols=t.dim) for m in t.mats]
+    return CommutingTuple(t.field, t.nvars, t.dim, mats)
+
+
+def annihilator_inputs():
+    """Seeded random tuples (block sums among them, so e_1 often generates
+    only one block), non-cyclic fat points and their duals, twisted points
+    and fat points moved onto them, in block and in random bases."""
+    quadratics = {
+        F2: UniPoly(F2, [1, 1, 1]),
+        F3: UniPoly(F3, [1, 0, 1]),
+        F97: UniPoly(F97, [92, 0, 1]),
+        QQ: UniPoly(QQ, [-2, 0, 1]),
+    }
+    for field, q in quadratics.items():
+        rng = random.Random(24)
+        for nvars, d in ((1, 6), (1, 20), (2, 9), (2, 16), (3, 12), (3, 20)):
+            yield random_commuting_tuple(field, nvars, d, rng)
+        fat = fat_point(field, 2, 2)
+        yield fat
+        yield transpose(fat_point(field, 2, 3))
+        yield conjugate(CommutingTuple.direct_sum(fat, transpose(fat)), rng)
+        points = CommutingTuple.direct_sum(*twisted_points(q, rng))
+        yield points
+        yield conjugate(points, rng)
+        moved = [tensor(pt, fat) for pt in twisted_points(q, rng)]
+        yield CommutingTuple.direct_sum(*moved)
+        yield conjugate(transpose(CommutingTuple.direct_sum(*moved)), rng)
+
+
+def test_annihilator_matches_whole_identity_start(monkeypatch):
+    starts = []
+    annihilator = CommutingTuple._annihilator
+
+    def recording(t, start):
+        starts.append((start.cols, t.dim))
+        return annihilator(t, start)
+
+    seen = set()
+    for t in annihilator_inputs():
+        seen.add(t.field)
+        monkeypatch.setattr(CommutingTuple, "_annihilator", recording)
+        ideal = t.annihilator_ideal()
+        monkeypatch.undo()
+        expected = whole_identity_annihilator(t)
+        assert ideal == expected, t
+        assert ideal.standard_monomials == expected.standard_monomials
+    assert seen == {F2, F3, F97, QQ}
+    assert len(starts) == 4 * 13
+    assert any(cols < dim for cols, dim in starts)
+    assert any(cols >= 3 for cols, _ in starts)  # non-cyclic inputs need several
 
 
 def test_ideal_from_groebner_basis_roundtrip():

@@ -3,13 +3,16 @@ from itertools import product
 
 import pytest
 
+from endok import bruteforce
 from endok.bruteforce import (
+    DEFAULT_BOUND,
     SubspaceEnumeration,
     all_invariant_submodules,
     all_subspaces,
     composition_factors_bruteforce,
     k0_class_oracle,
     random_commuting_tuple,
+    subspace_count,
 )
 from endok.errors import EnumerationBoundError
 from endok.fields import GF, QQ
@@ -25,7 +28,7 @@ def test_subspace_counts():
     # d = 2, p = 2: 1 + 3 + 1 subspaces
     enum = SubspaceEnumeration(F2, 2)
     assert len(enum) == 5 == enum.expected_count()
-    for p, d in ((2, 3), (3, 2), (2, 4)):
+    for p, d in ((2, 3), (3, 2), (2, 4), (3, 3), (5, 2)):
         enum = SubspaceEnumeration(GF(p), d)
         assert len(enum) == enum.expected_count()
         assert len({s for s in enum}) == len(enum)  # no duplicates
@@ -35,13 +38,27 @@ def test_subspaces_of_zero_space():
     assert len(all_subspaces(F2, 0)) == 1
 
 
-def test_bound_and_field_enforced():
+def test_bound_and_field_enforced(monkeypatch):
     with pytest.raises(EnumerationBoundError):
         all_subspaces(F2, 13)
     with pytest.raises(EnumerationBoundError):
         all_subspaces(QQ, 2)
     with pytest.raises(EnumerationBoundError):
         k0_class_oracle(CommutingTuple.zeros(QQ, 1, 2))
+    # the cap counts subspaces: F2 dim 6 has 2825 and F3 dim 5 has 2664,
+    # while F2 dim 7 has 29212 and dim 8 has 417199, where the oracle would
+    # run for seconds to minutes
+    assert subspace_count(2, 8) == 417199 > DEFAULT_BOUND
+    assert max(subspace_count(2, 6), subspace_count(3, 5)) <= DEFAULT_BOUND
+    assert subspace_count(2, 7) > DEFAULT_BOUND
+    t = random_commuting_tuple(F2, 1, 8, random.Random(8))
+    # the bound is checked before anything is enumerated
+    monkeypatch.setattr(bruteforce, "Subspace", None)
+    with pytest.raises(EnumerationBoundError):
+        k0_class_oracle(t)
+    for dim in (7, 8, 400):
+        with pytest.raises(EnumerationBoundError):
+            all_subspaces(F2, dim)
 
 
 def test_invariant_submodules_examples():
