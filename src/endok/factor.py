@@ -1,11 +1,15 @@
 """Irreducible factorization of univariate polynomials over Q and F_p.
 
 Over F_p: squarefree decomposition, then distinct-degree splitting
-followed by randomized Cantor-Zassenhaus equal-degree splitting.
+followed by randomized Cantor-Zassenhaus equal-degree splitting, all on
+the coefficient lists of :mod:`endok.poly` (raw residues, one reduction
+mod p per coefficient).
 
 Over Q: squarefree decomposition, then Zassenhaus on each primitive
 integer part: reduce modulo a good prime, Hensel-lift the modular factors
-above the Mignotte coefficient bound, and recombine subsets.  Squarefree
+above the Mignotte coefficient bound, and recombine subsets, with a
+candidate factor checked by exact division over Z.  Integer polynomials
+use the same coefficient-list helpers with p = 0.  Squarefree
 parts of degree beyond ``RATIONAL_DEGREE_CAP`` are rejected so
 recombination stays bounded.
 
@@ -19,8 +23,23 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 
-from .fields import GF, QQ, is_prime
-from .poly import UniPoly, pow_mod, squarefree_decomposition, uni_gcd, uni_gcdex
+from .fields import GF, is_prime
+from .poly import (
+    UniPoly,
+    _add,
+    _derivative,
+    _div_exact,
+    _divmod,
+    _gcd,
+    _monic,
+    _mul,
+    _pow_mod,
+    _squarefree,
+    _sub,
+    _trim,
+    squarefree_decomposition,
+    uni_gcdex,
+)
 
 DEFAULT_SEED = 0
 RATIONAL_DEGREE_CAP = 64
@@ -57,86 +76,88 @@ def is_irreducible(f, rng=None):
 
 # ---------------------------------------------------------------------------
 # prime fields
+#
+# The loops run on the coefficient lists of endok.poly (raw residues, lowest
+# degree first); only the entry and exit points speak UniPoly.
 
 
 def _factor_prime_field(f, rng):
+    F = f.field
+    p = F.characteristic
     out = {}
-    for g, mult in squarefree_decomposition(f):
-        for q in _factor_squarefree_modp(g, rng):
+    for g, mult in _squarefree(_monic(list(f.coeffs), p), p):
+        for q in _factor_squarefree_modp(g, p, rng):
+            q = tuple(q)
             out[q] = out.get(q, 0) + mult
-    return list(out.items())
+    return [(UniPoly._from_canonical(F, list(q)), e) for q, e in out.items()]
 
 
-def _factor_squarefree_modp(g, rng):
+def _factor_squarefree_modp(g, p, rng):
     """Monic squarefree g over F_p -> unsorted list of monic irreducibles."""
-    if g.degree <= 1:
-        return [g] if g.degree == 1 else []
+    if len(g) <= 2:
+        return [g] if len(g) == 2 else []
     parts = []
-    for h, d in _distinct_degree_split(g):
-        parts.extend(_equal_degree_split(h, d, rng))
+    for h, d in _distinct_degree_split(g, p):
+        parts.extend(_equal_degree_split(h, d, p, rng))
     return parts
 
 
-def _distinct_degree_split(g):
+def _distinct_degree_split(g, p):
     """Monic squarefree g -> [(h_d, d)] with h_d the product of its
     irreducible factors of degree d.  Uses gcd(g, t^(p^d) - t)."""
-    field = g.field
-    p = field.characteristic
-    x = UniPoly.gen(field)
+    x = [0, 1]
     factors = []
     cur = g
     h = x
     d = 0
-    while cur.degree >= 1:
+    while len(cur) > 1:
         d += 1
-        if cur.degree < 2 * d:
-            factors.append((cur, cur.degree))
+        if len(cur) - 1 < 2 * d:
+            factors.append((cur, len(cur) - 1))
             break
-        h = pow_mod(h, p, cur)
-        G = uni_gcd(cur, h - x) if not (h - x).is_zero else cur
-        if not G.is_one:
+        h = _pow_mod(h, p, cur, p)
+        hx = _sub(h, x, p)
+        G = _gcd(cur, hx, p) if hx else cur
+        if len(G) > 1:
             factors.append((G, d))
-            cur = cur // G
-            h = h % cur
+            cur = _divmod(cur, G, p)[0]
+            h = _divmod(h, cur, p)[1]
     return factors
 
 
-def _equal_degree_split(h, d, rng):
+def _equal_degree_split(h, d, p, rng):
     """Cantor-Zassenhaus split of h into its degree-d irreducible factors."""
-    n = h.degree
+    n = len(h) - 1
     if n == d:
         return [h]
-    field = h.field
-    p = field.characteristic
     while True:
-        r = UniPoly(field, [rng.randrange(p) for _ in range(2 * d)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(p) for _ in range(2 * d)])
+        if len(r) < 2:
             continue
         if p == 2:
             # trace map r + r^2 + ... + r^(2^(d-1)) splits half the factors
-            sq = r % h
-            acc = sq
+            sq = _divmod(r, h, p)[1]
+            probe = sq
             for _ in range(d - 1):
-                sq = sq * sq % h
-                acc = (acc + sq) % h
-            probe = acc
+                sq = _divmod(_mul(sq, sq, p), h, p)[1]
+                probe = _add(probe, sq, p)
         else:
-            e = (p**d - 1) // 2
-            probe = pow_mod(r, e, h) - UniPoly.one(field)
-        if probe.is_zero:
+            probe = _sub(_pow_mod(r, (p**d - 1) // 2, h, p), [1], p)
+        if not probe:
             continue
-        g = uni_gcd(h, probe)
-        if 0 < g.degree < n:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(
-                h // g, d, rng
+        g = _gcd(h, probe, p)
+        if 0 < len(g) - 1 < n:
+            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(
+                _divmod(h, g, p)[0], d, p, rng
             )
 
 
 # ---------------------------------------------------------------------------
 # rationals (Zassenhaus)
 #
-# Integer polynomials are plain low-to-high int lists here; only the entry
-# and exit points speak UniPoly.
+# Integer polynomials are plain low-to-high int lists here, on the same
+# coefficient-list helpers with p = 0; only the entry and exit points speak
+# UniPoly.
 
 
 def _factor_rationals(f, rng):
@@ -175,41 +196,6 @@ def _factor_squarefree_rationals(g, rng):
     return factors
 
 
-def _ztrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zmul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _ztrim(out)
-
-
-def _zsub(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _ztrim(out)
-
-
-def _zadd(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] += b
-    return _ztrim(out)
-
-
 def _ztrunc_sym(f, m):
     """Coefficients reduced to the symmetric range (-m/2, m/2]."""
     out = []
@@ -219,7 +205,7 @@ def _ztrunc_sym(f, m):
         if c > half:
             c -= m
         out.append(c)
-    return _ztrim(out)
+    return _trim(out)
 
 
 def _zprimitive(f):
@@ -231,62 +217,25 @@ def _zprimitive(f):
     return content, [c // content for c in f]
 
 
-def _zdivmod_monic(f, g):
-    """Integer division by a monic g; exact in Z[t]."""
-    rem = list(f)
-    dg = len(g) - 1
-    if len(rem) - 1 < dg:
-        return [], _ztrim(rem)
-    quo = [0] * (len(rem) - dg)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + dg]
-        if c:
-            quo[k] = c
-            for i, gc in enumerate(g):
-                rem[k + i] -= c * gc
-    return _ztrim(quo), _ztrim(rem[:dg])
-
-
-def _zdiv_exact(f, g):
-    """Quotient of f by g when the division is exact over Z, else None."""
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in f]
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return None
-    glc = g[-1]
-    quo = [Fraction(0)] * (len(f) - dg)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + dg] / glc
-        quo[k] = c
-        if c:
-            for i, gc in enumerate(g):
-                rem[k + i] -= c * gc
-    if any(rem) or any(q.denominator != 1 for q in quo):
-        return None
-    return _ztrim([int(q) for q in quo])
-
-
 def _hensel_step(m, f, g, h, s, t):
     """Quadratic Hensel step: from f = g*h and s*g + t*h = 1 (mod m) to the
     same congruences mod m**2, with h kept monic.  Gathen & Gerhard 15.10."""
     M = m * m
-    e = _ztrunc_sym(_zsub(f, _zmul(g, h)), M)
-    q, r = _zdivmod_monic(_zmul(s, e), h)
+    e = _ztrunc_sym(_sub(f, _mul(g, h, 0), 0), M)
+    q, r = _divmod(_mul(s, e, 0), h, 0)
     q = _ztrunc_sym(q, M)
     r = _ztrunc_sym(r, M)
-    u = _zadd(_zmul(t, e), _zmul(q, g))
-    G = _ztrunc_sym(_zadd(g, u), M)
-    H = _ztrunc_sym(_zadd(h, r), M)
-    u = _zadd(_zmul(s, G), _zmul(t, H))
-    b = _ztrunc_sym(_zsub(u, [1]), M)
-    c, d = _zdivmod_monic(_zmul(s, b), H)
+    u = _add(_mul(t, e, 0), _mul(q, g, 0), 0)
+    G = _ztrunc_sym(_add(g, u, 0), M)
+    H = _ztrunc_sym(_add(h, r, 0), M)
+    u = _add(_mul(s, G, 0), _mul(t, H, 0), 0)
+    b = _ztrunc_sym(_sub(u, [1], 0), M)
+    c, d = _divmod(_mul(s, b, 0), H, 0)
     c = _ztrunc_sym(c, M)
     d = _ztrunc_sym(d, M)
-    u = _zadd(_zmul(t, b), _zmul(c, G))
-    S = _ztrunc_sym(_zsub(s, d), M)
-    T = _ztrunc_sym(_zsub(t, u), M)
+    u = _add(_mul(t, b, 0), _mul(c, G, 0), 0)
+    S = _ztrunc_sym(_sub(s, d, 0), M)
+    T = _ztrunc_sym(_sub(t, u, 0), M)
     return G, H, S, T
 
 
@@ -329,11 +278,9 @@ def _good_prime(F):
     for p in count(3, 2):
         if not is_prime(p) or F[-1] % p == 0:
             continue
-        fp = _modp_poly(F, p)
-        d = fp.derivative()
-        if d.is_zero:
-            continue
-        if uni_gcd(fp, d).is_one:
+        fp = [c % p for c in F]
+        d = _derivative(fp, p)
+        if d and len(_gcd(fp, d, p)) == 1:
             return p
 
 
@@ -345,7 +292,7 @@ def _zassenhaus(F, rng):
     # Mignotte: any factor has coefficients bounded by sqrt(n+1)*2^n*A*|b|
     B = (math.isqrt(n + 1) + 1) * (1 << n) * A * abs(b)
     p = _good_prime(F)
-    modular = _factor_squarefree_modp(_modp_poly(F, p).monic(), rng)
+    modular = _factor_squarefree_modp(_monic([c % p for c in F], p), p, rng)
     if len(modular) == 1:
         return [F]
     l = 1
@@ -353,7 +300,7 @@ def _zassenhaus(F, rng):
     while pl < 2 * B + 1:
         pl *= p
         l += 1
-    lifted = _hensel_lift(p, F, [_sym_int_poly(q, p) for q in modular], l)
+    lifted = _hensel_lift(p, F, [_ztrunc_sym(q, p) for q in modular], l)
     pl = p**l
 
     remaining = list(range(len(lifted)))
@@ -365,10 +312,10 @@ def _zassenhaus(F, rng):
         for S in combinations(remaining, s):
             G = [f[-1]]
             for i in S:
-                G = _zmul(G, lifted[i])
+                G = _mul(G, lifted[i], 0)
             G = _ztrunc_sym(G, pl)
             Gp = _zprimitive(G)[1]
-            q = _zdiv_exact(f, Gp)
+            q = _div_exact(f, Gp)
             if q is not None:
                 factors.append(Gp)
                 f = q

@@ -1,11 +1,15 @@
 """Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
-Matrices are immutable row-major grids of raw field scalars.  Over prime
-fields small enough for int64 arithmetic, multiplication and row
-reduction dispatch to the array kernels in :mod:`endok._kernels`.  Over
-larger primes a product entry is one Python integer dot product reduced
-mod p once.  Over Q both run on Python integers: a product clears each
-row of A and each column of B to integer numerators over one common
+Matrices are immutable.  Over prime fields small enough for int64
+arithmetic a matrix stays an int64 residue array between operations:
+products and row reduction run in :mod:`endok._kernels`, and sums,
+differences, negation, scaling and submatrices are numpy operations with
+one reduction mod p.  Its ``entries``, row tuples of Python ints, are read
+from the array when first asked for and kept; a matrix built from rows
+converts to an array once, on its first array operation, and keeps it.
+Over larger primes a product entry is one Python integer dot product
+reduced mod p once.  Over Q both run on Python integers: a product clears
+each row of A and each column of B to integer numerators over one common
 denominator, so an entry is one integer dot product and one ``Fraction``;
 row reduction scales each row to integers, eliminates with integer row
 operations a.row_i - b.row_r, keeps every row primitive by dividing out
@@ -16,9 +20,9 @@ results.
 Scalars are coerced once, where they enter: the public ``Matrix`` and
 ``Subspace`` constructors coerce and check their input, while matrices
 and subspaces built here from already canonical scalars go through
-``_from_canonical``.  Sums, negation, scaling and the characteristic
-polynomial use Python operators on raw scalars, reducing each entry mod p
-once over F_p.
+``_from_canonical`` (or ``_from_array``).  Off the array path, sums,
+negation, scaling and the characteristic polynomial use Python operators
+on raw scalars, reducing each entry mod p once over F_p.
 """
 
 from fractions import Fraction
@@ -37,9 +41,15 @@ def _arrays_enabled(field):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    A matrix holds its entries as row tuples of raw scalars, or, over a
+    prime field with arrays enabled, as the read-only int64 array an
+    operation produced; each form is built from the other at most once,
+    when it is first asked for, and then kept.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_entries", "_array")
 
     def __init__(self, field, entries, cols=None):
         grid = tuple(tuple(field.coerce(x) for x in row) for row in entries)
@@ -54,7 +64,8 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_entries", grid)
+        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -67,7 +78,21 @@ class Matrix:
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "rows", len(grid))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(map(tuple, grid)))
+        object.__setattr__(m, "_entries", tuple(map(tuple, grid)))
+        object.__setattr__(m, "_array", None)
+        return m
+
+    @classmethod
+    def _from_array(cls, field, arr):
+        """A matrix over a 2-d int64 array of residues mod p, which it
+        keeps, made read-only; no copy and no reduction."""
+        arr.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", arr.shape[0])
+        object.__setattr__(m, "cols", arr.shape[1])
+        object.__setattr__(m, "_entries", None)
+        object.__setattr__(m, "_array", arr)
         return m
 
     @classmethod
@@ -118,7 +143,18 @@ class Matrix:
         return self.rows == self.cols
 
     @property
+    def entries(self):
+        """Row tuples of raw scalars (Python ints over F_p)."""
+        grid = self._entries
+        if grid is None:
+            grid = tuple(map(tuple, self._array.tolist()))
+            object.__setattr__(self, "_entries", grid)
+        return grid
+
+    @property
     def is_zero(self):
+        if self._array is not None:
+            return not self._array.any()
         z = self.field.zero
         return all(x == z for row in self.entries for x in row)
 
@@ -126,11 +162,13 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
     def to_array(self):
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-
-    @classmethod
-    def _from_array(cls, field, arr):
-        return cls._from_canonical(field, arr.tolist(), arr.shape[1])
+        """The entries as a read-only int64 array, built once and kept."""
+        arr = self._array
+        if arr is None:
+            arr = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return arr
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -140,29 +178,44 @@ class Matrix:
         if other.field != self.field:
             raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
 
-    def __add__(self, other):
+    def _check_shape(self, other):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        p = self.field.characteristic
+
+    def __add__(self, other):
+        self._check_shape(other)
+        F = self.field
+        p = F.characteristic
+        if _arrays_enabled(F):
+            return Matrix._from_array(F, (self.to_array() + other.to_array()) % p)
         grid = [
             _canonical([a + b for a, b in zip(r1, r2)], p)
             for r1, r2 in zip(self.entries, other.entries)
         ]
-        return Matrix._from_canonical(self.field, grid, self.cols)
+        return Matrix._from_canonical(F, grid, self.cols)
 
     def __sub__(self, other):
+        self._check_shape(other)
+        F = self.field
+        if _arrays_enabled(F):
+            return Matrix._from_array(F, (self.to_array() - other.to_array()) % F.characteristic)
         return self + (-other)
 
     def __neg__(self):
-        p = self.field.characteristic
+        F = self.field
+        p = F.characteristic
+        if _arrays_enabled(F):
+            return Matrix._from_array(F, -self.to_array() % p)
         grid = [_canonical([-x for x in row], p) for row in self.entries]
-        return Matrix._from_canonical(self.field, grid, self.cols)
+        return Matrix._from_canonical(F, grid, self.cols)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
         p = F.characteristic
+        if _arrays_enabled(F):
+            return Matrix._from_array(F, self.to_array() * c % p)
         grid = [_canonical([c * x for x in row], p) for row in self.entries]
         return Matrix._from_canonical(F, grid, self.cols)
 
@@ -224,13 +277,13 @@ class Matrix:
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Matrix):
-            return (
-                self.field == other.field
-                and self.cols == other.cols
-                and self.entries == other.entries
-            )
-        return NotImplemented
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self._array is not None and other._array is not None:
+            return np.array_equal(self._array, other._array)
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.field, self.cols, self.entries))
@@ -243,6 +296,14 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self!s})"
+
+
+def _submatrix(m, rows, cols):
+    """The block of m on the given row and column indices."""
+    if m._array is not None:
+        return Matrix._from_array(m.field, m._array.take(rows, 0).take(cols, 1))
+    grid = [[row[j] for j in cols] for row in map(m.entries.__getitem__, rows)]
+    return Matrix._from_canonical(m.field, grid, len(cols))
 
 
 _ZERO = Fraction(0)
@@ -390,8 +451,13 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        basis = Matrix.identity(field, ambient_dim).entries
-        return cls._from_canonical(field, ambient_dim, basis)
+        # the identity rows are their own reduced echelon form
+        sp = object.__new__(cls)
+        object.__setattr__(sp, "field", field)
+        object.__setattr__(sp, "ambient_dim", ambient_dim)
+        object.__setattr__(sp, "basis", Matrix.identity(field, ambient_dim).entries)
+        object.__setattr__(sp, "pivots", tuple(range(ambient_dim)))
+        return sp
 
     @property
     def dim(self):
@@ -664,24 +730,27 @@ def eval_poly_at_matrix(q, ms):
     if isinstance(q, UniPoly):
         if len(ms) != 1:
             raise ValueError("univariate evaluation takes exactly one matrix")
-        q = MultiPoly.from_unipoly(q)
-    if not isinstance(q, MultiPoly):
+        terms = [((e,), c) for e, c in enumerate(q.coeffs) if c]
+    elif isinstance(q, MultiPoly):
+        if len(ms) != q.nvars:
+            raise ValueError(f"{q.nvars} variables but {len(ms)} matrices")
+        terms = q.terms
+    else:
         raise TypeError(f"expected UniPoly or MultiPoly, got {q!r}")
-    if len(ms) != q.nvars:
-        raise ValueError(f"{q.nvars} variables but {len(ms)} matrices")
     if q.field != F:
         raise FieldMismatchError("polynomial and matrix fields differ")
-    ident = Matrix.identity(F, d)
-    powers = [[ident, m] for m in ms]
+    powers = [[None, m] for m in ms]
     acc = None
-    for exps, c in q.terms:
-        term = ident
+    for exps, c in terms:
+        term = None
         for i, e in enumerate(exps):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] @ ms[i])
             if e:
-                term = cache[e] if term is ident else term @ cache[e]
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(cache[-1] @ ms[i])
+                term = cache[e] if term is None else term @ cache[e]
+        if term is None:
+            term = Matrix.identity(F, d)
         if c != F.one:
             term = term.scale(c)
         acc = term if acc is None else acc + term

@@ -19,6 +19,7 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    _submatrix,
     charpoly,
     column_space,
     eval_poly_at_matrix,
@@ -682,12 +683,6 @@ class CommutingTuple:
                 "socle dimension is not a multiple of the residue degree"
             )
         return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
-
-
-def _submatrix(m, rows, cols):
-    """The block of m on the given row and column indices."""
-    grid = [[m.entries[i][j] for j in cols] for i in rows]
-    return Matrix._from_canonical(m.field, grid, len(cols))
 
 
 def _generalised_eigenspace(m, q, v):

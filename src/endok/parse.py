@@ -222,11 +222,12 @@ def _parse_matrix_tokens(parser):
         parser.expect_op("]")
         break
     if len(rows) == 1 and not rows[0]:
-        return Matrix(parser.field, [], cols=0)
-    width = len(rows[0])
+        rows = []  # [[]] is the 0 x 0 matrix
+    width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         parser.fail("ragged matrix rows", open_tok)
-    return Matrix(parser.field, rows, cols=width)
+    # entries are coefficients of parsed polynomials: already canonical
+    return Matrix._from_canonical(parser.field, rows, width)
 
 
 def parse_matrix(text, field, line=1, col=1):

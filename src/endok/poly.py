@@ -4,6 +4,11 @@ Two representations:
 
 * ``UniPoly``: dense univariate, coefficients stored low-to-high with
   trailing zeros trimmed.  The zero polynomial has degree ``NEG_INF``.
+  Its arithmetic runs on the private coefficient-list helpers below
+  (``_add``, ``_mul``, ``_divmod``, ``_pow_mod``, ``_gcd``, ...), which
+  work on lists of raw scalars with Python operators and reduce each
+  result coefficient with one ``% p`` over F_p; the F_p factoring loops
+  and Zassenhaus over Z call the same helpers directly.
 * ``MultiPoly``: sparse multivariate, a tuple of (exponents, coefficient)
   terms kept sorted descending in the graded lexicographic order with
   t1 > t2 > ... > tn.  The order is fixed package-wide so that reduced
@@ -77,6 +82,163 @@ def render_terms(field, terms, nvars):
         else:
             out.append(f" {sign} {body}")
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# dense coefficient lists
+#
+# A polynomial here is a list of raw scalars, lowest degree first, with no
+# trailing zeros; [] is 0.  p is the characteristic: over F_p (p > 0) every
+# result coefficient is reduced with one % p, over Q (p = 0) the scalars
+# are Fractions used as they are, and over Z (p = 0, plain ints) a divisor
+# must be monic unless it goes through ``_div_exact``.  Inputs are never
+# modified.
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _add(f, g, p):
+    if len(f) < len(g):
+        f, g = g, f
+    out = [(a + b) % p for a, b in zip(f, g)] if p else [a + b for a, b in zip(f, g)]
+    out += f[len(g) :]
+    return _trim(out)
+
+
+def _neg(f, p):
+    return [-a % p for a in f] if p else [-a for a in f]
+
+
+def _sub(f, g, p):
+    return _add(f, _neg(g, p), p)
+
+
+def _scale(f, c, p):
+    return _trim([c * a % p for a in f] if p else [c * a for a in f])
+
+
+def _mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0 * f[0]] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _trim([x % p for x in out] if p else out)
+
+
+def _inverse(a, p):
+    return 1 if a == 1 else pow(a, -1, p) if p else 1 / a
+
+
+def _divmod(f, g, p):
+    """(quotient, remainder) of f by a nonzero g.  Over F_p the remainder
+    is left unreduced while the quotient is found, top down, and each
+    coefficient is reduced once when it is read or returned."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], list(f)
+    inv = _inverse(g[-1], p)
+    rem = list(f)
+    quo = [0 * f[0]] * (len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + dg] * inv
+        if p:
+            c %= p
+        if c:
+            quo[k] = c
+            for i, b in enumerate(g):
+                rem[k + i] -= c * b
+    rem = rem[:dg]
+    return quo, _trim([x % p for x in rem] if p else rem)
+
+
+def _div_exact(f, g):
+    """The quotient of integer lists f by g when it lies in Z[t], else
+    None.  Quotient coefficients are fixed top down, so the first one that
+    lc(g) does not divide, or a remainder left at the end, settles it."""
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None if f else []
+    lc = g[-1]
+    rem = list(f)
+    quo = [0] * (len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + dg], lc)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for i, b in enumerate(g):
+                rem[k + i] -= c * b
+    return None if any(rem[:dg]) else quo
+
+
+def _monic(f, p):
+    inv = _inverse(f[-1], p)
+    return f if inv == 1 else _scale(f, inv, p)
+
+
+def _pow_mod(f, e, m, p):
+    """f**e modulo a nonzero m, for e >= 1."""
+    base = _divmod(f, m, p)[1]
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else _divmod(_mul(out, base, p), m, p)[1]
+        e >>= 1
+        if not e:
+            return out
+        base = _divmod(_mul(base, base, p), m, p)[1]
+
+
+def _gcd(f, g, p):
+    """Monic gcd over a field; f and g not both zero."""
+    while g:
+        f, g = g, _divmod(f, g, p)[1]
+    return _monic(f, p)
+
+
+def _derivative(f, p):
+    out = [i * f[i] for i in range(1, len(f))]
+    return _trim([x % p for x in out] if p else out)
+
+
+def _squarefree(f, p):
+    """Yun/Musser on a monic f of degree >= 0: [(g_i, e_i)] with the g_i
+    monic, squarefree, pairwise coprime and f = prod g_i^e_i.  In
+    characteristic p a vanishing derivative means f = g(t^p), and p-th
+    roots of coefficients are the identity on F_p."""
+    factors = []
+    n = 1
+    while len(f) > 1:
+        d = _derivative(f, p)
+        if d:
+            g = _gcd(f, d, p)
+            h = _divmod(f, g, p)[0]
+            i = 1
+            while len(h) > 1:
+                G = _gcd(g, h, p)
+                H = _divmod(h, G, p)[0]
+                if len(H) > 1:
+                    factors.append((H, i * n))
+                g, h, i = _divmod(g, G, p)[0], G, i + 1
+            if len(g) == 1:
+                break
+            f = g
+        # now every factor of f has multiplicity divisible by p: f = g(t^p)
+        f = f[::p]
+        n *= p
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -174,44 +336,30 @@ class UniPoly:
     def __add__(self, other):
         self._check(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return UniPoly._from_canonical(F, out)
+        return UniPoly._from_canonical(F, _add(self.coeffs, other.coeffs, F.characteristic))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        F = self.field
+        return UniPoly._from_canonical(F, _sub(self.coeffs, other.coeffs, F.characteristic))
 
     def __neg__(self):
         F = self.field
-        return UniPoly._from_canonical(F, [F.neg(c) for c in self.coeffs])
+        return UniPoly._from_canonical(F, _neg(self.coeffs, F.characteristic))
 
     def __mul__(self, other):
-        F = self.field
         if not isinstance(other, UniPoly):
             return self.scale(other)
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly._from_canonical(F, out)
+        F = self.field
+        return UniPoly._from_canonical(F, _mul(self.coeffs, other.coeffs, F.characteristic))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
         F = self.field
-        c = F.coerce(c)
-        return UniPoly._from_canonical(F, [F.mul(c, a) for a in self.coeffs])
+        return UniPoly._from_canonical(F, _scale(self.coeffs, F.coerce(c), F.characteristic))
 
     def __pow__(self, e):
         if e < 0:
@@ -227,23 +375,9 @@ class UniPoly:
 
     def __divmod__(self, g):
         self._check(g)
-        if g.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        dg = len(g.coeffs) - 1
-        if len(rem) - 1 < dg:
-            return UniPoly.zero(F), self
-        inv_lc = F.inv(g.lc)
-        quo = [F.zero] * (len(rem) - dg)
-        for k in range(len(rem) - dg - 1, -1, -1):
-            c = F.mul(rem[k + dg], inv_lc)
-            if not c:
-                continue
-            quo[k] = c
-            for i, gc in enumerate(g.coeffs):
-                rem[k + i] = F.sub(rem[k + i], F.mul(c, gc))
-        return UniPoly._from_canonical(F, quo), UniPoly._from_canonical(F, rem[:dg])
+        quo, rem = _divmod(self.coeffs, g.coeffs, F.characteristic)
+        return UniPoly._from_canonical(F, quo), UniPoly._from_canonical(F, rem)
 
     def __floordiv__(self, g):
         return divmod(self, g)[0]
@@ -260,11 +394,7 @@ class UniPoly:
 
     def derivative(self):
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            ifield = F.coerce(i)
-            out.append(F.mul(ifield, self.coeffs[i]))
-        return UniPoly(F, out)
+        return UniPoly._from_canonical(F, _derivative(self.coeffs, F.characteristic))
 
     def __call__(self, x):
         """Evaluate at a scalar by Horner's rule; returns a raw scalar."""
@@ -298,9 +428,8 @@ def uni_gcd(f, g):
     """Monic greatest common divisor; gcd with 0 is the monic cofactor."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    F = f.field
+    return UniPoly._from_canonical(F, _gcd(f.coeffs, g.coeffs, F.characteristic))
 
 
 def uni_lcm(f, g):
@@ -330,14 +459,12 @@ def pow_mod(base, e, modulus):
     """base**e reduced modulo a nonzero polynomial."""
     if modulus.is_zero:
         raise ZeroDivisionError("zero modulus")
-    result = UniPoly.one(base.field)
-    base = base % modulus
-    while e:
-        if e & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        e >>= 1
-    return result
+    F = base.field
+    if not e:
+        return UniPoly.one(F)
+    return UniPoly._from_canonical(
+        F, _pow_mod(base.coeffs, e, modulus.coeffs, F.characteristic)
+    )
 
 
 def squarefree_decomposition(f):
@@ -350,30 +477,12 @@ def squarefree_decomposition(f):
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    field = f.field
-    p = field.characteristic
-    f = f.monic()
-    factors = []
-    n = 1
-    while f.degree >= 1:
-        d = f.derivative()
-        if not d.is_zero:
-            g = uni_gcd(f, d)
-            h = f // g
-            i = 1
-            while not h.is_one:
-                G = uni_gcd(g, h)
-                H = h // G
-                if H.degree > 0:
-                    factors.append((H, i * n))
-                g, h, i = g // G, G, i + 1
-            if g.is_one:
-                break
-            f = g
-        # now every factor of f has multiplicity divisible by p: f = g(t^p)
-        f = UniPoly(field, f.coeffs[::p])
-        n *= p
-    return factors
+    F = f.field
+    p = F.characteristic
+    return [
+        (UniPoly._from_canonical(F, g), e)
+        for g, e in _squarefree(_monic(list(f.coeffs), p), p)
+    ]
 
 
 def squarefree_part(f):
@@ -453,6 +562,16 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
+    def _from_canonical(cls, field, nvars, terms):
+        """A polynomial over a tuple of terms with canonical nonzero
+        coefficients, already sorted descending, taken as it is."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", field)
+        object.__setattr__(f, "nvars", nvars)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls, field, nvars):
         return cls(field, nvars, ())
 
@@ -462,7 +581,8 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, nvars, c):
-        return cls(field, nvars, {(0,) * nvars: c})
+        c = field.coerce(c)
+        return cls._from_canonical(field, nvars, (((0,) * nvars, c),) if c else ())
 
     @classmethod
     def variable(cls, field, nvars, i):

@@ -7,6 +7,7 @@ passing comparison cannot be the array path checked against itself.
 """
 
 import contextlib
+import json
 import random
 
 import pytest
@@ -83,6 +84,77 @@ def test_array_path_matches_generic_path(p, monkeypatch):
         slow = [(a @ b, rref(a), rref(b)) for a, b in pairs]
     assert fast == slow
     assert any(len(piv) < min(a.rows, a.cols) for (a, _), (_, (_, piv), _) in zip(pairs, fast))
+
+
+def array_ops(a, b, c, e):
+    """Every array-path operation, on row-built inputs and again on the
+    array-backed results of earlier ones."""
+    ab = a @ b
+    first = [a + b, a - b, -a, a.scale(c), a.pow(e), ab, rref(a)[0]]
+    chained = [ab + a, ab - first[0], -ab, ab.scale(c), ab.pow(e), ab @ first[1], rref(ab)[0]]
+    return first + chained
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_array_backed_results_match_generic_path(p, monkeypatch):
+    field = GF(p)
+    rng = random.Random(p + 200)
+    cases = []
+    for _ in range(20):
+        d = rng.randint(1, 7)
+        rank = rng.choice([None, 0, 1, d // 2])
+        a, b = random_matrix(field, rng, d, d, rank), random_matrix(field, rng, d, d)
+        cases.append((a, b, rng.randrange(p), rng.randint(0, 5)))
+    fast = [array_ops(*case) for case in cases]
+    for results, (_, _, _, e) in zip(fast, cases):
+        # built from the kernel's int64 arrays, with no entries read yet
+        backed = [m._array is not None and m._entries is None for m in results]
+        assert all(backed[:4] + backed[5:11] + backed[12:]), backed
+        # pow(0) is the identity and pow(1) the matrix itself
+        assert (backed[4], backed[11]) == (e > 1, e > 0)
+    with generic_path(monkeypatch):
+        slow = [array_ops(*(Matrix(field, m.entries) for m in case[:2]), *case[2:]) for case in cases]
+    assert [[m.entries for m in ms] for ms in fast] == [[m.entries for m in ms] for ms in slow]
+    assert fast == slow
+
+
+def test_array_backed_matrix_equals_and_hashes_like_row_built():
+    field = GF(97)
+    a = Matrix(field, [[1, 2, 3], [4, 5, 96]])
+    backed = a @ Matrix.identity(field, 3)
+    assert backed._entries is None
+    rows = Matrix(field, [[1, 2, 3], [4, 5, 96]])
+    assert backed == rows and rows == backed and hash(backed) == hash(rows)
+    rows.to_array()  # both sides now compare as arrays
+    assert backed == rows and hash(backed) == hash(rows)
+    assert backed != Matrix(field, [[1, 2, 3], [4, 5, 95]])
+    flat = Matrix(field, [[1, 2], [3, 4], [5, 6]])
+    flat.to_array()
+    tall = Matrix(field, [[1, 2, 3], [4, 5, 6]])
+    tall.to_array()
+    assert flat != tall  # the same six residues in another shape
+    assert Matrix(GF(5), [[1]]) @ Matrix(GF(5), [[1]]) != Matrix(GF(7), [[1]])
+
+
+def test_array_backed_entries_are_python_ints():
+    field = GF(97)
+    m = Matrix(field, [[96, 5], [7, 0]])
+    for out in (m @ m, m + m, -m, m.scale(3), m.pow(3), rref(m)[0]):
+        assert all(type(x) is int for row in out.entries for x in row)
+        assert all(type(row) is tuple for row in out.entries)
+        assert json.loads(json.dumps(out.entries)) == [list(row) for row in out.entries]
+        assert out.entries is out.entries  # read once, then kept
+
+
+def test_cached_arrays_reject_writes():
+    field = GF(97)
+    m = Matrix(field, [[1, 2], [3, 4]])
+    arr = m.to_array()
+    assert m.to_array() is arr  # converted once
+    for a in (arr, (m @ m).to_array(), (m + m).to_array(), rref(m)[0].to_array()):
+        with pytest.raises(ValueError):
+            a[0, 0] = 5
+    assert m.entries == ((1, 2), (3, 4))
 
 
 def test_large_prime_uses_generic_path():

@@ -80,6 +80,24 @@ def test_matrix_grammar():
         parse_matrix("[[t]]", QQ)
 
 
+def test_matrix_entries_parse_to_canonical_scalars():
+    job = parse_input("field Q\nvars 1\ndim 2\n[[-3, 1/2]; [2*3-1, t1 - t1]]\n")
+    m = job.matrices[0]
+    assert m.entries == ((Fraction(-3), Fraction(1, 2)), (Fraction(5), Fraction(0)))
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert m == Matrix(QQ, [[-3, Fraction(1, 2)], [5, 0]])
+    job = parse_input("field F 97\nvars 1\ndim 2\n[[-3, 1/2]; [2*3-1, 98]]\n")
+    assert job.matrices[0].entries == ((94, 49), (5, 1))
+    assert job.matrices[0] == Matrix(GF(97), [[-3, 49], [5, 98]])
+    # the error points at the entry's first token
+    with pytest.raises(ParseError, match="matrix entries must be scalars") as e:
+        parse_input("field Q\nvars 1\ndim 2\n[[1, 2*t + 1]; [0, 0]]\n")
+    assert (e.value.line, e.value.column) == (4, 6)
+    with pytest.raises(ParseError, match="matrix entries must be scalars") as e:
+        parse_input("field F 5\nvars 2\ndim 1\n  [[ t2^2 ]]\n")
+    assert (e.value.line, e.value.column) == (4, 6)
+
+
 # -- job files ---------------------------------------------------------------------
 
 

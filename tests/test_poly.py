@@ -1,13 +1,25 @@
 import random
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endok.errors import FieldMismatchError
 from endok.fields import GF, QQ
 from endok.poly import (
     NEG_INF,
     MultiPoly,
+    _add,
+    _derivative,
+    _div_exact,
+    _divmod,
+    _gcd,
+    _mul,
+    _pow_mod,
+    _squarefree,
+    _sub,
     UniPoly,
     grlex_key,
     normal_form,
@@ -315,6 +327,10 @@ def test_hash_and_immutability():
 
 def test_public_constructor_coerces_and_results_stay_canonical():
     assert UniPoly(F5, [7, -1, 0]).coeffs == (2, 4)
+    for field, c in ((F5, 7), (F5, 5), (QQ, Fraction(2, 4)), (QQ, 0), (QQ, -3)):
+        k = MultiPoly.constant(field, 2, c)
+        assert k == MultiPoly(field, 2, {(0, 0): c})
+        assert all(type(x) is type(field.zero) for _, x in k.terms)
     for field in (QQ, F5):
         with pytest.raises(TypeError):
             UniPoly(field, [1, 1.0])
@@ -328,3 +344,139 @@ def test_public_constructor_coerces_and_results_stay_canonical():
                 assert all(type(c) is kind for c in h.coeffs)
                 assert not h.coeffs or h.coeffs[-1]
                 assert h == UniPoly(field, h.coeffs)
+
+
+# -- coefficient-list helpers ---------------------------------------------------------
+#
+# The helpers against plain loops written here.  p = 0 stands for integer
+# lists (Zassenhaus over Z); the others are residues mod p.
+
+HELPER_MODULI = [0, 2, 97, 2**61 - 1]
+
+
+def trimmed(xs, p):
+    out = [x % p for x in xs] if p else list(xs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def plain_mul(f, g, p):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i in range(len(f)):
+        for j in range(len(g)):
+            out[i + j] += f[i] * g[j]
+    return trimmed(out, p)
+
+
+def plain_divmod(f, g, p):
+    """Textbook long division; over Z, g is monic."""
+    rem = list(f)
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        c = rem[-1] * pow(g[-1], p - 2, p) % p if p else rem[-1]
+        k = len(rem) - len(g)
+        quo[k] = c
+        for i in range(len(g)):
+            rem[k + i] -= c * g[i]
+        rem = trimmed(rem, p)
+    return trimmed(quo, p), rem
+
+
+def plain_monic(f, p):
+    return trimmed([c * pow(f[-1], p - 2, p) for c in f], p)
+
+
+def plain_gcd(f, g, p):
+    while g:
+        f, g = g, plain_divmod(f, g, p)[1]
+    return plain_monic(f, p)
+
+
+def plain_pow_mod(f, e, m, p):
+    acc = [1]
+    for _ in range(e):
+        acc = plain_mul(acc, f, p)
+    return plain_divmod(acc, m, p)[1]
+
+
+def plain_div_exact(f, g):
+    """The quotient over Q by long division; None unless it is integral
+    with no remainder."""
+    rem = [Fraction(c) for c in f]
+    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while rem and len(rem) >= len(g):
+        c = rem[-1] / g[-1]
+        k = len(rem) - len(g)
+        quo[k] = c
+        for i in range(len(g)):
+            rem[k + i] -= c * g[i]
+        rem = trimmed(rem, 0)
+    if rem or any(q.denominator != 1 for q in quo):
+        return None
+    return trimmed([int(q) for q in quo], 0)
+
+
+@st.composite
+def helper_cases(draw):
+    """(p, f, g, e): f of degree <= 7, g of degree <= 4 (zero, units and
+    linear divisors included), e >= 1; over Z, f is sometimes a multiple
+    of g."""
+    p = draw(st.sampled_from(HELPER_MODULI))
+    if p:
+        scalar = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    else:
+        scalar = st.integers(-40, 40)
+    f = trimmed(draw(st.lists(scalar, max_size=8)), p)
+    g = trimmed(draw(st.lists(scalar, max_size=5)), p)
+    if not p and g and draw(st.booleans()):
+        f = plain_mul(f, g, p)
+    return p, f, g, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(helper_cases())
+@example((97, [3, 0, 5], [], 2))  # zero divisor
+@example((97, [3, 0, 5], [4], 3))  # unit divisor
+@example((2, [1, 1, 0, 1], [1, 1], 5))  # linear divisor
+@example((2, [1], [0, 1], 1))  # degree 0 by degree 1
+@example((2**61 - 1, [5, 2**61 - 2, 7], [2**61 - 2, 3], 4))  # non-monic
+@example((0, [4, -3, 0, 2], [1], 1))
+@example((0, [1, 1], [2, 2], 1))  # zero remainder, quotient 1/2
+@example((0, [2, 2], [2, 2], 1))
+@example((0, [3, 0, 6], [3, 2], 1))  # 3 does not divide the top coefficient
+@example((0, [], [-2, 1], 2))
+def test_coefficient_list_helpers_match_plain_loops(case):
+    p, f, g, e = case
+    pairs = list(zip_longest(f, g, fillvalue=0))
+    assert _add(f, g, p) == trimmed([a + b for a, b in pairs], p)
+    assert _sub(f, g, p) == trimmed([a - b for a, b in pairs], p)
+    assert _mul(f, g, p) == plain_mul(f, g, p)
+    assert _derivative(f, p) == trimmed([i * c for i, c in enumerate(f)][1:], p)
+    if not g:
+        with pytest.raises(ZeroDivisionError):
+            _divmod(f, g, p)
+        with pytest.raises(ZeroDivisionError):
+            _div_exact(f, g)
+        return
+    if not p:
+        monic = g[:-1] + [1]
+        assert _divmod(f, monic, p) == plain_divmod(f, monic, p)
+        assert _div_exact(f, g) == plain_div_exact(f, g)
+        assert _div_exact(plain_mul(f, g, p), g) == f
+        return
+    assert _divmod(f, g, p) == plain_divmod(f, g, p)
+    assert _pow_mod(f, e, g, p) == plain_pow_mod(f, e, g, p)
+    assert _gcd(f, g, p) == _gcd(g, f, p) == plain_gcd(f, g, p)
+    if f:
+        monic = plain_monic(f, p)
+        parts = _squarefree(monic, p)
+        product = [1]
+        for h, k in parts:
+            assert len(h) > 1 and h[-1] == 1
+            assert plain_gcd(h, trimmed([i * c for i, c in enumerate(h)][1:], p), p) == [1]
+            for _ in range(k):
+                product = plain_mul(product, h, p)
+        assert product == monic
+        for (h1, _), (h2, _) in combinations(parts, 2):
+            assert plain_gcd(h1, h2, p) == [1]
