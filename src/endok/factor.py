@@ -5,13 +5,15 @@ followed by randomized Cantor-Zassenhaus equal-degree splitting, all on
 the coefficient lists of :mod:`endok.poly` (raw residues, one reduction
 mod p per coefficient).
 
-Over Q: squarefree decomposition, then Zassenhaus on each primitive
-integer part: reduce modulo a good prime, Hensel-lift the modular factors
-above the Mignotte coefficient bound, and recombine subsets, with a
-candidate factor checked by exact division over Z.  Integer polynomials
-use the same coefficient-list helpers with p = 0.  Squarefree
-parts of degree beyond ``RATIONAL_DEGREE_CAP`` are rejected so
-recombination stays bounded.
+Over Q: the polynomial is cleared to a primitive integer one, Yun's
+squarefree split runs over Z (:mod:`endok.poly`), and Zassenhaus factors
+each primitive integer part as it comes: reduce modulo a good prime,
+Hensel-lift the modular factors above the Mignotte coefficient bound, and
+recombine subsets, with a candidate factor checked by exact division over
+Z.  Integer polynomials use the same coefficient-list helpers with p = 0,
+and only the monic irreducible factors become Fractions.  Recombination
+tries at most ``RECOMBINATION_BUDGET`` subsets per squarefree part and
+raises ValueError past it, so its exponential worst case stays bounded.
 
 All randomized steps draw from a caller-supplied ``random.Random``; when
 none is given a generator with a fixed seed is used, so repeated runs are
@@ -20,13 +22,13 @@ reproducible.
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, count
 
 from .fields import GF, is_prime
 from .poly import (
     UniPoly,
     _add,
+    _as_monic,
     _derivative,
     _div_exact,
     _divmod,
@@ -34,15 +36,18 @@ from .poly import (
     _monic,
     _mul,
     _pow_mod,
+    _primitive,
     _squarefree,
+    _squarefree_parts,
     _sub,
     _trim,
-    squarefree_decomposition,
     uni_gcdex,
 )
 
 DEFAULT_SEED = 0
-RATIONAL_DEGREE_CAP = 64
+# Zassenhaus tries at most this many subsets of the lifted modular factors
+# for one squarefree part; t^70 - 1, 10 factors mod 3, needs 11
+RECOMBINATION_BUDGET = 1 << 14
 
 
 def factor_univariate(f, rng=None):
@@ -162,37 +167,24 @@ def _equal_degree_split(h, d, p, rng):
 
 def _factor_rationals(f, rng):
     out = {}
-    for g, mult in squarefree_decomposition(f):
-        if g.degree > RATIONAL_DEGREE_CAP:
-            raise ValueError(
-                f"degree too large: squarefree part of degree {g.degree} exceeds "
-                f"the factorization cap {RATIONAL_DEGREE_CAP}"
-            )
-        for q in _factor_squarefree_rationals(g, rng):
+    for g, mult in _squarefree_parts(f):
+        for q in _factor_squarefree_integer(g, rng):
+            q = _as_monic(q, f.field)
             out[q] = out.get(q, 0) + mult
     return list(out.items())
 
 
-def _factor_squarefree_rationals(g, rng):
-    """Monic squarefree g over Q -> list of monic irreducible UniPoly."""
-    field = g.field
+def _factor_squarefree_integer(g, rng):
+    """Primitive squarefree integer g -> list of its irreducible factors
+    over Z, as integer lists."""
     factors = []
-    if not g.constant_term:
-        factors.append(UniPoly.gen(field))
-        g = g // UniPoly.gen(field)
-    if g.degree < 1:
-        return factors
-    if g.degree == 1:
-        factors.append(g.monic())
-        return factors
-    # clear denominators: g monic, so lcm(denominators) * g is integral
-    den = 1
-    for c in g.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    F = [int(c * den) for c in g.coeffs]
-    F = _zprimitive(F)[1]
-    for q in _zassenhaus(F, rng):
-        factors.append(UniPoly(field, [Fraction(c) for c in q]).monic())
+    if not g[0]:
+        factors.append([0, 1])
+        g = g[1:]  # t^2 does not divide g
+    if len(g) == 2:
+        factors.append(g)
+    elif len(g) > 2:
+        factors += _zassenhaus(g, rng)
     return factors
 
 
@@ -206,15 +198,6 @@ def _ztrunc_sym(f, m):
             c -= m
         out.append(c)
     return _trim(out)
-
-
-def _zprimitive(f):
-    content = 0
-    for c in f:
-        content = math.gcd(content, c)
-    if content == 0:
-        return 0, []
-    return content, [c // content for c in f]
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -307,14 +290,22 @@ def _zassenhaus(F, rng):
     factors = []
     f = F
     s = 1
+    tried = 0
     while 2 * s <= len(remaining):
         hit = None
         for S in combinations(remaining, s):
+            tried += 1
+            if tried > RECOMBINATION_BUDGET:
+                raise ValueError(
+                    f"factorization too hard: recombining the {len(lifted)} modular "
+                    f"factors of a degree-{n} squarefree part needs more than "
+                    f"RECOMBINATION_BUDGET = {RECOMBINATION_BUDGET} subsets"
+                )
             G = [f[-1]]
             for i in S:
                 G = _mul(G, lifted[i], 0)
             G = _ztrunc_sym(G, pl)
-            Gp = _zprimitive(G)[1]
+            Gp = _primitive(G)
             q = _div_exact(f, Gp)
             if q is not None:
                 factors.append(Gp)

@@ -1,39 +1,47 @@
 """Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
-Matrices are immutable.  Over prime fields small enough for int64
-arithmetic a matrix stays an int64 residue array between operations:
-products and row reduction run in :mod:`endok._kernels`, and sums,
-differences, negation, scaling and submatrices are numpy operations with
-one reduction mod p.  Its ``entries``, row tuples of Python ints, are read
-from the array when first asked for and kept; a matrix built from rows
-converts to an array once, on its first array operation, and keeps it.
-Over larger primes a product entry is one Python integer dot product
-reduced mod p once.  Over Q both run on Python integers: a product clears
-each row of A and each column of B to integer numerators over one common
-denominator, so an entry is one integer dot product and one ``Fraction``;
-row reduction scales each row to integers, eliminates with integer row
-operations a.row_i - b.row_r, keeps every row primitive by dividing out
-its content, and divides each pivot row by its pivot only at the end.
-The field alone decides, and every path computes the same canonical
-results.
+Matrices are immutable, and each field keeps them in one integer form
+between operations; ``entries``, the row tuples of raw field scalars, is
+built from that form when first asked for and kept.
+
+Over prime fields small enough for int64 arithmetic a matrix is an int64
+residue array: products and row reduction run in :mod:`endok._kernels`,
+and sums, differences, negation, scaling and submatrices are numpy
+operations with one reduction mod p.  Over larger primes a product entry
+is one Python integer dot product reduced mod p once.
+
+Over Q a matrix is N/D: row tuples N of integer numerators over one
+positive denominator D, with gcd(content(N), D) = 1, which makes the form
+canonical.  Products, sums, negation, scaling and submatrices are integer
+list operations followed by that one gcd; row reduction is fraction-free
+Gauss-Jordan on primitive integer rows (each elimination a.row_i - b.row_r
+divided by its content), which kernels, spans and the incremental
+``Echelon`` read directly.  The characteristic polynomial of N/D is
+D^(-d) chi_N(D x), and chi_N comes from the Hessenberg recurrence modulo
+primes just below 2^61, combined by the Chinese remainder theorem until
+their product passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the
+coefficients of chi_N for R the largest Euclidean row norm of N.
+``Fraction``s appear only in ``entries`` and in results that are field
+scalars.  A matrix built from rows of Fractions (or of residues) converts
+to its integer form once, on its first integer operation, and keeps it.
 
 Scalars are coerced once, where they enter: the public ``Matrix`` and
 ``Subspace`` constructors coerce and check their input, while matrices
 and subspaces built here from already canonical scalars go through
-``_from_canonical`` (or ``_from_array``).  Off the array path, sums,
-negation, scaling and the characteristic polynomial use Python operators
-on raw scalars, reducing each entry mod p once over F_p.
+``_from_canonical`` (or ``_from_array``, ``_from_integers``).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 import numpy as np
 
 from . import _kernels
 from .errors import FieldMismatchError
-from .poly import MultiPoly, UniPoly, uni_lcm
+from .fields import is_prime
+from .poly import MultiPoly, UniPoly, _cleared, _primitive, uni_lcm
 
 
 def _arrays_enabled(field):
@@ -43,13 +51,14 @@ def _arrays_enabled(field):
 class Matrix:
     """Immutable dense matrix over an exact field.
 
-    A matrix holds its entries as row tuples of raw scalars, or, over a
-    prime field with arrays enabled, as the read-only int64 array an
-    operation produced; each form is built from the other at most once,
-    when it is first asked for, and then kept.
+    A matrix holds its entries as row tuples of raw scalars, or, in its
+    field's integer form, as the read-only int64 array an operation
+    produced (F_p with arrays enabled) or as integer numerators over one
+    denominator (Q); each form is built from the other at most once, when
+    it is first asked for, and then kept.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_array")
+    __slots__ = ("field", "rows", "cols", "_entries", "_array", "_num", "_den")
 
     def __init__(self, field, entries, cols=None):
         grid = tuple(tuple(field.coerce(x) for x in row) for row in entries)
@@ -61,11 +70,7 @@ class Matrix:
                 raise ValueError(f"expected {cols} columns, found {width}")
         else:
             width = cols or 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", grid)
-        object.__setattr__(self, "_array", None)
+        _init(self, field, len(grid), width, entries=grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -74,36 +79,38 @@ class Matrix:
     def _from_canonical(cls, field, grid, cols):
         """A matrix over rows of canonical scalars, all of length cols,
         taken as they are: no coercion and no shape check."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(grid))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_entries", tuple(map(tuple, grid)))
-        object.__setattr__(m, "_array", None)
-        return m
+        return _init(object.__new__(cls), field, len(grid), cols, entries=tuple(map(tuple, grid)))
 
     @classmethod
     def _from_array(cls, field, arr):
         """A matrix over a 2-d int64 array of residues mod p, which it
         keeps, made read-only; no copy and no reduction."""
         arr.flags.writeable = False
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", arr.shape[0])
-        object.__setattr__(m, "cols", arr.shape[1])
-        object.__setattr__(m, "_entries", None)
-        object.__setattr__(m, "_array", arr)
-        return m
+        return _init(object.__new__(cls), field, *arr.shape, array=arr)
+
+    @classmethod
+    def _from_integers(cls, field, num, den, cols):
+        """num/den for integer rows num, all of length cols, and den > 0.
+        Over Q it is brought to the canonical form by dividing out
+        gcd(content, den); over F_p den must be 1 and num residues."""
+        if field.characteristic:
+            return cls._from_canonical(field, num, cols)
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g > 1:
+                num = [[x // g for x in row] for row in num]
+                den //= g
+        num = tuple(map(tuple, num))
+        return _init(object.__new__(cls), field, len(num), cols, num=num, den=den)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls._from_canonical(field, [(field.zero,) * cols] * rows, cols)
+        return cls._from_integers(field, [(0,) * cols] * rows, 1, cols)
 
     @classmethod
     def identity(cls, field, d):
-        z, o = field.zero, field.one
-        grid = [[o if i == j else z for j in range(d)] for i in range(d)]
-        return cls._from_canonical(field, grid, d)
+        grid = [[int(i == j) for j in range(d)] for i in range(d)]
+        return cls._from_integers(field, grid, 1, d)
 
     @classmethod
     def companion(cls, q):
@@ -144,10 +151,14 @@ class Matrix:
 
     @property
     def entries(self):
-        """Row tuples of raw scalars (Python ints over F_p)."""
+        """Row tuples of raw scalars (Python ints over F_p, Fractions over Q)."""
         grid = self._entries
         if grid is None:
-            grid = tuple(map(tuple, self._array.tolist()))
+            if self._array is not None:
+                grid = tuple(map(tuple, self._array.tolist()))
+            else:
+                den = self._den
+                grid = tuple(tuple(_fraction(x, den) for x in row) for row in self._num)
             object.__setattr__(self, "_entries", grid)
         return grid
 
@@ -155,8 +166,9 @@ class Matrix:
     def is_zero(self):
         if self._array is not None:
             return not self._array.any()
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        if self._num is not None:
+            return not any(map(any, self._num))
+        return not any(map(any, self.entries))
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -169,6 +181,20 @@ class Matrix:
             arr.flags.writeable = False
             object.__setattr__(self, "_array", arr)
         return arr
+
+    def to_integers(self):
+        """(rows, den): over Q the canonical integer form, row tuples of
+        numerators over one positive denominator, built once and kept;
+        over F_p the residue rows over 1."""
+        if self.field.characteristic:
+            return self.entries, 1
+        if self._num is None:
+            nums, den = _cleared([x for row in self._entries for x in row])
+            c = self.cols
+            num = tuple(tuple(nums[i * c : i * c + c]) for i in range(self.rows))
+            object.__setattr__(self, "_num", num)
+            object.__setattr__(self, "_den", den)
+        return self._num, self._den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -189,11 +215,19 @@ class Matrix:
         p = F.characteristic
         if _arrays_enabled(F):
             return Matrix._from_array(F, (self.to_array() + other.to_array()) % p)
-        grid = [
-            _canonical([a + b for a, b in zip(r1, r2)], p)
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return Matrix._from_canonical(F, grid, self.cols)
+        if p:
+            pairs = zip(self.entries, other.entries)
+            grid = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in pairs]
+            return Matrix._from_canonical(F, grid, self.cols)
+        (a, da), (b, db) = self.to_integers(), other.to_integers()
+        if da == db:
+            grid = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            grid = [[sa * x + sb * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+            da = den
+        return Matrix._from_integers(F, grid, da, self.cols)
 
     def __sub__(self, other):
         self._check_shape(other)
@@ -207,8 +241,11 @@ class Matrix:
         p = F.characteristic
         if _arrays_enabled(F):
             return Matrix._from_array(F, -self.to_array() % p)
-        grid = [_canonical([-x for x in row], p) for row in self.entries]
-        return Matrix._from_canonical(F, grid, self.cols)
+        if p:
+            grid = [[-x % p for x in row] for row in self.entries]
+            return Matrix._from_canonical(F, grid, self.cols)
+        num, den = self.to_integers()
+        return Matrix._from_integers(F, [[-x for x in row] for row in num], den, self.cols)
 
     def scale(self, c):
         F = self.field
@@ -216,8 +253,13 @@ class Matrix:
         p = F.characteristic
         if _arrays_enabled(F):
             return Matrix._from_array(F, self.to_array() * c % p)
-        grid = [_canonical([c * x for x in row], p) for row in self.entries]
-        return Matrix._from_canonical(F, grid, self.cols)
+        if p:
+            grid = [[c * x % p for x in row] for row in self.entries]
+            return Matrix._from_canonical(F, grid, self.cols)
+        num, den = self.to_integers()
+        a = c.numerator
+        grid = [[a * x for x in row] for row in num]
+        return Matrix._from_integers(F, grid, den * c.denominator if a else 1, self.cols)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -233,16 +275,13 @@ class Matrix:
         if _arrays_enabled(F):
             out = _kernels.matmul_mod(self.to_array(), other.to_array(), p)
             return Matrix._from_array(F, out)
-        cols = list(zip(*other.entries))
+        (a, da), (b, db) = self.to_integers(), other.to_integers()
+        cols = list(zip(*b))
         if p:
-            grid = [[sum(map(mul, row, col)) % p for col in cols] for row in self.entries]
+            grid = [[sum(map(mul, row, col)) % p for col in cols] for row in a]
         else:
-            cleared = [_cleared(col) for col in cols]
-            grid = [
-                [_fraction(sum(map(mul, num, cnum)), den * cden) for cnum, cden in cleared]
-                for num, den in map(_cleared, self.entries)
-            ]
-        return Matrix._from_canonical(F, grid, other.cols)
+            grid = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        return Matrix._from_integers(F, grid, da * db, other.cols)
 
     def mul_vec(self, v):
         F = self.field
@@ -251,11 +290,10 @@ class Matrix:
         p = F.characteristic
         if p:
             return tuple(sum(map(mul, row, v)) % p for row in self.entries)
+        num, den = self.to_integers()
         vnum, vden = _cleared(v)
-        return tuple(
-            _fraction(sum(map(mul, num, vnum)), den * vden)
-            for num, den in map(_cleared, self.entries)
-        )
+        den *= vden
+        return tuple(_fraction(sum(map(mul, row, vnum)), den) for row in num)
 
     def pow(self, e):
         if not self.is_square:
@@ -274,6 +312,15 @@ class Matrix:
                 return out
             base = base @ base
 
+    def transpose(self):
+        """The transpose, in the same integer form."""
+        F = self.field
+        if self._array is not None:
+            return Matrix._from_array(F, self._array.T.copy())
+        num, den = self.to_integers()
+        grid = list(zip(*num)) if self.rows else [()] * self.cols
+        return Matrix._from_integers(F, grid, den, self.rows)
+
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
@@ -283,10 +330,14 @@ class Matrix:
             return False
         if self._array is not None and other._array is not None:
             return np.array_equal(self._array, other._array)
-        return self.entries == other.entries
+        if self.field.characteristic:
+            return self.entries == other.entries
+        return self.to_integers() == other.to_integers()
 
     def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
+        if self.field.characteristic:
+            return hash((self.field, self.cols, self.entries))
+        return hash((self.field, self.cols, self.to_integers()))
 
     def __str__(self):
         if self.rows == 0:
@@ -298,41 +349,47 @@ class Matrix:
         return f"Matrix({self.field!r}, {self!s})"
 
 
+def _init(m, field, rows, cols, entries=None, array=None, num=None, den=1):
+    """Fill the slots of a new matrix with the forms given; returns it."""
+    for name, value in (
+        ("field", field),
+        ("rows", rows),
+        ("cols", cols),
+        ("_entries", entries),
+        ("_array", array),
+        ("_num", num),
+        ("_den", den),
+    ):
+        object.__setattr__(m, name, value)
+    return m
+
+
 def _submatrix(m, rows, cols):
     """The block of m on the given row and column indices."""
     if m._array is not None:
         return Matrix._from_array(m.field, m._array.take(rows, 0).take(cols, 1))
-    grid = [[row[j] for j in cols] for row in map(m.entries.__getitem__, rows)]
-    return Matrix._from_canonical(m.field, grid, len(cols))
+    num, den = m.to_integers()
+    grid = [[row[j] for j in cols] for row in map(num.__getitem__, rows)]
+    return Matrix._from_integers(m.field, grid, den, len(cols))
+
+
+def _stack(mats):
+    """The matrices, all with the same columns, one above the other."""
+    F, cols = mats[0].field, mats[0].cols
+    if _arrays_enabled(F):
+        return Matrix._from_array(F, np.concatenate([m.to_array() for m in mats]))
+    forms = [m.to_integers() for m in mats]
+    den = lcm(*(d for _, d in forms))
+    grid = [[x * (den // d) for x in row] for num, d in forms for row in num]
+    return Matrix._from_integers(F, grid, den, cols)
 
 
 _ZERO = Fraction(0)
 
 
-def _canonical(xs, p):
-    """Scalars computed with Python operators, made canonical: integers
-    reduced mod p over F_p; over Q (p = 0) Fractions already are."""
-    return [x % p for x in xs] if p else xs
-
-
 def _fraction(n, d):
     """The canonical rational n/d, for integers n and d != 0."""
     return Fraction(n, d) if n else _ZERO
-
-
-def _cleared(xs):
-    """(numerators, den): rationals xs as integers over their least common
-    denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    if den == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def _primitive(row):
-    """An integer row divided by its content, the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _integer_echelon(grid):
@@ -378,13 +435,13 @@ def rref(m):
         arr, pivots = _kernels.rref_mod(m.to_array(), p)
         return Matrix._from_array(F, arr), list(pivots)
     if not p:
-        rows, pivots = _integer_echelon([_cleared(row)[0] for row in m.entries])
+        rows, pivots = _integer_echelon(m.to_integers()[0])
+        # row r of R is rows[r] over its pivot entry: one denominator for all
+        den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
         for r, c in enumerate(pivots):
-            a = rows[r][c]
-            rows[r] = [_fraction(x, a) for x in rows[r]]
-        for r in range(len(pivots), len(rows)):
-            rows[r] = [_ZERO] * m.cols
-        return Matrix._from_canonical(F, rows, m.cols), pivots
+            s = den // rows[r][c]
+            rows[r] = [s * x for x in rows[r]]
+        return Matrix._from_integers(F, rows, den, m.cols), pivots
     grid = [list(row) for row in m.entries]
     pivots = []
     r = 0
@@ -410,37 +467,45 @@ def rref(m):
 class Subspace:
     """A subspace of k^n held in canonical reduced-echelon form.
 
-    Equal subspaces always have identical bases, so equality is literal.
+    ``matrix`` holds the basis as its rows, in the field's integer form;
+    ``basis`` is its entries.  Equal subspaces always have identical
+    bases, so equality is literal.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "matrix", "pivots")
 
     def __init__(self, field, ambient_dim, vectors):
         vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        self._span(field, ambient_dim, vecs)
+        self._span(Matrix._from_canonical(field, vecs, ambient_dim))
 
     @classmethod
     def _from_canonical(cls, field, ambient_dim, vectors):
         """The span of a list of vectors of canonical scalars, all of
         length ambient_dim, taken as they are: no coercion and no length
         check."""
+        return cls._row_space(Matrix._from_canonical(field, vectors, ambient_dim))
+
+    @classmethod
+    def _row_space(cls, m):
+        """The span of the rows of a matrix."""
         sp = object.__new__(cls)
-        sp._span(field, ambient_dim, vectors)
+        sp._span(m)
         return sp
 
-    def _span(self, field, ambient_dim, vectors):
-        if vectors:
-            R, piv = rref(Matrix._from_canonical(field, vectors, ambient_dim))
-            basis = R.entries[: len(piv)]
-        else:
-            basis, piv = (), []
+    def _span(self, m):
+        R, piv = rref(m)
+        if len(piv) < R.rows:
+            R = _submatrix(R, range(len(piv)), range(m.cols))
+        self._set(m.field, m.cols, R, piv)
+
+    def _set(self, field, ambient_dim, matrix, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "pivots", tuple(piv))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -453,19 +518,20 @@ class Subspace:
     def full(cls, field, ambient_dim):
         # the identity rows are their own reduced echelon form
         sp = object.__new__(cls)
-        object.__setattr__(sp, "field", field)
-        object.__setattr__(sp, "ambient_dim", ambient_dim)
-        object.__setattr__(sp, "basis", Matrix.identity(field, ambient_dim).entries)
-        object.__setattr__(sp, "pivots", tuple(range(ambient_dim)))
+        sp._set(field, ambient_dim, Matrix.identity(field, ambient_dim), range(ambient_dim))
         return sp
 
     @property
+    def basis(self):
+        return self.matrix.entries
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def is_zero(self):
-        return not self.basis
+        return not self.pivots
 
     def reduce(self, v):
         """Residual of v after subtracting its component in the subspace."""
@@ -489,20 +555,19 @@ class Subspace:
     def sum(self, other):
         if other.field != self.field or other.ambient_dim != self.ambient_dim:
             raise FieldMismatchError("subspace sum needs one ambient space")
-        vectors = self.basis + other.basis
-        return Subspace._from_canonical(self.field, self.ambient_dim, vectors)
+        return Subspace._row_space(_stack([self.matrix, other.matrix]))
 
     def __eq__(self, other):
         if isinstance(other, Subspace):
             return (
                 self.field == other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis
+                and self.matrix == other.matrix
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.matrix))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
@@ -513,11 +578,12 @@ class Echelon:
 
     Over F_p a stored row holds residues with pivot entry 1, and reducing
     a vector against it is one update (x - b*y) % p per entry.  Over Q a
-    vector is cleared to integers once, a stored row is primitive, and
-    each elimination is the fraction-free step a*w - b*row followed by
-    division by the content, as in ``_integer_echelon``.  Row i has zeros
-    at the pivots of the rows before it, so reducing against the rows in
-    insertion order clears every pivot.
+    vector enters as integer numerators over a denominator, a stored row
+    is primitive, and each elimination is the fraction-free step
+    a*w - b*row followed by division by the content, as in
+    ``_integer_echelon``.  Row i has zeros at the pivots of the rows
+    before it, so reducing against the rows in insertion order clears
+    every pivot.
 
     With ``track`` each row carries beside it the integer combination of
     the generators (the vectors ``insert`` added, each cleared over Q)
@@ -540,15 +606,20 @@ class Echelon:
         return len(self.rows)
 
     def insert(self, v):
-        """Try to add v.  Returns (added, combo): combo rewrites a dependent
-        v over the previously added generators, as a dict from generator
-        index to nonzero field scalar (only when tracking)."""
+        """Try to add a vector of field scalars.  Returns (added, combo):
+        combo rewrites a dependent v over the previously added generators,
+        as a dict from generator index to nonzero field scalar (only when
+        tracking)."""
         F = self.field
-        p = F.characteristic
         work = [F.coerce(x) for x in v]
-        den = 1
-        if not p:
-            work, den = _cleared(work)
+        if F.characteristic:
+            return self.insert_integers(work, 1)
+        return self.insert_integers(*_cleared(work))
+
+    def insert_integers(self, work, den):
+        """``insert`` for the vector work/den, given over Q as integer
+        numerators over den > 0 and over F_p as residues over 1."""
+        p = self.field.characteristic
         gens = len(self.rows)
         # work = sum of combo[g] * generator g, the new vector at index gens
         combo = [0] * gens + [1] if self.track else None
@@ -605,42 +676,56 @@ class Echelon:
 
 
 def kernel_basis(m):
-    """Canonical basis of the right null space; dim = cols - rank."""
+    """Canonical basis of the right null space; dim = cols - rank.
+
+    With R = N/D the reduced echelon form, free column j gives the kernel
+    vector e_j minus column j of R at the pivots; it is taken times D, as
+    D e_j minus column j of N, which is integral over Q."""
     F = m.field
+    p = F.characteristic
     R, pivots = rref(m)
+    num, den = R.to_integers()
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     vectors = []
-    for j in free:
-        v = [F.zero] * m.cols
-        v[j] = F.one
+    for j in range(m.cols):
+        if j in pivset:
+            continue
+        v = [0] * m.cols
+        v[j] = den
         for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.entries[i][j])
+            v[pc] = -num[i][j] % p if p else -num[i][j]
         vectors.append(v)
-    return Subspace._from_canonical(F, m.cols, vectors)
+    return Subspace._row_space(Matrix._from_integers(F, vectors, 1, m.cols))
 
 
 def column_space(m):
-    columns = [m.column(j) for j in range(m.cols)]
-    return Subspace._from_canonical(m.field, m.rows, columns)
+    return Subspace._row_space(m.transpose())
 
 
-def charpoly(m):
-    """det(xI - m), monic of degree dim, over any exact field.
+# The CRT primes for charpoly over Q: the largest primes below 2^61, in
+# descending order, found when first needed and kept.
+_CRT_PRIMES = []
+
+
+def _crt_prime(i):
+    while len(_CRT_PRIMES) <= i:
+        q = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 61) - 1
+        while not is_prime(q):
+            q -= 2
+        _CRT_PRIMES.append(q)
+    return _CRT_PRIMES[i]
+
+
+def _charpoly_mod(rows, p):
+    """Coefficients, lowest first, of det(xI - A) mod p for a square A
+    given by rows of residues mod p.
 
     Similarity reduction to upper Hessenberg form, then the standard
     recurrence on characteristic polynomials of leading principal minors
-    (Cohen, Algorithm 2.2.9).  Both run on raw scalars with Python
-    operators, each entry reduced mod p once per update over F_p; the
-    minors' polynomials are coefficient lists, and only the last becomes a
-    ``UniPoly``.
+    (Cohen, Algorithm 2.2.9), each entry reduced mod p once per update.
     """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    F = m.field
-    p = F.characteristic
-    d = m.rows
-    h = [list(row) for row in m.entries]
+    d = len(rows)
+    h = [list(row) for row in rows]
     for j in range(d - 2):
         piv = None
         for i in range(j + 1, d):
@@ -654,35 +739,88 @@ def charpoly(m):
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
         pivot_row = h[j + 1]
-        inv = F.inv(pivot_row[j])
+        inv = pow(pivot_row[j], -1, p)
         for i in range(j + 2, d):
             if not h[i][j]:
                 continue
-            f = h[i][j] * inv % p if p else h[i][j] * inv
+            f = h[i][j] * inv % p
             # row_i -= f * row_{j+1}, col_{j+1} += f * col_i: a similarity
-            tail = [x - f * y for x, y in zip(h[i][j:], pivot_row[j:])]
-            h[i][j:] = _canonical(tail, p)
-            col = _canonical([r[j + 1] + f * r[i] for r in h], p)
-            for r, x in zip(h, col):
-                r[j + 1] = x
+            h[i][j:] = [(x - f * y) % p for x, y in zip(h[i][j:], pivot_row[j:])]
+            for r in h:
+                r[j + 1] = (r[j + 1] + f * r[i]) % p
     # polys[k]: coefficients, lowest first, of the k-th leading minor's
     # characteristic polynomial
-    polys = [[F.one]]
+    polys = [[1]]
     for k in range(1, d + 1):
         prev = polys[k - 1]
         a = h[k - 1][k - 1]
-        pk = [F.zero] + prev
+        pk = [0] + prev
         for e, c in enumerate(prev):
             pk[e] -= a * c
-        prod = F.one
+        prod = 1
         for i in range(k - 1, 0, -1):
-            prod = prod * h[i][i - 1] % p if p else prod * h[i][i - 1]
+            prod = prod * h[i][i - 1] % p
             coeff = h[i - 1][k - 1] * prod
             if coeff:
                 for e, c in enumerate(polys[i - 1]):
                     pk[e] -= coeff * c
-        polys.append(_canonical(pk, p))
-    return UniPoly._from_canonical(F, polys[d])
+        polys.append([x % p for x in pk])
+    return polys[d]
+
+
+def _charpoly_integer(num):
+    """Coefficients, lowest first, of det(xI - N) for a square integer N,
+    from ``_charpoly_mod`` modulo the CRT primes.
+
+    The coefficient of x^(d-k) is a signed sum of C(d, k) principal k x k
+    minors, each at most R^k by Hadamard's inequality for R the largest
+    Euclidean row norm of N; once the product M of the primes passes
+    twice the largest such bound, the residues in (-M/2, M/2) are the
+    coefficients.
+    """
+    d = len(num)
+    r2 = max((sum(x * x for x in row) for row in num), default=0)
+    r = isqrt(r2)
+    r += r * r < r2  # the least integer >= R
+    bound = 2 * max(comb(d, k) * r**k for k in range(d + 1))
+    coeffs, modulus = None, 1
+    i = 0
+    while modulus <= bound:
+        q = _crt_prime(i)
+        res = _charpoly_mod([[x % q for x in row] for row in num], q)
+        if coeffs is None:
+            coeffs = res
+        else:
+            # Garner: the integer = coeffs mod modulus and = res mod q
+            inv = pow(modulus, -1, q)
+            coeffs = [x + modulus * ((y - x) * inv % q) for x, y in zip(coeffs, res)]
+        modulus *= q
+        i += 1
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in coeffs]
+
+
+def charpoly(m):
+    """det(xI - m), monic of degree dim, over any exact field.
+
+    Over F_p the Hessenberg recurrence of ``_charpoly_mod`` runs on the
+    residues.  Over Q, with m = N/D in its integer form,
+    chi_m(x) = D^(-d) chi_N(D x), so the coefficient of x^k is
+    c_k / D^(d-k) for c_k those of ``_charpoly_integer(N)``; only the d + 1
+    result coefficients become Fractions.
+    """
+    if not m.is_square:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    F = m.field
+    p = F.characteristic
+    if p:
+        return UniPoly._from_canonical(F, _charpoly_mod(m.entries, p))
+    num, den = m.to_integers()
+    d = m.rows
+    coeffs = _charpoly_integer(num)
+    return UniPoly._from_canonical(
+        F, [_fraction(c, den ** (d - k)) for k, c in enumerate(coeffs)]
+    )
 
 
 def minimal_polynomial(m):

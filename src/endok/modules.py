@@ -19,9 +19,9 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    _stack,
     _submatrix,
     charpoly,
-    column_space,
     eval_poly_at_matrix,
     kernel_basis,
     minimal_polynomial,
@@ -427,9 +427,7 @@ class CommutingTuple:
         """(B, [R_k]) for an echelon subspace, B its basis as columns and R_k
         the pivot rows of f_k.B.  As w is in the span iff w = sum w[p_i].b_i,
         B.R_k == f_k.B is exactly invariance under f_k; a failure raises."""
-        F = self.field
-        grid = [[b[i] for b in sp.basis] for i in range(self.dim)]
-        B = Matrix._from_canonical(F, grid, sp.dim)
+        B = sp.matrix.transpose()
         rs = []
         for k, m in enumerate(self.mats):
             fb = m @ B
@@ -513,8 +511,8 @@ class CommutingTuple:
                             break
                 if mat is None:
                     raise RuntimeError(f"no standard parent for monomial {m}")
-            vec = [x for row in mat.entries for x in row]
-            added, combo = ech.insert(vec)
+            num, den = mat.to_integers()
+            added, combo = ech.insert_integers([x for row in num for x in row], den)
             if added:
                 std_mats[m] = mat
                 std.append(m)
@@ -538,12 +536,11 @@ class CommutingTuple:
         of s_i(f_i) with s_i the squarefree part of f_i's characteristic
         polynomial (Seidenberg; needs a perfect field, which both supported
         fields are)."""
-        images = []
-        for m in self.mats:
-            q = squarefree_part(charpoly(m))
-            images += column_space(eval_poly_at_matrix(q, [m])).basis
-        space = Subspace._from_canonical(self.field, self.dim, images)
-        return InvariantSubmodule(self, space)
+        images = [
+            eval_poly_at_matrix(squarefree_part(charpoly(m)), [m]).transpose()
+            for m in self.mats
+        ]
+        return InvariantSubmodule(self, Subspace._row_space(_stack(images)))
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -606,18 +603,14 @@ class CommutingTuple:
                 m = eval_poly_at_matrix(g, list(t.mats))
                 split = (m, factor_univariate(charpoly(m), rng), None)
             m, factors, i = split
-            basis = Matrix._from_canonical(F, sp.basis, d)
             for q, v in factors:
                 ker = _generalised_eigenspace(m, q, v)
-                lifted = Matrix._from_canonical(F, ker.basis, sp.dim) @ basis
-                child = Subspace._from_canonical(F, d, lifted.entries)
+                child = Subspace._row_space(ker.matrix @ sp.matrix)
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 work.append((child, self.restrict(child), child_qs))
         if sum(sub.dim for sub, _, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
-        stacked = Subspace._from_canonical(
-            F, d, [v for sub, _, _ in out for v in sub.space.basis]
-        )
+        stacked = Subspace._row_space(_stack([sub.space.matrix for sub, _, _ in out]))
         if stacked.dim != d:
             raise RuntimeError("primary decomposition pieces are not independent")
         out.sort(key=lambda item: item[2].sort_key())
@@ -656,14 +649,13 @@ class CommutingTuple:
         nilpotent on the piece at M and a unit on another, so g(f) splits
         V.  On a local V, M = Ann(V/Jac.V)."""
         F, d = self.field, self.dim
-        rows = [
-            row
-            for i, q in qs.items()
-            for row in eval_poly_at_matrix(q, [self.mats[i]]).entries
+        # q_i(f_i) = 0 by Cayley-Hamilton when deg q_i = d
+        parts = [
+            eval_poly_at_matrix(q, [self.mats[i]]) for i, q in qs.items() if q.degree < d
         ]
-        soc = kernel_basis(Matrix._from_canonical(F, rows, d))
-        s = Matrix._from_canonical(F, [[x] for x in soc.basis[0]], 1)
-        ideal = self._annihilator(s)
+        soc = kernel_basis(_stack(parts)) if parts else Subspace.full(F, d)
+        basis = soc.matrix.transpose()
+        ideal = self._annihilator(_submatrix(basis, range(d), [0]))
         rd = ideal.quotient_dim
         if rd != max(q.degree for q in qs.values()):
             found = _separating_element(ideal, rng)
@@ -674,8 +666,7 @@ class CommutingTuple:
                 return None, g
         if soc.dim > rd:
             for g in ideal.gens:
-                gf = eval_poly_at_matrix(g, list(self.mats))
-                if any(any(gf.mul_vec(v)) for v in soc.basis):
+                if not (eval_poly_at_matrix(g, list(self.mats)) @ basis).is_zero:
                     return None, g
         # local: Soc is a vector space over the residue field k[T]/M
         if soc.dim % rd:

@@ -8,7 +8,11 @@ Two representations:
   (``_add``, ``_mul``, ``_divmod``, ``_pow_mod``, ``_gcd``, ...), which
   work on lists of raw scalars with Python operators and reduce each
   result coefficient with one ``% p`` over F_p; the F_p factoring loops
-  and Zassenhaus over Z call the same helpers directly.
+  and Zassenhaus over Z call the same helpers directly.  Over Q, gcds
+  and the squarefree split clear to primitive integer polynomials and run
+  over Z: the gcd is the primitive pseudo-remainder sequence, Yun's
+  algorithm divides exactly over Z, and only the monic results become
+  Fractions.
 * ``MultiPoly``: sparse multivariate, a tuple of (exponents, coefficient)
   terms kept sorted descending in the graded lexicographic order with
   t1 > t2 > ... > tn.  The order is fixed package-wide so that reduced
@@ -17,6 +21,9 @@ Two representations:
 Canonical text rendering lives here as well; it is shared by the CLI and
 by the deterministic sort keys used for ideals.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatchError
 
@@ -89,9 +96,10 @@ def render_terms(field, terms, nvars):
 #
 # A polynomial here is a list of raw scalars, lowest degree first, with no
 # trailing zeros; [] is 0.  p is the characteristic: over F_p (p > 0) every
-# result coefficient is reduced with one % p, over Q (p = 0) the scalars
-# are Fractions used as they are, and over Z (p = 0, plain ints) a divisor
-# must be monic unless it goes through ``_div_exact``.  Inputs are never
+# result coefficient is reduced with one % p.  With p = 0 the arithmetic
+# helpers take Fractions (Q) or plain ints (Z), where a divisor must be
+# monic unless it goes through ``_div_exact``; ``_gcd`` and
+# ``_squarefree`` with p = 0 take integer lists only.  Inputs are never
 # modified.
 
 
@@ -201,11 +209,56 @@ def _pow_mod(f, e, m, p):
         base = _divmod(_mul(base, base, p), m, p)[1]
 
 
+def _cleared(xs):
+    """(numerators, den): rationals xs as integers over their least common
+    denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _primitive(f):
+    """An integer list divided by its content, the gcd of its entries."""
+    g = gcd(*f)
+    return [x // g for x in f] if g > 1 else f
+
+
+def _prem(f, g):
+    """The pseudo-remainder of integer lists: lc(g)^(deg f - deg g + 1) * f
+    modulo a nonzero g, by one integer row step per quotient term."""
+    dg = len(g) - 1
+    lc = g[-1]
+    r = list(f)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = r.pop()
+        if lc != 1:
+            r = [lc * x for x in r]
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return _trim(r)
+
+
 def _gcd(f, g, p):
-    """Monic gcd over a field; f and g not both zero."""
+    """gcd of f and g, not both zero.  Over F_p the monic gcd, by Euclid;
+    over Z (p = 0) the primitive gcd, up to sign, by the primitive
+    pseudo-remainder sequence."""
+    if p:
+        while g:
+            f, g = g, _divmod(f, g, p)[1]
+        return _monic(f, p)
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
     while g:
-        f, g = g, _divmod(f, g, p)[1]
-    return _monic(f, p)
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def _quo(f, g, p):
+    """The quotient of f by a g that divides it, over F_p or Z."""
+    return _divmod(f, g, p)[0] if p else _div_exact(f, g)
 
 
 def _derivative(f, p):
@@ -214,8 +267,10 @@ def _derivative(f, p):
 
 
 def _squarefree(f, p):
-    """Yun/Musser on a monic f of degree >= 0: [(g_i, e_i)] with the g_i
-    monic, squarefree, pairwise coprime and f = prod g_i^e_i.  In
+    """Yun/Musser on f of degree >= 0, monic over F_p or primitive over Z
+    (p = 0): [(g_i, e_i)] with the g_i monic (primitive over Z, where every
+    division is exact by Gauss's lemma), squarefree, pairwise coprime and
+    f = prod g_i^e_i (up to sign over Z).  In
     characteristic p a vanishing derivative means f = g(t^p), and p-th
     roots of coefficients are the identity on F_p."""
     factors = []
@@ -224,14 +279,14 @@ def _squarefree(f, p):
         d = _derivative(f, p)
         if d:
             g = _gcd(f, d, p)
-            h = _divmod(f, g, p)[0]
+            h = _quo(f, g, p)
             i = 1
             while len(h) > 1:
                 G = _gcd(g, h, p)
-                H = _divmod(h, G, p)[0]
+                H = _quo(h, G, p)
                 if len(H) > 1:
                     factors.append((H, i * n))
-                g, h, i = _divmod(g, G, p)[0], G, i + 1
+                g, h, i = _quo(g, G, p), G, i + 1
             if len(g) == 1:
                 break
             f = g
@@ -424,12 +479,36 @@ class UniPoly:
         return f"UniPoly({self.field!r}, {self!s})"
 
 
+def _integral(f):
+    """The primitive integer polynomial that is a rational multiple of f
+    (over Q)."""
+    return _primitive(_cleared(f.coeffs)[0])
+
+
+def _as_monic(f, field):
+    """The monic UniPoly of a nonzero coefficient list: residues already
+    monic over F_p, integers over Q."""
+    if field.characteristic:
+        return UniPoly._from_canonical(field, f)
+    lc = f[-1]
+    return UniPoly._from_canonical(field, [Fraction(c, lc) for c in f])
+
+
+def _squarefree_parts(f):
+    """``_squarefree`` of a nonzero f: on its monic coefficients over F_p,
+    on its primitive integer multiple over Q."""
+    p = f.field.characteristic
+    return _squarefree(_monic(list(f.coeffs), p) if p else _integral(f), p)
+
+
 def uni_gcd(f, g):
     """Monic greatest common divisor; gcd with 0 is the monic cofactor."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     F = f.field
-    return UniPoly._from_canonical(F, _gcd(f.coeffs, g.coeffs, F.characteristic))
+    if F.characteristic:
+        return UniPoly._from_canonical(F, _gcd(f.coeffs, g.coeffs, F.characteristic))
+    return _as_monic(_gcd(_integral(f), _integral(g), 0), F)
 
 
 def uni_lcm(f, g):
@@ -471,18 +550,14 @@ def squarefree_decomposition(f):
     """Multiplicity-graded squarefree split of a nonzero polynomial.
 
     Returns [(g_i, e_i)] with the g_i monic, squarefree, pairwise coprime
-    and f = lc(f) * prod g_i^e_i.  Works in characteristic 0 (Yun/Musser)
-    and characteristic p, where a vanishing derivative means f = g(t^p)
-    and p-th roots of coefficients are the identity on F_p.
+    and f = lc(f) * prod g_i^e_i.  Works in characteristic 0 (Yun/Musser
+    on the primitive integer multiple of f) and characteristic p, where a
+    vanishing derivative means f = g(t^p) and p-th roots of coefficients
+    are the identity on F_p.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    F = f.field
-    p = F.characteristic
-    return [
-        (UniPoly._from_canonical(F, g), e)
-        for g, e in _squarefree(_monic(list(f.coeffs), p), p)
-    ]
+    return [(_as_monic(g, f.field), e) for g, e in _squarefree_parts(f)]
 
 
 def squarefree_part(f):
@@ -491,10 +566,11 @@ def squarefree_part(f):
         raise ValueError("zero polynomial")
     if not f.is_monic:
         raise ValueError("expected a monic polynomial")
-    out = UniPoly.one(f.field)
-    for q, _ in squarefree_decomposition(f):
-        out = out * q
-    return out
+    p = f.field.characteristic
+    out = [1]
+    for q, _ in _squarefree_parts(f):
+        out = _mul(out, q, p)
+    return _as_monic(out, f.field)
 
 
 def signed_reversal(q, inverse=False):

@@ -1,12 +1,19 @@
 """Differential tests against sympy: characteristic polynomials and their
 factorizations, on random matrices up to dim 32, on sums of companion
-blocks of polynomial powers and on members of random commuting tuples,
-reduced row echelon forms over Q, and the reduced graded-lex Groebner
-bases of annihilator ideals of random commuting tuples up to dim 24.
+blocks of polynomial powers, on members of random commuting tuples and on
+rational matrices with entries past 10^12; the squarefree split and gcd
+over Q; reduced row echelon forms over Q; and the reduced graded-lex
+Groebner bases of annihilator ideals of random commuting tuples up to
+dim 24.
 
-The class path splits on ``linalg.charpoly``, and so does the benchmark's
-class check; sympy gives both an independent reference.  Over F_p, sympy's
-integer characteristic polynomial of the residue matrix is reduced mod p.
+The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
+split pieces into generalised eigenspaces, and keys them by annihilators;
+the benchmark's class check reuses the same ``charpoly``.  Over Q that is
+a multimodular Hessenberg recurrence stopped at a coefficient bound, and
+factoring starts with Yun's squarefree split over Z, so sympy, which
+shares none of this code, is the independent reference for each.  Over
+F_p, sympy's integer characteristic polynomial of the residue matrix is
+reduced mod p.
 """
 
 import random
@@ -18,7 +25,7 @@ from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
 from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
-from endok.poly import UniPoly
+from endok.poly import UniPoly, squarefree_decomposition, uni_gcd
 
 from conftest import field_id
 
@@ -96,6 +103,71 @@ def test_charpoly_and_factors_match_sympy(field):
         assert ours.coeffs == theirs, (m.rows, str(m))
         factors = sorted((q.coeffs, e) for q, e in factor_univariate(ours, rng))
         assert factors == sympy_factors(reversed(ours.coeffs), field), str(ours)
+
+
+def test_rational_charpoly_with_large_entries_matches_sympy():
+    rng = random.Random(16)
+    for d in (1, 2, 3, 5, 8):
+        grid = [
+            [
+                Fraction(rng.randint(-(10**14), 10**14), rng.choice((1, 7, 10**9 + 7)))
+                for _ in range(d)
+            ]
+            for _ in range(d)
+        ]
+        m = Matrix(QQ, grid)
+        theirs = normalise(to_sympy(m).charpoly(X).all_coeffs(), QQ)
+        assert charpoly(m).coeffs == theirs, str(m)
+
+
+def random_rational_factor(rng, degree):
+    """A random polynomial of the given degree with signed fractional
+    coefficients, not monic."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 12))) for _ in range(degree)]
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 7)))
+    return UniPoly(QQ, coeffs + [lead])
+
+
+def random_power_product(rng, max_degree):
+    """A constant with content and sign times powers of random factors,
+    multiplicities up to 6, of total degree at most max_degree."""
+    f = UniPoly.constant(QQ, Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 60)))
+    factors = []
+    while True:
+        d, e = rng.randint(1, 4), rng.randint(1, 6)
+        if f.degree + d * e > max_degree:
+            return f, factors
+        q = random_rational_factor(rng, d)
+        factors.append(q)
+        f = f * q**e
+
+
+def sympy_poly(f):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    return sympy.Poly(coeffs, X, domain="QQ")
+
+
+def test_rational_squarefree_split_and_gcd_match_sympy():
+    rng = random.Random(17)
+    top = 0
+    for _ in range(60):
+        f, factors = random_power_product(rng, 32)
+        if f.degree < 1:
+            continue
+        # g shares some of f's factors, at other multiplicities
+        g = UniPoly.constant(QQ, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for q in rng.sample(factors, rng.randint(0, len(factors))):
+            g = g * q ** rng.randint(1, 3)
+        g = g * random_rational_factor(rng, rng.randint(1, 3))
+        ours = sorted((q.coeffs, e) for q, e in squarefree_decomposition(f))
+        _, parts = sympy_poly(f).sqf_list()
+        theirs = sorted((normalise(q.all_coeffs(), QQ), e) for q, e in parts)
+        assert ours == theirs, str(f)
+        top = max(top, max(e for _, e in ours))
+        expected = normalise(sympy_poly(f).gcd(sympy_poly(g)).all_coeffs(), QQ)
+        assert uni_gcd(f, g).coeffs == uni_gcd(g, f).coeffs == expected, (str(f), str(g))
+        assert uni_gcd(f, UniPoly.zero(QQ)) == f.monic()
+    assert top >= 6
 
 
 def test_rational_rref_matches_sympy():

@@ -3,12 +3,13 @@ from itertools import product
 
 import pytest
 
-from endok.factor import (
-    RATIONAL_DEGREE_CAP,
-    factor_univariate,
-    is_irreducible,
-)
+from endok import factor
+from endok.cli import main
+from endok.factor import factor_univariate, is_irreducible
 from endok.fields import GF, QQ
+from endok.ktheory import k0_class
+from endok.linalg import Matrix
+from endok.modules import CommutingTuple
 from endok.poly import UniPoly
 
 from conftest import ALL_FIELDS, field_id
@@ -115,15 +116,42 @@ def test_factor_zero_and_constant():
     assert factor_univariate(UniPoly.constant(QQ, 5)) == []
 
 
-def test_degree_cap_over_rationals():
+def cycle(d):
+    """The permutation matrix of a d-cycle; its characteristic polynomial
+    is t^d - 1."""
+    return Matrix(QQ, [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)])
+
+
+def test_degree_70_factors_within_the_recombination_budget():
+    # t^70 - 1 is the product of the cyclotomic polynomials of the 8
+    # divisors of 70, of degrees 1, 1, 4, 6, 4, 6, 24, 24
     t = UniPoly.gen(QQ)
-    f = t ** (RATIONAL_DEGREE_CAP + 1) - UniPoly.one(QQ)  # squarefree
-    with pytest.raises(ValueError, match="degree too large"):
-        factor_univariate(f)
+    factors = factor_univariate(t**70 - UniPoly.one(QQ))
+    assert sorted(q.degree for q, _ in factors) == [1, 1, 4, 4, 6, 6, 24, 24]
+    assert all(e == 1 for _, e in factors)
+    product = UniPoly.one(QQ)
+    for q, _ in factors:
+        product = product * q
+    assert product == t**70 - UniPoly.one(QQ)
+    lines = k0_class(CommutingTuple(QQ, 1, 70, [cycle(70)])).lines()
+    assert len(lines) == 8 and all(line.startswith("1 * [") for line in lines)
+    assert {"1 * [t - 1]", "1 * [t + 1]"} <= set(lines)
 
 
-def test_degree_cap_applies_to_squarefree_parts():
-    # the cap bounds recombination, which only sees squarefree parts
+def test_exceeded_recombination_budget_raises(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 2)
+    t = UniPoly.gen(QQ)
+    with pytest.raises(ValueError, match="factorization too hard.*RECOMBINATION_BUDGET = 2"):
+        factor_univariate(t**70 - UniPoly.one(QQ))
+    job = tmp_path / "cycle.txt"
+    job.write_text(f"field Q\nvars 1\ndim 70\n{cycle(70)}\n")
+    assert main(["class", str(job)]) == 1
+    out = capsys.readouterr()
+    assert not out.out and "factorization too hard" in out.err
+
+
+def test_high_multiplicities_factor_through_squarefree_parts():
+    # recombination only sees squarefree parts: (t - 1)^70 has one, t - 1
     t = UniPoly.gen(QQ)
     f = (t - UniPoly.one(QQ)) ** 70
     assert strs(factor_univariate(f)) == [("t - 1", 70)]

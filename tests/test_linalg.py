@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endok import linalg
+from endok import linalg, poly
 from endok.bruteforce import random_commuting_tuple, random_vector
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate
-from endok.fields import GF, QQ
+from endok.fields import GF, QQ, is_prime
 from endok.linalg import (
     Echelon,
     Matrix,
@@ -22,7 +22,7 @@ from endok.linalg import (
     minimal_polynomial,
     rref,
 )
-from endok.poly import MultiPoly, UniPoly
+from endok.poly import MultiPoly, UniPoly, squarefree_decomposition, uni_gcd
 
 from conftest import ALL_FIELDS, field_id
 
@@ -148,6 +148,93 @@ def test_charpoly_against_laplace_oracle(field):
     for _ in range(30):
         m = rand_matrix(field, rng, rng.randint(1, 4))
         assert charpoly(m) == charpoly_laplace(m)
+
+
+def fraction_hessenberg(m):
+    """Reference: det(xI - m) over Q by Hessenberg reduction and the
+    leading-minor recurrence on plain Fractions."""
+    d = m.rows
+    h = [list(row) for row in m.entries]
+    for j in range(d - 2):
+        piv = next((i for i in range(j + 1, d) if h[i][j]), None)
+        if piv is None:
+            continue
+        h[piv], h[j + 1] = h[j + 1], h[piv]
+        for row in h:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        for i in range(j + 2, d):
+            f = h[i][j] / h[j + 1][j]
+            h[i] = [x - f * y for x, y in zip(h[i], h[j + 1])]
+            for row in h:
+                row[j + 1] += f * row[i]
+    polys = [[Fraction(1)]]
+    for k in range(1, d + 1):
+        pk = [Fraction(0)] + polys[k - 1]
+        for e, c in enumerate(polys[k - 1]):
+            pk[e] -= h[k - 1][k - 1] * c
+        prod_sub = Fraction(1)
+        for i in range(k - 1, 0, -1):
+            prod_sub *= h[i][i - 1]
+            for e, c in enumerate(polys[i - 1]):
+                pk[e] -= h[i - 1][k - 1] * prod_sub * c
+        polys.append(pk)
+    return UniPoly(QQ, polys[d])
+
+
+def crt_prime_bound(m):
+    """Twice the largest Hadamard bound C(d, k) R^k on the coefficients of
+    det(xI - N), for m = N/D in lowest terms and R rounded up."""
+    den = lcm(*(x.denominator for row in m.entries for x in row))
+    r2 = max((sum(int(x * den) ** 2 for x in row) for row in m.entries), default=0)
+    r = isqrt(r2) + (isqrt(r2) ** 2 < r2)
+    return 2 * max(comb(m.rows, k) * r**k for k in range(m.rows + 1))
+
+
+def big_rational_matrices(rng):
+    """Dim 0 and 1, zero matrices, and matrices with entries of 10^12 and
+    more over mixed denominators."""
+    out = [Matrix(QQ, [], cols=0), Matrix(QQ, [[Fraction(-10**13, 7)]]), Matrix.zeros(QQ, 3, 3)]
+    # chi = t - 2^60: the first prime, 2^61 - 1, is above the bound 2^60 on
+    # its coefficients but not above twice it, where -2^60 would read as
+    # 2^60 - 1
+    out.append(Matrix(QQ, [[2**60]]))
+    for d in (1, 2, 3, 4, 5, 8):
+        grid = [
+            [
+                Fraction(rng.randint(-(10**15), 10**15), rng.choice((1, 3, 10**6 + 3, 2**40)))
+                if rng.random() < 0.8
+                else Fraction(0)
+                for _ in range(d)
+            ]
+            for _ in range(d)
+        ]
+        out.append(Matrix(QQ, grid))
+    return out
+
+
+def test_rational_charpoly_by_crt_matches_fraction_hessenberg(monkeypatch):
+    primes = []
+    original = linalg._charpoly_mod
+
+    def recording(rows, p):
+        primes.append(p)
+        return original(rows, p)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod", recording)
+    counts = []
+    for m in big_rational_matrices(random.Random(14)):
+        primes.clear()
+        chi = charpoly(m)
+        assert chi == fraction_hessenberg(m), str(m)
+        if m.rows <= 4:
+            assert chi == charpoly_laplace(m)
+        # enough primes for the bound, and not one more
+        bound = crt_prime_bound(m)
+        assert prod(primes) > bound >= prod(primes[:-1]), (len(primes), m.rows)
+        assert len(set(primes)) == len(primes)
+        assert all(2**60 < p < 2**61 and is_prime(p) for p in primes)
+        counts.append(len(primes))
+    assert counts[:4] == [1, 1, 1, 2] and max(counts) >= 3
 
 
 @pytest.mark.parametrize("field", [QQ, F3, GF(2**31 - 1)], ids=field_id)
@@ -435,21 +522,106 @@ def plain_rref(field, grid):
 @pytest.mark.parametrize("field", [QQ, P31], ids=field_id)
 def test_integer_kernels_match_plain_loops(field):
     assert not linalg._arrays_enabled(field)
+    add, sub, mul, _ = plain_ops(field)
     rng = random.Random(21)
     deficient = 0
     for rows, inner, cols in rand_shapes(rng, 60):
         a = Matrix(field, rand_rational_grid(rng, rows, inner))
         b = Matrix(field, rand_rational_grid(rng, inner, cols))
+        a2 = Matrix(field, rand_rational_grid(rng, rows, inner))
+        c = field.coerce(rng.choice([0, 1, -1, Fraction(-7, 12), Fraction(35, 4)]))
         ab = plain_matmul(field, a.entries, b.entries)
         assert (a @ b).entries == ab
         assert a.mul_vec(b.column(0)) == tuple(row[0] for row in ab)
+        pairs = list(zip(a.entries, a2.entries))
+        assert (a + a2).entries == tuple(tuple(map(add, r, s)) for r, s in pairs)
+        assert (a - a2).entries == tuple(tuple(map(sub, r, s)) for r, s in pairs)
+        assert (-a).entries == tuple(tuple(sub(field.zero, x) for x in r) for r in a.entries)
+        assert a.scale(c).entries == tuple(tuple(mul(c, x) for x in r) for r in a.entries)
+        picked_rows = sorted(rng.sample(range(rows), rng.randint(0, rows)))
+        picked_cols = sorted(rng.sample(range(inner), rng.randint(1, inner)))
+        block = linalg._submatrix(a, picked_rows, picked_cols)
+        picked = tuple(tuple(a.entries[i][j] for j in picked_cols) for i in picked_rows)
+        assert block.entries == picked
+        assert block.cols == len(picked_cols)
         for m in (a, b):
             R, piv = rref(m)
             assert (R.entries, piv) == plain_rref(field, m.entries)
             deficient += len(piv) < min(m.rows, m.cols)
-        for m in (a @ b, R):  # raw scalars of the field's own type
+        for m in (a @ b, R, a + a2, a - a2, a.scale(c), block):
+            # raw scalars of the field's own type
             assert all(type(x) is type(field.zero) for row in m.entries for x in row)
     assert deficient >= 20
+
+
+def test_rational_matrix_keeps_one_canonical_integer_form():
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    rows = Matrix(QQ, [[half, 1], [0, Fraction(-3, 4)]])
+    # the same value built by operations whose denominators differ before
+    # the common factor is divided out: 6, 12 and 24
+    built = [
+        Matrix(QQ, [[third, 1], [0, -1]]) + Matrix(QQ, [[sixth, 0], [0, Fraction(1, 4)]]),
+        (rows.scale(6) @ Matrix.identity(QQ, 2)).scale(Fraction(1, 6)),
+        (rows.scale(Fraction(5, 4)) - rows.scale(Fraction(1, 4))),
+        linalg._submatrix(Matrix(QQ, [[half, 1, sixth], [0, Fraction(-3, 4), 0]]), [0, 1], [0, 1]),
+    ]
+    for m in built:
+        assert m._entries is None  # no Fraction built by the operation
+        assert m == rows and rows == m and hash(m) == hash(rows)
+        num, den = m.to_integers()
+        assert (num, den) == rows.to_integers() == (((2, 4), (0, -3)), 4)
+        assert gcd(den, *num[0], *num[1]) == 1
+    assert built[0] != Matrix(QQ, [[half, 1], [0, Fraction(3, 4)]])
+    assert Matrix(QQ, [[half]]) != Matrix(QQ, [[half, 0]])
+    zero = rows - rows
+    assert zero.is_zero and zero.to_integers() == (((0, 0), (0, 0)), 1)
+    assert zero == Matrix.zeros(QQ, 2, 2) and hash(zero) == hash(Matrix.zeros(QQ, 2, 2))
+    assert rows.scale(0) == zero and (rows @ zero).to_integers()[1] == 1
+    assert Matrix(QQ, [], cols=3).transpose().to_integers() == (((), (), ()), 1)
+
+
+def test_rational_kernels_build_fractions_only_for_results(monkeypatch):
+    """Over Q the matrix operations, row reduction and kernels build no
+    Fraction at all, and charpoly, the squarefree split and gcd build
+    only the coefficients of their results."""
+    rng = random.Random(23)
+    a = Matrix(QQ, rand_rational_grid(rng, 6, 6))
+    b = Matrix(QQ, rand_rational_grid(rng, 6, 6))
+    for m in (a, b):
+        m.to_integers()
+    t = UniPoly.gen(QQ)
+    one, fifth = UniPoly.one(QQ), UniPoly.constant(QQ, Fraction(1, 5))
+    f = (t.scale(Fraction(2, 3)) - one) ** 3 * (t**2 + fifth)
+    g = f * (t + one) ** 2
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    monkeypatch.setattr(poly, "Fraction", counting)
+    results = [
+        a @ b,
+        a + b,
+        a - b,
+        -a,
+        a.scale(Fraction(-5, 6)),
+        a.pow(3),
+        a.transpose(),
+        linalg._submatrix(a, [1, 3], [0, 2, 5]),
+        linalg._stack([a, b]),
+        rref(a)[0],
+        kernel_basis(a @ Matrix(QQ, [[1, 1, 0, 0, 0, 0]] * 6)).matrix,
+    ]
+    assert built == [] and all(m._entries is None for m in results)
+    chi = charpoly(a)
+    assert 0 < len(built) <= 7 and chi.degree == 6
+    built.clear()
+    parts = squarefree_decomposition(g)
+    assert [e for _, e in parts] == [1, 2, 3] and len(built) == sum(q.degree + 1 for q, _ in parts)
+    built.clear()
+    assert uni_gcd(f, g) == f.monic() and len(built) == f.degree + 1
 
 
 def test_integer_echelon_keeps_rows_primitive():

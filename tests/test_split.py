@@ -352,3 +352,32 @@ def test_key_builds_no_quotient(monkeypatch):
         assert bookkeeping(cls) == t.dim
     assert quotients == []
     assert starts and all(start.cols == 1 for start in starts)
+
+
+def test_key_skips_cayley_hamilton_zeros(monkeypatch):
+    # q_i(f_i) = 0 when deg q_i equals the piece's dimension, so _key does
+    # not evaluate it; with every q_i skipped the socle is the whole piece
+    calls = []
+    original = modules.eval_poly_at_matrix
+
+    def counted(q, ms):
+        calls.append(q)
+        return original(q, ms)
+
+    q = UniPoly(QQ, [-2, 0, 1])
+    c = Matrix.companion(q)
+    a = UniPoly(QQ, [-3, 1])
+    cases = [
+        # 3C has characteristic polynomial t^2 - 18, irreducible
+        (CommutingTuple(QQ, 2, 2, [c, c.scale(3)]), {0: q, 1: UniPoly(QQ, [-18, 0, 1])}, []),
+        # 3 I has characteristic polynomial (t - 3)^2: degree 1 < 2
+        (CommutingTuple(QQ, 2, 2, [c, Matrix.identity(QQ, 2).scale(3)]), {0: q, 1: a}, [a]),
+    ]
+    for t, qs, evaluated in cases:
+        expected = t.maximal_ideal_key()
+        calls.clear()
+        monkeypatch.setattr(modules, "eval_poly_at_matrix", counted)
+        key, g = t._key(qs, random.Random(0))
+        monkeypatch.undo()
+        assert g is None and key == expected and key.residue_degree == 2
+        assert calls == evaluated

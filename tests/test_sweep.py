@@ -4,9 +4,10 @@ rendered as text and compared line by line with a committed golden file.
 It covers F2, F3, F97 and Q, n = 1..3, ten seeds each, dim <= 9, then
 tuples that no single random matrix produces: sums of two points with the
 same coordinate minimal polynomials, plain and in seeded random bases,
-sums of non-cyclic fat points, and single endomorphisms of dim 16..32
+sums of non-cyclic fat points, single endomorphisms of dim 16..32
 made of companion blocks of q^e, with repeated and mixed-degree factors,
-in seeded random bases.  For each tuple it records the K0 class,
+in seeded random bases, and random tuples over Q with n = 2, 3 at
+dim 16..24, where rational entries grow to dozens of digits.  For each tuple it records the K0 class,
 the bases of the primary decomposition, the radical basis and the
 annihilator ideal.  Regenerate the golden file,
 only when an output change is intended, with
@@ -168,6 +169,18 @@ COMPANION_SUMS = [
 ]
 
 
+# (nvars, dim) of the large random tuples over Q
+LARGE_RATIONAL = ((2, 16), (2, 20), (2, 24), (3, 16), (3, 20))
+
+
+def large_rational_tuples():
+    """(label, tuple) for the random tuples over Q past MAX_DIM."""
+    for nvars, dim in LARGE_RATIONAL:
+        rng = random.Random(f"large {QQ!r}/{nvars}/{dim}")
+        t = random_commuting_tuple(QQ, nvars, dim, rng)
+        yield f"{QQ!r} large n={nvars} dim={dim}", t
+
+
 def companion_sums():
     """(label, tuple) for the conjugated companion sums."""
     for field, specs in COMPANION_SUMS:
@@ -190,7 +203,7 @@ def sweep_lines():
         for seed in SEEDS
         for line in tuple_lines(field, nvars, seed)
     ]
-    for label, t in (*extra_tuples(), *companion_sums()):
+    for label, t in (*extra_tuples(), *companion_sums(), *large_rational_tuples()):
         lines += [label] + render(t)
     return lines
 
