@@ -24,7 +24,7 @@ import math
 import random
 from itertools import combinations, count
 
-from .fields import GF, is_prime
+from .fields import is_prime
 from .poly import (
     UniPoly,
     _add,
@@ -33,6 +33,7 @@ from .poly import (
     _div_exact,
     _divmod,
     _gcd,
+    _gcdex,
     _monic,
     _mul,
     _pow_mod,
@@ -41,7 +42,6 @@ from .poly import (
     _squarefree_parts,
     _sub,
     _trim,
-    uni_gcdex,
 )
 
 DEFAULT_SEED = 0
@@ -222,14 +222,6 @@ def _hensel_step(m, f, g, h, s, t):
     return G, H, S, T
 
 
-def _modp_poly(f, p):
-    return UniPoly(GF(p), f)
-
-
-def _sym_int_poly(u, p):
-    return _ztrunc_sym([int(c) for c in u.coeffs], p)
-
-
 def _hensel_lift(p, f, flist, l):
     """Lift monic pairwise-coprime factors of f mod p to factors mod p**l,
     splitting the factor list in two and recursing."""
@@ -241,15 +233,14 @@ def _hensel_lift(p, f, flist, l):
     m = p
     k = r // 2
     steps = max(1, math.ceil(math.log2(l)))
-    gp = _modp_poly([lc], p)
+    gp = [lc % p]
     for fi in flist[:k]:
-        gp = gp * _modp_poly(fi, p)
-    hp = _modp_poly(flist[k][:], p)
-    for fi in flist[k + 1 :]:
-        hp = hp * _modp_poly(fi, p)
-    _, sp, tp = uni_gcdex(gp, hp)
-    g, h = _sym_int_poly(gp, p), _sym_int_poly(hp, p)
-    s, t = _sym_int_poly(sp, p), _sym_int_poly(tp, p)
+        gp = _mul(gp, fi, p)
+    hp = [1]
+    for fi in flist[k:]:
+        hp = _mul(hp, fi, p)
+    _, sp, tp = _gcdex(gp, hp, p)
+    g, h, s, t = (_ztrunc_sym(x, p) for x in (gp, hp, sp, tp))
     for _ in range(steps):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m

@@ -675,27 +675,33 @@ class Echelon:
         return True, None
 
 
-def kernel_basis(m):
-    """Canonical basis of the right null space; dim = cols - rank.
+def _kernel_rows(m):
+    """(K, free): the rows of K are a basis of the right null space, read
+    off one reduced echelon form, and free lists the non-pivot columns.
 
     With R = N/D the reduced echelon form, free column j gives the kernel
-    vector e_j minus column j of R at the pivots; it is taken times D, as
-    D e_j minus column j of N, which is integral over Q."""
+    vector e_j minus column j of R at the pivots, so K is the identity on
+    the free columns: a vector w of the null space is w[free].K.  Over Q,
+    K is D e_j minus column j of N over the denominator D."""
     F = m.field
     p = F.characteristic
     R, pivots = rref(m)
-    num, den = R.to_integers()
     pivset = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivset]
+    num, den = R.to_integers()
     vectors = []
-    for j in range(m.cols):
-        if j in pivset:
-            continue
+    for j in free:
         v = [0] * m.cols
         v[j] = den
         for i, pc in enumerate(pivots):
             v[pc] = -num[i][j] % p if p else -num[i][j]
         vectors.append(v)
-    return Subspace._row_space(Matrix._from_integers(F, vectors, 1, m.cols))
+    return Matrix._from_integers(F, vectors, den, m.cols), free
+
+
+def kernel_basis(m):
+    """Canonical basis of the right null space; dim = cols - rank."""
+    return Subspace._row_space(_kernel_rows(m)[0])
 
 
 def column_space(m):

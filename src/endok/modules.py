@@ -19,11 +19,11 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    _kernel_rows,
     _stack,
     _submatrix,
     charpoly,
     eval_poly_at_matrix,
-    kernel_basis,
     minimal_polynomial,
     rref,
 )
@@ -39,7 +39,7 @@ class Ideal:
     equality of ideals is literal equality of these canonical tuples.
     """
 
-    __slots__ = ("field", "nvars", "gens", "standard_monomials")
+    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_hash")
 
     def __init__(self, field, nvars, gens, standard_monomials):
         gens = tuple(
@@ -57,6 +57,7 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "standard_monomials", std)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -123,7 +124,13 @@ class Ideal:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.nvars, self.gens))
+        # computed on first use and kept: hashing the gens hashes every
+        # coefficient, and a Fraction hash costs a modular inverse
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.nvars, self.gens))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"Ideal({', '.join(self.generator_strings())})"
@@ -272,7 +279,7 @@ class InvariantSubmodule:
     def __init__(self, t, space):
         if space.field != t.field or space.ambient_dim != t.dim:
             raise ValueError("subspace does not live in the module's space")
-        t._submodule_maps(space)
+        t._submodule_maps(space.matrix.transpose(), space.pivots)
         object.__setattr__(self, "parent_dim", t.dim)
         object.__setattr__(self, "space", space)
 
@@ -423,24 +430,26 @@ class CommutingTuple:
                 taken.append(j)
         return taken
 
-    def _submodule_maps(self, sp):
-        """(B, [R_k]) for an echelon subspace, B its basis as columns and R_k
-        the pivot rows of f_k.B.  As w is in the span iff w = sum w[p_i].b_i,
-        B.R_k == f_k.B is exactly invariance under f_k; a failure raises."""
-        B = sp.matrix.transpose()
+    def _submodule_maps(self, B, coords):
+        """The matrices R_k of the f_k on the span of the columns of B, in
+        that basis, for a B whose rows at coords form the identity: an
+        echelon basis with its pivots, or kernel rows with their free
+        columns (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.
+        As w is in the span iff w = B.w[coords], B.R_k == f_k.B is exactly
+        invariance under f_k; a failure raises."""
         rs = []
         for k, m in enumerate(self.mats):
             fb = m @ B
-            r = _submatrix(fb, sp.pivots, range(sp.dim))
+            r = _submatrix(fb, coords, range(B.cols))
             if B @ r != fb:
                 raise ValueError(f"subspace is not invariant under matrix {k}")
             rs.append(r)
-        return B, rs
+        return rs
 
     def restrict(self, s):
         """The induced tuple on an invariant subspace, in its echelon basis."""
         sp = self._as_space(s)
-        _, rs = self._submodule_maps(sp)
+        rs = self._submodule_maps(sp.matrix.transpose(), sp.pivots)
         return CommutingTuple(self.field, self.nvars, sp.dim, rs)
 
     def quotient(self, s):
@@ -448,7 +457,8 @@ class CommutingTuple:
         non-pivot coordinates comp: M acts as M[comp, comp] -
         B[comp, :].M[pivots, comp], with B the submodule's echelon basis."""
         sp = self._as_space(s)
-        B, _ = self._submodule_maps(sp)
+        B = sp.matrix.transpose()
+        self._submodule_maps(B, sp.pivots)
         comp = sp.complement_coords()
         bc = _submatrix(B, comp, range(sp.dim))
         mats = [
@@ -562,29 +572,34 @@ class CommutingTuple:
     # -- primary decomposition ------------------------------------------------
 
     def _local_pieces(self, rng=None):
-        """Split V into local pieces; returns [(submodule, piece, key)]
-        sorted by the canonical key order.
+        """Split V into local pieces; returns [(W, piece, key)] sorted by
+        the canonical key order.  The rows of W span the piece in V's
+        coordinates, and piece is the tuple in the basis of those rows,
+        which is not canonical: the class needs only its dimension and key.
 
-        A work item is (subspace, restricted tuple, qs), where qs maps
-        each generator already known to be primary on the item to the
-        irreducible q_i of its characteristic polynomial; restriction to an
-        invariant subspace keeps it primary, so each generator is factored
-        once per lineage.  The first generator whose characteristic
-        polynomial has two distinct factors splits the item into
-        generalised eigenspaces.  An item on which every generator is
-        primary goes to ``_key``, which keys it by the annihilator of one
-        socle vector and either certifies it local or names an element g
-        whose g(f) splits it further.
+        A work item is (W, t, qs), t the tuple on the span of W's rows in
+        that basis and qs a map from each generator already known to be
+        primary on the item to the irreducible q_i of its characteristic
+        polynomial; restriction to an invariant subspace keeps it primary,
+        so each generator is factored once per lineage.  The first
+        generator whose characteristic polynomial has two distinct factors
+        splits the item into generalised eigenspaces.  Each one is taken
+        as the kernel rows K of ``linalg._kernel_rows``, one elimination:
+        the child is K.W, restricted from t by ``_submodule_maps`` with its
+        invariance checked there.  An item on which every generator is
+        primary goes to ``_key``, which either keys it or names an element
+        g whose g(f) splits it further.  At the end the pieces' dimensions
+        must add up to dim V and the stacked W must have full rank.
         """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
         F, n, d = self.field, self.nvars, self.dim
         if d == 0:
             return []
-        work = [(Subspace.full(F, d), self, {})]
+        work = [(Matrix.identity(F, d), self, {})]
         out = []
         while work:
-            sp, t, qs = work.pop()
+            w, t, qs = work.pop()
             split = None
             for i in range(n):
                 if i in qs:
@@ -597,21 +612,20 @@ class CommutingTuple:
             if split is None:
                 key, g = t._key(qs, rng)
                 if key is not None:
-                    # sp is the whole space, or restrict() checked it when queued
-                    out.append((InvariantSubmodule._checked(d, sp), t, key))
+                    out.append((w, t, key))
                     continue
                 m = eval_poly_at_matrix(g, list(t.mats))
                 split = (m, factor_univariate(charpoly(m), rng), None)
             m, factors, i = split
             for q, v in factors:
-                ker = _generalised_eigenspace(m, q, v)
-                child = Subspace._row_space(ker.matrix @ sp.matrix)
+                ker, free = _generalised_eigenspace(m, q, v)
+                rs = t._submodule_maps(ker.transpose(), free)
+                child = CommutingTuple(F, n, ker.rows, rs)
                 child_qs = dict(qs) if i is None else {**qs, i: q}
-                work.append((child, self.restrict(child), child_qs))
-        if sum(sub.dim for sub, _, _ in out) != d:
+                work.append((ker @ w, child, child_qs))
+        if sum(w.rows for w, _, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
-        stacked = Subspace._row_space(_stack([sub.space.matrix for sub, _, _ in out]))
-        if stacked.dim != d:
+        if len(rref(_stack([w for w, _, _ in out]))[1]) != d:
             raise RuntimeError("primary decomposition pieces are not independent")
         out.sort(key=lambda item: item[2].sort_key())
         return out
@@ -619,8 +633,13 @@ class CommutingTuple:
     def primary_decomposition(self, rng=None):
         """V as a direct sum of pieces, each local at one maximal ideal:
         on every piece each f_i acts with irreducible-power characteristic
-        polynomial.  Pieces come back in canonical key order."""
-        return [(sub, piece) for sub, piece, _ in self._local_pieces(rng)]
+        polynomial.  Pieces come back in canonical key order, each as its
+        submodule and the tuple restricted to it in its echelon basis."""
+        out = []
+        for w, _, _ in self._local_pieces(rng):
+            sp = Subspace._row_space(w)
+            out.append((InvariantSubmodule._checked(self.dim, sp), self.restrict(sp)))
+        return out
 
     def maximal_ideal_key(self, rng=None):
         """The key of a local tuple, the one-piece case of the primary
@@ -637,24 +656,45 @@ class CommutingTuple:
         power of the irreducible qs[i]: (key, None) when it is local, or
         (None, g) when it is not, with g(f) splitting it.
 
-        Soc, the intersection of the ker q_i(f_i), is the socle: the
-        q_i(t_i) generate the Jacobson radical (Seidenberg; both fields are
-        perfect).  It has the support of V, and M = Ann(s) for its first
-        basis vector s is the intersection of the maximal ideals at which s
-        has a component.  Each k[t_i]/(q_i) embeds in every residue field,
-        so dim k[T]/M = max deg q_i leaves room for one; otherwise a
-        separating element of k[T]/M decides, and when M is not maximal it
-        splits k[T].s, a submodule of V.  A maximal M is the only point of
-        V iff it kills Soc: a generator g of M with g(f).Soc != 0 is
-        nilpotent on the piece at M and a unit on another, so g(f) splits
-        V.  On a local V, M = Ann(V/Jac.V)."""
-        F, d = self.field, self.dim
+        Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
+        support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
+        q_i(t_i) kills V and M is prime.  When at most one q_j has degree
+        above 1, the others are t_i - a_i and k[T]/I = k[t_j]/(q_j) is a
+        field; I is maximal, so M = I and V is local at I.  Its reduced
+        graded-lex basis is the q_i(t_i) themselves (pairwise coprime
+        leading monomials, and no other term divisible by a leading
+        monomial), with the t_j^k, k < deg q_j, as standard monomials; no
+        linear algebra runs.
+
+        Otherwise the socle Soc, the intersection of the ker q_i(f_i), is
+        taken as kernel rows: the q_i(t_i) generate the Jacobson radical
+        (Seidenberg; both fields are perfect).  It has the support of V,
+        and M = Ann(s) for its first basis vector s is the intersection of
+        the maximal ideals at which s has a component; on a local V that
+        is the one maximal ideal, whichever nonzero s it is.  Each
+        k[t_i]/(q_i) embeds in every residue field, so dim k[T]/M =
+        max deg q_i leaves room for one; otherwise a separating element of
+        k[T]/M decides, and when M is not maximal it splits k[T].s, a
+        submodule of V.  A maximal M is the only point of V iff it kills
+        Soc: a generator g of M with g(f).Soc != 0 is nilpotent on the
+        piece at M and a unit on another, so g(f) splits V."""
+        F, n, d = self.field, self.nvars, self.dim
+        wide = [i for i, q in qs.items() if q.degree > 1]
+        if len(wide) <= 1:
+            j = wide[0] if wide else 0
+            gens = [MultiPoly.from_unipoly(q, n, i) for i, q in qs.items()]
+            std = [
+                tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)
+            ]
+            return _local_key(Ideal(F, n, gens, std), d)
         # q_i(f_i) = 0 by Cayley-Hamilton when deg q_i = d
         parts = [
             eval_poly_at_matrix(q, [self.mats[i]]) for i, q in qs.items() if q.degree < d
         ]
-        soc = kernel_basis(_stack(parts)) if parts else Subspace.full(F, d)
-        basis = soc.matrix.transpose()
+        if parts:
+            basis = _kernel_rows(_stack(parts))[0].transpose()
+        else:
+            basis = Matrix.identity(F, d)
         ideal = self._annihilator(_submatrix(basis, range(d), [0]))
         rd = ideal.quotient_dim
         if rd != max(q.degree for q in qs.values()):
@@ -664,25 +704,32 @@ class CommutingTuple:
             g, factors = found
             if len(factors) >= 2:
                 return None, g
-        if soc.dim > rd:
+        if basis.cols > rd:
             for g in ideal.gens:
                 if not (eval_poly_at_matrix(g, list(self.mats)) @ basis).is_zero:
                     return None, g
         # local: Soc is a vector space over the residue field k[T]/M
-        if soc.dim % rd:
-            raise RuntimeError(
-                "socle dimension is not a multiple of the residue degree"
-            )
-        return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
+        return _local_key(ideal, basis.cols)
+
+
+def _local_key(ideal, dim):
+    """(the shared key of a maximal ideal, None), once dim, the dimension
+    of a vector space over its residue field, is checked to be a multiple
+    of the residue degree."""
+    rd = ideal.quotient_dim
+    if dim % rd:
+        raise RuntimeError("dimension is not a multiple of the residue degree")
+    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
 
 
 def _generalised_eigenspace(m, q, v):
     """ker q(m)^v for an irreducible q with q^v exactly dividing the
-    characteristic polynomial of m; its dimension is deg q * v."""
-    ker = kernel_basis(eval_poly_at_matrix(q, [m]).pow(v))
-    if ker.dim != q.degree * v:
+    characteristic polynomial of m, as ``linalg._kernel_rows``; its
+    dimension is deg q * v."""
+    ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
+    if ker.rows != q.degree * v:
         raise RuntimeError(
-            f"generalised eigenspace of {q} has dimension {ker.dim}, "
+            f"generalised eigenspace of {q} has dimension {ker.rows}, "
             f"expected {q.degree * v}"
         )
-    return ker
+    return ker, free

@@ -256,6 +256,24 @@ def _gcd(f, g, p):
     return f
 
 
+def _gcdex(f, g, p):
+    """Extended Euclid over F_p, or over Q on Fractions (p = 0): (d, s, t)
+    with s*f + t*g = d and d the monic gcd of f and g, not both zero."""
+    one = [1] if p else [Fraction(1)]
+    old_r, r = list(f), list(g)
+    old_s, s = one, []
+    old_t, t = [], one
+    while r:
+        q, rem = _divmod(old_r, r, p)
+        old_r, r = r, rem
+        old_s, s = s, _sub(old_s, _mul(q, s, p), p)
+        old_t, t = t, _sub(old_t, _mul(q, t, p), p)
+    if not old_r:
+        raise ValueError("gcd(0, 0) is undefined")
+    c = _inverse(old_r[-1], p)
+    return _scale(old_r, c, p), _scale(old_s, c, p), _scale(old_t, c, p)
+
+
 def _quo(f, g, p):
     """The quotient of f by a g that divides it, over F_p or Z."""
     return _divmod(f, g, p)[0] if p else _div_exact(f, g)
@@ -519,19 +537,12 @@ def uni_lcm(f, g):
 
 def uni_gcdex(f, g):
     """Extended Euclid: returns (d, s, t) with s*f + t*g = d, d monic."""
+    f._check(g)
     F = f.field
-    old_r, r = f, g
-    old_s, s = UniPoly.one(F), UniPoly.zero(F)
-    old_t, t = UniPoly.zero(F), UniPoly.one(F)
-    while not r.is_zero:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    c = F.inv(old_r.lc)
-    return old_r.scale(c), old_s.scale(c), old_t.scale(c)
+    return tuple(
+        UniPoly._from_canonical(F, x)
+        for x in _gcdex(f.coeffs, g.coeffs, F.characteristic)
+    )
 
 
 def pow_mod(base, e, modulus):

@@ -195,7 +195,8 @@ def test_single_endomorphism_builds_no_pieces(monkeypatch):
         raise AssertionError("the n = 1 class built a piece or a kernel")
 
     monkeypatch.setattr(CommutingTuple, "_local_pieces", forbidden)
-    monkeypatch.setattr(modules, "kernel_basis", forbidden)
+    monkeypatch.setattr(modules, "_kernel_rows", forbidden)
+    monkeypatch.setattr(linalg, "_kernel_rows", forbidden)
     monkeypatch.setattr(linalg, "kernel_basis", forbidden)
     assert [k0_class(t).lines() for t in cases] == expected
 

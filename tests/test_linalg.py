@@ -764,3 +764,28 @@ def test_generated_submodule_matches_plain_closure(field, nvars, dim, count, see
     t = random_commuting_tuple(field, nvars, dim, rng)
     vectors = [random_vector(field, dim, rng) for _ in range(count)]
     assert t.generated_submodule(vectors).space == plain_closure(t, vectors)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(echelon_sequences())
+@example((GF(97), 4, [(1, 2, 0, 3), (2, 4, 0, 6)]))
+@example((QQ, 3, [(2, 1, 0), (0, 3, 1)]))
+@example((QQ, 2, [(0, 0)]))
+def test_kernel_rows_match_plain_loop(case):
+    # one row per free column j: e_j minus column j of the reduced
+    # echelon form at the pivots, in every field's integer form
+    field, width, vectors = case
+    m = Matrix(field, vectors, cols=width)
+    K, free = linalg._kernel_rows(m)
+    R, pivots = rref(m)
+    assert free == [j for j in range(width) if j not in pivots]
+    expected = []
+    for j in free:
+        v = [field.zero] * width
+        v[j] = field.one
+        for i, c in enumerate(pivots):
+            v[c] = field.neg(R.entries[i][j])
+        expected.append(tuple(v))
+    assert (K.rows, K.cols) == (len(free), width)
+    assert K.entries == tuple(expected)
+    assert (m @ K.transpose()).is_zero

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -321,6 +322,29 @@ def test_ideal_from_groebner_basis_roundtrip():
             assert rebuilt.standard_monomials == ideal.standard_monomials
 
 
+def test_equal_ideals_built_apart_hash_equal():
+    # the annihilator of (C, 3C) for C the companion matrix of t^2 - 2,
+    # and the same reduced basis written by hand
+    c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
+    found = CommutingTuple(QQ, 2, 2, [c, c.scale(3)]).annihilator_ideal()
+    written = Ideal.from_groebner_basis(
+        QQ,
+        2,
+        [
+            MultiPoly(QQ, 2, {(1, 0): 1, (0, 1): Fraction(-1, 3)}),
+            MultiPoly(QQ, 2, {(0, 2): 1, (0, 0): -18}),
+        ],
+    )
+    assert found == written
+    assert hash(found) == hash(written) == hash(written)
+    assert {found: 1}[written] == 1
+    assert hash(written) == hash((QQ, 2, written.gens))
+    for name in ("gens", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(written, name, None)
+    assert hash(written) == hash(found)
+
+
 def test_ideal_requires_zero_dimensionality():
     x1 = MultiPoly.variable(QQ, 2, 0)
     with pytest.raises(ValueError, match="zero-dimensional"):
@@ -391,15 +415,21 @@ def test_primary_decomposition_checks_each_piece_once(monkeypatch):
     checked = []
     maps = CommutingTuple._submodule_maps
 
-    def counting(self, sp):
+    def counting(self, B, coords):
         if self is t:
-            checked.append(sp)
-        return maps(self, sp)
+            checked.append(Subspace._row_space(B.transpose()))
+        return maps(self, B, coords)
 
     monkeypatch.setattr(CommutingTuple, "_submodule_maps", counting)
-    pieces = t.primary_decomposition()
+    pieces = t._local_pieces()
     # one split into two pieces, and one invariance check for each
-    assert len(checked) == 2 and set(checked) == {s.space for s, _ in pieces}
+    assert len(checked) == 2
+    assert set(checked) == {Subspace._row_space(w) for w, _, _ in pieces}
+    # primary_decomposition checks each piece once more, as it restricts
+    # to the canonical basis it returns
+    checked.clear()
+    pieces = t.primary_decomposition()
+    assert len(checked) == 4 and set(checked) == {s.space for s, _ in pieces}
 
 
 def test_equal_keys_share_one_object():

@@ -16,6 +16,7 @@ from endok.poly import (
     _div_exact,
     _divmod,
     _gcd,
+    _gcdex,
     _mul,
     _pow_mod,
     _squarefree,
@@ -480,3 +481,31 @@ def test_coefficient_list_helpers_match_plain_loops(case):
         assert product == monic
         for (h1, _), (h2, _) in combinations(parts, 2):
             assert plain_gcd(h1, h2, p) == [1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(helper_cases())
+@example((97, [3, 0, 5], [], 1))  # gcd with zero
+@example((2, [1, 0, 1], [1, 1], 1))  # common factor t + 1
+@example((2**61 - 1, [5, 2**61 - 2, 7], [2**61 - 2, 3], 1))
+@example((0, [2, 2], [4, 4], 1))  # non-monic equal up to a unit
+@example((0, [], [-2, 1], 1))
+def test_gcdex_on_coefficient_lists(case):
+    # s*f + t*g = d with d the monic gcd, over F_p and over Q on
+    # Fractions; uni_gcdex returns the same three polynomials
+    p, f, g, _ = case
+    field = GF(p) if p else QQ
+    if not p:
+        f, g = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    if not f and not g:
+        with pytest.raises(ValueError):
+            _gcdex(f, g, p)
+        return
+    d, s, t = _gcdex(f, g, p)
+    assert _add(_mul(s, f, p), _mul(t, g, p), p) == d
+    assert d[-1] == 1
+    assert UniPoly(field, d) == uni_gcd(UniPoly(field, f), UniPoly(field, g))
+    if not p:
+        assert all(type(c) is Fraction for c in d + s + t)
+    expected = tuple(UniPoly(field, x) for x in (d, s, t))
+    assert uni_gcdex(UniPoly(field, f), UniPoly(field, g)) == expected

@@ -13,13 +13,25 @@ class fixed by the construction otherwise.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import endok.modules as modules
 from conftest import conjugate, fat_point, tensor, twisted_points
+from endok import _kernels
 from endok.bruteforce import k0_class_oracle, random_commuting_tuple
+from endok.factor import factor_univariate
 from endok.fields import GF, QQ
 from endok.ktheory import compare_splittings, k0_class
-from endok.linalg import Matrix, eval_poly_at_matrix
+from endok.linalg import (
+    Matrix,
+    Subspace,
+    _stack,
+    _submatrix,
+    charpoly,
+    eval_poly_at_matrix,
+    kernel_basis,
+)
 from endok.modules import CommutingTuple, quotient_is_field
 from endok.poly import UniPoly
 
@@ -294,7 +306,7 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     minpolys, charpolys, factor_calls, restricts = [], [], [], []
     original_charpoly = modules.charpoly
     original_factor = modules.factor_univariate
-    original_restrict = CommutingTuple.restrict
+    original_maps = CommutingTuple._submodule_maps
 
     def recording_charpoly(m):
         charpolys.append(m)  # keeps m alive, so ids stay unique
@@ -304,14 +316,14 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         factor_calls.append(f)
         return original_factor(f, rng)
 
-    def counting_restrict(self, s):
-        restricts.append(s)
-        return original_restrict(self, s)
+    def counting_maps(self, B, coords):
+        restricts.append(coords)
+        return original_maps(self, B, coords)
 
     monkeypatch.setattr(modules, "minimal_polynomial", minpolys.append)
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
-    monkeypatch.setattr(CommutingTuple, "restrict", counting_restrict)
+    monkeypatch.setattr(CommutingTuple, "_submodule_maps", counting_maps)
 
     cls = k0_class(t, random.Random(0))
     assert bookkeeping(cls) == t.dim and len(cls.items()) >= 2
@@ -319,8 +331,9 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     # each factorization is of a distinct matrix's characteristic polynomial
     assert len(factor_calls) == len(charpolys)
     assert len({id(m) for m in charpolys}) == len(charpolys)
-    # one work item per restriction plus the root; children inherit the
-    # split generator, so fewer than n factorizations per item
+    # one work item per child restriction of the split plus the root;
+    # children inherit the split generator, so fewer than n factorizations
+    # per item
     work_items = len(restricts) + 1
     assert len(factor_calls) < t.nvars * work_items
 
@@ -364,14 +377,16 @@ def test_key_skips_cayley_hamilton_zeros(monkeypatch):
         calls.append(q)
         return original(q, ms)
 
+    # two q_i of degree 2 keep the key on the annihilator path
     q = UniPoly(QQ, [-2, 0, 1])
+    q3 = UniPoly(QQ, [-18, 0, 1])
     c = Matrix.companion(q)
-    a = UniPoly(QQ, [-3, 1])
+    cc = Matrix.block_diag(QQ, [c, c])
     cases = [
         # 3C has characteristic polynomial t^2 - 18, irreducible
-        (CommutingTuple(QQ, 2, 2, [c, c.scale(3)]), {0: q, 1: UniPoly(QQ, [-18, 0, 1])}, []),
-        # 3 I has characteristic polynomial (t - 3)^2: degree 1 < 2
-        (CommutingTuple(QQ, 2, 2, [c, Matrix.identity(QQ, 2).scale(3)]), {0: q, 1: a}, [a]),
+        (CommutingTuple(QQ, 2, 2, [c, c.scale(3)]), {0: q, 1: q3}, []),
+        # on C + C both q_i have degree 2 < 4, so both are evaluated
+        (CommutingTuple(QQ, 2, 4, [cc, cc.scale(3)]), {0: q, 1: q3}, [q, q3]),
     ]
     for t, qs, evaluated in cases:
         expected = t.maximal_ideal_key()
@@ -380,4 +395,142 @@ def test_key_skips_cayley_hamilton_zeros(monkeypatch):
         key, g = t._key(qs, random.Random(0))
         monkeypatch.undo()
         assert g is None and key == expected and key.residue_degree == 2
-        assert calls == evaluated
+        # the q_i(f_i) evaluated; the socle check then evaluates M's
+        # generators, which are multivariate
+        assert [q for q in calls if isinstance(q, UniPoly)] == evaluated
+
+
+# -- pieces in kernel bases, and keys read off (q_1(t_1), .., q_n(t_n)) ---------
+
+KEY_FIELDS = [F2, F3, F97, QQ]
+
+
+def one_wide_point(field, nvars, rng):
+    """A point whose first coordinate is the companion matrix of an
+    irreducible quadratic and whose others are scalars, tensored with a
+    fat point: one q_i of degree 2, the rest linear, and a socle wider
+    than the residue field."""
+    q = {F2: [1, 1, 1], F3: [1, 0, 1], F97: [92, 0, 1], QQ: [-2, 0, 1]}[field]
+    c = Matrix.companion(UniPoly(field, q))
+    one = Matrix.identity(field, 2)
+    mats = [c] + [one.scale(rng.randint(0, 5)) for _ in range(nvars - 1)]
+    return tensor(CommutingTuple(field, nvars, 2, mats), fat_point(field, nvars, 2))
+
+
+@st.composite
+def key_cases(draw):
+    """(tuple, wide): a seeded random tuple, or (wide) a point with one
+    wide coordinate in a seeded random basis."""
+    field = draw(st.sampled_from(KEY_FIELDS))
+    nvars = draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        return random_commuting_tuple(field, nvars, draw(st.integers(1, 6)), rng), False
+    return conjugate(one_wide_point(field, nvars, rng), rng), True
+
+
+def primary_qs(piece):
+    """The irreducible q_i of each generator's characteristic polynomial
+    on a piece where every generator is primary."""
+    qs = {}
+    for i, m in enumerate(piece.mats):
+        factors = factor_univariate(charpoly(m))
+        assert len(factors) == 1
+        qs[i] = factors[0][0]
+    return qs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(key_cases())
+def test_shortcut_key_matches_socle_annihilator(case):
+    # with at most one q_i of degree above 1, (q_1(t_1), .., q_n(t_n)) is
+    # the key; it equals the annihilator of a canonical socle vector, and
+    # _key finds it without an annihilator or a matrix evaluation
+    t, wide = case
+    shortcuts = 0
+    for _, piece, key in t._local_pieces(random.Random(0)):
+        qs = primary_qs(piece)
+        if sum(q.degree > 1 for q in qs.values()) > 1:
+            continue
+        parts = [eval_poly_at_matrix(q, [piece.mats[i]]) for i, q in qs.items()]
+        soc = kernel_basis(_stack(parts))
+        s = _submatrix(soc.matrix.transpose(), range(piece.dim), [0])
+        assert piece._annihilator(s) == key.ideal
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CommutingTuple, "_annihilator", lambda *a: calls.append(a))
+            patch.setattr(modules, "eval_poly_at_matrix", lambda *a: calls.append(a))
+            shortcut, g = piece._key(qs, random.Random(0))
+        assert calls == [] and g is None and shortcut is key
+        shortcuts += 1
+    assert shortcuts or not wide
+
+
+def test_twisted_points_take_the_annihilator_path(monkeypatch):
+    # two q_i of degree 2: (q_1(t_1), q_2(t_2)) is not maximal, so the key
+    # runs Buchberger-Moller, which finds two points and splits
+    starts = []
+    original = CommutingTuple._annihilator
+
+    def recording(self, start):
+        starts.append(start)
+        return original(self, start)
+
+    monkeypatch.setattr(CommutingTuple, "_annihilator", recording)
+    for q in (
+        UniPoly(F2, [1, 1, 1]),
+        UniPoly(F3, [1, 0, 1]),
+        UniPoly(F97, [92, 0, 1]),
+        UniPoly(QQ, [-2, 0, 1]),
+    ):
+        rng = random.Random(39)
+        for _ in range(3):
+            points = twisted_points(q, rng)
+            if points[0].mats[1] == points[1].mats[1]:
+                continue  # g constant: one point, and f_2 has a linear q
+            t = conjugate(CommutingTuple.direct_sum(*points), rng)
+            starts.clear()
+            pieces = t._local_pieces(random.Random(0))
+            assert starts
+            assert len(pieces) == 2 and [w.rows for w, _, _ in pieces] == [2, 2]
+            assert k0_class(t) == k0_class(points[0]) + k0_class(points[1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(key_cases())
+def test_local_pieces_match_primary_decomposition(case):
+    # each W spans the canonical piece that primary_decomposition returns,
+    # the piece is the tuple in the basis of W's rows, and each generator
+    # has the characteristic polynomial of its canonical restriction
+    t, _ = case
+    pieces = t._local_pieces(random.Random(0))
+    canonical = t.primary_decomposition(random.Random(0))
+    assert len(pieces) == len(canonical)
+    for (w, piece, _), (sub, restricted) in zip(pieces, canonical):
+        assert Subspace._row_space(w) == sub.space
+        assert w.rows == piece.dim == sub.dim
+        for f, m, r in zip(t.mats, piece.mats, restricted.mats):
+            assert f @ w.transpose() == w.transpose() @ m
+            assert charpoly(m) == charpoly(r)
+
+
+def test_elimination_count_on_a_fixed_tuple(monkeypatch):
+    # one elimination per split child and one of the stacked pieces; the
+    # keys of this tuple's pieces need none
+    calls = []
+    original = _kernels.rref_mod
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+
+    rng = random.Random(40)
+    t = CommutingTuple.direct_sum(
+        random_commuting_tuple(F97, 3, 6, rng, block_split=False),
+        random_commuting_tuple(F97, 3, 7, rng, block_split=False),
+        random_commuting_tuple(F97, 3, 5, rng, block_split=False),
+    )
+    monkeypatch.setattr(_kernels, "rref_mod", counted)
+    cls = k0_class(t, random.Random(0))
+    assert bookkeeping(cls) == 18 and len(cls.items()) == 7
+    assert len(calls) == 8
