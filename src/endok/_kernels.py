@@ -1,8 +1,9 @@
-"""Mod-p dense linear-algebra kernels on int64 residue arrays.
+"""Mod-p dense linear-algebra kernels on numpy residue arrays.
 
-The kernels are exact.  They work on int64 residues in [0, p) and reduce
-eagerly; :mod:`endok.linalg` only dispatches here for p below
-``PRIME_LIMIT`` so that no intermediate product can overflow 63 bits.
+The kernels are exact.  They work on residues in [0, p) and reduce
+eagerly.  ``dtype(p)`` picks the array type: int64 below ``PRIME_LIMIT``,
+where a sum of up to 2^23 products of two residues stays below 2^63, and
+``object`` (exact Python integers) from there up to the 2^63 bound on p.
 """
 
 import numpy as np
@@ -13,16 +14,21 @@ PRIME_LIMIT = 1 << 20
 BACKEND = "numpy"
 
 
+def dtype(p):
+    """The numpy dtype of residue arrays mod p."""
+    return np.int64 if p < PRIME_LIMIT else object
+
+
 def matmul_mod(a, b, p):
     return (a @ b) % p
 
 
 def rref_mod(a, p):
-    """Reduced row echelon form of an int64 residue matrix.
+    """Reduced row echelon form of a residue matrix, in its dtype.
 
     Returns (rref array, list of pivot columns).
     """
-    a = np.array(a, dtype=np.int64) % p
+    a = a % p
     rows, cols = a.shape
     pivots = []
     r = 0

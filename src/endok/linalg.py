@@ -1,14 +1,15 @@
 """Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
-Matrices are immutable, and each field keeps them in one integer form
-between operations; ``entries``, the row tuples of raw field scalars, is
-built from that form when first asked for and kept.
+Matrices are immutable, and each field keeps them in one integer form,
+built with the matrix; ``entries``, the row tuples of raw field scalars,
+is the input rows where the matrix was built from rows, and otherwise is
+read off that form when first asked for and kept.
 
-Over prime fields small enough for int64 arithmetic a matrix is an int64
-residue array: products and row reduction run in :mod:`endok._kernels`,
-and sums, differences, negation, scaling and submatrices are numpy
-operations with one reduction mod p.  Over larger primes a product entry
-is one Python integer dot product reduced mod p once.
+Over F_p a matrix is a read-only numpy residue array, of int64 for p below
+``_kernels.PRIME_LIMIT`` and of exact Python integers (dtype ``object``)
+above it: products and row reduction run in :mod:`endok._kernels`, and
+sums, differences, negation, scaling and submatrices are numpy operations
+with one reduction mod p.
 
 Over Q a matrix is N/D: row tuples N of integer numerators over one
 positive denominator D, with gcd(content(N), D) = 1, which makes the form
@@ -22,8 +23,7 @@ primes just below 2^61, combined by the Chinese remainder theorem until
 their product passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the
 coefficients of chi_N for R the largest Euclidean row norm of N.
 ``Fraction``s appear only in ``entries`` and in results that are field
-scalars.  A matrix built from rows of Fractions (or of residues) converts
-to its integer form once, on its first integer operation, and keeps it.
+scalars.
 
 Scalars are coerced once, where they enter: the public ``Matrix`` and
 ``Subspace`` constructors coerce and check their input, while matrices
@@ -44,18 +44,12 @@ from .fields import is_prime
 from .poly import MultiPoly, UniPoly, _cleared, _primitive, uni_lcm
 
 
-def _arrays_enabled(field):
-    return field.is_prime_field and field.characteristic < _kernels.PRIME_LIMIT
-
-
 class Matrix:
     """Immutable dense matrix over an exact field.
 
-    A matrix holds its entries as row tuples of raw scalars, or, in its
-    field's integer form, as the read-only int64 array an operation
-    produced (F_p with arrays enabled) or as integer numerators over one
-    denominator (Q); each form is built from the other at most once, when
-    it is first asked for, and then kept.
+    A matrix holds its field's integer form from the moment it is built:
+    a read-only residue array over F_p, integer numerators over one
+    denominator over Q.  ``entries`` is a cached view of that form.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_array", "_num", "_den")
@@ -70,7 +64,7 @@ class Matrix:
                 raise ValueError(f"expected {cols} columns, found {width}")
         else:
             width = cols or 0
-        _init(self, field, len(grid), width, entries=grid)
+        _init_rows(self, field, grid, width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -79,12 +73,12 @@ class Matrix:
     def _from_canonical(cls, field, grid, cols):
         """A matrix over rows of canonical scalars, all of length cols,
         taken as they are: no coercion and no shape check."""
-        return _init(object.__new__(cls), field, len(grid), cols, entries=tuple(map(tuple, grid)))
+        return _init_rows(object.__new__(cls), field, tuple(map(tuple, grid)), cols)
 
     @classmethod
     def _from_array(cls, field, arr):
-        """A matrix over a 2-d int64 array of residues mod p, which it
-        keeps, made read-only; no copy and no reduction."""
+        """A matrix over a 2-d array of residues mod p in the field's
+        dtype, which it keeps, made read-only; no copy and no reduction."""
         arr.flags.writeable = False
         return _init(object.__new__(cls), field, *arr.shape, array=arr)
 
@@ -105,10 +99,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
+        p = field.characteristic
+        if p:
+            return cls._from_array(field, np.zeros((rows, cols), _kernels.dtype(p)))
         return cls._from_integers(field, [(0,) * cols] * rows, 1, cols)
 
     @classmethod
     def identity(cls, field, d):
+        p = field.characteristic
+        if p:
+            return cls._from_array(field, np.eye(d, dtype=_kernels.dtype(p)))
         grid = [[int(i == j) for j in range(d)] for i in range(d)]
         return cls._from_integers(field, grid, 1, d)
 
@@ -154,7 +154,7 @@ class Matrix:
         """Row tuples of raw scalars (Python ints over F_p, Fractions over Q)."""
         grid = self._entries
         if grid is None:
-            if self._array is not None:
+            if self.field.characteristic:
                 grid = tuple(map(tuple, self._array.tolist()))
             else:
                 den = self._den
@@ -164,36 +164,23 @@ class Matrix:
 
     @property
     def is_zero(self):
-        if self._array is not None:
+        if self.field.characteristic:
             return not self._array.any()
-        if self._num is not None:
-            return not any(map(any, self._num))
-        return not any(map(any, self.entries))
+        return not any(map(any, self._num))
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
     def to_array(self):
-        """The entries as a read-only int64 array, built once and kept."""
-        arr = self._array
-        if arr is None:
-            arr = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-        return arr
+        """Over F_p, the read-only residue array the matrix holds."""
+        return self._array
 
     def to_integers(self):
         """(rows, den): over Q the canonical integer form, row tuples of
-        numerators over one positive denominator, built once and kept;
-        over F_p the residue rows over 1."""
+        numerators over one positive denominator; over F_p the residue
+        rows over 1."""
         if self.field.characteristic:
             return self.entries, 1
-        if self._num is None:
-            nums, den = _cleared([x for row in self._entries for x in row])
-            c = self.cols
-            num = tuple(tuple(nums[i * c : i * c + c]) for i in range(self.rows))
-            object.__setattr__(self, "_num", num)
-            object.__setattr__(self, "_den", den)
         return self._num, self._den
 
     # -- arithmetic ----------------------------------------------------------
@@ -213,12 +200,8 @@ class Matrix:
         self._check_shape(other)
         F = self.field
         p = F.characteristic
-        if _arrays_enabled(F):
-            return Matrix._from_array(F, (self.to_array() + other.to_array()) % p)
         if p:
-            pairs = zip(self.entries, other.entries)
-            grid = [[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in pairs]
-            return Matrix._from_canonical(F, grid, self.cols)
+            return Matrix._from_array(F, (self._array + other._array) % p)
         (a, da), (b, db) = self.to_integers(), other.to_integers()
         if da == db:
             grid = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
@@ -232,18 +215,16 @@ class Matrix:
     def __sub__(self, other):
         self._check_shape(other)
         F = self.field
-        if _arrays_enabled(F):
-            return Matrix._from_array(F, (self.to_array() - other.to_array()) % F.characteristic)
+        p = F.characteristic
+        if p:
+            return Matrix._from_array(F, (self._array - other._array) % p)
         return self + (-other)
 
     def __neg__(self):
         F = self.field
         p = F.characteristic
-        if _arrays_enabled(F):
-            return Matrix._from_array(F, -self.to_array() % p)
         if p:
-            grid = [[-x % p for x in row] for row in self.entries]
-            return Matrix._from_canonical(F, grid, self.cols)
+            return Matrix._from_array(F, -self._array % p)
         num, den = self.to_integers()
         return Matrix._from_integers(F, [[-x for x in row] for row in num], den, self.cols)
 
@@ -251,11 +232,8 @@ class Matrix:
         F = self.field
         c = F.coerce(c)
         p = F.characteristic
-        if _arrays_enabled(F):
-            return Matrix._from_array(F, self.to_array() * c % p)
         if p:
-            grid = [[c * x % p for x in row] for row in self.entries]
-            return Matrix._from_canonical(F, grid, self.cols)
+            return Matrix._from_array(F, self._array * c % p)
         num, den = self.to_integers()
         a = c.numerator
         grid = [[a * x for x in row] for row in num]
@@ -272,15 +250,11 @@ class Matrix:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(F, self.rows, other.cols)
         p = F.characteristic
-        if _arrays_enabled(F):
-            out = _kernels.matmul_mod(self.to_array(), other.to_array(), p)
-            return Matrix._from_array(F, out)
+        if p:
+            return Matrix._from_array(F, _kernels.matmul_mod(self._array, other._array, p))
         (a, da), (b, db) = self.to_integers(), other.to_integers()
         cols = list(zip(*b))
-        if p:
-            grid = [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-        else:
-            grid = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        grid = [[sum(map(mul, row, col)) for col in cols] for row in a]
         return Matrix._from_integers(F, grid, da * db, other.cols)
 
     def mul_vec(self, v):
@@ -315,7 +289,7 @@ class Matrix:
     def transpose(self):
         """The transpose, in the same integer form."""
         F = self.field
-        if self._array is not None:
+        if F.characteristic:
             return Matrix._from_array(F, self._array.T.copy())
         num, den = self.to_integers()
         grid = list(zip(*num)) if self.rows else [()] * self.cols
@@ -328,10 +302,8 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self._array is not None and other._array is not None:
-            return np.array_equal(self._array, other._array)
         if self.field.characteristic:
-            return self.entries == other.entries
+            return np.array_equal(self._array, other._array)
         return self.to_integers() == other.to_integers()
 
     def __hash__(self):
@@ -364,9 +336,24 @@ def _init(m, field, rows, cols, entries=None, array=None, num=None, den=1):
     return m
 
 
+def _init_rows(m, field, grid, cols):
+    """Fill a new matrix from row tuples of canonical scalars, all of
+    length cols: they are kept as its entries, and its field's integer
+    form is built from them; returns it."""
+    rows = len(grid)
+    p = field.characteristic
+    if p:
+        arr = np.array(grid, dtype=_kernels.dtype(p)).reshape(rows, cols)
+        arr.flags.writeable = False
+        return _init(m, field, rows, cols, entries=grid, array=arr)
+    nums, den = _cleared(list(chain.from_iterable(grid)))
+    num = tuple(tuple(nums[i * cols : i * cols + cols]) for i in range(rows))
+    return _init(m, field, rows, cols, entries=grid, num=num, den=den)
+
+
 def _submatrix(m, rows, cols):
     """The block of m on the given row and column indices."""
-    if m._array is not None:
+    if m.field.characteristic:
         return Matrix._from_array(m.field, m._array.take(rows, 0).take(cols, 1))
     num, den = m.to_integers()
     grid = [[row[j] for j in cols] for row in map(num.__getitem__, rows)]
@@ -376,8 +363,8 @@ def _submatrix(m, rows, cols):
 def _stack(mats):
     """The matrices, all with the same columns, one above the other."""
     F, cols = mats[0].field, mats[0].cols
-    if _arrays_enabled(F):
-        return Matrix._from_array(F, np.concatenate([m.to_array() for m in mats]))
+    if F.characteristic:
+        return Matrix._from_array(F, np.concatenate([m._array for m in mats]))
     forms = [m.to_integers() for m in mats]
     den = lcm(*(d for _, d in forms))
     grid = [[x * (den // d) for x in row] for num, d in forms for row in num]
@@ -423,45 +410,23 @@ def _integer_echelon(grid):
 
 
 def rref(m):
-    """Reduced row echelon form by exact Gauss-Jordan.
-
-    Returns (R, pivots); R is canonical whichever implementation runs.
-    """
+    """Reduced row echelon form by exact Gauss-Jordan: on the residue
+    array in ``_kernels.rref_mod`` over F_p, on primitive integer rows
+    over Q.  Returns (R, pivots)."""
     F = m.field
     if not (m.rows and m.cols):
         return m, []
     p = F.characteristic
-    if _arrays_enabled(F):
-        arr, pivots = _kernels.rref_mod(m.to_array(), p)
+    if p:
+        arr, pivots = _kernels.rref_mod(m._array, p)
         return Matrix._from_array(F, arr), list(pivots)
-    if not p:
-        rows, pivots = _integer_echelon(m.to_integers()[0])
-        # row r of R is rows[r] over its pivot entry: one denominator for all
-        den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
-        for r, c in enumerate(pivots):
-            s = den // rows[r][c]
-            rows[r] = [s * x for x in rows[r]]
-        return Matrix._from_integers(F, rows, den, m.cols), pivots
-    grid = [list(row) for row in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == len(grid):
-            break
-        piv = next((i for i in range(r, len(grid)) if grid[i][c]), None)
-        if piv is None:
-            continue
-        grid[r], grid[piv] = grid[piv], grid[r]
-        inv = pow(grid[r][c], p - 2, p)
-        prow = [inv * x % p for x in grid[r]]
-        grid[r] = prow
-        for i, row in enumerate(grid):
-            f = row[c]
-            if f and i != r:
-                grid[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix._from_canonical(F, grid, m.cols), pivots
+    rows, pivots = _integer_echelon(m.to_integers()[0])
+    # row r of R is rows[r] over its pivot entry: one denominator for all
+    den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    for r, c in enumerate(pivots):
+        s = den // rows[r][c]
+        rows[r] = [s * x for x in rows[r]]
+    return Matrix._from_integers(F, rows, den, m.cols), pivots
 
 
 class Subspace:

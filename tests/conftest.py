@@ -3,12 +3,24 @@ from itertools import product
 
 import pytest
 
-from endok.fields import GF, QQ
+from endok.fields import GF, MAX_PRIME, QQ, is_prime
 from endok.linalg import Matrix, eval_poly_at_matrix
 from endok.modules import CommutingTuple, Ideal, multiplication_matrix
 from endok.poly import MultiPoly, UniPoly
 
 ALL_FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def largest_prime_below(n):
+    p = n - 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+# primes whose residue products overflow int64
+P61 = GF(2**61 - 1)
+PMAX = GF(largest_prime_below(MAX_PRIME))
 
 
 @pytest.fixture
@@ -18,6 +30,64 @@ def rng():
 
 def field_id(field):
     return repr(field)
+
+
+# -- textbook matrix loops on raw scalars, shared by the kernel tests ---------
+
+
+def plain_ops(field):
+    """(add, sub, mul, div) on raw scalars by the textbook formulas."""
+    p = field.characteristic
+    if not p:
+        return (
+            (lambda a, b: a + b),
+            (lambda a, b: a - b),
+            (lambda a, b: a * b),
+            (lambda a, b: a / b),
+        )
+    return (
+        (lambda a, b: (a + b) % p),
+        (lambda a, b: (a - b) % p),
+        (lambda a, b: a * b % p),
+        (lambda a, b: a * pow(b, p - 2, p) % p),
+    )
+
+
+def plain_matmul(field, a, b):
+    add, _, mul, _ = plain_ops(field)
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = field.zero
+            for k, x in enumerate(row):
+                acc = add(acc, mul(x, b[k][j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def plain_rref(field, grid):
+    _, sub, mul, div = plain_ops(field)
+    rows = [list(row) for row in grid]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        a = rows[r][c]
+        rows[r] = [div(x, a) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(map(tuple, rows)), pivots
 
 
 # -- tuple builders shared by the split, module and sweep tests ------------------

@@ -24,7 +24,7 @@ from endok.linalg import (
 )
 from endok.poly import MultiPoly, UniPoly, squarefree_decomposition, uni_gcd
 
-from conftest import ALL_FIELDS, field_id
+from conftest import ALL_FIELDS, P61, PMAX, field_id, plain_matmul, plain_ops, plain_rref
 
 F2, F3 = GF(2), GF(3)
 
@@ -431,7 +431,7 @@ def test_public_constructor_coerces_and_checks():
 
 # -- differential: the integer kernels against plain loops ------------------------------
 
-P31 = GF(2**31 - 1)  # above the array limit: products and rref run on Python ints
+P31 = GF(2**31 - 1)  # above the int64 limit: residue arrays of Python ints
 DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 7, 12, 35)
 
 
@@ -464,64 +464,8 @@ def rand_shapes(rng, count):
     return fixed + [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(count - len(fixed))]
 
 
-def plain_ops(field):
-    """(add, sub, mul, div) on raw scalars by the textbook formulas."""
-    p = field.characteristic
-    if not p:
-        return (
-            (lambda a, b: a + b),
-            (lambda a, b: a - b),
-            (lambda a, b: a * b),
-            (lambda a, b: a / b),
-        )
-    return (
-        (lambda a, b: (a + b) % p),
-        (lambda a, b: (a - b) % p),
-        (lambda a, b: a * b % p),
-        (lambda a, b: a * pow(b, p - 2, p) % p),
-    )
-
-
-def plain_matmul(field, a, b):
-    add, _, mul, _ = plain_ops(field)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = field.zero
-            for k, x in enumerate(row):
-                acc = add(acc, mul(x, b[k][j]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def plain_rref(field, grid):
-    _, sub, mul, div = plain_ops(field)
-    rows = [list(row) for row in grid]
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        a = rows[r][c]
-        rows[r] = [div(x, a) for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(map(tuple, rows)), pivots
-
-
-@pytest.mark.parametrize("field", [QQ, P31], ids=field_id)
+@pytest.mark.parametrize("field", [QQ, P31, P61, PMAX], ids=field_id)
 def test_integer_kernels_match_plain_loops(field):
-    assert not linalg._arrays_enabled(field)
     add, sub, mul, _ = plain_ops(field)
     rng = random.Random(21)
     deficient = 0
@@ -549,8 +493,10 @@ def test_integer_kernels_match_plain_loops(field):
             assert (R.entries, piv) == plain_rref(field, m.entries)
             deficient += len(piv) < min(m.rows, m.cols)
         for m in (a @ b, R, a + a2, a - a2, a.scale(c), block):
-            # raw scalars of the field's own type
+            # raw scalars of the field's own type, from a residue array of
+            # exact Python ints over these primes
             assert all(type(x) is type(field.zero) for row in m.entries for x in row)
+            assert field.is_rationals or m.to_array().dtype == object
     assert deficient >= 20
 
 
