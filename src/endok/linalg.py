@@ -1,40 +1,48 @@
 """Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
-Matrices are immutable, and each field keeps them in one integer form,
-built with the matrix; ``entries``, the row tuples of raw field scalars,
-is the input rows where the matrix was built from rows, and otherwise is
-read off that form when first asked for and kept.
+Every matrix, over either field, is one integer form N/D: a read-only 2-d
+numpy array N of integers over a positive integer D, built with the
+matrix and made canonical in one place, ``Matrix._from_integers``, so
+equal matrices have equal forms.  Over F_p, N holds residues in [0, p) of
+dtype ``_kernels.dtype(p)`` (int64 for p below ``_kernels.PRIME_LIMIT``,
+exact Python integers, dtype ``object``, above it) and D = 1.  Over Q, N
+holds Python integers (dtype ``object``) with gcd(content(N), D) = 1.
 
-Over F_p a matrix is a read-only numpy residue array, of int64 for p below
-``_kernels.PRIME_LIMIT`` and of exact Python integers (dtype ``object``)
-above it: products and row reduction run in :mod:`endok._kernels`, and
-sums, differences, negation, scaling and submatrices are numpy operations
-with one reduction mod p.
+Sums, differences, negation, scaling, transposes, submatrices, stacking,
+kernel rows, subspace reduction, equality and hashing are one code path
+on N/D for both fields.  The field is read only where the arithmetic
+differs:
 
-Over Q a matrix is N/D: row tuples N of integer numerators over one
-positive denominator D, with gcd(content(N), D) = 1, which makes the form
-canonical.  Products, sums, negation, scaling and submatrices are integer
-list operations followed by that one gcd; row reduction is fraction-free
-Gauss-Jordan on primitive integer rows (each elimination a.row_i - b.row_r
-divided by its content), which kernels, spans and the incremental
-``Echelon`` read directly.  The characteristic polynomial of N/D is
-D^(-d) chi_N(D x), and chi_N comes from the Hessenberg recurrence modulo
-primes just below 2^61, combined by the Chinese remainder theorem until
-their product passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the
-coefficients of chi_N for R the largest Euclidean row norm of N.
+* ``_from_integers``: reduction mod p, or division by gcd(content, D);
+* ``entries``: Python ints, or ``Fraction``s, read off N/D when first
+  asked for and kept;
+* ``@``: ``_kernels.matmul_mod`` over F_p, numpy's ``@`` on the object
+  arrays over Q;
+* ``rref``: ``_kernels.rref_mod`` over F_p; over Q fraction-free
+  Gauss-Jordan on primitive integer rows, each elimination a.row_i -
+  b.row_r divided by its content;
+* ``charpoly``: the Hessenberg recurrence on the residues over F_p; over
+  Q, chi_{N/D}(x) = D^(-d) chi_N(D x), with chi_N from the recurrence
+  modulo primes just below 2^61, combined by the Chinese remainder
+  theorem until their product passes 2 max_k C(d, k) R^k, twice
+  Hadamard's bound on the coefficients of chi_N for R the largest
+  Euclidean row norm of N;
+* ``_init_rows``, which builds N/D from rows of field scalars;
+* the normalisation in ``Echelon.insert_integers``: reduction mod p and
+  pivot 1, or division by the content.
+
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
 
 Scalars are coerced once, where they enter: the public ``Matrix`` and
 ``Subspace`` constructors coerce and check their input, while matrices
 and subspaces built here from already canonical scalars go through
-``_from_canonical`` (or ``_from_array``, ``_from_integers``).
+``_from_canonical`` (or ``_from_integers``).
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, isqrt, lcm
-from operator import mul
 
 import numpy as np
 
@@ -45,14 +53,16 @@ from .poly import MultiPoly, UniPoly, _cleared, _primitive, uni_lcm
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable dense matrix over an exact field, held as N/D.
 
-    A matrix holds its field's integer form from the moment it is built:
-    a read-only residue array over F_p, integer numerators over one
-    denominator over Q.  ``entries`` is a cached view of that form.
+    N is a read-only 2-d numpy array of integers and D a positive integer,
+    made canonical by ``_from_integers`` (see the module docstring), so
+    equal matrices have equal forms.  ``entries``, the row tuples of raw
+    field scalars, is the input rows where the matrix was built from rows,
+    and otherwise is read off N/D when first asked for and kept.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_array", "_num", "_den")
+    __slots__ = ("field", "rows", "cols", "_entries", "_num", "_den")
 
     def __init__(self, field, entries, cols=None):
         grid = tuple(tuple(field.coerce(x) for x in row) for row in entries)
@@ -76,41 +86,35 @@ class Matrix:
         return _init_rows(object.__new__(cls), field, tuple(map(tuple, grid)), cols)
 
     @classmethod
-    def _from_array(cls, field, arr):
-        """A matrix over a 2-d array of residues mod p in the field's
-        dtype, which it keeps, made read-only; no copy and no reduction."""
-        arr.flags.writeable = False
-        return _init(object.__new__(cls), field, *arr.shape, array=arr)
+    def _from_integers(cls, field, num, den=1):
+        """num/den for a 2-d integer array num and an integer den > 0,
+        brought to the canonical form: over F_p (where den must be 1)
+        residues of dtype ``_kernels.dtype(p)``, over Q Python integers
+        with gcd(content(num), den) divided out."""
+        p = field.characteristic
+        if p:
+            num = (num % p).astype(_kernels.dtype(p), copy=False)
+        else:
+            num = num.astype(object, copy=False)
+            if den != 1:
+                g = gcd(den, *num.flat)
+                if g > 1:
+                    num, den = num // g, den // g
+        return _init(object.__new__(cls), field, num, den)
 
     @classmethod
-    def _from_integers(cls, field, num, den, cols):
-        """num/den for integer rows num, all of length cols, and den > 0.
-        Over Q it is brought to the canonical form by dividing out
-        gcd(content, den); over F_p den must be 1 and num residues."""
-        if field.characteristic:
-            return cls._from_canonical(field, num, cols)
-        if den != 1:
-            g = gcd(den, *chain.from_iterable(num))
-            if g > 1:
-                num = [[x // g for x in row] for row in num]
-                den //= g
-        num = tuple(map(tuple, num))
-        return _init(object.__new__(cls), field, len(num), cols, num=num, den=den)
+    def _from_form(cls, field, num, den=1):
+        """A matrix over num/den already in its canonical form, kept as
+        it is: no reduction and no copy."""
+        return _init(object.__new__(cls), field, num, den)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        p = field.characteristic
-        if p:
-            return cls._from_array(field, np.zeros((rows, cols), _kernels.dtype(p)))
-        return cls._from_integers(field, [(0,) * cols] * rows, 1, cols)
+        return cls._from_integers(field, np.zeros((rows, cols), np.int64))
 
     @classmethod
     def identity(cls, field, d):
-        p = field.characteristic
-        if p:
-            return cls._from_array(field, np.eye(d, dtype=_kernels.dtype(p)))
-        grid = [[int(i == j) for j in range(d)] for i in range(d)]
-        return cls._from_integers(field, grid, 1, d)
+        return cls._from_integers(field, np.eye(d, dtype=np.int64))
 
     @classmethod
     def companion(cls, q):
@@ -118,30 +122,24 @@ class Matrix:
         e_d to minus the low coefficients."""
         if not q.is_monic or q.degree < 1:
             raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-        F = q.field
         d = q.degree
-        z = F.zero
-        grid = [[z] * d for _ in range(d)]
-        for i in range(1, d):
-            grid[i][i - 1] = F.one
-        for i in range(d):
-            grid[i][d - 1] = F.neg(q[i])
-        return cls(F, grid)
+        nums, den = _cleared([q.field.neg(c) for c in q.coeffs[:d]])
+        num = np.eye(d, k=-1, dtype=object) * den
+        num[:, d - 1] = nums
+        return cls._from_integers(q.field, num, den)
 
     @classmethod
     def block_diag(cls, field, blocks):
+        if any(b.rows != b.cols or b.field != field for b in blocks):
+            raise ValueError("block_diag needs square blocks over one field")
+        den = lcm(*(b._den for b in blocks))
         size = sum(b.rows for b in blocks)
-        z = field.zero
-        grid = [[z] * size for _ in range(size)]
+        num = np.zeros((size, size), object)
         off = 0
         for b in blocks:
-            if b.rows != b.cols or b.field != field:
-                raise ValueError("block_diag needs square blocks over one field")
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[off + i][off + j] = b.entries[i][j]
+            num[off : off + b.rows, off : off + b.rows] = b._num * (den // b._den)
             off += b.rows
-        return cls(field, grid, cols=size)
+        return cls._from_integers(field, num, den)
 
     # -- inspection --------------------------------------------------------
 
@@ -154,33 +152,25 @@ class Matrix:
         """Row tuples of raw scalars (Python ints over F_p, Fractions over Q)."""
         grid = self._entries
         if grid is None:
+            rows = self._num.tolist()
             if self.field.characteristic:
-                grid = tuple(map(tuple, self._array.tolist()))
+                grid = tuple(map(tuple, rows))
             else:
                 den = self._den
-                grid = tuple(tuple(_fraction(x, den) for x in row) for row in self._num)
+                grid = tuple(tuple(_fraction(x, den) for x in row) for row in rows)
             object.__setattr__(self, "_entries", grid)
         return grid
 
     @property
     def is_zero(self):
-        if self.field.characteristic:
-            return not self._array.any()
-        return not any(map(any, self._num))
+        return not self._num.any()
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def to_array(self):
-        """Over F_p, the read-only residue array the matrix holds."""
-        return self._array
-
     def to_integers(self):
-        """(rows, den): over Q the canonical integer form, row tuples of
-        numerators over one positive denominator; over F_p the residue
-        rows over 1."""
-        if self.field.characteristic:
-            return self.entries, 1
+        """(N, D): the canonical integer form, a read-only 2-d numpy array
+        N of integers over the positive integer D, which is 1 over F_p."""
         return self._num, self._den
 
     # -- arithmetic ----------------------------------------------------------
@@ -191,53 +181,32 @@ class Matrix:
         if other.field != self.field:
             raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
 
-    def _check_shape(self, other):
+    def _combine(self, other, op):
+        """op(self, other) for numpy's add or subtract, over the least
+        common denominator."""
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        (a, da), (b, db) = self.to_integers(), other.to_integers()
+        if da != db:
+            den = lcm(da, db)
+            a, b, da = a * (den // da), b * (den // db), den
+        return Matrix._from_integers(self.field, op(a, b), da)
 
     def __add__(self, other):
-        self._check_shape(other)
-        F = self.field
-        p = F.characteristic
-        if p:
-            return Matrix._from_array(F, (self._array + other._array) % p)
-        (a, da), (b, db) = self.to_integers(), other.to_integers()
-        if da == db:
-            grid = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-        else:
-            den = lcm(da, db)
-            sa, sb = den // da, den // db
-            grid = [[sa * x + sb * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-            da = den
-        return Matrix._from_integers(F, grid, da, self.cols)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        F = self.field
-        p = F.characteristic
-        if p:
-            return Matrix._from_array(F, (self._array - other._array) % p)
-        return self + (-other)
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
-        F = self.field
-        p = F.characteristic
-        if p:
-            return Matrix._from_array(F, -self._array % p)
-        num, den = self.to_integers()
-        return Matrix._from_integers(F, [[-x for x in row] for row in num], den, self.cols)
+        return Matrix._from_integers(self.field, -self._num, self._den)
 
     def scale(self, c):
-        F = self.field
-        c = F.coerce(c)
-        p = F.characteristic
-        if p:
-            return Matrix._from_array(F, self._array * c % p)
-        num, den = self.to_integers()
-        a = c.numerator
-        grid = [[a * x for x in row] for row in num]
-        return Matrix._from_integers(F, grid, den * c.denominator if a else 1, self.cols)
+        c = self.field.coerce(c)
+        return Matrix._from_integers(
+            self.field, self._num * c.numerator, self._den * c.denominator
+        )
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -251,23 +220,15 @@ class Matrix:
             return Matrix.zeros(F, self.rows, other.cols)
         p = F.characteristic
         if p:
-            return Matrix._from_array(F, _kernels.matmul_mod(self._array, other._array, p))
-        (a, da), (b, db) = self.to_integers(), other.to_integers()
-        cols = list(zip(*b))
-        grid = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        return Matrix._from_integers(F, grid, da * db, other.cols)
+            return Matrix._from_form(F, _kernels.matmul_mod(self._num, other._num, p))
+        return Matrix._from_integers(F, self._num @ other._num, self._den * other._den)
 
     def mul_vec(self, v):
-        F = self.field
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        p = F.characteristic
-        if p:
-            return tuple(sum(map(mul, row, v)) % p for row in self.entries)
-        num, den = self.to_integers()
         vnum, vden = _cleared(v)
-        den *= vden
-        return tuple(_fraction(sum(map(mul, row, vnum)), den) for row in num)
+        col = self._num @ np.array(vnum, dtype=self._num.dtype)
+        return Matrix._from_integers(self.field, col[None], self._den * vden).entries[0]
 
     def pow(self, e):
         if not self.is_square:
@@ -287,29 +248,23 @@ class Matrix:
             base = base @ base
 
     def transpose(self):
-        """The transpose, in the same integer form."""
-        F = self.field
-        if F.characteristic:
-            return Matrix._from_array(F, self._array.T.copy())
-        num, den = self.to_integers()
-        grid = list(zip(*num)) if self.rows else [()] * self.cols
-        return Matrix._from_integers(F, grid, den, self.rows)
+        return Matrix._from_form(self.field, self._num.T, self._den)
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if self.field.characteristic:
-            return np.array_equal(self._array, other._array)
-        return self.to_integers() == other.to_integers()
+        return (
+            self.field == other.field
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self._den == other._den
+            and np.array_equal(self._num, other._num)
+        )
 
     def __hash__(self):
-        if self.field.characteristic:
-            return hash((self.field, self.cols, self.entries))
-        return hash((self.field, self.cols, self.to_integers()))
+        flat = tuple(self._num.ravel().tolist())
+        return hash((self.field, self.rows, self.cols, self._den, flat))
 
     def __str__(self):
         if self.rows == 0:
@@ -321,54 +276,45 @@ class Matrix:
         return f"Matrix({self.field!r}, {self!s})"
 
 
-def _init(m, field, rows, cols, entries=None, array=None, num=None, den=1):
-    """Fill the slots of a new matrix with the forms given; returns it."""
-    for name, value in (
-        ("field", field),
-        ("rows", rows),
-        ("cols", cols),
-        ("_entries", entries),
-        ("_array", array),
-        ("_num", num),
-        ("_den", den),
-    ):
-        object.__setattr__(m, name, value)
+def _init(m, field, num, den, entries=None):
+    """Fill the slots of a new matrix with its canonical form num/den,
+    made read-only, and its entries if known; returns it."""
+    num.setflags(write=False)
+    rows, cols = num.shape
+    put = object.__setattr__
+    put(m, "field", field)
+    put(m, "rows", rows)
+    put(m, "cols", cols)
+    put(m, "_entries", entries)
+    put(m, "_num", num)
+    put(m, "_den", den)
     return m
 
 
 def _init_rows(m, field, grid, cols):
     """Fill a new matrix from row tuples of canonical scalars, all of
-    length cols: they are kept as its entries, and its field's integer
-    form is built from them; returns it."""
-    rows = len(grid)
+    length cols: they are kept as its entries, and N/D is built from
+    them; returns it."""
     p = field.characteristic
     if p:
-        arr = np.array(grid, dtype=_kernels.dtype(p)).reshape(rows, cols)
-        arr.flags.writeable = False
-        return _init(m, field, rows, cols, entries=grid, array=arr)
-    nums, den = _cleared(list(chain.from_iterable(grid)))
-    num = tuple(tuple(nums[i * cols : i * cols + cols]) for i in range(rows))
-    return _init(m, field, rows, cols, entries=grid, num=num, den=den)
+        num, den = np.array(grid, dtype=_kernels.dtype(p)), 1
+    else:
+        # the numerators over the least common denominator: canonical
+        nums, den = _cleared(list(chain.from_iterable(grid)))
+        num = np.array(nums, dtype=object)
+    return _init(m, field, num.reshape(len(grid), cols), den, grid)
 
 
 def _submatrix(m, rows, cols):
     """The block of m on the given row and column indices."""
-    if m.field.characteristic:
-        return Matrix._from_array(m.field, m._array.take(rows, 0).take(cols, 1))
-    num, den = m.to_integers()
-    grid = [[row[j] for j in cols] for row in map(num.__getitem__, rows)]
-    return Matrix._from_integers(m.field, grid, den, len(cols))
+    return Matrix._from_integers(m.field, m._num.take(rows, 0).take(cols, 1), m._den)
 
 
 def _stack(mats):
     """The matrices, all with the same columns, one above the other."""
-    F, cols = mats[0].field, mats[0].cols
-    if F.characteristic:
-        return Matrix._from_array(F, np.concatenate([m._array for m in mats]))
-    forms = [m.to_integers() for m in mats]
-    den = lcm(*(d for _, d in forms))
-    grid = [[x * (den // d) for x in row] for num, d in forms for row in num]
-    return Matrix._from_integers(F, grid, den, cols)
+    den = lcm(*(m._den for m in mats))
+    num = np.concatenate([m._num if m._den == den else m._num * (den // m._den) for m in mats])
+    return Matrix._from_integers(mats[0].field, num, den)
 
 
 _ZERO = Fraction(0)
@@ -418,15 +364,15 @@ def rref(m):
         return m, []
     p = F.characteristic
     if p:
-        arr, pivots = _kernels.rref_mod(m._array, p)
-        return Matrix._from_array(F, arr), list(pivots)
-    rows, pivots = _integer_echelon(m.to_integers()[0])
+        arr, pivots = _kernels.rref_mod(m._num, p)
+        return Matrix._from_form(F, arr), list(pivots)
+    rows, pivots = _integer_echelon(m._num.tolist())
     # row r of R is rows[r] over its pivot entry: one denominator for all
     den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
     for r, c in enumerate(pivots):
         s = den // rows[r][c]
         rows[r] = [s * x for x in rows[r]]
-    return Matrix._from_integers(F, rows, den, m.cols), pivots
+    return Matrix._from_integers(F, np.array(rows, dtype=object), den), pivots
 
 
 class Subspace:
@@ -498,19 +444,19 @@ class Subspace:
     def is_zero(self):
         return not self.pivots
 
+    def _residual(self, v):
+        """v - v[pivots].B as a one-row matrix, for B the basis: a reduced
+        echelon row is 1 at its own pivot and 0 at the others, so the
+        coefficient of basis row i in v's component is v[pivot i]."""
+        w = Matrix(self.field, [v], cols=self.ambient_dim)
+        return w - _submatrix(w, [0], self.pivots) @ self.matrix
+
     def reduce(self, v):
         """Residual of v after subtracting its component in the subspace."""
-        F = self.field
-        work = [F.coerce(x) for x in v]
-        for row, p in zip(self.basis, self.pivots):
-            c = work[p]
-            if c:
-                work = [F.sub(x, F.mul(c, y)) for x, y in zip(work, row)]
-        return tuple(work)
+        return self._residual(v).entries[0]
 
     def contains(self, v):
-        z = self.field.zero
-        return all(x == z for x in self.reduce(v))
+        return self._residual(v).is_zero
 
     def complement_coords(self):
         """Ambient coordinates not used as pivots; they index a complement."""
@@ -523,16 +469,13 @@ class Subspace:
         return Subspace._row_space(_stack([self.matrix, other.matrix]))
 
     def __eq__(self, other):
+        # the basis matrix carries the field, and ambient_dim as its width
         if isinstance(other, Subspace):
-            return (
-                self.field == other.field
-                and self.ambient_dim == other.ambient_dim
-                and self.matrix == other.matrix
-            )
+            return self.matrix == other.matrix
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.matrix))
+        return hash(self.matrix)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
@@ -541,11 +484,13 @@ class Subspace:
 class Echelon:
     """Incremental echelon store over integer rows.
 
-    Over F_p a stored row holds residues with pivot entry 1, and reducing
-    a vector against it is one update (x - b*y) % p per entry.  Over Q a
-    vector enters as integer numerators over a denominator, a stored row
-    is primitive, and each elimination is the fraction-free step
-    a*w - b*row followed by division by the content, as in
+    A vector enters as integer numerators over a denominator (residues
+    over 1 over F_p), and each elimination is the fraction-free step
+    a*w - b*row that clears the row's pivot column.  Only the
+    normalisation depends on the field: over F_p a stored row holds
+    residues with pivot entry 1, so a = 1, and the vector is reduced mod p
+    once its eliminations are done; over Q a stored row is primitive, and
+    each step is followed by division by the content, as in
     ``_integer_echelon``.  Row i has zeros at the pivots of the rows
     before it, so reducing against the rows in insertion order clears
     every pivot.
@@ -576,60 +521,56 @@ class Echelon:
         as a dict from generator index to nonzero field scalar (only when
         tracking)."""
         F = self.field
-        work = [F.coerce(x) for x in v]
-        if F.characteristic:
-            return self.insert_integers(work, 1)
-        return self.insert_integers(*_cleared(work))
+        return self.insert_integers(*_cleared([F.coerce(x) for x in v]))
 
     def insert_integers(self, work, den):
-        """``insert`` for the vector work/den, given over Q as integer
-        numerators over den > 0 and over F_p as residues over 1."""
-        p = self.field.characteristic
+        """``insert`` for the vector work/den of integer numerators over
+        den > 0 (residues over 1 over F_p)."""
+        F = self.field
+        p = F.characteristic
         gens = len(self.rows)
         # work = sum of combo[g] * generator g, the new vector at index gens
-        combo = [0] * gens + [1] if self.track else None
+        combo = [0] * gens + [1] if self.track else []
         for row, c, rc in zip(self.rows, self.pivots, self.combos or self.rows):
-            b = work[c]
+            # over F_p only the entry to clear is reduced mod p here, and
+            # the vector once after the loop
+            b = work[c] % p if p else work[c]
             if not b:
                 continue
-            if p:
-                work = [(x - b * y) % p for x, y in zip(work, row)]
-                if self.track:
-                    k = len(rc)
-                    combo[:k] = [(x - b * y) % p for x, y in zip(combo, rc)]
-                continue
+            # the fraction-free step a*w - b*row clears column c; a stored
+            # row over F_p has pivot 1, so there it is w - b*row
             a = row[c]
             g = gcd(a, b)
             a, b = a // g, b // g
             work = [a * x - b * y for x, y in zip(work, row)]
             if self.track:
                 k = len(rc)
-                combo = [a * x - b * y for x, y in zip(combo, rc)] + [
-                    a * x for x in combo[k:]
-                ]
+                combo[:k] = [a * x - b * y for x, y in zip(combo, rc)]
+                if a != 1:
+                    combo[k:] = [a * x for x in combo[k:]]
+            if not p:
+                # over Q, divide work and combo by their common content
                 g = gcd(*work, *combo)
                 if g > 1:
                     work = [x // g for x in work]
                     combo = [x // g for x in combo]
-            else:
-                work = _primitive(work)
+        if p:
+            work = [x % p for x in work]
+            combo = [x % p for x in combo]
         lead = next((j for j, x in enumerate(work) if x), None)
         if lead is None:
             if not self.track:
                 return False, None
             s = combo[gens]
-            if p:  # s == 1
-                return False, {g: -x % p for g, x in enumerate(combo[:gens]) if x}
             return False, {
-                g: Fraction(-x * self.dens[g], s * den)
+                g: F.coerce(Fraction(-x * self.dens[g], s * den))
                 for g, x in enumerate(combo[:gens])
                 if x
             }
         if p:
             inv = pow(work[lead], p - 2, p)
             work = [x * inv % p for x in work]
-            if self.track:
-                combo = [x * inv % p for x in combo]
+            combo = [x * inv % p for x in combo]
         elif not self.track:
             work = _primitive(work)
         self.rows.append(work)
@@ -648,20 +589,14 @@ def _kernel_rows(m):
     vector e_j minus column j of R at the pivots, so K is the identity on
     the free columns: a vector w of the null space is w[free].K.  Over Q,
     K is D e_j minus column j of N over the denominator D."""
-    F = m.field
-    p = F.characteristic
     R, pivots = rref(m)
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     num, den = R.to_integers()
-    vectors = []
-    for j in free:
-        v = [0] * m.cols
-        v[j] = den
-        for i, pc in enumerate(pivots):
-            v[pc] = -num[i][j] % p if p else -num[i][j]
-        vectors.append(v)
-    return Matrix._from_integers(F, vectors, den, m.cols), free
+    K = np.zeros((len(free), m.cols), num.dtype)
+    K[range(len(free)), free] = den
+    K[:, pivots] = -num[: len(pivots), free].T
+    return Matrix._from_integers(m.field, K, den), free
 
 
 def kernel_basis(m):
@@ -784,11 +719,11 @@ def charpoly(m):
         raise ValueError("characteristic polynomial needs a square matrix")
     F = m.field
     p = F.characteristic
-    if p:
-        return UniPoly._from_canonical(F, _charpoly_mod(m.entries, p))
     num, den = m.to_integers()
+    if p:
+        return UniPoly._from_canonical(F, _charpoly_mod(num.tolist(), p))
     d = m.rows
-    coeffs = _charpoly_integer(num)
+    coeffs = _charpoly_integer(num.tolist())
     return UniPoly._from_canonical(
         F, [_fraction(c, den ** (d - k)) for k, c in enumerate(coeffs)]
     )

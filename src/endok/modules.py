@@ -479,10 +479,8 @@ class CommutingTuple:
         basis is unique, so starting from d x c instead of d x d changes
         the width of the search from d^2 to d*c and nothing else.
         """
-        F, d = self.field, self.dim
-        cols = self._generators()
-        grid = [[F.one if i == j else F.zero for j in cols] for i in range(d)]
-        return self._annihilator(Matrix._from_canonical(F, grid, len(cols)))
+        one = Matrix.identity(self.field, self.dim)
+        return self._annihilator(_submatrix(one, range(self.dim), self._generators()))
 
     def _annihilator(self, start):
         """The ideal of all p with p(f).start = 0, for a d x c matrix start.
@@ -522,7 +520,7 @@ class CommutingTuple:
                 if mat is None:
                     raise RuntimeError(f"no standard parent for monomial {m}")
             num, den = mat.to_integers()
-            added, combo = ech.insert_integers([x for row in num for x in row], den)
+            added, combo = ech.insert_integers(num.ravel().tolist(), den)
             if added:
                 std_mats[m] = mat
                 std.append(m)

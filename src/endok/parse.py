@@ -118,6 +118,15 @@ class _ExprParser:
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
 
+    def parse_whole(self):
+        """``parse_expr`` for a whole polynomial or matrix entry: nesting
+        deeper than the interpreter's stack allows is an input error at
+        the token reached."""
+        try:
+            return self.parse_expr()
+        except RecursionError:
+            self.fail("expression is nested too deeply")
+
     def parse_expr(self):
         acc = self.parse_term()
         while self.at_op("+", "-"):
@@ -182,7 +191,7 @@ class _ExprParser:
 
 def parse_poly(text, field, nvars, line=1, col=1):
     parser = _ExprParser(_tokenize(text, line, col), field, nvars)
-    poly = parser.parse_expr()
+    poly = parser.parse_whole()
     tok = parser.peek()
     if tok.kind != "end":
         parser.fail("unexpected trailing input", tok)
@@ -206,7 +215,7 @@ def _parse_matrix_tokens(parser):
         else:
             while True:
                 tok = parser.peek()
-                entry = parser.parse_expr()
+                entry = parser.parse_whole()
                 if entry.total_degree not in (0, float("-inf")):
                     parser.fail("matrix entries must be scalars", tok)
                 row.append(entry.coeff((0,) * parser.nvars))

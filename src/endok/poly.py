@@ -24,6 +24,7 @@ by the deterministic sort keys used for ideals.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import FieldMismatchError
 
@@ -209,13 +210,18 @@ def _pow_mod(f, e, m, p):
         base = _divmod(_mul(base, base, p), m, p)[1]
 
 
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
 def _cleared(xs):
-    """(numerators, den): rationals xs as integers over their least common
-    denominator."""
-    den = lcm(*(x.denominator for x in xs))
+    """(numerators, den): rationals xs (or ints) as integers over their
+    least common denominator."""
+    dens = list(map(_DENOMINATOR, xs))
+    den = lcm(*set(dens))
+    nums = list(map(_NUMERATOR, xs))
     if den == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (den // x.denominator) for x in xs], den
+        return nums, 1
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
 def _primitive(f):

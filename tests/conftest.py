@@ -1,8 +1,10 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
+from endok import _kernels
 from endok.fields import GF, MAX_PRIME, QQ, is_prime
 from endok.linalg import Matrix, eval_poly_at_matrix
 from endok.modules import CommutingTuple, Ideal, multiplication_matrix
@@ -88,6 +90,36 @@ def plain_rref(field, grid):
         if r == len(rows):
             break
     return tuple(map(tuple, rows)), pivots
+
+
+def plain_reduce(field, basis, pivots, v):
+    """v minus its component in the span of reduced echelon rows, one
+    row at a time over field scalars."""
+    _, sub, mul, _ = plain_ops(field)
+    work = [field.coerce(x) for x in v]
+    for row, c in zip(basis, pivots):
+        f = work[c]
+        if f:
+            work = [sub(x, mul(f, y)) for x, y in zip(work, row)]
+    return tuple(work)
+
+
+def assert_canonical(m):
+    """m holds the one integer form N/D of its field: a read-only array
+    N of the matrix's shape over D > 0, residues of dtype
+    ``_kernels.dtype(p)`` over 1 over F_p, Python integers with
+    gcd(content(N), D) = 1 over Q."""
+    num, den = m.to_integers()
+    assert not num.flags.writeable
+    assert num.shape == (m.rows, m.cols)
+    p = m.field.characteristic
+    if p:
+        assert num.dtype == _kernels.dtype(p) and den == 1
+        assert all(0 <= x < p for x in num.flat)
+    else:
+        assert num.dtype == object and den > 0
+        assert all(type(x) is int for x in num.flat)
+        assert gcd(den, *num.flat) == 1
 
 
 # -- tuple builders shared by the split, module and sweep tests ------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -122,6 +123,25 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["class", job(tmp_path, "field Q\nvars 2\ndim 2\n[[0,1];[0,0]]\n[[0,0];[1,0]]\n")],
     )
     assert code == 1 and "do not commute" in err
+
+
+def nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    # deeper than the interpreter's stack: exit 1 with a positioned
+    # error line, never the internal-error exit 3
+    jobs = {
+        "tilde-map": f"field Q\nnum {nested(400, 't')}\n",
+        "class": f"field F 97\nvars 1\ndim 1\n[[{nested(400, '1')}]]\n",
+    }
+    for (command, text), line in zip(jobs.items(), (2, 4)):
+        code, out, err = run(capsys, [command, job(tmp_path, text)])
+        assert code == 1 and out == ""
+        assert re.fullmatch(rf"error: {line}:\d+: expression is nested too deeply\n", err)
+    code, out, err = run(capsys, ["class", job(tmp_path, f"field Q\nvars 1\ndim 1\n[[{nested(100, '1/2')}]]\n")])
+    assert (code, out, err) == (0, "1 * [t - 1/2]\n", "")
 
 
 def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):

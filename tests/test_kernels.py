@@ -1,6 +1,7 @@
-"""Over F_p every matrix is a numpy residue array, built with the matrix.
+"""Over F_p every matrix is N/1 for a numpy residue array N, built with
+the matrix.
 
-Its dtype is int64 for p below ``_kernels.PRIME_LIMIT`` and ``object``
+The dtype of N is int64 for p below ``_kernels.PRIME_LIMIT`` and ``object``
 (exact Python integers) from there on.  The array operations are checked
 against the plain textbook loops of ``conftest``, and whole computations
 give identical results on int64 arrays and on object arrays; the tests
@@ -26,6 +27,7 @@ from endok.poly import UniPoly
 from conftest import (
     P61,
     PMAX,
+    assert_canonical,
     conjugate,
     fat_point,
     field_id,
@@ -180,7 +182,8 @@ def test_array_backed_results_match_generic_path(p):
         backed = [m._entries is None for m in results]
         assert all(backed[:4] + backed[5:]), backed
         assert backed[4] == (e != 1)
-        assert all(m.to_array().dtype == np.int64 for m in results)
+        for m in results:
+            assert_canonical(m)
     plain = [plain_array_ops(field, a.entries, b.entries, c, e) for a, b, c, e in cases]
     assert [[m.entries for m in ms] for ms in fast] == plain
     assert fast == [[Matrix(field, grid) for grid in grids] for grids in plain]
@@ -213,11 +216,12 @@ def test_array_backed_entries_are_python_ints():
 def test_cached_arrays_reject_writes():
     field = GF(97)
     m = Matrix(field, [[1, 2], [3, 4]])
-    arr = m.to_array()
-    assert m.to_array() is arr  # built with the matrix
-    for a in (arr, (m @ m).to_array(), (m + m).to_array(), rref(m)[0].to_array()):
+    arr = m.to_integers()[0]
+    assert m.to_integers()[0] is arr  # built with the matrix
+    for out in (m, m @ m, m + m, m.transpose(), rref(m)[0]):
+        assert_canonical(out)
         with pytest.raises(ValueError):
-            a[0, 0] = 5
+            out.to_integers()[0][0, 0] = 5
     assert m.entries == ((1, 2), (3, 4))
 
 
@@ -234,21 +238,22 @@ def test_dtype_follows_prime_limit():
         R, piv = rref(a)
         assert piv == [0, 1] and R == Matrix.identity(field, 2)
         built = [a, sq, R, a + a, -a, a.scale(2), Matrix.zeros(field, 2, 3)]
-        assert all(m.to_array().dtype == dtype for m in built)
+        for m in built:
+            assert_canonical(m)
+            assert m.to_integers()[0].dtype == dtype
 
 
 @pytest.mark.parametrize("field", [GF(97), P61], ids=field_id)
 def test_identity_and_zeros_built_in_the_field_form(field):
-    dtype = _kernels.dtype(field.characteristic)
     for d in (0, 1, 4):
         one = Matrix.identity(field, d)
         assert one._entries is None  # no rows built or converted
-        assert one.to_array().dtype == dtype and one.to_array().shape == (d, d)
+        assert_canonical(one)
         rows = Matrix(field, [[int(i == j) for j in range(d)] for i in range(d)], cols=d)
         assert one == rows and rows == one and hash(one) == hash(rows)
     zero = Matrix.zeros(field, 0, 3)
-    assert (zero.rows, zero.cols) == (0, 3) and zero.to_array().shape == (0, 3)
-    assert zero._entries is None and zero.to_array().dtype == dtype
+    assert_canonical(zero)
+    assert (zero.rows, zero.cols) == (0, 3) and zero._entries is None
     assert zero == Matrix(field, [], cols=3) and zero.is_zero
 
 
@@ -264,7 +269,7 @@ def test_fat_point_over_large_prime(field):
     fat = tensor(point, fat_point(field, 2, 2))
     x, one = UniPoly.gen(field), Matrix.identity(field, 3)
     for t in (fat, conjugate(fat, random.Random(0))):
-        assert all(m.to_array().dtype == object for m in t.mats)
+        assert all(m.to_integers()[0].dtype == object for m in t.mats)
         assert k0_class(t).items() == [(key, 3)]
         assert k0_class(t).lines() == ["3 * [t1 + 1, t2 + 2]"]
         ((sub, piece),) = t.primary_decomposition()
@@ -300,7 +305,7 @@ def test_algebra_identical_across_paths(monkeypatch):
     assert calls["matmul_mod"] and calls["rref_mod"]
     with object_arrays(monkeypatch):
         tuples = seeded_tuples()
-        assert all(m.to_array().dtype == object for t in tuples for m in t.mats)
+        assert all(m.to_integers()[0].dtype == object for t in tuples for m in t.mats)
         exact = [algebra(t) for t in tuples]
     assert int64 == exact
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from endok import linalg, poly
+from endok import _kernels, linalg, poly
 from endok.bruteforce import random_commuting_tuple, random_vector
 from endok.errors import FieldMismatchError
 from endok.factor import factor_univariate
@@ -24,7 +24,17 @@ from endok.linalg import (
 )
 from endok.poly import MultiPoly, UniPoly, squarefree_decomposition, uni_gcd
 
-from conftest import ALL_FIELDS, P61, PMAX, field_id, plain_matmul, plain_ops, plain_rref
+from conftest import (
+    ALL_FIELDS,
+    P61,
+    PMAX,
+    assert_canonical,
+    field_id,
+    plain_matmul,
+    plain_ops,
+    plain_reduce,
+    plain_rref,
+)
 
 F2, F3 = GF(2), GF(3)
 
@@ -496,7 +506,7 @@ def test_integer_kernels_match_plain_loops(field):
             # raw scalars of the field's own type, from a residue array of
             # exact Python ints over these primes
             assert all(type(x) is type(field.zero) for row in m.entries for x in row)
-            assert field.is_rationals or m.to_array().dtype == object
+            assert field.is_rationals or m.to_integers()[0].dtype == object
     assert deficient >= 20
 
 
@@ -511,19 +521,131 @@ def test_rational_matrix_keeps_one_canonical_integer_form():
         (rows.scale(Fraction(5, 4)) - rows.scale(Fraction(1, 4))),
         linalg._submatrix(Matrix(QQ, [[half, 1, sixth], [0, Fraction(-3, 4), 0]]), [0, 1], [0, 1]),
     ]
-    for m in built:
-        assert m._entries is None  # no Fraction built by the operation
+    for m in built + [rows]:
+        assert m._entries is None or m is rows  # no Fraction built by the operation
         assert m == rows and rows == m and hash(m) == hash(rows)
+        assert_canonical(m)
         num, den = m.to_integers()
-        assert (num, den) == rows.to_integers() == (((2, 4), (0, -3)), 4)
-        assert gcd(den, *num[0], *num[1]) == 1
+        assert num.tolist() == [[2, 4], [0, -3]] and den == 4
     assert built[0] != Matrix(QQ, [[half, 1], [0, Fraction(3, 4)]])
     assert Matrix(QQ, [[half]]) != Matrix(QQ, [[half, 0]])
     zero = rows - rows
-    assert zero.is_zero and zero.to_integers() == (((0, 0), (0, 0)), 1)
-    assert zero == Matrix.zeros(QQ, 2, 2) and hash(zero) == hash(Matrix.zeros(QQ, 2, 2))
-    assert rows.scale(0) == zero and (rows @ zero).to_integers()[1] == 1
-    assert Matrix(QQ, [], cols=3).transpose().to_integers() == (((), (), ()), 1)
+    for m in (zero, rows.scale(0), rows @ zero, Matrix.zeros(QQ, 2, 2)):
+        assert_canonical(m)
+        assert m.is_zero and m == zero and hash(m) == hash(zero)
+        assert m.to_integers()[1] == 1
+    empty = Matrix(QQ, [], cols=3).transpose()
+    assert_canonical(empty)
+    assert (empty.rows, empty.cols) == (3, 0) and empty.to_integers()[1] == 1
+
+
+def canonical_cases(field):
+    """(a, b, c): a seeded invertible 5 x 5 matrix L.U (unit triangular L
+    and U), a seeded 5 x 5 matrix of rank 2, and a nonzero scalar."""
+    rng = random.Random(31)
+    d = 5
+
+    def scalar():
+        if field.is_rationals:
+            return Fraction(rng.randint(-20, 20), rng.choice(DENOMINATORS))
+        return rng.choice([0, 1, -1, rng.randrange(field.characteristic)])
+
+    def unit_triangular(lower):
+        grid = [[scalar() if (i > j) == lower else 0 for j in range(d)] for i in range(d)]
+        for i in range(d):
+            grid[i][i] = 1
+        return Matrix(field, grid)
+
+    a = unit_triangular(True) @ unit_triangular(False)
+    b = Matrix(field, [[1, 0], [0, 1], [scalar(), 0], [1, 1], [0, 0]])
+    b = b @ Matrix(field, [[1, scalar(), 0, 1, 0], [0, 0, 1, scalar(), 1]])
+    return a, b, field.coerce(Fraction(-7, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(97), P61], ids=field_id)
+def test_every_operation_keeps_the_canonical_form(field, monkeypatch):
+    calls = {"matmul_mod": 0, "rref_mod": 0}
+    for name in calls:
+        original = getattr(_kernels, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    a, b, c = canonical_cases(field)
+    d = a.rows
+    (ra, pa), (rb, pb) = rref(a), rref(b)
+    (ka, _), (kb, free) = linalg._kernel_rows(a), linalg._kernel_rows(b)
+    results = [
+        a + b,
+        a - b,
+        -b,
+        b.scale(c),
+        a @ b,
+        b.transpose(),
+        linalg._submatrix(b, [0, 3], [1, 2, 4]),
+        linalg._stack([a, b.scale(c)]),
+        ra,
+        rb,
+        ka,
+        kb,
+        a,
+        b,
+    ]
+    for m in results:
+        assert_canonical(m)
+    assert len(pb) == 2 and len(free) == d - 2
+    # equal values reached by different operations
+    pairs = [
+        ((a + b) - b, a),
+        (-(-b), b),
+        (b.scale(c).scale(field.inv(c)), b),
+        (a + a, a.scale(2)),
+        (a - a, Matrix.zeros(field, d, d)),
+        ((a @ b).transpose(), b.transpose() @ a.transpose()),
+        (linalg._submatrix(linalg._stack([a, b]), range(d, 2 * d), range(d)), b),
+        (rref(rb)[0], rb),
+        (rref(b.scale(c))[0], rb),
+        (b @ kb.transpose(), Matrix.zeros(field, d, len(free))),
+        (ka, Matrix.zeros(field, 0, d)),
+    ]
+    for x, y in pairs:
+        assert_canonical(x)
+        assert x == y and y == x and hash(x) == hash(y)
+    # Q never reaches the residue-array kernels
+    if field.is_rationals:
+        assert calls == {"matmul_mod": 0, "rref_mod": 0}
+    else:
+        assert calls["matmul_mod"] and calls["rref_mod"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(97)], ids=field_id)
+def test_subspace_reduce_matches_plain_loop(field):
+    # v - v[pivots].B against the row-at-a-time loop, for vectors inside
+    # the span (seeded combinations of its generators) and outside it
+    add, _, mul, _ = plain_ops(field)
+    rng = random.Random(37)
+    for _ in range(30):
+        width, count = rng.randint(1, 6), rng.randint(0, 4)
+        gens = [[field.random_scalar(rng) for _ in range(width)] for _ in range(count)]
+        sp = Subspace(field, width, gens)
+        inside = []
+        for _ in range(3):
+            v = [field.zero] * width
+            for g in gens:
+                k = field.coerce(rng.randint(-3, 3))
+                v = [add(x, mul(k, y)) for x, y in zip(v, g)]
+            inside.append(tuple(v))
+        outside = [tuple(field.random_scalar(rng) for _ in range(width)) for _ in range(3)]
+        for v in inside + outside:
+            residual = plain_reduce(field, sp.basis, sp.pivots, v)
+            assert sp.reduce(v) == residual
+            assert all(type(x) is type(field.zero) for x in sp.reduce(v))
+            assert sp.contains(v) == (not any(residual))
+        assert all(sp.contains(v) for v in inside)
+        if sp.dim < width:
+            assert not all(sp.contains(v) for v in outside)
 
 
 def test_rational_kernels_build_fractions_only_for_results(monkeypatch):
