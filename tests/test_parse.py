@@ -98,6 +98,67 @@ def test_matrix_entries_parse_to_canonical_scalars():
     assert (e.value.line, e.value.column) == (4, 6)
 
 
+MATRIX_ERRORS = [
+    ("[[1,2];[3,4]", 13, "expected ']'"),
+    ("[[1,,2]]", 5, "expected a number, variable or parenthesized expression"),
+    ("[[1,]]", 5, "expected a number, variable or parenthesized expression"),
+    ("[[-]]", 4, "expected a number, variable or parenthesized expression"),
+    ("[[1 2]]", 5, "expected ']'"),
+    ("[[1;2]]", 4, "expected ']'"),
+    ("[[1)]]", 4, "expected ']'"),
+    ("[[1[2]]", 4, "expected ']'"),
+    ("[1,2]", 2, "expected '['"),
+    ("[[1];]", 6, "expected '['"),
+    ("[[1]]x", 6, "unexpected trailing input"),
+    ("[[]];", 5, "unexpected trailing input"),
+    ("[[(1,2)]]", 5, "expected ')'"),
+    ("[[(1]]", 5, "expected ')'"),
+    ("[[1/0]]", 4, "denominator must be a nonzero constant"),
+    ("[[1/(2-2)]]", 4, "denominator must be a nonzero constant"),
+    ("[[1];[2,3]]", 1, "ragged matrix rows"),
+    ("[[];[1]]", 1, "ragged matrix rows"),
+    ("[[1.5]]", 4, "unexpected character '.'"),
+    ("[[1]\u00bd]", 5, "unexpected character '\u00bd'"),
+    ("[[t]]", 3, "matrix entries must be scalars"),
+    ("[[ t 1]]", 4, "matrix entries must be scalars"),
+    ("[[t^]]", 5, "exponent must be a nonnegative integer"),
+    ("[[t2]]", 3, "variable t2 is out of range 1..1"),
+    ("[[x]]", 3, "unknown variable 'x'"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("text, col, message", MATRIX_ERRORS)
+def test_matrix_literal_errors_carry_positions(field, text, col, message):
+    with pytest.raises(ParseError) as e:
+        parse_matrix(text, field)
+    assert (str(e.value), e.value.line, e.value.column) == (f"1:{col}: {message}", 1, col)
+    # the same line in a job file keeps its column
+    with pytest.raises(ParseError) as e:
+        parse_input(f"field {'Q' if field == QQ else 'F 5'}\nvars 1\ndim 1\n{text}\n")
+    assert (str(e.value), e.value.line, e.value.column) == (f"4:{col}: {message}", 4, col)
+
+
+def test_matrix_literal_edge_cases():
+    assert parse_matrix("[[]]", QQ).rows == 0 and parse_matrix("[[]]", QQ).cols == 0
+    m = parse_matrix("[[];[]]", F3)
+    assert (m.rows, m.cols) == (2, 0)
+    assert parse_matrix("[[ 1 ] ]", QQ) == Matrix(QQ, [[1]])
+    assert parse_matrix(" [[1]]", QQ) == Matrix(QQ, [[1]])
+    assert parse_matrix("[[--3, +4, - 5]]", QQ).entries == ((Fraction(3), Fraction(4), Fraction(-5)),)
+    assert parse_matrix("[[--3, +4, - 5]]", GF(5)).entries == ((3, 4, 0),)
+    assert parse_matrix("[[1/2/3]]", QQ).entries == ((Fraction(1, 6),),)
+    assert parse_matrix("[[1/2/3]]", GF(5)).entries == ((1,),)
+    # an empty or blank text has nothing but its end
+    for text, col in (("", 1), ("  ", 3)):
+        with pytest.raises(ParseError, match=f"1:{col}: expected '\\['"):
+            parse_matrix(text, QQ)
+    # a matrix may span lines; positions follow them
+    with pytest.raises(ParseError) as e:
+        parse_matrix("[[1,2];\n [3,t]]", QQ)
+    assert (e.value.line, e.value.column) == (2, 5)
+
+
 # -- job files ---------------------------------------------------------------------
 
 
