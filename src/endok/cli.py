@@ -263,7 +263,7 @@ def main(argv=None):
             text = sys.stdin.read()
         else:
             text = Path(args.input).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rng = random.Random(args.seed)

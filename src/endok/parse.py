@@ -6,7 +6,9 @@ Shared grammar (whitespace insignificant inside expressions):
 * polynomials: variables ``t`` (one variable) or ``t1..tn``; operators
   ``+ - * ^``; ``^`` takes a nonnegative integer literal; parentheses,
 * matrices: ``[[a,b];[c,d]]`` with rows split by ``;``, entries by ``,``;
-  ``[[]]`` denotes the 0 x 0 matrix,
+  ``[[]]`` denotes the 0 x 0 matrix.  Entries are constant expressions:
+  a plain literal (``[+-] a`` or ``[+-] a/b``) is read directly, any
+  other entry goes through the expression parser,
 * job files, line oriented with ``#`` comments::
 
       field Q            (or: field F 5)
@@ -21,7 +23,9 @@ Shared grammar (whitespace insignificant inside expressions):
 Errors carry a line:column position.
 """
 
+import re
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 from .errors import ParseError
 from .fields import GF, QQ, FieldSpec
@@ -121,11 +125,13 @@ class _ExprParser:
     def parse_whole(self):
         """``parse_expr`` for a whole polynomial or matrix entry: nesting
         deeper than the interpreter's stack allows is an input error at
-        the token reached."""
+        the expression's first ``(``, wherever the stack ran out."""
+        start = self.pos
         try:
             return self.parse_expr()
         except RecursionError:
-            self.fail("expression is nested too deeply")
+            paren = next((t for t in self.tokens[start:] if t.text == "("), None)
+            self.fail("expression is nested too deeply", paren)
 
     def parse_expr(self):
         acc = self.parse_term()
@@ -202,50 +208,103 @@ def parse_unipoly(text, field, line=1, col=1):
     return parse_poly(text, field, 1, line, col).to_unipoly()
 
 
-def _parse_matrix_tokens(parser):
-    """Matrix literal on an expression parser: entries are constant
-    expressions (signed integers, a/b fractions)."""
-    open_tok = parser.expect_op("[")
+# A matrix literal is read straight off its text: no entry can contain one
+# of ``[];,``, so an entry is the run of characters between two of them.
+# Text made only of these characters holds none the tokenizer rejects.
+_PLAIN_CHARS = re.compile(r"[ \t0-9A-Za-z_+\-*/^()\[\];,]*")
+_SPACE = re.compile(r"\s*")
+_ROW_BODY = re.compile(r"[^\[\];]*")
+_LITERAL = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+
+
+def _position(text, i, line, col):
+    """line:column of offset i in text, which starts at line:col."""
+    newlines = text.count("\n", 0, i)
+    if newlines:
+        return line + newlines, i - text.rfind("\n", 0, i)
+    return line, col + i
+
+
+def _literal(text, field):
+    """The canonical scalar of a plain literal, ``[+-] a`` or ``[+-] a/b``
+    with b nonzero in field; None for any other text."""
+    lit = _LITERAL.fullmatch(text)
+    if not lit:
+        return None
+    sign, num, den = lit.groups()
+    num = -int(num) if sign == "-" else int(num)
+    p = field.characteristic
+    if den is None:
+        return num % p if p else Fraction(num)
+    den = int(den)
+    if p and den % p:
+        return field.div(num % p, den % p)
+    if not p and den:
+        return Fraction(num, den)
+    return None
+
+
+def _expression_entry(text, field, nvars, line, col):
+    """The canonical scalar of a matrix entry that is a constant
+    expression; text starts at line:col."""
+    parser = _ExprParser(_tokenize(text, line, col), field, nvars)
+    first = parser.peek()
+    entry = parser.parse_whole()
+    if entry.total_degree not in (0, float("-inf")):
+        parser.fail("matrix entries must be scalars", first)
+    if parser.peek().kind != "end":
+        parser.fail("expected ']'")
+    return entry.coeff((0,) * nvars)
+
+
+def parse_matrix(text, field, line=1, col=1, nvars=1):
+    """The whole text as one matrix literal ``[[a,b];[c,d]]`` over field,
+    its entries constant expressions in t1..t{nvars}; text starts at
+    line:col, which error positions count from."""
+    if not _PLAIN_CHARS.fullmatch(text):
+        _tokenize(text, line, col)  # a bad character is reported before any other fault
+
+    def fail(message, i):
+        raise ParseError(message, *_position(text, i, line, col))
+
+    def expect(ch, i):
+        i = _SPACE.match(text, i).end()
+        if text[i : i + 1] != ch:
+            fail(f"expected {ch!r}", i)
+        return i + 1
+
+    i = expect("[", 0)
+    opening = i - 1
     rows = []
     while True:
-        parser.expect_op("[")
+        i = expect("[", i)
+        j = _ROW_BODY.match(text, i).end()
+        body = text[i:j]
         row = []
-        if parser.at_op("]"):
-            parser.take()
-        else:
-            while True:
-                tok = parser.peek()
-                entry = parser.parse_whole()
-                if entry.total_degree not in (0, float("-inf")):
-                    parser.fail("matrix entries must be scalars", tok)
-                row.append(entry.coeff((0,) * parser.nvars))
-                if parser.at_op(","):
-                    parser.take()
-                    continue
-                parser.expect_op("]")
-                break
+        if body.strip() or text[j : j + 1] != "]":  # else [] is an empty row
+            for entry in body.split(","):
+                x = _literal(entry, field)
+                if x is None:
+                    x = _expression_entry(entry, field, nvars, *_position(text, i, line, col))
+                row.append(x)
+                i += len(entry) + 1
+            if text[j : j + 1] != "]":
+                fail("expected ']'", j)
         rows.append(row)
-        if parser.at_op(";"):
-            parser.take()
-            continue
-        parser.expect_op("]")
-        break
+        i = _SPACE.match(text, j + 1).end()
+        if text[i : i + 1] != ";":
+            break
+        i += 1
+    i = expect("]", i)
     if len(rows) == 1 and not rows[0]:
         rows = []  # [[]] is the 0 x 0 matrix
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
-        parser.fail("ragged matrix rows", open_tok)
-    # entries are coefficients of parsed polynomials: already canonical
-    return Matrix._from_canonical(parser.field, rows, width)
-
-
-def parse_matrix(text, field, line=1, col=1):
-    parser = _ExprParser(_tokenize(text, line, col), field, 1)
-    m = _parse_matrix_tokens(parser)
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.fail("unexpected trailing input", tok)
-    return m
+        fail("ragged matrix rows", opening)
+    i = _SPACE.match(text, i).end()
+    if i < len(text):
+        fail("unexpected trailing input", i)
+    return Matrix._from_canonical(field, rows, width)
 
 
 @dataclass
@@ -342,11 +401,7 @@ def parse_input(text):
                 )
             if len(matrices) >= nvars:
                 raise ParseError(f"extra matrix beyond vars {nvars}", lineno, indent)
-            parser = _ExprParser(_tokenize(stripped, lineno, indent), field, nvars)
-            m = _parse_matrix_tokens(parser)
-            tok = parser.peek()
-            if tok.kind != "end":
-                parser.fail("unexpected trailing input", tok)
+            m = parse_matrix(stripped, field, lineno, indent, nvars)
             if (m.rows, m.cols) != (dim, dim):
                 raise ParseError(
                     f"matrix is {m.rows}x{m.cols}, expected {dim}x{dim}",

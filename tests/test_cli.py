@@ -136,10 +136,17 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
         "tilde-map": f"field Q\nnum {nested(400, 't')}\n",
         "class": f"field F 97\nvars 1\ndim 1\n[[{nested(400, '1')}]]\n",
     }
-    for (command, text), line in zip(jobs.items(), (2, 4)):
-        code, out, err = run(capsys, [command, job(tmp_path, text)])
-        assert code == 1 and out == ""
-        assert re.fullmatch(rf"error: {line}:\d+: expression is nested too deeply\n", err)
+    # the error sits at the expression's first '(', however deep the
+    # caller's stack already is
+    for (command, text), pos in zip(jobs.items(), ("2:5", "4:3")):
+        path = job(tmp_path, text, f"{command}.txt")
+        expected = f"error: {pos}: expression is nested too deeply\n"
+        code, out, err = run(capsys, [command, path])
+        assert (code, out, err) == (1, "", expected)
+        proc = subprocess.run(
+            [sys.executable, "-m", "endok.cli", command, path], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
     code, out, err = run(capsys, ["class", job(tmp_path, f"field Q\nvars 1\ndim 1\n[[{nested(100, '1/2')}]]\n")])
     assert (code, out, err) == (0, "1 * [t - 1/2]\n", "")
 
@@ -180,6 +187,28 @@ def test_byte_identical_across_runs_and_processes(tmp_path):
     ]
     assert outs[0] == outs[1]
     assert json.loads(outs[0].decode())["class"][0]["generators"] == ["t"]
+
+
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
+    import io
+
+    raw = b"field Q\nvars 1\ndim 1\n[[\xff]]\n"
+    path = tmp_path / "bad.job"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, ["class", str(path)])
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: .*can't decode byte 0xff.*\n", err)
+    # stdin decoded strictly fails the same way; with surrogateescape (as in
+    # a C locale) the stray byte is a positioned parse error
+    cases = (
+        ("strict", r"error: .*can't decode byte 0xff.*\n"),
+        ("surrogateescape", r"error: 4:3: unexpected character '\\udcff'\n"),
+    )
+    for errors, expected in cases:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), "utf-8", errors))
+        code, out, err = run(capsys, ["class", "-"])
+        assert (code, out) == (1, "")
+        assert re.fullmatch(expected, err)
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endok.errors import ParseError
 from endok.fields import GF, QQ
@@ -157,6 +159,73 @@ def test_matrix_literal_edge_cases():
     with pytest.raises(ParseError) as e:
         parse_matrix("[[1,2];\n [3,t]]", QQ)
     assert (e.value.line, e.value.column) == (2, 5)
+
+
+SPACES = st.sampled_from(["", "", " ", "  ", "\t"])
+# small values next to ones past int64, where a dtype guess would go wrong
+NUMBERS = st.one_of(st.integers(0, 200), st.integers(2**63 - 3, 2**70))
+
+
+@st.composite
+def matrix_texts(draw):
+    """(field, text, entries): a matrix literal with random spacing and
+    each entry's text with its offset in it."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(97), GF(2**61 - 1)]))
+    p = field.characteristic
+
+    def sp():
+        return draw(SPACES)
+
+    def entry():
+        a, b, c = draw(NUMBERS), draw(NUMBERS), draw(NUMBERS)
+        den = draw(st.one_of(NUMBERS, st.sampled_from([p, 2 * p, 1])))  # 0 mod p
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        return draw(
+            st.sampled_from(
+                [
+                    f"{sign}{sp()}{a}",
+                    f"{sign}{sp()}{a}{sp()}/{sp()}{den}",
+                    f"{a}{sp()}*{sp()}{b}{sp()}-{sp()}{c}",
+                    f"({sign}{a}{sp()}/{sp()}{den})",
+                    f"-{sp()}-{a}",
+                    f"{b}^{draw(st.integers(0, 3))}",
+                    f"t1{sp()}-{sp()}t1",
+                ]
+            )
+        )
+
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    text, entries = sp() + "[" + sp(), []
+    for i in range(rows):
+        text += ";" + sp() if i else ""
+        text += "["
+        for j in range(cols):
+            text += "," if j else ""
+            e = sp() + entry() + sp()
+            entries.append((e, len(text)))
+            text += e
+        text += "]" + sp()
+    return field, text + "]" + sp(), entries
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrix_texts())
+def test_matrix_reader_matches_the_expression_parser(case):
+    field, text, entries = case
+    scalars = []
+    for e, offset in entries:
+        try:
+            scalars.append(parse_poly(e, field, 1, 1, 1 + offset).coeff((0,)))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_matrix(text, field)
+            assert str(got.value) == str(exc)
+            return
+    m = parse_matrix(text, field)
+    expected = [scalars[i : i + m.cols] for i in range(0, len(scalars), m.cols)]
+    assert m == Matrix(field, expected)
+    assert [list(r) for r in m.entries] == expected
+    assert all(type(x) is type(field.zero) for row in m.entries for x in row)
 
 
 # -- job files ---------------------------------------------------------------------
