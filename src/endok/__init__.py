@@ -28,7 +28,6 @@ from .linalg import (
 from .modules import (
     CommutingTuple,
     Ideal,
-    InvariantSubmodule,
     MaximalIdealKey,
     quotient_is_field,
 )

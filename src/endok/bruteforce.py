@@ -12,7 +12,7 @@ from itertools import combinations, product
 from .errors import EnumerationBoundError
 from .ktheory import GrothendieckClass
 from .linalg import Matrix, Subspace, eval_poly_at_matrix
-from .modules import CommutingTuple, InvariantSubmodule, MaximalIdealKey
+from .modules import CommutingTuple, MaximalIdealKey
 from .poly import UniPoly
 
 # Cap on the number of subspaces of F_p^dim, which the oracle enumerates:
@@ -96,7 +96,7 @@ def all_invariant_submodules(t, bound=DEFAULT_BOUND):
     subs = []
     for s in all_subspaces(t.field, t.dim, bound):
         if all(s.contains(m.mul_vec(v)) for m in t.mats for v in s.basis):
-            subs.append(InvariantSubmodule(t, s))
+            subs.append(s)
     return subs
 
 
@@ -111,11 +111,11 @@ def composition_factors_bruteforce(t, bound=DEFAULT_BOUND):
         minimal = next(
             s for s in all_invariant_submodules(cur, bound) if s.dim >= 1
         )
-        simple = cur.restrict(minimal.space)
+        simple = cur.restrict(minimal)
         if len(all_invariant_submodules(simple, bound)) != 2:
             raise RuntimeError("peeled factor is not simple")
         factors.append(simple)
-        cur = cur.quotient(minimal.space)
+        cur = cur.quotient(minimal)
     return factors
 
 

@@ -117,13 +117,17 @@ def _cmd_decompose(job, rng):
 def _cmd_radical(job, rng):
     t = job.tuple()
     rad = t.radical_submodule()
-    layers = t.radical_filtration()
-    dims = [layer.dim for layer in layers]
+    # the filtration's first layer is V/rad and the rest is rad's own
+    # filtration, so rad is computed once
+    dims = []
+    if t.dim:
+        dims = [t.dim - rad.dim]
+        dims += [layer.dim for layer in t.restrict(rad).radical_filtration()]
     lines = [f"radical dim {rad.dim}"]
     if rad.dim:
         F = t.field
         rows = ";".join(
-            "[" + ",".join(F.render(x) for x in row) + "]" for row in rad.space.basis
+            "[" + ",".join(F.render(x) for x in row) + "]" for row in rad.basis
         )
         lines.append(f"basis [{rows}]")
     lines.append("layers " + " ".join(str(d) for d in dims) if dims else "layers")
@@ -133,7 +137,7 @@ def _cmd_radical(job, rng):
         "dim": t.dim,
         "radical_dim": rad.dim,
         "radical_basis": [
-            [t.field.render(x) for x in row] for row in rad.space.basis
+            [t.field.render(x) for x in row] for row in rad.basis
         ],
         "layer_dims": dims,
     }

@@ -2,10 +2,15 @@
 
 A ``CommutingTuple`` is a vector space k^d with n pairwise-commuting
 endomorphisms.  This module provides the structural operations on them:
-invariant submodules with restriction and quotient, the annihilator ideal
-(kernel of evaluating polynomials at the tuple, as a reduced Groebner
-basis with its standard monomials), the radical submodule and filtration,
-and the splitting into local pieces supported at single maximal ideals.
+submodules with restriction and quotient, the annihilator ideal (kernel of
+evaluating polynomials at the tuple, as a reduced Groebner basis with its
+standard monomials), the radical submodule and filtration, and the
+splitting into local pieces supported at single maximal ideals.
+
+A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
+``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
+that are invariant by construction; ``restrict`` and ``quotient`` check the
+invariance of the ``Subspace`` they are given.
 """
 
 import heapq
@@ -271,45 +276,6 @@ class MaximalIdealKey:
 _KEYS = weakref.WeakValueDictionary()
 
 
-class InvariantSubmodule:
-    """A subspace closed under every matrix of a commuting tuple."""
-
-    __slots__ = ("parent_dim", "space")
-
-    def __init__(self, t, space):
-        if space.field != t.field or space.ambient_dim != t.dim:
-            raise ValueError("subspace does not live in the module's space")
-        t._submodule_maps(space.matrix.transpose(), space.pivots)
-        object.__setattr__(self, "parent_dim", t.dim)
-        object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantSubmodule is immutable")
-
-    @classmethod
-    def _checked(cls, parent_dim, space):
-        """A submodule whose invariance the caller has already checked."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "parent_dim", parent_dim)
-        object.__setattr__(sub, "space", space)
-        return sub
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def __eq__(self, other):
-        if isinstance(other, InvariantSubmodule):
-            return self.parent_dim == other.parent_dim and self.space == other.space
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parent_dim, self.space))
-
-    def __repr__(self):
-        return f"InvariantSubmodule(dim {self.dim} of k^{self.parent_dim})"
-
-
 class CommutingTuple:
     """n pairwise-commuting d x d matrices over an exact field.
 
@@ -383,22 +349,13 @@ class CommutingTuple:
 
     # -- submodules ----------------------------------------------------------
 
-    def _as_space(self, s):
-        if isinstance(s, InvariantSubmodule):
-            if s.parent_dim != self.dim:
-                raise ValueError("submodule belongs to a different module")
-            return s.space
-        if isinstance(s, Subspace):
-            return s
-        raise TypeError(f"expected InvariantSubmodule or Subspace, got {s!r}")
-
     def generated_submodule(self, vectors):
-        """Smallest invariant subspace containing the vectors."""
+        """Smallest invariant subspace containing the vectors, as a
+        ``Subspace``."""
         F = self.field
         vectors = [tuple(F.coerce(x) for x in v) for v in vectors]
         basis = self._close(Echelon(F, self.dim), vectors)
-        space = Subspace._from_canonical(F, self.dim, basis)
-        return InvariantSubmodule(self, space)
+        return Subspace._from_canonical(F, self.dim, basis)
 
     def _close(self, ech, vectors):
         """Insert canonical vectors into ech and close its span under every
@@ -436,7 +393,10 @@ class CommutingTuple:
         echelon basis with its pivots, or kernel rows with their free
         columns (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.
         As w is in the span iff w = B.w[coords], B.R_k == f_k.B is exactly
-        invariance under f_k; a failure raises."""
+        invariance under f_k; a failure raises, as does a B over another
+        field or of another height than the module's space."""
+        if B.field != self.field or B.rows != self.dim:
+            raise ValueError("subspace does not live in the module's space")
         rs = []
         for k, m in enumerate(self.mats):
             fb = m @ B
@@ -447,22 +407,26 @@ class CommutingTuple:
         return rs
 
     def restrict(self, s):
-        """The induced tuple on an invariant subspace, in its echelon basis."""
-        sp = self._as_space(s)
-        rs = self._submodule_maps(sp.matrix.transpose(), sp.pivots)
-        return CommutingTuple(self.field, self.nvars, sp.dim, rs)
+        """The induced tuple on an invariant ``Subspace``, in its echelon
+        basis."""
+        if not isinstance(s, Subspace):
+            raise TypeError(f"expected a Subspace, got {s!r}")
+        rs = self._submodule_maps(s.matrix.transpose(), s.pivots)
+        return CommutingTuple(self.field, self.nvars, s.dim, rs)
 
     def quotient(self, s):
-        """The induced tuple on V/s over the complement basis indexed by the
-        non-pivot coordinates comp: M acts as M[comp, comp] -
-        B[comp, :].M[pivots, comp], with B the submodule's echelon basis."""
-        sp = self._as_space(s)
-        B = sp.matrix.transpose()
-        self._submodule_maps(B, sp.pivots)
-        comp = sp.complement_coords()
-        bc = _submatrix(B, comp, range(sp.dim))
+        """The induced tuple on V/s, s an invariant ``Subspace``, over the
+        complement basis indexed by the non-pivot coordinates comp: M acts
+        as M[comp, comp] - B[comp, :].M[pivots, comp], with B the echelon
+        basis of s."""
+        if not isinstance(s, Subspace):
+            raise TypeError(f"expected a Subspace, got {s!r}")
+        B = s.matrix.transpose()
+        self._submodule_maps(B, s.pivots)
+        comp = s.complement_coords()
+        bc = _submatrix(B, comp, range(s.dim))
         mats = [
-            _submatrix(m, comp, comp) - bc @ _submatrix(m, sp.pivots, comp)
+            _submatrix(m, comp, comp) - bc @ _submatrix(m, s.pivots, comp)
             for m in self.mats
         ]
         return CommutingTuple(self.field, self.nvars, len(comp), mats)
@@ -540,15 +504,16 @@ class CommutingTuple:
     # -- radical and filtration --------------------------------------------
 
     def radical_submodule(self):
-        """The subspace Jac(R).V for R = k[T]/Ann(V): the sum of the images
-        of s_i(f_i) with s_i the squarefree part of f_i's characteristic
-        polynomial (Seidenberg; needs a perfect field, which both supported
-        fields are)."""
+        """The ``Subspace`` Jac(R).V for R = k[T]/Ann(V): the sum of the
+        images of s_i(f_i) with s_i the squarefree part of f_i's
+        characteristic polynomial (Seidenberg; needs a perfect field, which
+        both supported fields are).  Each s_i(f_i) commutes with every f_j,
+        so the sum is invariant."""
         images = [
             eval_poly_at_matrix(squarefree_part(charpoly(m)), [m]).transpose()
             for m in self.mats
         ]
-        return InvariantSubmodule(self, Subspace._row_space(_stack(images)))
+        return Subspace._row_space(_stack(images))
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -632,11 +597,11 @@ class CommutingTuple:
         """V as a direct sum of pieces, each local at one maximal ideal:
         on every piece each f_i acts with irreducible-power characteristic
         polynomial.  Pieces come back in canonical key order, each as its
-        submodule and the tuple restricted to it in its echelon basis."""
+        ``Subspace`` and the tuple restricted to it in its echelon basis."""
         out = []
         for w, _, _ in self._local_pieces(rng):
             sp = Subspace._row_space(w)
-            out.append((InvariantSubmodule._checked(self.dim, sp), self.restrict(sp)))
+            out.append((sp, self.restrict(sp)))
         return out
 
     def maximal_ideal_key(self, rng=None):

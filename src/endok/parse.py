@@ -2,7 +2,8 @@
 
 Shared grammar (whitespace insignificant inside expressions):
 
-* scalars: integers and ``a/b`` fractions,
+* scalars: integers and ``a/b`` fractions; digits are ASCII ``0-9`` here,
+  in variable names and in the ``field``, ``vars`` and ``dim`` headers,
 * polynomials: variables ``t`` (one variable) or ``t1..tn``; operators
   ``+ - * ^``; ``^`` takes a nonnegative integer literal; parentheses,
 * matrices: ``[[a,b];[c,d]]`` with rows split by ``;``, entries by ``,``;
@@ -49,6 +50,9 @@ class Token:
 
 
 _OPS = set("+-*/^()[];,")
+# Digits and names are ASCII: str.isdigit would also take "²" or "٣"
+_DIGITS = re.compile(r"[0-9]+")
+_WORD = re.compile(r"([0-9]+)|[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text, line=1, col=1):
@@ -65,19 +69,10 @@ def _tokenize(text, line=1, col=1):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
+        word = _WORD.match(text, i)
+        if word:
+            j = word.end()
+            tokens.append(Token("int" if word.group(1) else "name", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -187,7 +182,7 @@ class _ExprParser:
             if self.nvars != 1:
                 self.fail(f"plain 't' is only valid with one variable; use t1..t{self.nvars}", tok)
             return MultiPoly.variable(self.field, 1, 0)
-        if name.startswith("t") and name[1:].isdigit():
+        if name.startswith("t") and _DIGITS.fullmatch(name, 1):
             idx = int(name[1:])
             if not 1 <= idx <= self.nvars:
                 self.fail(f"variable {name} is out of range 1..{self.nvars}", tok)
@@ -367,7 +362,7 @@ def parse_input(text):
             parts = rest.split()
             if parts == ["Q"]:
                 field = QQ
-            elif len(parts) == 2 and parts[0] == "F" and parts[1].isdigit():
+            elif len(parts) == 2 and parts[0] == "F" and _DIGITS.fullmatch(parts[1]):
                 try:
                     field = GF(int(parts[1]))
                 except ValueError as exc:
@@ -380,11 +375,11 @@ def parse_input(text):
         if field is None:
             raise ParseError("the field line must come first", lineno, indent)
         if head == "vars":
-            if not rest.isdigit() or int(rest) < 1:
+            if not _DIGITS.fullmatch(rest) or int(rest) < 1:
                 raise ParseError("vars takes a positive integer", lineno, indent)
             nvars = int(rest)
         elif head == "dim":
-            if not rest.isdigit():
+            if not _DIGITS.fullmatch(rest):
                 raise ParseError("dim takes a nonnegative integer", lineno, indent)
             dim = int(rest)
         elif head == "num":
@@ -428,7 +423,7 @@ def field_to_string(field):
 def field_from_string(s):
     if s == "Q":
         return QQ
-    if s.startswith("F") and s[1:].isdigit():
+    if s.startswith("F") and _DIGITS.fullmatch(s, 1):
         return GF(int(s[1:]))
     raise ValueError(f"unknown field name {s!r}")
 

@@ -596,26 +596,19 @@ def signed_reversal(q, inverse=False):
     Forward takes a monic q to a constant-term-1 polynomial (coefficient of
     t^j is (-1)^j * q_{deg-j}); the degree drops exactly when q(0) = 0.
     Inverse recovers the monic preimage of matching degree, which is a true
-    inverse on polynomials with nonzero constant term.
+    inverse on polynomials with nonzero constant term.  Both reverse the
+    coefficients and negate the odd positions; the inverse then multiplies
+    by (-1)^deg, which makes its result monic.
     """
     F = q.field
     if inverse:
         if q.is_zero or q.constant_term != F.one:
             raise ValueError("inverse reversal needs constant term 1")
-        e = q.degree
-        out = [F.zero] * (e + 1)
-        for i in range(e + 1):
-            c = q[e - i]
-            out[i] = c if (e - i) % 2 == 0 else F.neg(c)
-        return UniPoly(F, out)
-    if q.is_zero or not q.is_monic:
+    elif q.is_zero or not q.is_monic:
         raise ValueError("forward reversal needs a monic polynomial")
     d = q.degree
-    out = [F.zero] * (d + 1)
-    for j in range(d + 1):
-        c = q[d - j]
-        out[j] = c if j % 2 == 0 else F.neg(c)
-    return UniPoly(F, out)
+    r = UniPoly(F, [q[d - j] if j % 2 == 0 else F.neg(q[d - j]) for j in range(d + 1)])
+    return -r if inverse and d % 2 else r
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,10 @@ def tensor(a, b):
     ia, ib = Matrix.identity(F, a.dim), Matrix.identity(F, b.dim)
     mats = [kron(f, ib) + kron(ia, h) for f, h in zip(a.mats, b.mats)]
     return CommutingTuple(F, a.nvars, a.dim * b.dim, mats)
+
+
+def job_text(t):
+    """The job file of a tuple, as the CLI reads it."""
+    field = "Q" if t.field == QQ else f"F {t.field.characteristic}"
+    mats = "".join(f"{m}\n" if t.dim else "[[]]\n" for m in t.mats)
+    return f"field {field}\nvars {t.nvars}\ndim {t.dim}\n{mats}"

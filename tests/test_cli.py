@@ -1,12 +1,19 @@
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
+from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
+from endok.fields import GF, QQ
+from endok.linalg import Matrix
+from endok.modules import CommutingTuple
 from endok.parse import class_from_json
+
+from conftest import conjugate, fat_point, job_text
 
 DIAG_Q = "field Q\nvars 1\ndim 2\n[[0,0];[0,1]]\n"
 J2_Q = "field Q\nvars 1\ndim 2\n[[0,1];[0,0]]\n"
@@ -67,6 +74,46 @@ def test_radical_output(tmp_path, capsys):
     assert out == "radical dim 1\nbasis [[1,0]]\nlayers 1 1\n"
 
 
+def test_radical_is_computed_once_per_layer(tmp_path, capsys, monkeypatch):
+    # the first layer is V/rad and the others are rad's own filtration,
+    # so the radical of V is not computed a second time for the layers
+    calls = []
+    radical = CommutingTuple.radical_submodule
+
+    def counting(self):
+        calls.append(self.dim)
+        return radical(self)
+
+    monkeypatch.setattr(CommutingTuple, "radical_submodule", counting)
+    J3_Q = "field Q\nvars 1\ndim 3\n[[0,1,0];[0,0,1];[0,0,0]]\n"
+    for text, layers in ((DIAG_Q, [2]), (J2_Q, [1, 1]), (J3_Q, [1, 1, 1]), (PAIR_F2, [1, 1])):
+        calls.clear()
+        code, out, _ = run(capsys, ["radical", job(tmp_path, text), "--json"])
+        assert code == 0 and json.loads(out)["layer_dims"] == layers
+        assert len(calls) == len(layers)
+
+
+def test_radical_layers_match_the_filtration(tmp_path, capsys):
+    rng = random.Random(41)
+    semisimple = CommutingTuple(
+        QQ, 2, 3, [Matrix(QQ, [[0, 0, 0], [0, 1, 0], [0, 0, 2]]), Matrix.identity(QQ, 3)]
+    )
+    cases = [CommutingTuple.zeros(QQ, 1, 0), CommutingTuple.zeros(GF(2), 2, 0), semisimple]
+    for field in (QQ, GF(2), GF(97)):
+        # most random tuples are semisimple; fat points have several layers
+        fat = fat_point(field, 2, 3)
+        cases += [fat, conjugate(CommutingTuple.direct_sum(fat, fat_point(field, 2, 2)), rng)]
+        for _ in range(8):
+            cases.append(random_commuting_tuple(field, rng.randint(1, 3), rng.randint(1, 6), rng))
+    for t in cases:
+        layers = [layer.dim for layer in t.radical_filtration()]
+        code, out, _ = run(capsys, ["radical", job(tmp_path, job_text(t)), "--json"])
+        assert code == 0 and json.loads(out)["layer_dims"] == layers
+        code, out, _ = run(capsys, ["radical", job(tmp_path, job_text(t))])
+        assert out.splitlines()[-1] == " ".join(["layers"] + [str(d) for d in layers])
+    assert [layer.dim for layer in semisimple.radical_filtration()] == [3]
+
+
 def test_annihilator_output(tmp_path, capsys):
     code, out, _ = run(capsys, ["annihilator", job(tmp_path, PAIR_F2)])
     assert code == 0
@@ -123,6 +170,26 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["class", job(tmp_path, "field Q\nvars 2\ndim 2\n[[0,1];[0,0]]\n[[0,0];[1,0]]\n")],
     )
     assert code == 1 and "do not commute" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        ("tilde-map", "field Q\nnum t^\u00b2\n", "2:7: unexpected character '\u00b2'"),
+        ("tilde-map", "field Q\nnum t\u00b2\n", "2:6: unexpected character '\u00b2'"),
+        ("tilde-map", "field Q\nnum 1+t\u0661\n", "2:8: unexpected character '\u0661'"),
+        ("class", "field Q\nvars \u00b2\ndim 1\n[[1]]\n", "2:1: vars takes a positive integer"),
+        ("class", "field Q\nvars \u0662\ndim 1\n[[1]]\n", "2:1: vars takes a positive integer"),
+        ("class", "field Q\nvars 1\ndim \u00b2\n", "3:1: dim takes a nonnegative integer"),
+        ("class", "field F \u00b3\n", "1:1: expected 'field Q' or 'field F <p>'"),
+        ("class", "field F \u0663\n", "1:1: expected 'field Q' or 'field F <p>'"),
+    ],
+    ids=["num-exponent", "num-name", "num-arabic", "vars", "vars-arabic", "dim", "field", "field-arabic"],
+)
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys, command, text, expected):
+    # only 0-9 are digits: others neither crash int() nor read as a number
+    code, out, err = run(capsys, [command, job(tmp_path, text)])
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
 
 
 def nested(depth, inner):

@@ -31,6 +31,7 @@ from conftest import (
     conjugate,
     fat_point,
     field_id,
+    job_text,
     largest_prime_below,
     plain_matmul,
     plain_ops,
@@ -308,11 +309,6 @@ def test_algebra_identical_across_paths(monkeypatch):
         assert all(m.to_integers()[0].dtype == object for t in tuples for m in t.mats)
         exact = [algebra(t) for t in tuples]
     assert int64 == exact
-
-
-def job_text(t):
-    header = f"field F {t.field.characteristic}\nvars {t.nvars}\ndim {t.dim}\n"
-    return header + "".join(f"{m}\n" for m in t.mats)
 
 
 def test_end_to_end_output_identical_across_paths(tmp_path, monkeypatch, capsys):

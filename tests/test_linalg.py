@@ -831,7 +831,7 @@ def test_generated_submodule_matches_plain_closure(field, nvars, dim, count, see
     rng = random.Random(seed)
     t = random_commuting_tuple(field, nvars, dim, rng)
     vectors = [random_vector(field, dim, rng) for _ in range(count)]
-    assert t.generated_submodule(vectors).space == plain_closure(t, vectors)
+    assert t.generated_submodule(vectors) == plain_closure(t, vectors)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -17,7 +17,6 @@ from endok.linalg import (
 from endok.modules import (
     CommutingTuple,
     Ideal,
-    InvariantSubmodule,
     MaximalIdealKey,
     multiplication_matrix,
     quotient_is_field,
@@ -83,9 +82,12 @@ def test_generated_submodule_examples():
 
 
 def test_invariant_submodule_rejects_noninvariant():
-    t = CommutingTuple(QQ, 1, 2, [J])
-    with pytest.raises(ValueError):
-        InvariantSubmodule(t, Subspace(QQ, 2, [(0, 1)]))  # span e2 not J-stable
+    # span e2 is stable under the zero map and not under J
+    t = CommutingTuple(QQ, 2, 2, [Z2, J])
+    s = Subspace(QQ, 2, [(0, 1)])
+    for op in (t.restrict, t.quotient):
+        with pytest.raises(ValueError, match="not invariant under matrix 1"):
+            op(s)
 
 
 # -- restrict / quotient -------------------------------------------------------------
@@ -109,6 +111,23 @@ def test_restrict_rejects_noninvariant():
         t.restrict(bad)
     with pytest.raises(ValueError):
         t.quotient(bad)
+
+
+def test_restrict_quotient_reject_foreign_subspaces():
+    t = CommutingTuple(QQ, 1, 2, [J])
+    foreign = (
+        Subspace(QQ, 3, [(1, 0, 0)]),  # k^3 against k^2
+        Subspace.zero(QQ, 3),
+        Subspace(F3, 2, [(1, 0)]),  # invariant in shape, over another field
+        Subspace.full(F3, 2),
+    )
+    for op in (t.restrict, t.quotient):
+        for s in foreign:
+            with pytest.raises(ValueError, match="subspace does not live in the module's space"):
+                op(s)
+        for s in ([(1, 0)], Matrix(QQ, [[1, 0]]), None):
+            with pytest.raises(TypeError):
+                op(s)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
@@ -136,12 +155,11 @@ def test_restrict_quotient_formulas(field):
     for _ in range(20):
         t = random_commuting_tuple(field, rng.randint(2, 3), rng.randint(1, 6), rng)
         d = t.dim
-        for s in (
+        for sp in (
             t.generated_submodule([random_vector(field, d, rng)]),
             t.generated_submodule([]),
-            InvariantSubmodule(t, Subspace.full(field, d)),
+            Subspace.full(field, d),
         ):
-            sp = s.space
             comp = sp.complement_coords()
 
             def combine(coeffs):
@@ -154,7 +172,7 @@ def test_restrict_quotient_formulas(field):
                 w = combine([v[p] for p in sp.pivots])
                 return tuple(F.sub(v[c], w[c]) for c in comp)
 
-            sub, quo = t.restrict(s), t.quotient(s)
+            sub, quo = t.restrict(sp), t.quotient(sp)
             for f, r, q in zip(t.mats, sub.mats, quo.mats):
                 for j, b in enumerate(sp.basis):
                     assert f.mul_vec(b) == combine(r.column(j))
@@ -357,7 +375,7 @@ def test_ideal_requires_zero_dimensionality():
 def test_radical_examples():
     tJ = CommutingTuple(QQ, 1, 2, [J])
     rad = tJ.radical_submodule()
-    assert rad.space == Subspace(QQ, 2, [(1, 0)])
+    assert rad == Subspace(QQ, 2, [(1, 0)])
 
     diag = CommutingTuple(QQ, 1, 2, [Matrix(QQ, [[0, 0], [0, 1]])])
     assert diag.radical_submodule().dim == 0
@@ -394,7 +412,7 @@ def test_radical_filtration_properties(field):
 def test_primary_decomposition_examples():
     diag = CommutingTuple(QQ, 1, 2, [Matrix(QQ, [[0, 0], [0, 1]])])
     pieces = diag.primary_decomposition()
-    assert [s.space.basis for s, _ in pieces] == [
+    assert [s.basis for s, _ in pieces] == [
         ((QQ.one, QQ.zero),),
         ((QQ.zero, QQ.one),),
     ]
@@ -429,7 +447,7 @@ def test_primary_decomposition_checks_each_piece_once(monkeypatch):
     # to the canonical basis it returns
     checked.clear()
     pieces = t.primary_decomposition()
-    assert len(checked) == 4 and set(checked) == {s.space for s, _ in pieces}
+    assert len(checked) == 4 and set(checked) == {s for s, _ in pieces}
 
 
 def test_equal_keys_share_one_object():
@@ -449,7 +467,7 @@ def test_primary_decomposition_properties(field):
         pieces = t.primary_decomposition(rng)
         assert sum(s.dim for s, _ in pieces) == t.dim
         stacked = Subspace(
-            field, t.dim, [v for s, _ in pieces for v in s.space.basis]
+            field, t.dim, [v for s, _ in pieces for v in s.basis]
         )
         assert stacked.dim == t.dim
         for _, piece in pieces:

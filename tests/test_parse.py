@@ -126,6 +126,9 @@ MATRIX_ERRORS = [
     ("[[t^]]", 5, "exponent must be a nonnegative integer"),
     ("[[t2]]", 3, "variable t2 is out of range 1..1"),
     ("[[x]]", 3, "unknown variable 'x'"),
+    # digits are ASCII: neither a superscript nor an Arabic-Indic digit reads
+    ("[[\u00b2]]", 3, "unexpected character '\u00b2'"),
+    ("[[\u0663]]", 3, "unexpected character '\u0663'"),
 ]
 
 
@@ -304,8 +307,9 @@ def test_noncommuting_matrices_reported_with_indices():
 def test_field_string_roundtrip():
     for f in (QQ, F3, GF(2)):
         assert field_from_string(field_to_string(f)) == f
-    with pytest.raises(ValueError):
-        field_from_string("R")
+    for name in ("R", "F\u0663", "F\u00b3"):
+        with pytest.raises(ValueError):
+            field_from_string(name)
 
 
 def test_class_json_roundtrip():

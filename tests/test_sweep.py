@@ -53,8 +53,8 @@ def render(t):
     field, nvars = t.field, t.nvars
     lines = ["class " + "; ".join(k0_class(t).lines())]
     for sub, _ in t.primary_decomposition():
-        lines.append("piece " + render_basis(field, sub.space.basis))
-    lines.append("radical " + render_basis(field, t.radical_submodule().space.basis))
+        lines.append("piece " + render_basis(field, sub.basis))
+    lines.append("radical " + render_basis(field, t.radical_submodule().basis))
     ideal = t.annihilator_ideal()
     lines.append("annihilator " + ", ".join(ideal.generator_strings()))
     monos = [render_monomial(m, nvars) or "1" for m in ideal.standard_monomials]
