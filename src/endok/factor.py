@@ -1,9 +1,18 @@
 """Irreducible factorization of univariate polynomials over Q and F_p.
 
 Over F_p: squarefree decomposition, then distinct-degree splitting
-followed by randomized Cantor-Zassenhaus equal-degree splitting, all on
-the coefficient lists of :mod:`endok.poly` (raw residues, one reduction
-mod p per coefficient).
+followed by randomized Cantor-Zassenhaus equal-degree splitting.  Both
+raise to the p-th power with the Frobenius matrix of the squarefree part
+g (``_frobenius``: row i is t^(ip) mod g, Berlekamp's Q): Frobenius is
+F_p-linear, so h^p mod g is the one vector-matrix product h.Q mod p on a
+residue array, and h^p mod a divisor f of g is that product reduced mod
+f, so one Q serves every modulus of g's splitting.  Everything else,
+gcds and products included, runs on the coefficient lists of
+:mod:`endok.poly` (raw residues, one reduction mod p per coefficient).
+Distinct-degree splitting takes one such step per degree; equal-degree
+splitting takes r^((p^d - 1)/2) as the norm r.r^p...r^(p^(d-1)), d - 1
+steps, raised to the power (p - 1)/2, and over F_2 the trace
+r + r^2 + ... + r^(2^(d-1)) in d - 1 steps (von zur Gathen-Shoup).
 
 Over Q: the polynomial is cleared to a primitive integer one, Yun's
 squarefree split runs over Z (:mod:`endok.poly`), and Zassenhaus factors
@@ -24,6 +33,9 @@ import math
 import random
 from itertools import combinations, count
 
+import numpy as np
+
+from . import _kernels
 from .fields import is_prime
 from .poly import (
     UniPoly,
@@ -101,15 +113,62 @@ def _factor_squarefree_modp(g, p, rng):
     """Monic squarefree g over F_p -> unsorted list of monic irreducibles."""
     if len(g) <= 2:
         return [g] if len(g) == 2 else []
+    q = _frobenius(g, p)
     parts = []
-    for h, d in _distinct_degree_split(g, p):
-        parts.extend(_equal_degree_split(h, d, p, rng))
+    for h, d in _distinct_degree_split(g, p, q):
+        parts.extend(_equal_degree_split(h, d, p, rng, q))
     return parts
 
 
-def _distinct_degree_split(g, p):
+def _frobenius(g, p):
+    """The Frobenius matrix of a monic g of degree n >= 1 over F_p: the n x n
+    residue array Q, of dtype ``_kernels.dtype(p)``, whose row i is the
+    coefficients of t^(ip) mod g.  For h of degree < n, h^p = h.Q mod g.
+
+    M = C^p, C the companion matrix of g (row i is t^(i+1) mod g), holds
+    t^(i+p) mod g in row i.  It is found by repeated squaring over the
+    bits of p from the top, where each multiplication by C is a shift of
+    the columns plus one rank-one update.  Then Q[0] = e_0 and
+    Q[i] = Q[i-1].M, filled in blocks that double: Q[k + i] = Q[i].M^k
+    for k = 1, 2, 4, ..."""
+    n = len(g) - 1
+    tail = np.array([-x % p for x in g[:-1]], _kernels.dtype(p))
+    m = np.zeros((n, n), tail.dtype)
+    m[range(n - 1), range(1, n)] = 1
+    m[n - 1] = tail
+    for bit in bin(p)[3:]:
+        m = (m @ m) % p
+        if bit == "1":
+            # column j of M.C is -g_j times column n - 1 of M, plus
+            # column j - 1 of M
+            mc = m[:, -1:] * tail
+            mc[:, 1:] += m[:, :-1]
+            m = mc % p
+    q = np.zeros_like(m)
+    q[0, 0] = 1
+    k = 1
+    while k < n:
+        # here m = M^k
+        q[k : 2 * k] = (q[: min(k, n - k)] @ m) % p
+        k *= 2
+        if k < n:
+            m = (m @ m) % p
+    return q
+
+
+def _frobenius_step(h, q, f, p):
+    """h^p mod f, for q = _frobenius(g, p), f a divisor of g and h reduced
+    mod f: h.Q is h^p mod g, and f divides g."""
+    v = np.zeros(len(q), q.dtype)
+    v[: len(h)] = h
+    return _divmod(_trim(((v @ q) % p).tolist()), f, p)[1]
+
+
+def _distinct_degree_split(g, p, q):
     """Monic squarefree g -> [(h_d, d)] with h_d the product of its
-    irreducible factors of degree d.  Uses gcd(g, t^(p^d) - t)."""
+    irreducible factors of degree d.  Uses gcd(g, t^(p^d) - t), with
+    t^(p^d) mod ``cur`` one Frobenius step from t^(p^(d-1)), for q =
+    _frobenius(g, p)."""
     x = [0, 1]
     factors = []
     cur = g
@@ -120,7 +179,7 @@ def _distinct_degree_split(g, p):
         if len(cur) - 1 < 2 * d:
             factors.append((cur, len(cur) - 1))
             break
-        h = _pow_mod(h, p, cur, p)
+        h = _frobenius_step(h, q, cur, p)
         hx = _sub(h, x, p)
         G = _gcd(cur, hx, p) if hx else cur
         if len(G) > 1:
@@ -130,8 +189,9 @@ def _distinct_degree_split(g, p):
     return factors
 
 
-def _equal_degree_split(h, d, p, rng):
-    """Cantor-Zassenhaus split of h into its degree-d irreducible factors."""
+def _equal_degree_split(h, d, p, rng, q):
+    """Cantor-Zassenhaus split of h into its degree-d irreducible factors,
+    for q the Frobenius matrix of a multiple of h."""
     n = len(h) - 1
     if n == d:
         return [h]
@@ -139,21 +199,26 @@ def _equal_degree_split(h, d, p, rng):
         r = _trim([rng.randrange(p) for _ in range(2 * d)])
         if len(r) < 2:
             continue
+        r = _divmod(r, h, p)[1]
         if p == 2:
             # trace map r + r^2 + ... + r^(2^(d-1)) splits half the factors
-            sq = _divmod(r, h, p)[1]
-            probe = sq
+            probe = r
             for _ in range(d - 1):
-                sq = _divmod(_mul(sq, sq, p), h, p)[1]
-                probe = _add(probe, sq, p)
+                r = _frobenius_step(r, q, h, p)
+                probe = _add(probe, r, p)
         else:
-            probe = _sub(_pow_mod(r, (p**d - 1) // 2, h, p), [1], p)
+            # r^((p^d - 1)/2) = (r.r^p...r^(p^(d-1)))^((p - 1)/2)
+            norm = r
+            for _ in range(d - 1):
+                r = _frobenius_step(r, q, h, p)
+                norm = _divmod(_mul(norm, r, p), h, p)[1]
+            probe = _sub(_pow_mod(norm, (p - 1) // 2, h, p), [1], p)
         if not probe:
             continue
         g = _gcd(h, probe, p)
         if 0 < len(g) - 1 < n:
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(
-                _divmod(h, g, p)[0], d, p, rng
+            return _equal_degree_split(g, d, p, rng, q) + _equal_degree_split(
+                _divmod(h, g, p)[0], d, p, rng, q
             )
 
 

@@ -583,20 +583,26 @@ class Echelon:
 
 def _kernel_rows(m):
     """(K, free): the rows of K are a basis of the right null space, read
-    off one reduced echelon form, and free lists the non-pivot columns.
+    off one reduced echelon form by ``_echelon_kernel``, and free lists the
+    non-pivot columns."""
+    return _echelon_kernel(*rref(m))
 
-    With R = N/D the reduced echelon form, free column j gives the kernel
-    vector e_j minus column j of R at the pivots, so K is the identity on
-    the free columns: a vector w of the null space is w[free].K.  Over Q,
-    K is D e_j minus column j of N over the denominator D."""
-    R, pivots = rref(m)
+
+def _echelon_kernel(R, pivots):
+    """``_kernel_rows`` of any matrix with reduced echelon form R and
+    pivot columns pivots.
+
+    With R = N/D, free column j gives the kernel vector e_j minus column j
+    of R at the pivots, so K is the identity on the free columns: a vector
+    w of the null space is w[free].K.  Over Q, K is D e_j minus column j of
+    N over the denominator D."""
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = [j for j in range(R.cols) if j not in pivset]
     num, den = R.to_integers()
-    K = np.zeros((len(free), m.cols), num.dtype)
+    K = np.zeros((len(free), R.cols), num.dtype)
     K[range(len(free)), free] = den
     K[:, pivots] = -num[: len(pivots), free].T
-    return Matrix._from_integers(m.field, K, den), free
+    return Matrix._from_integers(R.field, K, den), free
 
 
 def kernel_basis(m):

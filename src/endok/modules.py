@@ -24,6 +24,7 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    _echelon_kernel,
     _kernel_rows,
     _stack,
     _submatrix,
@@ -393,17 +394,26 @@ class CommutingTuple:
         echelon basis with its pivots, or kernel rows with their free
         columns (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.
         As w is in the span iff w = B.w[coords], B.R_k == f_k.B is exactly
-        invariance under f_k; a failure raises, as does a B over another
-        field or of another height than the module's space."""
+        invariance under f_k, checked by ``_invariant_maps``; a B over
+        another field or of another height than the module's space raises
+        too."""
         if B.field != self.field or B.rows != self.dim:
             raise ValueError("subspace does not live in the module's space")
-        rs = []
-        for k, m in enumerate(self.mats):
-            fb = m @ B
-            r = _submatrix(fb, coords, range(B.cols))
+        fbs = [m @ B for m in self.mats]
+        rs = [_submatrix(fb, coords, range(B.cols)) for fb in fbs]
+        return self._invariant_maps(B, rs, fbs)
+
+    def _invariant_maps(self, B, rs, fbs=None):
+        """rs, the claimed matrices R_k of the f_k on the span of the
+        columns of B (full column rank) in that basis, once B.R_k == f_k.B
+        holds for every k: the invariance check, and the only one.  fbs
+        holds the products f_k.B when the caller has them.  A failure
+        raises ValueError naming k."""
+        if fbs is None:
+            fbs = [m @ B for m in self.mats]
+        for k, (r, fb) in enumerate(zip(rs, fbs)):
             if B @ r != fb:
                 raise ValueError(f"subspace is not invariant under matrix {k}")
-            rs.append(r)
         return rs
 
     def restrict(self, s):
@@ -545,14 +555,24 @@ class CommutingTuple:
         primary on the item to the irreducible q_i of its characteristic
         polynomial; restriction to an invariant subspace keeps it primary,
         so each generator is factored once per lineage.  The first
-        generator whose characteristic polynomial has two distinct factors
-        splits the item into generalised eigenspaces.  Each one is taken
-        as the kernel rows K of ``linalg._kernel_rows``, one elimination:
-        the child is K.W, restricted from t by ``_submodule_maps`` with its
-        invariance checked there.  An item on which every generator is
-        primary goes to ``_key``, which either keys it or names an element
-        g whose g(f) splits it further.  At the end the pieces' dimensions
-        must add up to dim V and the stacked W must have full rank.
+        generator m whose characteristic polynomial q_1^v_1...q_k^v_k has
+        two distinct factors splits the item into its generalised
+        eigenspaces, peeled off one at a time, largest deg q_j * v_j first
+        so that what remains shrinks fastest.  For j < k, one elimination
+        of A = q_j(m)^v_j on what remains gives both halves: its kernel
+        rows K (``linalg._echelon_kernel``) are child j, K.W, restricted by
+        ``_submodule_maps``; its image, the sum of the other eigenspaces,
+        is spanned by the pivot columns B of A, and as A = B.R' for R' the
+        nonzero rows of the reduced echelon form, every f commuting with A
+        has f.B = B.(R'.f[:, pivots]).  The split goes on in that image,
+        lifted as B^T.W, and its last and smallest piece is what remains,
+        with no elimination: k - 1 eliminations per split, on shrinking
+        matrices.  Each piece's dimension must be deg q_j * v_j, and each
+        restriction's invariance is checked once, by ``_invariant_maps``.
+        An item on which every generator is primary goes to ``_key``,
+        which either keys it or names an element g whose g(f) splits it
+        further.  At the end the pieces' dimensions must add up to dim V
+        and the stacked W must have full rank.
         """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
@@ -580,12 +600,28 @@ class CommutingTuple:
                 m = eval_poly_at_matrix(g, list(t.mats))
                 split = (m, factor_univariate(charpoly(m), rng), None)
             m, factors, i = split
-            for q, v in factors:
-                ker, free = _generalised_eigenspace(m, q, v)
-                rs = t._submodule_maps(ker.transpose(), free)
-                child = CommutingTuple(F, n, ker.rows, rs)
+            factors = sorted(factors, key=lambda qv: -qv[0].degree * qv[1])
+            for j, (q, v) in enumerate(factors):
                 child_qs = dict(qs) if i is None else {**qs, i: q}
-                work.append((ker @ w, child, child_qs))
+                if j == len(factors) - 1:
+                    _check_eigenspace(q, v, t.dim)
+                    work.append((w, t, child_qs))
+                    break
+                a = eval_poly_at_matrix(q, [m]).pow(v)
+                R, pivots = rref(a)
+                ker, free = _echelon_kernel(R, pivots)
+                _check_eigenspace(q, v, ker.rows)
+                rs = t._submodule_maps(ker.transpose(), free)
+                work.append((ker @ w, CommutingTuple(F, n, ker.rows, rs), child_qs))
+                # what remains is the image of a, in the basis of its pivot
+                # columns B, where f acts as R'.f[:, pivots]
+                rows = range(a.rows)
+                B = _submatrix(a, rows, pivots)
+                top = _submatrix(R, range(len(pivots)), rows)
+                rs = t._invariant_maps(B, [top @ _submatrix(f, rows, pivots) for f in t.mats])
+                m = rs[i] if i is not None else top @ _submatrix(m, rows, pivots)
+                w = B.transpose() @ w
+                t = CommutingTuple(F, n, len(pivots), rs)
         if sum(w.rows for w, _, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
         if len(rref(_stack([w for w, _, _ in out]))[1]) != d:
@@ -685,14 +721,12 @@ def _local_key(ideal, dim):
     return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
 
 
-def _generalised_eigenspace(m, q, v):
-    """ker q(m)^v for an irreducible q with q^v exactly dividing the
-    characteristic polynomial of m, as ``linalg._kernel_rows``; its
-    dimension is deg q * v."""
-    ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
-    if ker.rows != q.degree * v:
+def _check_eigenspace(q, v, dim):
+    """Raise unless dim, that of the generalised eigenspace of an
+    irreducible q with q^v exactly dividing the characteristic
+    polynomial, is deg q * v."""
+    if dim != q.degree * v:
         raise RuntimeError(
-            f"generalised eigenspace of {q} has dimension {ker.rows}, "
+            f"generalised eigenspace of {q} has dimension {dim}, "
             f"expected {q.degree * v}"
         )
-    return ker, free

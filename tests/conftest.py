@@ -1,6 +1,8 @@
+import os
 import random
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,18 @@ def largest_prime_below(n):
 # primes whose residue products overflow int64
 P61 = GF(2**61 - 1)
 PMAX = GF(largest_prime_below(MAX_PRIME))
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env():
+    """The environment for a ``python -m endok.cli`` child process: this
+    one, with the checkout's ``src`` first on PYTHONPATH, so the child
+    imports the same package as the tests, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

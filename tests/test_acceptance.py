@@ -32,6 +32,8 @@ from endok.linalg import Matrix
 from endok.modules import CommutingTuple
 from endok.poly import UniPoly
 
+from conftest import src_env
+
 F2, F3, F5 = GF(2), GF(3), GF(5)
 FIELDS = [F2, F3, F5, QQ]
 
@@ -241,6 +243,7 @@ def test_criterion_8_golden_cli_outputs(tmp_path, capsys):
             [sys.executable, "-m", "endok.cli", "class", str(path)],
             capture_output=True,
             check=True,
+            env=src_env(),
         ).stdout
         for _ in range(2)
     ]

@@ -13,7 +13,7 @@ from endok.linalg import Matrix
 from endok.modules import CommutingTuple
 from endok.parse import class_from_json
 
-from conftest import conjugate, fat_point, job_text
+from conftest import conjugate, fat_point, job_text, src_env
 
 DIAG_Q = "field Q\nvars 1\ndim 2\n[[0,0];[0,1]]\n"
 J2_Q = "field Q\nvars 1\ndim 2\n[[0,1];[0,0]]\n"
@@ -211,7 +211,10 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, [command, path])
         assert (code, out, err) == (1, "", expected)
         proc = subprocess.run(
-            [sys.executable, "-m", "endok.cli", command, path], capture_output=True, text=True
+            [sys.executable, "-m", "endok.cli", command, path],
+            capture_output=True,
+            text=True,
+            env=src_env(),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
     code, out, err = run(capsys, ["class", job(tmp_path, f"field Q\nvars 1\ndim 1\n[[{nested(100, '1/2')}]]\n")])
@@ -249,6 +252,7 @@ def test_byte_identical_across_runs_and_processes(tmp_path):
             [sys.executable, "-m", "endok.cli", "class", path, "--json"],
             capture_output=True,
             check=True,
+            env=src_env(),
         ).stdout
         for _ in range(2)
     ]

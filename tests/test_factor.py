@@ -3,16 +3,27 @@ from itertools import product
 
 import pytest
 
-from endok import factor
+from endok import _kernels, factor
 from endok.cli import main
 from endok.factor import factor_univariate, is_irreducible
 from endok.fields import GF, QQ
 from endok.ktheory import k0_class
 from endok.linalg import Matrix
 from endok.modules import CommutingTuple
-from endok.poly import UniPoly
+from endok.poly import (
+    UniPoly,
+    _add,
+    _divmod,
+    _gcd,
+    _monic,
+    _mul,
+    _pow_mod,
+    _squarefree,
+    _sub,
+    _trim,
+)
 
-from conftest import ALL_FIELDS, field_id
+from conftest import ALL_FIELDS, P61, field_id
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -309,3 +320,125 @@ def test_odd_prime_cantor_zassenhaus():
     for q, e in factors:
         prod = prod * q**e
     assert prod == f
+
+
+# -- Frobenius-matrix DDF and Cantor-Zassenhaus against _pow_mod ----------------
+#
+# The reference takes every p-th power with _pow_mod (square-and-multiply
+# on coefficient lists) and r^((p^d - 1)/2) in one _pow_mod; the draws
+# from rng are the same, so the factor lists and the rng state after the
+# call must be identical.
+
+
+def pow_mod_ddf(g, p):
+    x = [0, 1]
+    factors = []
+    cur = g
+    h = x
+    d = 0
+    while len(cur) > 1:
+        d += 1
+        if len(cur) - 1 < 2 * d:
+            factors.append((cur, len(cur) - 1))
+            break
+        h = _pow_mod(h, p, cur, p)
+        hx = _sub(h, x, p)
+        G = _gcd(cur, hx, p) if hx else cur
+        if len(G) > 1:
+            factors.append((G, d))
+            cur = _divmod(cur, G, p)[0]
+            h = _divmod(h, cur, p)[1]
+    return factors
+
+
+def pow_mod_edf(h, d, p, rng):
+    n = len(h) - 1
+    if n == d:
+        return [h]
+    while True:
+        r = _trim([rng.randrange(p) for _ in range(2 * d)])
+        if len(r) < 2:
+            continue
+        if p == 2:
+            sq = _divmod(r, h, p)[1]
+            probe = sq
+            for _ in range(d - 1):
+                sq = _divmod(_mul(sq, sq, p), h, p)[1]
+                probe = _add(probe, sq, p)
+        else:
+            probe = _sub(_pow_mod(r, (p**d - 1) // 2, h, p), [1], p)
+        if not probe:
+            continue
+        g = _gcd(h, probe, p)
+        if 0 < len(g) - 1 < n:
+            return pow_mod_edf(g, d, p, rng) + pow_mod_edf(_divmod(h, g, p)[0], d, p, rng)
+
+
+def squarefree_inputs(p, rng, count):
+    """Squarefree parts of products of random monic polynomials of degree
+    1 to 3, each product of degree at most 40: many factors of equal
+    degree, so equal-degree splitting has work to do."""
+    for _ in range(count):
+        f = [1]
+        limit = rng.randint(1, 40)
+        while len(f) - 1 < limit:
+            deg = rng.randint(1, min(3, limit - len(f) + 1))
+            f = _mul(f, [rng.randrange(p) for _ in range(deg)] + [1], p)
+        for g, _ in _squarefree(_monic(f, p), p):
+            yield g
+
+
+@pytest.mark.parametrize(
+    "p, count", [(2, 60), (3, 60), (97, 60), (P61.characteristic, 4)], ids=str
+)
+def test_frobenius_splitting_matches_pow_mod(p, count):
+    seen = set()
+    for k, g in enumerate(squarefree_inputs(p, random.Random(p), count)):
+        if len(g) <= 2:
+            continue
+        q = factor._frobenius(g, p)
+        parts = factor._distinct_degree_split(g, p, q)
+        assert parts == pow_mod_ddf(g, p)
+        for h, d in parts:
+            seen.add(d > 1 and len(h) - 1 > d)
+            ours, theirs = random.Random(k), random.Random(k)
+            split = factor._equal_degree_split(h, d, p, ours, q)
+            assert split == pow_mod_edf(h, d, p, theirs)
+            assert ours.getstate() == theirs.getstate()
+        ours, theirs = random.Random(k), random.Random(k)
+        expected = [f for h, d in pow_mod_ddf(g, p) for f in pow_mod_edf(h, d, p, theirs)]
+        assert factor._factor_squarefree_modp(g, p, ours) == expected
+        assert ours.getstate() == theirs.getstate()
+    # some inputs split into several factors of one degree above 1
+    assert True in seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, P61.characteristic], ids=str)
+def test_frobenius_matrix_rows_are_powers_of_t(p):
+    rng = random.Random(p)
+    for deg in (1, 2, 5, 12):
+        g = [rng.randrange(p) for _ in range(deg)] + [1]
+        q = factor._frobenius(g, p)
+        assert q.shape == (deg, deg) and q.dtype == _kernels.dtype(p)
+        assert q[0].tolist() == [1] + [0] * (deg - 1)
+        for i in range(1, deg):
+            row = _pow_mod([0, 1], i * p, g, p)
+            assert q[i].tolist() == row + [0] * (deg - len(row))
+
+
+def test_factoring_needs_no_array_kernel(monkeypatch):
+    # the Frobenius steps use numpy's @ directly: factoring over F_p, and
+    # Zassenhaus's modular factoring over Q, never reach _kernels beyond
+    # its dtype
+    def forbidden(*args):
+        raise AssertionError("factoring called an array kernel")
+
+    monkeypatch.setattr(_kernels, "matmul_mod", forbidden)
+    monkeypatch.setattr(_kernels, "rref_mod", forbidden)
+    rng = random.Random(7)
+    for field in (GF(97), QQ):
+        f = rand_poly(field, rng, 20) * rand_poly(field, rng, 20)
+        prod = UniPoly.constant(field, f.coeffs[-1])
+        for q, e in factor_univariate(f, rng):
+            prod = prod * q**e
+        assert prod == f

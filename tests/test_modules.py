@@ -431,14 +431,14 @@ def test_primary_decomposition_examples():
 def test_primary_decomposition_checks_each_piece_once(monkeypatch):
     t = CommutingTuple(QQ, 1, 3, [Matrix(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 5]])])
     checked = []
-    maps = CommutingTuple._submodule_maps
+    check = CommutingTuple._invariant_maps
 
-    def counting(self, B, coords):
+    def counting(self, B, rs, fbs=None):
         if self is t:
             checked.append(Subspace._row_space(B.transpose()))
-        return maps(self, B, coords)
+        return check(self, B, rs, fbs)
 
-    monkeypatch.setattr(CommutingTuple, "_submodule_maps", counting)
+    monkeypatch.setattr(CommutingTuple, "_invariant_maps", counting)
     pieces = t._local_pieces()
     # one split into two pieces, and one invariance check for each
     assert len(checked) == 2

@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endok.modules as modules
-from conftest import conjugate, fat_point, tensor, twisted_points
+from conftest import conjugate, fat_point, job_text, tensor, twisted_points
 from endok import _kernels
 from endok.bruteforce import k0_class_oracle, random_commuting_tuple
+from endok.cli import main
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
 from endok.ktheory import compare_splittings, k0_class
 from endok.linalg import (
     Matrix,
     Subspace,
+    _kernel_rows,
     _stack,
     _submatrix,
     charpoly,
@@ -515,8 +517,9 @@ def test_local_pieces_match_primary_decomposition(case):
 
 
 def test_elimination_count_on_a_fixed_tuple(monkeypatch):
-    # one elimination per split child and one of the stacked pieces; the
-    # keys of this tuple's pieces need none
+    # k - 1 eliminations for a split into k generalised eigenspaces, as
+    # the last one is what the others leave, and one of the stacked
+    # pieces; the keys of this tuple's pieces need none
     calls = []
     original = _kernels.rref_mod
 
@@ -533,4 +536,136 @@ def test_elimination_count_on_a_fixed_tuple(monkeypatch):
     monkeypatch.setattr(_kernels, "rref_mod", counted)
     cls = k0_class(t, random.Random(0))
     assert bookkeeping(cls) == 18 and len(cls.items()) == 7
-    assert len(calls) == 8
+    assert len(calls) == 7
+
+
+# -- generalised eigenspaces peeled off one at a time ---------------------------
+
+
+def kernel_per_factor_pieces(t, rng):
+    """The split loop of ``_local_pieces`` with every generalised
+    eigenspace taken as the kernel of q(m)^v on the whole item, one
+    elimination per factor: the reference for peeling."""
+    F, n = t.field, t.nvars
+    work = [(Matrix.identity(F, t.dim), t, {})]
+    out = []
+    while work:
+        w, s, qs = work.pop()
+        split = None
+        for i in range(n):
+            if i in qs:
+                continue
+            factors = factor_univariate(charpoly(s.mats[i]), rng)
+            if len(factors) >= 2:
+                split = (s.mats[i], factors, i)
+                break
+            qs[i] = factors[0][0]
+        if split is None:
+            key, g = s._key(qs, rng)
+            if key is not None:
+                out.append((w, s, key))
+                continue
+            m = eval_poly_at_matrix(g, list(s.mats))
+            split = (m, factor_univariate(charpoly(m), rng), None)
+        m, factors, i = split
+        for q, v in factors:
+            ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
+            assert ker.rows == q.degree * v
+            child = CommutingTuple(F, n, ker.rows, s._submodule_maps(ker.transpose(), free))
+            work.append((ker @ w, child, dict(qs) if i is None else {**qs, i: q}))
+    out.sort(key=lambda item: item[2].sort_key())
+    return out
+
+
+def orbit_points(q, rng):
+    """(C, g(C^(p^j))) for j < deg q, C the companion matrix of an
+    irreducible q over F_p and g random of degree < deg q: deg q points
+    that share each coordinate's minimal polynomial, so an element g
+    named by the key step splits them, into deg q pieces when it
+    separates them all."""
+    F = q.field
+    c = Matrix.companion(q)
+    g = UniPoly(F, [rng.randrange(F.characteristic) for _ in range(q.degree)])
+    return [
+        CommutingTuple(F, 2, q.degree, [c, eval_poly_at_matrix(g, [c.pow(F.characteristic**j)])])
+        for j in range(q.degree)
+    ]
+
+
+def peel_cases(field):
+    """Seeded sums of points that only an element named by the key step
+    splits (twisted points, and over F_p the three points of a cubic's
+    Frobenius orbit), a point with one wide coordinate, and fat points at
+    the origin and moved to a random point, in random bases: the first
+    generator mostly splits into three generalised eigenspaces, so two
+    are peeled."""
+    q = UniPoly(field, {F2: [1, 1, 1], F97: [92, 0, 1], QQ: [-2, 0, 1]}[field])
+    rng = random.Random(41)
+    for _ in range(3):
+        a, b = (Matrix.identity(field, 1).scale(rng.randint(1, 5)) for _ in range(2))
+        moved = tensor(CommutingTuple(field, 2, 1, [a, b]), fat_point(field, 2, 2))
+        parts = [
+            *twisted_points(q, rng),
+            one_wide_point(field, 2, rng),
+            fat_point(field, 2, 2),
+            moved,
+        ]
+        yield conjugate(CommutingTuple.direct_sum(*parts), rng)
+    if field.is_prime_field:
+        cubic = UniPoly(field, [1, 1, 0, 1])  # irreducible over F_2 and F_97
+        for _ in range(3):
+            yield conjugate(CommutingTuple.direct_sum(*orbit_points(cubic, rng)), rng)
+
+
+@pytest.mark.parametrize("field", [F2, F97, QQ], ids=repr)
+def test_peeled_pieces_match_a_kernel_per_factor(field, monkeypatch):
+    hits = count_separations(monkeypatch)
+    separated = 0
+    for t in peel_cases(field):
+        reference = kernel_per_factor_pieces(t, random.Random(0))
+        hits.clear()
+        peeled = t._local_pieces(random.Random(0))
+        separated += bool(hits)
+        assert [key for _, _, key in peeled] == [key for _, _, key in reference]
+        for (w, piece, _), (v, _, _) in zip(peeled, reference):
+            assert w.rows == v.rows == piece.dim
+            assert Subspace._row_space(w) == Subspace._row_space(v)
+            # piece is the tuple in the basis of W's rows
+            for f, m in zip(t.mats, piece.mats):
+                assert f @ w.transpose() == w.transpose() @ m
+    # an element g named by the key step split some of them (the twisted
+    # points), on the path where g(f) is no generator
+    assert separated
+
+
+@pytest.mark.parametrize(
+    "q, v, dim",
+    [
+        # (t - 2)^4 is peeled first, and its kernel is 3-dimensional
+        (UniPoly(QQ, [-2, 1]), 4, 3),
+        # (t - 2)^3 is peeled, and what remains, (t - 5), is 1-dimensional
+        (UniPoly(QQ, [-5, 1]), 2, 1),
+    ],
+    ids=["peeled", "remainder"],
+)
+def test_wrong_eigenspace_dimension_is_an_internal_error(
+    q, v, dim, monkeypatch, tmp_path, capsys
+):
+    f = Matrix.block_diag(QQ, [jordan(QQ, 2, 3), Matrix(QQ, [[5]])])
+    t = CommutingTuple(QQ, 2, 4, [f, Matrix.zeros(QQ, 4, 4)])
+    original = modules.factor_univariate
+
+    def wrong(g, rng=None):
+        # the split reads multiplicity v for the factor q
+        return [(r, v if r == q else e) for r, e in original(g, rng)]
+
+    monkeypatch.setattr(modules, "factor_univariate", wrong)
+    message = f"generalised eigenspace of {q} has dimension {dim}, expected {q.degree * v}"
+    with pytest.raises(RuntimeError) as err:
+        t._local_pieces()
+    assert str(err.value) == message
+    path = tmp_path / "job.txt"
+    path.write_text(job_text(t))
+    assert main(["class", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: internal: {message}\n")
