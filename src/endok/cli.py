@@ -29,21 +29,6 @@ from .linalg import charpoly
 from .parse import field_to_string, parse_input
 from .poly import render_monomial
 
-COMMANDS = (
-    "class",
-    "charpoly",
-    "split",
-    "decompose",
-    "radical",
-    "annihilator",
-    "verify-additivity",
-    "tilde-mul",
-    "tilde-map",
-    "oracle-check",
-)
-
-ADDITIVITY_TRIALS = 4
-
 
 def _cmd_class(job, rng):
     t = job.tuple()
@@ -93,14 +78,14 @@ def _cmd_decompose(job, rng):
     t = job.tuple()
     lines = []
     pieces = []
-    for i, (sub, piece, key) in enumerate(t._local_pieces(rng), 1):
+    for i, (w, key) in enumerate(t._local_pieces(rng), 1):
         gens = ", ".join(key.ideal.generator_strings())
         lines.append(
-            f"piece {i}: dim {piece.dim}, key [{gens}], residue {key.residue_degree}"
+            f"piece {i}: dim {w.rows}, key [{gens}], residue {key.residue_degree}"
         )
         pieces.append(
             {
-                "dim": piece.dim,
+                "dim": w.rows,
                 "generators": list(key.ideal.generator_strings()),
                 "residue_degree": key.residue_degree,
             }
@@ -252,7 +237,7 @@ def main(argv=None):
         prog="endok",
         description="Exact K0 invariants of commuting matrix tuples over Q and F_p.",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=_HANDLERS)
     ap.add_argument("input", help="job file path, or '-' for stdin")
     ap.add_argument("--json", action="store_true", help="emit stable JSON")
     ap.add_argument(

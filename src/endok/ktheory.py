@@ -131,12 +131,12 @@ def k0_class(t, rng=None):
         support = {principal_maximal_key(q): v for q, v in factors}
         return GrothendieckClass(t.field, 1, support)
     support = {}
-    for _, piece, key in t._local_pieces(rng):
-        if piece.dim % key.residue_degree:
+    for w, key in t._local_pieces(rng):
+        if w.rows % key.residue_degree:
             raise RuntimeError(
                 "piece dimension is not a multiple of its residue degree"
             )
-        mult = piece.dim // key.residue_degree
+        mult = w.rows // key.residue_degree
         support[key] = support.get(key, 0) + mult
     return GrothendieckClass(t.field, t.nvars, support)
 

@@ -9,8 +9,9 @@ splitting into local pieces supported at single maximal ideals.
 
 A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
 ``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
-that are invariant by construction; ``restrict`` and ``quotient`` check the
-invariance of the ``Subspace`` they are given.
+that are invariant by construction.  ``_submodule_maps``, the invariance
+check that ``restrict``, ``quotient`` and the split into local pieces all
+call, ``_annihilator`` and ``_key`` are functions of the matrices alone.
 """
 
 import heapq
@@ -270,8 +271,8 @@ class MaximalIdealKey:
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
-# The live keys CommutingTuple._key and ktheory.principal_maximal_key have
-# returned, by ideal.  Every piece at one maximal ideal then shares one key
+# The live keys _key and ktheory.principal_maximal_key have returned, by
+# ideal.  Every piece at one maximal ideal then shares one key
 # object, so the classes a caller keeps hold each Groebner basis once
 # instead of once per class.
 _KEYS = weakref.WeakValueDictionary()
@@ -388,40 +389,12 @@ class CommutingTuple:
                 taken.append(j)
         return taken
 
-    def _submodule_maps(self, B, coords):
-        """The matrices R_k of the f_k on the span of the columns of B, in
-        that basis, for a B whose rows at coords form the identity: an
-        echelon basis with its pivots, or kernel rows with their free
-        columns (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.
-        As w is in the span iff w = B.w[coords], B.R_k == f_k.B is exactly
-        invariance under f_k, checked by ``_invariant_maps``; a B over
-        another field or of another height than the module's space raises
-        too."""
-        if B.field != self.field or B.rows != self.dim:
-            raise ValueError("subspace does not live in the module's space")
-        fbs = [m @ B for m in self.mats]
-        rs = [_submatrix(fb, coords, range(B.cols)) for fb in fbs]
-        return self._invariant_maps(B, rs, fbs)
-
-    def _invariant_maps(self, B, rs, fbs=None):
-        """rs, the claimed matrices R_k of the f_k on the span of the
-        columns of B (full column rank) in that basis, once B.R_k == f_k.B
-        holds for every k: the invariance check, and the only one.  fbs
-        holds the products f_k.B when the caller has them.  A failure
-        raises ValueError naming k."""
-        if fbs is None:
-            fbs = [m @ B for m in self.mats]
-        for k, (r, fb) in enumerate(zip(rs, fbs)):
-            if B @ r != fb:
-                raise ValueError(f"subspace is not invariant under matrix {k}")
-        return rs
-
     def restrict(self, s):
         """The induced tuple on an invariant ``Subspace``, in its echelon
         basis."""
         if not isinstance(s, Subspace):
             raise TypeError(f"expected a Subspace, got {s!r}")
-        rs = self._submodule_maps(s.matrix.transpose(), s.pivots)
+        rs = _submodule_maps(self.mats, s.matrix.transpose(), s.pivots)
         return CommutingTuple(self.field, self.nvars, s.dim, rs)
 
     def quotient(self, s):
@@ -432,7 +405,7 @@ class CommutingTuple:
         if not isinstance(s, Subspace):
             raise TypeError(f"expected a Subspace, got {s!r}")
         B = s.matrix.transpose()
-        self._submodule_maps(B, s.pivots)
+        _submodule_maps(self.mats, B, s.pivots)
         comp = s.complement_coords()
         bc = _submatrix(B, comp, range(s.dim))
         mats = [
@@ -454,62 +427,8 @@ class CommutingTuple:
         the width of the search from d^2 to d*c and nothing else.
         """
         one = Matrix.identity(self.field, self.dim)
-        return self._annihilator(_submatrix(one, range(self.dim), self._generators()))
-
-    def _annihilator(self, start):
-        """The ideal of all p with p(f).start = 0, for a d x c matrix start.
-
-        Buchberger-Moller, breadth-first over monomials in increasing
-        graded-lex order: monomial m maps to f^m.start, whose d*c flattened
-        entries are reduced against those of the standard monomials in a
-        tracking ``Echelon`` (integer rows); a dependency yields a
-        generator, m minus its combination of standard monomials (and m is
-        not expanded), independence makes m standard and enqueues its
-        variable multiples.  Terminates because the standard count is at
-        most d*c.
-        """
-        F, n = self.field, self.nvars
-        ech = Echelon(F, start.rows * start.cols, track=True)
-        std = []
-        std_mats = {}
-        gens = []
-        leads = []
-        origin = (0,) * n
-        heap = [(grlex_key(origin), origin)]
-        seen = {origin}
-        while heap:
-            _, m = heapq.heappop(heap)
-            if any(mono_divides(lm, m) for lm in leads):
-                continue
-            if m == origin:
-                mat = start
-            else:
-                mat = None
-                for i in range(n):
-                    if m[i]:
-                        parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-                        if parent in std_mats:
-                            mat = self.mats[i] @ std_mats[parent]
-                            break
-                if mat is None:
-                    raise RuntimeError(f"no standard parent for monomial {m}")
-            num, den = mat.to_integers()
-            added, combo = ech.insert_integers(num.ravel().tolist(), den)
-            if added:
-                std_mats[m] = mat
-                std.append(m)
-                for i in range(n):
-                    child = tuple(e + 1 if j == i else e for j, e in enumerate(m))
-                    if child not in seen:
-                        seen.add(child)
-                        heapq.heappush(heap, (grlex_key(child), child))
-            else:
-                terms = {m: F.one}
-                for g, c in combo.items():
-                    terms[std[g]] = F.neg(c)
-                gens.append(MultiPoly(F, n, terms))
-                leads.append(m)
-        return Ideal(F, n, gens, std)
+        start = _submatrix(one, range(self.dim), self._generators())
+        return _annihilator(self.mats, start)
 
     # -- radical and filtration --------------------------------------------
 
@@ -545,13 +464,12 @@ class CommutingTuple:
     # -- primary decomposition ------------------------------------------------
 
     def _local_pieces(self, rng=None):
-        """Split V into local pieces; returns [(W, piece, key)] sorted by
-        the canonical key order.  The rows of W span the piece in V's
-        coordinates, and piece is the tuple in the basis of those rows,
-        which is not canonical: the class needs only its dimension and key.
+        """Split V into local pieces; returns [(W, key)] sorted by the
+        canonical key order, the rows of W spanning the piece in V's
+        coordinates, so that its dimension is W.rows.
 
-        A work item is (W, t, qs), t the tuple on the span of W's rows in
-        that basis and qs a map from each generator already known to be
+        A work item is (W, mats, qs): mats are the f on the span of W's
+        rows in that basis, and qs maps each generator already known to be
         primary on the item to the irreducible q_i of its characteristic
         polynomial; restriction to an invariant subspace keeps it primary,
         so each generator is factored once per lineage.  The first
@@ -576,57 +494,55 @@ class CommutingTuple:
         """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
-        F, n, d = self.field, self.nvars, self.dim
+        d = self.dim
         if d == 0:
             return []
-        work = [(Matrix.identity(F, d), self, {})]
+        work = [(Matrix.identity(self.field, d), self.mats, {})]
         out = []
         while work:
-            w, t, qs = work.pop()
+            w, mats, qs = work.pop()
             split = None
-            for i in range(n):
+            for i, f in enumerate(mats):
                 if i in qs:
                     continue
-                factors = factor_univariate(charpoly(t.mats[i]), rng)
+                factors = factor_univariate(charpoly(f), rng)
                 if len(factors) >= 2:
-                    split = (t.mats[i], factors, i)
+                    split = (f, factors, i)
                     break
                 qs[i] = factors[0][0]
             if split is None:
-                key, g = t._key(qs, rng)
+                key, g = _key(mats, qs, rng)
                 if key is not None:
-                    out.append((w, t, key))
+                    out.append((w, key))
                     continue
-                m = eval_poly_at_matrix(g, list(t.mats))
+                m = eval_poly_at_matrix(g, list(mats))
                 split = (m, factor_univariate(charpoly(m), rng), None)
             m, factors, i = split
             factors = sorted(factors, key=lambda qv: -qv[0].degree * qv[1])
             for j, (q, v) in enumerate(factors):
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 if j == len(factors) - 1:
-                    _check_eigenspace(q, v, t.dim)
-                    work.append((w, t, child_qs))
+                    _check_eigenspace(q, v, w.rows)
+                    work.append((w, mats, child_qs))
                     break
                 a = eval_poly_at_matrix(q, [m]).pow(v)
                 R, pivots = rref(a)
                 ker, free = _echelon_kernel(R, pivots)
                 _check_eigenspace(q, v, ker.rows)
-                rs = t._submodule_maps(ker.transpose(), free)
-                work.append((ker @ w, CommutingTuple(F, n, ker.rows, rs), child_qs))
+                work.append((ker @ w, _submodule_maps(mats, ker.transpose(), free), child_qs))
                 # what remains is the image of a, in the basis of its pivot
                 # columns B, where f acts as R'.f[:, pivots]
                 rows = range(a.rows)
                 B = _submatrix(a, rows, pivots)
                 top = _submatrix(R, range(len(pivots)), rows)
-                rs = t._invariant_maps(B, [top @ _submatrix(f, rows, pivots) for f in t.mats])
-                m = rs[i] if i is not None else top @ _submatrix(m, rows, pivots)
+                mats = _invariant_maps(mats, B, [top @ _submatrix(f, rows, pivots) for f in mats])
+                m = mats[i] if i is not None else top @ _submatrix(m, rows, pivots)
                 w = B.transpose() @ w
-                t = CommutingTuple(F, n, len(pivots), rs)
-        if sum(w.rows for w, _, _ in out) != d:
+        if sum(w.rows for w, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
-        if len(rref(_stack([w for w, _, _ in out]))[1]) != d:
+        if len(rref(_stack([w for w, _ in out]))[1]) != d:
             raise RuntimeError("primary decomposition pieces are not independent")
-        out.sort(key=lambda item: item[2].sort_key())
+        out.sort(key=lambda item: item[1].sort_key())
         return out
 
     def primary_decomposition(self, rng=None):
@@ -635,7 +551,7 @@ class CommutingTuple:
         polynomial.  Pieces come back in canonical key order, each as its
         ``Subspace`` and the tuple restricted to it in its echelon basis."""
         out = []
-        for w, _, _ in self._local_pieces(rng):
+        for w, _ in self._local_pieces(rng):
             sp = Subspace._row_space(w)
             out.append((sp, self.restrict(sp)))
         return out
@@ -648,67 +564,151 @@ class CommutingTuple:
         pieces = self._local_pieces(rng)
         if len(pieces) != 1:
             raise ValueError(f"tuple is not local: it has {len(pieces)} local pieces")
-        return pieces[0][2]
+        return pieces[0][1]
 
-    def _key(self, qs, rng):
-        """For a tuple on which every f_i has characteristic polynomial a
-        power of the irreducible qs[i]: (key, None) when it is local, or
-        (None, g) when it is not, with g(f) splitting it.
 
-        Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
-        support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
-        q_i(t_i) kills V and M is prime.  When at most one q_j has degree
-        above 1, the others are t_i - a_i and k[T]/I = k[t_j]/(q_j) is a
-        field; I is maximal, so M = I and V is local at I.  Its reduced
-        graded-lex basis is the q_i(t_i) themselves (pairwise coprime
-        leading monomials, and no other term divisible by a leading
-        monomial), with the t_j^k, k < deg q_j, as standard monomials; no
-        linear algebra runs.
+def _submodule_maps(mats, B, coords):
+    """The matrices R_k of the f_k in mats on the span of the columns of B,
+    in that basis, for a B whose rows at coords form the identity: an
+    echelon basis with its pivots, or kernel rows with their free columns
+    (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.  As w is
+    in the span iff w = B.w[coords], B.R_k == f_k.B is exactly invariance
+    under f_k, checked by ``_invariant_maps``; a B over another field or of
+    another height than the f_k raises too."""
+    if B.field != mats[0].field or B.rows != mats[0].rows:
+        raise ValueError("subspace does not live in the module's space")
+    fbs = [m @ B for m in mats]
+    rs = [_submatrix(fb, coords, range(B.cols)) for fb in fbs]
+    return _invariant_maps(mats, B, rs, fbs)
 
-        Otherwise the socle Soc, the intersection of the ker q_i(f_i), is
-        taken as kernel rows: the q_i(t_i) generate the Jacobson radical
-        (Seidenberg; both fields are perfect).  It has the support of V,
-        and M = Ann(s) for its first basis vector s is the intersection of
-        the maximal ideals at which s has a component; on a local V that
-        is the one maximal ideal, whichever nonzero s it is.  Each
-        k[t_i]/(q_i) embeds in every residue field, so dim k[T]/M =
-        max deg q_i leaves room for one; otherwise a separating element of
-        k[T]/M decides, and when M is not maximal it splits k[T].s, a
-        submodule of V.  A maximal M is the only point of V iff it kills
-        Soc: a generator g of M with g(f).Soc != 0 is nilpotent on the
-        piece at M and a unit on another, so g(f) splits V."""
-        F, n, d = self.field, self.nvars, self.dim
-        wide = [i for i, q in qs.items() if q.degree > 1]
-        if len(wide) <= 1:
-            j = wide[0] if wide else 0
-            gens = [MultiPoly.from_unipoly(q, n, i) for i, q in qs.items()]
-            std = [
-                tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)
-            ]
-            return _local_key(Ideal(F, n, gens, std), d)
-        # q_i(f_i) = 0 by Cayley-Hamilton when deg q_i = d
-        parts = [
-            eval_poly_at_matrix(q, [self.mats[i]]) for i, q in qs.items() if q.degree < d
-        ]
-        if parts:
-            basis = _kernel_rows(_stack(parts))[0].transpose()
+
+def _invariant_maps(mats, B, rs, fbs=None):
+    """rs, the claimed matrices R_k of the f_k in mats on the span of the
+    columns of B (full column rank) in that basis, once B.R_k == f_k.B holds
+    for every k: the invariance check, and the only one.  fbs holds the
+    products f_k.B when the caller has them.  A failure raises ValueError
+    naming k.  The R_k commute because the f_k do: B.R_i.R_j = f_i.f_j.B =
+    f_j.f_i.B = B.R_j.R_i, and B cancels."""
+    if fbs is None:
+        fbs = [m @ B for m in mats]
+    for k, (r, fb) in enumerate(zip(rs, fbs)):
+        if B @ r != fb:
+            raise ValueError(f"subspace is not invariant under matrix {k}")
+    return rs
+
+
+def _annihilator(mats, start):
+    """The ideal of all p with p(f).start = 0, for f in mats, start d x c.
+
+    Buchberger-Moller, breadth-first over monomials in increasing
+    graded-lex order: monomial m maps to f^m.start, whose d*c flattened
+    entries are reduced against those of the standard monomials in a
+    tracking ``Echelon`` (integer rows); a dependency yields a generator,
+    m minus its combination of standard monomials (and m is not
+    expanded), independence makes m standard and enqueues its variable
+    multiples.  Terminates because the standard count is at most d*c.
+    """
+    F, n = start.field, len(mats)
+    ech = Echelon(F, start.rows * start.cols, track=True)
+    std = []
+    std_mats = {}
+    gens = []
+    leads = []
+    origin = (0,) * n
+    heap = [(grlex_key(origin), origin)]
+    seen = {origin}
+    while heap:
+        _, m = heapq.heappop(heap)
+        if any(mono_divides(lm, m) for lm in leads):
+            continue
+        if m == origin:
+            mat = start
         else:
-            basis = Matrix.identity(F, d)
-        ideal = self._annihilator(_submatrix(basis, range(d), [0]))
-        rd = ideal.quotient_dim
-        if rd != max(q.degree for q in qs.values()):
-            found = _separating_element(ideal, rng)
-            if found is None:
-                raise RuntimeError("could not certify that a piece is local")
-            g, factors = found
-            if len(factors) >= 2:
+            mat = None
+            for i in range(n):
+                if m[i]:
+                    parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
+                    if parent in std_mats:
+                        mat = mats[i] @ std_mats[parent]
+                        break
+            if mat is None:
+                raise RuntimeError(f"no standard parent for monomial {m}")
+        num, den = mat.to_integers()
+        added, combo = ech.insert_integers(num.ravel().tolist(), den)
+        if added:
+            std_mats[m] = mat
+            std.append(m)
+            for i in range(n):
+                child = tuple(e + 1 if j == i else e for j, e in enumerate(m))
+                if child not in seen:
+                    seen.add(child)
+                    heapq.heappush(heap, (grlex_key(child), child))
+        else:
+            terms = {m: F.one}
+            for g, c in combo.items():
+                terms[std[g]] = F.neg(c)
+            gens.append(MultiPoly(F, n, terms))
+            leads.append(m)
+    return Ideal(F, n, gens, std)
+
+
+def _key(mats, qs, rng):
+    """For commuting f in mats, each f_i with characteristic polynomial a
+    power of the irreducible qs[i]: (key, None) when their module V is
+    local, or (None, g) when it is not, with g(f) splitting it.
+
+    Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
+    support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
+    q_i(t_i) kills V and M is prime.  When at most one q_j has degree
+    above 1, the others are t_i - a_i and k[T]/I = k[t_j]/(q_j) is a
+    field; I is maximal, so M = I and V is local at I.  Its reduced
+    graded-lex basis is the q_i(t_i) themselves (pairwise coprime
+    leading monomials, and no other term divisible by a leading
+    monomial), with the t_j^k, k < deg q_j, as standard monomials; no
+    linear algebra runs.
+
+    Otherwise the socle Soc, the intersection of the ker q_i(f_i), is
+    taken as kernel rows: the q_i(t_i) generate the Jacobson radical
+    (Seidenberg; both fields are perfect).  It has the support of V,
+    and M = Ann(s) for its first basis vector s is the intersection of
+    the maximal ideals at which s has a component; on a local V that
+    is the one maximal ideal, whichever nonzero s it is.  Each
+    k[t_i]/(q_i) embeds in every residue field, so dim k[T]/M =
+    max deg q_i leaves room for one; otherwise a separating element of
+    k[T]/M decides, and when M is not maximal it splits k[T].s, a
+    submodule of V.  A maximal M is the only point of V iff it kills
+    Soc: a generator g of M with g(f).Soc != 0 is nilpotent on the
+    piece at M and a unit on another, so g(f) splits V."""
+    F, n, d = mats[0].field, len(mats), mats[0].rows
+    wide = [i for i, q in qs.items() if q.degree > 1]
+    if len(wide) <= 1:
+        j = wide[0] if wide else 0
+        gens = [MultiPoly.from_unipoly(q, n, i) for i, q in qs.items()]
+        std = [
+            tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)
+        ]
+        return _local_key(Ideal(F, n, gens, std), d)
+    # q_i(f_i) = 0 by Cayley-Hamilton when deg q_i = d
+    parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items() if q.degree < d]
+    if parts:
+        basis = _kernel_rows(_stack(parts))[0].transpose()
+    else:
+        basis = Matrix.identity(F, d)
+    ideal = _annihilator(mats, _submatrix(basis, range(d), [0]))
+    rd = ideal.quotient_dim
+    if rd != max(q.degree for q in qs.values()):
+        found = _separating_element(ideal, rng)
+        if found is None:
+            raise RuntimeError("could not certify that a piece is local")
+        g, factors = found
+        if len(factors) >= 2:
+            return None, g
+    if basis.cols > rd:
+        for g in ideal.gens:
+            if not (eval_poly_at_matrix(g, list(mats)) @ basis).is_zero:
                 return None, g
-        if basis.cols > rd:
-            for g in ideal.gens:
-                if not (eval_poly_at_matrix(g, list(self.mats)) @ basis).is_zero:
-                    return None, g
-        # local: Soc is a vector space over the residue field k[T]/M
-        return _local_key(ideal, basis.cols)
+    # local: Soc is a vector space over the residue field k[T]/M
+    return _local_key(ideal, basis.cols)
 
 
 def _local_key(ideal, dim):

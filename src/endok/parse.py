@@ -325,8 +325,11 @@ class JobDescription:
 
 
 def _split_directive(line):
+    """(head, rest, start): the text before the first space, the text
+    after it without its leading spaces, and rest's offset in line."""
     head, _, rest = line.partition(" ")
-    return head, rest.strip()
+    start = len(head) + 1 + len(rest) - len(rest.lstrip())
+    return head, rest.strip(), start
 
 
 def parse_input(text):
@@ -355,7 +358,7 @@ def parse_input(text):
             continue
         stripped = line.strip()
         indent = len(line) - len(line.lstrip()) + 1
-        head, rest = _split_directive(stripped)
+        head, rest, start = _split_directive(stripped)
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field line", lineno, indent)
@@ -384,11 +387,11 @@ def parse_input(text):
             dim = int(rest)
         elif head == "num":
             flush_pending()
-            pending_num = (parse_unipoly(rest, field, lineno, indent + 4), lineno)
+            pending_num = (parse_unipoly(rest, field, lineno, indent + start), lineno)
         elif head == "den":
             if pending_num is None:
                 raise ParseError("den without a preceding num", lineno, indent)
-            flush_pending(parse_unipoly(rest, field, lineno, indent + 4))
+            flush_pending(parse_unipoly(rest, field, lineno, indent + start))
         elif stripped.startswith("["):
             if nvars is None or dim is None:
                 raise ParseError(

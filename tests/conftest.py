@@ -8,7 +8,7 @@ import pytest
 
 from endok import _kernels
 from endok.fields import GF, MAX_PRIME, QQ, is_prime
-from endok.linalg import Matrix, eval_poly_at_matrix
+from endok.linalg import Matrix, Subspace, eval_poly_at_matrix
 from endok.modules import CommutingTuple, Ideal, multiplication_matrix
 from endok.poly import MultiPoly, UniPoly
 
@@ -212,6 +212,14 @@ def tensor(a, b):
     ia, ib = Matrix.identity(F, a.dim), Matrix.identity(F, b.dim)
     mats = [kron(f, ib) + kron(ia, h) for f, h in zip(a.mats, b.mats)]
     return CommutingTuple(F, a.nvars, a.dim * b.dim, mats)
+
+
+def local_pieces(t, rng):
+    """(W, piece, key) for each local piece of t: ``_local_pieces`` gives
+    the rows W and the key, and piece is t restricted to the span of W's
+    rows, in its echelon basis."""
+    for w, key in t._local_pieces(rng):
+        yield w, t.restrict(Subspace._row_space(w)), key
 
 
 def job_text(t):

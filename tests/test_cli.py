@@ -221,6 +221,59 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     assert (code, out, err) == (0, "1 * [t - 1/2]\n", "")
 
 
+COMMAND_NAMES = (
+    "class",
+    "charpoly",
+    "split",
+    "decompose",
+    "radical",
+    "annihilator",
+    "verify-additivity",
+    "tilde-mul",
+    "tilde-map",
+    "oracle-check",
+)
+
+
+def test_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope", "-"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    usage = "{" + ",".join(COMMAND_NAMES) + "}"
+    choices = ", ".join(f"'{c}'" for c in COMMAND_NAMES)
+    assert usage in err.split()
+    assert err.endswith(
+        f"endok: error: argument command: invalid choice: 'nope' (choose from {choices})\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: endok [-h] [--json] [--seed SEED]")
+    assert usage in out.split()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("field Q\nnum   t+@\n", "2:9: unexpected character '@'"),
+        ("field Q\n  num   t^\u00b2\n", "2:11: unexpected character '\u00b2'"),
+        ("field Q\nnum t\nden   t+@\n", "3:9: unexpected character '@'"),
+        ("field Q\nnum t+@\n", "2:7: unexpected character '@'"),
+        ("field Q\n  num t^\u00b2\n", "2:9: unexpected character '\u00b2'"),
+        ("field Q\nnum t\nden t+@\n", "3:7: unexpected character '@'"),
+        ("field Q\nnum\n", "2:5: expected a number, variable or parenthesized expression"),
+    ],
+    ids=["num-spaces", "num-indent-spaces", "den-spaces", "num", "num-indent", "den", "num-empty"],
+)
+def test_num_den_errors_point_into_the_line(tmp_path, capsys, text, expected):
+    # the column is where the polynomial's text starts, however many
+    # spaces follow the directive
+    code, out, err = run(capsys, ["tilde-map", job(tmp_path, text)])
+    assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
 def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     from endok.modules import CommutingTuple
 

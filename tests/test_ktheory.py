@@ -121,8 +121,8 @@ def structural_class(t):
     """The class summed over the local pieces that ``_local_pieces`` builds:
     the path every tuple with n >= 2 takes."""
     support = {}
-    for _, piece, key in t._local_pieces():
-        support[key] = support.get(key, 0) + piece.dim // key.residue_degree
+    for w, key in t._local_pieces():
+        support[key] = support.get(key, 0) + w.rows // key.residue_degree
     return GrothendieckClass(t.field, t.nvars, support)
 
 

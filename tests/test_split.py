@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endok.modules as modules
-from conftest import conjugate, fat_point, job_text, tensor, twisted_points
+from conftest import conjugate, fat_point, job_text, local_pieces, tensor, twisted_points
 from endok import _kernels
 from endok.bruteforce import k0_class_oracle, random_commuting_tuple
 from endok.cli import main
@@ -57,15 +57,15 @@ def count_separations(monkeypatch):
     separating element, or a generator of a socle vector's annihilator
     that does not kill the whole socle."""
     hits = []
-    original = CommutingTuple._key
+    original = modules._key
 
-    def counted(self, qs, rng):
-        key, g = original(self, qs, rng)
+    def counted(mats, qs, rng):
+        key, g = original(mats, qs, rng)
         if key is None:
             hits.append(g)
         return key, g
 
-    monkeypatch.setattr(CommutingTuple, "_key", counted)
+    monkeypatch.setattr(modules, "_key", counted)
     return hits
 
 
@@ -246,7 +246,7 @@ def test_socle_key_matches_semisimple_quotient_key():
             at = [tensor(pt, fat) for pt in twisted_points(q, rng)]
             tuples += [fat, conjugate(CommutingTuple.direct_sum(*at), rng)]
     for t in tuples:
-        for _, piece, key in t._local_pieces(random.Random(0)):
+        for _, piece, key in local_pieces(t, random.Random(0)):
             assert piece.semisimplify().annihilator_ideal() == key.ideal
 
 
@@ -308,7 +308,7 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     minpolys, charpolys, factor_calls, restricts = [], [], [], []
     original_charpoly = modules.charpoly
     original_factor = modules.factor_univariate
-    original_maps = CommutingTuple._submodule_maps
+    original_maps = modules._submodule_maps
 
     def recording_charpoly(m):
         charpolys.append(m)  # keeps m alive, so ids stay unique
@@ -318,14 +318,14 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         factor_calls.append(f)
         return original_factor(f, rng)
 
-    def counting_maps(self, B, coords):
+    def counting_maps(mats, B, coords):
         restricts.append(coords)
-        return original_maps(self, B, coords)
+        return original_maps(mats, B, coords)
 
     monkeypatch.setattr(modules, "minimal_polynomial", minpolys.append)
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
-    monkeypatch.setattr(CommutingTuple, "_submodule_maps", counting_maps)
+    monkeypatch.setattr(modules, "_submodule_maps", counting_maps)
 
     cls = k0_class(t, random.Random(0))
     assert bookkeeping(cls) == t.dim and len(cls.items()) >= 2
@@ -340,23 +340,74 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     assert len(factor_calls) < t.nvars * work_items
 
 
+def split_cases():
+    """n = 2 tuples in random bases that split and whose pieces reach the
+    socle path: twisted points over F_2, F_97 and Q, and non-cyclic fat
+    points moved onto them."""
+    for q in (UniPoly(F2, [1, 1, 1]), UniPoly(F97, [92, 0, 1]), UniPoly(QQ, [-2, 0, 1])):
+        rng = random.Random(43)
+        points = twisted_points(q, rng)
+        fat = fat_point(q.field, 2, 2)
+        yield conjugate(CommutingTuple.direct_sum(*points), rng)
+        yield conjugate(CommutingTuple.direct_sum(*(tensor(pt, fat) for pt in points)), rng)
+
+
+def test_split_builds_no_tuples(monkeypatch, tmp_path, capsys):
+    # the split loop carries matrices: no CommutingTuple, with its
+    # pairwise commutation check, is built inside _local_pieces, for the
+    # class or for endok decompose
+    built, inside, socles = [], [], []
+    init = CommutingTuple.__init__
+    split = CommutingTuple._local_pieces
+    kernel_rows = modules._kernel_rows
+
+    def counted_init(self, *args):
+        if inside:
+            built.append(args)
+        init(self, *args)
+
+    def marked(self, rng=None):
+        inside.append(self)
+        try:
+            return split(self, rng)
+        finally:
+            inside.pop()
+
+    def socle(m):
+        socles.append(m)
+        return kernel_rows(m)
+
+    monkeypatch.setattr(CommutingTuple, "__init__", counted_init)
+    monkeypatch.setattr(CommutingTuple, "_local_pieces", marked)
+    monkeypatch.setattr(modules, "_kernel_rows", socle)
+    path = tmp_path / "job.txt"
+    for t in split_cases():
+        socles.clear()
+        assert len(k0_class(t, random.Random(0)).items()) >= 2
+        assert socles
+        path.write_text(job_text(t))
+        assert main(["decompose", str(path)]) == 0
+        assert "piece 2:" in capsys.readouterr().out
+    assert built == []
+
+
 def test_key_builds_no_quotient(monkeypatch):
     # pieces are keyed from one socle vector: no semisimple quotient, and
     # every annihilator taken on the class path is of a single column
     quotients, starts = [], []
     original_quotient = CommutingTuple.quotient
-    original_annihilator = CommutingTuple._annihilator
+    original_annihilator = modules._annihilator
 
     def counting_quotient(self, s):
         quotients.append(s)
         return original_quotient(self, s)
 
-    def recording_annihilator(self, start):
+    def recording_annihilator(mats, start):
         starts.append(start)
-        return original_annihilator(self, start)
+        return original_annihilator(mats, start)
 
     monkeypatch.setattr(CommutingTuple, "quotient", counting_quotient)
-    monkeypatch.setattr(CommutingTuple, "_annihilator", recording_annihilator)
+    monkeypatch.setattr(modules, "_annihilator", recording_annihilator)
     rng = random.Random(38)
     for field, n in ((F97, 3), (QQ, 2)):
         t = CommutingTuple.direct_sum(
@@ -394,7 +445,7 @@ def test_key_skips_cayley_hamilton_zeros(monkeypatch):
         expected = t.maximal_ideal_key()
         calls.clear()
         monkeypatch.setattr(modules, "eval_poly_at_matrix", counted)
-        key, g = t._key(qs, random.Random(0))
+        key, g = modules._key(t.mats, qs, random.Random(0))
         monkeypatch.undo()
         assert g is None and key == expected and key.residue_degree == 2
         # the q_i(f_i) evaluated; the socle check then evaluates M's
@@ -450,19 +501,19 @@ def test_shortcut_key_matches_socle_annihilator(case):
     # _key finds it without an annihilator or a matrix evaluation
     t, wide = case
     shortcuts = 0
-    for _, piece, key in t._local_pieces(random.Random(0)):
+    for _, piece, key in local_pieces(t, random.Random(0)):
         qs = primary_qs(piece)
         if sum(q.degree > 1 for q in qs.values()) > 1:
             continue
         parts = [eval_poly_at_matrix(q, [piece.mats[i]]) for i, q in qs.items()]
         soc = kernel_basis(_stack(parts))
         s = _submatrix(soc.matrix.transpose(), range(piece.dim), [0])
-        assert piece._annihilator(s) == key.ideal
+        assert modules._annihilator(piece.mats, s) == key.ideal
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CommutingTuple, "_annihilator", lambda *a: calls.append(a))
+            patch.setattr(modules, "_annihilator", lambda *a: calls.append(a))
             patch.setattr(modules, "eval_poly_at_matrix", lambda *a: calls.append(a))
-            shortcut, g = piece._key(qs, random.Random(0))
+            shortcut, g = modules._key(piece.mats, qs, random.Random(0))
         assert calls == [] and g is None and shortcut is key
         shortcuts += 1
     assert shortcuts or not wide
@@ -472,13 +523,13 @@ def test_twisted_points_take_the_annihilator_path(monkeypatch):
     # two q_i of degree 2: (q_1(t_1), q_2(t_2)) is not maximal, so the key
     # runs Buchberger-Moller, which finds two points and splits
     starts = []
-    original = CommutingTuple._annihilator
+    original = modules._annihilator
 
-    def recording(self, start):
+    def recording(mats, start):
         starts.append(start)
-        return original(self, start)
+        return original(mats, start)
 
-    monkeypatch.setattr(CommutingTuple, "_annihilator", recording)
+    monkeypatch.setattr(modules, "_annihilator", recording)
     for q in (
         UniPoly(F2, [1, 1, 1]),
         UniPoly(F3, [1, 0, 1]),
@@ -494,26 +545,26 @@ def test_twisted_points_take_the_annihilator_path(monkeypatch):
             starts.clear()
             pieces = t._local_pieces(random.Random(0))
             assert starts
-            assert len(pieces) == 2 and [w.rows for w, _, _ in pieces] == [2, 2]
+            assert len(pieces) == 2 and [w.rows for w, _ in pieces] == [2, 2]
             assert k0_class(t) == k0_class(points[0]) + k0_class(points[1])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(key_cases())
 def test_local_pieces_match_primary_decomposition(case):
-    # each W spans the canonical piece that primary_decomposition returns,
-    # the piece is the tuple in the basis of W's rows, and each generator
-    # has the characteristic polynomial of its canonical restriction
+    # each W has full rank and spans the canonical piece that
+    # primary_decomposition returns, the restriction to it is invariant
+    # (restrict checks it), local at the key, and each generator on it
+    # has one irreducible factor
     t, _ = case
     pieces = t._local_pieces(random.Random(0))
     canonical = t.primary_decomposition(random.Random(0))
     assert len(pieces) == len(canonical)
-    for (w, piece, _), (sub, restricted) in zip(pieces, canonical):
+    for (w, key), (sub, restricted) in zip(pieces, canonical):
         assert Subspace._row_space(w) == sub
-        assert w.rows == piece.dim == sub.dim
-        for f, m, r in zip(t.mats, piece.mats, restricted.mats):
-            assert f @ w.transpose() == w.transpose() @ m
-            assert charpoly(m) == charpoly(r)
+        assert w.rows == sub.dim == restricted.dim
+        assert restricted.maximal_ideal_key(random.Random(0)) is key
+        assert all(len(factor_univariate(charpoly(r))) == 1 for r in restricted.mats)
 
 
 def test_elimination_count_on_a_fixed_tuple(monkeypatch):
@@ -546,32 +597,31 @@ def kernel_per_factor_pieces(t, rng):
     """The split loop of ``_local_pieces`` with every generalised
     eigenspace taken as the kernel of q(m)^v on the whole item, one
     elimination per factor: the reference for peeling."""
-    F, n = t.field, t.nvars
-    work = [(Matrix.identity(F, t.dim), t, {})]
+    work = [(Matrix.identity(t.field, t.dim), t.mats, {})]
     out = []
     while work:
-        w, s, qs = work.pop()
+        w, mats, qs = work.pop()
         split = None
-        for i in range(n):
+        for i, f in enumerate(mats):
             if i in qs:
                 continue
-            factors = factor_univariate(charpoly(s.mats[i]), rng)
+            factors = factor_univariate(charpoly(f), rng)
             if len(factors) >= 2:
-                split = (s.mats[i], factors, i)
+                split = (f, factors, i)
                 break
             qs[i] = factors[0][0]
         if split is None:
-            key, g = s._key(qs, rng)
+            key, g = modules._key(mats, qs, rng)
             if key is not None:
-                out.append((w, s, key))
+                out.append((w, mats, key))
                 continue
-            m = eval_poly_at_matrix(g, list(s.mats))
+            m = eval_poly_at_matrix(g, list(mats))
             split = (m, factor_univariate(charpoly(m), rng), None)
         m, factors, i = split
         for q, v in factors:
             ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
             assert ker.rows == q.degree * v
-            child = CommutingTuple(F, n, ker.rows, s._submodule_maps(ker.transpose(), free))
+            child = modules._submodule_maps(mats, ker.transpose(), free)
             work.append((ker @ w, child, dict(qs) if i is None else {**qs, i: q}))
     out.sort(key=lambda item: item[2].sort_key())
     return out
@@ -624,15 +674,17 @@ def test_peeled_pieces_match_a_kernel_per_factor(field, monkeypatch):
     for t in peel_cases(field):
         reference = kernel_per_factor_pieces(t, random.Random(0))
         hits.clear()
-        peeled = t._local_pieces(random.Random(0))
+        peeled = list(local_pieces(t, random.Random(0)))
         separated += bool(hits)
         assert [key for _, _, key in peeled] == [key for _, _, key in reference]
-        for (w, piece, _), (v, _, _) in zip(peeled, reference):
+        for (w, piece, _), (v, mats, _) in zip(peeled, reference):
             assert w.rows == v.rows == piece.dim
             assert Subspace._row_space(w) == Subspace._row_space(v)
-            # piece is the tuple in the basis of W's rows
-            for f, m in zip(t.mats, piece.mats):
-                assert f @ w.transpose() == w.transpose() @ m
+            # the reference's mats are the f in the basis of V's rows, and
+            # similar to the peeled piece's
+            for f, m, r in zip(t.mats, mats, piece.mats):
+                assert f @ v.transpose() == v.transpose() @ m
+                assert charpoly(m) == charpoly(r)
     # an element g named by the key step split some of them (the twisted
     # points), on the path where g(f) is no generator
     assert separated
