@@ -34,7 +34,7 @@ from .linalg import (
     minimal_polynomial,
     rref,
 )
-from .poly import MultiPoly, grlex_key, mono_divides, normal_form, squarefree_part
+from .poly import MultiPoly, UniPoly, grlex_key, mono_divides, normal_form, squarefree_part
 
 
 class Ideal:
@@ -489,7 +489,9 @@ class CommutingTuple:
         restriction's invariance is checked once, by ``_invariant_maps``.
         An item on which every generator is primary goes to ``_key``,
         which either keys it or names an element g whose g(f) splits it
-        further.  At the end the pieces' dimensions must add up to dim V
+        further; so does, with no more primary tests, an item where some
+        q_i has degree W.rows, as it is simple (Schur's lemma, see
+        ``_key``).  At the end the pieces' dimensions must add up to dim V
         and the stacked W must have full rank.
         """
         if rng is None:
@@ -505,6 +507,8 @@ class CommutingTuple:
             for i, f in enumerate(mats):
                 if i in qs:
                     continue
+                if any(q.degree == w.rows for q in qs.values()):
+                    break  # a simple piece: _key needs no other q_j
                 factors = factor_univariate(charpoly(f), rng)
                 if len(factors) >= 2:
                     split = (f, factors, i)
@@ -653,9 +657,16 @@ def _annihilator(mats, start):
 
 
 def _key(mats, qs, rng):
-    """For commuting f in mats, each f_i with characteristic polynomial a
-    power of the irreducible qs[i]: (key, None) when their module V is
-    local, or (None, g) when it is not, with g(f) splitting it.
+    """For commuting f in mats, each f_i in qs with characteristic
+    polynomial a power of the irreducible qs[i] (every f_i, unless some
+    deg q_i = d = dim V): (key, None) when their module V is local, or
+    (None, g) when it is not, with g(f) splitting it.
+
+    When deg q_i = d, V is simple (Schur's lemma): K = k[f_i] is a field
+    of degree d, V is a K-line, and each f_j commutes with f_i, so it is
+    K-linear, multiplication by an element of K.  M = Ann(v) for any
+    v != 0, of codimension d; scalar f_j = c.I give q_j = t - c, and if
+    some f_j is not scalar M is read off the first basis vector.
 
     Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
     support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
@@ -680,6 +691,16 @@ def _key(mats, qs, rng):
     Soc: a generator g of M with g(f).Soc != 0 is nilpotent on the
     piece at M and a unit on another, so g(f) splits V."""
     F, n, d = mats[0].field, len(mats), mats[0].rows
+    if any(q.degree == d for q in qs.values()):
+        one = Matrix.identity(F, d)
+        cs = {i: _submatrix(mats[i], [0], [0]).entries[0][0] for i in range(n) if i not in qs}
+        if all(mats[i] == one.scale(c) for i, c in cs.items()):
+            qs = {**qs, **{i: UniPoly(F, [F.neg(c), F.one]) for i, c in cs.items()}}
+        if len(qs) < n or sum(q.degree > 1 for q in qs.values()) > 1:
+            ideal = _annihilator(mats, _submatrix(one, range(d), [0]))
+            if ideal.quotient_dim != d:
+                raise RuntimeError("a simple piece is not local")
+            return _local_key(ideal, d)
     wide = [i for i, q in qs.items() if q.degree > 1]
     if len(wide) <= 1:
         j = wide[0] if wide else 0
@@ -688,12 +709,8 @@ def _key(mats, qs, rng):
             tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)
         ]
         return _local_key(Ideal(F, n, gens, std), d)
-    # q_i(f_i) = 0 by Cayley-Hamilton when deg q_i = d
-    parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items() if q.degree < d]
-    if parts:
-        basis = _kernel_rows(_stack(parts))[0].transpose()
-    else:
-        basis = Matrix.identity(F, d)
+    parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items()]
+    basis = _kernel_rows(_stack(parts))[0].transpose()
     ideal = _annihilator(mats, _submatrix(basis, range(d), [0]))
     rd = ideal.quotient_dim
     if rd != max(q.degree for q in qs.values()):

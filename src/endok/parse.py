@@ -52,6 +52,7 @@ class Token:
 _OPS = set("+-*/^()[];,")
 # Digits and names are ASCII: str.isdigit would also take "²" or "٣"
 _DIGITS = re.compile(r"[0-9]+")
+_HEAD = re.compile(r"[^ \t]*")
 _WORD = re.compile(r"([0-9]+)|[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -325,9 +326,11 @@ class JobDescription:
 
 
 def _split_directive(line):
-    """(head, rest, start): the text before the first space, the text
-    after it without its leading spaces, and rest's offset in line."""
-    head, _, rest = line.partition(" ")
+    """(head, rest, start): the text before the first space or tab, the
+    text after that separator without its leading whitespace, and rest's
+    offset in line."""
+    head = _HEAD.match(line)[0]
+    rest = line[len(head) + 1 :]
     start = len(head) + 1 + len(rest) - len(rest.lstrip())
     return head, rest.strip(), start
 

@@ -179,6 +179,16 @@ def twisted_points(q, rng):
     ]
 
 
+def simple_point(q, hs, rng):
+    """(C, h_2(C), .., h_n(C)) for C the companion matrix of an irreducible
+    q and hs the polynomials h_j, in a seeded random basis: a simple
+    module, as k[C] is a field of degree deg q = dim and each h_j(C) lies
+    in it.  A constant h_j gives a scalar matrix."""
+    c = Matrix.companion(q)
+    mats = [c] + [eval_poly_at_matrix(h, [c]) for h in hs]
+    return conjugate(CommutingTuple(q.field, len(mats), q.degree, mats), rng)
+
+
 def fat_point(field, nvars, power):
     """k[t1..tn]/(t1..tn)^power by multiplication matrices.  For n >= 2 and
     power >= 2 it is not cyclic over its socle: the socle, spanned by the

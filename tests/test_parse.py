@@ -282,6 +282,23 @@ def test_parse_input_errors():
         parse_input("field Q\nvars 1\ndim 1\n").tuple()
 
 
+def test_tabs_separate_directives():
+    job = parse_input("field\tQ\nvars\t2\ndim\t2\n[[1,0];[0,1]]\n[[0,1];[0,0]]\nnum\tt+1\n")
+    assert (job.field, job.nvars, job.dim) == (QQ, 2, 2)
+    assert str(job.tildes[0]) == "t + 1"
+    assert parse_input("field \t F\t97\n").field == GF(97)
+    # error columns point into the line: '@' is the 8th character of
+    # "num\t t+@" and of "num  t+@", and the 10th of " num\t\t t+@"
+    for line, col in (("num\t t+@", 8), ("num  t+@", 8), (" num\t\t t+@", 10)):
+        with pytest.raises(ParseError, match="unexpected character '@'") as e:
+            parse_input(f"field Q\n{line}\n")
+        assert (e.value.line, e.value.column) == (2, col)
+    # no separator: the column one past the end of the directive
+    with pytest.raises(ParseError) as e:
+        parse_input("field Q\nnum\n")
+    assert (e.value.line, e.value.column) == (2, 5)
+
+
 def test_parse_input_matrix_shape_errors_carry_positions():
     # a 2x3 matrix under dim 2: the row count alone would let it through
     with pytest.raises(ParseError, match="matrix is 2x3, expected 2x2") as e:

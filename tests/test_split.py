@@ -17,9 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endok.modules as modules
-from conftest import conjugate, fat_point, job_text, local_pieces, tensor, twisted_points
+from conftest import (
+    conjugate,
+    fat_point,
+    job_text,
+    local_pieces,
+    simple_point,
+    tensor,
+    twisted_points,
+)
 from endok import _kernels
-from endok.bruteforce import k0_class_oracle, random_commuting_tuple
+from endok.bruteforce import (
+    DEFAULT_BOUND,
+    k0_class_oracle,
+    random_commuting_tuple,
+    subspace_count,
+)
 from endok.cli import main
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
@@ -34,8 +47,8 @@ from endok.linalg import (
     eval_poly_at_matrix,
     kernel_basis,
 )
-from endok.modules import CommutingTuple, quotient_is_field
-from endok.poly import UniPoly
+from endok.modules import CommutingTuple, Ideal, quotient_is_field
+from endok.poly import MultiPoly, UniPoly
 
 F2, F3, F97 = GF(2), GF(3), GF(97)
 
@@ -305,10 +318,9 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         random_commuting_tuple(F97, 3, 5, rng, block_split=False),
         random_commuting_tuple(F97, 3, 6, rng, block_split=False),
     )
-    minpolys, charpolys, factor_calls, restricts = [], [], [], []
+    minpolys, charpolys, factor_calls = [], [], []
     original_charpoly = modules.charpoly
     original_factor = modules.factor_univariate
-    original_maps = modules._submodule_maps
 
     def recording_charpoly(m):
         charpolys.append(m)  # keeps m alive, so ids stay unique
@@ -318,14 +330,9 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         factor_calls.append(f)
         return original_factor(f, rng)
 
-    def counting_maps(mats, B, coords):
-        restricts.append(coords)
-        return original_maps(mats, B, coords)
-
     monkeypatch.setattr(modules, "minimal_polynomial", minpolys.append)
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
-    monkeypatch.setattr(modules, "_submodule_maps", counting_maps)
 
     cls = k0_class(t, random.Random(0))
     assert bookkeeping(cls) == t.dim and len(cls.items()) >= 2
@@ -333,11 +340,13 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
     # each factorization is of a distinct matrix's characteristic polynomial
     assert len(factor_calls) == len(charpolys)
     assert len({id(m) for m in charpolys}) == len(charpolys)
-    # one work item per child restriction of the split plus the root;
-    # children inherit the split generator, so fewer than n factorizations
-    # per item
-    work_items = len(restricts) + 1
-    assert len(factor_calls) < t.nvars * work_items
+    # children inherit the split generator's q, and a child where it has
+    # full degree is simple, so nothing more is factored on it: at most n
+    # factorizations at the root and n - 1 on each piece that is not
+    # simple, which here is one piece of six
+    simple = [mult == 1 for _, mult in cls.items()]
+    assert simple.count(False) == 1
+    assert len(factor_calls) <= t.nvars + (t.nvars - 1) * simple.count(False)
 
 
 def split_cases():
@@ -421,8 +430,9 @@ def test_key_builds_no_quotient(monkeypatch):
 
 
 def test_key_skips_cayley_hamilton_zeros(monkeypatch):
-    # q_i(f_i) = 0 when deg q_i equals the piece's dimension, so _key does
-    # not evaluate it; with every q_i skipped the socle is the whole piece
+    # q_i(f_i) = 0 when deg q_i equals the piece's dimension, and the
+    # piece is simple: _key evaluates no q_i and reads the key off the
+    # first basis vector
     calls = []
     original = modules.eval_poly_at_matrix
 
@@ -713,6 +723,161 @@ def test_wrong_eigenspace_dimension_is_an_internal_error(
 
     monkeypatch.setattr(modules, "factor_univariate", wrong)
     message = f"generalised eigenspace of {q} has dimension {dim}, expected {q.degree * v}"
+    with pytest.raises(RuntimeError) as err:
+        t._local_pieces()
+    assert str(err.value) == message
+    path = tmp_path / "job.txt"
+    path.write_text(job_text(t))
+    assert main(["class", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: internal: {message}\n")
+
+
+# -- simple pieces, keyed by Schur's lemma ---------------------------------------
+
+
+def irreducible(field, degree, rng):
+    """A seeded monic irreducible of the given degree: t^degree - a with a
+    squarefree (Eisenstein) over Q, a random one over F_p."""
+    if field == QQ:
+        return UniPoly(QQ, [-rng.choice([2, 3, 5, 6, 7])] + [0] * (degree - 1) + [1])
+    p = field.characteristic
+    while True:
+        q = UniPoly(field, [rng.randrange(p) for _ in range(degree)] + [1])
+        if factor_univariate(q) == [(q, 1)]:
+            return q
+
+
+def coordinate(q, scalar, rng):
+    """h for a coordinate h(C) of a point at q: a constant, or of degree
+    1..deg q - 1, so that h(C) is not a scalar matrix."""
+    F = q.field
+    if scalar:
+        return UniPoly(F, [rng.randint(0, 5)])
+    low = [rng.randint(-3, 3) for _ in range(rng.randint(1, q.degree - 1))]
+    return UniPoly(F, low + [1])
+
+
+def simple_cases(field, rng):
+    """(tuple, points, fat): simple points at an irreducible q of each
+    degree 2..6, for n = 2 and 3 with scalar and non-scalar h_j; direct
+    sums of points with distinct q; and (fat) points tensored with a fat
+    point, whose pieces are local but not simple.  points are the
+    summands, one per piece."""
+    qs = [irreducible(field, k, rng) for k in range(2, 7)]
+    for q in qs:
+        for pattern in ([True], [False], [True, True], [True, False], [False, False]):
+            point = simple_point(q, [coordinate(q, s, rng) for s in pattern], rng)
+            yield point, [point], False
+    for group in (qs[:2], qs[1:4]):
+        points = [simple_point(q, [coordinate(q, rng.random() < 0.5, rng)], rng) for q in group]
+        yield conjugate(CommutingTuple.direct_sum(*points), rng), points, False
+    fat = fat_point(field, 2, 2)
+    points = [simple_point(q, [coordinate(q, False, rng)], rng) for q in qs[:2]]
+    fats = [tensor(point, fat) for point in points]
+    yield conjugate(CommutingTuple.direct_sum(*fats), rng), points, True
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=repr)
+def test_simple_piece_keys_match_annihilators(field):
+    # a piece on which some q_i has degree dim W is keyed without primary
+    # tests of the other generators; the key must still be the annihilator
+    # of the whole piece, from starts other than the loop's e_0, a maximal
+    # ideal, and the class the brute-force oracle finds
+    rng = random.Random(44)
+    for t, points, fat in simple_cases(field, rng):
+        pieces = list(local_pieces(t, random.Random(0)))
+        assert len(pieces) == len(points)
+        # for a simple point, Ann(V) is the maximal ideal at it
+        assert {key.ideal for _, _, key in pieces} == {pt.annihilator_ideal() for pt in points}
+        for w, piece, key in pieces:
+            d = piece.dim
+            one = Matrix.identity(field, d)
+            whole = modules._annihilator(piece.mats, one)
+            last = modules._annihilator(piece.mats, _submatrix(one, range(d), [d - 1]))
+            if fat:
+                # Ann(W) is M-primary, not M: the control
+                assert d == 3 * key.residue_degree
+                assert whole != key.ideal and whole.quotient_dim > key.residue_degree
+            else:
+                assert d == key.residue_degree
+                assert whole == last == piece.annihilator_ideal() == key.ideal
+            assert quotient_is_field(key.ideal)
+            p = field.characteristic
+            if p and subspace_count(p, d) <= DEFAULT_BOUND:
+                assert k0_class(piece) == k0_class_oracle(piece)
+        cls = k0_class(t, random.Random(0))
+        assert [mult for _, mult in cls.items()] == [3 if fat else 1] * len(points)
+
+
+def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
+    # f_1 splits a sum of simple points into its points, each with f_1's q
+    # of full degree: no charpoly or factorization runs on them, and an
+    # annihilator only where the other generator is not scalar.  The
+    # twisted pair shares every q_i, so its 4-dimensional piece runs the
+    # primary test of f_2 and a split by an element g that the key step
+    # names; the two simple pieces it splits into run nothing but their
+    # annihilators, as their f_2 is not scalar.
+    rng = random.Random(45)
+    cubic, other_cubic = irreducible(F97, 3, rng), irreducible(F97, 3, rng)
+    assert cubic != other_cubic
+    quintic = irreducible(F97, 5, rng)
+    twisted = twisted_points(UniPoly(F97, [92, 0, 1]), rng)
+    assert twisted[0].mats[1] != twisted[1].mats[1]
+    points = [
+        simple_point(UniPoly(F97, [-4, 1]), [UniPoly(F97, [7])], rng),
+        simple_point(cubic, [UniPoly(F97, [5])], rng),
+        simple_point(other_cubic, [coordinate(other_cubic, False, rng)], rng),
+        simple_point(quintic, [coordinate(quintic, False, rng)], rng),
+        *twisted,
+    ]
+    t = conjugate(CommutingTuple.direct_sum(*points), rng)
+    charpolys, factor_calls, starts = [], [], []
+    original_charpoly = modules.charpoly
+    original_factor = modules.factor_univariate
+    original_annihilator = modules._annihilator
+
+    def recording_charpoly(m):
+        charpolys.append(m.rows)
+        return original_charpoly(m)
+
+    def counting_factor(f, rng=None):
+        factor_calls.append(f)
+        return original_factor(f, rng)
+
+    def recording_annihilator(mats, start):
+        starts.append(start.rows)
+        return original_annihilator(mats, start)
+
+    monkeypatch.setattr(modules, "charpoly", recording_charpoly)
+    monkeypatch.setattr(modules, "factor_univariate", counting_factor)
+    monkeypatch.setattr(modules, "_annihilator", recording_annihilator)
+    cls = k0_class(t, random.Random(0))
+    assert [mult for _, mult in cls.items()] == [1] * 6
+    # the root's f_1, then only on the twisted piece: its f_2, the probes
+    # for a separating element and the g(f) that splits it
+    assert len(factor_calls) == len(charpolys)
+    assert charpolys.count(t.dim) == 1
+    assert set(charpolys) == {t.dim, 4}
+    # the twisted piece's key, its two points, and the non-scalar cubic and
+    # quintic; neither the 1-dimensional point nor the scalar cubic
+    assert sorted(starts) == [2, 2, 3, 4, 5]
+
+
+def test_a_simple_piece_that_is_not_local_is_an_internal_error(
+    monkeypatch, tmp_path, capsys
+):
+    # the annihilator of a simple piece's first basis vector must have
+    # codimension dim W; a smaller one is a fault of the program
+    c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
+    t = CommutingTuple(QQ, 2, 2, [c, c.scale(3)])
+    origin = [MultiPoly.variable(QQ, 2, i) for i in range(2)]
+
+    def short(mats, start):
+        return Ideal.from_groebner_basis(QQ, 2, origin)
+
+    monkeypatch.setattr(modules, "_annihilator", short)
+    message = "a simple piece is not local"
     with pytest.raises(RuntimeError) as err:
         t._local_pieces()
     assert str(err.value) == message
