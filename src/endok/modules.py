@@ -18,6 +18,7 @@ import heapq
 import random
 import weakref
 from collections import deque
+from itertools import count
 
 from .errors import FieldMismatchError, NonCommutingError
 from .factor import DEFAULT_SEED, factor_univariate
@@ -46,7 +47,7 @@ class Ideal:
     equality of ideals is literal equality of these canonical tuples.
     """
 
-    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_hash")
+    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_hash", "_strings")
 
     def __init__(self, field, nvars, gens, standard_monomials):
         gens = tuple(
@@ -65,6 +66,7 @@ class Ideal:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "standard_monomials", std)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_strings", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -119,7 +121,12 @@ class Ideal:
         return self.normal_form(p).is_zero
 
     def generator_strings(self):
-        return tuple(str(g) for g in self.gens)
+        # rendered once: keys sort by them, and _KEYS shares each key
+        strings = self._strings
+        if strings is None:
+            strings = tuple(str(g) for g in self.gens)
+            object.__setattr__(self, "_strings", strings)
+        return strings
 
     def __eq__(self, other):
         if isinstance(other, Ideal):
@@ -162,83 +169,73 @@ def multiplication_matrix(ideal, p):
     return Matrix(F, grid, cols=len(std))
 
 
-SEPARATING_ATTEMPTS = 25  # random probes of each kind for a separating element
-EXHAUSTIVE_BOUND = 4096  # quotient_is_field enumerates k[T]/I when p^dim <= this
+def _split_or_field(ideal):
+    """For a reduced A = k[T]/I, a product of finite field extensions of
+    k: None when A is a field, else an element g of A whose multiplication
+    has two distinct irreducible factors, so that g(f) splits any module
+    over A that contains A.
 
-
-def _candidates(ideal, rng):
-    """Seeded elements of k[T]/I to probe: the variables, then random
-    linear combinations of them, then random elements over the standard
-    monomials."""
-    F, n = ideal.field, ideal.nvars
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for i in range(n):
-        yield MultiPoly.variable(F, n, i)
-    for _ in range(SEPARATING_ATTEMPTS):
-        yield MultiPoly(F, n, {u: F.random_scalar(rng) for u in units})
-    for _ in range(SEPARATING_ATTEMPTS):
-        yield MultiPoly(
-            F, n, {m: F.random_scalar(rng) for m in ideal.standard_monomials}
-        )
-
-
-def _separating_element(ideal, rng):
-    """For a reduced A = k[T]/I (a product of finite field extensions),
-    find g in A that settles whether A is a field.
-
-    Returns (g, factors), factors being the factored characteristic
-    polynomial of multiplication by g: one irreducible factor of degree
-    dim A makes A = k[g] a field, two or more distinct ones split A into
-    the generalised eigenspaces of g.  None when no candidate settles it.
+    Over F_p the fixed algebra of the Frobenius Phi: a -> a^p is F_p^r, r
+    the number of points of A (Berlekamp), so A is a field iff
+    ker(Phi - 1) is F_p.1, its first kernel row; any other row g has
+    g^p = g, is not constant and takes two values in F_p.  Phi(t^m) =
+    Y^m.1 for Y_i the p-th power of multiplication by t_i, one product
+    with a standard parent's column (standard monomials are closed under
+    division).  Over Q, t_1 + c t_2 + .. + c^(n-1) t_n separates the k
+    points of A for all but at most (n - 1) C(k, 2) values of c
+    (Rouillier), so c = 0, 1, 2, .. ends at a c whose multiplication
+    splits or has one factor, of degree k (A = k[g] is a field).
     """
-    k = ideal.quotient_dim
-    for g in _candidates(ideal, rng):
-        factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)), rng)
-        if len(factors) >= 2 or factors[0][0].degree == k:
-            return g, factors
-    return None
+    F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
+    p = F.characteristic
+    if not p:
+        for c in count():
+            g = MultiPoly(F, n, {tuple(int(j == i) for j in range(n)): c**i for i in range(n)})
+            factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)))
+            if len(factors) >= 2:
+                return g
+            if factors[0][0].degree == k:
+                return None
+    std = ideal.standard_monomials
+    ys = [multiplication_matrix(ideal, MultiPoly.variable(F, n, i)).pow(p) for i in range(n)]
+    cols = {std[0]: _submatrix(Matrix.identity(F, k), range(k), [0])}
+    for m in std[1:]:
+        i = next(i for i, e in enumerate(m) if e)
+        cols[m] = ys[i] @ cols[m[:i] + (m[i] - 1,) + m[i + 1 :]]
+    phi = _stack([c.transpose() for c in cols.values()]).transpose()
+    fixed = _kernel_rows(phi - Matrix.identity(F, k))[0]
+    return None if fixed.rows == 1 else MultiPoly(F, n, dict(zip(std, fixed.entries[1])))
 
 
-def quotient_is_field(ideal, rng=None):
+def quotient_is_field(ideal):
     """Decide whether k[T]/I is a field (i.e. I is maximal).
 
-    Strategy: the quotient is reduced iff every variable's multiplication
-    matrix has squarefree minimal polynomial (both fields are perfect).
-    A reduced quotient is then settled by a separating element.  Over a
-    small prime field, fall back to exhaustively checking that every
-    nonzero element is invertible.  This is the slow independent check;
-    production code builds keys constructively and never calls it.
-    """
-    from itertools import product as _product
+    The quotient is reduced iff every variable's multiplication matrix
+    has squarefree minimal polynomial (both fields are perfect), and a
+    reduced quotient is a field iff ``_split_or_field`` finds no element
+    that splits it.  This is the slow independent check; production code
+    builds keys constructively and never calls it.
 
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    k = ideal.quotient_dim
-    if k == 0:
-        return False  # unit ideal: the zero ring
-    F = ideal.field
-    n = ideal.nvars
+    >>> from endok.fields import GF
+    >>> from endok.parse import parse_poly
+    >>> F2 = GF(2)
+    >>> def ideal(*gens):
+    ...     return Ideal.from_groebner_basis(F2, 2, [parse_poly(g, F2, 2) for g in gens])
+    >>> quotient_is_field(ideal("t1^2 + t1 + 1", "t2^2 + t2 + 1"))  # F4 x F4
+    False
+    >>> quotient_is_field(ideal("t1^2 + t1 + 1", "t2^3 + t2 + 1"))  # F64
+    True
+    """
+    if ideal.is_unit:
+        return False  # the zero ring
+    F, n = ideal.field, ideal.nvars
     for i in range(n):
         mp = minimal_polynomial(
             multiplication_matrix(ideal, MultiPoly.variable(F, n, i))
         )
         if squarefree_part(mp) != mp:
             return False  # t_i has a nonzero nilpotent part
-    found = _separating_element(ideal, rng)
-    if found is not None:
-        return len(found[1]) == 1
-    if F.is_prime_field and F.characteristic**k <= EXHAUSTIVE_BOUND:
-        p = F.characteristic
-        std = ideal.standard_monomials
-        for coeffs in _product(range(p), repeat=k):
-            if not any(coeffs):
-                continue
-            elem = MultiPoly(F, n, dict(zip(std, coeffs)))
-            _, piv = rref(multiplication_matrix(ideal, elem))
-            if len(piv) < k:
-                return False
-        return True
-    raise RuntimeError("could not certify the quotient either way")
+    return _split_or_field(ideal) is None
 
 
 class MaximalIdealKey:
@@ -489,10 +486,11 @@ class CommutingTuple:
         restriction's invariance is checked once, by ``_invariant_maps``.
         An item on which every generator is primary goes to ``_key``,
         which either keys it or names an element g whose g(f) splits it
-        further; so does, with no more primary tests, an item where some
-        q_i has degree W.rows, as it is simple (Schur's lemma, see
-        ``_key``).  At the end the pieces' dimensions must add up to dim V
-        and the stacked W must have full rank.
+        further, into at least two pieces, or the loop raises rather than
+        take the item again; so does, with no more primary tests, an item
+        where some q_i has degree W.rows, as it is simple (Schur's lemma,
+        see ``_key``).  At the end the pieces' dimensions must add up to
+        dim V and the stacked W must have full rank.
         """
         if rng is None:
             rng = random.Random(DEFAULT_SEED)
@@ -515,12 +513,15 @@ class CommutingTuple:
                     break
                 qs[i] = factors[0][0]
             if split is None:
-                key, g = _key(mats, qs, rng)
+                key, g = _key(mats, qs)
                 if key is not None:
                     out.append((w, key))
                     continue
                 m = eval_poly_at_matrix(g, list(mats))
-                split = (m, factor_univariate(charpoly(m), rng), None)
+                factors = factor_univariate(charpoly(m), rng)
+                if len(factors) < 2:
+                    raise RuntimeError(f"the key step's element {g} does not split a piece")
+                split = (m, factors, None)
             m, factors, i = split
             factors = sorted(factors, key=lambda qv: -qv[0].degree * qv[1])
             for j, (q, v) in enumerate(factors):
@@ -656,7 +657,7 @@ def _annihilator(mats, start):
     return Ideal(F, n, gens, std)
 
 
-def _key(mats, qs, rng):
+def _key(mats, qs):
     """For commuting f in mats, each f_i in qs with characteristic
     polynomial a power of the irreducible qs[i] (every f_i, unless some
     deg q_i = d = dim V): (key, None) when their module V is local, or
@@ -685,11 +686,11 @@ def _key(mats, qs, rng):
     the maximal ideals at which s has a component; on a local V that
     is the one maximal ideal, whichever nonzero s it is.  Each
     k[t_i]/(q_i) embeds in every residue field, so dim k[T]/M =
-    max deg q_i leaves room for one; otherwise a separating element of
-    k[T]/M decides, and when M is not maximal it splits k[T].s, a
-    submodule of V.  A maximal M is the only point of V iff it kills
-    Soc: a generator g of M with g(f).Soc != 0 is nilpotent on the
-    piece at M and a unit on another, so g(f) splits V."""
+    max deg q_i leaves room for one; otherwise ``_split_or_field``
+    decides whether the reduced k[T]/M is a field, or names a g that
+    splits k[T].s, a submodule of V.  A maximal M is the only point of
+    V iff it kills Soc: a generator g of M with g(f).Soc != 0 is
+    nilpotent on the piece at M and a unit on another, so g(f) splits V."""
     F, n, d = mats[0].field, len(mats), mats[0].rows
     if any(q.degree == d for q in qs.values()):
         one = Matrix.identity(F, d)
@@ -714,11 +715,8 @@ def _key(mats, qs, rng):
     ideal = _annihilator(mats, _submatrix(basis, range(d), [0]))
     rd = ideal.quotient_dim
     if rd != max(q.degree for q in qs.values()):
-        found = _separating_element(ideal, rng)
-        if found is None:
-            raise RuntimeError("could not certify that a piece is local")
-        g, factors = found
-        if len(factors) >= 2:
+        g = _split_or_field(ideal)
+        if g is not None:
             return None, g
     if basis.cols > rd:
         for g in ideal.gens:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -12,8 +14,10 @@ from endok.ktheory import k0_class
 from endok.linalg import (
     Matrix,
     Subspace,
+    charpoly,
     eval_poly_at_matrix,
     minimal_polynomial,
+    rref,
 )
 from endok.modules import (
     CommutingTuple,
@@ -24,9 +28,9 @@ from endok.modules import (
 )
 from endok.poly import MultiPoly, UniPoly
 
-from conftest import ALL_FIELDS, conjugate, fat_point, field_id, tensor, twisted_points
+from conftest import ALL_FIELDS, P61, conjugate, fat_point, field_id, tensor, twisted_points
 
-F2, F3, F97 = GF(2), GF(3), GF(97)
+F2, F3, F5, F97 = GF(2), GF(3), GF(5), GF(97)
 J = Matrix(QQ, [[0, 1], [0, 0]])
 Z2 = Matrix.zeros(QQ, 2, 2)
 
@@ -512,7 +516,7 @@ def test_keys_are_field_quotients():
                 cases.append(key)
     assert cases
     for key in cases:
-        assert quotient_is_field(key.ideal, rng)
+        assert quotient_is_field(key.ideal)
         assert key.residue_degree == key.ideal.quotient_dim
 
 
@@ -521,6 +525,177 @@ def test_quotient_is_field_rejects_nonmaximal():
     assert not quotient_is_field(diag.annihilator_ideal())  # k x k
     tJ = CommutingTuple(QQ, 1, 2, [J])
     assert not quotient_is_field(tJ.annihilator_ideal())  # k[t]/(t^2)
+
+
+# -- the exact field test ----------------------------------------------------
+
+
+def field_by_enumeration(ideal):
+    """The reference over F_p: a reduced k[T]/I is a field iff
+    multiplication by each of its p^k - 1 nonzero elements is
+    invertible."""
+    F, k = ideal.field, ideal.quotient_dim
+    for coeffs in product(range(F.characteristic), repeat=k):
+        if any(coeffs):
+            elem = MultiPoly(F, ideal.nvars, dict(zip(ideal.standard_monomials, coeffs)))
+            if len(rref(multiplication_matrix(ideal, elem))[1]) < k:
+                return False
+    return True
+
+
+def multiplication_factors(ideal, g):
+    return factor_univariate(charpoly(multiplication_matrix(ideal, g)))
+
+
+def compositum(q1, q2):
+    """The point (C_1 (x) 1, 1 (x) C_2), C_i the companion matrix of q_i:
+    for irreducibles of coprime degrees its residue field has degree
+    deg q_1 * deg q_2, which neither coordinate alone generates."""
+    F = q1.field
+    zeros = [Matrix.zeros(F, q.degree, q.degree) for q in (q1, q2)]
+    a = CommutingTuple(F, 2, q1.degree, [Matrix.companion(q1), zeros[0]])
+    b = CommutingTuple(F, 2, q2.degree, [zeros[1], Matrix.companion(q2)])
+    return tensor(a, b)
+
+
+def scalar_point(field, a, b):
+    return CommutingTuple(field, 2, 1, [Matrix(field, [[a]]), Matrix(field, [[b]])])
+
+
+# a quadratic and a cubic irreducible over each field
+IRREDUCIBLES = {
+    F2: ([1, 1, 1], [1, 1, 0, 1]),
+    F3: ([1, 0, 1], [1, 2, 0, 1]),
+    F5: ([2, 0, 1], [1, 1, 0, 1]),
+}
+
+
+def field_test_cases(field, rng):
+    """(tuple, is_field): twisted points, alone and summed, in a random
+    basis; a twisted pair with one or two rational points, so 3 or 4
+    points; and a compositum point, whose residue field has degree 6.
+    is_field tells whether Ann(V) is maximal."""
+    quadratic, cubic = (UniPoly(field, c) for c in IRREDUCIBLES[field])
+    for q in (quadratic, cubic):
+        for _ in range(3):
+            points = twisted_points(q, rng)
+            distinct = points[0] != points[1]
+            yield conjugate(CommutingTuple.direct_sum(*points), rng), not distinct
+            yield points[0], True
+    points = twisted_points(quadratic, rng)
+    rational = [scalar_point(field, 1, 0), scalar_point(field, 0, 1)]
+    for extra in (rational[:1], rational):
+        yield conjugate(CommutingTuple.direct_sum(*points, *extra), rng), False
+    yield compositum(quadratic, cubic), True
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=field_id)
+def test_field_test_matches_enumeration(field, monkeypatch):
+    # the ideals are Ann(V) of each case and those the key step hands the
+    # field test on its way to the class, Ann(s) of a socle vector on
+    # several points; the reference enumerates k[T]/I where p^k <= 4096
+    rng = random.Random(50)
+    recorded, known = [], {}
+    original = modules._split_or_field
+
+    def recording(ideal):
+        recorded.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(modules, "_split_or_field", recording)
+    for t, is_field in field_test_cases(field, rng):
+        k0_class(t, random.Random(0))
+        known[t.annihilator_ideal()] = is_field
+    monkeypatch.undo()
+    assert recorded  # the key step ran the field test
+
+    def no_factoring(f, rng=None):
+        raise AssertionError("the field test over F_p factors a polynomial")
+
+    monkeypatch.setattr(modules, "factor_univariate", no_factoring)
+    p = field.characteristic
+    enumerated = set()
+    for ideal in [*recorded, *known]:
+        g = modules._split_or_field(ideal)
+        if ideal in known:
+            assert (g is None) == known[ideal]
+        if p**ideal.quotient_dim <= 4096:
+            assert (g is None) == field_by_enumeration(ideal)
+            enumerated.add(g is None)
+        if g is not None:
+            # g^p = g, and g takes two distinct values
+            m = multiplication_matrix(ideal, g)
+            assert m.pow(p) == m
+            assert len(multiplication_factors(ideal, g)) >= 2
+    assert enumerated == {True, False}
+
+
+def test_field_test_at_large_primes():
+    # Frobenius powers by 61-bit and 20-bit p: twisted points are fields
+    # one at a time, and their sum splits
+    for field, a in ((P61, 3), (GF(1000003), 2)):
+        p = field.characteristic
+        rng = random.Random(51)
+        points = twisted_points(UniPoly(field, [p - a, 0, 1]), rng)
+        assert points[0] != points[1]
+        for point in points:
+            assert modules._split_or_field(point.annihilator_ideal()) is None
+        ideal = CommutingTuple.direct_sum(*points).annihilator_ideal()
+        g = modules._split_or_field(ideal)
+        assert len(multiplication_factors(ideal, g)) == 2
+        assert quotient_is_field(points[0].annihilator_ideal())
+        assert not quotient_is_field(ideal)
+
+
+def test_field_test_over_q_tries_few_linear_forms(monkeypatch):
+    # Q(sqrt 2, sqrt 3) is a field, but t1 (c = 0) has characteristic
+    # polynomial (t^2 - 2)^2 and decides nothing; t1 + t2 decides.  On k
+    # points in n variables at most (n - 1) C(k, 2) values of c fail
+    tries = []
+    original = modules.charpoly
+
+    def counted(m):
+        tries.append(m)
+        return original(m)
+
+    def field_test(ideal):
+        tries.clear()
+        monkeypatch.setattr(modules, "charpoly", counted)
+        g = modules._split_or_field(ideal)
+        monkeypatch.undo()
+        k = ideal.quotient_dim
+        assert 1 <= len(tries) <= (ideal.nvars - 1) * comb(k, 2) + 1
+        return g
+
+    ideal = compositum(UniPoly(QQ, [-2, 0, 1]), UniPoly(QQ, [-3, 0, 1])).annihilator_ideal()
+    assert ideal.quotient_dim == 4
+    assert field_test(ideal) is None and len(tries) == 2
+    assert quotient_is_field(ideal)
+    # twisted sqrt(a) points, alone, summed, and the key step's ideals
+    rng = random.Random(52)
+    ideals = []
+    recorded = modules._split_or_field
+
+    def recording(ideal):
+        ideals.append(ideal)
+        return recorded(ideal)
+
+    for a in (2, 3, 5):
+        for _ in range(3):
+            points = twisted_points(UniPoly(QQ, [-a, 0, 1]), rng)
+            for point in points:
+                assert field_test(point.annihilator_ideal()) is None
+            t = CommutingTuple.direct_sum(*points)
+            if points[0] != points[1]:
+                ideals.append(t.annihilator_ideal())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(modules, "_split_or_field", recording)
+                k0_class(conjugate(t, rng), random.Random(0))
+    assert len(ideals) > 9
+    for ideal in ideals:
+        g = field_test(ideal)
+        assert len(multiplication_factors(ideal, g)) >= 2
+        assert not quotient_is_field(ideal)
 
 
 def test_multiplication_matrix():

@@ -3,14 +3,18 @@
 Pieces are split along generalised eigenspaces of the factored
 characteristic polynomials, each generator is factored once per lineage,
 and a piece on which every generator is primary but which is not local is
-split further by the key step: along a separating element when its first
-socle vector lies on several points, or along a generator of that vector's
-annihilator that does not kill the whole socle.  Classes are checked
-against the brute-force oracle where enumeration is cheap, and against the
-class fixed by the construction otherwise.
+split further by the key step: along the element that the exact field
+test ``_split_or_field`` names when its first socle vector lies on several
+points, or along a generator of that vector's annihilator that does not
+kill the whole socle.  Classes are checked against the brute-force oracle
+where enumeration is cheap, and against the class fixed by the
+construction otherwise.  Every internal check of the loop, given a fault
+to catch, ends ``endok class`` with exit 3.
 """
 
+import heapq
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +52,7 @@ from endok.linalg import (
     kernel_basis,
 )
 from endok.modules import CommutingTuple, Ideal, quotient_is_field
-from endok.poly import MultiPoly, UniPoly
+from endok.poly import MultiPoly, UniPoly, grlex_key
 
 F2, F3, F97 = GF(2), GF(3), GF(97)
 
@@ -66,14 +70,14 @@ def bookkeeping(cls):
 
 
 def count_separations(monkeypatch):
-    """Count the elements g with which the key step splits a piece: a
-    separating element, or a generator of a socle vector's annihilator
+    """Count the elements g with which the key step splits a piece: one
+    named by the exact field test, or a generator of a socle vector's annihilator
     that does not kill the whole socle."""
     hits = []
     original = modules._key
 
-    def counted(mats, qs, rng):
-        key, g = original(mats, qs, rng)
+    def counted(mats, qs):
+        key, g = original(mats, qs)
         if key is None:
             hits.append(g)
         return key, g
@@ -83,17 +87,18 @@ def count_separations(monkeypatch):
 
 
 def count_separating_elements(monkeypatch):
-    """Count the separating elements that split a piece."""
+    """Count the elements that the exact field test names to split a
+    piece."""
     hits = []
-    original = modules._separating_element
+    original = modules._split_or_field
 
-    def counted(ideal, rng):
-        found = original(ideal, rng)
-        if found is not None and len(found[1]) >= 2:
-            hits.append(found[0])
-        return found
+    def counted(ideal):
+        g = original(ideal)
+        if g is not None:
+            hits.append(g)
+        return g
 
-    monkeypatch.setattr(modules, "_separating_element", counted)
+    monkeypatch.setattr(modules, "_split_or_field", counted)
     return hits
 
 
@@ -184,7 +189,8 @@ def test_random_direct_sums_match_oracle():
 def test_frobenius_twisted_sums_match_oracle(monkeypatch):
     # (C, g(C)) + (C, g(C)^p) with C the companion matrix of an irreducible
     # q: the points (w, g(w)) and (w, g(w)^p) share each coordinate's
-    # minimal polynomial, so only a separating element tells them apart
+    # minimal polynomial, so only an element the key step names tells
+    # them apart
     hits = count_separations(monkeypatch)
     for field, q in (
         (F2, UniPoly(F2, [1, 1, 1])),
@@ -210,8 +216,8 @@ def test_frobenius_twisted_sums_match_oracle(monkeypatch):
 def test_conjugated_twisted_sums_split_both_ways(monkeypatch):
     # in its block basis the first socle vector lies on one point, so its
     # annihilator is maximal and the socle check splits; in a random basis
-    # it lies on both, so its annihilator is not maximal and a separating
-    # element splits
+    # it lies on both, so its annihilator is not maximal and the element
+    # the exact field test names splits
     splits = count_separations(monkeypatch)
     separations = count_separating_elements(monkeypatch)
     for q in (
@@ -455,7 +461,7 @@ def test_key_skips_cayley_hamilton_zeros(monkeypatch):
         expected = t.maximal_ideal_key()
         calls.clear()
         monkeypatch.setattr(modules, "eval_poly_at_matrix", counted)
-        key, g = modules._key(t.mats, qs, random.Random(0))
+        key, g = modules._key(t.mats, qs)
         monkeypatch.undo()
         assert g is None and key == expected and key.residue_degree == 2
         # the q_i(f_i) evaluated; the socle check then evaluates M's
@@ -523,7 +529,7 @@ def test_shortcut_key_matches_socle_annihilator(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modules, "_annihilator", lambda *a: calls.append(a))
             patch.setattr(modules, "eval_poly_at_matrix", lambda *a: calls.append(a))
-            shortcut, g = modules._key(piece.mats, qs, random.Random(0))
+            shortcut, g = modules._key(piece.mats, qs)
         assert calls == [] and g is None and shortcut is key
         shortcuts += 1
     assert shortcuts or not wide
@@ -621,7 +627,7 @@ def kernel_per_factor_pieces(t, rng):
                 break
             qs[i] = factors[0][0]
         if split is None:
-            key, g = modules._key(mats, qs, rng)
+            key, g = modules._key(mats, qs)
             if key is not None:
                 out.append((w, mats, key))
                 continue
@@ -698,39 +704,6 @@ def test_peeled_pieces_match_a_kernel_per_factor(field, monkeypatch):
     # an element g named by the key step split some of them (the twisted
     # points), on the path where g(f) is no generator
     assert separated
-
-
-@pytest.mark.parametrize(
-    "q, v, dim",
-    [
-        # (t - 2)^4 is peeled first, and its kernel is 3-dimensional
-        (UniPoly(QQ, [-2, 1]), 4, 3),
-        # (t - 2)^3 is peeled, and what remains, (t - 5), is 1-dimensional
-        (UniPoly(QQ, [-5, 1]), 2, 1),
-    ],
-    ids=["peeled", "remainder"],
-)
-def test_wrong_eigenspace_dimension_is_an_internal_error(
-    q, v, dim, monkeypatch, tmp_path, capsys
-):
-    f = Matrix.block_diag(QQ, [jordan(QQ, 2, 3), Matrix(QQ, [[5]])])
-    t = CommutingTuple(QQ, 2, 4, [f, Matrix.zeros(QQ, 4, 4)])
-    original = modules.factor_univariate
-
-    def wrong(g, rng=None):
-        # the split reads multiplicity v for the factor q
-        return [(r, v if r == q else e) for r, e in original(g, rng)]
-
-    monkeypatch.setattr(modules, "factor_univariate", wrong)
-    message = f"generalised eigenspace of {q} has dimension {dim}, expected {q.degree * v}"
-    with pytest.raises(RuntimeError) as err:
-        t._local_pieces()
-    assert str(err.value) == message
-    path = tmp_path / "job.txt"
-    path.write_text(job_text(t))
-    assert main(["class", str(path)]) == 3
-    out = capsys.readouterr()
-    assert (out.out, out.err) == ("", f"error: internal: {message}\n")
 
 
 # -- simple pieces, keyed by Schur's lemma ---------------------------------------
@@ -854,8 +827,8 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     monkeypatch.setattr(modules, "_annihilator", recording_annihilator)
     cls = k0_class(t, random.Random(0))
     assert [mult for _, mult in cls.items()] == [1] * 6
-    # the root's f_1, then only on the twisted piece: its f_2, the probes
-    # for a separating element and the g(f) that splits it
+    # the root's f_1, then only on the twisted piece: its f_2 and the g(f)
+    # that splits it; the field test over F_97 factors nothing
     assert len(factor_calls) == len(charpolys)
     assert charpolys.count(t.dim) == 1
     assert set(charpolys) == {t.dim, 4}
@@ -864,23 +837,168 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     assert sorted(starts) == [2, 2, 3, 4, 5]
 
 
-def test_a_simple_piece_that_is_not_local_is_an_internal_error(
-    monkeypatch, tmp_path, capsys
-):
-    # the annihilator of a simple piece's first basis vector must have
-    # codimension dim W; a smaller one is a fault of the program
+# -- every internal check of the split loop ends in exit 3 ----------------------
+
+
+def calls_at_most(bound, fn):
+    """fn, raising AssertionError from call bound + 1 on: a fault that
+    sends the split loop round forever fails the row instead of hanging
+    it."""
+    calls = count(1)
+
+    def counted(*args):
+        if next(calls) > bound:
+            raise AssertionError(f"{fn.__name__} called more than {bound} times")
+        return fn(*args)
+
+    return counted
+
+
+def q_pair():
+    """(C, 3C) over Q for C the companion matrix of t^2 - 2: a simple
+    piece, as f_1's q has degree 2 = dim."""
     c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
-    t = CommutingTuple(QQ, 2, 2, [c, c.scale(3)])
-    origin = [MultiPoly.variable(QQ, 2, i) for i in range(2)]
+    return CommutingTuple(QQ, 2, 2, [c, c.scale(3)])
 
-    def short(mats, start):
-        return Ideal.from_groebner_basis(QQ, 2, origin)
 
-    monkeypatch.setattr(modules, "_annihilator", short)
-    message = "a simple piece is not local"
-    with pytest.raises(RuntimeError) as err:
-        t._local_pieces()
-    assert str(err.value) == message
+def fault_progress(patch):
+    # (C, C) + (C, C) over F_3, C the companion matrix of t^2 + 1, with the
+    # annihilator's first generator g_1 returned as g_1 + 1: the socle
+    # check then names g_1 + 1, whose g(f) is the identity and splits
+    # nothing; the loop would take the piece again forever
+    c = Matrix.companion(UniPoly(F3, [1, 0, 1]))
+    cc = Matrix.block_diag(F3, [c, c])
+    t = CommutingTuple(F3, 2, 4, [cc, cc])
+    original = modules._annihilator
+
+    def shifted(mats, start):
+        ideal = original(mats, start)
+        gens = list(ideal.gens)
+        gens[0] = gens[0] + MultiPoly.one(F3, 2)
+        return Ideal(F3, 2, gens, ideal.standard_monomials)
+
+    patch.setattr(modules, "_annihilator", calls_at_most(10, shifted))
+    return t, "the key step's element t2^2 + 2 does not split a piece"
+
+
+def fault_simple_piece(patch):
+    # the annihilator of the simple piece's first basis vector comes back
+    # as (t1, t2), of codimension 1 instead of dim W = 2
+    origin = Ideal.from_groebner_basis(QQ, 2, [MultiPoly.variable(QQ, 2, i) for i in range(2)])
+    patch.setattr(modules, "_annihilator", calls_at_most(10, lambda mats, start: origin))
+    return q_pair(), "a simple piece is not local"
+
+
+def fault_residue_degree(patch):
+    # the factorization of (t^2 - 2)(t - 1) loses its linear factor, so
+    # f_1 looks primary at t^2 - 2 on a 3-dimensional piece
+    c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
+    f = Matrix.block_diag(QQ, [c, Matrix(QQ, [[1]])])
+    t = CommutingTuple(QQ, 2, 3, [f, Matrix.zeros(QQ, 3, 3)])
+    original = modules.factor_univariate
+
+    def lossy(g, rng=None):
+        factors = original(g, rng)
+        return [qv for qv in factors if qv[0].degree > 1] or factors
+
+    patch.setattr(modules, "factor_univariate", calls_at_most(10, lossy))
+    return t, "dimension is not a multiple of the residue degree"
+
+
+def eigenspace_fault(q, v):
+    """A fault where the factorization of the characteristic polynomial
+    of J_3(2) + (5) reads multiplicity v for its factor q."""
+
+    def fault(patch):
+        f = Matrix.block_diag(QQ, [jordan(QQ, 2, 3), Matrix(QQ, [[5]])])
+        t = CommutingTuple(QQ, 2, 4, [f, Matrix.zeros(QQ, 4, 4)])
+        original = modules.factor_univariate
+
+        def wrong(g, rng=None):
+            return [(r, v if r == q else e) for r, e in original(g, rng)]
+
+        patch.setattr(modules, "factor_univariate", calls_at_most(10, wrong))
+        dim = q.degree * v
+        return t, f"generalised eigenspace of {q} has dimension {dim - 1}, expected {dim}"
+
+    return fault
+
+
+def fault_standard_parent(patch):
+    # a priority queue in Buchberger-Moller that files each monomial one
+    # power of t1 too high, so (1, 1) comes up before any of its parents
+    def heappush(heap, item):
+        m = item[1]
+        m = (m[0] + 1,) + m[1:]
+        heapq.heappush(heap, (grlex_key(m), m))
+
+    class Skewed:
+        heappop = staticmethod(heapq.heappop)
+
+    Skewed.heappush = staticmethod(calls_at_most(10, heappush))
+    patch.setattr(modules, "heapq", Skewed)
+    return q_pair(), "no standard parent for monomial (1, 1)"
+
+
+def kernel_fault(patch, change):
+    """Replace ``_echelon_kernel`` by change(K, free) of its result."""
+    original = modules._echelon_kernel
+
+    def wrong(R, pivots):
+        return change(*original(R, pivots))
+
+    patch.setattr(modules, "_echelon_kernel", calls_at_most(10, wrong))
+
+
+def diagonal(*entries):
+    """(diag(entries), 0) over Q."""
+    d = len(entries)
+    f = Matrix(QQ, [[entries[i] if i == j else 0 for j in range(d)] for i in range(d)])
+    return CommutingTuple(QQ, 2, d, [f, Matrix.zeros(QQ, d, d)])
+
+
+def fault_lost_dimension(patch):
+    # the kernel of (f - 2)^2 loses a row; each eigenspace check alone
+    # would catch that, so this row switches it off too, and only the
+    # final count of dimensions is left
+    def short(K, free):
+        return _submatrix(K, range(K.rows - 1), range(K.cols)), free[:-1]
+
+    kernel_fault(patch, short)
+    patch.setattr(modules, "_check_eigenspace", lambda q, v, dim: None)
+    return diagonal(2, 2, 5), "primary decomposition lost dimensions"
+
+
+def fault_dependent_pieces(patch):
+    # the kernel of (f - 2)^2 comes back as e_0 twice: the right number of
+    # rows, invariant as e_0 is an eigenvector, but not independent
+    def doubled(K, free):
+        return _stack([_submatrix(K, [0], range(K.cols))] * K.rows), free
+
+    kernel_fault(patch, doubled)
+    return diagonal(2, 2, 5), "primary decomposition pieces are not independent"
+
+
+FAULTS = {
+    "progress": fault_progress,
+    "simple-piece": fault_simple_piece,
+    "residue-degree": fault_residue_degree,
+    # (t - 2)^4 is peeled first, and its kernel is 3-dimensional
+    "eigenspace-peeled": eigenspace_fault(UniPoly(QQ, [-2, 1]), 4),
+    # (t - 2)^3 is peeled, and what remains, (t - 5), is 1-dimensional
+    "eigenspace-remainder": eigenspace_fault(UniPoly(QQ, [-5, 1]), 2),
+    "standard-parent": fault_standard_parent,
+    "lost-dimension": fault_lost_dimension,
+    "dependent-pieces": fault_dependent_pieces,
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+def test_internal_checks_end_in_exit_3(fault, monkeypatch, tmp_path, capsys):
+    # one row per RuntimeError that modules.py raises: the fault is a wrong
+    # answer from the step before the check, and the CLI reports the
+    # check's message as one internal error, with nothing on stdout
+    t, message = fault(monkeypatch)
     path = tmp_path / "job.txt"
     path.write_text(job_text(t))
     assert main(["class", str(path)]) == 3
