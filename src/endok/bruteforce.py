@@ -95,7 +95,7 @@ def all_invariant_submodules(t, bound=DEFAULT_BOUND):
     """Exactly the subspaces closed under every matrix, by brute filter."""
     subs = []
     for s in all_subspaces(t.field, t.dim, bound):
-        if all(s.contains(m.mul_vec(v)) for m in t.mats for v in s.basis):
+        if all(s.contains(w) for m in t.mats for w in (s.matrix @ m.transpose()).entries):
             subs.append(s)
     return subs
 

@@ -101,29 +101,23 @@ def _cmd_decompose(job, rng):
 
 def _cmd_radical(job, rng):
     t = job.tuple()
-    rad = t.radical_submodule()
-    # the filtration's first layer is V/rad and the rest is rad's own
-    # filtration, so rad is computed once
-    dims = []
-    if t.dim:
-        dims = [t.dim - rad.dim]
-        dims += [layer.dim for layer in t.restrict(rad).radical_filtration()]
+    # the radical series V, rad V, .., 0 gives the radical and the layer
+    # dimensions, from one s_i(f_i) per generator; for V = 0 it is [0]
+    series = list(t._radical_series())
+    rad = series[1] if t.dim else series[0]
+    dims = [w.dim - r.dim for w, r in zip(series, series[1:])]
+    F = t.field
+    basis = [[F.render(x) for x in row] for row in rad.basis]
     lines = [f"radical dim {rad.dim}"]
-    if rad.dim:
-        F = t.field
-        rows = ";".join(
-            "[" + ",".join(F.render(x) for x in row) + "]" for row in rad.basis
-        )
-        lines.append(f"basis [{rows}]")
+    if basis:
+        lines.append("basis [" + ";".join("[" + ",".join(row) + "]" for row in basis) + "]")
     lines.append("layers " + " ".join(str(d) for d in dims) if dims else "layers")
     payload = {
-        "field": field_to_string(t.field),
+        "field": field_to_string(F),
         "nvars": t.nvars,
         "dim": t.dim,
         "radical_dim": rad.dim,
-        "radical_basis": [
-            [t.field.render(x) for x in row] for row in rad.basis
-        ],
+        "radical_basis": basis,
         "layer_dims": dims,
     }
     return lines, payload, 0

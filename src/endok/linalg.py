@@ -28,16 +28,16 @@ differs:
   Hadamard's bound on the coefficients of chi_N for R the largest
   Euclidean row norm of N;
 * ``_init_rows``, which builds N/D from rows of field scalars;
-* the normalisation in ``Echelon.insert_integers``: reduction mod p and
-  pivot 1, or division by the content.
+* the normalisation in ``Echelon.insert`` (a matrix's N/D, flattened row
+  by row): reduction mod p and pivot 1, or division by the content.
 
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
 
 Scalars are coerced once, where they enter: the public ``Matrix`` and
 ``Subspace`` constructors coerce and check their input, while matrices
-and subspaces built here from already canonical scalars go through
-``_from_canonical`` (or ``_from_integers``).
+built here from already canonical scalars go through ``_from_canonical``
+(or ``_from_integers``).
 """
 
 from fractions import Fraction
@@ -223,13 +223,6 @@ class Matrix:
             return Matrix._from_form(F, _kernels.matmul_mod(self._num, other._num, p))
         return Matrix._from_integers(F, self._num @ other._num, self._den * other._den)
 
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        vnum, vden = _cleared(v)
-        col = self._num @ np.array(vnum, dtype=self._num.dtype)
-        return Matrix._from_integers(self.field, col[None], self._den * vden).entries[0]
-
     def pow(self, e):
         if not self.is_square:
             raise ValueError("matrix power needs a square matrix")
@@ -393,13 +386,6 @@ class Subspace:
         self._span(Matrix._from_canonical(field, vecs, ambient_dim))
 
     @classmethod
-    def _from_canonical(cls, field, ambient_dim, vectors):
-        """The span of a list of vectors of canonical scalars, all of
-        length ambient_dim, taken as they are: no coercion and no length
-        check."""
-        return cls._row_space(Matrix._from_canonical(field, vectors, ambient_dim))
-
-    @classmethod
     def _row_space(cls, m):
         """The span of the rows of a matrix."""
         sp = object.__new__(cls)
@@ -484,7 +470,7 @@ class Subspace:
 class Echelon:
     """Incremental echelon store over integer rows.
 
-    A vector enters as integer numerators over a denominator (residues
+    A vector enters as a ``Matrix``, its N/D flattened row by row (residues
     over 1 over F_p), and each elimination is the fraction-free step
     a*w - b*row that clears the row's pivot column.  Only the
     normalisation depends on the field: over F_p a stored row holds
@@ -496,8 +482,8 @@ class Echelon:
     every pivot.
 
     With ``track`` each row carries beside it the integer combination of
-    the generators (the vectors ``insert`` added, each cleared over Q)
-    that it equals; the combination takes the same row operations and
+    the generators (the numerators of the vectors ``insert`` added) that
+    it equals; the combination takes the same row operations and
     content division as the row, and becomes field scalars only when
     ``insert`` reports a dependency.
     """
@@ -509,23 +495,18 @@ class Echelon:
         self.rows = []
         self.pivots = []
         self.combos = []  # combos[i][g]: coefficient of generator g in rows[i]
-        self.dens = []  # dens[g]: the denominator cleared from generator g
+        self.dens = []  # dens[g]: the denominator of generator g
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def insert(self, v):
-        """Try to add a vector of field scalars.  Returns (added, combo):
-        combo rewrites a dependent v over the previously added generators,
-        as a dict from generator index to nonzero field scalar (only when
-        tracking)."""
-        F = self.field
-        return self.insert_integers(*_cleared([F.coerce(x) for x in v]))
-
-    def insert_integers(self, work, den):
-        """``insert`` for the vector work/den of integer numerators over
-        den > 0 (residues over 1 over F_p)."""
+    def insert(self, m):
+        """Try to add the N/D of a matrix, flattened row by row, as one
+        vector.  Returns (added, combo): combo rewrites a dependent vector
+        over the previously added generators, as a dict from generator
+        index to nonzero field scalar (only when tracking)."""
+        work, den = m._num.ravel().tolist(), m._den
         F = self.field
         p = F.characteristic
         gens = len(self.rows)
@@ -737,17 +718,16 @@ def charpoly(m):
 
 def minimal_polynomial(m):
     """Monic least-degree q with q(m) = 0, as the lcm of the annihilators
-    of the standard basis vectors under Krylov iteration."""
+    of the standard basis rows e under Krylov iteration e -> e.m^T."""
     if not m.is_square:
         raise ValueError("minimal polynomial needs a square matrix")
     F = m.field
     d = m.rows
-    if d == 0:
-        return UniPoly.one(F)
+    one, mt = Matrix.identity(F, d), m.transpose()
     result = UniPoly.one(F)
     for start in range(d):
         ech = Echelon(F, d, track=True)
-        v = tuple(F.one if i == start else F.zero for i in range(d))
+        v = _submatrix(one, [start], range(d))
         while True:
             added, combo = ech.insert(v)
             if not added:
@@ -756,7 +736,7 @@ def minimal_polynomial(m):
                 coeffs.append(F.one)
                 ann = UniPoly(F, coeffs)
                 break
-            v = m.mul_vec(v)
+            v = v @ mt
         result = uni_lcm(result, ann)
         if result.degree == d:
             break

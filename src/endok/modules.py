@@ -9,16 +9,17 @@ splitting into local pieces supported at single maximal ideals.
 
 A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
 ``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
-that are invariant by construction.  ``_submodule_maps``, the invariance
-check that ``restrict``, ``quotient`` and the split into local pieces all
-call, ``_annihilator`` and ``_key`` are functions of the matrices alone.
+that are invariant by construction.  ``_close``, the breadth-first closure
+of one-row matrices, ``_submodule_maps``, the invariance check that
+``restrict``, ``quotient`` and the split into local pieces all call,
+``_annihilator`` and ``_key`` are functions of the matrices alone.
 """
 
 import heapq
 import random
 import weakref
 from collections import deque
-from itertools import count
+from itertools import count, islice
 
 from .errors import FieldMismatchError, NonCommutingError
 from .factor import DEFAULT_SEED, factor_univariate
@@ -350,39 +351,24 @@ class CommutingTuple:
 
     def generated_submodule(self, vectors):
         """Smallest invariant subspace containing the vectors, as a
-        ``Subspace``."""
-        F = self.field
-        vectors = [tuple(F.coerce(x) for x in v) for v in vectors]
-        basis = self._close(Echelon(F, self.dim), vectors)
-        return Subspace._from_canonical(F, self.dim, basis)
-
-    def _close(self, ech, vectors):
-        """Insert canonical vectors into ech and close its span under every
-        matrix, breadth-first; returns the vectors it added, which span
-        the new part of the closure."""
-        added = [v for v in vectors if ech.insert(v)[0]]
-        queue = deque(added)
-        while queue:
-            v = queue.popleft()
-            for m in self.mats:
-                w = m.mul_vec(v)
-                if ech.insert(w)[0]:
-                    added.append(w)
-                    queue.append(w)
-        return added
+        ``Subspace``; a vector of another length is a ValueError."""
+        F, d = self.field, self.dim
+        rows = [Matrix(F, [v], cols=d) for v in vectors]
+        added = _close(self.mats, Echelon(F, d), rows)
+        return Subspace._row_space(_stack(added)) if added else Subspace.zero(F, d)
 
     def _generators(self):
         """Indices j of identity columns e_j that generate V as a
         k[T]-module: e_j is taken when it is outside the closure of the
         columns taken before it."""
         F, d = self.field, self.dim
+        one = Matrix.identity(F, d)
         ech = Echelon(F, d)
         taken = []
         for j in range(d):
             if ech.rank == d:
                 break
-            e = (F.zero,) * j + (F.one,) + (F.zero,) * (d - j - 1)
-            if self._close(ech, [e]):
+            if _close(self.mats, ech, [_submatrix(one, [j], range(d))]):
                 taken.append(j)
         return taken
 
@@ -435,11 +421,24 @@ class CommutingTuple:
         characteristic polynomial (Seidenberg; needs a perfect field, which
         both supported fields are).  Each s_i(f_i) commutes with every f_j,
         so the sum is invariant."""
-        images = [
+        return list(islice(self._radical_series(), 2))[-1]  # V when V = 0
+
+    def _radical_series(self):
+        """Yields the radical series V, rad V, .., 0 as ``Subspace``s, each
+        strictly inside the one before (just V when V = 0), evaluating the
+        s_i(f_i) of V once: rad W = sum_i s_i(f_i).W for every invariant W,
+        as on W, s_i is W's own squarefree part times a factor u_i coprime
+        to the characteristic polynomial of f_i on W, so u_i(f_i) is a
+        unit on W that commutes with every f."""
+        ss = [
             eval_poly_at_matrix(squarefree_part(charpoly(m)), [m]).transpose()
             for m in self.mats
         ]
-        return Subspace._row_space(_stack(images))
+        w = Subspace.full(self.field, self.dim)
+        yield w
+        while not w.is_zero:
+            w = Subspace._row_space(_stack([w.matrix @ s for s in ss]))
+            yield w
 
     def semisimplify(self):
         """The semisimple quotient V/(Jac.V)."""
@@ -447,16 +446,16 @@ class CommutingTuple:
 
     def radical_filtration(self):
         """Layers (rad^j V)/(rad^{j+1} V), top down; each is semisimple and
-        the dimensions add up to dim V."""
-        layers = []
-        cur = self
-        while cur.dim > 0:
-            r = cur.radical_submodule()
-            layers.append(cur.quotient(r))
-            if r.dim == 0:
-                break
-            cur = cur.restrict(r)
-        return layers
+        the dimensions add up to dim V.  Layer j is rad^j V, in its echelon
+        basis, modulo rad^(j+1) V, whose rows at the pivots of rad^j V are
+        its coordinates in that basis."""
+        series = list(self._radical_series())
+        return [
+            self.restrict(w).quotient(
+                Subspace._row_space(_submatrix(r.matrix, range(r.dim), w.pivots))
+            )
+            for w, r in zip(series, series[1:])
+        ]
 
     # -- primary decomposition ------------------------------------------------
 
@@ -483,7 +482,8 @@ class CommutingTuple:
         lifted as B^T.W, and its last and smallest piece is what remains,
         with no elimination: k - 1 eliminations per split, on shrinking
         matrices.  Each piece's dimension must be deg q_j * v_j, and each
-        restriction's invariance is checked once, by ``_invariant_maps``.
+        restriction's invariance is checked once, by ``_invariant_maps``,
+        which raises RuntimeError here: the loop computed the subspace.
         An item on which every generator is primary goes to ``_key``,
         which either keys it or names an element g whose g(f) splits it
         further, into at least two pieces, or the loop raises rather than
@@ -534,13 +534,15 @@ class CommutingTuple:
                 R, pivots = rref(a)
                 ker, free = _echelon_kernel(R, pivots)
                 _check_eigenspace(q, v, ker.rows)
-                work.append((ker @ w, _submodule_maps(mats, ker.transpose(), free), child_qs))
+                maps = _submodule_maps(mats, ker.transpose(), free, RuntimeError)
+                work.append((ker @ w, maps, child_qs))
                 # what remains is the image of a, in the basis of its pivot
                 # columns B, where f acts as R'.f[:, pivots]
                 rows = range(a.rows)
                 B = _submatrix(a, rows, pivots)
                 top = _submatrix(R, range(len(pivots)), rows)
-                mats = _invariant_maps(mats, B, [top @ _submatrix(f, rows, pivots) for f in mats])
+                rs = [top @ _submatrix(f, rows, pivots) for f in mats]
+                mats = _invariant_maps(mats, B, rs, error=RuntimeError)
                 m = mats[i] if i is not None else top @ _submatrix(m, rows, pivots)
                 w = B.transpose() @ w
         if sum(w.rows for w, _ in out) != d:
@@ -572,33 +574,51 @@ class CommutingTuple:
         return pieces[0][1]
 
 
-def _submodule_maps(mats, B, coords):
+def _close(mats, ech, rows):
+    """Insert one-row matrices into ech and close its span under every f
+    in mats, breadth-first, a row v going to v.f^T; returns the rows it
+    added, which span the new part of the closure."""
+    fts = [f.transpose() for f in mats]
+    added = [v for v in rows if ech.insert(v)[0]]
+    queue = deque(added)
+    while queue:
+        v = queue.popleft()
+        for ft in fts:
+            w = v @ ft
+            if ech.insert(w)[0]:
+                added.append(w)
+                queue.append(w)
+    return added
+
+
+def _submodule_maps(mats, B, coords, error=ValueError):
     """The matrices R_k of the f_k in mats on the span of the columns of B,
     in that basis, for a B whose rows at coords form the identity: an
     echelon basis with its pivots, or kernel rows with their free columns
     (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.  As w is
     in the span iff w = B.w[coords], B.R_k == f_k.B is exactly invariance
-    under f_k, checked by ``_invariant_maps``; a B over another field or of
-    another height than the f_k raises too."""
+    under f_k, checked by ``_invariant_maps`` (raising error); a B over
+    another field or of another height than the f_k raises ValueError."""
     if B.field != mats[0].field or B.rows != mats[0].rows:
         raise ValueError("subspace does not live in the module's space")
     fbs = [m @ B for m in mats]
     rs = [_submatrix(fb, coords, range(B.cols)) for fb in fbs]
-    return _invariant_maps(mats, B, rs, fbs)
+    return _invariant_maps(mats, B, rs, fbs, error)
 
 
-def _invariant_maps(mats, B, rs, fbs=None):
+def _invariant_maps(mats, B, rs, fbs=None, error=ValueError):
     """rs, the claimed matrices R_k of the f_k in mats on the span of the
     columns of B (full column rank) in that basis, once B.R_k == f_k.B holds
     for every k: the invariance check, and the only one.  fbs holds the
-    products f_k.B when the caller has them.  A failure raises ValueError
-    naming k.  The R_k commute because the f_k do: B.R_i.R_j = f_i.f_j.B =
-    f_j.f_i.B = B.R_j.R_i, and B cancels."""
+    products f_k.B when the caller has them.  A failure raises error naming
+    k: ValueError on a caller's subspace, RuntimeError on one the split
+    loop computed.  The R_k commute because the f_k do: B.R_i.R_j =
+    f_i.f_j.B = f_j.f_i.B = B.R_j.R_i, and B cancels."""
     if fbs is None:
         fbs = [m @ B for m in mats]
     for k, (r, fb) in enumerate(zip(rs, fbs)):
         if B @ r != fb:
-            raise ValueError(f"subspace is not invariant under matrix {k}")
+            raise error(f"subspace is not invariant under matrix {k}")
     return rs
 
 
@@ -638,8 +658,7 @@ def _annihilator(mats, start):
                         break
             if mat is None:
                 raise RuntimeError(f"no standard parent for monomial {m}")
-        num, den = mat.to_integers()
-        added, combo = ech.insert_integers(num.ravel().tolist(), den)
+        added, combo = ech.insert(mat)
         if added:
             std_mats[m] = mat
             std.append(m)

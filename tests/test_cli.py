@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from endok import modules
 from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
 from endok.fields import GF, QQ
@@ -74,23 +75,26 @@ def test_radical_output(tmp_path, capsys):
     assert out == "radical dim 1\nbasis [[1,0]]\nlayers 1 1\n"
 
 
-def test_radical_is_computed_once_per_layer(tmp_path, capsys, monkeypatch):
-    # the first layer is V/rad and the others are rad's own filtration,
-    # so the radical of V is not computed a second time for the layers
-    calls = []
-    radical = CommutingTuple.radical_submodule
-
-    def counting(self):
-        calls.append(self.dim)
-        return radical(self)
-
-    monkeypatch.setattr(CommutingTuple, "radical_submodule", counting)
+def test_radical_takes_one_charpoly_per_generator(tmp_path, capsys, monkeypatch):
+    # the radical series evaluates each s_i(f_i) once, on V, and reads the
+    # radical and every layer off it: one characteristic polynomial per
+    # generator, and no restriction or quotient
+    charpolys, others = [], []
+    original = modules.charpoly
+    monkeypatch.setattr(modules, "charpoly", lambda m: charpolys.append(m.rows) or original(m))
+    for name in ("restrict", "quotient"):
+        monkeypatch.setattr(CommutingTuple, name, lambda self, s, name=name: others.append(name))
     J3_Q = "field Q\nvars 1\ndim 3\n[[0,1,0];[0,0,1];[0,0,0]]\n"
-    for text, layers in ((DIAG_Q, [2]), (J2_Q, [1, 1]), (J3_Q, [1, 1, 1]), (PAIR_F2, [1, 1])):
-        calls.clear()
+    fat = conjugate(fat_point(GF(3), 3, 3), random.Random(7))
+    cases = [(DIAG_Q, [2]), (J2_Q, [1, 1]), (J3_Q, [1, 1, 1]), (PAIR_F2, [1, 1])]
+    cases.append((job_text(fat), [1, 3, 6]))
+    for text, layers in cases:
+        charpolys.clear()
         code, out, _ = run(capsys, ["radical", job(tmp_path, text), "--json"])
-        assert code == 0 and json.loads(out)["layer_dims"] == layers
-        assert len(calls) == len(layers)
+        doc = json.loads(out)
+        assert code == 0 and doc["layer_dims"] == layers
+        assert charpolys == [doc["dim"]] * doc["nvars"]
+    assert others == []
 
 
 def test_radical_layers_match_the_filtration(tmp_path, capsys):

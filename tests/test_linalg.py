@@ -97,9 +97,8 @@ def test_rref_idempotent_and_kernel_exact(field):
         assert R2 == R and piv2 == piv
         ker = kernel_basis(m)
         assert ker.dim == m.cols - len(piv)
-        z = (field.zero,) * m.rows
-        for v in ker.basis:
-            assert m.mul_vec(v) == z
+        # m times each basis vector, as a column, is zero
+        assert (m @ ker.matrix.transpose()).is_zero
 
 
 def test_kernel_examples():
@@ -404,11 +403,11 @@ def test_matmul_shape_and_field_checks():
 
 def test_echelon_tracking():
     ech = Echelon(QQ, 3, track=True)
-    added, _ = ech.insert((1, 2, 0))
+    added, _ = ech.insert(Matrix(QQ, [(1, 2, 0)]))
     assert added
-    added, _ = ech.insert((0, 1, 1))
+    added, _ = ech.insert(Matrix(QQ, [(0, 1, 1)]))
     assert added
-    added, combo = ech.insert((2, 5, 1))  # = 2*g0 + 1*g1
+    added, combo = ech.insert(Matrix(QQ, [(2, 5, 1)]))  # = 2*g0 + 1*g1
     assert not added
     assert combo == {0: QQ.coerce(2), 1: QQ.coerce(1)}
 
@@ -486,7 +485,6 @@ def test_integer_kernels_match_plain_loops(field):
         c = field.coerce(rng.choice([0, 1, -1, Fraction(-7, 12), Fraction(35, 4)]))
         ab = plain_matmul(field, a.entries, b.entries)
         assert (a @ b).entries == ab
-        assert a.mul_vec(b.column(0)) == tuple(row[0] for row in ab)
         pairs = list(zip(a.entries, a2.entries))
         assert (a + a2).entries == tuple(tuple(map(add, r, s)) for r, s in pairs)
         assert (a - a2).entries == tuple(tuple(map(sub, r, s)) for r, s in pairs)
@@ -798,8 +796,9 @@ def test_echelon_matches_plain_loop(case):
     tracked = Echelon(field, width, track=True)
     untracked = Echelon(field, width)
     for v, (added, combo) in zip(vectors, expected):
-        assert tracked.insert(v) == (added, combo), (v, combo)
-        assert untracked.insert(v) == (added, None)
+        row = Matrix(field, [v], cols=width)
+        assert tracked.insert(row) == (added, combo), (v, combo)
+        assert untracked.insert(row) == (added, None)
         if combo:  # the field's own scalars, not integers over Q
             assert all(type(c) is type(field.one) for c in combo.values())
     assert tracked.rank == untracked.rank == rank
@@ -807,10 +806,16 @@ def test_echelon_matches_plain_loop(case):
 
 def plain_closure(t, vectors):
     """The span of the vectors and every image under the matrices, grown
-    until it stops growing, through the public Subspace constructor."""
+    until it stops growing, through the public Subspace constructor and
+    plain products: the images of the basis rows B under f are the rows
+    of B.f^T."""
     span = Subspace(t.field, t.dim, vectors)
     while True:
-        images = [m.mul_vec(v) for m in t.mats for v in span.basis]
+        images = [
+            row
+            for m in t.mats
+            for row in plain_matmul(t.field, span.basis, tuple(zip(*m.entries)))
+        ]
         grown = Subspace(t.field, t.dim, span.basis + tuple(images))
         if grown == span:
             return span

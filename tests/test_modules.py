@@ -86,6 +86,13 @@ def test_generated_submodule_examples():
     assert t.generated_submodule([]).dim == 0
 
 
+def test_generated_submodule_rejects_wrong_length():
+    t = CommutingTuple(QQ, 2, 2, [J, Z2])
+    for v in ((1,), (0, 1, 0), ()):
+        with pytest.raises(ValueError, match="expected 2 columns"):
+            t.generated_submodule([(1, 0), v])
+
+
 def test_invariant_submodule_rejects_noninvariant():
     # span e2 is stable under the zero map and not under J
     t = CommutingTuple(QQ, 2, 2, [Z2, J])
@@ -177,13 +184,17 @@ def test_restrict_quotient_formulas(field):
                 w = combine([v[p] for p in sp.pivots])
                 return tuple(F.sub(v[c], w[c]) for c in comp)
 
+            def apply(m, v):
+                # m.v, the product with v as a column
+                return (m @ Matrix(F, [v], cols=m.cols).transpose()).column(0)
+
             sub, quo = t.restrict(sp), t.quotient(sp)
             for f, r, q in zip(t.mats, sub.mats, quo.mats):
                 for j, b in enumerate(sp.basis):
-                    assert f.mul_vec(b) == combine(r.column(j))
+                    assert apply(f, b) == combine(r.column(j))
                 for c in comp:
                     e = tuple(F.one if i == c else F.zero for i in range(d))
-                    assert project(f.mul_vec(e)) == q.mul_vec(project(e))
+                    assert project(apply(f, e)) == apply(q, project(e))
 
 
 # -- annihilator ideal -----------------------------------------------------------------
@@ -438,10 +449,10 @@ def test_primary_decomposition_checks_each_piece_once(monkeypatch):
     checked = []
     check = modules._invariant_maps
 
-    def counting(mats, B, rs, fbs=None):
+    def counting(mats, B, rs, *rest, **kwargs):
         if mats is t.mats:
             checked.append(Subspace._row_space(B.transpose()))
-        return check(mats, B, rs, fbs)
+        return check(mats, B, rs, *rest, **kwargs)
 
     monkeypatch.setattr(modules, "_invariant_maps", counting)
     pieces = t._local_pieces()

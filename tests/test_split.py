@@ -979,6 +979,37 @@ def fault_dependent_pieces(patch):
     return diagonal(2, 2, 5), "primary decomposition pieces are not independent"
 
 
+def jordan_pair():
+    """(J_2(2) + (5), 0) over Q: (f_1 - 2)^2 is diag(0, 0, 9)."""
+    f = Matrix.block_diag(QQ, [jordan(QQ, 2, 2), Matrix(QQ, [[5]])])
+    return CommutingTuple(QQ, 2, 3, [f, Matrix.zeros(QQ, 3, 3)])
+
+
+def fault_invariant_kernel(patch):
+    # the kernel of (f_1 - 2)^2 comes back as span(e_2, e_3): the right
+    # dimension, the identity on its free columns, but not invariant, as
+    # f_1 e_2 = e_1 + 2 e_2
+    def moved(K, free):
+        return _submatrix(Matrix.identity(QQ, 3), [1, 2], range(3)), [1, 2]
+
+    kernel_fault(patch, moved)
+    return jordan_pair(), "subspace is not invariant under matrix 0"
+
+
+def fault_invariant_remainder(patch):
+    # the reduced echelon form of (f_1 - 2)^2 comes back with its pivot
+    # row doubled: the kernel read off it is still span(e_1, e_2), but
+    # f_1 on what remains, span(e_3), is read as 10 instead of 5
+    original = modules.rref
+
+    def doubled(m):
+        R, pivots = original(m)
+        return R.scale(2), pivots
+
+    patch.setattr(modules, "rref", calls_at_most(10, doubled))
+    return jordan_pair(), "subspace is not invariant under matrix 0"
+
+
 FAULTS = {
     "progress": fault_progress,
     "simple-piece": fault_simple_piece,
@@ -990,6 +1021,8 @@ FAULTS = {
     "standard-parent": fault_standard_parent,
     "lost-dimension": fault_lost_dimension,
     "dependent-pieces": fault_dependent_pieces,
+    "invariant-kernel": fault_invariant_kernel,
+    "invariant-remainder": fault_invariant_remainder,
 }
 
 
