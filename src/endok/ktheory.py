@@ -10,17 +10,20 @@ an element of the group of reduced constant-term-1 rational functions
 through the signed reversal of maximal-ideal generators.
 """
 
+import operator
 import random
 
 from .errors import FieldMismatchError
 from .factor import DEFAULT_SEED, factor_univariate
 from .linalg import charpoly
-from .modules import _KEYS, Ideal, MaximalIdealKey
-from .poly import MultiPoly, UniPoly, signed_reversal, uni_gcd
+from .modules import MaximalIdealKey, _principal_key
+from .poly import UniPoly, signed_reversal, uni_gcd
 
 
 class GrothendieckClass:
-    """Finitely supported integer map on maximal-ideal keys."""
+    """Finitely supported integer map on maximal-ideal keys; a
+    multiplicity that is not an integer (``operator.index``) is a
+    TypeError."""
 
     __slots__ = ("field", "nvars", "_support")
 
@@ -31,7 +34,10 @@ class GrothendieckClass:
                 raise TypeError(f"expected MaximalIdealKey, got {key!r}")
             if key.ideal.field != field or key.ideal.nvars != nvars:
                 raise FieldMismatchError("key field/arity mismatch")
-            mult = int(mult)
+            try:
+                mult = operator.index(mult)
+            except TypeError:
+                raise TypeError(f"multiplicity must be an integer, got {mult!r}") from None
             if mult:
                 acc[key] = acc.get(key, 0) + mult
                 if not acc[key]:
@@ -241,10 +247,7 @@ def principal_maximal_key(q):
     ``k0_class`` finds for its pieces."""
     if not q.is_monic or q.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    gens = [MultiPoly.from_unipoly(q)]
-    std = [(j,) for j in range(q.degree)]
-    ideal = Ideal(q.field, 1, gens, std)
-    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, q.degree))
+    return _principal_key([q], q.degree)
 
 
 def tilde_to_free_abelian(a, rng=None):

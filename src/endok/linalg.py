@@ -41,7 +41,7 @@ built here from already canonical scalars go through ``_from_canonical``
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
@@ -481,11 +481,13 @@ class Echelon:
     before it, so reducing against the rows in insertion order clears
     every pivot.
 
-    With ``track`` each row carries beside it the integer combination of
-    the generators (the numerators of the vectors ``insert`` added) that
-    it equals; the combination takes the same row operations and
-    content division as the row, and becomes field scalars only when
-    ``insert`` reports a dependency.
+    With ``track`` a vector carries, after its ``width`` entries, the
+    integer combination of the generators (the numerators of the vectors
+    ``insert`` added) that it equals, the [A | I] trick: the k-th vector
+    enters with k zeros and a 1 after its entries, so every row operation
+    acts on the combination too.  A row stored earlier is shorter, with
+    zeros for the later generators.  The combination becomes field
+    scalars only when ``insert`` reports a dependency.
     """
 
     def __init__(self, field, width, track=False):
@@ -494,7 +496,6 @@ class Echelon:
         self.track = track
         self.rows = []
         self.pivots = []
-        self.combos = []  # combos[i][g]: coefficient of generator g in rows[i]
         self.dens = []  # dens[g]: the denominator of generator g
 
     @property
@@ -510,9 +511,9 @@ class Echelon:
         F = self.field
         p = F.characteristic
         gens = len(self.rows)
-        # work = sum of combo[g] * generator g, the new vector at index gens
-        combo = [0] * gens + [1] if self.track else []
-        for row, c, rc in zip(self.rows, self.pivots, self.combos or self.rows):
+        if self.track:
+            work += [0] * gens + [1]
+        for row, c in zip(self.rows, self.pivots):
             # over F_p only the entry to clear is reduced mod p here, and
             # the vector once after the loop
             b = work[c] % p if p else work[c]
@@ -523,41 +524,29 @@ class Echelon:
             a = row[c]
             g = gcd(a, b)
             a, b = a // g, b // g
-            work = [a * x - b * y for x, y in zip(work, row)]
-            if self.track:
-                k = len(rc)
-                combo[:k] = [a * x - b * y for x, y in zip(combo, rc)]
-                if a != 1:
-                    combo[k:] = [a * x for x in combo[k:]]
+            work = [a * x - b * y for x, y in zip_longest(work, row, fillvalue=0)]
             if not p:
-                # over Q, divide work and combo by their common content
-                g = gcd(*work, *combo)
-                if g > 1:
-                    work = [x // g for x in work]
-                    combo = [x // g for x in combo]
+                work = _primitive(work)
         if p:
             work = [x % p for x in work]
-            combo = [x % p for x in combo]
-        lead = next((j for j, x in enumerate(work) if x), None)
+        lead = next((j for j, x in enumerate(work[: self.width]) if x), None)
         if lead is None:
             if not self.track:
                 return False, None
-            s = combo[gens]
+            # 0 = sum of combo[g] * generator g + s * the new vector
+            combo, s = work[self.width : -1], work[-1]
             return False, {
                 g: F.coerce(Fraction(-x * self.dens[g], s * den))
-                for g, x in enumerate(combo[:gens])
+                for g, x in enumerate(combo)
                 if x
             }
         if p:
             inv = pow(work[lead], p - 2, p)
             work = [x * inv % p for x in work]
-            combo = [x * inv % p for x in combo]
-        elif not self.track:
+        else:
             work = _primitive(work)
         self.rows.append(work)
         self.pivots.append(lead)
-        if self.track:
-            self.combos.append(combo)
         self.dens.append(den)
         return True, None
 

@@ -269,10 +269,10 @@ class MaximalIdealKey:
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
-# The live keys _key and ktheory.principal_maximal_key have returned, by
-# ideal.  Every piece at one maximal ideal then shares one key
-# object, so the classes a caller keeps hold each Groebner basis once
-# instead of once per class.
+# The live keys _local_key has returned, for _key and
+# ktheory.principal_maximal_key, by ideal.  Every piece at one maximal
+# ideal then shares one key object, so the classes a caller keeps hold
+# each Groebner basis once instead of once per class.
 _KEYS = weakref.WeakValueDictionary()
 
 
@@ -632,6 +632,11 @@ def _annihilator(mats, start):
     m minus its combination of standard monomials (and m is not
     expanded), independence makes m standard and enqueues its variable
     multiples.  Terminates because the standard count is at most d*c.
+
+    A monomial m that is popped lies outside the multiples of every
+    leading monomial found so far, and so do all its divisors, which
+    come earlier in the order; so each divisor is standard, and f^m.start
+    is one product f_i.(f^(m - e_i).start) for the first i with m_i > 0.
     """
     F, n = start.field, len(mats)
     ech = Echelon(F, start.rows * start.cols, track=True)
@@ -649,15 +654,11 @@ def _annihilator(mats, start):
         if m == origin:
             mat = start
         else:
-            mat = None
-            for i in range(n):
-                if m[i]:
-                    parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-                    if parent in std_mats:
-                        mat = mats[i] @ std_mats[parent]
-                        break
-            if mat is None:
+            i = next(i for i, e in enumerate(m) if e)
+            parent = m[:i] + (m[i] - 1,) + m[i + 1 :]
+            if parent not in std_mats:
                 raise RuntimeError(f"no standard parent for monomial {m}")
+            mat = mats[i] @ std_mats[parent]
         added, combo = ech.insert(mat)
         if added:
             std_mats[m] = mat
@@ -684,75 +685,81 @@ def _key(mats, qs):
 
     When deg q_i = d, V is simple (Schur's lemma): K = k[f_i] is a field
     of degree d, V is a K-line, and each f_j commutes with f_i, so it is
-    K-linear, multiplication by an element of K.  M = Ann(v) for any
-    v != 0, of codimension d; scalar f_j = c.I give q_j = t - c, and if
-    some f_j is not scalar M is read off the first basis vector.
+    K-linear, multiplication by an element of K.  Scalar f_j = c.I give
+    q_j = t - c; any other f_j is left out of qs.
 
     Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
     support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
-    q_i(t_i) kills V and M is prime.  When at most one q_j has degree
-    above 1, the others are t_i - a_i and k[T]/I = k[t_j]/(q_j) is a
-    field; I is maximal, so M = I and V is local at I.  Its reduced
-    graded-lex basis is the q_i(t_i) themselves (pairwise coprime
-    leading monomials, and no other term divisible by a leading
-    monomial), with the t_j^k, k < deg q_j, as standard monomials; no
-    linear algebra runs.
+    q_i(t_i) kills V and M is prime.  When every q_i is known and at most
+    one has degree above 1, the others are t_i - a_i and k[T]/I =
+    k[t_j]/(q_j) is a field; I is maximal, so M = I and V is local at I,
+    keyed by ``_principal_key`` with no linear algebra.
 
-    Otherwise the socle Soc, the intersection of the ker q_i(f_i), is
-    taken as kernel rows: the q_i(t_i) generate the Jacobson radical
-    (Seidenberg; both fields are perfect).  It has the support of V,
-    and M = Ann(s) for its first basis vector s is the intersection of
-    the maximal ideals at which s has a component; on a local V that
+    Otherwise M comes from the socle Soc, the intersection of the
+    ker q_i(f_i), as the q_i(t_i) generate the Jacobson radical
+    (Seidenberg; both fields are perfect): a simple V is its own socle,
+    and on any other V it is taken as kernel rows.  Soc has the support
+    of V, and M = Ann(s) for its first basis vector s is the intersection
+    of the maximal ideals at which s has a component; on a local V that
     is the one maximal ideal, whichever nonzero s it is.  Each
     k[t_i]/(q_i) embeds in every residue field, so dim k[T]/M =
-    max deg q_i leaves room for one; otherwise ``_split_or_field``
-    decides whether the reduced k[T]/M is a field, or names a g that
-    splits k[T].s, a submodule of V.  A maximal M is the only point of
-    V iff it kills Soc: a generator g of M with g(f).Soc != 0 is
-    nilpotent on the piece at M and a unit on another, so g(f) splits V."""
+    max deg q_i leaves room for one, and on a simple V, where Ann(s) is
+    maximal of codimension d, is the only case; otherwise
+    ``_split_or_field`` decides whether the reduced k[T]/M is a field, or
+    names a g that splits k[T].s, a submodule of V.  A maximal M is the
+    only point of V iff it kills Soc: a generator g of M with g(f).Soc !=
+    0 is nilpotent on the piece at M and a unit on another, so g(f)
+    splits V."""
     F, n, d = mats[0].field, len(mats), mats[0].rows
-    if any(q.degree == d for q in qs.values()):
-        one = Matrix.identity(F, d)
+    simple = any(q.degree == d for q in qs.values())
+    if simple:
+        socle = Matrix.identity(F, d)
         cs = {i: _submatrix(mats[i], [0], [0]).entries[0][0] for i in range(n) if i not in qs}
-        if all(mats[i] == one.scale(c) for i, c in cs.items()):
+        if all(mats[i] == socle.scale(c) for i, c in cs.items()):
             qs = {**qs, **{i: UniPoly(F, [F.neg(c), F.one]) for i, c in cs.items()}}
-        if len(qs) < n or sum(q.degree > 1 for q in qs.values()) > 1:
-            ideal = _annihilator(mats, _submatrix(one, range(d), [0]))
-            if ideal.quotient_dim != d:
-                raise RuntimeError("a simple piece is not local")
-            return _local_key(ideal, d)
-    wide = [i for i, q in qs.items() if q.degree > 1]
-    if len(wide) <= 1:
-        j = wide[0] if wide else 0
-        gens = [MultiPoly.from_unipoly(q, n, i) for i, q in qs.items()]
-        std = [
-            tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)
-        ]
-        return _local_key(Ideal(F, n, gens, std), d)
-    parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items()]
-    basis = _kernel_rows(_stack(parts))[0].transpose()
-    ideal = _annihilator(mats, _submatrix(basis, range(d), [0]))
+    if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
+        return _principal_key([qs[i] for i in range(n)], d), None
+    if not simple:
+        parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items()]
+        socle = _kernel_rows(_stack(parts))[0].transpose()
+    ideal = _annihilator(mats, _submatrix(socle, range(d), [0]))
     rd = ideal.quotient_dim
     if rd != max(q.degree for q in qs.values()):
+        if simple:
+            raise RuntimeError("a simple piece is not local")
         g = _split_or_field(ideal)
         if g is not None:
             return None, g
-    if basis.cols > rd:
+    if socle.cols > rd:
         for g in ideal.gens:
-            if not (eval_poly_at_matrix(g, list(mats)) @ basis).is_zero:
+            if not (eval_poly_at_matrix(g, list(mats)) @ socle).is_zero:
                 return None, g
     # local: Soc is a vector space over the residue field k[T]/M
-    return _local_key(ideal, basis.cols)
+    return _local_key(ideal, socle.cols), None
+
+
+def _principal_key(qs, dim):
+    """``_local_key`` of the maximal ideal (q_1(t_1), .., q_n(t_n)), for
+    monic irreducible q_i, at most one of degree above 1, and dim.  Its
+    reduced graded-lex basis is the q_i(t_i) themselves (pairwise coprime
+    leading monomials, and no other term divisible by a leading
+    monomial), with the t_j^k, k < deg q_j, for q_j of largest degree, as
+    standard monomials."""
+    n = len(qs)
+    j = max(range(n), key=lambda i: qs[i].degree)
+    gens = [MultiPoly.from_unipoly(q, n, i) for i, q in enumerate(qs)]
+    std = [tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)]
+    return _local_key(Ideal(qs[0].field, n, gens, std), dim)
 
 
 def _local_key(ideal, dim):
-    """(the shared key of a maximal ideal, None), once dim, the dimension
-    of a vector space over its residue field, is checked to be a multiple
-    of the residue degree."""
+    """The shared key of a maximal ideal, once dim, the dimension of a
+    vector space over its residue field, is checked to be a multiple of
+    the residue degree."""
     rd = ideal.quotient_dim
     if dim % rd:
         raise RuntimeError("dimension is not a multiple of the residue degree")
-    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd)), None
+    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd))
 
 
 def _check_eigenspace(q, v, dim):

@@ -25,6 +25,7 @@ Errors carry a line:column position.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -54,6 +55,17 @@ _OPS = set("+-*/^()[];,")
 _DIGITS = re.compile(r"[0-9]+")
 _HEAD = re.compile(r"[^ \t]*")
 _WORD = re.compile(r"([0-9]+)|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _integer(digits, line, col):
+    """int(digits) for a run of ASCII digits at line:col; more digits than
+    the interpreter converts, ``sys.get_int_max_str_digits()``, is a
+    ParseError there."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer exceeds the limit of {limit} digits", line, col) from None
 
 
 def _tokenize(text, line=1, col=1):
@@ -162,13 +174,14 @@ class _ExprParser:
             tok = self.take()
             if tok.kind != "int":
                 self.fail("exponent must be a nonnegative integer", tok)
-            base = base ** int(tok.text)
+            base = base ** _integer(tok.text, tok.line, tok.col)
         return -base if negate else base
 
     def parse_atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return MultiPoly.constant(self.field, self.nvars, int(tok.text))
+            value = _integer(tok.text, tok.line, tok.col)
+            return MultiPoly.constant(self.field, self.nvars, value)
         if tok.kind == "name":
             return self.variable(tok)
         if tok.kind == "op" and tok.text == "(":
@@ -184,7 +197,7 @@ class _ExprParser:
                 self.fail(f"plain 't' is only valid with one variable; use t1..t{self.nvars}", tok)
             return MultiPoly.variable(self.field, 1, 0)
         if name.startswith("t") and _DIGITS.fullmatch(name, 1):
-            idx = int(name[1:])
+            idx = _integer(name[1:], tok.line, tok.col + 1)
             if not 1 <= idx <= self.nvars:
                 self.fail(f"variable {name} is out of range 1..{self.nvars}", tok)
             return MultiPoly.variable(self.field, self.nvars, idx - 1)
@@ -223,16 +236,19 @@ def _position(text, i, line, col):
 
 def _literal(text, field):
     """The canonical scalar of a plain literal, ``[+-] a`` or ``[+-] a/b``
-    with b nonzero in field; None for any other text."""
+    with b nonzero in field; None for any other text, and for a literal
+    too long for ``int``, which the expression parser then reports."""
     lit = _LITERAL.fullmatch(text)
     if not lit:
         return None
     sign, num, den = lit.groups()
-    num = -int(num) if sign == "-" else int(num)
+    try:
+        num, den = int(sign + num), den and int(den)
+    except ValueError:
+        return None  # more digits than int() converts
     p = field.characteristic
     if den is None:
         return num % p if p else Fraction(num)
-    den = int(den)
     if p and den % p:
         return field.div(num % p, den % p)
     if not p and den:
@@ -369,8 +385,9 @@ def parse_input(text):
             if parts == ["Q"]:
                 field = QQ
             elif len(parts) == 2 and parts[0] == "F" and _DIGITS.fullmatch(parts[1]):
+                p = _integer(parts[1], lineno, indent + start + len(rest) - len(parts[1]))
                 try:
-                    field = GF(int(parts[1]))
+                    field = GF(p)
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, indent) from None
             else:
@@ -381,13 +398,13 @@ def parse_input(text):
         if field is None:
             raise ParseError("the field line must come first", lineno, indent)
         if head == "vars":
-            if not _DIGITS.fullmatch(rest) or int(rest) < 1:
+            if not _DIGITS.fullmatch(rest) or _integer(rest, lineno, indent + start) < 1:
                 raise ParseError("vars takes a positive integer", lineno, indent)
             nvars = int(rest)
         elif head == "dim":
             if not _DIGITS.fullmatch(rest):
                 raise ParseError("dim takes a nonnegative integer", lineno, indent)
-            dim = int(rest)
+            dim = _integer(rest, lineno, indent + start)
         elif head == "num":
             flush_pending()
             pending_num = (parse_unipoly(rest, field, lineno, indent + start), lineno)
@@ -434,14 +451,25 @@ def field_from_string(s):
     raise ValueError(f"unknown field name {s!r}")
 
 
+def _json_integer(obj, name):
+    """obj[name], a JSON number of integral value, as an int; any other
+    value is a ValueError."""
+    x = obj[name]
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def class_from_json(obj):
-    """Rebuild a GrothendieckClass from the CLI's JSON rendering."""
+    """Rebuild a GrothendieckClass from the CLI's JSON rendering; an
+    nvars, degree or multiplicity that is not an integer is a
+    ValueError."""
     field = field_from_string(obj["field"])
-    nvars = int(obj["nvars"])
+    nvars = _json_integer(obj, "nvars")
     support = {}
     for entry in obj["class"]:
         gens = [parse_poly(g, field, nvars) for g in entry["generators"]]
         ideal = Ideal.from_groebner_basis(field, nvars, gens)
-        key = MaximalIdealKey(ideal, int(entry["degree"]))
-        support[key] = int(entry["multiplicity"])
+        key = MaximalIdealKey(ideal, _json_integer(entry, "degree"))
+        support[key] = _json_integer(entry, "multiplicity")
     return GrothendieckClass(field, nvars, support)

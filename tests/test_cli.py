@@ -196,6 +196,33 @@ def test_non_ascii_digits_are_input_errors(tmp_path, capsys, command, text, expe
     assert (code, out, err) == (1, "", f"error: {expected}\n")
 
 
+LIMIT = sys.get_int_max_str_digits()
+LONG = "1" * (LIMIT + 1)  # one digit more than int() converts
+
+
+@pytest.mark.parametrize(
+    "command, text, pos",
+    [
+        ("class", f"field Q\nvars {LONG}\n", "2:6"),
+        ("class", f"field Q\nvars 1\ndim  {LONG}\n", "3:6"),
+        ("class", f"field  F   {LONG}\n", "1:12"),
+        ("class", f"field Q\nvars 1\ndim 1\n[[ -{LONG}]]\n", "4:5"),
+        ("class", f"field F 5\nvars 1\ndim 1\n[[1/{LONG}]]\n", "4:5"),
+        ("class", f"field Q\nvars 1\ndim 1\n[[2^{LONG}]]\n", "4:5"),
+        ("tilde-map", f"field Q\nnum 1+t^{LONG}\n", "2:9"),
+        ("tilde-map", f"field Q\nnum t\nden 1 + {LONG}*t\n", "3:9"),
+        ("tilde-map", f"field Q\nnum 1+t{LONG}\n", "2:8"),
+    ],
+    ids=["vars", "dim", "field", "entry", "entry-den", "entry-exponent", "num-exponent", "den", "variable"],
+)
+def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys, command, text, pos):
+    # int() converts at most sys.get_int_max_str_digits() digits: a longer
+    # literal is an input error at its own position, naming the limit
+    code, out, err = run(capsys, [command, job(tmp_path, text)])
+    expected = f"error: {pos}: integer exceeds the limit of {LIMIT} digits\n"
+    assert (code, out, err) == (1, "", expected)
+
+
 def nested(depth, inner):
     return "(" * depth + inner + ")" * depth
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,15 @@ def test_class_group_operations():
         a + GrothendieckClass.zero(F2, 1)
     with pytest.raises(FieldMismatchError):
         a + GrothendieckClass.zero(QQ, 2)
+
+
+@pytest.mark.parametrize("mult", [1.5, 2.0, "2", Fraction(3), None], ids=repr)
+def test_class_rejects_non_integer_multiplicities(mult):
+    # never rounded or parsed: 1.5 is not stored as 1, nor "2" as 2
+    key = principal_maximal_key(UniPoly.gen(QQ))
+    with pytest.raises(TypeError, match="multiplicity must be an integer"):
+        GrothendieckClass(QQ, 1, {key: mult})
+    assert GrothendieckClass(QQ, 1, {key: 2}).multiplicity(key) == 2
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
@@ -212,6 +222,12 @@ def test_principal_keys_are_shared():
     assert all(key is same[key] for key in image.support)
     q = UniPoly(QQ, [-2, 0, 1])
     assert principal_maximal_key(q) is principal_maximal_key(q)
+    # the split loop's key of the n = 1 tuple (C) is the same object
+    piece = CommutingTuple(QQ, 1, 2, [Matrix.companion(q)])
+    assert piece.maximal_ideal_key() is principal_maximal_key(q)
+    for bad in (UniPoly(QQ, [1, 2]), UniPoly.one(QQ)):
+        with pytest.raises(ValueError, match="monic polynomial of degree >= 1"):
+            principal_maximal_key(bad)
 
 
 # -- lambda_t -----------------------------------------------------------------------

@@ -748,14 +748,14 @@ def field_scalars(field):
 
 
 @st.composite
-def echelon_sequences(draw):
+def echelon_sequences(draw, max_width=6, max_vectors=10):
     """(field, width, vectors): random vectors, and planned dependencies,
     each a combination of up to three earlier vectors (possibly zero)."""
     field = draw(st.sampled_from(ECHELON_FIELDS))
-    width = draw(st.integers(0, 6))
+    width = draw(st.integers(0, max_width))
     scalars = field_scalars(field)
     vectors = []
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, max_vectors))):
         if vectors and draw(st.booleans()):
             picks = draw(
                 st.lists(
@@ -802,6 +802,35 @@ def test_echelon_matches_plain_loop(case):
         if combo:  # the field's own scalars, not integers over Q
             assert all(type(c) is type(field.one) for c in combo.values())
     assert tracked.rank == untracked.rank == rank
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(echelon_sequences(max_width=30, max_vectors=40))
+# 2 v2 = v0 + v1/3: v2 is reduced against r0 = (2, 1), stored with one
+# combination column, with the step 2 w - r0, and then against
+# r1 = (0, 3), stored with two, with 3 w - r1
+@example((QQ, 2, [(2, 1), (0, 3), (1, 1)]))
+# full width: 30 rows stored, then at least 10 dependencies against them
+@example((QQ, 30, rand_rational_grid(random.Random(23), 40, 30)))
+def test_echelon_dependencies_reproduce_the_vector(case):
+    # every dependency is exact, Σ c_g v_g = v over the added vectors v_g,
+    # and the rank is that of all the vectors
+    field, width, vectors = case
+    ech = Echelon(field, width, track=True)
+    added = []
+    for v in vectors:
+        v = [field.coerce(x) for x in v]
+        is_new, combo = ech.insert(Matrix(field, [v], cols=width))
+        if is_new:
+            added.append(v)
+            continue
+        assert combo is not None
+        total = [field.zero] * width
+        for g, c in combo.items():
+            assert c != field.zero
+            total = [field.add(x, field.mul(c, y)) for x, y in zip(total, added[g])]
+        assert total == v
+    assert ech.rank == len(added) == len(rref(Matrix(field, vectors, cols=width))[1])
 
 
 def plain_closure(t, vectors):

@@ -349,3 +349,28 @@ def test_class_json_roundtrip():
 def test_class_json_roundtrip_zero():
     obj = {"field": "Q", "nvars": 1, "class": []}
     assert class_from_json(obj) == GrothendieckClass.zero(QQ, 1)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("nvars", 1.5),
+        ("nvars", "1"),
+        ("degree", 1.7),
+        ("degree", True),
+        ("multiplicity", 2.9),
+        ("multiplicity", "2"),
+        ("multiplicity", None),
+    ],
+)
+def test_class_json_rejects_non_integers(name, value):
+    # never truncated: "multiplicity": 2.9 is not read as 2
+    entry = {"generators": ["t - 1"], "degree": 1, "multiplicity": 2}
+    obj = {"field": "Q", "nvars": 1, "class": [entry]}
+    assert class_from_json(obj).lines() == ["2 * [t - 1]"]
+    (obj if name == "nvars" else entry)[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        class_from_json(obj)
+    # a JSON number with an integral value is that integer
+    (obj if name == "nvars" else entry)[name] = 2.0 if name == "multiplicity" else 1.0
+    assert class_from_json(obj).lines() == ["2 * [t - 1]"]

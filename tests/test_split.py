@@ -12,7 +12,9 @@ construction otherwise.  Every internal check of the loop, given a fault
 to catch, ends ``endok class`` with exit 3.
 """
 
+import ast
 import heapq
+import inspect
 import random
 from itertools import count
 
@@ -1037,3 +1039,32 @@ def test_internal_checks_end_in_exit_3(fault, monkeypatch, tmp_path, capsys):
     assert main(["class", str(path)]) == 3
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: internal: {message}\n")
+
+
+def raised_texts(source):
+    """The leading literal text of the message of every ``raise
+    RuntimeError(...)`` and ``raise error(...)`` in source: a plain
+    string, or an f-string up to its first field."""
+    texts = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            continue
+        if call.func.id not in ("RuntimeError", "error"):
+            continue
+        message = call.args[0]
+        if isinstance(message, ast.JoinedStr):
+            message = message.values[0]
+        texts.append(message.value)
+    return texts
+
+
+def test_every_internal_check_has_a_fault_row(monkeypatch):
+    # the rows of test_internal_checks_end_in_exit_3 are keyed by message:
+    # each check in modules.py that can end in exit 3 needs a row whose
+    # message starts with its own text, so a check that moves keeps its row
+    texts = raised_texts(inspect.getsource(modules))
+    assert "a simple piece is not local" in texts
+    messages = [fault(monkeypatch)[1] for fault in FAULTS.values()]
+    for text in texts:
+        assert any(m.startswith(text) for m in messages), text
