@@ -226,21 +226,24 @@ _HANDLERS = {
 }
 
 
+# built once: main runs once per command, in-process callers many times
+_PARSER = argparse.ArgumentParser(
+    prog="endok",
+    description="Exact K0 invariants of commuting matrix tuples over Q and F_p.",
+)
+_PARSER.add_argument("command", choices=_HANDLERS)
+_PARSER.add_argument("input", help="job file path, or '-' for stdin")
+_PARSER.add_argument("--json", action="store_true", help="emit stable JSON")
+_PARSER.add_argument(
+    "--seed",
+    type=int,
+    default=DEFAULT_SEED,
+    help="seed for randomized subroutines (default %(default)s)",
+)
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
-        prog="endok",
-        description="Exact K0 invariants of commuting matrix tuples over Q and F_p.",
-    )
-    ap.add_argument("command", choices=_HANDLERS)
-    ap.add_argument("input", help="job file path, or '-' for stdin")
-    ap.add_argument("--json", action="store_true", help="emit stable JSON")
-    ap.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized subroutines (default %(default)s)",
-    )
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.input == "-":
             text = sys.stdin.read()

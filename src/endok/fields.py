@@ -46,6 +46,21 @@ def is_prime(n):
     return True
 
 
+def _decimal(n):
+    """str(n) for an int n, also one with more digits than ``str`` converts
+    (``sys.get_int_max_str_digits()``): such an n is split at a power of
+    ten near half its digits, and each part is converted the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 class FieldSpec:
     """Shared base of the two supported exact fields, ``Rationals`` and
     ``PrimeField``; build them as ``QQ`` and ``GF(p)``.
@@ -78,7 +93,13 @@ class FieldSpec:
         return FieldElement(self, x)
 
     def render(self, a):
-        return str(a)
+        """The text of a raw scalar, ``a`` or ``a/b``, however many digits
+        its integers have (see ``_decimal``)."""
+        try:
+            return str(a)
+        except ValueError:  # more digits than str(int) converts
+            text = _decimal(a.numerator)
+            return text if a.denominator == 1 else f"{text}/{_decimal(a.denominator)}"
 
     def __eq__(self, other):
         return type(other) is type(self) and other.characteristic == self.characteristic

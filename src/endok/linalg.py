@@ -28,8 +28,10 @@ differs:
   Hadamard's bound on the coefficients of chi_N for R the largest
   Euclidean row norm of N;
 * ``_init_rows``, which builds N/D from rows of field scalars;
-* the normalisation in ``Echelon.insert`` (a matrix's N/D, flattened row
-  by row): reduction mod p and pivot 1, or division by the content.
+* ``Echelon``, the incremental store of vectors (a matrix's N/D, flattened
+  row by row): over F_p one fully reduced residue array, each insert one
+  product in ``_kernels.echelon_insert_mod``; over Q primitive integer
+  rows and fraction-free steps.
 
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
@@ -468,67 +470,89 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental echelon store over integer rows.
+    """Incremental echelon store: vectors enter one at a time, as the N/D
+    of a ``Matrix`` flattened row by row, and those outside the span of
+    the vectors added before are added.
 
-    A vector enters as a ``Matrix``, its N/D flattened row by row (residues
-    over 1 over F_p), and each elimination is the fraction-free step
-    a*w - b*row that clears the row's pivot column.  Only the
-    normalisation depends on the field: over F_p a stored row holds
-    residues with pivot entry 1, so a = 1, and the vector is reduced mod p
-    once its eliminations are done; over Q a stored row is primitive, and
-    each step is followed by division by the content, as in
-    ``_integer_echelon``.  Row i has zeros at the pivots of the rows
-    before it, so reducing against the rows in insertion order clears
-    every pivot.
+    Over F_p the stored rows are one residue array, fully reduced: row i
+    is 1 at its own pivot and 0 at every other pivot.  A vector w is
+    reduced by one product, w - w[pivots].rows mod p, and a new row clears
+    its pivot column from the stored rows with one outer product
+    (``_kernels.echelon_insert_mod``).  The array grows with the rank, by
+    doubling.  Over Q the stored rows are primitive integer lists, each
+    with zeros at the pivots of the rows before it; a vector is reduced
+    against them in insertion order by the fraction-free step a*w - b*row
+    that clears the row's pivot column, then divided by its content, as
+    in ``_integer_echelon``.
 
     With ``track`` a vector carries, after its ``width`` entries, the
     integer combination of the generators (the numerators of the vectors
     ``insert`` added) that it equals, the [A | I] trick: the k-th vector
     enters with k zeros and a 1 after its entries, so every row operation
-    acts on the combination too.  A row stored earlier is shorter, with
-    zeros for the later generators.  The combination becomes field
-    scalars only when ``insert`` reports a dependency.
+    acts on the combination too.  A row stored earlier has zeros for the
+    later generators.  The combination becomes field scalars only when
+    ``insert`` reports a dependency; over F_p it is minus the tail, as the
+    vector's own coefficient stays 1.
     """
 
     def __init__(self, field, width, track=False):
         self.field = field
         self.width = width
         self.track = track
-        self.rows = []
-        self.pivots = []
-        self.dens = []  # dens[g]: the denominator of generator g
-
-    @property
-    def rank(self):
-        return len(self.rows)
+        self.rank = 0
+        p = field.characteristic
+        if p:
+            self._store = np.zeros((0, width), _kernels.dtype(p))
+            self._pivots = np.zeros(width, np.intp)  # the rank is at most width
+        else:
+            self._rows = []
+            self._pivots = []
+            self._dens = []  # _dens[g]: the denominator of generator g
 
     def insert(self, m):
         """Try to add the N/D of a matrix, flattened row by row, as one
         vector.  Returns (added, combo): combo rewrites a dependent vector
         over the previously added generators, as a dict from generator
         index to nonzero field scalar (only when tracking)."""
-        work, den = m._num.ravel().tolist(), m._den
-        F = self.field
-        p = F.characteristic
-        gens = len(self.rows)
+        if self.field.characteristic:
+            return self._insert_mod(m._num.ravel())
+        return self._insert_rational(m._num.ravel().tolist(), m._den)
+
+    def _insert_mod(self, v):
+        p, width, r = self.field.characteristic, self.width, self.rank
+        store = self._store
+        if r == len(store):  # room for w as row r, and for its generator column
+            cap = max(2 * r, 4)
+            grown = np.zeros((cap, width + cap if self.track else width), store.dtype)
+            grown[:r, : store.shape[1]] = store
+            self._store = store = grown
+        used = width + r + 1 if self.track else width
+        w = np.zeros(used, store.dtype)
+        w[:width] = v
         if self.track:
-            work += [0] * gens + [1]
-        for row, c in zip(self.rows, self.pivots):
-            # over F_p only the entry to clear is reduced mod p here, and
-            # the vector once after the loop
-            b = work[c] % p if p else work[c]
+            w[-1] = 1
+        lead, w = _kernels.echelon_insert_mod(store[:r, :used], self._pivots[:r], w, width, p)
+        if lead is None:
+            if not self.track:
+                return False, None
+            return False, {g: p - x for g, x in enumerate(w[width:-1].tolist()) if x}
+        store[r, :used] = w
+        self._pivots[r] = lead
+        self.rank += 1
+        return True, None
+
+    def _insert_rational(self, work, den):
+        if self.track:
+            work += [0] * self.rank + [1]
+        for row, c in zip(self._rows, self._pivots):
+            b = work[c]
             if not b:
                 continue
-            # the fraction-free step a*w - b*row clears column c; a stored
-            # row over F_p has pivot 1, so there it is w - b*row
+            # the fraction-free step a*w - b*row clears column c
             a = row[c]
             g = gcd(a, b)
             a, b = a // g, b // g
-            work = [a * x - b * y for x, y in zip_longest(work, row, fillvalue=0)]
-            if not p:
-                work = _primitive(work)
-        if p:
-            work = [x % p for x in work]
+            work = _primitive([a * x - b * y for x, y in zip_longest(work, row, fillvalue=0)])
         lead = next((j for j, x in enumerate(work[: self.width]) if x), None)
         if lead is None:
             if not self.track:
@@ -536,18 +560,12 @@ class Echelon:
             # 0 = sum of combo[g] * generator g + s * the new vector
             combo, s = work[self.width : -1], work[-1]
             return False, {
-                g: F.coerce(Fraction(-x * self.dens[g], s * den))
-                for g, x in enumerate(combo)
-                if x
+                g: Fraction(-x * self._dens[g], s * den) for g, x in enumerate(combo) if x
             }
-        if p:
-            inv = pow(work[lead], p - 2, p)
-            work = [x * inv % p for x in work]
-        else:
-            work = _primitive(work)
-        self.rows.append(work)
-        self.pivots.append(lead)
-        self.dens.append(den)
+        self._rows.append(_primitive(work))
+        self._pivots.append(lead)
+        self._dens.append(den)
+        self.rank += 1
         return True, None
 
 

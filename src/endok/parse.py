@@ -7,9 +7,12 @@ Shared grammar (whitespace insignificant inside expressions):
 * polynomials: variables ``t`` (one variable) or ``t1..tn``; operators
   ``+ - * ^``; ``^`` takes a nonnegative integer literal; parentheses,
 * matrices: ``[[a,b];[c,d]]`` with rows split by ``;``, entries by ``,``;
-  ``[[]]`` denotes the 0 x 0 matrix.  Entries are constant expressions:
-  a plain literal (``[+-] a`` or ``[+-] a/b``) is read directly, any
-  other entry goes through the expression parser,
+  ``[[]]`` denotes the 0 x 0 matrix.  Entries are constant expressions.
+  A matrix whose entries are all plain literals (``[+-] a`` or
+  ``[+-] a/b``) is checked by one regex and read in one pass, its
+  integers going straight to the matrix's integer form N/D; any other
+  matrix, and any faulty one, is walked entry by entry through the
+  expression parser,
 * job files, line oriented with ``#`` comments::
 
       field Q            (or: field F 5)
@@ -27,7 +30,10 @@ Errors carry a line:column position.
 import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from itertools import repeat
+from math import lcm
+
+import numpy as np
 
 from .errors import ParseError
 from .fields import GF, QQ, FieldSpec
@@ -217,13 +223,19 @@ def parse_unipoly(text, field, line=1, col=1):
     return parse_poly(text, field, 1, line, col).to_unipoly()
 
 
-# A matrix literal is read straight off its text: no entry can contain one
-# of ``[];,``, so an entry is the run of characters between two of them.
+# A matrix literal whose entries are all plain, ``[+-] a`` or ``[+-] a/b``
+# in ASCII digits, is checked by one regex and read in one pass; the
+# regex is the only gate, as int() would also take "1_000" or "²".
+_PLAIN_ENTRY_TEXT = r"[+-]?\s*[0-9]+(?:\s*/\s*[0-9]+)?"
+_PLAIN_ROW = rf"\[\s*(?:{_PLAIN_ENTRY_TEXT}(?:\s*,\s*{_PLAIN_ENTRY_TEXT})*\s*)?\]"
+_PLAIN_MATRIX = re.compile(rf"\s*\[\s*{_PLAIN_ROW}(?:\s*;\s*{_PLAIN_ROW})*\s*\]\s*")
+
+# Any other literal is walked entry by entry: no entry can contain one of
+# ``[];,``, so an entry is the run of characters between two of them.
 # Text made only of these characters holds none the tokenizer rejects.
 _PLAIN_CHARS = re.compile(r"[ \t0-9A-Za-z_+\-*/^()\[\];,]*")
 _SPACE = re.compile(r"\s*")
 _ROW_BODY = re.compile(r"[^\[\];]*")
-_LITERAL = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 
 def _position(text, i, line, col):
@@ -234,26 +246,40 @@ def _position(text, i, line, col):
     return line, col + i
 
 
-def _literal(text, field):
-    """The canonical scalar of a plain literal, ``[+-] a`` or ``[+-] a/b``
-    with b nonzero in field; None for any other text, and for a literal
-    too long for ``int``, which the expression parser then reports."""
-    lit = _LITERAL.fullmatch(text)
-    if not lit:
+def _plain_matrix(text, field):
+    """The matrix of a literal whose entries are all plain, its integers
+    taken straight to N/D; None for any other text, and for one with
+    ragged rows, a denominator 0 in field or an integer past the digit
+    limit, which ``_walk_matrix`` reports."""
+    if not _PLAIN_MATRIX.fullmatch(text):
         return None
-    sign, num, den = lit.groups()
+    compact = "".join(text.split())
+    rows = compact[2:-2].split("];[")
+    widths = {row.count(",") + 1 if row else 0 for row in rows}
+    if len(widths) > 1:
+        return None
+    width = widths.pop()
+    if not width:  # empty rows; [[]] is the 0 x 0 matrix
+        return Matrix.zeros(field, 0 if rows == [""] else len(rows), 0)
+    nums, dens = ",".join(rows).split(","), ["1"]
+    if "/" in compact:
+        nums, _, dens = zip(*map(str.partition, nums, repeat("/")))
+        dens = [d or "1" for d in dens]
     try:
-        num, den = int(sign + num), den and int(den)
+        num = np.array(list(map(int, nums)), dtype=object)
+        dens = list(map(int, dens))
     except ValueError:
         return None  # more digits than int() converts
+    # the entries over their least common denominator D: N/D exactly
+    den = lcm(*dens)
     p = field.characteristic
-    if den is None:
-        return num % p if p else Fraction(num)
-    if p and den % p:
-        return field.div(num % p, den % p)
-    if not p and den:
-        return Fraction(num, den)
-    return None
+    if not den or (p and not den % p):
+        return None
+    if den != 1:
+        num = num * (den // np.array(dens, dtype=object))
+        if p:
+            num, den = num * pow(den, -1, p), 1
+    return Matrix._from_integers(field, num.reshape(len(rows), width), den)
 
 
 def _expression_entry(text, field, nvars, line, col):
@@ -269,10 +295,10 @@ def _expression_entry(text, field, nvars, line, col):
     return entry.coeff((0,) * nvars)
 
 
-def parse_matrix(text, field, line=1, col=1, nvars=1):
-    """The whole text as one matrix literal ``[[a,b];[c,d]]`` over field,
-    its entries constant expressions in t1..t{nvars}; text starts at
-    line:col, which error positions count from."""
+def _walk_matrix(text, field, line, col, nvars):
+    """``parse_matrix`` entry by entry, each entry through the expression
+    parser: the reader of literals with an expression entry, and the one
+    that reports every fault at its line:column."""
     if not _PLAIN_CHARS.fullmatch(text):
         _tokenize(text, line, col)  # a bad character is reported before any other fault
 
@@ -295,10 +321,7 @@ def parse_matrix(text, field, line=1, col=1, nvars=1):
         row = []
         if body.strip() or text[j : j + 1] != "]":  # else [] is an empty row
             for entry in body.split(","):
-                x = _literal(entry, field)
-                if x is None:
-                    x = _expression_entry(entry, field, nvars, *_position(text, i, line, col))
-                row.append(x)
+                row.append(_expression_entry(entry, field, nvars, *_position(text, i, line, col)))
                 i += len(entry) + 1
             if text[j : j + 1] != "]":
                 fail("expected ']'", j)
@@ -317,6 +340,14 @@ def parse_matrix(text, field, line=1, col=1, nvars=1):
     if i < len(text):
         fail("unexpected trailing input", i)
     return Matrix._from_canonical(field, rows, width)
+
+
+def parse_matrix(text, field, line=1, col=1, nvars=1):
+    """The whole text as one matrix literal ``[[a,b];[c,d]]`` over field,
+    its entries constant expressions in t1..t{nvars}; text starts at
+    line:col, which error positions count from."""
+    m = _plain_matrix(text, field)
+    return _walk_matrix(text, field, line, col, nvars) if m is None else m
 
 
 @dataclass

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,49 @@ def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys, comman
     code, out, err = run(capsys, [command, job(tmp_path, text)])
     expected = f"error: {pos}: integer exceeds the limit of {LIMIT} digits\n"
     assert (code, out, err) == (1, "", expected)
+
+
+def digits_value(text):
+    """The integer a decimal string denotes, read 1000 digits at a time:
+    no conversion comes near the interpreter's digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+REPUNIT = (10**3000 - 1) // 9  # 3000 ones
+
+
+@pytest.mark.parametrize(
+    "entry, x",
+    [("1" * 3000, Fraction(REPUNIT)), ("1" * 3000 + "/1" + "0" * 3000, Fraction(REPUNIT, 10**3000))],
+    ids=["integer", "fraction"],
+)
+def test_results_past_the_digit_limit_print_exactly(tmp_path, capsys, entry, x):
+    # [[x,1];[1,x]] has charpoly t^2 - 2x*t + (x^2 - 1), and x^2 - 1 has
+    # about 6000 digits in its numerator (and denominator): more than
+    # str(int) converts, yet printed digit for digit
+    limit = sys.get_int_max_str_digits()
+    path = job(tmp_path, f"field Q\nvars 1\ndim 2\n[[{entry},1];[1,{entry}]]\n")
+    code, out, err = run(capsys, ["charpoly", path])
+    assert (code, err) == (0, "")
+    line, lam = out.splitlines()
+    number = r"([0-9]+)(?:/([0-9]+))?"
+    m = re.fullmatch(rf"charpoly t\^2 - {number}\*t ([+-]) {number}", line)
+
+    def value(num, den):
+        return Fraction(digits_value(num), digits_value(den or "1"))
+
+    assert m and value(m[1], m[2]) == 2 * x
+    assert (-1 if m[3] == "-" else 1) * value(m[4], m[5]) == x * x - 1
+    assert len(m[4]) > limit
+    code, out, err = run(capsys, ["charpoly", path, "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)["matrices"]
+    assert [f"charpoly {doc[0]['charpoly']}", f"lambda {doc[0]['lambda']}"] == [line, lam]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def nested(depth, inner):

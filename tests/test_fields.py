@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy
@@ -129,3 +130,15 @@ def test_exhaustive_inverses(p):
     F = GF(p)
     for a in range(1, p):
         assert F.mul(F.inv(a), a) == 1
+
+
+def test_render_writes_every_digit_past_the_str_limit():
+    # str() of an int with more digits than sys.get_int_max_str_digits()
+    # raises; render splits such integers and leaves the limit alone
+    limit = sys.get_int_max_str_digits()
+    n = 10 ** (2 * limit) + 1
+    assert QQ.render(Fraction(-n, 3)) == "-1" + "0" * (2 * limit - 1) + "1/3"
+    assert QQ.render(Fraction(3, n)) == "3/1" + "0" * (2 * limit - 1) + "1"
+    assert QQ.render(Fraction(n * 10**7)) == "1" + "0" * (2 * limit - 1) + "1" + "0" * 7
+    assert QQ.render(Fraction(-7, 2)) == "-7/2" and GF(5).render(4) == "4"
+    assert sys.get_int_max_str_digits() == limit

@@ -705,7 +705,14 @@ def test_integer_echelon_keeps_rows_primitive():
 
 # -- differential: Echelon against a plain loop over field scalars ------------------
 
-ECHELON_FIELDS = (QQ, F2, GF(97), P31)
+# the largest prime below PRIME_LIMIT: int64 residues, where the product
+# w[pivots].rows in Echelon comes closest to the int64 bound
+P20 = GF(1048573)
+ECHELON_FIELDS = (QQ, F2, GF(97), P20, P31)
+# width 30, every entry p - 1 but one 1 per row (-J + 2I, invertible mod
+# p), then the all p - 1 row, which depends on all 30
+P20_EDGE = [[1 if j == i else P20.characteristic - 1 for j in range(30)] for i in range(30)]
+P20_EDGE.append([P20.characteristic - 1] * 30)
 
 
 def plain_echelon(field, vectors):
@@ -790,6 +797,7 @@ def echelon_sequences(draw, max_width=6, max_vectors=10):
 @example((GF(97), 2, [(96, 1), (1, 96), (0, 5)]))
 @example((P31, 3, [(2**31 - 2, 1, 0), (1, 2**30, 3), (0, 2**30 + 1, 3)]))
 @example((QQ, 0, [()]))
+@example((P20, 30, P20_EDGE))
 def test_echelon_matches_plain_loop(case):
     field, width, vectors = case
     expected, rank = plain_echelon(field, vectors)
@@ -812,6 +820,7 @@ def test_echelon_matches_plain_loop(case):
 @example((QQ, 2, [(2, 1), (0, 3), (1, 1)]))
 # full width: 30 rows stored, then at least 10 dependencies against them
 @example((QQ, 30, rand_rational_grid(random.Random(23), 40, 30)))
+@example((P20, 30, P20_EDGE))
 def test_echelon_dependencies_reproduce_the_vector(case):
     # every dependency is exact, Σ c_g v_g = v over the added vectors v_g,
     # and the rank is that of all the vectors

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from endok.errors import ParseError
@@ -10,6 +11,8 @@ from endok.ktheory import GrothendieckClass, k0_class
 from endok.linalg import Matrix
 from endok.modules import CommutingTuple
 from endok.parse import (
+    _plain_matrix,
+    _walk_matrix,
     class_from_json,
     field_from_string,
     field_to_string,
@@ -229,6 +232,106 @@ def test_matrix_reader_matches_the_expression_parser(case):
     assert m == Matrix(field, expected)
     assert [list(r) for r in m.entries] == expected
     assert all(type(x) is type(field.zero) for row in m.entries for x in row)
+
+
+PLAIN_FIELDS = [QQ, GF(2), GF(97), GF(2**31 - 1)]
+
+
+@st.composite
+def plain_matrix_texts(draw):
+    """(field, text): a matrix literal whose entries are all plain, [+-] a
+    or [+-] a/b with b nonzero in the field, with random spaces, tabs and
+    signs."""
+    field = draw(st.sampled_from(PLAIN_FIELDS))
+    p = field.characteristic
+    spaces = st.sampled_from(["", "", " ", "  ", "\t", " \t "])
+
+    def entry():
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        a = draw(NUMBERS)
+        if draw(st.booleans()):
+            return draw(spaces) + sign + draw(spaces) + str(a) + draw(spaces)
+        b = draw(NUMBERS)
+        b += not b or (p and not b % p)  # nonzero in the field
+        parts = (sign, str(a), "/", str(b))
+        return draw(spaces) + draw(spaces).join(parts) + draw(spaces)
+
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    body = (draw(spaces) + ";" + draw(spaces)).join(
+        "[" + ",".join(entry() for _ in range(cols)) + "]" for _ in range(rows)
+    )
+    return field, draw(spaces) + "[" + draw(spaces) + body + draw(spaces) + "]" + draw(spaces)
+
+
+def read_both(text, field):
+    """(parse_matrix's result, the entry-by-entry reader's), each a Matrix
+    or the (message, line, column) of its ParseError."""
+
+    def outcome(read):
+        try:
+            return read()
+        except ParseError as exc:
+            return str(exc), exc.line, exc.column
+
+    return (
+        outcome(lambda: parse_matrix(text, field, 3, 5)),
+        outcome(lambda: _walk_matrix(text, field, 3, 5, 1)),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(plain_matrix_texts())
+@example((QQ, "[[ - 3 , + 4 ];[ 7 / 2 ,\t-\t0]]"))
+@example((GF(2**31 - 1), f"[[-{2**70}/{2**31 - 2}, 1/2]]"))
+def test_one_pass_reader_matches_the_entry_by_entry_reader(case):
+    # the one-pass reader takes every plain literal, and reads the matrix
+    # the expression parser reads entry by entry
+    field, text = case
+    m = _plain_matrix(text, field)
+    reference = _walk_matrix(text, field, 1, 1, 1)
+    assert m is not None and m == reference
+    assert m.entries == reference.entries
+    assert all(type(x) is type(field.zero) for row in m.entries for x in row)
+
+
+LONG_LITERAL = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("field", PLAIN_FIELDS, ids=repr)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[1_000]]",  # int() reads it, the grammar does not
+        "[[\u00b2]]",
+        "[[\u0663]]",
+        "[[ 1\u00a0]]",
+        "[[1, 2/{p}]; [3, 4]]",  # a denominator 0 in the field
+        "[[1, -2/{p}0]]",
+        f"[[1, {LONG_LITERAL}]]",
+        f"[[1/{LONG_LITERAL}]]",
+        "[[1,2];[3]]",
+        "[[];[1]]",
+        "[[1,2];[]]",
+        "[[]]",
+        "[[ ] ]",
+        "[[];[]]",
+        "[[1 2]]",
+        "[[1/2/3]]",
+        "[[1/-2]]",
+        "[[--3]]",
+        "[[1,,2]]",
+        "[[1]];[[2]]",
+        "[[1]",
+        "[[1]]]",
+        "[1,2]",
+        "[[1;2]]",
+        "[[1],[2]]",
+    ],
+)
+def test_one_pass_reader_faults_match_the_entry_by_entry_reader(field, text):
+    text = text.format(p=field.characteristic)
+    got, expected = read_both(text, field)
+    assert got == expected
 
 
 # -- job files ---------------------------------------------------------------------
