@@ -4,9 +4,11 @@ Usage: ``endok <command> <input-file> [--json] [--seed N]``.
 
 Commands operate on a job file (see :mod:`endok.parse` for the grammar)
 and print deterministic text, or a stable JSON document with ``--json``.
-Exit codes: 0 success, 1 input error, 2 verification failure
-(verify-additivity or oracle-check found a mismatch), 3 internal error (a
-consistency check inside the computation failed).
+Exit codes: 0 success, 1 input error (any ``ValueError``, ``ParseError``
+among them), 2 verification failure (verify-additivity or oracle-check
+found a mismatch), 3 internal error (a consistency check inside the
+computation failed, or a ``TypeError`` or ``ZeroDivisionError``, which
+no input reaches, so a program fault).
 """
 
 import argparse
@@ -16,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .bruteforce import k0_class_oracle, random_vector
-from .errors import ParseError
 from .factor import DEFAULT_SEED
 from .ktheory import (
     k0_class,
@@ -110,7 +111,7 @@ def _cmd_radical(job, rng):
     basis = [[F.render(x) for x in row] for row in rad.basis]
     lines = [f"radical dim {rad.dim}"]
     if basis:
-        lines.append("basis [" + ";".join("[" + ",".join(row) + "]" for row in basis) + "]")
+        lines.append(f"basis {rad.matrix}")
     lines.append("layers " + " ".join(str(d) for d in dims) if dims else "layers")
     payload = {
         "field": field_to_string(F),
@@ -256,10 +257,10 @@ def main(argv=None):
     try:
         job = parse_input(text)
         lines, payload, code = _HANDLERS[args.command](job, rng)
-    except (ParseError, ValueError, ZeroDivisionError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (RuntimeError, TypeError, ZeroDivisionError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     if args.json:

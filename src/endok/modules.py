@@ -214,8 +214,9 @@ def quotient_is_field(ideal):
     The quotient is reduced iff every variable's multiplication matrix
     has squarefree minimal polynomial (both fields are perfect), and a
     reduced quotient is a field iff ``_split_or_field`` finds no element
-    that splits it.  This is the slow independent check; production code
-    builds keys constructively and never calls it.
+    that splits it.  Production code never calls it; it is not
+    independent of the key path, which calls ``_split_or_field`` too, so
+    the tests also check keys over F_p by enumerating the quotient.
 
     >>> from endok.fields import GF
     >>> from endok.parse import parse_poly

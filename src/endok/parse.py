@@ -11,8 +11,9 @@ Shared grammar (whitespace insignificant inside expressions):
   A matrix whose entries are all plain literals (``[+-] a`` or
   ``[+-] a/b``) is checked by one regex and read in one pass, its
   integers going straight to the matrix's integer form N/D; any other
-  matrix, and any faulty one, is walked entry by entry through the
-  expression parser,
+  matrix, and any faulty one, is read on one token stream, the whole
+  literal tokenized once and each entry taken through the expression
+  parser,
 * job files, line oriented with ``#`` comments::
 
       field Q            (or: field F 5)
@@ -132,6 +133,10 @@ class _ExprParser:
             self.fail(f"expected {op!r}", tok)
         return tok
 
+    def expect_end(self):
+        if self.peek().kind != "end":
+            self.fail("unexpected trailing input")
+
     def at_op(self, *ops):
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
@@ -213,9 +218,7 @@ class _ExprParser:
 def parse_poly(text, field, nvars, line=1, col=1):
     parser = _ExprParser(_tokenize(text, line, col), field, nvars)
     poly = parser.parse_whole()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.fail("unexpected trailing input", tok)
+    parser.expect_end()
     return poly
 
 
@@ -226,24 +229,9 @@ def parse_unipoly(text, field, line=1, col=1):
 # A matrix literal whose entries are all plain, ``[+-] a`` or ``[+-] a/b``
 # in ASCII digits, is checked by one regex and read in one pass; the
 # regex is the only gate, as int() would also take "1_000" or "²".
-_PLAIN_ENTRY_TEXT = r"[+-]?\s*[0-9]+(?:\s*/\s*[0-9]+)?"
+_PLAIN_ENTRY_TEXT = r"[+-]?\s*[0-9]+(?:\s*/\s*[0-9]+|)"
 _PLAIN_ROW = rf"\[\s*(?:{_PLAIN_ENTRY_TEXT}(?:\s*,\s*{_PLAIN_ENTRY_TEXT})*\s*)?\]"
 _PLAIN_MATRIX = re.compile(rf"\s*\[\s*{_PLAIN_ROW}(?:\s*;\s*{_PLAIN_ROW})*\s*\]\s*")
-
-# Any other literal is walked entry by entry: no entry can contain one of
-# ``[];,``, so an entry is the run of characters between two of them.
-# Text made only of these characters holds none the tokenizer rejects.
-_PLAIN_CHARS = re.compile(r"[ \t0-9A-Za-z_+\-*/^()\[\];,]*")
-_SPACE = re.compile(r"\s*")
-_ROW_BODY = re.compile(r"[^\[\];]*")
-
-
-def _position(text, i, line, col):
-    """line:column of offset i in text, which starts at line:col."""
-    newlines = text.count("\n", 0, i)
-    if newlines:
-        return line + newlines, i - text.rfind("\n", 0, i)
-    return line, col + i
 
 
 def _plain_matrix(text, field):
@@ -282,64 +270,42 @@ def _plain_matrix(text, field):
     return Matrix._from_integers(field, num.reshape(len(rows), width), den)
 
 
-def _expression_entry(text, field, nvars, line, col):
-    """The canonical scalar of a matrix entry that is a constant
-    expression; text starts at line:col."""
-    parser = _ExprParser(_tokenize(text, line, col), field, nvars)
-    first = parser.peek()
-    entry = parser.parse_whole()
-    if entry.total_degree not in (0, float("-inf")):
-        parser.fail("matrix entries must be scalars", first)
-    if parser.peek().kind != "end":
-        parser.fail("expected ']'")
-    return entry.coeff((0,) * nvars)
-
-
 def _walk_matrix(text, field, line, col, nvars):
-    """``parse_matrix`` entry by entry, each entry through the expression
-    parser: the reader of literals with an expression entry, and the one
-    that reports every fault at its line:column."""
-    if not _PLAIN_CHARS.fullmatch(text):
-        _tokenize(text, line, col)  # a bad character is reported before any other fault
+    """``parse_matrix`` on one token stream, each entry through the
+    expression parser: the reader of literals with an expression entry,
+    and the one that reports every fault at its line:column.  The whole
+    text is tokenized first, so a bad character is reported before any
+    other fault."""
+    parser = _ExprParser(_tokenize(text, line, col), field, nvars)
 
-    def fail(message, i):
-        raise ParseError(message, *_position(text, i, line, col))
+    def entry():
+        first = parser.peek()
+        value = parser.parse_whole()
+        if value.total_degree not in (0, float("-inf")):
+            parser.fail("matrix entries must be scalars", first)
+        return value.coeff((0,) * nvars)
 
-    def expect(ch, i):
-        i = _SPACE.match(text, i).end()
-        if text[i : i + 1] != ch:
-            fail(f"expected {ch!r}", i)
-        return i + 1
+    def row():
+        parser.expect_op("[")
+        entries = [] if parser.at_op("]") else [entry()]  # [] is an empty row
+        while parser.at_op(","):
+            parser.take()
+            entries.append(entry())
+        parser.expect_op("]")
+        return entries
 
-    i = expect("[", 0)
-    opening = i - 1
-    rows = []
-    while True:
-        i = expect("[", i)
-        j = _ROW_BODY.match(text, i).end()
-        body = text[i:j]
-        row = []
-        if body.strip() or text[j : j + 1] != "]":  # else [] is an empty row
-            for entry in body.split(","):
-                row.append(_expression_entry(entry, field, nvars, *_position(text, i, line, col)))
-                i += len(entry) + 1
-            if text[j : j + 1] != "]":
-                fail("expected ']'", j)
-        rows.append(row)
-        i = _SPACE.match(text, j + 1).end()
-        if text[i : i + 1] != ";":
-            break
-        i += 1
-    i = expect("]", i)
-    if len(rows) == 1 and not rows[0]:
-        rows = []  # [[]] is the 0 x 0 matrix
-    width = len(rows[0]) if rows else 0
+    opening = parser.expect_op("[")
+    rows = [row()]
+    while parser.at_op(";"):
+        parser.take()
+        rows.append(row())
+    parser.expect_op("]")
+    width = len(rows[0])
     if any(len(r) != width for r in rows):
-        fail("ragged matrix rows", opening)
-    i = _SPACE.match(text, i).end()
-    if i < len(text):
-        fail("unexpected trailing input", i)
-    return Matrix._from_canonical(field, rows, width)
+        parser.fail("ragged matrix rows", opening)
+    parser.expect_end()
+    # [[]] is the 0 x 0 matrix
+    return Matrix._from_canonical(field, [] if rows == [[]] else rows, width)
 
 
 def parse_matrix(text, field, line=1, col=1, nvars=1):

@@ -373,6 +373,17 @@ def test_internal_error_exit_3_single_endomorphism(tmp_path, capsys, monkeypatch
     assert err == "error: internal: factorization failed\n"
 
 
+@pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
+def test_program_faults_are_internal_errors(tmp_path, capsys, monkeypatch, exc):
+    # no job text reaches these; input errors are ValueErrors
+    def broken(self, rng=None):
+        raise exc("unsupported operand")
+
+    monkeypatch.setattr(modules.CommutingTuple, "_local_pieces", broken)
+    code, out, err = run(capsys, ["class", job(tmp_path, PAIR_F2)])
+    assert (code, out, err) == (3, "", "error: internal: unsupported operand\n")
+
+
 def test_byte_identical_across_runs_and_processes(tmp_path):
     path = job(tmp_path, DIAG_Q)
     outs = [

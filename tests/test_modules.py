@@ -517,7 +517,8 @@ def test_maximal_ideal_key_rejects_nonlocal():
 
 
 def test_keys_are_field_quotients():
-    # the slow independent certificate, test builds only
+    # quotient_is_field shares _split_or_field with the key path, so every
+    # F_p key with p^k <= 4096 is also checked by enumerating k[T]/M
     rng = random.Random(26)
     cases = []
     for field in (F2, F3, QQ):
@@ -525,10 +526,24 @@ def test_keys_are_field_quotients():
             t = random_commuting_tuple(field, rng.randint(1, 2), rng.randint(1, 4), rng)
             for _, key in t._local_pieces(rng):
                 cases.append(key)
-    assert cases
+    for field in (F2, F3):
+        quadratic, cubic = (UniPoly(field, c) for c in IRREDUCIBLES[field])
+        # a residue field of degree 6, and pairs of points that share each
+        # coordinate's minimal polynomial, which only the field test splits
+        tuples = [compositum(quadratic, cubic)]
+        for q in (quadratic, cubic):
+            tuples.append(conjugate(CommutingTuple.direct_sum(*twisted_points(q, rng)), rng))
+        for t in tuples:
+            cases += [key for _, key in t._local_pieces(rng)]
+    enumerated = []
     for key in cases:
         assert quotient_is_field(key.ideal)
         assert key.residue_degree == key.ideal.quotient_dim
+        p = key.ideal.field.characteristic
+        if p and p**key.residue_degree <= 4096:
+            assert field_by_enumeration(key.ideal)
+            enumerated.append(key.residue_degree)
+    assert len(enumerated) == 23 and enumerated.count(6) == 2
 
 
 def test_quotient_is_field_rejects_nonmaximal():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from endok import parse as parse_module
 from endok.errors import ParseError
 from endok.fields import GF, QQ
 from endok.ktheory import GrothendieckClass, k0_class
@@ -132,6 +133,12 @@ MATRIX_ERRORS = [
     # digits are ASCII: neither a superscript nor an Arabic-Indic digit reads
     ("[[\u00b2]]", 3, "unexpected character '\u00b2'"),
     ("[[\u0663]]", 3, "unexpected character '\u0663'"),
+    ("[[1,[2]]]", 5, "expected a number, variable or parenthesized expression"),
+    ("[[(1;2)]]", 5, "expected ')'"),
+    # the whole literal is tokenized first, so a bad character comes first
+    ("[[1,2]];\u00bd", 9, "unexpected character '\u00bd'"),
+    ("[[1,2],[3,4]]", 7, "expected ']'"),
+    ("[[1]][[2]]", 6, "unexpected trailing input"),
 ]
 
 
@@ -162,9 +169,25 @@ def test_matrix_literal_edge_cases():
         with pytest.raises(ParseError, match=f"1:{col}: expected '\\['"):
             parse_matrix(text, QQ)
     # a matrix may span lines; positions follow them
-    with pytest.raises(ParseError) as e:
-        parse_matrix("[[1,2];\n [3,t]]", QQ)
-    assert (e.value.line, e.value.column) == (2, 5)
+    for text, pos in (("[[1,2];\n [3,t]]", (2, 5)), ("[[1];\n[2,\u00bd]]", (2, 4)), ("[[1,2];\n [3 4]]", (2, 5))):
+        with pytest.raises(ParseError) as e:
+            parse_matrix(text, QQ)
+        assert (e.value.line, e.value.column) == pos
+
+
+def test_walked_literal_is_tokenized_once(monkeypatch):
+    # a literal with an expression entry is one token stream, not one per entry
+    calls = []
+    tokenize = parse_module._tokenize
+    monkeypatch.setattr(parse_module, "_tokenize", lambda *a: calls.append(a) or tokenize(*a))
+    rows = [[str(10 + (i * 30 + j) % 90) for j in range(30)] for i in range(30)]
+    rows[17][4] = "2*3-1"
+    text = "[" + ";".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    for field in (QQ, GF(97)):
+        calls.clear()
+        m = parse_matrix(text, field)
+        assert len(calls) == 1
+        assert m.entries[17][4] == 5 and m.entries[29][29] == field.coerce(99)
 
 
 SPACES = st.sampled_from(["", "", " ", "  ", "\t"])
