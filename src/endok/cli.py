@@ -4,21 +4,24 @@ Usage: ``endok <command> <input-file> [--json] [--seed N]``.
 
 Commands operate on a job file (see :mod:`endok.parse` for the grammar)
 and print deterministic text, or a stable JSON document with ``--json``.
-Exit codes: 0 success, 1 input error (any ``ValueError``, ``ParseError``
-among them), 2 verification failure (verify-additivity or oracle-check
-found a mismatch), 3 internal error (a consistency check inside the
-computation failed, or a ``TypeError`` or ``ZeroDivisionError``, which
-no input reaches, so a program fault).
+``--seed`` only picks verify-additivity's random vectors; no other output
+depends on it.  Exit codes: 0 success; 1 input error (any ``ValueError``,
+``ParseError`` among them) or stdout closed before the output was written;
+2 usage error (argparse's ``usage:`` line: an unknown command, a missing
+argument, a bad ``--seed``) or verification failure (verify-additivity or
+oracle-check found a mismatch); 3 internal error (a failed consistency
+check, or a ``TypeError`` or ``ZeroDivisionError``, which no input
+reaches, so a program fault).
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
 from .bruteforce import k0_class_oracle, random_vector
-from .factor import DEFAULT_SEED
 from .ktheory import (
     k0_class,
     kelley_spanier_split,
@@ -31,9 +34,9 @@ from .parse import field_to_string, parse_input
 from .poly import render_monomial
 
 
-def _cmd_class(job, rng):
+def _cmd_class(job):
     t = job.tuple()
-    cls = k0_class(t, rng)
+    cls = k0_class(t)
     payload = {
         "field": field_to_string(t.field),
         "nvars": t.nvars,
@@ -43,7 +46,7 @@ def _cmd_class(job, rng):
     return cls.lines(), payload, 0
 
 
-def _cmd_charpoly(job, rng):
+def _cmd_charpoly(job):
     t = job.tuple()
     lines = []
     mats = []
@@ -62,7 +65,7 @@ def _cmd_charpoly(job, rng):
     return lines, payload, 0
 
 
-def _cmd_split(job, rng):
+def _cmd_split(job):
     t = job.tuple()
     rank, tilde = kelley_spanier_split(t)
     lines = [f"rank {rank}", f"tilde {tilde}"]
@@ -75,11 +78,11 @@ def _cmd_split(job, rng):
     return lines, payload, 0
 
 
-def _cmd_decompose(job, rng):
+def _cmd_decompose(job):
     t = job.tuple()
     lines = []
     pieces = []
-    for i, (w, key) in enumerate(t._local_pieces(rng), 1):
+    for i, (w, key) in enumerate(t._local_pieces(), 1):
         gens = ", ".join(key.ideal.generator_strings())
         lines.append(
             f"piece {i}: dim {w.rows}, key [{gens}], residue {key.residue_degree}"
@@ -100,7 +103,7 @@ def _cmd_decompose(job, rng):
     return lines, payload, 0
 
 
-def _cmd_radical(job, rng):
+def _cmd_radical(job):
     t = job.tuple()
     # the radical series V, rad V, .., 0 gives the radical and the layer
     # dimensions, from one s_i(f_i) per generator; for V = 0 it is [0]
@@ -124,7 +127,7 @@ def _cmd_radical(job, rng):
     return lines, payload, 0
 
 
-def _cmd_annihilator(job, rng):
+def _cmd_annihilator(job):
     t = job.tuple()
     ideal = t.annihilator_ideal()
     lines = [f"generator {g}" for g in ideal.generator_strings()]
@@ -144,16 +147,10 @@ def _cmd_annihilator(job, rng):
 
 def _cmd_verify_additivity(job, rng):
     t = job.tuple()
-    submodules = []
     vectors = [random_vector(t.field, t.dim, rng) for _ in range(3)]
-    for v in vectors:
-        submodules.append(t.generated_submodule([v]))
-    if len(vectors) >= 2:
-        submodules.append(t.generated_submodule(vectors[:2]))
-    failures = []
-    for i, s in enumerate(submodules):
-        if not verify_additivity(t, s, rng):
-            failures.append(i)
+    spans = [[v] for v in vectors] + [vectors[:2]]
+    submodules = [t.generated_submodule(vs) for vs in spans]
+    failures = [i for i, s in enumerate(submodules) if not verify_additivity(t, s)]
     payload = {
         "field": field_to_string(t.field),
         "dim": t.dim,
@@ -167,7 +164,7 @@ def _cmd_verify_additivity(job, rng):
     return [f"additivity ok ({len(submodules)} submodules)"], payload, 0
 
 
-def _cmd_tilde_mul(job, rng):
+def _cmd_tilde_mul(job):
     if not job.tildes:
         raise ValueError("tilde-mul needs at least one num/den pair")
     acc = job.tildes[0]
@@ -180,10 +177,10 @@ def _cmd_tilde_mul(job, rng):
     return [f"tilde {acc}"], payload, 0
 
 
-def _cmd_tilde_map(job, rng):
+def _cmd_tilde_map(job):
     if len(job.tildes) != 1:
         raise ValueError("tilde-map needs exactly one num/den pair")
-    cls = tilde_to_free_abelian(job.tildes[0], rng)
+    cls = tilde_to_free_abelian(job.tildes[0])
     payload = {
         "field": field_to_string(job.field),
         "nvars": 1,
@@ -192,9 +189,9 @@ def _cmd_tilde_map(job, rng):
     return cls.lines(), payload, 0
 
 
-def _cmd_oracle_check(job, rng):
+def _cmd_oracle_check(job):
     t = job.tuple()
-    cls = k0_class(t, rng)
+    cls = k0_class(t)
     oracle = k0_class_oracle(t)
     match = cls == oracle
     lines = ["class:"]
@@ -238,8 +235,9 @@ _PARSER.add_argument("--json", action="store_true", help="emit stable JSON")
 _PARSER.add_argument(
     "--seed",
     type=int,
-    default=DEFAULT_SEED,
-    help="seed for randomized subroutines (default %(default)s)",
+    default=0,
+    help="seed of verify-additivity's random vectors; no other output "
+    "depends on it (default %(default)s)",
 )
 
 
@@ -253,10 +251,12 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rng = random.Random(args.seed)
     try:
         job = parse_input(text)
-        lines, payload, code = _HANDLERS[args.command](job, rng)
+        if args.command == "verify-additivity":
+            lines, payload, code = _cmd_verify_additivity(job, random.Random(args.seed))
+        else:
+            lines, payload, code = _HANDLERS[args.command](job)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -264,11 +264,17 @@ def main(argv=None):
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        out = "\n".join(lines)
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+    out = "\n".join(lines)
+    try:
         if out:
             print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # quiet the flush at exit too (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     return code
 
 

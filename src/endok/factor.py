@@ -24,9 +24,8 @@ and only the monic irreducible factors become Fractions.  Recombination
 tries at most ``RECOMBINATION_BUDGET`` subsets per squarefree part and
 raises ValueError past it, so its exponential worst case stays bounded.
 
-All randomized steps draw from a caller-supplied ``random.Random``; when
-none is given a generator with a fixed seed is used, so repeated runs are
-reproducible.
+Cantor-Zassenhaus, the one randomized step, draws from its own generator
+seeded with ``DEFAULT_SEED``; the sorted factors do not depend on the draws.
 """
 
 import math
@@ -62,7 +61,7 @@ DEFAULT_SEED = 0
 RECOMBINATION_BUDGET = 1 << 14
 
 
-def factor_univariate(f, rng=None):
+def factor_univariate(f):
     """Factor a nonzero univariate polynomial into monic irreducibles.
 
     Returns [(q_i, e_i)] with each q_i monic irreducible over f's field and
@@ -71,23 +70,21 @@ def factor_univariate(f, rng=None):
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
     if f.degree < 1:
         return []
     if f.field.is_rationals:
-        pairs = _factor_rationals(f, rng)
+        pairs = _factor_rationals(f)
     else:
-        pairs = _factor_prime_field(f, rng)
+        pairs = _factor_prime_field(f)
     pairs.sort(key=lambda pair: (pair[0].degree, pair[0].coeffs))
     return pairs
 
 
-def is_irreducible(f, rng=None):
+def is_irreducible(f):
     """True when f is irreducible (degree >= 1 and a single factor once)."""
     if f.is_zero or f.degree < 1:
         return False
-    factors = factor_univariate(f, rng)
+    factors = factor_univariate(f)
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -98,26 +95,26 @@ def is_irreducible(f, rng=None):
 # degree first); only the entry and exit points speak UniPoly.
 
 
-def _factor_prime_field(f, rng):
+def _factor_prime_field(f):
     F = f.field
     p = F.characteristic
     out = {}
     for g, mult in _squarefree(_monic(list(f.coeffs), p), p):
-        for q in _factor_squarefree_modp(g, p, rng):
+        for q in _factor_squarefree_modp(g, p):
             q = tuple(q)
             out[q] = out.get(q, 0) + mult
     return [(UniPoly._from_canonical(F, list(q)), e) for q, e in out.items()]
 
 
-def _factor_squarefree_modp(g, p, rng):
-    """Monic squarefree g over F_p -> unsorted list of monic irreducibles."""
+def _factor_squarefree_modp(g, p):
+    """Monic squarefree g over F_p -> unsorted list of monic irreducibles;
+    one generator serves the equal-degree splits, if any part needs one."""
     if len(g) <= 2:
         return [g] if len(g) == 2 else []
     q = _frobenius(g, p)
-    parts = []
-    for h, d in _distinct_degree_split(g, p, q):
-        parts.extend(_equal_degree_split(h, d, p, rng, q))
-    return parts
+    parts = _distinct_degree_split(g, p, q)
+    rng = random.Random(DEFAULT_SEED) if any(len(h) - 1 > d for h, d in parts) else None
+    return [f for h, d in parts for f in _equal_degree_split(h, d, p, rng, q)]
 
 
 def _frobenius(g, p):
@@ -230,16 +227,16 @@ def _equal_degree_split(h, d, p, rng, q):
 # UniPoly.
 
 
-def _factor_rationals(f, rng):
+def _factor_rationals(f):
     out = {}
     for g, mult in _squarefree_parts(f):
-        for q in _factor_squarefree_integer(g, rng):
+        for q in _factor_squarefree_integer(g):
             q = _as_monic(q, f.field)
             out[q] = out.get(q, 0) + mult
     return list(out.items())
 
 
-def _factor_squarefree_integer(g, rng):
+def _factor_squarefree_integer(g):
     """Primitive squarefree integer g -> list of its irreducible factors
     over Z, as integer lists."""
     factors = []
@@ -249,7 +246,7 @@ def _factor_squarefree_integer(g, rng):
     if len(g) == 2:
         factors.append(g)
     elif len(g) > 2:
-        factors += _zassenhaus(g, rng)
+        factors += _zassenhaus(g)
     return factors
 
 
@@ -323,7 +320,7 @@ def _good_prime(F):
             return p
 
 
-def _zassenhaus(F, rng):
+def _zassenhaus(F):
     """Factor a primitive squarefree integer polynomial of degree >= 2."""
     n = len(F) - 1
     A = max(abs(c) for c in F)
@@ -331,7 +328,7 @@ def _zassenhaus(F, rng):
     # Mignotte: any factor has coefficients bounded by sqrt(n+1)*2^n*A*|b|
     B = (math.isqrt(n + 1) + 1) * (1 << n) * A * abs(b)
     p = _good_prime(F)
-    modular = _factor_squarefree_modp(_monic([c % p for c in F], p), p, rng)
+    modular = _factor_squarefree_modp(_monic([c % p for c in F], p), p)
     if len(modular) == 1:
         return [F]
     l = 1

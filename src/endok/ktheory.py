@@ -11,10 +11,9 @@ through the signed reversal of maximal-ideal generators.
 """
 
 import operator
-import random
 
 from .errors import FieldMismatchError
-from .factor import DEFAULT_SEED, factor_univariate
+from .factor import factor_univariate
 from .linalg import charpoly
 from .modules import MaximalIdealKey, _principal_key
 from .poly import UniPoly, signed_reversal, uni_gcd
@@ -131,13 +130,15 @@ def k0_class(t, rng=None):
     For one endomorphism f the class is read off the factored
     characteristic polynomial (Kelley-Spanier): its piece at (q) is
     ker q(f)^v with v = v_q(chi_f), of dimension deg q * v, so the
-    multiplicity at (q) is v and no piece is built."""
+    multiplicity at (q) is v and no piece is built.  ``rng`` is ignored: no
+    class depends on a seed.  It goes once the benchmark's ``Workload.op``
+    calls ``k0_class(case.tuple)`` (ROADMAP item 7, benchmark-only step)."""
     if t.nvars == 1:
-        factors = factor_univariate(charpoly(t.mats[0]), rng)
+        factors = factor_univariate(charpoly(t.mats[0]))
         support = {principal_maximal_key(q): v for q, v in factors}
         return GrothendieckClass(t.field, 1, support)
     support = {}
-    for w, key in t._local_pieces(rng):
+    for w, key in t._local_pieces():
         if w.rows % key.residue_degree:
             raise RuntimeError(
                 "piece dimension is not a multiple of its residue degree"
@@ -147,11 +148,11 @@ def k0_class(t, rng=None):
     return GrothendieckClass(t.field, t.nvars, support)
 
 
-def verify_additivity(t, s, rng=None):
+def verify_additivity(t, s):
     """Check [V] = [S] + [V/S] for an invariant submodule S."""
     sub = t.restrict(s)
     quo = t.quotient(s)
-    return k0_class(t, rng) == k0_class(sub, rng) + k0_class(quo, rng)
+    return k0_class(t) == k0_class(sub) + k0_class(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def principal_maximal_key(q):
     return _principal_key([q], q.degree)
 
 
-def tilde_to_free_abelian(a, rng=None):
+def tilde_to_free_abelian(a):
     """Factor a tilde fraction onto maximal-ideal keys other than (t).
 
     Each monic irreducible factor, rescaled to constant term 1, pulls back
@@ -258,12 +259,10 @@ def tilde_to_free_abelian(a, rng=None):
     maximal ideal; exponents are numerator minus denominator
     multiplicities.  This is a group homomorphism with trivial kernel.
     """
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
     F = a.num.field
     exps = {}
     for poly, sign in ((a.num, 1), (a.den, -1)):
-        for r, e in factor_univariate(poly, rng):
+        for r, e in factor_univariate(poly):
             r1 = r.scale(F.inv(r.constant_term))
             q = signed_reversal(r1, inverse=True)
             key = principal_maximal_key(q)
@@ -293,7 +292,7 @@ def free_abelian_to_tilde(v):
     return TildeClass(num, den)
 
 
-def compare_splittings(t, rng=None):
+def compare_splittings(t):
     """Consistency of the two n = 1 presentations: the class's image under
     [M] -> (residue degree, signed reversal of M), with (t) -> (1, 1),
     must equal the (dimension, lambda_t) splitting.  Both sides read the
@@ -302,7 +301,7 @@ def compare_splittings(t, rng=None):
     if t.nvars != 1:
         raise ValueError("comparison is defined for a single endomorphism")
     rank, tilde = kelley_spanier_split(t)
-    cls = k0_class(t, rng)
+    cls = k0_class(t)
     total = sum(mult * key.residue_degree for key, mult in cls.items())
     if rank != total:
         return False

@@ -16,13 +16,12 @@ of one-row matrices, ``_submodule_maps``, the invariance check that
 """
 
 import heapq
-import random
 import weakref
 from collections import deque
 from itertools import count, islice
 
 from .errors import FieldMismatchError, NonCommutingError
-from .factor import DEFAULT_SEED, factor_univariate
+from .factor import factor_univariate
 from .linalg import (
     Echelon,
     Matrix,
@@ -460,7 +459,7 @@ class CommutingTuple:
 
     # -- primary decomposition ------------------------------------------------
 
-    def _local_pieces(self, rng=None):
+    def _local_pieces(self):
         """Split V into local pieces; returns [(W, key)] sorted by the
         canonical key order, the rows of W spanning the piece in V's
         coordinates, so that its dimension is W.rows.
@@ -493,8 +492,6 @@ class CommutingTuple:
         see ``_key``).  At the end the pieces' dimensions must add up to
         dim V and the stacked W must have full rank.
         """
-        if rng is None:
-            rng = random.Random(DEFAULT_SEED)
         d = self.dim
         if d == 0:
             return []
@@ -508,7 +505,7 @@ class CommutingTuple:
                     continue
                 if any(q.degree == w.rows for q in qs.values()):
                     break  # a simple piece: _key needs no other q_j
-                factors = factor_univariate(charpoly(f), rng)
+                factors = factor_univariate(charpoly(f))
                 if len(factors) >= 2:
                     split = (f, factors, i)
                     break
@@ -519,7 +516,7 @@ class CommutingTuple:
                     out.append((w, key))
                     continue
                 m = eval_poly_at_matrix(g, list(mats))
-                factors = factor_univariate(charpoly(m), rng)
+                factors = factor_univariate(charpoly(m))
                 if len(factors) < 2:
                     raise RuntimeError(f"the key step's element {g} does not split a piece")
                 split = (m, factors, None)
@@ -553,23 +550,23 @@ class CommutingTuple:
         out.sort(key=lambda item: item[1].sort_key())
         return out
 
-    def primary_decomposition(self, rng=None):
+    def primary_decomposition(self):
         """V as a direct sum of pieces, each local at one maximal ideal:
         on every piece each f_i acts with irreducible-power characteristic
         polynomial.  Pieces come back in canonical key order, each as its
         ``Subspace`` and the tuple restricted to it in its echelon basis."""
         out = []
-        for w, _ in self._local_pieces(rng):
+        for w, _ in self._local_pieces():
             sp = Subspace._row_space(w)
             out.append((sp, self.restrict(sp)))
         return out
 
-    def maximal_ideal_key(self, rng=None):
+    def maximal_ideal_key(self):
         """The key of a local tuple, the one-piece case of the primary
         decomposition; ValueError on the zero module or a non-local tuple."""
         if self.dim == 0:
             raise ValueError("the zero module has no maximal ideal key")
-        pieces = self._local_pieces(rng)
+        pieces = self._local_pieces()
         if len(pieces) != 1:
             raise ValueError(f"tuple is not local: it has {len(pieces)} local pieces")
         return pieces[0][1]

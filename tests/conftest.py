@@ -224,11 +224,11 @@ def tensor(a, b):
     return CommutingTuple(F, a.nvars, a.dim * b.dim, mats)
 
 
-def local_pieces(t, rng):
+def local_pieces(t):
     """(W, piece, key) for each local piece of t: ``_local_pieces`` gives
     the rows W and the key, and piece is t restricted to the span of W's
     rows, in its echelon basis."""
-    for w, key in t._local_pieces(rng):
+    for w, key in t._local_pieces():
         yield w, t.restrict(Subspace._row_space(w)), key
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import subprocess
@@ -352,7 +353,7 @@ def test_num_den_errors_point_into_the_line(tmp_path, capsys, text, expected):
 def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     from endok.modules import CommutingTuple
 
-    def broken(self, rng=None):
+    def broken(self):
         raise RuntimeError("primary decomposition lost dimensions")
 
     monkeypatch.setattr(CommutingTuple, "_local_pieces", broken)
@@ -364,7 +365,7 @@ def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
 def test_internal_error_exit_3_single_endomorphism(tmp_path, capsys, monkeypatch):
     import endok.ktheory
 
-    def broken(f, rng=None):
+    def broken(f):
         raise RuntimeError("factorization failed")
 
     monkeypatch.setattr(endok.ktheory, "factor_univariate", broken)
@@ -376,7 +377,7 @@ def test_internal_error_exit_3_single_endomorphism(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
 def test_program_faults_are_internal_errors(tmp_path, capsys, monkeypatch, exc):
     # no job text reaches these; input errors are ValueErrors
-    def broken(self, rng=None):
+    def broken(self):
         raise exc("unsupported operand")
 
     monkeypatch.setattr(modules.CommutingTuple, "_local_pieces", broken)
@@ -397,6 +398,28 @@ def test_byte_identical_across_runs_and_processes(tmp_path):
     ]
     assert outs[0] == outs[1]
     assert json.loads(outs[0].decode())["class"][0]["generators"] == ["t"]
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # the read end of stdout's pipe is closed before the output is written:
+    # exit 1 with one error line, and no traceback from the write or from
+    # the flush at interpreter exit
+    path = job(tmp_path, DIAG_Q)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "endok.cli", "class", path],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=src_env(),
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):

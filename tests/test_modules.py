@@ -480,7 +480,7 @@ def test_primary_decomposition_properties(field):
     rng = random.Random(25)
     for _ in range(15):
         t = random_commuting_tuple(field, rng.randint(1, 3), rng.randint(1, 5), rng)
-        pieces = t.primary_decomposition(rng)
+        pieces = t.primary_decomposition()
         assert sum(s.dim for s, _ in pieces) == t.dim
         stacked = Subspace(
             field, t.dim, [v for s, _ in pieces for v in s.basis]
@@ -488,7 +488,7 @@ def test_primary_decomposition_properties(field):
         assert stacked.dim == t.dim
         for _, piece in pieces:
             for m in piece.mats:
-                assert len(factor_univariate(minimal_polynomial(m), rng)) <= 1
+                assert len(factor_univariate(minimal_polynomial(m))) <= 1
 
 
 # -- maximal ideal keys -----------------------------------------------------------------
@@ -524,7 +524,7 @@ def test_keys_are_field_quotients():
     for field in (F2, F3, QQ):
         for _ in range(6):
             t = random_commuting_tuple(field, rng.randint(1, 2), rng.randint(1, 4), rng)
-            for _, key in t._local_pieces(rng):
+            for _, key in t._local_pieces():
                 cases.append(key)
     for field in (F2, F3):
         quadratic, cubic = (UniPoly(field, c) for c in IRREDUCIBLES[field])
@@ -534,7 +534,7 @@ def test_keys_are_field_quotients():
         for q in (quadratic, cubic):
             tuples.append(conjugate(CommutingTuple.direct_sum(*twisted_points(q, rng)), rng))
         for t in tuples:
-            cases += [key for _, key in t._local_pieces(rng)]
+            cases += [key for _, key in t._local_pieces()]
     enumerated = []
     for key in cases:
         assert quotient_is_field(key.ideal)
@@ -543,7 +543,7 @@ def test_keys_are_field_quotients():
         if p and p**key.residue_degree <= 4096:
             assert field_by_enumeration(key.ideal)
             enumerated.append(key.residue_degree)
-    assert len(enumerated) == 23 and enumerated.count(6) == 2
+    assert len(enumerated) == 26 and enumerated.count(6) == 2
 
 
 def test_quotient_is_field_rejects_nonmaximal():
@@ -630,12 +630,12 @@ def test_field_test_matches_enumeration(field, monkeypatch):
 
     monkeypatch.setattr(modules, "_split_or_field", recording)
     for t, is_field in field_test_cases(field, rng):
-        k0_class(t, random.Random(0))
+        k0_class(t)
         known[t.annihilator_ideal()] = is_field
     monkeypatch.undo()
     assert recorded  # the key step ran the field test
 
-    def no_factoring(f, rng=None):
+    def no_factoring(f):
         raise AssertionError("the field test over F_p factors a polynomial")
 
     monkeypatch.setattr(modules, "factor_univariate", no_factoring)
@@ -716,7 +716,7 @@ def test_field_test_over_q_tries_few_linear_forms(monkeypatch):
                 ideals.append(t.annihilator_ideal())
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(modules, "_split_or_field", recording)
-                k0_class(conjugate(t, rng), random.Random(0))
+                k0_class(conjugate(t, rng))
     assert len(ideals) > 9
     for ideal in ideals:
         g = field_test(ideal)
@@ -750,7 +750,7 @@ def test_class_support_stable_under_quotient(field):
     rng = random.Random(27)
     for _ in range(12):
         t = random_commuting_tuple(field, rng.randint(1, 2), rng.randint(1, 5), rng)
-        base_support = set(k0_class(t, rng).support)
+        base_support = set(k0_class(t).support)
         s = t.generated_submodule([random_vector(field, t.dim, rng)])
         for derived in (t.restrict(s), t.quotient(s)):
-            assert set(k0_class(derived, rng).support) <= base_support
+            assert set(k0_class(derived).support) <= base_support

@@ -120,4 +120,4 @@ def test_oracle_agreement_random_pairs():
     for i in range(20):
         field = F2 if i % 2 else F3
         t = random_commuting_tuple(field, 2, rng.randint(1, 4), rng)
-        assert k0_class(t, rng) == k0_class_oracle(t)
+        assert k0_class(t) == k0_class_oracle(t)

@@ -183,7 +183,7 @@ def test_random_direct_sums_match_oracle():
                 random_commuting_tuple(field, n, d1, rng),
                 random_commuting_tuple(field, n, d2, rng),
             )
-            cls = k0_class(t, rng)
+            cls = k0_class(t)
             assert cls == k0_class_oracle(t)
             assert bookkeeping(cls) == t.dim
 
@@ -209,7 +209,7 @@ def test_frobenius_twisted_sums_match_oracle(monkeypatch):
                 CommutingTuple(field, 2, q.degree, [C, gC]),
                 CommutingTuple(field, 2, q.degree, [C, gC.pow(p)]),
             )
-            cls = k0_class(t, rng)
+            cls = k0_class(t)
             assert cls == k0_class_oracle(t)
             assert bookkeeping(cls) == t.dim
     assert hits
@@ -231,7 +231,7 @@ def test_conjugated_twisted_sums_split_both_ways(monkeypatch):
         for _ in range(4):
             t = CommutingTuple.direct_sum(*twisted_points(q, rng))
             for u in (t, conjugate(t, rng)):
-                cls = k0_class(u, rng)
+                cls = k0_class(u)
                 assert cls == k0_class_oracle(u)
                 assert bookkeeping(cls) == u.dim
     assert separations
@@ -267,7 +267,7 @@ def test_socle_key_matches_semisimple_quotient_key():
             at = [tensor(pt, fat) for pt in twisted_points(q, rng)]
             tuples += [fat, conjugate(CommutingTuple.direct_sum(*at), rng)]
     for t in tuples:
-        for _, piece, key in local_pieces(t, random.Random(0)):
+        for _, piece, key in local_pieces(t):
             assert piece.semisimplify().annihilator_ideal() == key.ideal
 
 
@@ -334,15 +334,15 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         charpolys.append(m)  # keeps m alive, so ids stay unique
         return original_charpoly(m)
 
-    def counting_factor(f, rng=None):
+    def counting_factor(f):
         factor_calls.append(f)
-        return original_factor(f, rng)
+        return original_factor(f)
 
     monkeypatch.setattr(modules, "minimal_polynomial", minpolys.append)
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
 
-    cls = k0_class(t, random.Random(0))
+    cls = k0_class(t)
     assert bookkeeping(cls) == t.dim and len(cls.items()) >= 2
     assert minpolys == []
     # each factorization is of a distinct matrix's characteristic polynomial
@@ -383,10 +383,10 @@ def test_split_builds_no_tuples(monkeypatch, tmp_path, capsys):
             built.append(args)
         init(self, *args)
 
-    def marked(self, rng=None):
+    def marked(self):
         inside.append(self)
         try:
-            return split(self, rng)
+            return split(self)
         finally:
             inside.pop()
 
@@ -400,7 +400,7 @@ def test_split_builds_no_tuples(monkeypatch, tmp_path, capsys):
     path = tmp_path / "job.txt"
     for t in split_cases():
         socles.clear()
-        assert len(k0_class(t, random.Random(0)).items()) >= 2
+        assert len(k0_class(t).items()) >= 2
         assert socles
         path.write_text(job_text(t))
         assert main(["decompose", str(path)]) == 0
@@ -431,7 +431,7 @@ def test_key_builds_no_quotient(monkeypatch):
             random_commuting_tuple(field, n, 5, rng, block_split=False),
             random_commuting_tuple(field, n, 4, rng, block_split=False),
         )
-        cls = k0_class(t, rng)
+        cls = k0_class(t)
         assert bookkeeping(cls) == t.dim
     assert quotients == []
     assert starts and all(start.cols == 1 for start in starts)
@@ -519,7 +519,7 @@ def test_shortcut_key_matches_socle_annihilator(case):
     # _key finds it without an annihilator or a matrix evaluation
     t, wide = case
     shortcuts = 0
-    for _, piece, key in local_pieces(t, random.Random(0)):
+    for _, piece, key in local_pieces(t):
         qs = primary_qs(piece)
         if sum(q.degree > 1 for q in qs.values()) > 1:
             continue
@@ -561,7 +561,7 @@ def test_twisted_points_take_the_annihilator_path(monkeypatch):
                 continue  # g constant: one point, and f_2 has a linear q
             t = conjugate(CommutingTuple.direct_sum(*points), rng)
             starts.clear()
-            pieces = t._local_pieces(random.Random(0))
+            pieces = t._local_pieces()
             assert starts
             assert len(pieces) == 2 and [w.rows for w, _ in pieces] == [2, 2]
             assert k0_class(t) == k0_class(points[0]) + k0_class(points[1])
@@ -575,13 +575,13 @@ def test_local_pieces_match_primary_decomposition(case):
     # (restrict checks it), local at the key, and each generator on it
     # has one irreducible factor
     t, _ = case
-    pieces = t._local_pieces(random.Random(0))
-    canonical = t.primary_decomposition(random.Random(0))
+    pieces = t._local_pieces()
+    canonical = t.primary_decomposition()
     assert len(pieces) == len(canonical)
     for (w, key), (sub, restricted) in zip(pieces, canonical):
         assert Subspace._row_space(w) == sub
         assert w.rows == sub.dim == restricted.dim
-        assert restricted.maximal_ideal_key(random.Random(0)) is key
+        assert restricted.maximal_ideal_key() is key
         assert all(len(factor_univariate(charpoly(r))) == 1 for r in restricted.mats)
 
 
@@ -603,7 +603,7 @@ def test_elimination_count_on_a_fixed_tuple(monkeypatch):
         random_commuting_tuple(F97, 3, 5, rng, block_split=False),
     )
     monkeypatch.setattr(_kernels, "rref_mod", counted)
-    cls = k0_class(t, random.Random(0))
+    cls = k0_class(t)
     assert bookkeeping(cls) == 18 and len(cls.items()) == 7
     assert len(calls) == 7
 
@@ -611,7 +611,7 @@ def test_elimination_count_on_a_fixed_tuple(monkeypatch):
 # -- generalised eigenspaces peeled off one at a time ---------------------------
 
 
-def kernel_per_factor_pieces(t, rng):
+def kernel_per_factor_pieces(t):
     """The split loop of ``_local_pieces`` with every generalised
     eigenspace taken as the kernel of q(m)^v on the whole item, one
     elimination per factor: the reference for peeling."""
@@ -623,7 +623,7 @@ def kernel_per_factor_pieces(t, rng):
         for i, f in enumerate(mats):
             if i in qs:
                 continue
-            factors = factor_univariate(charpoly(f), rng)
+            factors = factor_univariate(charpoly(f))
             if len(factors) >= 2:
                 split = (f, factors, i)
                 break
@@ -634,7 +634,7 @@ def kernel_per_factor_pieces(t, rng):
                 out.append((w, mats, key))
                 continue
             m = eval_poly_at_matrix(g, list(mats))
-            split = (m, factor_univariate(charpoly(m), rng), None)
+            split = (m, factor_univariate(charpoly(m)), None)
         m, factors, i = split
         for q, v in factors:
             ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
@@ -690,9 +690,9 @@ def test_peeled_pieces_match_a_kernel_per_factor(field, monkeypatch):
     hits = count_separations(monkeypatch)
     separated = 0
     for t in peel_cases(field):
-        reference = kernel_per_factor_pieces(t, random.Random(0))
+        reference = kernel_per_factor_pieces(t)
         hits.clear()
-        peeled = list(local_pieces(t, random.Random(0)))
+        peeled = list(local_pieces(t))
         separated += bool(hits)
         assert [key for _, _, key in peeled] == [key for _, _, key in reference]
         for (w, piece, _), (v, mats, _) in zip(peeled, reference):
@@ -761,7 +761,7 @@ def test_simple_piece_keys_match_annihilators(field):
     # ideal, and the class the brute-force oracle finds
     rng = random.Random(44)
     for t, points, fat in simple_cases(field, rng):
-        pieces = list(local_pieces(t, random.Random(0)))
+        pieces = list(local_pieces(t))
         assert len(pieces) == len(points)
         # for a simple point, Ann(V) is the maximal ideal at it
         assert {key.ideal for _, _, key in pieces} == {pt.annihilator_ideal() for pt in points}
@@ -781,7 +781,7 @@ def test_simple_piece_keys_match_annihilators(field):
             p = field.characteristic
             if p and subspace_count(p, d) <= DEFAULT_BOUND:
                 assert k0_class(piece) == k0_class_oracle(piece)
-        cls = k0_class(t, random.Random(0))
+        cls = k0_class(t)
         assert [mult for _, mult in cls.items()] == [3 if fat else 1] * len(points)
 
 
@@ -816,9 +816,9 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
         charpolys.append(m.rows)
         return original_charpoly(m)
 
-    def counting_factor(f, rng=None):
+    def counting_factor(f):
         factor_calls.append(f)
-        return original_factor(f, rng)
+        return original_factor(f)
 
     def recording_annihilator(mats, start):
         starts.append(start.rows)
@@ -827,7 +827,7 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
     monkeypatch.setattr(modules, "_annihilator", recording_annihilator)
-    cls = k0_class(t, random.Random(0))
+    cls = k0_class(t)
     assert [mult for _, mult in cls.items()] == [1] * 6
     # the root's f_1, then only on the twisted piece: its f_2 and the g(f)
     # that splits it; the field test over F_97 factors nothing
@@ -899,8 +899,8 @@ def fault_residue_degree(patch):
     t = CommutingTuple(QQ, 2, 3, [f, Matrix.zeros(QQ, 3, 3)])
     original = modules.factor_univariate
 
-    def lossy(g, rng=None):
-        factors = original(g, rng)
+    def lossy(g):
+        factors = original(g)
         return [qv for qv in factors if qv[0].degree > 1] or factors
 
     patch.setattr(modules, "factor_univariate", calls_at_most(10, lossy))
@@ -916,8 +916,8 @@ def eigenspace_fault(q, v):
         t = CommutingTuple(QQ, 2, 4, [f, Matrix.zeros(QQ, 4, 4)])
         original = modules.factor_univariate
 
-        def wrong(g, rng=None):
-            return [(r, v if r == q else e) for r, e in original(g, rng)]
+        def wrong(g):
+            return [(r, v if r == q else e) for r, e in original(g)]
 
         patch.setattr(modules, "factor_univariate", calls_at_most(10, wrong))
         dim = q.degree * v
