@@ -38,7 +38,6 @@ def _cmd_class(job):
     t = job.tuple()
     cls = k0_class(t)
     payload = {
-        "field": field_to_string(t.field),
         "nvars": t.nvars,
         "dim": t.dim,
         "class": cls.to_json_entries(),
@@ -57,7 +56,6 @@ def _cmd_charpoly(job):
         lines.append(f"lambda {lam}")
         mats.append({"charpoly": str(c), "lambda": str(lam)})
     payload = {
-        "field": field_to_string(t.field),
         "nvars": t.nvars,
         "dim": t.dim,
         "matrices": mats,
@@ -70,7 +68,6 @@ def _cmd_split(job):
     rank, tilde = kelley_spanier_split(t)
     lines = [f"rank {rank}", f"tilde {tilde}"]
     payload = {
-        "field": field_to_string(t.field),
         "dim": t.dim,
         "rank": rank,
         "tilde": {"num": str(tilde.num), "den": str(tilde.den)},
@@ -95,7 +92,6 @@ def _cmd_decompose(job):
             }
         )
     payload = {
-        "field": field_to_string(t.field),
         "nvars": t.nvars,
         "dim": t.dim,
         "pieces": pieces,
@@ -110,14 +106,12 @@ def _cmd_radical(job):
     series = list(t._radical_series())
     rad = series[1] if t.dim else series[0]
     dims = [w.dim - r.dim for w, r in zip(series, series[1:])]
-    F = t.field
-    basis = [[F.render(x) for x in row] for row in rad.basis]
+    basis = [[t.field.render(x) for x in row] for row in rad.basis]
     lines = [f"radical dim {rad.dim}"]
     if basis:
         lines.append(f"basis {rad.matrix}")
     lines.append("layers " + " ".join(str(d) for d in dims) if dims else "layers")
     payload = {
-        "field": field_to_string(F),
         "nvars": t.nvars,
         "dim": t.dim,
         "radical_dim": rad.dim,
@@ -135,7 +129,6 @@ def _cmd_annihilator(job):
     lines.append("standard " + ", ".join(monos) if monos else "standard")
     lines.append(f"dimension {ideal.quotient_dim}")
     payload = {
-        "field": field_to_string(t.field),
         "nvars": t.nvars,
         "dim": t.dim,
         "generators": list(ideal.generator_strings()),
@@ -152,7 +145,6 @@ def _cmd_verify_additivity(job, rng):
     submodules = [t.generated_submodule(vs) for vs in spans]
     failures = [i for i, s in enumerate(submodules) if not verify_additivity(t, s)]
     payload = {
-        "field": field_to_string(t.field),
         "dim": t.dim,
         "ok": not failures,
         "submodules": len(submodules),
@@ -171,7 +163,6 @@ def _cmd_tilde_mul(job):
     for other in job.tildes[1:]:
         acc = acc * other
     payload = {
-        "field": field_to_string(job.field),
         "tilde": {"num": str(acc.num), "den": str(acc.den)},
     }
     return [f"tilde {acc}"], payload, 0
@@ -182,7 +173,6 @@ def _cmd_tilde_map(job):
         raise ValueError("tilde-map needs exactly one num/den pair")
     cls = tilde_to_free_abelian(job.tildes[0])
     payload = {
-        "field": field_to_string(job.field),
         "nvars": 1,
         "class": cls.to_json_entries(),
     }
@@ -200,7 +190,6 @@ def _cmd_oracle_check(job):
     lines += oracle.lines()
     lines.append("oracle ok" if match else "oracle MISMATCH")
     payload = {
-        "field": field_to_string(t.field),
         "nvars": t.nvars,
         "dim": t.dim,
         "class": cls.to_json_entries(),
@@ -264,6 +253,7 @@ def main(argv=None):
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     if args.json:
+        payload["field"] = field_to_string(job.field)
         lines = [json.dumps(payload, indent=2, sort_keys=True)]
     out = "\n".join(lines)
     try:

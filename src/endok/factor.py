@@ -1,28 +1,34 @@
 """Irreducible factorization of univariate polynomials over Q and F_p.
 
-Over F_p: squarefree decomposition, then distinct-degree splitting
-followed by randomized Cantor-Zassenhaus equal-degree splitting.  Both
-raise to the p-th power with the Frobenius matrix of the squarefree part
-g (``_frobenius``: row i is t^(ip) mod g, Berlekamp's Q): Frobenius is
-F_p-linear, so h^p mod g is the one vector-matrix product h.Q mod p on a
-residue array, and h^p mod a divisor f of g is that product reduced mod
-f, so one Q serves every modulus of g's splitting.  Everything else,
-gcds and products included, runs on the coefficient lists of
-:mod:`endok.poly` (raw residues, one reduction mod p per coefficient).
-Distinct-degree splitting takes one such step per degree; equal-degree
-splitting takes r^((p^d - 1)/2) as the norm r.r^p...r^(p^(d-1)), d - 1
-steps, raised to the power (p - 1)/2, and over F_2 the trace
-r + r^2 + ... + r^(2^(d-1)) in d - 1 steps (von zur Gathen-Shoup).
+One driver serves both fields: ``factor_univariate`` takes Yun's
+squarefree parts of f (``poly._squarefree_parts``: of its monic residues
+over F_p, of its primitive integer multiple over Q), splits each part into
+irreducibles and gives each irreducible its part's multiplicity.  The
+parts are pairwise coprime, in characteristic p too, so every irreducible
+comes out of exactly one part and no multiplicities are added up.
 
-Over Q: the polynomial is cleared to a primitive integer one, Yun's
-squarefree split runs over Z (:mod:`endok.poly`), and Zassenhaus factors
-each primitive integer part as it comes: reduce modulo a good prime,
-Hensel-lift the modular factors above the Mignotte coefficient bound, and
-recombine subsets, with a candidate factor checked by exact division over
-Z.  Integer polynomials use the same coefficient-list helpers with p = 0,
-and only the monic irreducible factors become Fractions.  Recombination
-tries at most ``RECOMBINATION_BUDGET`` subsets per squarefree part and
-raises ValueError past it, so its exponential worst case stays bounded.
+Over F_p each part g goes through distinct-degree splitting followed by
+randomized Cantor-Zassenhaus equal-degree splitting.  Both raise to the
+p-th power with the Frobenius matrix of g (``_frobenius``: row i is
+t^(ip) mod g, Berlekamp's Q): Frobenius is F_p-linear, so h^p mod g is
+the one vector-matrix product h.Q mod p on a residue array, and h^p mod a
+divisor f of g is that product reduced mod f, so one Q serves every
+modulus of g's splitting.  Everything else, gcds and products included,
+runs on the coefficient lists of :mod:`endok.poly` (raw residues, one
+reduction mod p per coefficient).  Distinct-degree splitting takes one
+such step per degree; equal-degree splitting takes r^((p^d - 1)/2) as
+the norm r.r^p...r^(p^(d-1)), d - 1 steps, raised to the power
+(p - 1)/2, and over F_2 the trace r + r^2 + ... + r^(2^(d-1)) in d - 1
+steps (von zur Gathen-Shoup).
+
+Over Q the parts are primitive integer polynomials, and Zassenhaus
+factors each of them: reduce modulo a good prime, Hensel-lift the modular
+factors above the Mignotte coefficient bound, and recombine subsets, with
+a candidate factor checked by exact division over Z.  Integer polynomials
+use the same coefficient-list helpers with p = 0, and only the monic
+irreducible factors become Fractions.  Recombination tries at most
+``RECOMBINATION_BUDGET`` subsets per squarefree part and raises
+ValueError past it, so its exponential worst case stays bounded.
 
 Cantor-Zassenhaus, the one randomized step, draws from its own generator
 seeded with ``DEFAULT_SEED``; the sorted factors do not depend on the draws.
@@ -37,7 +43,6 @@ import numpy as np
 from . import _kernels
 from .fields import is_prime
 from .poly import (
-    UniPoly,
     _add,
     _as_monic,
     _derivative,
@@ -49,7 +54,6 @@ from .poly import (
     _mul,
     _pow_mod,
     _primitive,
-    _squarefree,
     _squarefree_parts,
     _sub,
     _trim,
@@ -72,10 +76,13 @@ def factor_univariate(f):
         raise ValueError("cannot factor the zero polynomial")
     if f.degree < 1:
         return []
-    if f.field.is_rationals:
-        pairs = _factor_rationals(f)
-    else:
-        pairs = _factor_prime_field(f)
+    F = f.field
+    p = F.characteristic
+    pairs = [
+        (_as_monic(q, F), e)
+        for g, e in _squarefree_parts(f)
+        for q in (_factor_squarefree_modp(g, p) if p else _factor_squarefree_integer(g))
+    ]
     pairs.sort(key=lambda pair: (pair[0].degree, pair[0].coeffs))
     return pairs
 
@@ -92,18 +99,7 @@ def is_irreducible(f):
 # prime fields
 #
 # The loops run on the coefficient lists of endok.poly (raw residues, lowest
-# degree first); only the entry and exit points speak UniPoly.
-
-
-def _factor_prime_field(f):
-    F = f.field
-    p = F.characteristic
-    out = {}
-    for g, mult in _squarefree(_monic(list(f.coeffs), p), p):
-        for q in _factor_squarefree_modp(g, p):
-            q = tuple(q)
-            out[q] = out.get(q, 0) + mult
-    return [(UniPoly._from_canonical(F, list(q)), e) for q, e in out.items()]
+# degree first); only factor_univariate speaks UniPoly.
 
 
 def _factor_squarefree_modp(g, p):
@@ -223,17 +219,7 @@ def _equal_degree_split(h, d, p, rng, q):
 # rationals (Zassenhaus)
 #
 # Integer polynomials are plain low-to-high int lists here, on the same
-# coefficient-list helpers with p = 0; only the entry and exit points speak
-# UniPoly.
-
-
-def _factor_rationals(f):
-    out = {}
-    for g, mult in _squarefree_parts(f):
-        for q in _factor_squarefree_integer(g):
-            q = _as_monic(q, f.field)
-            out[q] = out.get(q, 0) + mult
-    return list(out.items())
+# coefficient-list helpers with p = 0; only factor_univariate speaks UniPoly.
 
 
 def _factor_squarefree_integer(g):

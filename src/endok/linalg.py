@@ -27,7 +27,7 @@ differs:
   theorem until their product passes 2 max_k C(d, k) R^k, twice
   Hadamard's bound on the coefficients of chi_N for R the largest
   Euclidean row norm of N;
-* ``_init_rows``, which builds N/D from rows of field scalars;
+* the ``Matrix`` constructor, which builds N/D from rows of field scalars;
 * ``Echelon``, the incremental store of vectors (a matrix's N/D, flattened
   row by row): over F_p one fully reduced residue array, each insert one
   product in ``_kernels.echelon_insert_mod``; over Q primitive integer
@@ -36,22 +36,24 @@ differs:
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
 
-Scalars are coerced once, where they enter: the public ``Matrix`` and
-``Subspace`` constructors coerce and check their input, while matrices
-built here from already canonical scalars go through ``_from_canonical``
-(or ``_from_integers``).
+Scalars are coerced where they enter: the ``Matrix`` constructor, which
+``Subspace`` also uses, coerces and checks its rows, and matrices built
+here from integer arrays go through ``_from_integers`` or ``_from_form``.
+Only a literal with an expression entry (``parse._walk_matrix``) passes
+rows of canonical scalars to the constructor, which coerces them again.
 """
 
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import comb, gcd, isqrt, lcm
+from operator import matmul
 
 import numpy as np
 
 from . import _kernels
 from .errors import FieldMismatchError
 from .fields import is_prime
-from .poly import MultiPoly, UniPoly, _cleared, _primitive, uni_lcm
+from .poly import MultiPoly, UniPoly, _cleared, _power, _primitive, uni_lcm
 
 
 class Matrix:
@@ -76,16 +78,17 @@ class Matrix:
                 raise ValueError(f"expected {cols} columns, found {width}")
         else:
             width = cols or 0
-        _init_rows(self, field, grid, width)
+        p = field.characteristic
+        if p:
+            num, den = np.array(grid, dtype=_kernels.dtype(p)), 1
+        else:
+            # the numerators over the least common denominator: canonical
+            nums, den = _cleared(list(chain.from_iterable(grid)))
+            num = np.array(nums, dtype=object)
+        _init(self, field, num.reshape(len(grid), width), den, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def _from_canonical(cls, field, grid, cols):
-        """A matrix over rows of canonical scalars, all of length cols,
-        taken as they are: no coercion and no shape check."""
-        return _init_rows(object.__new__(cls), field, tuple(map(tuple, grid)), cols)
 
     @classmethod
     def _from_integers(cls, field, num, den=1):
@@ -228,19 +231,7 @@ class Matrix:
     def pow(self, e):
         if not self.is_square:
             raise ValueError("matrix power needs a square matrix")
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return Matrix.identity(self.field, self.rows)
-        out = None
-        base = self
-        while True:
-            if e & 1:
-                out = base if out is None else out @ base
-            e >>= 1
-            if not e:
-                return out
-            base = base @ base
+        return _power(self, e, lambda: Matrix.identity(self.field, self.rows), matmul)
 
     def transpose(self):
         return Matrix._from_form(self.field, self._num.T, self._den)
@@ -284,20 +275,6 @@ def _init(m, field, num, den, entries=None):
     put(m, "_num", num)
     put(m, "_den", den)
     return m
-
-
-def _init_rows(m, field, grid, cols):
-    """Fill a new matrix from row tuples of canonical scalars, all of
-    length cols: they are kept as its entries, and N/D is built from
-    them; returns it."""
-    p = field.characteristic
-    if p:
-        num, den = np.array(grid, dtype=_kernels.dtype(p)), 1
-    else:
-        # the numerators over the least common denominator: canonical
-        nums, den = _cleared(list(chain.from_iterable(grid)))
-        num = np.array(nums, dtype=object)
-    return _init(m, field, num.reshape(len(grid), cols), den, grid)
 
 
 def _submatrix(m, rows, cols):
@@ -381,11 +358,11 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "matrix", "pivots")
 
     def __init__(self, field, ambient_dim, vectors):
-        vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
+        vecs = list(map(tuple, vectors))
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        self._span(Matrix._from_canonical(field, vecs, ambient_dim))
+        self._span(Matrix(field, vecs, cols=ambient_dim))
 
     @classmethod
     def _row_space(cls, m):

@@ -223,7 +223,15 @@ def parse_poly(text, field, nvars, line=1, col=1):
 
 
 def parse_unipoly(text, field, line=1, col=1):
-    return parse_poly(text, field, 1, line, col).to_unipoly()
+    f = parse_poly(text, field, 1, line, col)
+    try:
+        return f.to_unipoly()
+    except (MemoryError, OverflowError):
+        # the dense coefficient list is longer than memory or an index holds
+        degree = f.total_degree
+        if degree.bit_length() > 14000:  # str() takes at most 4300 digits
+            degree = f"at least 2^{degree.bit_length() - 1}"
+        raise ParseError(f"polynomial degree {degree} is too large", line, col) from None
 
 
 # A matrix literal whose entries are all plain, ``[+-] a`` or ``[+-] a/b``
@@ -305,7 +313,7 @@ def _walk_matrix(text, field, line, col, nvars):
         parser.fail("ragged matrix rows", opening)
     parser.expect_end()
     # [[]] is the 0 x 0 matrix
-    return Matrix._from_canonical(field, [] if rows == [[]] else rows, width)
+    return Matrix(field, [] if rows == [[]] else rows, width)
 
 
 def parse_matrix(text, field, line=1, col=1, nvars=1):

@@ -24,7 +24,7 @@ by the deterministic sort keys used for ideals.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .errors import FieldMismatchError
 
@@ -320,6 +320,25 @@ def _squarefree(f, p):
     return factors
 
 
+def _power(base, e, one, mul):
+    """base**e for an integer e >= 0 by square-and-multiply over the bits
+    of e, with the product mul: one() is called only for e = 0, the unit
+    is never multiplied in and the square after the last bit is skipped,
+    so base**1 is base itself."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    if not e:
+        return one()
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else mul(out, base)
+        e >>= 1
+        if not e:
+            return out
+        base = mul(base, base)
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials
 
@@ -441,16 +460,7 @@ class UniPoly:
         return UniPoly._from_canonical(F, _scale(self.coeffs, F.coerce(c), F.characteristic))
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = UniPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, lambda: UniPoly.one(self.field), mul)
 
     def __divmod__(self, g):
         self._check(g)
@@ -785,16 +795,7 @@ class MultiPoly:
         return MultiPoly(F, self.nvars, [(e, F.mul(c, a)) for e, a in self.terms])
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = MultiPoly.one(self.field, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, lambda: MultiPoly.one(self.field, self.nvars), mul)
 
     def monic(self):
         if self.is_zero:

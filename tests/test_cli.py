@@ -350,6 +350,31 @@ def test_num_den_errors_point_into_the_line(tmp_path, capsys, text, expected):
     assert (code, out, err) == (1, "", f"error: {expected}\n")
 
 
+@pytest.mark.parametrize("exponent", [10**18, 10**20], ids=["memory", "index"])
+@pytest.mark.parametrize("directive", ["num", "den"])
+def test_huge_num_den_degrees_are_input_errors(tmp_path, capsys, directive, exponent):
+    # a dense coefficient list of 10^18 + 1 entries fails to allocate at
+    # once, and one of 10^20 + 1 entries does not fit an index: either is
+    # an input error at the polynomial's position, naming its degree
+    if directive == "num":
+        text, pos = f"field F 5\nnum t^{exponent}\n", "2:5"
+    else:
+        text, pos = f"field F 5\nnum t\nden  t^{exponent} + 1\n", "3:6"
+    code, out, err = run(capsys, ["tilde-map", job(tmp_path, text)])
+    assert (code, out, err) == (1, "", f"error: {pos}: polynomial degree {exponent} is too large\n")
+
+
+def test_huge_degree_past_the_digit_limit_is_named_by_a_power_of_two(tmp_path, capsys):
+    # a degree with more digits than str() converts is named by its
+    # leading power of two
+    nines = "9" * sys.get_int_max_str_digits()
+    degree = 2 * int(nines)
+    text = f"field F 5\nnum t^{nines}*t^{nines}\n"
+    code, out, err = run(capsys, ["tilde-map", job(tmp_path, text)])
+    expected = f"error: 2:5: polynomial degree at least 2^{degree.bit_length() - 1} is too large\n"
+    assert (code, out, err) == (1, "", expected)
+
+
 def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     from endok.modules import CommutingTuple
 

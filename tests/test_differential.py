@@ -105,6 +105,26 @@ def test_charpoly_and_factors_match_sympy(field):
         assert factors == sympy_factors(reversed(ours.coeffs), field), str(ours)
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=field_id)
+def test_factors_with_multiplicities_at_p_match_sympy(field):
+    # products of q_i^e_i with e_i in {1, p, p + 1, 2p} (p = 3 over Q),
+    # half of them with a power of t: factor_univariate gives each
+    # irreducible the multiplicity of the one squarefree part it comes
+    # from, and a q^(p + 1) split over two parts would show here as two
+    # entries for q
+    rng = random.Random(29)
+    p = field.characteristic or 3
+    exponents = (1, p, p + 1, 2 * p)
+    for _ in range(30):
+        f = UniPoly.constant(field, field.random_scalar(rng) or field.one)
+        if rng.random() < 0.5:
+            f = f * UniPoly(field, [0, 1]) ** rng.choice(exponents)
+        for _ in range(rng.randint(1, 3)):
+            f = f * monic(field, rng.randint(1, 3), rng) ** rng.choice(exponents)
+        ours = sorted((q.coeffs, e) for q, e in factor_univariate(f))
+        assert ours == sympy_factors(reversed(f.coeffs), field), str(f)
+
+
 def test_rational_charpoly_with_large_entries_matches_sympy():
     rng = random.Random(16)
     for d in (1, 2, 3, 5, 8):

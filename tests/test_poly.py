@@ -447,6 +447,11 @@ def helper_cases(draw):
 @example((0, [2, 2], [2, 2], 1))
 @example((0, [3, 0, 6], [3, 2], 1))  # 3 does not divide the top coefficient
 @example((0, [], [-2, 1], 2))
+# multiplicities p, p + 1 and 2p: Yun's parts stay pairwise coprime
+@example((2, [0, 0, 1, 1, 1, 1], [1, 1], 1))  # t^2 (t + 1)^3
+@example((2, [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1], [1, 1], 1))  # t^4 (t + 1)^3 (t^2 + t + 1)^2
+@example((3, [0, 0, 0, 1, 1, 0, 1, 1], [1, 1], 1))  # t^3 (t + 1)^4
+@example((3, [0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 1], [1, 1], 1))  # t^6 (t + 1)^4 (t + 2)^3
 def test_coefficient_list_helpers_match_plain_loops(case):
     p, f, g, e = case
     pairs = list(zip_longest(f, g, fillvalue=0))

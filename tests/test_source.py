@@ -1,0 +1,33 @@
+"""Checks on the package's source text."""
+
+import ast
+from pathlib import Path
+
+import endok
+
+MODULES = sorted(p for p in Path(endok.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """The names bound by the module-level imports of a parsed module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_every_module_level_import_is_read():
+    assert MODULES
+    dead = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        dead += [f"{path.name}: {name}" for name in imported_names(tree) if name not in read]
+    assert not dead
