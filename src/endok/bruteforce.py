@@ -122,12 +122,11 @@ def composition_factors_bruteforce(t, bound=DEFAULT_BOUND):
 def k0_class_oracle(t, bound=DEFAULT_BOUND):
     """Class as a plain composition-factor count: one unit at the
     annihilator of each simple factor."""
-    support = {}
+    pairs = []
     for simple in composition_factors_bruteforce(t, bound):
         ideal = simple.annihilator_ideal()
-        key = MaximalIdealKey(ideal, ideal.quotient_dim)
-        support[key] = support.get(key, 0) + 1
-    return GrothendieckClass(t.field, t.nvars, support)
+        pairs.append((MaximalIdealKey(ideal, ideal.quotient_dim), 1))
+    return GrothendieckClass(t.field, t.nvars, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from .bruteforce import k0_class_oracle, random_vector
 from .ktheory import (
     k0_class,
     kelley_spanier_split,
-    lambda_t,
     tilde_to_free_abelian,
     verify_additivity,
 )
 from .linalg import charpoly
 from .parse import field_to_string, parse_input
-from .poly import render_monomial
+from .poly import render_monomial, signed_reversal
 
 
 def _cmd_class(job):
@@ -51,7 +50,7 @@ def _cmd_charpoly(job):
     mats = []
     for m in t.mats:
         c = charpoly(m)
-        lam = lambda_t(m)
+        lam = signed_reversal(c)
         lines.append(f"charpoly {c}")
         lines.append(f"lambda {lam}")
         mats.append({"charpoly": str(c), "lambda": str(lam)})

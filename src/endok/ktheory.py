@@ -22,13 +22,25 @@ from .poly import UniPoly, signed_reversal, uni_gcd
 class GrothendieckClass:
     """Finitely supported integer map on maximal-ideal keys; a
     multiplicity that is not an integer (``operator.index``) is a
-    TypeError."""
+    TypeError.
+
+    The support is a dict or an iterable of (key, multiplicity) pairs; the
+    constructor is the one place the multiplicities at a key are added.
+
+    >>> from endok.fields import QQ
+    >>> from endok.poly import UniPoly
+    >>> k = principal_maximal_key(UniPoly(QQ, [-1, 1]))
+    >>> GrothendieckClass(QQ, 1, {k: 2}) == GrothendieckClass(QQ, 1, [(k, 3), (k, -1)])
+    True
+    >>> GrothendieckClass(QQ, 1, [(k, 2), (k, -2)]).is_zero
+    True
+    """
 
     __slots__ = ("field", "nvars", "_support")
 
-    def __init__(self, field, nvars, support=None):
+    def __init__(self, field, nvars, support=()):
         acc = {}
-        for key, mult in (support or {}).items():
+        for key, mult in support.items() if isinstance(support, dict) else support:
             if not isinstance(key, MaximalIdealKey):
                 raise TypeError(f"expected MaximalIdealKey, got {key!r}")
             if key.ideal.field != field or key.ideal.nvars != nvars:
@@ -38,9 +50,9 @@ class GrothendieckClass:
             except TypeError:
                 raise TypeError(f"multiplicity must be an integer, got {mult!r}") from None
             if mult:
-                acc[key] = acc.get(key, 0) + mult
-                if not acc[key]:
-                    del acc[key]
+                mult += acc.pop(key, 0)
+                if mult:
+                    acc[key] = mult
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_support", acc)
@@ -75,17 +87,13 @@ class GrothendieckClass:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self._support)
-        for key, mult in other._support.items():
-            acc[key] = acc.get(key, 0) + mult
-        return GrothendieckClass(self.field, self.nvars, acc)
+        pairs = [*self._support.items(), *other._support.items()]
+        return GrothendieckClass(self.field, self.nvars, pairs)
 
     def __sub__(self, other):
         self._check(other)
-        acc = dict(self._support)
-        for key, mult in other._support.items():
-            acc[key] = acc.get(key, 0) - mult
-        return GrothendieckClass(self.field, self.nvars, acc)
+        pairs = [*self._support.items(), *((k, -m) for k, m in other._support.items())]
+        return GrothendieckClass(self.field, self.nvars, pairs)
 
     def __eq__(self, other):
         if isinstance(other, GrothendieckClass):
@@ -135,17 +143,16 @@ def k0_class(t, rng=None):
     calls ``k0_class(case.tuple)`` (ROADMAP item 7, benchmark-only step)."""
     if t.nvars == 1:
         factors = factor_univariate(charpoly(t.mats[0]))
-        support = {principal_maximal_key(q): v for q, v in factors}
-        return GrothendieckClass(t.field, 1, support)
-    support = {}
+        pairs = [(principal_maximal_key(q), v) for q, v in factors]
+        return GrothendieckClass(t.field, 1, pairs)
+    pairs = []
     for w, key in t._local_pieces():
         if w.rows % key.residue_degree:
             raise RuntimeError(
                 "piece dimension is not a multiple of its residue degree"
             )
-        mult = w.rows // key.residue_degree
-        support[key] = support.get(key, 0) + mult
-    return GrothendieckClass(t.field, t.nvars, support)
+        pairs.append((key, w.rows // key.residue_degree))
+    return GrothendieckClass(t.field, t.nvars, pairs)
 
 
 def verify_additivity(t, s):
@@ -260,14 +267,13 @@ def tilde_to_free_abelian(a):
     multiplicities.  This is a group homomorphism with trivial kernel.
     """
     F = a.num.field
-    exps = {}
+    pairs = []
     for poly, sign in ((a.num, 1), (a.den, -1)):
         for r, e in factor_univariate(poly):
             r1 = r.scale(F.inv(r.constant_term))
             q = signed_reversal(r1, inverse=True)
-            key = principal_maximal_key(q)
-            exps[key] = exps.get(key, 0) + sign * e
-    return GrothendieckClass(F, 1, exps)
+            pairs.append((principal_maximal_key(q), sign * e))
+    return GrothendieckClass(F, 1, pairs)
 
 
 def free_abelian_to_tilde(v):

@@ -471,10 +471,10 @@ def class_from_json(obj):
     ValueError."""
     field = field_from_string(obj["field"])
     nvars = _json_integer(obj, "nvars")
-    support = {}
+    pairs = []
     for entry in obj["class"]:
         gens = [parse_poly(g, field, nvars) for g in entry["generators"]]
         ideal = Ideal.from_groebner_basis(field, nvars, gens)
         key = MaximalIdealKey(ideal, _json_integer(entry, "degree"))
-        support[key] = _json_integer(entry, "multiplicity")
-    return GrothendieckClass(field, nvars, support)
+        pairs.append((key, _json_integer(entry, "multiplicity")))
+    return GrothendieckClass(field, nvars, pairs)

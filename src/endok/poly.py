@@ -16,7 +16,10 @@ Two representations:
 * ``MultiPoly``: sparse multivariate, a tuple of (exponents, coefficient)
   terms kept sorted descending in the graded lexicographic order with
   t1 > t2 > ... > tn.  The order is fixed package-wide so that reduced
-  Groebner bases (and hence ideal keys) are canonical.
+  Groebner bases (and hence ideal keys) are canonical.  ``_merge`` is the
+  one place like terms are added: the constructor, ``from_unipoly``,
+  ``+``, ``*`` and ``scale`` hand it raw (exponents, scalar) pairs, and it
+  coerces each sum once, drops zeros and sorts.
 
 Canonical text rendering lives here as well; it is shared by the CLI and
 by the deterministic sort keys used for ideals.
@@ -198,16 +201,11 @@ def _monic(f, p):
 
 
 def _pow_mod(f, e, m, p):
-    """f**e modulo a nonzero m, for e >= 1."""
-    base = _divmod(f, m, p)[1]
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else _divmod(_mul(out, base, p), m, p)[1]
-        e >>= 1
-        if not e:
-            return out
-        base = _divmod(_mul(base, base, p), m, p)[1]
+    """f**e modulo a nonzero m, by ``_power`` on the residue of f."""
+    one = [1] if p else [Fraction(1)]
+    return _power(
+        _divmod(f, m, p)[1], e, lambda: one, lambda a, b: _divmod(_mul(a, b, p), m, p)[1]
+    )
 
 
 _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
@@ -566,8 +564,6 @@ def pow_mod(base, e, modulus):
     if modulus.is_zero:
         raise ZeroDivisionError("zero modulus")
     F = base.field
-    if not e:
-        return UniPoly.one(F)
     return UniPoly._from_canonical(
         F, _pow_mod(base.coeffs, e, modulus.coeffs, F.characteristic)
     )
@@ -625,47 +621,48 @@ def signed_reversal(q, inverse=False):
 # sparse multivariate polynomials
 
 
+def _merge(field, nvars, pairs, f=None):
+    """The one place like terms are added: a MultiPoly (f, or a new one)
+    over raw (exponents, scalar) pairs.  The scalars at each monomial are
+    summed with Python operators and each sum is coerced once (one % p over
+    F_p); zero sums are dropped and the terms sorted descending in grlex."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc[e] + c if e in acc else c
+    coerce = field.coerce
+    order = sorted(acc, key=grlex_key, reverse=True)
+    terms = [(e, c) for e in order if (c := coerce(acc[e]))]
+    if f is None:
+        f = object.__new__(MultiPoly)
+    object.__setattr__(f, "field", field)
+    object.__setattr__(f, "nvars", nvars)
+    object.__setattr__(f, "terms", tuple(terms))
+    return f
+
+
 class MultiPoly:
-    """Sparse polynomial in t1..tn; terms sorted descending in grlex."""
+    """Sparse polynomial in t1..tn; terms sorted descending in grlex.
+
+    The constructor checks and coerces outside input; it and the
+    arithmetic hand raw (exponents, scalar) pairs to ``_merge``, the one
+    place like terms are added and zeros dropped.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field, nvars, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        acc = {}
-        for exps, c in items:
+        checked = []
+        for exps, c in terms.items() if isinstance(terms, dict) else terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"monomial arity {len(exps)} != nvars {nvars}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = field.coerce(c)
-            if exps in acc:
-                c = field.add(acc[exps], c)
-            if c:
-                acc[exps] = c
-            elif exps in acc:
-                del acc[exps]
-        ordered = sorted(acc.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", tuple(ordered))
+            checked.append((exps, field.coerce(c)))
+        _merge(field, nvars, checked, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
-
-    @classmethod
-    def _from_canonical(cls, field, nvars, terms):
-        """A polynomial over a tuple of terms with canonical nonzero
-        coefficients, already sorted descending, taken as it is."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "field", field)
-        object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "terms", terms)
-        return f
 
     @classmethod
     def zero(cls, field, nvars):
@@ -677,8 +674,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, nvars, c):
-        c = field.coerce(c)
-        return cls._from_canonical(field, nvars, (((0,) * nvars, c),) if c else ())
+        return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, field, nvars, i):
@@ -688,12 +684,14 @@ class MultiPoly:
 
     @classmethod
     def from_unipoly(cls, u, nvars=1, var=0):
-        terms = {}
-        for i, c in enumerate(u.coeffs):
-            if c:
-                exps = tuple(i if j == var else 0 for j in range(nvars))
-                terms[exps] = c
-        return cls(u.field, nvars, terms)
+        """u as a polynomial in t_{var+1} (0-based var) of nvars variables."""
+        if not 0 <= var < nvars:
+            raise ValueError(f"variable index {var} out of range for nvars {nvars}")
+        pairs = [
+            (tuple(i if j == var else 0 for j in range(nvars)), c)
+            for i, c in enumerate(u.coeffs)
+        ]
+        return _merge(u.field, nvars, pairs)
 
     def to_unipoly(self):
         if self.nvars != 1:
@@ -755,44 +753,29 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        F = self.field
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = F.add(acc.get(e, F.zero), c)
-        return MultiPoly(F, self.nvars, acc)
+        return _merge(self.field, self.nvars, self.terms + other.terms)
 
     def __neg__(self):
-        F = self.field
-        return MultiPoly(F, self.nvars, [(e, F.neg(c)) for e, c in self.terms])
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        F = self.field
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                v = F.mul(c1, c2)
-                if e in acc:
-                    v = F.add(acc[e], v)
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        return MultiPoly(F, self.nvars, acc)
+        pairs = [
+            (mono_mul(e1, e2), c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
+        ]
+        return _merge(self.field, self.nvars, pairs)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        F = self.field
-        c = F.coerce(c)
-        return MultiPoly(F, self.nvars, [(e, F.mul(c, a)) for e, a in self.terms])
+        c = self.field.coerce(c)
+        return _merge(self.field, self.nvars, [(e, c * a) for e, a in self.terms])
 
     def __pow__(self, e):
         return _power(self, e, lambda: MultiPoly.one(self.field, self.nvars), mul)

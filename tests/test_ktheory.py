@@ -69,6 +69,12 @@ def test_class_group_operations():
     assert (a - a).is_zero
     assert (a + b).lines() == ["3 * [t]", "1 * [t - 1]"]
     assert a + b - b == a
+    # pairs at one key are added, in any order, and a zero sum is dropped
+    k, k2 = (key for key, _ in (a + b).items())
+    assert GrothendieckClass(QQ, 1, [(k, 2), (k2, 1), (k, -2)]).support == {k2: 1}
+    assert GrothendieckClass(QQ, 1, iter([(k, 1), (k, 2)])).lines() == ["3 * [t]"]
+    with pytest.raises(FieldMismatchError):
+        GrothendieckClass(F2, 1, [(k, 1)])
     with pytest.raises(FieldMismatchError):
         a + GrothendieckClass.zero(F2, 1)
     with pytest.raises(FieldMismatchError):
@@ -81,6 +87,8 @@ def test_class_rejects_non_integer_multiplicities(mult):
     key = principal_maximal_key(UniPoly.gen(QQ))
     with pytest.raises(TypeError, match="multiplicity must be an integer"):
         GrothendieckClass(QQ, 1, {key: mult})
+    with pytest.raises(TypeError, match="multiplicity must be an integer"):
+        GrothendieckClass(QQ, 1, [(key, 1), (key, mult)])
     assert GrothendieckClass(QQ, 1, {key: 2}).multiplicity(key) == 2
 
 

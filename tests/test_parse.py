@@ -472,6 +472,19 @@ def test_class_json_roundtrip():
         assert class_from_json(obj) == cls
 
 
+def test_class_json_adds_repeated_keys():
+    def entry(mult):
+        return {"generators": ["t - 1"], "degree": 1, "multiplicity": mult}
+
+    obj = {"field": "Q", "nvars": 1, "class": [entry(2), entry(3)]}
+    assert class_from_json(obj).lines() == ["5 * [t - 1]"]
+    obj["class"] = [entry(2), entry(-2)]
+    assert class_from_json(obj).is_zero
+    obj["class"] = [entry(2), dict(entry(1), degree=2)]
+    with pytest.raises(ValueError):
+        class_from_json(obj)
+
+
 def test_class_json_roundtrip_zero():
     obj = {"field": "Q", "nvars": 1, "class": []}
     assert class_from_json(obj) == GrothendieckClass.zero(QQ, 1)

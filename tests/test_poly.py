@@ -160,6 +160,9 @@ def test_lcm_and_pow_mod():
     assert uni_lcm(t, t - one) == t * (t - one)
     m = t * t + one
     assert pow_mod(t, 4, m) == UniPoly.one(QQ)  # t^4 = 1 mod t^2+1
+    assert [type(c) for c in pow_mod(t, 0, m).coeffs] == [Fraction]
+    with pytest.raises(ValueError, match="negative exponent"):
+        pow_mod(t, -1, m)
 
 
 # -- squarefree ---------------------------------------------------------------
@@ -332,6 +335,11 @@ def test_public_constructor_coerces_and_results_stay_canonical():
         k = MultiPoly.constant(field, 2, c)
         assert k == MultiPoly(field, 2, {(0, 0): c})
         assert all(type(x) is type(field.zero) for _, x in k.terms)
+    # duplicate input terms are added, and a zero sum is dropped
+    for field, parts in ((QQ, (2, -2)), (F5, (3, 2)), (F2, (1, 1, 1, 1))):
+        pairs = [((1, 0), c) for c in parts] + [((0, 1), 1), ((0, 1), 1)]
+        assert MultiPoly(field, 2, pairs) == MultiPoly(field, 2, {(0, 1): 2})
+        assert MultiPoly(field, 2, [((1, 0), c) for c in parts]).is_zero
     for field in (QQ, F5):
         with pytest.raises(TypeError):
             UniPoly(field, [1, 1.0])
@@ -345,6 +353,71 @@ def test_public_constructor_coerces_and_results_stay_canonical():
                 assert all(type(c) is kind for c in h.coeffs)
                 assert not h.coeffs or h.coeffs[-1]
                 assert h == UniPoly(field, h.coeffs)
+            n = rng.randint(1, 3)
+            f, g = rand_multipoly(field, rng, n, 5), rand_multipoly(field, rng, n, 4)
+            for h in (f + g, f - g, f * g, -f, f.scale(3), f.scale(0), g**3, f**0):
+                assert all(type(c) is kind and c for _, c in h.terms)
+                assert [e for e, _ in h.terms] == sorted(
+                    (e for e, _ in h.terms), key=grlex_key, reverse=True
+                )
+                assert h == MultiPoly(field, n, h.terms)
+
+
+def rand_multipoly(field, rng, nvars, nterms):
+    """A MultiPoly from nterms raw pairs whose monomials often repeat."""
+    return MultiPoly(
+        field,
+        nvars,
+        [
+            (tuple(rng.randint(0, 2) for _ in range(nvars)), field.random_scalar(rng))
+            for _ in range(nterms)
+        ],
+    )
+
+
+def plain_terms(field, pairs):
+    """Like terms added one at a time with the field's own methods."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = field.add(acc.get(e, field.zero), c)
+    return {e: c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("field", [*ALL_FIELDS, GF(97)], ids=field_id)
+def test_multipoly_arithmetic_matches_plain_loops(field):
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f, g = rand_multipoly(field, rng, n, 6), rand_multipoly(field, rng, n, 5)
+        c = field.random_scalar(rng)
+        neg = [(e, field.neg(x)) for e, x in g.terms]
+        product = [
+            (tuple(x + y for x, y in zip(e1, e2)), field.mul(c1, c2))
+            for e1, c1 in f.terms
+            for e2, c2 in g.terms
+        ]
+        assert dict((f + g).terms) == plain_terms(field, f.terms + g.terms)
+        assert dict((f - g).terms) == plain_terms(field, f.terms + tuple(neg))
+        assert dict((-g).terms) == plain_terms(field, neg)
+        assert dict((f * g).terms) == plain_terms(field, product)
+        assert dict(f.scale(c).terms) == plain_terms(
+            field, [(e, field.mul(c, x)) for e, x in f.terms]
+        )
+
+
+def test_from_unipoly_places_the_variable():
+    u = UniPoly(F5, [3, 0, 1])
+    assert MultiPoly.from_unipoly(u, 3, 1) == MultiPoly(F5, 3, {(0, 2, 0): 1, (0, 0, 0): 3})
+    assert MultiPoly.from_unipoly(u).to_unipoly() == u
+    for nvars, var in ((1, 1), (2, 2), (2, -1)):
+        with pytest.raises(ValueError, match="variable index"):
+            MultiPoly.from_unipoly(u, nvars, var)
+
+
+def test_difference_of_squares_cancels():
+    for field in (QQ, GF(97)):
+        t1, t2 = (MultiPoly.variable(field, 2, i) for i in range(2))
+        assert (t1 + t2) * (t1 - t2) == MultiPoly(field, 2, {(2, 0): 1, (0, 2): -1})
 
 
 # -- coefficient-list helpers ---------------------------------------------------------
