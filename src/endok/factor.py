@@ -8,7 +8,16 @@ parts are pairwise coprime, in characteristic p too, so every irreducible
 comes out of exactly one part and no multiplicities are added up.
 
 Over F_p each part g goes through distinct-degree splitting followed by
-randomized Cantor-Zassenhaus equal-degree splitting.  Both raise to the
+randomized Cantor-Zassenhaus equal-degree splitting.  The linear factors
+come first when p <= ROOT_EVAL_LIMIT: the degree-1 part, a product of
+distinct monic linear factors, is evaluated at every element of F_p at
+once (Horner on int64 arrays) and its zeros name them.  The limit is a
+measured crossover: evaluation costs about deg * p array steps, and
+Cantor-Zassenhaus about deg^2 * log p list steps, and evaluation won at
+every degree tried up to p = 12007 (degree 2, where it wins least) and
+up to about 30000 at degree 8; the limit, 2^13, keeps a margin below, as
+the timings swing.  Parts of degree d > 1, and the degree-1
+part for larger p, go to Cantor-Zassenhaus.  Both splittings raise to the
 p-th power with the Frobenius matrix of g (``_frobenius``: row i is
 t^(ip) mod g, Berlekamp's Q): Frobenius is F_p-linear, so h^p mod g is
 the one vector-matrix product h.Q mod p on a residue array, and h^p mod a
@@ -24,11 +33,19 @@ steps (von zur Gathen-Shoup).
 Over Q the parts are primitive integer polynomials, and Zassenhaus
 factors each of them: reduce modulo a good prime, Hensel-lift the modular
 factors above the Mignotte coefficient bound, and recombine subsets, with
-a candidate factor checked by exact division over Z.  Integer polynomials
-use the same coefficient-list helpers with p = 0, and only the monic
-irreducible factors become Fractions.  Recombination tries at most
-``RECOMBINATION_BUDGET`` subsets per squarefree part and raises
-ValueError past it, so its exponential worst case stays bounded.
+a candidate factor checked by exact division over Z.  Here too the linear
+factors come first: a rational root r of F has |lc.r| <= |lc| + max|F_i|
+(Cauchy), and lc.r is an integer, so each root a of a linear modular
+factor is lifted by Newton's iteration until p^k exceeds twice that
+bound, and lc.t - (lc.a mod p^k, symmetric) is a factor of F exactly when
+its primitive part divides the cofactor.  A proven root takes its modular
+factor with it; the Mignotte bound, the Hensel lift and the subset search
+run on the cofactor alone, and not at all when at most one modular factor
+is left.  Integer polynomials use the same coefficient-list helpers with
+p = 0, and only the monic irreducible factors become Fractions.
+Recombination tries at most ``RECOMBINATION_BUDGET`` subsets per
+squarefree part and raises ValueError past it, so its exponential worst
+case stays bounded.
 
 Cantor-Zassenhaus, the one randomized step, draws from its own generator
 seeded with ``DEFAULT_SEED``; the sorted factors do not depend on the draws.
@@ -61,8 +78,12 @@ from .poly import (
 
 DEFAULT_SEED = 0
 # Zassenhaus tries at most this many subsets of the lifted modular factors
-# for one squarefree part; t^70 - 1, 10 factors mod 3, needs 11
+# for one squarefree part; t^70 - 1 has 10 factors mod 3, and once its
+# roots +-1 are proven the other 8 need 11
 RECOMBINATION_BUDGET = 1 << 14
+# F_p with p at most this many elements splits the degree-1 part by
+# evaluation; below the measured crossover (see above), with a margin
+ROOT_EVAL_LIMIT = 1 << 13
 
 
 def factor_univariate(f):
@@ -103,14 +124,32 @@ def is_irreducible(f):
 
 
 def _factor_squarefree_modp(g, p):
-    """Monic squarefree g over F_p -> unsorted list of monic irreducibles;
-    one generator serves the equal-degree splits, if any part needs one."""
+    """Monic squarefree g over F_p -> unsorted list of monic irreducibles.
+    For p <= ROOT_EVAL_LIMIT the degree-1 part is split by ``_roots``; one
+    generator serves the equal-degree splits, if any part needs one."""
     if len(g) <= 2:
         return [g] if len(g) == 2 else []
     q = _frobenius(g, p)
     parts = _distinct_degree_split(g, p, q)
+    linear = []
+    h, d = parts[0]
+    if d == 1 and len(h) > 2 and p <= ROOT_EVAL_LIMIT:
+        linear = [[-a % p, 1] for a in _roots(h, p)]
+        parts = parts[1:]
     rng = random.Random(DEFAULT_SEED) if any(len(h) - 1 > d for h, d in parts) else None
-    return [f for h, d in parts for f in _equal_degree_split(h, d, p, rng, q)]
+    return linear + [f for h, d in parts for f in _equal_degree_split(h, d, p, rng, q)]
+
+
+def _roots(h, p):
+    """The zeros in F_p of h, in increasing order: h evaluated at every
+    element at once, by Horner on int64 arrays (p^2 + p < 2^63)."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.full(p, h[-1], np.int64)
+    for c in reversed(h[:-1]):
+        acc *= x
+        acc += c
+        acc %= p
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def _frobenius(g, p):
@@ -306,17 +345,63 @@ def _good_prime(F):
             return p
 
 
+def _root_bound(F):
+    """Cauchy: every rational root r of F has |r| <= 1 + max|F_i/lc|, so
+    |lc.r| <= |lc| + max|F_i|, and lc.r is an integer for lc the leading
+    coefficient of a primitive F."""
+    return abs(F[-1]) + max(abs(c) for c in F)
+
+
+def _lift_root(F, a, p, bound):
+    """A root a mod p of F, with F'(a) a unit mod p, lifted by Newton's
+    iteration to a root mod some m = p^(2^j) > 2 * bound; returns (a, m).
+    One Horner pass gives F(a) and F'(a)."""
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        fa = dfa = 0
+        for c in reversed(F):
+            dfa = (dfa * a + fa) % m
+            fa = (fa * a + c) % m
+        a = (a - fa * pow(dfa, -1, m)) % m
+    return a, m
+
+
 def _zassenhaus(F):
-    """Factor a primitive squarefree integer polynomial of degree >= 2."""
+    """Factor a primitive squarefree integer polynomial of degree >= 2:
+    proven rational roots first, then ``_recombine`` on the cofactor."""
+    p = _good_prime(F)
+    factors = []
+    f = F
+    rest = []
+    lc = F[-1]
+    bound = _root_bound(F)
+    for q in _factor_squarefree_modp(_monic([c % p for c in F], p), p):
+        if len(q) == 2:
+            a, m = _lift_root(F, -q[0] % p, p, bound)
+            G = _primitive(_ztrunc_sym([-lc * a, lc], m))
+            cofactor = _div_exact(f, G)
+            if cofactor is not None:
+                factors.append(G)
+                f = cofactor
+                continue
+        rest.append(q)
+    if len(rest) > 1:
+        factors += _recombine(f, p, rest)
+    elif len(f) > 1:
+        factors.append(f)
+    return factors
+
+
+def _recombine(F, p, modular):
+    """The irreducible factors of F from its monic modular factors mod p,
+    at least two of them: Hensel-lift them above the Mignotte bound, and
+    try subsets of the lifted factors by exact division."""
     n = len(F) - 1
     A = max(abs(c) for c in F)
     b = F[-1]
     # Mignotte: any factor has coefficients bounded by sqrt(n+1)*2^n*A*|b|
     B = (math.isqrt(n + 1) + 1) * (1 << n) * A * abs(b)
-    p = _good_prime(F)
-    modular = _factor_squarefree_modp(_monic([c % p for c in F], p), p)
-    if len(modular) == 1:
-        return [F]
     l = 1
     pl = p
     while pl < 2 * B + 1:

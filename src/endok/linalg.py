@@ -213,9 +213,6 @@ class Matrix:
             self.field, self._num * c.numerator, self._den * c.denominator
         )
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:

@@ -35,7 +35,15 @@ from .linalg import (
     minimal_polynomial,
     rref,
 )
-from .poly import MultiPoly, UniPoly, grlex_key, mono_divides, normal_form, squarefree_part
+from .poly import (
+    MultiPoly,
+    UniPoly,
+    _merge,
+    grlex_key,
+    mono_divides,
+    normal_form,
+    squarefree_part,
+)
 
 
 class Ideal:
@@ -159,7 +167,7 @@ def multiplication_matrix(ideal, p):
     F = ideal.field
     cols = []
     for m in std:
-        mono = MultiPoly(F, ideal.nvars, {m: F.one})
+        mono = _merge(F, ideal.nvars, [(m, F.one)])
         r = ideal.normal_form(p * mono)
         col = [F.zero] * len(std)
         for e, c in r.terms:
@@ -190,7 +198,7 @@ def _split_or_field(ideal):
     p = F.characteristic
     if not p:
         for c in count():
-            g = MultiPoly(F, n, {tuple(int(j == i) for j in range(n)): c**i for i in range(n)})
+            g = _merge(F, n, [(tuple(int(j == i) for j in range(n)), c**i) for i in range(n)])
             factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)))
             if len(factors) >= 2:
                 return g
@@ -204,7 +212,7 @@ def _split_or_field(ideal):
         cols[m] = ys[i] @ cols[m[:i] + (m[i] - 1,) + m[i + 1 :]]
     phi = _stack([c.transpose() for c in cols.values()]).transpose()
     fixed = _kernel_rows(phi - Matrix.identity(F, k))[0]
-    return None if fixed.rows == 1 else MultiPoly(F, n, dict(zip(std, fixed.entries[1])))
+    return None if fixed.rows == 1 else _merge(F, n, zip(std, fixed.entries[1]))
 
 
 def quotient_is_field(ideal):
@@ -667,10 +675,8 @@ def _annihilator(mats, start):
                     seen.add(child)
                     heapq.heappush(heap, (grlex_key(child), child))
         else:
-            terms = {m: F.one}
-            for g, c in combo.items():
-                terms[std[g]] = F.neg(c)
-            gens.append(MultiPoly(F, n, terms))
+            terms = [(m, F.one)] + [(std[g], F.neg(c)) for g, c in combo.items()]
+            gens.append(_merge(F, n, terms))
             leads.append(m)
     return Ideal(F, n, gens, std)
 
@@ -757,7 +763,10 @@ def _local_key(ideal, dim):
     rd = ideal.quotient_dim
     if dim % rd:
         raise RuntimeError("dimension is not a multiple of the residue degree")
-    return _KEYS.setdefault(ideal, MaximalIdealKey(ideal, rd))
+    key = _KEYS.get(ideal)
+    if key is None:
+        key = _KEYS[ideal] = MaximalIdealKey(ideal, rd)
+    return key
 
 
 def _check_eigenspace(q, v, dim):

@@ -708,13 +708,6 @@ class MultiPoly:
         return not self.terms
 
     @property
-    def is_one(self):
-        return len(self.terms) == 1 and self.terms[0] == (
-            (0,) * self.nvars,
-            self.field.one,
-        )
-
-    @property
     def total_degree(self):
         if not self.terms:
             return NEG_INF
@@ -779,11 +772,6 @@ class MultiPoly:
 
     def __pow__(self, e):
         return _power(self, e, lambda: MultiPoly.one(self.field, self.nvars), mul)
-
-    def monic(self):
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(self.field.inv(self.leading_coeff))
 
     # -- value semantics -----------------------------------------------------
 

@@ -6,6 +6,13 @@ over Q; reduced row echelon forms over Q; and the reduced graded-lex
 Groebner bases of annihilator ideals of random commuting tuples up to
 dim 24.
 
+Factoring takes linear factors first: over small F_p by evaluating the
+degree-1 part everywhere, over Q by lifting modular roots with Newton's
+iteration ahead of Zassenhaus's Hensel tree.  Products of many linear
+factors, on both sides of the evaluation limit, rational roots with
+denominators, large roots, modular roots that lift to no rational root,
+and a root bound that is too small are checked against sympy too.
+
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
 the benchmark's class check reuses the same ``charpoly``.  Over Q that is
@@ -21,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from endok import factor
 from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ
@@ -123,6 +131,127 @@ def test_factors_with_multiplicities_at_p_match_sympy(field):
             f = f * monic(field, rng.randint(1, 3), rng) ** rng.choice(exponents)
         ours = sorted((q.coeffs, e) for q, e in factor_univariate(f))
         assert ours == sympy_factors(reversed(f.coeffs), field), str(f)
+
+
+def spy(monkeypatch, name):
+    """Record the results of factor.<name> while it keeps working."""
+    seen = []
+    real = getattr(factor, name)
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(factor, name, recording)
+    return seen
+
+
+def assert_factors_match_sympy(f):
+    ours = sorted((q.coeffs, e) for q, e in factor_univariate(f))
+    assert ours == sympy_factors(reversed(f.coeffs), f.field), str(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 8191, 8209], ids=str)
+def test_products_of_linear_factors_match_sympy(p, monkeypatch):
+    # 8191 and 8209 are the primes next to ROOT_EVAL_LIMIT: up to it the
+    # degree-1 part is split by evaluation, past it by Cantor-Zassenhaus
+    assert 8191 <= factor.ROOT_EVAL_LIMIT < 8209
+    evaluated = spy(monkeypatch, "_roots")
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(12):
+        roots = rng.sample(range(p), min(p, rng.randint(2, 24)))
+        f = UniPoly.constant(F, rng.randrange(1, p))
+        for a in roots:
+            f = f * UniPoly(F, [-a, 1])
+        if rng.random() < 0.5:
+            f = f * monic(F, rng.randint(2, 4), rng)
+        assert_factors_match_sympy(f)
+    assert bool(evaluated) == (p <= factor.ROOT_EVAL_LIMIT)
+
+
+def linear(u, v):
+    """v.t - u over Q, the factor of the root u/v."""
+    return UniPoly(QQ, [-u, v])
+
+
+def rational_roots(rng, count, top):
+    """count distinct fractions u/v in lowest terms, |u| <= top, v <= 9,
+    most with v > 1."""
+    roots = set()
+    while len(roots) < count:
+        roots.add(Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, 9)))
+    return sorted(roots)
+
+
+def test_rational_roots_with_denominators_match_sympy(monkeypatch):
+    # v.t - u for roots u/v, so v divides lc and lc.r is an integer; half
+    # the products carry an irreducible cubic or a square
+    proven = spy(monkeypatch, "_div_exact")
+    rng = random.Random(31)
+    t = UniPoly.gen(QQ)
+    for _ in range(30):
+        f = UniPoly.constant(QQ, Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        for r in rational_roots(rng, rng.randint(2, 8), 40):
+            f = f * linear(r.numerator, r.denominator)
+        if rng.random() < 0.5:
+            f = f * (t**3 - UniPoly.constant(QQ, 2))
+        if rng.random() < 0.3:
+            f = f * linear(rng.randint(-5, 5), 1) ** 2
+        assert_factors_match_sympy(f)
+    assert any(q is not None and len(q) > 1 for q in proven)
+
+
+def test_large_rational_roots_need_several_lifts(monkeypatch):
+    # |lc.r| = 100003 needs 3^(2^j) > 2 * 100004: three Newton steps at p = 3
+    lifts = spy(monkeypatch, "_lift_root")
+    t = UniPoly.gen(QQ)
+    for f in (
+        linear(100003, 1) * linear(-100003, 1) * (t * t + UniPoly.one(QQ)),
+        linear(100003, 7) * linear(-99991, 2) * linear(5, 1),
+        linear(10**12 + 39, 1) * linear(-1, 1) * (t**4 + t + UniPoly.one(QQ)),
+    ):
+        assert_factors_match_sympy(f)
+    assert max(m for _, m in lifts) >= 3**8
+
+
+def test_modular_roots_without_rational_roots_stay_in_the_tree(monkeypatch):
+    # (3t - 2)(t^2 + 1): 3 divides lc, so the good prime is 5, where
+    # t^2 + 1 = (t - 2)(t + 2); the lifted roots of t^2 + 1 are 5-adic and
+    # fail division, so t^2 + 1 comes out of the recombination
+    trees = spy(monkeypatch, "_recombine")
+    t = UniPoly.gen(QQ)
+    f = linear(2, 3) * (t * t + UniPoly.one(QQ))
+    assert factor._good_prime([-2, 3, -2, 3]) == 5
+    assert_factors_match_sympy(f)
+    assert trees == [[[1, 0, 1]]]
+    # more quadratics t^2 - D with no rational root, each with linear
+    # images modulo primes where D is a square, beside rational roots
+    rng = random.Random(37)
+    for _ in range(20):
+        f = UniPoly.one(QQ)
+        for D in rng.sample([-1, -2, -3, 2, 3, 5, 6, 7, 10, -5], rng.randint(1, 3)):
+            f = f * (t * t - UniPoly.constant(QQ, D))
+        for r in rational_roots(rng, rng.randint(0, 3), 12):
+            f = f * linear(r.numerator, r.denominator)
+        assert_factors_match_sympy(f)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 40])
+def test_too_small_root_bound_still_factors_correctly(bound, monkeypatch):
+    # a root lifted short of the Cauchy bound gives a candidate that fails
+    # division; the modular factor then goes to the Hensel tree
+    monkeypatch.setattr(factor, "_root_bound", lambda F: bound)
+    trees = spy(monkeypatch, "_recombine")
+    rng = random.Random(41)
+    t = UniPoly.gen(QQ)
+    for _ in range(12):
+        f = t * t + t + UniPoly.one(QQ)
+        for r in rational_roots(rng, rng.randint(2, 5), 1000):
+            f = f * linear(r.numerator, r.denominator)
+        assert_factors_match_sympy(f)
+    assert_factors_match_sympy(linear(100003, 1) * linear(-100003, 1))
+    assert trees
 
 
 def test_rational_charpoly_with_large_entries_matches_sympy():

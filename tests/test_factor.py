@@ -151,6 +151,8 @@ def test_degree_70_factors_within_the_recombination_budget():
 
 
 def test_exceeded_recombination_budget_raises(monkeypatch, tmp_path, capsys):
+    # the roots +-1 of t^70 - 1 are proven before recombination, and the
+    # other 8 of its 10 factors mod 3 still need 11 subsets
     monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 2)
     t = UniPoly.gen(QQ)
     with pytest.raises(ValueError, match="factorization too hard.*RECOMBINATION_BUDGET = 2"):
@@ -392,7 +394,8 @@ def squarefree_inputs(p, rng, count):
 )
 def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
     # _factor_squarefree_modp makes its one generator only when some part
-    # still needs an equal-degree split
+    # sent to Cantor-Zassenhaus still needs an equal-degree split; for
+    # p <= ROOT_EVAL_LIMIT the degree-1 part is split by evaluation instead
     made = []
 
     def recording(seed):
@@ -413,11 +416,14 @@ def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
             split = factor._equal_degree_split(h, d, p, ours, q)
             assert split == pow_mod_edf(h, d, p, theirs)
             assert ours.getstate() == theirs.getstate()
+        expected = sorted(f for h, d in parts for f in pow_mod_edf(h, d, p, random.Random(k)))
+        sent = [(h, d) for h, d in parts if d > 1 or p > factor.ROOT_EVAL_LIMIT]
         theirs = random.Random(factor.DEFAULT_SEED)
-        expected = [f for h, d in pow_mod_ddf(g, p) for f in pow_mod_edf(h, d, p, theirs)]
+        for h, d in sent:
+            pow_mod_edf(h, d, p, theirs)
         made.clear()
-        assert factor._factor_squarefree_modp(g, p) == expected
-        assert len(made) == any(len(h) - 1 > d for h, d in parts)
+        assert sorted(factor._factor_squarefree_modp(g, p)) == expected
+        assert len(made) == any(len(h) - 1 > d for h, d in sent)
         assert all(ours.getstate() == theirs.getstate() for ours in made)
     # some inputs split into several factors of one degree above 1
     assert True in seen
