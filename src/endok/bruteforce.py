@@ -3,7 +3,9 @@
 Everything here goes the long way around on purpose: subspaces are listed
 one by one (as reduced-echelon basis matrices, so each appears exactly
 once), invariance is a literal filter, and classes are assembled by
-peeling composition series.  The results cross-check the structural
+peeling composition series, each simple factor counted at the interned
+``MaximalIdealKey`` of its annihilator; no enumeration passes
+``DEFAULT_BOUND`` subspaces.  The results cross-check the structural
 algorithms in :mod:`endok.modules` and :mod:`endok.ktheory`.
 """
 
@@ -34,24 +36,23 @@ def subspace_count(p, dim):
     return total
 
 
-def _check_bound(field, dim, bound):
-    """Refuse an enumeration over more than bound subspaces.  The middle
-    Gaussian binomial alone is at least p^(h*(dim-h)) for h = dim // 2,
-    which rejects large dims without counting."""
+def _check_bound(field, dim):
+    """Refuse an enumeration over more than DEFAULT_BOUND subspaces.  The
+    middle Gaussian binomial alone is at least p^(h*(dim-h)) for
+    h = dim // 2, which rejects large dims without counting."""
     if not field.is_prime_field:
         raise EnumerationBoundError("exhaustive enumeration needs a prime field")
-    p = field.characteristic
-    h = dim // 2
+    p, h, bound = field.characteristic, dim // 2, DEFAULT_BOUND
     if h * (dim - h) >= bound.bit_length() or subspace_count(p, dim) > bound:
         raise EnumerationBoundError(
             f"F_{p}^{dim} has more than {bound} subspaces to enumerate"
         )
 
 
-def all_subspaces(field, dim, bound=DEFAULT_BOUND):
+def all_subspaces(field, dim):
     """Every subspace of F_p^dim exactly once, by enumerating all reduced
     row echelon basis matrices dimension by dimension."""
-    _check_bound(field, dim, bound)
+    _check_bound(field, dim)
     p = field.characteristic
     out = [Subspace.zero(field, dim)]
     for k in range(1, dim + 1):
@@ -72,60 +73,39 @@ def all_subspaces(field, dim, bound=DEFAULT_BOUND):
     return out
 
 
-class SubspaceEnumeration:
-    """The full subspace list of F_p^dim, with the Gaussian-binomial count
-    available for sanity checks."""
-
-    def __init__(self, field, dim, bound=DEFAULT_BOUND):
-        self.field = field
-        self.dim = dim
-        self.subspaces = all_subspaces(field, dim, bound)
-
-    def __len__(self):
-        return len(self.subspaces)
-
-    def __iter__(self):
-        return iter(self.subspaces)
-
-    def expected_count(self):
-        return subspace_count(self.field.characteristic, self.dim)
-
-
-def all_invariant_submodules(t, bound=DEFAULT_BOUND):
+def all_invariant_submodules(t):
     """Exactly the subspaces closed under every matrix, by brute filter."""
     subs = []
-    for s in all_subspaces(t.field, t.dim, bound):
+    for s in all_subspaces(t.field, t.dim):
         if all(s.contains(w) for m in t.mats for w in (s.matrix @ m.transpose()).entries):
             subs.append(s)
     return subs
 
 
-def composition_factors_bruteforce(t, bound=DEFAULT_BOUND):
+def composition_factors_bruteforce(t):
     """Multiset of simple subquotients: repeatedly peel off a minimal
     nonzero invariant submodule.  Each returned tuple is re-verified to
     have exactly the two trivial invariant submodules."""
-    _check_bound(t.field, t.dim, bound)
+    _check_bound(t.field, t.dim)
     factors = []
     cur = t
     while cur.dim > 0:
         minimal = next(
-            s for s in all_invariant_submodules(cur, bound) if s.dim >= 1
+            s for s in all_invariant_submodules(cur) if s.dim >= 1
         )
         simple = cur.restrict(minimal)
-        if len(all_invariant_submodules(simple, bound)) != 2:
+        if len(all_invariant_submodules(simple)) != 2:
             raise RuntimeError("peeled factor is not simple")
         factors.append(simple)
         cur = cur.quotient(minimal)
     return factors
 
 
-def k0_class_oracle(t, bound=DEFAULT_BOUND):
+def k0_class_oracle(t):
     """Class as a plain composition-factor count: one unit at the
     annihilator of each simple factor."""
-    pairs = []
-    for simple in composition_factors_bruteforce(t, bound):
-        ideal = simple.annihilator_ideal()
-        pairs.append((MaximalIdealKey(ideal, ideal.quotient_dim), 1))
+    factors = composition_factors_bruteforce(t)
+    pairs = [(MaximalIdealKey(s.annihilator_ideal()), 1) for s in factors]
     return GrothendieckClass(t.field, t.nvars, pairs)
 
 

@@ -30,11 +30,12 @@ the norm r.r^p...r^(p^(d-1)), d - 1 steps, raised to the power
 (p - 1)/2, and over F_2 the trace r + r^2 + ... + r^(2^(d-1)) in d - 1
 steps (von zur Gathen-Shoup).
 
-Over Q the parts are primitive integer polynomials, and Zassenhaus
-factors each of them: reduce modulo a good prime, Hensel-lift the modular
-factors above the Mignotte coefficient bound, and recombine subsets, with
-a candidate factor checked by exact division over Z.  Here too the linear
-factors come first: a rational root r of F has |lc.r| <= |lc| + max|F_i|
+Over Q the parts are primitive integer polynomials, and a linear part is
+its own factor.  Zassenhaus factors each other part: reduce modulo a good
+prime, Hensel-lift the modular factors above the Mignotte coefficient
+bound, and recombine subsets, with a candidate factor checked by exact
+division over Z.  Here too the linear factors come first, t among them
+as the root 0: a rational root r of F has |lc.r| <= |lc| + max|F_i|
 (Cauchy), and lc.r is an integer, so each root a of a linear modular
 factor is lifted by Newton's iteration until p^k exceeds twice that
 bound, and lc.t - (lc.a mod p^k, symmetric) is a factor of F exactly when
@@ -102,7 +103,9 @@ def factor_univariate(f):
     pairs = [
         (_as_monic(q, F), e)
         for g, e in _squarefree_parts(f)
-        for q in (_factor_squarefree_modp(g, p) if p else _factor_squarefree_integer(g))
+        for q in (
+            _factor_squarefree_modp(g, p) if p else _zassenhaus(g) if len(g) > 2 else [g]
+        )
     ]
     pairs.sort(key=lambda pair: (pair[0].degree, pair[0].coeffs))
     return pairs
@@ -259,20 +262,6 @@ def _equal_degree_split(h, d, p, rng, q):
 #
 # Integer polynomials are plain low-to-high int lists here, on the same
 # coefficient-list helpers with p = 0; only factor_univariate speaks UniPoly.
-
-
-def _factor_squarefree_integer(g):
-    """Primitive squarefree integer g -> list of its irreducible factors
-    over Z, as integer lists."""
-    factors = []
-    if not g[0]:
-        factors.append([0, 1])
-        g = g[1:]  # t^2 does not divide g
-    if len(g) == 2:
-        factors.append(g)
-    elif len(g) > 2:
-        factors += _zassenhaus(g)
-    return factors
 
 
 def _ztrunc_sym(f, m):

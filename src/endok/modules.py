@@ -5,7 +5,9 @@ endomorphisms.  This module provides the structural operations on them:
 submodules with restriction and quotient, the annihilator ideal (kernel of
 evaluating polynomials at the tuple, as a reduced Groebner basis with its
 standard monomials), the radical submodule and filtration, and the
-splitting into local pieces supported at single maximal ideals.
+splitting into local pieces supported at single maximal ideals.  Each
+maximal ideal is tagged by one interned ``MaximalIdealKey``, and the test
+whether a quotient k[T]/I is a field reads its regular representation.
 
 A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
 ``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
@@ -32,12 +34,10 @@ from .linalg import (
     _submatrix,
     charpoly,
     eval_poly_at_matrix,
-    minimal_polynomial,
     rref,
 )
 from .poly import (
     MultiPoly,
-    UniPoly,
     _merge,
     grlex_key,
     mono_divides,
@@ -177,35 +177,46 @@ def multiplication_matrix(ideal, p):
     return Matrix(F, grid, cols=len(std))
 
 
+def _regular_maps(ideal):
+    """The regular representation of k[T]/I: the matrices T_i of
+    multiplication by t_i over the standard monomials.  They commute when
+    the gens are a Groebner basis, and may not when they are not."""
+    F, n = ideal.field, ideal.nvars
+    return [multiplication_matrix(ideal, MultiPoly.variable(F, n, i)) for i in range(n)]
+
+
 def _split_or_field(ideal):
     """For a reduced A = k[T]/I, a product of finite field extensions of
     k: None when A is a field, else an element g of A whose multiplication
     has two distinct irreducible factors, so that g(f) splits any module
-    over A that contains A.
+    over A that contains A.  Both fields start from the T_i of
+    ``_regular_maps``.
 
     Over F_p the fixed algebra of the Frobenius Phi: a -> a^p is F_p^r, r
     the number of points of A (Berlekamp), so A is a field iff
     ker(Phi - 1) is F_p.1, its first kernel row; any other row g has
     g^p = g, is not constant and takes two values in F_p.  Phi(t^m) =
-    Y^m.1 for Y_i the p-th power of multiplication by t_i, one product
-    with a standard parent's column (standard monomials are closed under
-    division).  Over Q, t_1 + c t_2 + .. + c^(n-1) t_n separates the k
-    points of A for all but at most (n - 1) C(k, 2) values of c
-    (Rouillier), so c = 0, 1, 2, .. ends at a c whose multiplication
+    Y^m.1 for Y_i = T_i^p, one product with a standard parent's column
+    (standard monomials are closed under division).  Over Q,
+    g = t_1 + c t_2 + .. + c^(n-1) t_n, acting as the sum of the c^(i-1) T_i,
+    separates the k points of A for all but at most (n - 1) C(k, 2) values
+    of c (Rouillier), so c = 0, 1, 2, .. ends at a c whose multiplication
     splits or has one factor, of degree k (A = k[g] is a field).
     """
     F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
     p = F.characteristic
+    ts = _regular_maps(ideal)
     if not p:
         for c in count():
             g = _merge(F, n, [(tuple(int(j == i) for j in range(n)), c**i) for i in range(n)])
-            factors = factor_univariate(charpoly(multiplication_matrix(ideal, g)))
+            m = sum((t.scale(c**i) for i, t in enumerate(ts) if i), ts[0])
+            factors = factor_univariate(charpoly(m))
             if len(factors) >= 2:
                 return g
             if factors[0][0].degree == k:
                 return None
     std = ideal.standard_monomials
-    ys = [multiplication_matrix(ideal, MultiPoly.variable(F, n, i)).pow(p) for i in range(n)]
+    ys = [t.pow(p) for t in ts]
     cols = {std[0]: _submatrix(Matrix.identity(F, k), range(k), [0])}
     for m in std[1:]:
         i = next(i for i, e in enumerate(m) if e)
@@ -218,12 +229,13 @@ def _split_or_field(ideal):
 def quotient_is_field(ideal):
     """Decide whether k[T]/I is a field (i.e. I is maximal).
 
-    The quotient is reduced iff every variable's multiplication matrix
-    has squarefree minimal polynomial (both fields are perfect), and a
-    reduced quotient is a field iff ``_split_or_field`` finds no element
-    that splits it.  Production code never calls it; it is not
-    independent of the key path, which calls ``_split_or_field`` too, so
-    the tests also check keys over F_p by enumerating the quotient.
+    The input is the regular representation, the T_i of
+    ``_regular_maps``: the quotient is reduced iff the radical of that
+    module is zero, and a reduced quotient is a field iff
+    ``_split_or_field`` finds no element that splits it.  The class path
+    never calls it, ``class_from_json`` does; it is not independent of the
+    key path, which calls ``_split_or_field`` too, so the tests also check
+    keys over F_p by enumerating the quotient.
 
     >>> from endok.fields import GF
     >>> from endok.parse import parse_poly
@@ -237,50 +249,46 @@ def quotient_is_field(ideal):
     """
     if ideal.is_unit:
         return False  # the zero ring
-    F, n = ideal.field, ideal.nvars
-    for i in range(n):
-        mp = minimal_polynomial(
-            multiplication_matrix(ideal, MultiPoly.variable(F, n, i))
-        )
-        if squarefree_part(mp) != mp:
-            return False  # t_i has a nonzero nilpotent part
+    F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
+    if not CommutingTuple(F, n, k, _regular_maps(ideal)).radical_submodule().is_zero:
+        return False  # some t_i has a nonzero nilpotent part
     return _split_or_field(ideal) is None
 
 
 class MaximalIdealKey:
-    """Canonical tag of a maximal ideal of k[t1..tn]: its reduced Groebner
-    basis plus the residue field degree dim_k k[T]/M."""
+    """Canonical tag of a maximal ideal M of k[t1..tn]: its reduced
+    Groebner basis, with the residue degree dim_k k[T]/M read off it.
 
-    __slots__ = ("ideal", "residue_degree", "__weakref__")
+    Keys are interned: ``MaximalIdealKey(ideal)`` returns the live key of
+    an equal ideal if there is one.  So one ideal has one key object,
+    whichever path made it, keys compare by identity, and the classes a
+    caller keeps hold each basis once.  The caller vouches that the ideal
+    is maximal."""
 
-    def __init__(self, ideal, residue_degree):
-        if residue_degree != ideal.quotient_dim:
-            raise ValueError("residue degree must equal the quotient dimension")
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "residue_degree", residue_degree)
+    __slots__ = ("ideal", "__weakref__")
+
+    def __new__(cls, ideal):
+        key = _KEYS.get(ideal)
+        if key is None:
+            key = _KEYS[ideal] = object.__new__(cls)
+            object.__setattr__(key, "ideal", ideal)
+        return key
 
     def __setattr__(self, name, value):
         raise AttributeError("MaximalIdealKey is immutable")
 
+    @property
+    def residue_degree(self):
+        return self.ideal.quotient_dim
+
     def sort_key(self):
         return (self.residue_degree, self.ideal.generator_strings())
-
-    def __eq__(self, other):
-        if isinstance(other, MaximalIdealKey):
-            return self.ideal == other.ideal
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.ideal)
 
     def __repr__(self):
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
-# The live keys _local_key has returned, for _key and
-# ktheory.principal_maximal_key, by ideal.  Every piece at one maximal
-# ideal then shares one key object, so the classes a caller keeps hold
-# each Groebner basis once instead of once per class.
+# The live keys, by ideal, that MaximalIdealKey interns.
 _KEYS = weakref.WeakValueDictionary()
 
 
@@ -497,8 +505,10 @@ class CommutingTuple:
         further, into at least two pieces, or the loop raises rather than
         take the item again; so does, with no more primary tests, an item
         where some q_i has degree W.rows, as it is simple (Schur's lemma,
-        see ``_key``).  At the end the pieces' dimensions must add up to
-        dim V and the stacked W must have full rank.
+        see ``_key``), and ``_key`` keys it by the annihilator of its first
+        basis vector unless every generator is already primary.  At the
+        end the pieces' dimensions must add up to dim V and the stacked W
+        must have full rank.
         """
         d = self.dim
         if d == 0:
@@ -689,8 +699,8 @@ def _key(mats, qs):
 
     When deg q_i = d, V is simple (Schur's lemma): K = k[f_i] is a field
     of degree d, V is a K-line, and each f_j commutes with f_i, so it is
-    K-linear, multiplication by an element of K.  Scalar f_j = c.I give
-    q_j = t - c; any other f_j is left out of qs.
+    K-linear, multiplication by an element of K; the f_j not yet in qs are
+    left out, and V is keyed by the annihilator of its first basis vector.
 
     Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
     support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
@@ -715,15 +725,12 @@ def _key(mats, qs):
     0 is nilpotent on the piece at M and a unit on another, so g(f)
     splits V."""
     F, n, d = mats[0].field, len(mats), mats[0].rows
+    if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
+        return _principal_key([qs[i] for i in range(n)], d), None
     simple = any(q.degree == d for q in qs.values())
     if simple:
         socle = Matrix.identity(F, d)
-        cs = {i: _submatrix(mats[i], [0], [0]).entries[0][0] for i in range(n) if i not in qs}
-        if all(mats[i] == socle.scale(c) for i, c in cs.items()):
-            qs = {**qs, **{i: UniPoly(F, [F.neg(c), F.one]) for i, c in cs.items()}}
-    if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
-        return _principal_key([qs[i] for i in range(n)], d), None
-    if not simple:
+    else:
         parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items()]
         socle = _kernel_rows(_stack(parts))[0].transpose()
     ideal = _annihilator(mats, _submatrix(socle, range(d), [0]))
@@ -757,16 +764,12 @@ def _principal_key(qs, dim):
 
 
 def _local_key(ideal, dim):
-    """The shared key of a maximal ideal, once dim, the dimension of a
-    vector space over its residue field, is checked to be a multiple of
-    the residue degree."""
-    rd = ideal.quotient_dim
-    if dim % rd:
+    """The key of a maximal ideal, once dim, the dimension of a vector
+    space over its residue field, is checked to be a multiple of the
+    residue degree."""
+    if dim % ideal.quotient_dim:
         raise RuntimeError("dimension is not a multiple of the residue degree")
-    key = _KEYS.get(ideal)
-    if key is None:
-        key = _KEYS[ideal] = MaximalIdealKey(ideal, rd)
-    return key
+    return MaximalIdealKey(ideal)
 
 
 def _check_eigenspace(q, v, dim):

@@ -36,11 +36,17 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonCommutingError, ParseError
 from .fields import GF, QQ, FieldSpec
 from .ktheory import GrothendieckClass, TildeClass
 from .linalg import Matrix
-from .modules import CommutingTuple, Ideal, MaximalIdealKey
+from .modules import (
+    CommutingTuple,
+    Ideal,
+    MaximalIdealKey,
+    _regular_maps,
+    quotient_is_field,
+)
 from .poly import MultiPoly
 
 
@@ -466,15 +472,33 @@ def _json_integer(obj, name):
 
 
 def class_from_json(obj):
-    """Rebuild a GrothendieckClass from the CLI's JSON rendering; an
-    nvars, degree or multiplicity that is not an integer is a
-    ValueError."""
+    """Rebuild a GrothendieckClass from the CLI's JSON rendering.  An
+    nvars, degree or multiplicity that is not an integer is a ValueError,
+    as is a degree other than the quotient dimension, or generators that
+    are not the reduced Groebner basis of a maximal ideal.  They are that
+    basis exactly when the T_i of the regular representation commute and
+    their annihilator is the same ideal, and it is maximal exactly when
+    ``quotient_is_field`` holds."""
     field = field_from_string(obj["field"])
     nvars = _json_integer(obj, "nvars")
     pairs = []
     for entry in obj["class"]:
         gens = [parse_poly(g, field, nvars) for g in entry["generators"]]
         ideal = Ideal.from_groebner_basis(field, nvars, gens)
-        key = MaximalIdealKey(ideal, _json_integer(entry, "degree"))
-        pairs.append((key, _json_integer(entry, "multiplicity")))
+        if _json_integer(entry, "degree") != ideal.quotient_dim:
+            raise ValueError("degree must equal the quotient dimension")
+        try:
+            regular = CommutingTuple(field, nvars, ideal.quotient_dim, _regular_maps(ideal))
+        except NonCommutingError:
+            regular = None  # the generators are no Groebner basis
+        if (
+            regular is None
+            or regular.annihilator_ideal() != ideal
+            or not quotient_is_field(ideal)
+        ):
+            raise ValueError(
+                f"[{', '.join(entry['generators'])}] is not a maximal ideal "
+                "in reduced form"
+            )
+        pairs.append((MaximalIdealKey(ideal), _json_integer(entry, "multiplicity")))
     return GrothendieckClass(field, nvars, pairs)

@@ -9,9 +9,10 @@ dim 24.
 Factoring takes linear factors first: over small F_p by evaluating the
 degree-1 part everywhere, over Q by lifting modular roots with Newton's
 iteration ahead of Zassenhaus's Hensel tree.  Products of many linear
-factors, on both sides of the evaluation limit, rational roots with
-denominators, large roots, modular roots that lift to no rational root,
-and a root bound that is too small are checked against sympy too.
+factors, on both sides of the evaluation limit, powers of t, whose root 0
+the root stage proves, rational roots with denominators, large roots,
+modular roots that lift to no rational root, and a root bound that is too
+small are checked against sympy too.
 
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
@@ -168,6 +169,27 @@ def test_products_of_linear_factors_match_sympy(p, monkeypatch):
             f = f * monic(F, rng.randint(2, 4), rng)
         assert_factors_match_sympy(f)
     assert bool(evaluated) == (p <= factor.ROOT_EVAL_LIMIT)
+
+
+def test_powers_of_t_match_sympy(monkeypatch):
+    # t^k times random integer factors, some with negative leading
+    # coefficients: a squarefree part of degree 2 or more that t divides
+    # goes to Zassenhaus whole, whose root stage proves the root 0, and a
+    # linear part, t itself among them, is its own factor
+    parts = spy(monkeypatch, "_squarefree_parts")
+    rng = random.Random(43)
+    t = UniPoly.gen(QQ)
+    for _ in range(300):
+        f = t ** rng.randint(1, 4)
+        for _ in range(rng.randint(0, 3)):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            g = UniPoly(QQ, coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+            f = f * g ** rng.randint(1, 2)
+        assert_factors_match_sympy(f)
+    parts = [g for found in parts for g, _ in found]
+    assert [0, 1] in parts
+    assert any(len(g) > 2 and not g[0] and g[-1] < 0 for g in parts)
+    assert any(len(g) > 2 and not g[0] and g[-1] > 0 for g in parts)
 
 
 def linear(u, v):

@@ -6,7 +6,6 @@ import pytest
 from endok import bruteforce
 from endok.bruteforce import (
     DEFAULT_BOUND,
-    SubspaceEnumeration,
     all_invariant_submodules,
     all_subspaces,
     composition_factors_bruteforce,
@@ -18,7 +17,8 @@ from endok.errors import EnumerationBoundError
 from endok.fields import GF, QQ
 from endok.ktheory import k0_class
 from endok.linalg import Matrix
-from endok.modules import CommutingTuple, quotient_is_field
+from endok.modules import CommutingTuple, MaximalIdealKey, quotient_is_field
+from endok.parse import class_from_json, field_to_string
 from endok.poly import UniPoly
 
 F2, F3 = GF(2), GF(3)
@@ -26,12 +26,11 @@ F2, F3 = GF(2), GF(3)
 
 def test_subspace_counts():
     # d = 2, p = 2: 1 + 3 + 1 subspaces
-    enum = SubspaceEnumeration(F2, 2)
-    assert len(enum) == 5 == enum.expected_count()
+    assert len(all_subspaces(F2, 2)) == 5 == subspace_count(2, 2)
     for p, d in ((2, 3), (3, 2), (2, 4), (3, 3), (5, 2)):
-        enum = SubspaceEnumeration(GF(p), d)
-        assert len(enum) == enum.expected_count()
-        assert len({s for s in enum}) == len(enum)  # no duplicates
+        subspaces = all_subspaces(GF(p), d)
+        assert len(subspaces) == subspace_count(p, d)
+        assert len(set(subspaces)) == len(subspaces)  # no duplicates
 
 
 def test_subspaces_of_zero_space():
@@ -121,3 +120,24 @@ def test_oracle_agreement_random_pairs():
         field = F2 if i % 2 else F3
         t = random_commuting_tuple(field, 2, rng.randint(1, 4), rng)
         assert k0_class(t) == k0_class_oracle(t)
+
+
+def test_one_key_object_per_ideal():
+    # the class path, the oracle and class_from_json all intern through
+    # MaximalIdealKey: the keys of one ideal are one object
+    rng = random.Random(47)
+    keys = 0
+    for i in range(12):
+        field = F2 if i % 2 else F3
+        t = random_commuting_tuple(field, 1 + i % 3, rng.randint(2, 4), rng)
+        cls = k0_class(t)
+        entries = cls.to_json_entries()
+        obj = {"field": field_to_string(field), "nvars": t.nvars, "class": entries}
+        ours = [k for k, _ in cls.items()]
+        for other in (k0_class_oracle(t), class_from_json(obj)):
+            theirs = [k for k, _ in other.items()]
+            assert len(theirs) == len(ours)
+            assert all(a is b for a, b in zip(theirs, ours))
+        assert all(MaximalIdealKey(k.ideal) is k for k in ours)
+        keys += len(ours)
+    assert keys >= 20

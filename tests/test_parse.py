@@ -1,5 +1,7 @@
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,7 @@ from endok.errors import ParseError
 from endok.fields import GF, QQ
 from endok.ktheory import GrothendieckClass, k0_class
 from endok.linalg import Matrix
-from endok.modules import CommutingTuple
+from endok.modules import CommutingTuple, Ideal
 from endok.parse import (
     _plain_matrix,
     _walk_matrix,
@@ -488,6 +490,57 @@ def test_class_json_adds_repeated_keys():
 def test_class_json_roundtrip_zero():
     obj = {"field": "Q", "nvars": 1, "class": []}
     assert class_from_json(obj) == GrothendieckClass.zero(QQ, 1)
+
+
+@pytest.mark.parametrize(
+    "field, gens, degree",
+    [
+        ("Q", ["t1^2", "t2"], 2),  # k[t1]/(t1^2) is not reduced
+        ("Q", ["t1^2 + t2", "t2^2"], 4),  # a Groebner basis, not reduced
+        ("Q", ["t1 - t2", "t2^2 - 2", "t1^2 - 2"], 2),  # maximal, t1^2 - 2 redundant
+        ("Q", ["t1^2 - 2", "t2^2 - 2"], 4),  # Q(sqrt 2) x Q(sqrt 2)
+        ("Q", ["t1^2 + t2", "t1*t2 + 1", "t2^2 + t1"], 3),  # no Groebner basis
+        ("F2", ["t1^2", "t2"], 2),
+    ],
+)
+def test_class_json_rejects_keys_that_are_not_maximal_in_reduced_form(field, gens, degree):
+    # the degree is the quotient dimension, so only the key check can fail
+    entry = {"generators": gens, "degree": degree, "multiplicity": 1}
+    obj = {"field": field, "nvars": 2, "class": [entry]}
+    with pytest.raises(ValueError, match="not a maximal ideal in reduced form"):
+        class_from_json(obj)
+    entry["generators"] = ["t1 - t2", "t2^2 - 2"] if field == "Q" else ["t1", "t2"]
+    entry["degree"] = 2 if field == "Q" else 1
+    assert len(class_from_json(obj).items()) == 1
+
+
+def test_every_sweep_class_round_trips():
+    # each "class" line of the byte-identity sweep, read back through JSON
+    # with the degree of each key's quotient, renders as the same line
+    field = None
+    read = 0
+    for line in (Path(__file__).parent / "data" / "sweep.txt").read_text().splitlines():
+        head, _, body = line.partition(" ")
+        if head not in ("class", "piece", "radical", "annihilator", "standard"):
+            field = field_from_string(head)
+        if head != "class":
+            continue
+        nvars = max(int(i or 1) for i in re.findall(r"t(\d*)", body))
+        entries = []
+        for term in body.split("; "):
+            mult, _, gens = term.partition(" * ")
+            gens = gens[1:-1].split(", ")
+            ideal = Ideal.from_groebner_basis(
+                field, nvars, [parse_poly(g, field, nvars) for g in gens]
+            )
+            entries.append(
+                {"generators": gens, "degree": ideal.quotient_dim, "multiplicity": int(mult)}
+            )
+        cls = class_from_json({"field": repr(field), "nvars": nvars, "class": entries})
+        assert "; ".join(cls.lines()) == body
+        assert cls.to_json_entries() == entries
+        read += 1
+    assert read == 178
 
 
 @pytest.mark.parametrize(

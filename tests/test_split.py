@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import endok.linalg as linalg
 import endok.modules as modules
 from conftest import (
     conjugate,
@@ -338,7 +339,10 @@ def test_no_minimal_polynomials_and_one_factorization_per_generator(monkeypatch)
         factor_calls.append(f)
         return original_factor(f)
 
-    monkeypatch.setattr(modules, "minimal_polynomial", minpolys.append)
+    # modules imports no minimal_polynomial; one called through linalg is
+    # recorded
+    assert not hasattr(modules, "minimal_polynomial")
+    monkeypatch.setattr(linalg, "minimal_polynomial", minpolys.append)
     monkeypatch.setattr(modules, "charpoly", recording_charpoly)
     monkeypatch.setattr(modules, "factor_univariate", counting_factor)
 
@@ -787,12 +791,12 @@ def test_simple_piece_keys_match_annihilators(field):
 
 def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     # f_1 splits a sum of simple points into its points, each with f_1's q
-    # of full degree: no charpoly or factorization runs on them, and an
-    # annihilator only where the other generator is not scalar.  The
-    # twisted pair shares every q_i, so its 4-dimensional piece runs the
-    # primary test of f_2 and a split by an element g that the key step
-    # names; the two simple pieces it splits into run nothing but their
-    # annihilators, as their f_2 is not scalar.
+    # of full degree: no charpoly or factorization runs on them, only the
+    # annihilator of the first basis vector, whether or not the other
+    # generator is scalar.  The twisted pair shares every q_i, so its
+    # 4-dimensional piece runs the primary test of f_2 and a split by an
+    # element g that the key step names; the two simple pieces it splits
+    # into run nothing but their annihilators.
     rng = random.Random(45)
     cubic, other_cubic = irreducible(F97, 3, rng), irreducible(F97, 3, rng)
     assert cubic != other_cubic
@@ -834,9 +838,9 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     assert len(factor_calls) == len(charpolys)
     assert charpolys.count(t.dim) == 1
     assert set(charpolys) == {t.dim, 4}
-    # the twisted piece's key, its two points, and the non-scalar cubic and
-    # quintic; neither the 1-dimensional point nor the scalar cubic
-    assert sorted(starts) == [2, 2, 3, 4, 5]
+    # the twisted piece's key, its two points, the 1-dimensional point,
+    # both cubics and the quintic
+    assert sorted(starts) == [1, 2, 2, 3, 3, 4, 5]
 
 
 # -- every internal check of the split loop ends in exit 3 ----------------------
