@@ -198,10 +198,11 @@ def _split_or_field(ideal):
     g^p = g, is not constant and takes two values in F_p.  Phi(t^m) =
     Y^m.1 for Y_i = T_i^p, one product with a standard parent's column
     (standard monomials are closed under division).  Over Q,
-    g = t_1 + c t_2 + .. + c^(n-1) t_n, acting as the sum of the c^(i-1) T_i,
-    separates the k points of A for all but at most (n - 1) C(k, 2) values
-    of c (Rouillier), so c = 0, 1, 2, .. ends at a c whose multiplication
-    splits or has one factor, of degree k (A = k[g] is a field).
+    g = t_1 + c t_2 + .. + c^(n-1) t_n, which acts as the sum of the
+    c^(i-1) T_i, separates the k points of A for all but at most
+    (n - 1) C(k, 2) values of c (Rouillier), so c = 0, 1, 2, .. ends at a
+    c whose multiplication splits or has one factor, of degree k
+    (A = k[g] is a field).
     """
     F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
     p = F.characteristic
