@@ -6,7 +6,7 @@ from .errors import (
     NonCommutingError,
     ParseError,
 )
-from .fields import GF, QQ, FieldElement, FieldSpec
+from .fields import GF, QQ, FieldSpec
 from .poly import (
     MultiPoly,
     UniPoly,
@@ -21,8 +21,6 @@ from .linalg import (
     Subspace,
     charpoly,
     eval_poly_at_matrix,
-    kernel_basis,
-    minimal_polynomial,
     rref,
 )
 from .modules import (

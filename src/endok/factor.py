@@ -111,14 +111,6 @@ def factor_univariate(f):
     return pairs
 
 
-def is_irreducible(f):
-    """True when f is irreducible (degree >= 1 and a single factor once)."""
-    if f.is_zero or f.degree < 1:
-        return False
-    factors = factor_univariate(f)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 # ---------------------------------------------------------------------------
 # prime fields
 #

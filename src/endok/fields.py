@@ -5,15 +5,13 @@ reduced, positive denominator) and ``int`` residues in ``[0, p)`` over F_p,
 so equal elements always have identical representations.  ``FieldSpec``
 has one subclass per field, ``Rationals`` (the instance ``QQ``) and
 ``PrimeField`` (built by ``GF(p)``), each with the arithmetic on its own
-raw values; ``FieldElement`` pairs one raw value with its field for the
-operator-overloaded surface.
+raw values.
 
 No floating point is used anywhere; every operation is exact.
 """
 
+import operator
 from fractions import Fraction
-
-from .errors import FieldMismatchError
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -79,18 +77,8 @@ class FieldSpec:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _coerce_element(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatchError(f"element of {x.field} used over {self}")
-            return x.value
-        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def element(self, x):
-        return FieldElement(self, x)
 
     def render(self, a):
         """The text of a raw scalar, ``a`` or ``a/b``, however many digits
@@ -118,12 +106,12 @@ class Rationals(FieldSpec):
     one = Fraction(1)
 
     def coerce(self, x):
-        """Coerce an int, Fraction or FieldElement to a canonical raw scalar."""
+        """Coerce an int or Fraction to a canonical raw scalar."""
         if type(x) is Fraction:
             return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
-        return self._coerce_element(x)
+        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
 
     def add(self, a, b):
         return a + b
@@ -159,6 +147,7 @@ class PrimeField(FieldSpec):
     one = 1
 
     def __init__(self, p):
+        p = operator.index(p)  # residues x % p are ints only for an int p
         if p >= MAX_PRIME:
             raise ValueError(f"prime {p} does not fit a machine word")
         if not is_prime(p):
@@ -166,13 +155,13 @@ class PrimeField(FieldSpec):
         object.__setattr__(self, "characteristic", p)
 
     def coerce(self, x):
-        """Coerce an int, Fraction or FieldElement to a canonical raw scalar."""
+        """Coerce an int or Fraction to a canonical raw scalar."""
         if isinstance(x, int):
             return x % self.characteristic
         if isinstance(x, Fraction):
             p = self.characteristic
             return self.div(x.numerator % p, x.denominator % p)
-        return self._coerce_element(x)
+        raise TypeError(f"cannot interpret {x!r} as an element of {self}")
 
     def add(self, a, b):
         return (a + b) % self.characteristic
@@ -197,63 +186,6 @@ class PrimeField(FieldSpec):
 
     def __repr__(self):
         return f"F{self.characteristic}"
-
-
-class FieldElement:
-    """A canonical scalar bound to its field.
-
-    >>> a = GF(5).element(2)
-    >>> (a.inv() * a).value
-    1
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = field.coerce(value)
-
-    def _raw(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._raw(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._raw(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._raw(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._raw(other)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"{self.value!s} in {self.field!r}"
 
 
 def GF(p):

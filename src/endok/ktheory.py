@@ -140,7 +140,7 @@ def k0_class(t, rng=None):
     ker q(f)^v with v = v_q(chi_f), of dimension deg q * v, so the
     multiplicity at (q) is v and no piece is built.  ``rng`` is ignored: no
     class depends on a seed.  It goes once the benchmark's ``Workload.op``
-    calls ``k0_class(case.tuple)`` (ROADMAP item 7, benchmark-only step)."""
+    calls ``k0_class(case.tuple)`` (ROADMAP item 2, **Seed**)."""
     if t.nvars == 1:
         factors = factor_univariate(charpoly(t.mats[0]))
         pairs = [(principal_maximal_key(q), v) for q, v in factors]

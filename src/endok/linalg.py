@@ -170,9 +170,6 @@ class Matrix:
     def is_zero(self):
         return not self._num.any()
 
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def to_integers(self):
         """(N, D): the canonical integer form, a read-only 2-d numpy array
         N of integers over the positive integer D, which is 1 over F_p."""
@@ -413,10 +410,6 @@ class Subspace:
         w = Matrix(self.field, [v], cols=self.ambient_dim)
         return w - _submatrix(w, [0], self.pivots) @ self.matrix
 
-    def reduce(self, v):
-        """Residual of v after subtracting its component in the subspace."""
-        return self._residual(v).entries[0]
-
     def contains(self, v):
         return self._residual(v).is_zero
 
@@ -424,11 +417,6 @@ class Subspace:
         """Ambient coordinates not used as pivots; they index a complement."""
         pivset = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivset)
-
-    def sum(self, other):
-        if other.field != self.field or other.ambient_dim != self.ambient_dim:
-            raise FieldMismatchError("subspace sum needs one ambient space")
-        return Subspace._row_space(_stack([self.matrix, other.matrix]))
 
     def __eq__(self, other):
         # the basis matrix carries the field, and ambient_dim as its width
@@ -570,10 +558,6 @@ def _echelon_kernel(R, pivots):
 def kernel_basis(m):
     """Canonical basis of the right null space; dim = cols - rank."""
     return Subspace._row_space(_kernel_rows(m)[0])
-
-
-def column_space(m):
-    return Subspace._row_space(m.transpose())
 
 
 # The CRT primes for charpoly over Q: the largest primes below 2^61, in

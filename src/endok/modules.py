@@ -125,9 +125,6 @@ class Ideal:
     def normal_form(self, p):
         return normal_form(p, list(self.gens))
 
-    def contains(self, p):
-        return self.normal_form(p).is_zero
-
     def generator_strings(self):
         # rendered once: keys sort by them, and _KEYS shares each key
         strings = self._strings

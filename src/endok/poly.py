@@ -27,7 +27,7 @@ by the deterministic sort keys used for ideals.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 from .errors import FieldMismatchError
 
@@ -479,10 +479,6 @@ class UniPoly:
             return self
         return self.scale(self.field.inv(self.lc))
 
-    def derivative(self):
-        F = self.field
-        return UniPoly._from_canonical(F, _derivative(self.coeffs, F.characteristic))
-
     def __call__(self, x):
         """Evaluate at a scalar by Horner's rule; returns a raw scalar."""
         F = self.field
@@ -549,40 +545,6 @@ def uni_lcm(f, g):
     return ((f * g) // uni_gcd(f, g)).monic()
 
 
-def uni_gcdex(f, g):
-    """Extended Euclid: returns (d, s, t) with s*f + t*g = d, d monic."""
-    f._check(g)
-    F = f.field
-    return tuple(
-        UniPoly._from_canonical(F, x)
-        for x in _gcdex(f.coeffs, g.coeffs, F.characteristic)
-    )
-
-
-def pow_mod(base, e, modulus):
-    """base**e reduced modulo a nonzero polynomial."""
-    if modulus.is_zero:
-        raise ZeroDivisionError("zero modulus")
-    F = base.field
-    return UniPoly._from_canonical(
-        F, _pow_mod(base.coeffs, e, modulus.coeffs, F.characteristic)
-    )
-
-
-def squarefree_decomposition(f):
-    """Multiplicity-graded squarefree split of a nonzero polynomial.
-
-    Returns [(g_i, e_i)] with the g_i monic, squarefree, pairwise coprime
-    and f = lc(f) * prod g_i^e_i.  Works in characteristic 0 (Yun/Musser
-    on the primitive integer multiple of f) and characteristic p, where a
-    vanishing derivative means f = g(t^p) and p-th roots of coefficients
-    are the identity on F_p.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    return [(_as_monic(g, f.field), e) for g, e in _squarefree_parts(f)]
-
-
 def squarefree_part(f):
     """Product of the distinct monic irreducible factors of a monic f."""
     if f.is_zero:
@@ -640,6 +602,13 @@ def _merge(field, nvars, pairs, f=None):
     return f
 
 
+def _variable_index(i, nvars):
+    i = index(i)
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} out of range for nvars {nvars}")
+    return i
+
+
 class MultiPoly:
     """Sparse polynomial in t1..tn; terms sorted descending in grlex.
 
@@ -653,7 +622,7 @@ class MultiPoly:
     def __init__(self, field, nvars, terms):
         checked = []
         for exps, c in terms.items() if isinstance(terms, dict) else terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars:
                 raise ValueError(f"monomial arity {len(exps)} != nvars {nvars}")
             if any(e < 0 for e in exps):
@@ -679,14 +648,14 @@ class MultiPoly:
     @classmethod
     def variable(cls, field, nvars, i):
         """The generator t_{i+1} (0-based index i)."""
+        i = _variable_index(i, nvars)
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(field, nvars, {exps: field.one})
 
     @classmethod
     def from_unipoly(cls, u, nvars=1, var=0):
         """u as a polynomial in t_{var+1} (0-based var) of nvars variables."""
-        if not 0 <= var < nvars:
-            raise ValueError(f"variable index {var} out of range for nvars {nvars}")
+        var = _variable_index(var, nvars)
         pairs = [
             (tuple(i if j == var else 0 for j in range(nvars)), c)
             for i, c in enumerate(u.coeffs)

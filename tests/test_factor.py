@@ -6,7 +6,7 @@ import pytest
 
 from endok import _kernels, factor
 from endok.cli import main
-from endok.factor import factor_univariate, is_irreducible
+from endok.factor import factor_univariate
 from endok.fields import GF, QQ
 from endok.ktheory import k0_class
 from endok.linalg import Matrix
@@ -242,15 +242,6 @@ def test_low_degree_factors_are_irreducible(field):
             for r, _ in factors:
                 if r.degree < q.degree:
                     assert not (q % r).is_zero
-
-
-def test_is_irreducible():
-    t = UniPoly.gen(QQ)
-    one = UniPoly.one(QQ)
-    assert is_irreducible(t * t + one)
-    assert not is_irreducible(t * t - one)
-    assert not is_irreducible(one)
-    assert is_irreducible(UniPoly(F2, [1, 1, 1]))  # no root in F_2
 
 
 def all_irreducibles_by_sweep(field, max_deg):

@@ -20,16 +20,14 @@ from endok.poly import (
     _mul,
     _pow_mod,
     _squarefree,
+    _squarefree_parts,
     _sub,
     UniPoly,
     grlex_key,
     normal_form,
-    pow_mod,
     signed_reversal,
-    squarefree_decomposition,
     squarefree_part,
     uni_gcd,
-    uni_gcdex,
     uni_lcm,
 )
 
@@ -149,20 +147,17 @@ def test_gcd_divides_both(field):
         g = rand_unipoly(field, rng, 6)
         d = uni_gcd(f, g)
         assert (f % d).is_zero and (g % d).is_zero
-        gg, s, t = uni_gcdex(f, g)
-        assert gg == d
-        assert s * f + t * g == d
 
 
 def test_lcm_and_pow_mod():
     t = T()
     one = UniPoly.one(QQ)
     assert uni_lcm(t, t - one) == t * (t - one)
-    m = t * t + one
-    assert pow_mod(t, 4, m) == UniPoly.one(QQ)  # t^4 = 1 mod t^2+1
-    assert [type(c) for c in pow_mod(t, 0, m).coeffs] == [Fraction]
+    m = list((t * t + one).coeffs)
+    assert _pow_mod(list(t.coeffs), 4, m, 0) == [1]  # t^4 = 1 mod t^2+1
+    assert [type(c) for c in _pow_mod(list(t.coeffs), 0, m, 0)] == [Fraction]
     with pytest.raises(ValueError, match="negative exponent"):
-        pow_mod(t, -1, m)
+        _pow_mod(list(t.coeffs), -1, m, 0)
 
 
 # -- squarefree ---------------------------------------------------------------
@@ -197,14 +192,14 @@ def test_squarefree_properties(field):
             continue
         sf = squarefree_part(f)
         assert (f % sf).is_zero
-        d = sf.derivative()
-        if not d.is_zero:
-            assert uni_gcd(sf, d).is_one
-        # decomposition reconstructs the input
+        d = _derivative(list(sf.coeffs), field.characteristic)
+        if d:
+            assert uni_gcd(sf, UniPoly(field, d)).is_one
+        # the squarefree parts reconstruct the input, up to a scalar over Q
         prod = UniPoly.one(field)
-        for g, e in squarefree_decomposition(f):
-            prod = prod * g**e
-        assert prod == f
+        for g, e in _squarefree_parts(f):
+            prod = prod * UniPoly(field, g) ** e
+        assert prod.monic() == f
 
 
 # -- signed reversal ----------------------------------------------------------
@@ -343,6 +338,10 @@ def test_public_constructor_coerces_and_results_stay_canonical():
     for field in (QQ, F5):
         with pytest.raises(TypeError):
             UniPoly(field, [1, 1.0])
+    # an exponent must be an integer, not truncated to one
+    for exps in ((1.5,), (1.0,), (Fraction(3, 2),)):
+        with pytest.raises(TypeError):
+            MultiPoly(QQ, 1, {exps: 1})
     rng = random.Random(31)
     for field in ALL_FIELDS:
         kind = type(field.zero)
@@ -409,9 +408,15 @@ def test_from_unipoly_places_the_variable():
     u = UniPoly(F5, [3, 0, 1])
     assert MultiPoly.from_unipoly(u, 3, 1) == MultiPoly(F5, 3, {(0, 2, 0): 1, (0, 0, 0): 3})
     assert MultiPoly.from_unipoly(u).to_unipoly() == u
-    for nvars, var in ((1, 1), (2, 2), (2, -1)):
+    for nvars, var in ((1, 1), (2, 2), (2, -1), (2, 5)):
         with pytest.raises(ValueError, match="variable index"):
             MultiPoly.from_unipoly(u, nvars, var)
+        with pytest.raises(ValueError, match="variable index"):
+            MultiPoly.variable(F5, nvars, var)
+    with pytest.raises(TypeError):
+        MultiPoly.variable(F5, 2, 0.5)
+    with pytest.raises(TypeError):
+        MultiPoly.from_unipoly(u, 2, 0.5)
 
 
 def test_difference_of_squares_cancels():
@@ -569,8 +574,7 @@ def test_coefficient_list_helpers_match_plain_loops(case):
 @example((0, [2, 2], [4, 4], 1))  # non-monic equal up to a unit
 @example((0, [], [-2, 1], 1))
 def test_gcdex_on_coefficient_lists(case):
-    # s*f + t*g = d with d the monic gcd, over F_p and over Q on
-    # Fractions; uni_gcdex returns the same three polynomials
+    # s*f + t*g = d with d the monic gcd, over F_p and over Q on Fractions
     p, f, g, _ = case
     field = GF(p) if p else QQ
     if not p:
@@ -585,5 +589,3 @@ def test_gcdex_on_coefficient_lists(case):
     assert UniPoly(field, d) == uni_gcd(UniPoly(field, f), UniPoly(field, g))
     if not p:
         assert all(type(c) is Fraction for c in d + s + t)
-    expected = tuple(UniPoly(field, x) for x in (d, s, t))
-    assert uni_gcdex(UniPoly(field, f), UniPoly(field, g)) == expected
