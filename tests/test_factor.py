@@ -244,6 +244,19 @@ def test_low_degree_factors_are_irreducible(field):
                     assert not (q % r).is_zero
 
 
+def test_is_irreducible():
+    # an irreducible q factors as the single pair (q, 1)
+    t = UniPoly.gen(QQ)
+    one = UniPoly.one(QQ)
+    q = t * t + one
+    assert factor_univariate(q) == [(q, 1)]
+    assert factor_univariate(t * t - one) == [(t - one, 1), (t + one, 1)]
+    assert factor_univariate(one) == []
+    q = UniPoly(F2, [1, 1, 1])  # no root in F_2
+    assert factor_univariate(q) == [(q, 1)]
+    assert factor_univariate(q * q) == [(q, 2)]
+
+
 def all_irreducibles_by_sweep(field, max_deg):
     """Independent list of monic irreducibles of degree <= max_deg: a monic
     polynomial is irreducible iff no smaller-degree monic divides it."""

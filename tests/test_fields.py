@@ -6,8 +6,11 @@ import numpy
 import pytest
 
 from endok import _kernels
+from endok.errors import FieldMismatchError
 from endok.fields import GF, QQ, is_prime
+from endok.linalg import Matrix
 from endok.parse import field_from_string, parse_input
+from endok.poly import UniPoly
 
 from conftest import ALL_FIELDS, field_id
 
@@ -95,6 +98,29 @@ def test_division_by_zero():
         QQ.inv(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         GF(3).coerce(Fraction(1, 3))
+
+
+def test_mixed_field_operation_rejected():
+    a = UniPoly(GF(5), [2, 1])
+    b = UniPoly(GF(7), [2, 1])
+    with pytest.raises(FieldMismatchError):
+        a + b
+    with pytest.raises(FieldMismatchError):
+        Matrix(GF(5), [[2]]) @ Matrix(QQ, [[2]])
+    with pytest.raises(TypeError):
+        QQ.coerce(a)
+
+
+def test_element_operators():
+    F = GF(5)
+    a = F.coerce(2)
+    assert F.add(a, a) == 4
+    assert F.mul(a, a) == 4
+    assert F.neg(a) == 3
+    assert F.div(a, a) == 1
+    assert F.inv(a) == 3
+    assert F.sub(a, a) == F.zero
+    assert all(type(x) is int for x in (F.add(a, a), F.neg(a), F.inv(a)))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS + [GF(97)], ids=field_id)

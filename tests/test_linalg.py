@@ -130,6 +130,14 @@ def test_subspace_public_constructor_coerces_and_checks():
         Subspace(GF(5), 1, [(1.0,)])
 
 
+def test_column_space():
+    # the column space of m is the row space of its transpose
+    m = Matrix(QQ, [[1, 3], [2, 6]])
+    cs = Subspace(QQ, 2, m.transpose().entries)
+    assert cs.dim == 1 and cs.contains((1, 2))
+    assert not cs.contains((1, 3))  # spans the rows, not the columns
+
+
 # -- charpoly / minpoly -------------------------------------------------------------
 
 
