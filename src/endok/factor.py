@@ -1,23 +1,31 @@
 """Irreducible factorization of univariate polynomials over Q and F_p.
 
-One driver serves both fields: ``factor_univariate`` takes Yun's
-squarefree parts of f (``poly._squarefree_parts``: of its monic residues
-over F_p, of its primitive integer multiple over Q), splits each part into
-irreducibles and gives each irreducible its part's multiplicity.  The
-parts are pairwise coprime, in characteristic p too, so every irreducible
-comes out of exactly one part and no multiplicities are added up.
+One routine serves both fields: ``factor_univariate`` takes pairwise
+coprime squarefree parts of f, splits each part into irreducibles and
+gives each irreducible its part's multiplicity, so no multiplicities are
+added up.  Over Q the parts are Yun's (``poly._squarefree_parts``, on
+f's primitive integer multiple).
 
-Over F_p each part g goes through distinct-degree splitting followed by
-randomized Cantor-Zassenhaus equal-degree splitting.  The linear factors
-come first when p <= ROOT_EVAL_LIMIT: the degree-1 part, a product of
-distinct monic linear factors, is evaluated at every element of F_p at
-once (Horner on int64 arrays) and its zeros name them.  The limit is a
-measured crossover: evaluation costs about deg * p array steps, and
-Cantor-Zassenhaus about deg^2 * log p list steps, and evaluation won at
-every degree tried up to p = 12007 (degree 2, where it wins least) and
-up to about 30000 at degree 8; the limit, 2^13, keeps a margin below, as
-the timings swing.  Parts of degree d > 1, and the degree-1
-part for larger p, go to Cantor-Zassenhaus.  Both splittings raise to the
+Over F_p the roots come first when p <= ROOT_EVAL_LIMIT: the monic f is
+evaluated at every element of F_p at once (Horner on int64 arrays, after
+folding f modulo t^p - t to degree < p), and each zero a is divided out
+by synthetic division for as long as t - a divides, which gives its
+multiplicity in any characteristic, multiplicities >= p included.  Yun's
+squarefree split, distinct-degree splitting and Cantor-Zassenhaus
+equal-degree splitting then see only the root-free cofactor, whose
+factors have degree 2 or more: below degree 4 it is irreducible, and
+distinct-degree splitting starts at degree 2.  The limit is a measured
+crossover: evaluation costs about min(deg, p) * p array steps, and on
+products of k distinct linear factors (some squared) with a random monic
+cofactor, degree 2 to 64, 20 inputs each, best of 5, against the same
+inputs with the root stage off, the root stage won or tied on every shape
+up to p = 2039 (k = 2 with a degree-30 cofactor: 3267 against 3390 us),
+tied on the shapes with few roots at p = 4093 (k = 2, degree 64:
+13225 against 12873 us) and lost on them from p = 8191 (k = 2 with a
+degree-14 cofactor: 1113 against 949 us); the limit, 2^11, keeps a
+margin below, as the timings swing.  Shapes with many roots win to
+p = 16381.  For larger p the linear factors go through both splittings
+with the rest.  Both splittings raise to the
 p-th power with the Frobenius matrix of g (``_frobenius``: row i is
 t^(ip) mod g, Berlekamp's Q): Frobenius is F_p-linear, so h^p mod g is
 the one vector-matrix product h.Q mod p on a residue array, and h^p mod a
@@ -32,18 +40,23 @@ steps (von zur Gathen-Shoup).
 
 Over Q the parts are primitive integer polynomials, and a linear part is
 its own factor.  Zassenhaus factors each other part: reduce modulo a good
-prime, Hensel-lift the modular factors above the Mignotte coefficient
-bound, and recombine subsets, with a candidate factor checked by exact
-division over Z.  Here too the linear factors come first, t among them
+prime, factor there (the same root stage first), Hensel-lift the modular
+factors above the half-degree bound, and recombine subsets, with a
+candidate factor checked by exact division over Z.  Here too the linear
+factors come first, t among them
 as the root 0: a rational root r of F has |lc.r| <= |lc| + max|F_i|
 (Cauchy), and lc.r is an integer, so each root a of a linear modular
 factor is lifted by Newton's iteration until p^k exceeds twice that
 bound, and lc.t - (lc.a mod p^k, symmetric) is a factor of F exactly when
 its primitive part divides the cofactor.  A proven root takes its modular
-factor with it; the Mignotte bound, the Hensel lift and the subset search
-run on the cofactor alone, and not at all when at most one modular factor
-is left.  Integer polynomials use the same coefficient-list helpers with
-p = 0, and only the monic irreducible factors become Fractions.
+factor with it; the Hensel lift and the subset search run on the
+cofactor alone, and not at all when at most one modular factor is left.
+Recombination rebuilds, for each subset, whichever of the subset and its
+complement has at most half the cofactor's degree, so the lift need only
+recover factors of degree <= m = floor(deg F / 2): p^l above
+2 C(m, floor(m/2)) ceil(||F||_2) (Mignotte; von zur Gathen-Gerhard,
+Theorem 6.32).  Integer polynomials use the same coefficient-list helpers
+with p = 0, and only the monic irreducible factors become Fractions.
 Recombination tries at most ``RECOMBINATION_BUDGET`` subsets per
 squarefree part and raises ValueError past it, so its exponential worst
 case stays bounded.
@@ -72,6 +85,7 @@ from .poly import (
     _mul,
     _pow_mod,
     _primitive,
+    _squarefree,
     _squarefree_parts,
     _sub,
     _trim,
@@ -82,9 +96,9 @@ DEFAULT_SEED = 0
 # for one squarefree part; t^70 - 1 has 10 factors mod 3, and once its
 # roots +-1 are proven the other 8 need 11
 RECOMBINATION_BUDGET = 1 << 14
-# F_p with p at most this many elements splits the degree-1 part by
+# F_p with p at most this many elements takes the roots of f first, by
 # evaluation; below the measured crossover (see above), with a margin
-ROOT_EVAL_LIMIT = 1 << 13
+ROOT_EVAL_LIMIT = 1 << 11
 
 
 def factor_univariate(f):
@@ -102,13 +116,25 @@ def factor_univariate(f):
     p = F.characteristic
     pairs = [
         (_as_monic(q, F), e)
-        for g, e in _squarefree_parts(f)
+        for g, e in _parts(f)
         for q in (
             _factor_squarefree_modp(g, p) if p else _zassenhaus(g) if len(g) > 2 else [g]
         )
     ]
     pairs.sort(key=lambda pair: (pair[0].degree, pair[0].coeffs))
     return pairs
+
+
+def _parts(f):
+    """[(g, e)] with the g squarefree and pairwise coprime and f = lc *
+    prod g^e: over F_p the linear factors of ``_linear_factors`` with their
+    multiplicities, then Yun's parts of the root-free cofactor; over Q
+    Yun's parts of f's primitive integer multiple."""
+    p = f.field.characteristic
+    if not p:
+        return _squarefree_parts(f)
+    linear, g = _linear_factors(_monic(list(f.coeffs), p), p)
+    return linear + _squarefree(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +144,67 @@ def factor_univariate(f):
 # degree first); only factor_univariate speaks UniPoly.
 
 
+def _linear_factors(f, p):
+    """The roots of a monic f over F_p first, for p <= ROOT_EVAL_LIMIT:
+    ([(t - a, e)], g) over the zeros a of ``_roots``, e the multiplicity
+    of a, and g the root-free cofactor.  Each t - a is divided out for as
+    long as it divides, so e is exact in any characteristic, e >= p
+    included.  For larger p, ([], f)."""
+    if p > ROOT_EVAL_LIMIT or len(f) < 2:
+        return [], f
+    linear = []
+    for a in _roots(f, p):
+        e = 0
+        while (q := _divide_root(f, a, p)) is not None:
+            f = q
+            e += 1
+        linear.append(([-a % p, 1], e))
+    return linear, f
+
+
+def _divide_root(f, a, p):
+    """f / (t - a) over F_p by synthetic division, or None when a is not a
+    root of f."""
+    acc = 0
+    out = []
+    for c in reversed(f):
+        acc = (acc * a + c) % p
+        out.append(acc)
+    if out.pop():
+        return None
+    out.reverse()
+    return out
+
+
 def _factor_squarefree_modp(g, p):
     """Monic squarefree g over F_p -> unsorted list of monic irreducibles.
-    For p <= ROOT_EVAL_LIMIT the degree-1 part is split by ``_roots``; one
+    For p <= ROOT_EVAL_LIMIT g has no roots (``_linear_factors`` took
+    them), so its factors have degree 2 or more: below degree 4 it is
+    irreducible, and distinct-degree splitting starts at degree 2.  One
     generator serves the equal-degree splits, if any part needs one."""
-    if len(g) <= 2:
-        return [g] if len(g) == 2 else []
+    lowest = 2 if p <= ROOT_EVAL_LIMIT else 1
+    if len(g) - 1 < 2 * lowest:
+        return [g] if len(g) > 1 else []
     q = _frobenius(g, p)
-    parts = _distinct_degree_split(g, p, q)
-    linear = []
-    h, d = parts[0]
-    if d == 1 and len(h) > 2 and p <= ROOT_EVAL_LIMIT:
-        linear = [[-a % p, 1] for a in _roots(h, p)]
-        parts = parts[1:]
+    parts = _distinct_degree_split(g, p, q, lowest)
     rng = random.Random(DEFAULT_SEED) if any(len(h) - 1 > d for h, d in parts) else None
-    return linear + [f for h, d in parts for f in _equal_degree_split(h, d, p, rng, q)]
+    return [f for h, d in parts for f in _equal_degree_split(h, d, p, rng, q)]
 
 
 def _roots(h, p):
     """The zeros in F_p of h, in increasing order: h evaluated at every
-    element at once, by Horner on int64 arrays (p^2 + p < 2^63)."""
+    element at once, by Horner on int64 arrays (p^2 + p < 2^63).  As
+    a^p = a on F_p, h is first folded modulo t^p - t, to degree < p."""
+    if len(h) > p:
+        folded = h[:p]
+        for k in range(p, len(h)):
+            folded[(k - 1) % (p - 1) + 1] += h[k]
+        h = folded
     x = np.arange(p, dtype=np.int64)
-    acc = np.full(p, h[-1], np.int64)
+    acc = np.full(p, h[-1] % p, np.int64)
     for c in reversed(h[:-1]):
         acc *= x
-        acc += c
+        acc += c % p
         acc %= p
     return np.flatnonzero(acc == 0).tolist()
 
@@ -191,9 +253,10 @@ def _frobenius_step(h, q, f, p):
     return _divmod(_trim(((v @ q) % p).tolist()), f, p)[1]
 
 
-def _distinct_degree_split(g, p, q):
-    """Monic squarefree g -> [(h_d, d)] with h_d the product of its
-    irreducible factors of degree d.  Uses gcd(g, t^(p^d) - t), with
+def _distinct_degree_split(g, p, q, lowest):
+    """Monic squarefree g with no irreducible factor of degree below
+    ``lowest`` -> [(h_d, d)] with h_d the product of its irreducible
+    factors of degree d.  Uses gcd(g, t^(p^d) - t) for d >= lowest, with
     t^(p^d) mod ``cur`` one Frobenius step from t^(p^(d-1)), for q =
     _frobenius(g, p)."""
     x = [0, 1]
@@ -207,6 +270,8 @@ def _distinct_degree_split(g, p, q):
             factors.append((cur, len(cur) - 1))
             break
         h = _frobenius_step(h, q, cur, p)
+        if d < lowest:
+            continue
         hx = _sub(h, x, p)
         G = _gcd(cur, hx, p) if hx else cur
         if len(G) > 1:
@@ -352,12 +417,13 @@ def _zassenhaus(F):
     """Factor a primitive squarefree integer polynomial of degree >= 2:
     proven rational roots first, then ``_recombine`` on the cofactor."""
     p = _good_prime(F)
+    linear, g = _linear_factors(_monic([c % p for c in F], p), p)
     factors = []
     f = F
     rest = []
     lc = F[-1]
     bound = _root_bound(F)
-    for q in _factor_squarefree_modp(_monic([c % p for c in F], p), p):
+    for q in [q for q, _ in linear] + _factor_squarefree_modp(g, p):
         if len(q) == 2:
             a, m = _lift_root(F, -q[0] % p, p, bound)
             G = _primitive(_ztrunc_sym([-lc * a, lc], m))
@@ -376,13 +442,23 @@ def _zassenhaus(F):
 
 def _recombine(F, p, modular):
     """The irreducible factors of F from its monic modular factors mod p,
-    at least two of them: Hensel-lift them above the Mignotte bound, and
-    try subsets of the lifted factors by exact division."""
+    at least two of them: Hensel-lift them above the half-degree bound,
+    and try subsets of the lifted factors by exact division.
+
+    A subset S stands for a factor D of the current cofactor f, and for
+    its cofactor f / D, the product of the other factors.  Whichever of
+    the two has degree <= deg f / 2 is rebuilt, as lc(f) times its lifted
+    factors mod p^l, and divided into f; when it is the other factor that
+    divides exactly, S's factor is the quotient.  A factor D of degree
+    k <= m = floor(deg F / 2) of f, itself a factor of F, is rebuilt as
+    (lc f / lc D) * D, whose coefficients are at most
+    C(k, i) * M(F) <= C(m, floor(m/2)) * ||F||_2 (Mignotte's bound, with
+    the Mahler measure M(F) <= ||F||_2), so p^l above twice that recovers
+    it exactly."""
     n = len(F) - 1
-    A = max(abs(c) for c in F)
-    b = F[-1]
-    # Mignotte: any factor has coefficients bounded by sqrt(n+1)*2^n*A*|b|
-    B = (math.isqrt(n + 1) + 1) * (1 << n) * A * abs(b)
+    m = n // 2
+    # ceil(||F||_2) = 1 + isqrt(||F||_2^2 - 1) for F != 0
+    B = math.comb(m, m // 2) * (1 + math.isqrt(sum(c * c for c in F) - 1))
     l = 1
     pl = p
     while pl < 2 * B + 1:
@@ -390,6 +466,7 @@ def _recombine(F, p, modular):
         l += 1
     lifted = _hensel_lift(p, F, [_ztrunc_sym(q, p) for q in modular], l)
     pl = p**l
+    degree = [len(g) - 1 for g in lifted]
 
     remaining = list(range(len(lifted)))
     factors = []
@@ -406,13 +483,15 @@ def _recombine(F, p, modular):
                     f"factors of a degree-{n} squarefree part needs more than "
                     f"RECOMBINATION_BUDGET = {RECOMBINATION_BUDGET} subsets"
                 )
+            small = 2 * sum(degree[i] for i in S) <= len(f) - 1
             G = [f[-1]]
-            for i in S:
+            for i in S if small else [i for i in remaining if i not in S]:
                 G = _mul(G, lifted[i], 0)
-            G = _ztrunc_sym(G, pl)
-            Gp = _primitive(G)
+            Gp = _primitive(_ztrunc_sym(G, pl))
             q = _div_exact(f, Gp)
             if q is not None:
+                if not small:
+                    Gp, q = q, Gp
                 factors.append(Gp)
                 f = q
                 hit = set(S)

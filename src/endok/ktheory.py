@@ -43,7 +43,7 @@ class GrothendieckClass:
         for key, mult in support.items() if isinstance(support, dict) else support:
             if not isinstance(key, MaximalIdealKey):
                 raise TypeError(f"expected MaximalIdealKey, got {key!r}")
-            if key.ideal.field != field or key.ideal.nvars != nvars:
+            if key.field != field or key.nvars != nvars:
                 raise FieldMismatchError("key field/arity mismatch")
             try:
                 mult = operator.index(mult)
@@ -143,7 +143,7 @@ def k0_class(t, rng=None):
     calls ``k0_class(case.tuple)`` (ROADMAP item 2, **Seed**)."""
     if t.nvars == 1:
         factors = factor_univariate(charpoly(t.mats[0]))
-        pairs = [(principal_maximal_key(q), v) for q, v in factors]
+        pairs = [(_principal_key([q], q.degree), v) for q, v in factors]
         return GrothendieckClass(t.field, 1, pairs)
     pairs = []
     for w, key in t._local_pieces():
@@ -252,9 +252,13 @@ def kelley_spanier_split(t):
 def principal_maximal_key(q):
     """The key of the maximal ideal (q) for a monic irreducible q: the
     one live key object for that ideal, shared with the keys
-    ``k0_class`` finds for its pieces."""
+    ``k0_class`` finds for its pieces.  A reducible q, whose ideal is not
+    maximal, is a ValueError; ``k0_class`` and ``tilde_to_free_abelian``
+    key factors that are irreducible already, with no such check."""
     if not q.is_monic or q.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
+    if factor_univariate(q) != [(q, 1)]:
+        raise ValueError(f"({q}) is not a maximal ideal: {q} is reducible")
     return _principal_key([q], q.degree)
 
 
@@ -272,7 +276,7 @@ def tilde_to_free_abelian(a):
         for r, e in factor_univariate(poly):
             r1 = r.scale(F.inv(r.constant_term))
             q = signed_reversal(r1, inverse=True)
-            pairs.append((principal_maximal_key(q), sign * e))
+            pairs.append((_principal_key([q], q.degree), sign * e))
     return GrothendieckClass(F, 1, pairs)
 
 

@@ -55,7 +55,7 @@ class Ideal:
     equality of ideals is literal equality of these canonical tuples.
     """
 
-    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_hash", "_strings")
+    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_strings")
 
     def __init__(self, field, nvars, gens, standard_monomials):
         gens = tuple(
@@ -73,7 +73,6 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "standard_monomials", std)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_strings", None)
 
     def __setattr__(self, name, value):
@@ -143,13 +142,7 @@ class Ideal:
         return NotImplemented
 
     def __hash__(self):
-        # computed on first use and kept: hashing the gens hashes every
-        # coefficient, and a Fraction hash costs a modular inverse
-        h = self._hash
-        if h is None:
-            h = hash((self.field, self.nvars, self.gens))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.field, self.nvars, self.gens))
 
     def __repr__(self):
         return f"Ideal({', '.join(self.generator_strings())})"
@@ -255,29 +248,36 @@ def quotient_is_field(ideal):
 
 class MaximalIdealKey:
     """Canonical tag of a maximal ideal M of k[t1..tn]: its reduced
-    Groebner basis, with the residue degree dim_k k[T]/M read off it.
+    Groebner basis, with the residue degree dim_k k[T]/M.
 
-    Keys are interned: ``MaximalIdealKey(ideal)`` returns the live key of
-    an equal ideal if there is one.  So one ideal has one key object,
-    whichever path made it, keys compare by identity, and the classes a
-    caller keeps hold each basis once.  The caller vouches that the ideal
-    is maximal."""
+    Keys are interned by a canonical form of that basis, the field, the
+    arity and the generators' term tuples: ``MaximalIdealKey(ideal)``
+    derives it from the ideal, ``_principal_key`` from the coefficients of
+    the q_i alone, and either returns the live key of that form if there
+    is one.  So one ideal has one key object, whichever path made it, keys
+    compare by identity, and the classes a caller keeps hold each basis
+    once.  A key made without an ``Ideal`` builds one on the first read of
+    ``ideal``; ``field``, ``nvars`` and ``residue_degree`` need none.  The
+    caller vouches that the ideal is maximal."""
 
-    __slots__ = ("ideal", "__weakref__")
+    __slots__ = ("field", "nvars", "residue_degree", "_gens", "_ideal", "__weakref__")
 
     def __new__(cls, ideal):
-        key = _KEYS.get(ideal)
-        if key is None:
-            key = _KEYS[ideal] = object.__new__(cls)
-            object.__setattr__(key, "ideal", ideal)
-        return key
+        gens = tuple(g.terms for g in ideal.gens)
+        return _interned(ideal.field, ideal.nvars, gens, ideal.quotient_dim, ideal)
 
     def __setattr__(self, name, value):
         raise AttributeError("MaximalIdealKey is immutable")
 
     @property
-    def residue_degree(self):
-        return self.ideal.quotient_dim
+    def ideal(self):
+        ideal = self._ideal
+        if ideal is None:
+            F, n = self.field, self.nvars
+            gens = [_merge(F, n, terms) for terms in self._gens]
+            ideal = Ideal.from_groebner_basis(F, n, gens)
+            object.__setattr__(self, "_ideal", ideal)
+        return ideal
 
     def sort_key(self):
         return (self.residue_degree, self.ideal.generator_strings())
@@ -286,8 +286,27 @@ class MaximalIdealKey:
         return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
 
 
-# The live keys, by ideal, that MaximalIdealKey interns.
+# The live keys, by canonical form, that MaximalIdealKey and _principal_key
+# intern; the table holds no key strongly.
 _KEYS = weakref.WeakValueDictionary()
+
+
+def _interned(field, nvars, gens, degree, ideal=None):
+    """The live key of the form (field, nvars, gens), gens the term tuples
+    of a reduced basis in the order of ``Ideal.gens``, or a new one."""
+    form = (field, nvars, gens)
+    key = _KEYS.get(form)
+    if key is None:
+        key = _KEYS[form] = object.__new__(MaximalIdealKey)
+        for name, value in (
+            ("field", field),
+            ("nvars", nvars),
+            ("residue_degree", degree),
+            ("_gens", gens),
+            ("_ideal", ideal),
+        ):
+            object.__setattr__(key, name, value)
+    return key
 
 
 class CommutingTuple:
@@ -748,17 +767,28 @@ def _key(mats, qs):
 
 
 def _principal_key(qs, dim):
-    """``_local_key`` of the maximal ideal (q_1(t_1), .., q_n(t_n)), for
-    monic irreducible q_i, at most one of degree above 1, and dim.  Its
-    reduced graded-lex basis is the q_i(t_i) themselves (pairwise coprime
-    leading monomials, and no other term divisible by a leading
-    monomial), with the t_j^k, k < deg q_j, for q_j of largest degree, as
-    standard monomials."""
+    """The key of the maximal ideal (q_1(t_1), .., q_n(t_n)), for monic
+    irreducible q_i, at most one of degree above 1, once dim, the
+    dimension of a vector space over its residue field, is checked to be
+    a multiple of the residue degree, max deg q_i.  Its reduced graded-lex
+    basis is the q_i(t_i) themselves (pairwise coprime leading monomials,
+    and no other term divisible by a leading monomial), by degree, then
+    by variable, so its form is read off the coefficients of the q_i
+    with no ``MultiPoly`` or ``Ideal``."""
     n = len(qs)
-    j = max(range(n), key=lambda i: qs[i].degree)
-    gens = [MultiPoly.from_unipoly(q, n, i) for i, q in enumerate(qs)]
-    std = [tuple(k if i == j else 0 for i in range(n)) for k in range(qs[j].degree)]
-    return _local_key(Ideal(qs[0].field, n, gens, std), dim)
+    order = sorted(range(n), key=lambda i: -qs[i].degree)
+    degree = qs[order[0]].degree
+    if dim % degree:
+        raise RuntimeError("dimension is not a multiple of the residue degree")
+    gens = tuple(
+        tuple(
+            ((0,) * i + (k,) + (0,) * (n - 1 - i), c)
+            for k, c in reversed(list(enumerate(qs[i].coeffs)))
+            if c
+        )
+        for i in order
+    )
+    return _interned(qs[0].field, n, gens, degree)
 
 
 def _local_key(ideal, dim):

@@ -4,14 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion with its runtime.
 """
 
-import json
 import random
 import subprocess
 import sys
 import time
 from itertools import product
-
-import pytest
 
 from endok.bruteforce import k0_class_oracle, random_commuting_tuple, random_vector
 from endok.cli import main

@@ -6,13 +6,16 @@ over Q; reduced row echelon forms over Q; and the reduced graded-lex
 Groebner bases of annihilator ideals of random commuting tuples up to
 dim 24.
 
-Factoring takes linear factors first: over small F_p by evaluating the
-degree-1 part everywhere, over Q by lifting modular roots with Newton's
-iteration ahead of Zassenhaus's Hensel tree.  Products of many linear
-factors, on both sides of the evaluation limit, powers of t, whose root 0
-the root stage proves, rational roots with denominators, large roots,
-modular roots that lift to no rational root, and a root bound that is too
-small are checked against sympy too.
+Factoring takes linear factors first: over small F_p by evaluating f
+everywhere and dividing each root out for as long as it divides, over Q
+by lifting modular roots with Newton's iteration ahead of Zassenhaus's
+Hensel tree.  Products of many linear factors, on both sides of the
+evaluation limit, roots of multiplicity p and more, powers of t, whose
+root 0 the root stage proves, rational roots with denominators, large
+roots, modular roots that lift to no rational root, and a root bound that
+is too small are checked against sympy too, and so is recombination at
+the half-degree bound, where only the side of a subset with at most half
+the degree is rebuilt.
 
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
@@ -152,11 +155,11 @@ def assert_factors_match_sympy(f):
     assert ours == sympy_factors(reversed(f.coeffs), f.field), str(f)
 
 
-@pytest.mark.parametrize("p", [2, 3, 97, 8191, 8209], ids=str)
+@pytest.mark.parametrize("p", [2, 3, 97, 2039, 2053], ids=str)
 def test_products_of_linear_factors_match_sympy(p, monkeypatch):
-    # 8191 and 8209 are the primes next to ROOT_EVAL_LIMIT: up to it the
-    # degree-1 part is split by evaluation, past it by Cantor-Zassenhaus
-    assert 8191 <= factor.ROOT_EVAL_LIMIT < 8209
+    # 2039 and 2053 are the primes next to ROOT_EVAL_LIMIT: up to it the
+    # roots are found by evaluation, past it by Cantor-Zassenhaus
+    assert 2039 <= factor.ROOT_EVAL_LIMIT < 2053
     evaluated = spy(monkeypatch, "_roots")
     F = GF(p)
     rng = random.Random(p)
@@ -169,6 +172,43 @@ def test_products_of_linear_factors_match_sympy(p, monkeypatch):
             f = f * monic(F, rng.randint(2, 4), rng)
         assert_factors_match_sympy(f)
     assert bool(evaluated) == (p <= factor.ROOT_EVAL_LIMIT)
+
+
+def random_irreducible(F, degree, rng):
+    """A random monic irreducible of the given degree over F_p, as sympy
+    certifies it."""
+    p = F.characteristic
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
+        if sympy.Poly(coeffs[::-1], X, modulus=p).is_irreducible:
+            return UniPoly(F, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2039, 2053], ids=str)
+def test_roots_with_multiplicities_match_sympy(p, monkeypatch):
+    # the root stage divides each root out for as long as it divides, so
+    # multiplicities p - 1, p, p + 1 and 2p + 1 come out whole, with no
+    # help from Yun; over F_97 and next to ROOT_EVAL_LIMIT the products
+    # carry random irreducibles too, which the root stage leaves alone
+    stages = spy(monkeypatch, "_linear_factors")
+    F = GF(p)
+    rng = random.Random(53 + p)
+    exponents = (1, 2, 3) if p > 97 else (1, p - 1, p, p + 1, 2 * p + 1)
+    for _ in range(16):
+        f = UniPoly.constant(F, rng.randrange(1, p))
+        for a in rng.sample(range(p), min(p, rng.randint(1, 4))):
+            f = f * UniPoly(F, [-a, 1]) ** rng.choice(exponents)
+        if p > 3:
+            for _ in range(rng.randint(0, 2)):
+                f = f * random_irreducible(F, rng.randint(2, 4), rng) ** rng.choice((1, 2))
+        assert_factors_match_sympy(f)
+    found = [e for linear, _ in stages for _, e in linear]
+    if p <= factor.ROOT_EVAL_LIMIT:
+        assert max(found) >= (p if p <= 97 else 2)
+        # the cofactor the root stage leaves has no root left
+        assert all(not factor._roots(g, p) for _, g in stages if len(g) > 1)
+    else:
+        assert not found
 
 
 def test_powers_of_t_match_sympy(monkeypatch):
@@ -274,6 +314,78 @@ def test_too_small_root_bound_still_factors_correctly(bound, monkeypatch):
         assert_factors_match_sympy(f)
     assert_factors_match_sympy(linear(100003, 1) * linear(-100003, 1))
     assert trees
+
+
+def candidate_degrees(monkeypatch):
+    """(deg f, deg G) of every exact division of a cofactor f by a
+    candidate G of degree 2 or more, as ``_recombine`` tries them; the
+    root stage's candidates are linear."""
+    seen = []
+    real = factor._div_exact
+
+    def recording(f, g):
+        if len(g) > 2:
+            seen.append((len(f) - 1, len(g) - 1))
+        return real(f, g)
+
+    monkeypatch.setattr(factor, "_div_exact", recording)
+    return seen
+
+
+def test_recombination_rebuilds_only_the_small_side(monkeypatch):
+    # a small quadratic times a degree-6 irreducible with coefficients
+    # near 10^6: a subset holding the sextic's modular factors is matched
+    # by rebuilding its complement, the quadratic, mod p^l, and the
+    # sextic is the quotient.  No candidate has more than half the
+    # cofactor's degree.
+    calls = candidate_degrees(monkeypatch)
+    rng = random.Random(59)
+    t = UniPoly.gen(QQ)
+    quotients = 0
+    for _ in range(20):
+        while True:
+            coeffs = [rng.randint(-(10**6), 10**6) for _ in range(6)] + [1]
+            sextic = UniPoly(QQ, coeffs)
+            if sympy.Poly(coeffs[::-1], X).is_irreducible:
+                break
+        quadratic = t * t + UniPoly.constant(QQ, rng.choice((1, 2, 3, 5, 7)))
+        f = quadratic * sextic
+        calls.clear()
+        assert_factors_match_sympy(f)
+        assert all(2 * g <= n for n, g in calls)
+        quotients += any(n == 8 and g == 2 for n, g in calls)
+    assert quotients
+
+
+def integer_factor(rng, degree, lcs):
+    """A random primitive integer polynomial as a UniPoly over Q: its
+    leading coefficient from lcs, the others of a random height."""
+    height = 10 ** rng.randint(0, 6)
+    coeffs = [rng.randint(-height, height) for _ in range(degree)] + [rng.choice(lcs)]
+    if not coeffs[0]:
+        coeffs[0] = 1
+    return UniPoly(QQ, coeffs)
+
+
+def test_random_products_match_sympy_at_the_half_degree_bound(monkeypatch):
+    # 300 products of 2 to 4 random integer factors, degree at most 24;
+    # leading coefficients with many small prime factors push the good
+    # prime up, so p^l can overshoot the bound by up to a factor p and a
+    # lift one power of p short loses a candidate that p^l recovers
+    calls = candidate_degrees(monkeypatch)
+    rng = random.Random(61)
+    lcs = (1, 1, 2, 3, 6, 15, 105, 1155, 15015, 255255)
+    for _ in range(300):
+        f = UniPoly.one(QQ)
+        degree = 0
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, min(8, 24 - degree))
+            f = f * integer_factor(rng, d, lcs)
+            degree += d
+            if degree >= 23:
+                break
+        assert_factors_match_sympy(f)
+    assert calls and all(2 * g <= n for n, g in calls)
 
 
 def test_rational_charpoly_with_large_entries_matches_sympy():

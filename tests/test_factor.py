@@ -399,7 +399,8 @@ def squarefree_inputs(p, rng, count):
 def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
     # _factor_squarefree_modp makes its one generator only when some part
     # sent to Cantor-Zassenhaus still needs an equal-degree split; for
-    # p <= ROOT_EVAL_LIMIT the degree-1 part is split by evaluation instead
+    # p <= ROOT_EVAL_LIMIT _linear_factors takes the roots first, and
+    # the root-free cofactor's distinct-degree split starts at degree 2
     made = []
 
     def recording(seed):
@@ -412,7 +413,7 @@ def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
         if len(g) <= 2:
             continue
         q = factor._frobenius(g, p)
-        parts = factor._distinct_degree_split(g, p, q)
+        parts = factor._distinct_degree_split(g, p, q, 1)
         assert parts == pow_mod_ddf(g, p)
         for h, d in parts:
             seen.add(d > 1 and len(h) - 1 > d)
@@ -425,8 +426,15 @@ def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
         theirs = random.Random(factor.DEFAULT_SEED)
         for h, d in sent:
             pow_mod_edf(h, d, p, theirs)
+        linear, rest = factor._linear_factors(g, p)
+        assert all(e == 1 for _, e in linear)
+        assert bool(linear) == (any(d == 1 for _, d in parts) and p <= factor.ROOT_EVAL_LIMIT)
+        if p <= factor.ROOT_EVAL_LIMIT and len(rest) > 4:
+            split = factor._distinct_degree_split(rest, p, factor._frobenius(rest, p), 2)
+            assert split == [(h, d) for h, d in parts if d > 1]
         made.clear()
-        assert sorted(factor._factor_squarefree_modp(g, p)) == expected
+        got = [q for q, _ in linear] + factor._factor_squarefree_modp(rest, p)
+        assert sorted(got) == expected
         assert len(made) == any(len(h) - 1 > d for h, d in sent)
         assert all(ours.getstate() == theirs.getstate() for ours in made)
     # some inputs split into several factors of one degree above 1

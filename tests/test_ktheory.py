@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -236,6 +237,21 @@ def test_principal_keys_are_shared():
     for bad in (UniPoly(QQ, [1, 2]), UniPoly.one(QQ)):
         with pytest.raises(ValueError, match="monic polynomial of degree >= 1"):
             principal_maximal_key(bad)
+
+
+@pytest.mark.parametrize(
+    "field, coeffs", [(QQ, [-1, 0, 1]), (F5, [1, 0, 1]), (F2, [0, 0, 1]), (QQ, [2, -3, 1])]
+)
+def test_principal_maximal_key_rejects_a_reducible_polynomial(field, coeffs):
+    # (t^2 - 1) over Q, (t^2 + 1) over F_5, (t^2) and ((t - 1)(t - 2)) are
+    # no maximal ideals: no key is made for them, as class_from_json makes
+    # none for a non-maximal ideal
+    q = UniPoly(field, coeffs)
+    gc.collect()
+    live = len(modules._KEYS)
+    with pytest.raises(ValueError, match="not a maximal ideal"):
+        principal_maximal_key(q)
+    assert len(modules._KEYS) == live
 
 
 # -- lambda_t -----------------------------------------------------------------------

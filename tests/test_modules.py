@@ -22,7 +22,6 @@ from endok.linalg import (
 from endok.modules import (
     CommutingTuple,
     Ideal,
-    MaximalIdealKey,
     multiplication_matrix,
     quotient_is_field,
 )
@@ -373,7 +372,7 @@ def test_equal_ideals_built_apart_hash_equal():
     assert hash(found) == hash(written) == hash(written)
     assert {found: 1}[written] == 1
     assert hash(written) == hash((QQ, 2, written.gens))
-    for name in ("gens", "_hash"):
+    for name in ("gens", "_strings"):
         with pytest.raises(AttributeError):
             setattr(written, name, None)
     assert hash(written) == hash(found)

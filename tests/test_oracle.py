@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from endok import bruteforce
+from endok import bruteforce, modules
 from endok.bruteforce import (
     DEFAULT_BOUND,
     all_invariant_submodules,
@@ -15,11 +18,11 @@ from endok.bruteforce import (
 )
 from endok.errors import EnumerationBoundError
 from endok.fields import GF, QQ
-from endok.ktheory import k0_class
+from endok.ktheory import k0_class, principal_maximal_key
 from endok.linalg import Matrix
-from endok.modules import CommutingTuple, MaximalIdealKey, quotient_is_field
+from endok.modules import CommutingTuple, Ideal, MaximalIdealKey, quotient_is_field
 from endok.parse import class_from_json, field_to_string
-from endok.poly import UniPoly
+from endok.poly import MultiPoly, UniPoly
 
 F2, F3 = GF(2), GF(3)
 
@@ -141,3 +144,40 @@ def test_one_key_object_per_ideal():
         assert all(MaximalIdealKey(k.ideal) is k for k in ours)
         keys += len(ours)
     assert keys >= 20
+    # n = 1: every path to the key of (q) meets one object, whose ideal is
+    # built on first read, and the table lets it go with its last holder
+    for field, coeffs in (
+        (QQ, [-7, 0, 1]),
+        (QQ, [Fraction(3, 2), -5, 0, 1]),
+        (F3, [2, 2, 0, 1]),
+        (GF(97), [5, 1]),
+    ):
+        q = UniPoly(field, coeffs)
+        gc.collect()
+        before = len(modules._KEYS)
+        ref = principal_key_paths(q)
+        gc.collect()
+        assert ref() is None
+        assert len(modules._KEYS) == before
+
+
+def principal_key_paths(q):
+    """Check the keys of (q) from k0_class, principal_maximal_key,
+    class_from_json, the split loop and the annihilator path; return a
+    weak reference to the one key."""
+    F, d = q.field, q.degree
+    t = CommutingTuple(F, 1, d, [Matrix.companion(q)])
+    cls = k0_class(t)
+    (key,) = cls.support
+    assert key._ideal is None and key.residue_degree == d
+    old_way = Ideal(F, 1, [MultiPoly.from_unipoly(q)], [(k,) for k in range(d)])
+    assert key.ideal == old_way
+    assert key.ideal.gens == old_way.gens
+    assert key.ideal.standard_monomials == old_way.standard_monomials
+    obj = {"field": field_to_string(F), "nvars": 1, "class": cls.to_json_entries()}
+    (theirs,) = class_from_json(obj).support
+    assert theirs is key
+    assert principal_maximal_key(q) is key
+    assert t.maximal_ideal_key() is key
+    assert MaximalIdealKey(t.annihilator_ideal()) is key
+    return weakref.ref(key)

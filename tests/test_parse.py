@@ -12,7 +12,7 @@ from endok.errors import ParseError
 from endok.fields import GF, QQ
 from endok.ktheory import GrothendieckClass, k0_class
 from endok.linalg import Matrix
-from endok.modules import CommutingTuple, Ideal
+from endok.modules import Ideal
 from endok.parse import (
     _plain_matrix,
     _walk_matrix,
