@@ -2,13 +2,28 @@
 
 The kernels are exact.  They work on residues in [0, p) and reduce
 eagerly.  ``dtype(p)`` picks the array type: int64 below ``PRIME_LIMIT``,
-where a sum of up to 2^23 products of two residues stays below 2^63, and
-``object`` (exact Python integers) from there up to the 2^63 bound on p.
+where a sum of up to ``TERMS`` = 2^23 products of two residues, plus one
+residue, stays below 2^63, and ``object`` (exact Python integers) from
+there up to the 2^63 bound on p.
+
+``charpoly_mod`` takes characteristic polynomials of a stack of int64
+residue matrices, one prime per layer, from the power sums tr(A^j) and
+Newton's identities: about 2 sqrt(d) stacked products and one
+contraction, with no pivots.  Newton's identities divide by j = 1..d, so
+it needs d < p.  The contraction sums d^2 products per power sum, so it
+runs in chunks of ``TERMS`` terms, each reduced mod p.
 """
+
+from math import isqrt
+from operator import mul
 
 import numpy as np
 
 PRIME_LIMIT = 1 << 20
+
+# The most products of two residues below PRIME_LIMIT one int64 sum may
+# hold: 2^23 of them, each below 2^40, plus one residue stay below 2^63.
+TERMS = 1 << 23
 
 # The benchmark's run record (perfbench/run.py) reads this name.
 BACKEND = "numpy"
@@ -89,3 +104,63 @@ def echelon_insert_mod(rows, pivots, w, width, p):
     rows -= rows[:, lead, None] * w
     rows %= p
     return lead, w
+
+
+def charpoly_mod(a, primes):
+    """Coefficient lists, lowest first, of det(xI - A) mod p for each layer
+    A of a (k, d, d) int64 stack of residues and its prime p in primes,
+    where d < p < ``PRIME_LIMIT``.
+
+    With m = isqrt(d) + 1, the baby steps A^0..A^(m-1) and the giant steps
+    A^0, A^m, A^2m, .. take about 2 sqrt(d) products of the whole stack,
+    and tr(A^(im) A^r) = sum of A^(im) * (A^r)^T gives every power sum
+    s_j = tr(A^j), j = im + r <= d, in one contraction.  The coefficient
+    c_j of x^(d-j) then follows from Newton's identities,
+    j c_j = -(c_(j-1) s_1 + c_(j-2) s_2 + .. + c_0 s_j) with c_0 = 1,
+    which need every j <= d to be a unit mod p.
+
+    No int64 sum overflows: an entry of a product sums d products of two
+    residues below 2^20, and d is far below ``TERMS``; the contraction
+    sums d^2 of them, so it runs in chunks of ``TERMS`` terms, reduced
+    mod p after each.  Newton's identities run on Python integers.
+
+    The companion matrix of x^2 - 3x + 2 mod 7, and a 3 x 3 matrix with
+    every entry 6 = -1 mod 7, whose characteristic polynomial is
+    x^3 + 3x^2:
+
+    >>> charpoly_mod(np.array([[[0, 5], [1, 3]]]), [7])
+    [[2, 4, 1]]
+    >>> charpoly_mod(np.full((1, 3, 3), 6), [7])
+    [[0, 0, 3, 1]]
+    """
+    k, d, _ = a.shape
+    if not d:
+        return [[1] for _ in range(k)]
+    p = np.array(primes, np.int64)[:, None, None]
+    m = isqrt(d) + 1
+    g = d // m + 1  # giant steps, so that (g - 1) m + m - 1 >= d
+    baby = np.zeros((k, m, d, d), np.int64)
+    giant = np.zeros((k, g, d, d), np.int64)
+    baby.reshape(k, m, d * d)[:, 0, :: d + 1] = 1
+    giant.reshape(k, g, d * d)[:, 0, :: d + 1] = 1
+    baby[:, 1] = a
+    for r in range(2, m):
+        baby[:, r] = baby[:, r - 1] @ a % p
+    if g > 1:
+        giant[:, 1] = baby[:, m - 1] @ a % p
+        for i in range(2, g):
+            giant[:, i] = giant[:, i - 1] @ giant[:, 1] % p
+    flat = giant.reshape(k, g, d * d)
+    flat_t = baby.swapaxes(2, 3).reshape(k, m, d * d).swapaxes(1, 2)
+    sums = np.zeros((k, g, m), np.int64)  # sums[:, i, r] = tr(A^(im + r))
+    for lo in range(0, d * d, TERMS):
+        sums += flat[:, :, lo : lo + TERMS] @ flat_t[:, lo : lo + TERMS]
+        sums %= p
+    out = []
+    # per layer s_d, .., s_1: the last j are s_j, .., s_1, against c_0, .., c_(j-1)
+    for q, s in zip(primes, sums.reshape(k, g * m)[:, d:0:-1].tolist()):
+        c = [1]
+        for j in range(1, d + 1):
+            c.append(-sum(map(mul, c, s[d - j :])) * pow(j, -1, q) % q)
+        out.append(c[::-1])
+    return out

@@ -21,12 +21,18 @@ differs:
 * ``rref``: ``_kernels.rref_mod`` over F_p; over Q fraction-free
   Gauss-Jordan on primitive integer rows, each elimination a.row_i -
   b.row_r divided by its content;
-* ``charpoly``: the Hessenberg recurrence on the residues over F_p; over
-  Q, chi_{N/D}(x) = D^(-d) chi_N(D x), with chi_N from the recurrence
-  modulo primes just below 2^61, combined by the Chinese remainder
-  theorem until their product passes 2 max_k C(d, k) R^k, twice
-  Hadamard's bound on the coefficients of chi_N for R the largest
-  Euclidean row norm of N;
+* ``charpoly``: power sums tr(A^j) from about 2 sqrt(d) products of
+  int64 residue arrays, then Newton's identities
+  (``_kernels.charpoly_mod``), wherever d < p < ``_kernels.PRIME_LIMIT``:
+  the identities divide by j = 1..d, and residues below 2^20 keep every
+  sum of up to 2^23 products, which the trace contraction is chunked to,
+  below 2^63.  The Hessenberg recurrence on lists takes F_p with p <= d
+  or p at or above the limit (``_charpoly_residues`` holds this rule).
+  Over Q, chi_{N/D}(x) = D^(-d) chi_N(D x), with chi_N from the power
+  sums modulo the largest primes below the limit, all in one batched
+  call, combined by the Chinese remainder theorem once their product
+  passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the coefficients
+  of chi_N for R the largest Euclidean row norm of N;
 * the ``Matrix`` constructor, which builds N/D from rows of field scalars;
 * ``Echelon``, the incremental store of vectors (a matrix's N/D, flattened
   row by row): over F_p one fully reduced residue array, each insert one
@@ -560,18 +566,37 @@ def kernel_basis(m):
     return Subspace._row_space(_kernel_rows(m)[0])
 
 
-# The CRT primes for charpoly over Q: the largest primes below 2^61, in
-# descending order, found when first needed and kept.
+# The CRT primes for charpoly over Q: the largest primes below
+# ``_kernels.PRIME_LIMIT``, in descending order, found when first needed
+# and kept.
 _CRT_PRIMES = []
 
 
 def _crt_prime(i):
     while len(_CRT_PRIMES) <= i:
-        q = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 61) - 1
+        q = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else _kernels.PRIME_LIMIT - 1
         while not is_prime(q):
             q -= 2
         _CRT_PRIMES.append(q)
     return _CRT_PRIMES[i]
+
+
+def _charpoly_residues(stack, primes):
+    """Coefficient lists, lowest first, of det(xI - A) mod p for each
+    layer A of a (k, d, d) stack of residues and its prime p in primes.
+
+    This is the one rule for which algorithm runs.  The power sums of
+    ``_kernels.charpoly_mod`` run where every p has d < p <
+    ``_kernels.PRIME_LIMIT``: Newton's identities divide by j = 1..d, and
+    the kernel's sums are int64.  That is every prime over Q, and F_p for
+    d < p below the limit.  The Hessenberg recurrence of ``_charpoly_mod``
+    on lists runs elsewhere: over F_p with p <= d (F_2 and F_3 at d >= p),
+    and with p at or above the limit, on ``object`` residues.
+    """
+    d = stack.shape[1]
+    if d < min(primes) and max(primes) < _kernels.PRIME_LIMIT:
+        return _kernels.charpoly_mod(stack.astype(np.int64, copy=False), primes)
+    return [_charpoly_mod(a.tolist(), p) for a, p in zip(stack, primes)]
 
 
 def _charpoly_mod(rows, p):
@@ -627,8 +652,9 @@ def _charpoly_mod(rows, p):
 
 
 def _charpoly_integer(num):
-    """Coefficients, lowest first, of det(xI - N) for a square integer N,
-    from ``_charpoly_mod`` modulo the CRT primes.
+    """Coefficients, lowest first, of det(xI - N) for a square integer
+    array N, from its residues modulo the CRT primes, all in one
+    ``_charpoly_residues`` call.
 
     The coefficient of x^(d-k) is a signed sum of C(d, k) principal k x k
     minors, each at most R^k by Hadamard's inequality for R the largest
@@ -637,15 +663,18 @@ def _charpoly_integer(num):
     coefficients.
     """
     d = len(num)
-    r2 = max((sum(x * x for x in row) for row in num), default=0)
+    r2 = max((sum(x * x for x in row) for row in num.tolist()), default=0)
     r = isqrt(r2)
     r += r * r < r2  # the least integer >= R
     bound = 2 * max(comb(d, k) * r**k for k in range(d + 1))
-    coeffs, modulus = None, 1
-    i = 0
+    primes, modulus = [], 1
     while modulus <= bound:
-        q = _crt_prime(i)
-        res = _charpoly_mod([[x % q for x in row] for row in num], q)
+        q = _crt_prime(len(primes))
+        primes.append(q)
+        modulus *= q
+    residues = num % np.array(primes, object)[:, None, None]
+    coeffs, modulus = None, 1
+    for q, res in zip(primes, _charpoly_residues(residues, primes)):
         if coeffs is None:
             coeffs = res
         else:
@@ -653,7 +682,6 @@ def _charpoly_integer(num):
             inv = pow(modulus, -1, q)
             coeffs = [x + modulus * ((y - x) * inv % q) for x, y in zip(coeffs, res)]
         modulus *= q
-        i += 1
     half = modulus // 2
     return [x - modulus if x > half else x for x in coeffs]
 
@@ -661,11 +689,17 @@ def _charpoly_integer(num):
 def charpoly(m):
     """det(xI - m), monic of degree dim, over any exact field.
 
-    Over F_p the Hessenberg recurrence of ``_charpoly_mod`` runs on the
-    residues.  Over Q, with m = N/D in its integer form,
-    chi_m(x) = D^(-d) chi_N(D x), so the coefficient of x^k is
-    c_k / D^(d-k) for c_k those of ``_charpoly_integer(N)``; only the d + 1
-    result coefficients become Fractions.
+    Over F_p the residue array goes to ``_charpoly_residues`` as it is:
+    for d < p < ``_kernels.PRIME_LIMIT`` the power sums tr(A^j) of about
+    2 sqrt(d) int64 products and Newton's identities, which divide by
+    j = 1..d (``_kernels.charpoly_mod``, whose int64 sums stay below 2^63:
+    residues are below 2^20 and no sum holds more than 2^23 products);
+    the Hessenberg recurrence of ``_charpoly_mod`` on lists otherwise.
+    Over Q, with m = N/D in its integer form, chi_m(x) = D^(-d) chi_N(D x),
+    so the coefficient of x^k is c_k / D^(d-k) for c_k those of
+    ``_charpoly_integer(N)``, which runs the power sums modulo the largest
+    primes below the limit, all in one call; only the d + 1 result
+    coefficients become Fractions.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -673,9 +707,9 @@ def charpoly(m):
     p = F.characteristic
     num, den = m.to_integers()
     if p:
-        return UniPoly._from_canonical(F, _charpoly_mod(num.tolist(), p))
+        return UniPoly._from_canonical(F, _charpoly_residues(num[None], [p])[0])
     d = m.rows
-    coeffs = _charpoly_integer(num.tolist())
+    coeffs = _charpoly_integer(num)
     return UniPoly._from_canonical(
         F, [_fraction(c, den ** (d - k)) for k, c in enumerate(coeffs)]
     )

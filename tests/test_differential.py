@@ -19,12 +19,19 @@ the degree is rebuilt.
 
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
-the benchmark's class check reuses the same ``charpoly``.  Over Q that is
-a multimodular Hessenberg recurrence stopped at a coefficient bound, and
-factoring starts with Yun's squarefree split over Z, so sympy, which
-shares none of this code, is the independent reference for each.  Over
-F_p, sympy's integer characteristic polynomial of the residue matrix is
-reduced mod p.
+the benchmark's class check reuses the same ``charpoly``.  Wherever
+d < p < 2^20 that is power sums tr(A^j) of int64 residue arrays and
+Newton's identities, which divide by j = 1..d; over Q the same, modulo
+the largest primes below 2^20 in one batched call, stopped at a
+coefficient bound; and a Hessenberg recurrence on lists for p <= d and
+p above 2^20.  Factoring over Q starts with Yun's squarefree split over
+Z, so sympy, which shares none of this code, is the independent
+reference for each.  Over F_p, sympy's integer characteristic polynomial
+of the residue matrix is reduced mod p.  The edges of the power sums are
+checked here: p = d + 1 against p = d, the largest int64 residues
+(every entry p - 1 mod 1048573, the largest prime below 2^20), the trace
+contraction in small chunks, the first prime above 2^20, and Q at
+heights 1, 10^3 and 10^14, with and without denominators.
 """
 
 import random
@@ -32,10 +39,10 @@ from fractions import Fraction
 
 import pytest
 
-from endok import factor
+from endok import _kernels, factor, linalg
 from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
-from endok.fields import GF, QQ
+from endok.fields import GF, QQ, is_prime
 from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
 from endok.poly import UniPoly, _squarefree_parts, uni_gcd
 
@@ -401,6 +408,107 @@ def test_rational_charpoly_with_large_entries_matches_sympy():
         m = Matrix(QQ, grid)
         theirs = normalise(to_sympy(m).charpoly(X).all_coeffs(), QQ)
         assert charpoly(m).coeffs == theirs, str(m)
+
+
+def kernel_spies(monkeypatch):
+    """Count the calls of the two charpoly algorithms while they keep
+    working: the power-sum kernel and the list Hessenberg recurrence."""
+    calls = {"power sums": 0, "lists": 0}
+    for key, module, name in (
+        ("power sums", _kernels, "charpoly_mod"),
+        ("lists", linalg, "_charpoly_mod"),
+    ):
+        real = getattr(module, name)
+
+        def counted(*args, _key=key, _real=real):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_charpoly_matches_sympy(m):
+    theirs = normalise(to_sympy(m).charpoly(X).all_coeffs(), m.field)
+    assert charpoly(m).coeffs == theirs, (m.rows, str(m))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31], ids=str)
+def test_charpoly_on_both_sides_of_p_equal_d_matches_sympy(p, monkeypatch):
+    # Newton's identities divide by j = 1..d: dim p - 1 is the largest the
+    # power sums take, and dim p goes to the lists
+    calls = kernel_spies(monkeypatch)
+    F = GF(p)
+    rng = random.Random(67 + p)
+    for d, algorithm in ((p - 1, "power sums"), (p, "lists")):
+        for _ in range(3):
+            calls.update(dict.fromkeys(calls, 0))
+            assert_charpoly_matches_sympy(random_matrix(F, d, rng))
+            assert calls[algorithm] == 1 and sum(calls.values()) == 1
+
+
+P20 = 1048573  # the largest prime below 2^20 = PRIME_LIMIT
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17, 40, 64], ids=str)
+def test_charpoly_with_the_largest_int64_residues_matches_sympy(d, monkeypatch):
+    # every entry p - 1, the largest int64 residue, then every entry in
+    # [p - 8, p)
+    assert P20 < _kernels.PRIME_LIMIT and not any(
+        is_prime(q) for q in range(P20 + 1, _kernels.PRIME_LIMIT)
+    )
+    calls = kernel_spies(monkeypatch)
+    F = GF(P20)
+    rng = random.Random(71)
+    assert_charpoly_matches_sympy(Matrix(F, [[P20 - 1] * d for _ in range(d)]))
+    grid = [[rng.randrange(P20 - 8, P20) for _ in range(d)] for _ in range(d)]
+    assert_charpoly_matches_sympy(Matrix(F, grid))
+    assert calls == {"power sums": 2, "lists": 0}
+
+
+@pytest.mark.parametrize("terms", [1, 5, 64, 1 << 23], ids=str)
+def test_charpoly_in_trace_chunks_matches_sympy(terms, monkeypatch):
+    # the contraction for the power sums sums d^2 products in chunks of
+    # TERMS; chunks of 1, 5 and 64 terms (5 and 64 leave a short last
+    # chunk of d^2 = 144) give the same polynomials as one chunk
+    monkeypatch.setattr(_kernels, "TERMS", terms)
+    rng = random.Random(73)
+    for F in (GF(97), GF(P20)):
+        for d in (1, 3, 12):
+            assert_charpoly_matches_sympy(random_matrix(F, d, rng))
+
+
+def test_charpoly_just_above_prime_limit_matches_sympy(monkeypatch):
+    # 1048583, the first prime above 2^20, has object residues: lists only
+    p = 1048583
+    assert p > _kernels.PRIME_LIMIT and not any(
+        is_prime(q) for q in range(_kernels.PRIME_LIMIT, p)
+    )
+    calls = kernel_spies(monkeypatch)
+    F = GF(p)
+    rng = random.Random(79)
+    for d in (1, 4, 16):
+        assert_charpoly_matches_sympy(Matrix(F, [[p - 1] * d for _ in range(d)]))
+        assert_charpoly_matches_sympy(random_matrix(F, d, rng))
+    assert calls == {"power sums": 0, "lists": 6}
+
+
+@pytest.mark.parametrize("height", [1, 10**3, 10**14], ids=str)
+def test_rational_charpoly_at_each_height_matches_sympy(height, monkeypatch):
+    # integer matrices and matrices with denominators at dims 0..3 and 40:
+    # one batched power-sum call each, never the lists
+    calls = kernel_spies(monkeypatch)
+    rng = random.Random(83)
+    count = 0
+    for d in (0, 1, 2, 3, 40):
+        for dens in ((1,), (1, 3, 10**6 + 3, 2**40)):
+            grid = [
+                [Fraction(rng.randint(-height, height), rng.choice(dens)) for _ in range(d)]
+                for _ in range(d)
+            ]
+            assert_charpoly_matches_sympy(Matrix(QQ, grid, cols=d))
+            count += 1
+    assert calls == {"power sums": count, "lists": 0}
 
 
 def random_rational_factor(rng, degree):

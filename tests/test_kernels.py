@@ -15,10 +15,10 @@ import random
 import numpy as np
 import pytest
 
-from endok import _kernels
+from endok import _kernels, linalg
 from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
-from endok.fields import GF, is_prime
+from endok.fields import GF, QQ, is_prime
 from endok.ktheory import k0_class
 from endok.linalg import Matrix, charpoly, rref
 from endok.modules import CommutingTuple
@@ -340,3 +340,49 @@ def test_class_over_large_prime_field():
     m = Matrix(field, [[0, 1], [0, 0]])
     t = CommutingTuple(field, 1, 2, [m])
     assert k0_class(t).lines() == ["2 * [t]"]
+
+
+def raising(*args):
+    raise AssertionError("this charpoly algorithm must not run here")
+
+
+def list_charpolys(stack, primes):
+    """``_kernels.charpoly_mod`` by the list Hessenberg recurrence, layer
+    by layer."""
+    return [linalg._charpoly_mod(a.tolist(), p) for a, p in zip(stack, primes)]
+
+
+def test_power_sums_alone_take_f97_and_rational_charpolys(monkeypatch):
+    # k0_class over F_97 at dims below 97, and over Q, never reaches the
+    # list recurrence, and gives the classes that the lists give
+    rng = random.Random(89)
+    tuples = [
+        random_commuting_tuple(field, nvars, dim, rng)
+        for field in (GF(97), QQ)
+        for nvars, dim in ((1, 6), (2, 8), (3, 7))
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "charpoly_mod", list_charpolys)
+        by_lists = [k0_class(t) for t in tuples]
+    monkeypatch.setattr(linalg, "_charpoly_mod", raising)
+    assert [k0_class(t) for t in tuples] == by_lists
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2**31 - 1)], ids=field_id)
+def test_lists_alone_take_small_and_large_primes(field, monkeypatch):
+    # F_2 and F_3 at dims d >= p, and GF(2^31 - 1) with its object
+    # residues at every dim, never reach the power sums: a companion
+    # matrix in a random basis gives back its polynomial
+    monkeypatch.setattr(_kernels, "charpoly_mod", raising)
+    p = field.characteristic
+    rng = random.Random(101)
+    for d in range(min(p, 8), 9):
+        q = UniPoly(field, [rng.randrange(p) for _ in range(d)] + [1])
+        m = Matrix.companion(q)
+        (m,) = conjugate(CommutingTuple(field, 1, d, [m]), rng).mats
+        assert charpoly(m) == q
+    if p > _kernels.PRIME_LIMIT:
+        for nvars, dim in ((1, 5), (2, 6)):
+            t = random_commuting_tuple(field, nvars, dim, rng)
+            cls = k0_class(t)
+            assert sum(mult * key.residue_degree for key, mult in cls.items()) == dim

@@ -203,10 +203,10 @@ def big_rational_matrices(rng):
     """Dim 0 and 1, zero matrices, and matrices with entries of 10^12 and
     more over mixed denominators."""
     out = [Matrix(QQ, [], cols=0), Matrix(QQ, [[Fraction(-10**13, 7)]]), Matrix.zeros(QQ, 3, 3)]
-    # chi = t - 2^60: the first prime, 2^61 - 1, is above the bound 2^60 on
-    # its coefficients but not above twice it, where -2^60 would read as
-    # 2^60 - 1
-    out.append(Matrix(QQ, [[2**60]]))
+    # chi = t - 2^19: the first prime, 2^20 - 3, is above the bound 2^19 on
+    # its coefficients but not above twice it, where -2^19 would read as
+    # 2^19 - 3
+    out.append(Matrix(QQ, [[2**19]]))
     for d in (1, 2, 3, 4, 5, 8):
         grid = [
             [
@@ -222,31 +222,38 @@ def big_rational_matrices(rng):
 
 
 def test_rational_charpoly_by_crt_matches_fraction_hessenberg(monkeypatch):
-    primes = []
-    original = linalg._charpoly_mod
+    calls = []
+    original = _kernels.charpoly_mod
 
-    def recording(rows, p):
-        primes.append(p)
-        return original(rows, p)
+    def recording(stack, primes):
+        calls.append(list(primes))
+        return original(stack, primes)
 
-    monkeypatch.setattr(linalg, "_charpoly_mod", recording)
+    monkeypatch.setattr(_kernels, "charpoly_mod", recording)
     counts = []
     for m in big_rational_matrices(random.Random(14)):
-        primes.clear()
+        calls.clear()
         chi = charpoly(m)
         assert chi == fraction_hessenberg(m), str(m)
         if m.rows <= 4:
             assert chi == charpoly_laplace(m)
+        # all primes in one batched call
+        assert len(calls) == 1, len(calls)
+        (primes,) = calls
         # enough primes for the bound, and not one more
         bound = crt_prime_bound(m)
         assert prod(primes) > bound >= prod(primes[:-1]), (len(primes), m.rows)
-        assert len(set(primes)) == len(primes)
-        assert all(2**60 < p < 2**61 and is_prime(p) for p in primes)
+        # distinct primes, each prime: the largest below PRIME_LIMIT, in
+        # descending order, with no prime skipped
+        assert primes == sorted(set(primes), reverse=True)
+        assert all(m.rows < p < _kernels.PRIME_LIMIT and is_prime(p) for p in primes)
+        skipped = set(range(primes[-1], _kernels.PRIME_LIMIT)) - set(primes)
+        assert not any(is_prime(x) for x in skipped)
         counts.append(len(primes))
-    assert counts[:4] == [1, 1, 1, 2] and max(counts) >= 3
+    assert counts[:5] == [1, 3, 1, 2, 3] and max(counts) >= 3
 
 
-@pytest.mark.parametrize("field", [QQ, F3, GF(2**31 - 1)], ids=field_id)
+@pytest.mark.parametrize("field", [QQ, F3, GF(97), GF(2**31 - 1)], ids=field_id)
 def test_native_scalar_paths_call_no_field_methods(field, monkeypatch):
     """Matrix sums, negation, scaling and charpoly run on raw scalars with
     Python operators, and charpoly builds one UniPoly."""
