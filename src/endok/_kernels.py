@@ -2,28 +2,30 @@
 
 The kernels are exact.  They work on residues in [0, p) and reduce
 eagerly.  ``dtype(p)`` picks the array type: int64 below ``PRIME_LIMIT``,
-where a sum of up to ``TERMS`` = 2^23 products of two residues, plus one
-residue, stays below 2^63, and ``object`` (exact Python integers) from
-there up to the 2^63 bound on p.
+where a sum of up to 2^23 products of two residues, plus one residue,
+stays below 2^63, and ``object`` (exact Python integers) from there up to
+the 2^63 bound on p.
 
 ``charpoly_mod`` takes characteristic polynomials of a stack of int64
-residue matrices, one prime per layer, from the power sums tr(A^j) and
+residue matrices, one prime p per layer, from the power sums tr(A^j) and
 Newton's identities: about 2 sqrt(d) stacked products and one
 contraction, with no pivots.  Newton's identities divide by j = 1..d, so
-it needs d < p.  The contraction sums d^2 products per power sum, so it
-runs in chunks of ``TERMS`` terms, each reduced mod p.
+each layer works modulo M = p^e, e = 1 + v_p(d!) (``newton_modulus``),
+which is p itself when p > d, and divides the p-part of each j out
+exactly.  Its int64 sums need d M^2 < 2^63: an entry of a product sums d
+products below M^2, and the contraction, which sums d^2 of them per power
+sum, runs in chunks of ``terms(M)``, each reduced mod M.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 import numpy as np
 
 PRIME_LIMIT = 1 << 20
 
-# The most products of two residues below PRIME_LIMIT one int64 sum may
-# hold: 2^23 of them, each below 2^40, plus one residue stay below 2^63.
-TERMS = 1 << 23
+# Every int64 sum stays below this.
+INT64_BOUND = 1 << 63
 
 # The benchmark's run record (perfbench/run.py) reads this name.
 BACKEND = "numpy"
@@ -106,37 +108,71 @@ def echelon_insert_mod(rows, pivots, w, width, p):
     return lead, w
 
 
+def newton_modulus(p, d):
+    """p^e for e = 1 + v_p(d!), by Legendre's formula: the modulus in which
+    ``charpoly_mod`` keeps every coefficient right mod p at dim d, and p
+    itself when p > d.
+
+    >>> newton_modulus(97, 96), newton_modulus(2, 3), newton_modulus(2, 31)
+    (97, 4, 134217728)
+    """
+    e, q = 1, p
+    while q <= d:
+        e += d // q
+        q *= p
+    return p**e
+
+
+def terms(modulus):
+    """The most products of two residues mod modulus that one int64 sum
+    may hold on top of one residue."""
+    return (INT64_BOUND - modulus) // (modulus - 1) ** 2
+
+
 def charpoly_mod(a, primes):
     """Coefficient lists, lowest first, of det(xI - A) mod p for each layer
     A of a (k, d, d) int64 stack of residues and its prime p in primes,
-    where d < p < ``PRIME_LIMIT``.
+    where d M^2 < 2^63 for M = ``newton_modulus(p, d)``.
 
     With m = isqrt(d) + 1, the baby steps A^0..A^(m-1) and the giant steps
-    A^0, A^m, A^2m, .. take about 2 sqrt(d) products of the whole stack,
-    and tr(A^(im) A^r) = sum of A^(im) * (A^r)^T gives every power sum
-    s_j = tr(A^j), j = im + r <= d, in one contraction.  The coefficient
-    c_j of x^(d-j) then follows from Newton's identities,
-    j c_j = -(c_(j-1) s_1 + c_(j-2) s_2 + .. + c_0 s_j) with c_0 = 1,
-    which need every j <= d to be a unit mod p.
+    A^0, A^m, A^2m, .. take about 2 sqrt(d) products of the whole stack
+    mod M, and tr(A^(im) A^r) = sum of A^(im) * (A^r)^T gives every power
+    sum s_j = tr(A^j) mod M, j = im + r <= d, in one contraction.  The
+    coefficient c_j of x^(d-j) then follows from Newton's identities,
+    j c_j = -(c_(j-1) s_1 + c_(j-2) s_2 + .. + c_0 s_j) with c_0 = 1, which
+    hold over the integers for any integer lift of A.
+
+    Modulo M = p^e, e = 1 + v_p(d!), the right-hand side is divided by
+    p^v, v = v_p(j), exactly, then multiplied by the inverse mod M of
+    j / p^v.  By induction on j, c_j is then right mod p^(e - v_p(j!)):
+    the right-hand side is right mod p^(e - v_p((j-1)!)) = p^(e - v_p(j!)
+    + v), a multiple of p^(v+1) as e > v_p(j!), so its residue is, like
+    j c_j, a multiple of p^v.  As e - v_p(j!) >= 1, every c_j is right
+    mod p.  When p > d, M = p and every j is a unit, so the layer runs the
+    identities mod p as they are.
 
     No int64 sum overflows: an entry of a product sums d products of two
-    residues below 2^20, and d is far below ``TERMS``; the contraction
-    sums d^2 of them, so it runs in chunks of ``TERMS`` terms, reduced
-    mod p after each.  Newton's identities run on Python integers.
+    residues below M, less than 2^63 in all; the contraction sums d^2 of
+    them, so it runs in chunks of ``terms(M)`` terms, reduced mod M after
+    each.  Newton's identities run on Python integers.
 
-    The companion matrix of x^2 - 3x + 2 mod 7, and a 3 x 3 matrix with
-    every entry 6 = -1 mod 7, whose characteristic polynomial is
-    x^3 + 3x^2:
+    The companion matrix of x^2 - 3x + 2 mod 7, a 3 x 3 matrix with every
+    entry 6 = -1 mod 7, whose characteristic polynomial is x^3 + 3x^2, and
+    the 3 x 3 identity over F_2, where p <= d and (x - 1)^3 = x^3 + x^2 +
+    x + 1:
 
     >>> charpoly_mod(np.array([[[0, 5], [1, 3]]]), [7])
     [[2, 4, 1]]
     >>> charpoly_mod(np.full((1, 3, 3), 6), [7])
     [[0, 0, 3, 1]]
+    >>> charpoly_mod(np.eye(3, dtype=np.int64)[None], [2])
+    [[1, 1, 1, 1]]
     """
     k, d, _ = a.shape
     if not d:
         return [[1] for _ in range(k)]
-    p = np.array(primes, np.int64)[:, None, None]
+    moduli = [newton_modulus(p, d) for p in primes]
+    mod = np.array(moduli, np.int64)[:, None, None]
     m = isqrt(d) + 1
     g = d // m + 1  # giant steps, so that (g - 1) m + m - 1 >= d
     baby = np.zeros((k, m, d, d), np.int64)
@@ -145,22 +181,28 @@ def charpoly_mod(a, primes):
     giant.reshape(k, g, d * d)[:, 0, :: d + 1] = 1
     baby[:, 1] = a
     for r in range(2, m):
-        baby[:, r] = baby[:, r - 1] @ a % p
+        baby[:, r] = baby[:, r - 1] @ a % mod
     if g > 1:
-        giant[:, 1] = baby[:, m - 1] @ a % p
+        giant[:, 1] = baby[:, m - 1] @ a % mod
         for i in range(2, g):
-            giant[:, i] = giant[:, i - 1] @ giant[:, 1] % p
+            giant[:, i] = giant[:, i - 1] @ giant[:, 1] % mod
     flat = giant.reshape(k, g, d * d)
     flat_t = baby.swapaxes(2, 3).reshape(k, m, d * d).swapaxes(1, 2)
     sums = np.zeros((k, g, m), np.int64)  # sums[:, i, r] = tr(A^(im + r))
-    for lo in range(0, d * d, TERMS):
-        sums += flat[:, :, lo : lo + TERMS] @ flat_t[:, lo : lo + TERMS]
-        sums %= p
+    chunk = terms(max(moduli))
+    for lo in range(0, d * d, chunk):
+        sums += flat[:, :, lo : lo + chunk] @ flat_t[:, lo : lo + chunk]
+        sums %= mod
     out = []
     # per layer s_d, .., s_1: the last j are s_j, .., s_1, against c_0, .., c_(j-1)
-    for q, s in zip(primes, sums.reshape(k, g * m)[:, d:0:-1].tolist()):
+    for p, q, s in zip(primes, moduli, sums.reshape(k, g * m)[:, d:0:-1].tolist()):
         c = [1]
         for j in range(1, d + 1):
-            c.append(-sum(map(mul, c, s[d - j :])) * pow(j, -1, q) % q)
-        out.append(c[::-1])
+            t = -sum(map(mul, c, s[d - j :]))
+            if q == p:  # p > d
+                c.append(t * pow(j, -1, q) % q)
+            else:
+                u = gcd(j, q)  # p^v_p(j), as v_p(j) < e
+                c.append(t % q // u * pow(j // u, -1, q) % q)
+        out.append(c[::-1] if q == p else [x % p for x in reversed(c)])
     return out

@@ -23,16 +23,17 @@ differs:
   b.row_r divided by its content;
 * ``charpoly``: power sums tr(A^j) from about 2 sqrt(d) products of
   int64 residue arrays, then Newton's identities
-  (``_kernels.charpoly_mod``), wherever d < p < ``_kernels.PRIME_LIMIT``:
-  the identities divide by j = 1..d, and residues below 2^20 keep every
-  sum of up to 2^23 products, which the trace contraction is chunked to,
-  below 2^63.  The Hessenberg recurrence on lists takes F_p with p <= d
-  or p at or above the limit (``_charpoly_residues`` holds this rule).
+  (``_kernels.charpoly_mod``), modulo M = p^e, e = 1 + v_p(d!), which
+  is p when p > d, so that the identities' divisions by j = 1..d leave
+  every coefficient right mod p; wherever d M^2 < 2^63, which keeps every
+  int64 sum of the kernel below 2^63.  The Hessenberg recurrence on lists
+  takes F_p past that bound: F_2 at d >= 32, F_3 at d >= 39, and primes
+  from sqrt(2^63 / d) up (``_charpoly_residues`` holds this rule).
   Over Q, chi_{N/D}(x) = D^(-d) chi_N(D x), with chi_N from the power
-  sums modulo the largest primes below the limit, all in one batched
-  call, combined by the Chinese remainder theorem once their product
-  passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the coefficients
-  of chi_N for R the largest Euclidean row norm of N;
+  sums modulo the largest primes below ``_kernels.PRIME_LIMIT``, all in
+  one batched call, combined by the Chinese remainder theorem once their
+  product passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the
+  coefficients of chi_N for R the largest Euclidean row norm of N;
 * the ``Matrix`` constructor, which builds N/D from rows of field scalars;
 * ``Echelon``, the incremental store of vectors (a matrix's N/D, flattened
   row by row): over F_p one fully reduced residue array, each insert one
@@ -586,15 +587,17 @@ def _charpoly_residues(stack, primes):
     layer A of a (k, d, d) stack of residues and its prime p in primes.
 
     This is the one rule for which algorithm runs.  The power sums of
-    ``_kernels.charpoly_mod`` run where every p has d < p <
-    ``_kernels.PRIME_LIMIT``: Newton's identities divide by j = 1..d, and
-    the kernel's sums are int64.  That is every prime over Q, and F_p for
-    d < p below the limit.  The Hessenberg recurrence of ``_charpoly_mod``
-    on lists runs elsewhere: over F_p with p <= d (F_2 and F_3 at d >= p),
-    and with p at or above the limit, on ``object`` residues.
+    ``_kernels.charpoly_mod`` run wherever d M^2 < 2^63 for every p and
+    M = ``_kernels.newton_modulus(p, d)``, the modulus p^e, e = 1 +
+    v_p(d!), in which the kernel divides by j = 1..d: its int64 sums then
+    stay below 2^63, and residues of ``object`` stacks, below M, are cast
+    to int64.  That is every prime over Q, F_p for d < p < sqrt(2^63 / d),
+    and F_2 up to d = 31, F_3 up to 38, F_5 up to 49 and
+    F_97 up to 387.  The Hessenberg recurrence of ``_charpoly_mod`` on
+    lists runs past that bound.
     """
     d = stack.shape[1]
-    if d < min(primes) and max(primes) < _kernels.PRIME_LIMIT:
+    if d * max(_kernels.newton_modulus(p, d) for p in primes) ** 2 < _kernels.INT64_BOUND:
         return _kernels.charpoly_mod(stack.astype(np.int64, copy=False), primes)
     return [_charpoly_mod(a.tolist(), p) for a, p in zip(stack, primes)]
 
@@ -690,16 +693,16 @@ def charpoly(m):
     """det(xI - m), monic of degree dim, over any exact field.
 
     Over F_p the residue array goes to ``_charpoly_residues`` as it is:
-    for d < p < ``_kernels.PRIME_LIMIT`` the power sums tr(A^j) of about
-    2 sqrt(d) int64 products and Newton's identities, which divide by
-    j = 1..d (``_kernels.charpoly_mod``, whose int64 sums stay below 2^63:
-    residues are below 2^20 and no sum holds more than 2^23 products);
-    the Hessenberg recurrence of ``_charpoly_mod`` on lists otherwise.
+    wherever d M^2 < 2^63 for M = p^e, e = 1 + v_p(d!), the power sums
+    tr(A^j) of about 2 sqrt(d) int64 products mod M and Newton's
+    identities, whose divisions by j = 1..d leave every coefficient right
+    mod p (``_kernels.charpoly_mod``); the Hessenberg recurrence of
+    ``_charpoly_mod`` on lists past that bound.
     Over Q, with m = N/D in its integer form, chi_m(x) = D^(-d) chi_N(D x),
     so the coefficient of x^k is c_k / D^(d-k) for c_k those of
     ``_charpoly_integer(N)``, which runs the power sums modulo the largest
-    primes below the limit, all in one call; only the d + 1 result
-    coefficients become Fractions.
+    primes below ``_kernels.PRIME_LIMIT``, all in one call; only the d + 1
+    result coefficients become Fractions.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")

@@ -19,23 +19,29 @@ the degree is rebuilt.
 
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
-the benchmark's class check reuses the same ``charpoly``.  Wherever
-d < p < 2^20 that is power sums tr(A^j) of int64 residue arrays and
-Newton's identities, which divide by j = 1..d; over Q the same, modulo
-the largest primes below 2^20 in one batched call, stopped at a
-coefficient bound; and a Hessenberg recurrence on lists for p <= d and
-p above 2^20.  Factoring over Q starts with Yun's squarefree split over
-Z, so sympy, which shares none of this code, is the independent
-reference for each.  Over F_p, sympy's integer characteristic polynomial
-of the residue matrix is reduced mod p.  The edges of the power sums are
-checked here: p = d + 1 against p = d, the largest int64 residues
-(every entry p - 1 mod 1048573, the largest prime below 2^20), the trace
-contraction in small chunks, the first prime above 2^20, and Q at
-heights 1, 10^3 and 10^14, with and without denominators.
+the benchmark's class check reuses the same ``charpoly``.  Over F_p that
+is power sums tr(A^j) of int64 residue arrays modulo M = p^e, e = 1 +
+v_p(d!), and Newton's identities, which divide by j = 1..d, p-parts
+exactly, wherever d M^2 < 2^63; over Q the same, modulo the largest
+primes below 2^20 in one batched call, stopped at a coefficient bound;
+and a Hessenberg recurrence on lists past that bound (F_2 at d >= 32,
+F_3 at d >= 39, primes from sqrt(2^63 / d) up).  Factoring over Q starts
+with Yun's squarefree split over Z, so sympy, which shares none of this
+code, is the independent reference for each.  Over F_p, sympy's integer
+characteristic polynomial of the residue matrix is reduced mod p.  The
+edges of the power sums are checked here: both sides of the int64 bound
+for F_2, F_3 and F_5, p <= d at dims with high powers of p in d! on
+identities, scalars, nilpotent and unipotent blocks and random matrices,
+the largest int64 residues (every entry p - 1 mod 1048573, the largest
+prime below 2^20), the trace contraction in small chunks and in its real
+chunks over F_2 at d = 31, the first prime above 2^20, the primes on
+both sides of the bound at d = 16, and Q at heights 1, 10^3 and 10^14,
+with and without denominators.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -46,7 +52,7 @@ from endok.fields import GF, QQ, is_prime
 from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
 from endok.poly import UniPoly, _squarefree_parts, uni_gcd
 
-from conftest import field_id
+from conftest import field_id, largest_prime_below
 
 sympy = pytest.importorskip("sympy")
 
@@ -433,18 +439,68 @@ def assert_charpoly_matches_sympy(m):
     assert charpoly(m).coeffs == theirs, (m.rows, str(m))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31], ids=str)
-def test_charpoly_on_both_sides_of_p_equal_d_matches_sympy(p, monkeypatch):
-    # Newton's identities divide by j = 1..d: dim p - 1 is the largest the
-    # power sums take, and dim p goes to the lists
+def int64_bound_holds(p, d):
+    """Whether ``_charpoly_residues`` sends F_p at dim d to the power sums."""
+    return d * _kernels.newton_modulus(p, d) ** 2 < 1 << 63
+
+
+@pytest.mark.parametrize("p, d", [(2, 31), (3, 38), (5, 49)], ids=str)
+def test_charpoly_on_both_sides_of_the_int64_bound_matches_sympy(p, d, monkeypatch):
+    # the power sums run modulo M = p^e, e = 1 + v_p(d!), while d M^2 <
+    # 2^63: dim d is the largest F_p the kernel takes, and dim d + 1 goes
+    # to the lists
+    assert int64_bound_holds(p, d) and not int64_bound_holds(p, d + 1)
     calls = kernel_spies(monkeypatch)
     F = GF(p)
     rng = random.Random(67 + p)
-    for d, algorithm in ((p - 1, "power sums"), (p, "lists")):
-        for _ in range(3):
+    for dim, algorithm in ((d, "power sums"), (d + 1, "lists")):
+        for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
-            assert_charpoly_matches_sympy(random_matrix(F, d, rng))
+            assert_charpoly_matches_sympy(random_matrix(F, dim, rng))
             assert calls[algorithm] == 1 and sum(calls.values()) == 1
+
+
+def p_at_most_d_matrices(F, d, rng):
+    """d x d matrices over F_p, p <= d, most with few distinct roots of
+    high multiplicity: I, a.I, the nilpotent Jordan block, the companion
+    matrix of (t - a)^d as it is and in disguise, a sum of companion
+    blocks of q^k, q and (t - b)^r, q quadratic, in disguise, and random
+    matrices."""
+    p = F.characteristic
+    a, b = rng.randrange(1, p), rng.randrange(p)
+    x = UniPoly.gen(F)
+    one = Matrix.identity(F, d)
+    jordan = Matrix(F, [[int(j == i + 1) for j in range(d)] for i in range(d)])
+    power = Matrix.companion((x - UniPoly.constant(F, a)) ** d)
+    q, k = monic(F, 2, rng), d // 4
+    linear = (x - UniPoly.constant(F, b)) ** (d - 2 * k - 2)
+    blocks = [Matrix.companion(f) for f in (q**k, q, linear)]
+    return [
+        one,
+        one.scale(a),
+        jordan,
+        power,
+        conjugate(power, rng),
+        conjugate(Matrix.block_diag(F, blocks), rng),
+        random_matrix(F, d, rng),
+        random_matrix(F, d, rng),
+    ]
+
+
+@pytest.mark.parametrize("d", [8, 16, 27, 31], ids=str)
+@pytest.mark.parametrize("p", [2, 3, 5, 7], ids=str)
+def test_charpoly_for_p_at_most_d_matches_sympy(p, d, monkeypatch):
+    # dims with high powers of p in d!: v_2(31!) = 26, v_3(27!) = 13, so
+    # Newton's identities divide by high powers of p, and the kernel runs
+    # modulo up to 2^27; never the lists
+    assert int64_bound_holds(p, d)
+    calls = kernel_spies(monkeypatch)
+    F = GF(p)
+    mats = p_at_most_d_matrices(F, d, random.Random(1000 * p + d))
+    for m in mats:
+        assert m.rows == d
+        assert_charpoly_matches_sympy(m)
+    assert calls == {"power sums": len(mats), "lists": 0}
 
 
 P20 = 1048573  # the largest prime below 2^20 = PRIME_LIMIT
@@ -466,20 +522,28 @@ def test_charpoly_with_the_largest_int64_residues_matches_sympy(d, monkeypatch):
     assert calls == {"power sums": 2, "lists": 0}
 
 
-@pytest.mark.parametrize("terms", [1, 5, 64, 1 << 23], ids=str)
+@pytest.mark.parametrize("terms", [1, 5, 64, None], ids=str)
 def test_charpoly_in_trace_chunks_matches_sympy(terms, monkeypatch):
     # the contraction for the power sums sums d^2 products in chunks of
-    # TERMS; chunks of 1, 5 and 64 terms (5 and 64 leave a short last
-    # chunk of d^2 = 144) give the same polynomials as one chunk
-    monkeypatch.setattr(_kernels, "TERMS", terms)
+    # terms(M); chunks of 1, 5 and 64 terms (5 and 64 leave a short last
+    # chunk of d^2 = 144 and 961) give the same polynomials as the real
+    # ones, which over F_2 at d = 31, modulo M = 2^27, are two: 512 of the
+    # 961 terms, then the rest
+    if terms is None:
+        assert _kernels.newton_modulus(2, 31) == 2**27 and _kernels.terms(2**27) == 512
+    else:
+        monkeypatch.setattr(_kernels, "terms", lambda modulus: terms)
     rng = random.Random(73)
-    for F in (GF(97), GF(P20)):
-        for d in (1, 3, 12):
+    for F, dims in ((GF(97), (1, 3, 12)), (GF(P20), (1, 3, 12)), (GF(2), (31,))):
+        for d in dims:
             assert_charpoly_matches_sympy(random_matrix(F, d, rng))
 
 
 def test_charpoly_just_above_prime_limit_matches_sympy(monkeypatch):
-    # 1048583, the first prime above 2^20, has object residues: lists only
+    # 1048583, the first prime above 2^20, has object residues, which the
+    # power sums take cast to int64; at d = 16, the largest prime with
+    # 16 p^2 < 2^63 is the last the power sums take, with every entry
+    # p - 1, and the next prime goes to the lists
     p = 1048583
     assert p > _kernels.PRIME_LIMIT and not any(
         is_prime(q) for q in range(_kernels.PRIME_LIMIT, p)
@@ -490,7 +554,18 @@ def test_charpoly_just_above_prime_limit_matches_sympy(monkeypatch):
     for d in (1, 4, 16):
         assert_charpoly_matches_sympy(Matrix(F, [[p - 1] * d for _ in range(d)]))
         assert_charpoly_matches_sympy(random_matrix(F, d, rng))
-    assert calls == {"power sums": 0, "lists": 6}
+    assert calls == {"power sums": 6, "lists": 0}
+    below = largest_prime_below(isqrt((1 << 63) // 16) + 1)
+    above = below + 2
+    while not is_prime(above):
+        above += 2
+    assert 16 * below**2 < 1 << 63 <= 16 * above**2
+    for q, algorithm in ((below, "power sums"), (above, "lists")):
+        calls.update(dict.fromkeys(calls, 0))
+        F = GF(q)
+        assert_charpoly_matches_sympy(Matrix(F, [[q - 1] * 16 for _ in range(16)]))
+        assert_charpoly_matches_sympy(random_matrix(F, 16, rng))
+        assert calls[algorithm] == 2 and sum(calls.values()) == 2
 
 
 @pytest.mark.parametrize("height", [1, 10**3, 10**14], ids=str)

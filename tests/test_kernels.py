@@ -11,9 +11,12 @@ reach the object arrays for small primes by lowering ``PRIME_LIMIT`` to 2.
 import contextlib
 import json
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from endok import _kernels, linalg
 from endok.bruteforce import random_commuting_tuple
@@ -352,14 +355,15 @@ def list_charpolys(stack, primes):
     return [linalg._charpoly_mod(a.tolist(), p) for a, p in zip(stack, primes)]
 
 
-def test_power_sums_alone_take_f97_and_rational_charpolys(monkeypatch):
-    # k0_class over F_97 at dims below 97, and over Q, never reaches the
-    # list recurrence, and gives the classes that the lists give
+def test_power_sums_alone_take_f2_f3_f97_and_rational_charpolys(monkeypatch):
+    # k0_class over F_2 and F_3, where many charpolys have p <= d, over
+    # F_97 and over Q never reaches the list recurrence, and gives the
+    # classes that the lists give
     rng = random.Random(89)
     tuples = [
         random_commuting_tuple(field, nvars, dim, rng)
-        for field in (GF(97), QQ)
-        for nvars, dim in ((1, 6), (2, 8), (3, 7))
+        for field in (GF(2), GF(3), GF(97), QQ)
+        for nvars, dim in ((1, 6), (2, 8), (3, 7), (2, 16))
     ]
     with monkeypatch.context() as m:
         m.setattr(_kernels, "charpoly_mod", list_charpolys)
@@ -368,21 +372,68 @@ def test_power_sums_alone_take_f97_and_rational_charpolys(monkeypatch):
     assert [k0_class(t) for t in tuples] == by_lists
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2**31 - 1)], ids=field_id)
+def first_dim_past_the_bound(p):
+    past = (d for d in range(1, 100) if d * _kernels.newton_modulus(p, d) ** 2 >= 1 << 63)
+    return next(past, None)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2**31 - 1), P61], ids=field_id)
 def test_lists_alone_take_small_and_large_primes(field, monkeypatch):
-    # F_2 and F_3 at dims d >= p, and GF(2^31 - 1) with its object
-    # residues at every dim, never reach the power sums: a companion
-    # matrix in a random basis gives back its polynomial
-    monkeypatch.setattr(_kernels, "charpoly_mod", raising)
+    # past the int64 bound d M^2 < 2^63 of the power sums, M = p^e, e = 1 +
+    # v_p(d!): F_2 from d = 32, F_3 from 39, GF(2^31 - 1) from 3 and
+    # GF(2^61 - 1) at every dim never reach them; a companion matrix in a
+    # random basis gives back its polynomial, and k0_class runs at 2^61 - 1
     p = field.characteristic
+    first = first_dim_past_the_bound(p)
+    assert first == {2: 32, 3: 39, 2**31 - 1: 3}.get(p, 1)
+    monkeypatch.setattr(_kernels, "charpoly_mod", raising)
     rng = random.Random(101)
-    for d in range(min(p, 8), 9):
+    for d in (first, first + 1):
         q = UniPoly(field, [rng.randrange(p) for _ in range(d)] + [1])
         m = Matrix.companion(q)
         (m,) = conjugate(CommutingTuple(field, 1, d, [m]), rng).mats
         assert charpoly(m) == q
-    if p > _kernels.PRIME_LIMIT:
+    if first == 1:
         for nvars, dim in ((1, 5), (2, 6)):
             t = random_commuting_tuple(field, nvars, dim, rng)
             cls = k0_class(t)
             assert sum(mult * key.residue_degree for key, mult in cls.items()) == dim
+
+
+@st.composite
+def small_prime_stacks(draw):
+    """(stack, primes): one to three random matrices over F_2 or F_3, one
+    prime per layer, of one dim up to the int64 bound of the power sums
+    (31 with an F_2 layer, else 38), dense or sparse."""
+    primes = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3))
+    d = draw(st.integers(0, 31 if 2 in primes else 38))
+    density = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = [
+        [[rng.randrange(p) if rng.random() < density else 0 for _ in range(d)] for _ in range(d)]
+        for p in primes
+    ]
+    return np.array(grid, np.int64).reshape(len(primes), d, d), primes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(small_prime_stacks())
+@example((np.eye(31, dtype=np.int64)[None], [2]))
+@example((np.eye(38, k=1, dtype=np.int64)[None], [3]))
+@example((np.ones((2, 31, 31), np.int64), [2, 3]))
+def test_power_sums_match_lists_over_f2_and_f3(case):
+    stack, primes = case
+    assert _kernels.charpoly_mod(stack, primes) == list_charpolys(stack, primes)
+
+
+def test_power_sums_chunk_a_mixed_stack_by_its_largest_modulus():
+    # F_2 at d = 16 works modulo 2^16 and takes the contraction in one
+    # chunk; the largest prime q with 16 q^2 < 2^63 takes it in chunks of
+    # 16 terms, and so does the whole stack
+    q = largest_prime_below(isqrt((1 << 63) // 16) + 1)
+    assert _kernels.newton_modulus(2, 16) == 2**16 and _kernels.terms(q) == 16
+    rng = random.Random(103)
+    stack = np.array(
+        [[[rng.randrange(max(p - 8, 0), p) for _ in range(16)] for _ in range(16)] for p in (2, q)]
+    )
+    assert _kernels.charpoly_mod(stack, [2, q]) == list_charpolys(stack, [2, q])
