@@ -1,10 +1,22 @@
 """Mod-p dense linear-algebra kernels on numpy residue arrays.
 
-The kernels are exact.  They work on residues in [0, p) and reduce
-eagerly.  ``dtype(p)`` picks the array type: int64 below ``PRIME_LIMIT``,
-where a sum of up to 2^23 products of two residues, plus one residue,
-stays below 2^63, and ``object`` (exact Python integers) from there up to
-the 2^63 bound on p.
+The kernels are exact.  They take and return residues in [0, p).
+``dtype(p)`` picks the array type: int64 below ``PRIME_LIMIT``, where a
+sum of up to 2^23 products of two residues, plus one residue, stays below
+2^63, and ``object`` (exact Python integers) from there up to the 2^63
+bound on p.
+
+One int64 bound serves every kernel that defers its reduction: k
+products of two residues mod M on top of one residue stay below 2^63
+while k (M - 1)^2 + M < 2^63, that is for k up to ``terms(M)``.
+``rref_mod`` reduces its array once at the end and after every
+``terms(p)`` pivot steps, as each step moves an entry by less than
+(p - 1)^2; ``charpoly_mod`` sums its trace contraction in chunks of
+``terms(M)``; and ``linalg.eval_poly_at_matrix`` sums the terms c.A^e of
+a polynomial on residue arrays the same way.  The rule needs no change
+for ``object`` arrays, where ``max(1, terms(p))`` is 1 from p = 2^31.5
+on, so a reduction follows every step, nor for an int64 limit raised as
+far as 2^31, where it is 2.
 
 ``charpoly_mod`` takes characteristic polynomials of a stack of int64
 residue matrices, one prime p per layer, from the power sums tr(A^j) and
@@ -44,28 +56,48 @@ def rref_mod(a, p):
     """Reduced row echelon form of a residue matrix, in its dtype.
 
     Returns (rref array, list of pivot columns).
+
+    The reduction mod p is deferred.  Each pivot step reduces only the
+    pivot column, so that the search for a pivot tests residues, and the
+    pivot row, before it is scaled to 1 (not at all when its pivot is 1
+    already); the step then subtracts col x row, an outer product of two
+    residue vectors, from the whole array.  Every entry thus falls by at
+    most (p - 1)^2 per step and stays above -k (p - 1)^2 after k steps,
+    so the whole array is reduced once at the end and after every
+    ``terms(p)`` pivots, which keeps int64 entries above -2^63.
+
+    Over GF(7), where the second row is 3 times the first:
+
+    >>> r, pivots = rref_mod(np.array([[2, 4, 1], [6, 5, 3], [1, 0, 1]]), 7)
+    >>> r.tolist(), pivots
+    ([[1, 0, 1], [0, 1, 5], [0, 0, 0]], [0, 1])
     """
-    a = a % p
-    rows, cols = a.shape
+    a = a.copy()
+    rows = len(a)
+    every = max(1, terms(p))
     pivots = []
-    r = 0
-    for c in range(cols):
+    for c in range(a.shape[1]):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
+        row = a[i] % p
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
+            a[i] = a[r]
+            col[i] = col[r]
+        if row[c] != 1:
+            row = row * pow(int(row[c]), p - 2, p) % p
+        a[r] = row
         col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
+        a -= col[:, None] * row
         pivots.append(c)
-        r += 1
+        if not (r + 1) % every:
+            a %= p
+    a %= p
     return a, pivots
 
 

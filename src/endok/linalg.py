@@ -10,8 +10,10 @@ holds Python integers (dtype ``object``) with gcd(content(N), D) = 1.
 
 Sums, differences, negation, scaling, transposes, submatrices, stacking,
 kernel rows, subspace reduction, equality and hashing are one code path
-on N/D for both fields.  The field is read only where the arithmetic
-differs:
+on N/D for both fields.  Submatrices and stacks of forms over D = 1,
+which is every form over F_p, and ``identity`` and ``zeros`` are
+canonical as they are built and skip the canonical step.  The field is
+read only where the arithmetic differs:
 
 * ``_from_integers``: reduction mod p, or division by gcd(content, D);
 * ``entries``: Python ints, or ``Fraction``s, read off N/D when first
@@ -39,6 +41,9 @@ differs:
   row by row): over F_p one fully reduced residue array, each insert one
   product in ``_kernels.echelon_insert_mod``; over Q primitive integer
   rows and fraction-free steps.
+* ``eval_poly_at_matrix``: over F_p the terms c.A^e summed on the
+  residue arrays and reduced mod p once per result; over Q summed as
+  matrices.
 
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
@@ -122,11 +127,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls._from_integers(field, np.zeros((rows, cols), np.int64))
+        return cls._from_form(field, np.zeros((rows, cols), _dtype(field)))
 
     @classmethod
     def identity(cls, field, d):
-        return cls._from_integers(field, np.eye(d, dtype=np.int64))
+        return cls._from_form(field, np.eye(d, dtype=_dtype(field)))
 
     @classmethod
     def companion(cls, q):
@@ -263,6 +268,12 @@ class Matrix:
         return f"Matrix({self.field!r}, {self!s})"
 
 
+def _dtype(field):
+    """The dtype of N in the canonical form over field."""
+    p = field.characteristic
+    return _kernels.dtype(p) if p else object
+
+
 def _init(m, field, num, den, entries=None):
     """Fill the slots of a new matrix with its canonical form num/den,
     made read-only, and its entries if known; returns it."""
@@ -278,16 +289,25 @@ def _init(m, field, num, den, entries=None):
     return m
 
 
+def _from_part(field, num, den):
+    """The matrix num/den, for num an array of entries of canonical forms
+    over den.  num is canonical as it is when den = 1, as always over F_p;
+    otherwise ``_from_integers`` divides out gcd(content(num), den)."""
+    if den == 1:
+        return Matrix._from_form(field, num)
+    return Matrix._from_integers(field, num, den)
+
+
 def _submatrix(m, rows, cols):
     """The block of m on the given row and column indices."""
-    return Matrix._from_integers(m.field, m._num.take(rows, 0).take(cols, 1), m._den)
+    return _from_part(m.field, m._num.take(rows, 0).take(cols, 1), m._den)
 
 
 def _stack(mats):
     """The matrices, all with the same columns, one above the other."""
     den = lcm(*(m._den for m in mats))
     num = np.concatenate([m._num if m._den == den else m._num * (den // m._den) for m in mats])
-    return Matrix._from_integers(mats[0].field, num, den)
+    return _from_part(mats[0].field, num, den)
 
 
 _ZERO = Fraction(0)
@@ -749,6 +769,13 @@ def eval_poly_at_matrix(q, ms):
     """Evaluate a polynomial at square matrices (t_i -> ms[i]) as a sum of
     products of cached powers, each scaled by its term's coefficient.
 
+    Over F_p the sum runs on the residue arrays and is reduced mod p once
+    per result: each term c.N adds less than (p - 1)^2 to an entry, the
+    constant term adds c < p to the diagonal, so the sum is reduced only
+    after every ``_kernels.terms(p)`` terms, which keeps int64 entries
+    below 2^63, and once at the end.  Over Q the terms are added as
+    matrices, each sum brought to its canonical form.
+
     Multivariate evaluation assumes the matrices commute pairwise, which
     callers passing CommutingTuple members always guarantee.
     """
@@ -771,9 +798,11 @@ def eval_poly_at_matrix(q, ms):
         raise TypeError(f"expected UniPoly or MultiPoly, got {q!r}")
     if q.field != F:
         raise FieldMismatchError("polynomial and matrix fields differ")
+    p = F.characteristic
     powers = [[None, m] for m in ms]
-    acc = None
-    for exps, c in terms:
+    acc = np.zeros((d, d), _dtype(F)) if p else None
+    every = max(1, _kernels.terms(p)) if p else None
+    for k, (exps, c) in enumerate(terms, 1):
         term = None
         for i, e in enumerate(exps):
             if e:
@@ -781,9 +810,19 @@ def eval_poly_at_matrix(q, ms):
                 while len(cache) <= e:
                     cache.append(cache[-1] @ ms[i])
                 term = cache[e] if term is None else term @ cache[e]
+        if p:
+            if term is None:
+                acc.flat[:: d + 1] += c
+            else:
+                acc += c * term._num
+            if not k % every:
+                acc %= p
+            continue
         if term is None:
             term = Matrix.identity(F, d)
         if c != F.one:
             term = term.scale(c)
         acc = term if acc is None else acc + term
+    if p:
+        return Matrix._from_integers(F, acc)
     return Matrix.zeros(F, d, d) if acc is None else acc

@@ -84,11 +84,13 @@ def plain_matmul(field, a, b):
 
 
 def plain_rref(field, grid):
+    """(rows, pivots) of the reduced row echelon form of grid, by
+    Gauss-Jordan one scalar at a time."""
     _, sub, mul, div = plain_ops(field)
     rows = [list(row) for row in grid]
     pivots = []
     r = 0
-    for c in range(len(rows[0])):
+    for c in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue

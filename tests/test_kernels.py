@@ -12,6 +12,7 @@ import contextlib
 import json
 import random
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,6 +228,60 @@ def test_cached_arrays_reject_writes():
         with pytest.raises(ValueError):
             out.to_integers()[0][0, 0] = 5
     assert m.entries == ((1, 2), (3, 4))
+
+
+# the largest int64 prime, and the least prime of the object arrays
+INT64_TOP = largest_prime_below(_kernels.PRIME_LIMIT)
+OBJECT_LOW = 1048583
+
+
+@st.composite
+def residue_matrices(draw):
+    """(a, p): a residue array of ``_kernels.dtype(p)``, up to 12 x 12,
+    tall, wide or square, with random entries, every entry p - 1, every
+    entry 0, or of rank below its size."""
+    p = draw(st.sampled_from((2, 3, 97, INT64_TOP, OBJECT_LOW, P61.characteristic)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    fill = draw(st.sampled_from(("random", "top", "zero", "deficient")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if fill == "deficient":
+        k = rng.randrange(max(min(rows, cols), 1))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        grid = [[sum(x * y[j] for x, y in zip(row, right)) % p for j in range(cols)] for row in left]
+    else:
+        entry = {"random": lambda: rng.randrange(p), "top": lambda: p - 1, "zero": lambda: 0}[fill]
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    return np.array(grid, _kernels.dtype(p)).reshape(rows, cols), p
+
+
+def steep_int64_top(d):
+    """(L.U mod p, p) for p = ``INT64_TOP``, unit lower triangular L with
+    -1 below the diagonal and U with 2 on it and -2 above it: each pivot
+    step of the elimination subtracts about p^2 from every entry below and
+    right of its pivot, and each pivot 2 scales its row by (p + 1) / 2."""
+    p = INT64_TOP
+    low = np.tril(np.full((d, d), -1, object), -1) + np.eye(d, dtype=object)
+    up = 2 * (np.eye(d, dtype=object) - np.triu(np.ones((d, d), object), 1))
+    return ((low @ up) % p).astype(np.int64), p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(residue_matrices(), st.sampled_from((None, 1, 2)))
+@example(steep_int64_top(24), None)
+@example((np.array([[1, 2], [2, 1]]), 3), None)
+def test_rref_mod_matches_plain_gauss_jordan(case, every):
+    # every: the reduction period, patched down so that the periodic
+    # reduction fires mid-elimination
+    a, p = case
+    given_rows = a.tolist()
+    period = mock.patch.object(_kernels, "terms", lambda modulus: every)
+    with period if every else contextlib.nullcontext():
+        r, pivots = _kernels.rref_mod(a, p)
+    rows, plain_pivots = plain_rref(GF(p), given_rows)
+    assert r.dtype == a.dtype and r.shape == a.shape
+    assert (r.tolist(), pivots) == ([list(row) for row in rows], plain_pivots)
+    assert a.tolist() == given_rows  # the input is left as it was
 
 
 def test_dtype_follows_prime_limit():

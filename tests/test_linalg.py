@@ -29,6 +29,7 @@ from conftest import (
     PMAX,
     assert_canonical,
     field_id,
+    largest_prime_below,
     plain_matmul,
     plain_ops,
     plain_reduce,
@@ -378,6 +379,58 @@ def test_eval_is_ring_homomorphism():
                 assert ev(MultiPoly.variable(field, n, i)) == ms[i]
 
 
+def horner(field, d, terms, ms):
+    """The polynomial sum of c t^e over the (e, c) in the dict terms at
+    the commuting d x d matrices ms, by Horner's rule in the first
+    variable, each coefficient (a polynomial in the others) evaluated the
+    same way, on ``Matrix`` operations alone."""
+    if not ms:
+        return Matrix.identity(field, d).scale(terms.get((), field.zero))
+    by_power = {}
+    for exps, c in terms.items():
+        by_power.setdefault(exps[0], {})[exps[1:]] = c
+    acc = Matrix.zeros(field, d, d)
+    for e in range(max(by_power, default=0), -1, -1):
+        acc = acc @ ms[0] + horner(field, d, by_power.get(e, {}), ms[1:])
+    return acc
+
+
+# the largest prime of the int64 residue arrays
+INT64_TOP = GF(largest_prime_below(_kernels.PRIME_LIMIT))
+
+
+@pytest.mark.parametrize("every", [None, 1, 2])
+def test_eval_over_fp_matches_horner(every, monkeypatch):
+    # every: the reduction period of the sum, patched down so that it fires
+    if every:
+        monkeypatch.setattr(_kernels, "terms", lambda modulus: every)
+    rng = random.Random(35)
+    a = rand_matrix(INT64_TOP, rng, 6)
+    top = INT64_TOP.characteristic - 1
+    cases = [
+        (INT64_TOP, [a], UniPoly(INT64_TOP, [top] * 70)),
+        (INT64_TOP, [a], UniPoly.constant(INT64_TOP, top)),
+        (INT64_TOP, [a], UniPoly.zero(INT64_TOP)),
+    ]
+    for field in (GF(97), P61):
+        ms = list(random_commuting_tuple(field, 3, 5, rng).mats)
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(3)): field.random_scalar(rng) or 1
+            for _ in range(8)
+        }
+        terms[(0, 0, 0)] = field.neg(field.one)
+        cases.append((field, ms, MultiPoly(field, 3, terms)))
+        cases.append((field, ms, MultiPoly.zero(field, 3)))
+    for field, ms, q in cases:
+        if isinstance(q, UniPoly):
+            terms = {(e,): c for e, c in enumerate(q.coeffs)}
+        else:
+            terms = dict(q.terms)
+        value = eval_poly_at_matrix(q, ms)
+        assert_canonical(value)
+        assert value == horner(field, ms[0].rows, terms, ms)
+
+
 # -- matrices -------------------------------------------------------------------------
 
 
@@ -582,6 +635,9 @@ def test_every_operation_keeps_the_canonical_form(field, monkeypatch):
     d = a.rows
     (ra, pa), (rb, pb) = rref(a), rref(b)
     (ka, _), (kb, free) = linalg._kernel_rows(a), linalg._kernel_rows(b)
+    one = Matrix.identity(field, d)
+    q = UniPoly(field, [c, 0, 1, -1])  # c + t^2 - t^3
+    g = MultiPoly(field, 2, {(1, 1): c, (0, 1): 1, (0, 0): -1})  # c t1 t2 + t2 - 1
     results = [
         a + b,
         a - b,
@@ -590,11 +646,19 @@ def test_every_operation_keeps_the_canonical_form(field, monkeypatch):
         a @ b,
         b.transpose(),
         linalg._submatrix(b, [0, 3], [1, 2, 4]),
+        linalg._submatrix(b.scale(c), [4], range(d)),  # a zero row of b
         linalg._stack([a, b.scale(c)]),
+        linalg._stack([b.scale(c), b.scale(c)]),
+        one,
+        Matrix.identity(field, 0),
+        Matrix.zeros(field, 2, 3),
         ra,
         rb,
         ka,
         kb,
+        eval_poly_at_matrix(q, [a]),
+        eval_poly_at_matrix(g, [a, a @ a]),
+        eval_poly_at_matrix(UniPoly.zero(field), [b]),
         a,
         b,
     ]
@@ -614,6 +678,12 @@ def test_every_operation_keeps_the_canonical_form(field, monkeypatch):
         (rref(b.scale(c))[0], rb),
         (b @ kb.transpose(), Matrix.zeros(field, d, len(free))),
         (ka, Matrix.zeros(field, 0, d)),
+        (linalg._submatrix(b.scale(c), [4], range(d)), Matrix.zeros(field, 1, d)),
+        (linalg._stack([b.scale(c), b.scale(c)]), linalg._stack([b, b]).scale(c)),
+        (rref(one)[0], one),
+        (eval_poly_at_matrix(q, [a]), a @ a - a.pow(3) + one.scale(c)),
+        (eval_poly_at_matrix(g, [a, a @ a]), a.pow(3).scale(c) + a @ a - one),
+        (eval_poly_at_matrix(UniPoly.zero(field), [b]), Matrix.zeros(field, d, d)),
     ]
     for x, y in pairs:
         assert_canonical(x)
