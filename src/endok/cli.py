@@ -230,6 +230,16 @@ _PARSER.add_argument(
 
 
 def main(argv=None):
+    """The command line; returns the exit code.  A ``MemoryError`` from
+    anywhere ends in one ``error:`` line and exit 1, never a traceback."""
+    try:
+        return _main(argv)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+
+
+def _main(argv):
     args = _PARSER.parse_args(argv)
     try:
         if args.input == "-":

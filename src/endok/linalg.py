@@ -1,12 +1,24 @@
 """Dense exact linear algebra over ``QQ`` or ``GF(p)``.
 
-Every matrix, over either field, is one integer form N/D: a read-only 2-d
+Every matrix, over either field, is one integer form N/D: a read-only
 numpy array N of integers over a positive integer D, built with the
 matrix and made canonical in one place, ``Matrix._from_integers``, so
 equal matrices have equal forms.  Over F_p, N holds residues in [0, p) of
 dtype ``_kernels.dtype(p)`` (int64 for p below ``_kernels.PRIME_LIMIT``,
 exact Python integers, dtype ``object``, above it) and D = 1.  Over Q, N
 holds Python integers (dtype ``object``) with gcd(content(N), D) = 1.
+
+N is 2-d for a matrix.  A stack of k matrices of one shape, such as the
+n maps of a ``modules.CommutingTuple``, is one ``Matrix`` whose N has a
+leading axis, (k, rows, cols), over one common D (``_stack_layers``);
+``rows`` and ``cols`` are its last two axes, and ``@``, ``_submatrix``,
+``transpose``, sums, ``==`` and ``_from_integers`` act on the last two
+axes, broadcasting over the leading one, so one numpy call does the work
+of k.  ``_layer(S, i)`` reads layer i back as a canonical 2-d matrix, and
+``_layer_rows(S)`` the layers, one above the other, as one matrix.  Where
+a step needs only the numbers, ``_product`` multiplies two integer forms
+(N, D) with no ``Matrix`` and no canonical step, and ``_first_difference``
+compares two, layer by layer.
 
 Sums, differences, negation, scaling, transposes, submatrices, stacking,
 kernel rows, subspace reduction, equality and hashing are one code path
@@ -18,8 +30,8 @@ read only where the arithmetic differs:
 * ``_from_integers``: reduction mod p, or division by gcd(content, D);
 * ``entries``: Python ints, or ``Fraction``s, read off N/D when first
   asked for and kept;
-* ``@``: ``_kernels.matmul_mod`` over F_p, numpy's ``@`` on the object
-  arrays over Q;
+* ``@`` and ``_product``: ``_kernels.matmul_mod`` over F_p, numpy's ``@``
+  on the object arrays over Q;
 * ``rref``: ``_kernels.rref_mod`` over F_p; over Q fraction-free
   Gauss-Jordan on primitive integer rows, each elimination a.row_i -
   b.row_r divided by its content;
@@ -37,7 +49,7 @@ read only where the arithmetic differs:
   product passes 2 max_k C(d, k) R^k, twice Hadamard's bound on the
   coefficients of chi_N for R the largest Euclidean row norm of N;
 * the ``Matrix`` constructor, which builds N/D from rows of field scalars;
-* ``Echelon``, the incremental store of vectors (a matrix's N/D, flattened
+* ``Echelon``, the incremental store of vectors (integer forms N/D, flattened
   row by row): over F_p one fully reduced residue array, each insert one
   product in ``_kernels.echelon_insert_mod``; over Q primitive integer
   rows and fraction-free steps.
@@ -71,11 +83,12 @@ from .poly import MultiPoly, UniPoly, _cleared, _power, _primitive, uni_lcm
 class Matrix:
     """Immutable dense matrix over an exact field, held as N/D.
 
-    N is a read-only 2-d numpy array of integers and D a positive integer,
-    made canonical by ``_from_integers`` (see the module docstring), so
-    equal matrices have equal forms.  ``entries``, the row tuples of raw
-    field scalars, is the input rows where the matrix was built from rows,
-    and otherwise is read off N/D when first asked for and kept.
+    N is a read-only numpy array of integers, 2-d, or 3-d for a stack of
+    matrices, and D a positive integer, made canonical by
+    ``_from_integers`` (see the module docstring), so equal matrices have
+    equal forms.  ``entries``, the row tuples of raw field scalars, is the
+    input rows where the matrix was built from rows, and otherwise is read
+    off N/D when first asked for and kept.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_num", "_den")
@@ -104,19 +117,15 @@ class Matrix:
 
     @classmethod
     def _from_integers(cls, field, num, den=1):
-        """num/den for a 2-d integer array num and an integer den > 0,
-        brought to the canonical form: over F_p (where den must be 1)
-        residues of dtype ``_kernels.dtype(p)``, over Q Python integers
-        with gcd(content(num), den) divided out."""
+        """num/den for an integer array num, 2-d or a stack, and an integer
+        den > 0, brought to the canonical form: over F_p (where den must
+        be 1) residues of dtype ``_kernels.dtype(p)``, over Q Python
+        integers with gcd(content(num), den) divided out."""
         p = field.characteristic
         if p:
             num = (num % p).astype(_kernels.dtype(p), copy=False)
         else:
-            num = num.astype(object, copy=False)
-            if den != 1:
-                g = gcd(den, *num.flat)
-                if g > 1:
-                    num, den = num // g, den // g
+            num, den = _reduced(num.astype(object, copy=False), den)
         return _init(object.__new__(cls), field, num, den)
 
     @classmethod
@@ -183,8 +192,9 @@ class Matrix:
         return not self._num.any()
 
     def to_integers(self):
-        """(N, D): the canonical integer form, a read-only 2-d numpy array
-        N of integers over the positive integer D, which is 1 over F_p."""
+        """(N, D): the canonical integer form, a read-only numpy array N of
+        integers, 2-d or a stack, over the positive integer D, which is 1
+        over F_p."""
         return self._num, self._den
 
     # -- arithmetic ----------------------------------------------------------
@@ -199,7 +209,7 @@ class Matrix:
         """op(self, other) for numpy's add or subtract, over the least
         common denominator."""
         self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self._num.shape != other._num.shape:
             raise ValueError("shape mismatch")
         (a, da), (b, db) = self.to_integers(), other.to_integers()
         if da != db:
@@ -228,7 +238,9 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         F = self.field
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(F, self.rows, other.cols)
+            lead = np.broadcast_shapes(self._num.shape[:-2], other._num.shape[:-2])
+            return Matrix._from_form(F, np.zeros(lead + (self.rows, other.cols), _dtype(F)))
+        # ``_product``, inlined: this is the hot path of every product
         p = F.characteristic
         if p:
             return Matrix._from_form(F, _kernels.matmul_mod(self._num, other._num, p))
@@ -240,7 +252,7 @@ class Matrix:
         return _power(self, e, lambda: Matrix.identity(self.field, self.rows), matmul)
 
     def transpose(self):
-        return Matrix._from_form(self.field, self._num.T, self._den)
+        return Matrix._from_form(self.field, self._num.swapaxes(-1, -2), self._den)
 
     # -- value semantics -----------------------------------------------------
 
@@ -249,14 +261,14 @@ class Matrix:
             return NotImplemented
         return (
             self.field == other.field
-            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self._num.shape == other._num.shape
             and self._den == other._den
             and np.array_equal(self._num, other._num)
         )
 
     def __hash__(self):
         flat = tuple(self._num.ravel().tolist())
-        return hash((self.field, self.rows, self.cols, self._den, flat))
+        return hash((self.field, self._num.shape, self._den, flat))
 
     def __str__(self):
         if self.rows == 0:
@@ -278,7 +290,7 @@ def _init(m, field, num, den, entries=None):
     """Fill the slots of a new matrix with its canonical form num/den,
     made read-only, and its entries if known; returns it."""
     num.setflags(write=False)
-    rows, cols = num.shape
+    rows, cols = num.shape[-2:]
     put = object.__setattr__
     put(m, "field", field)
     put(m, "rows", rows)
@@ -289,25 +301,84 @@ def _init(m, field, num, den, entries=None):
     return m
 
 
+def _reduced(num, den):
+    """num/den with gcd(content(num), den) divided out: the canonical form
+    of an array num of residues or integers over den, as den = 1 over
+    F_p, and every integer form over 1 is canonical."""
+    if den != 1:
+        g = gcd(den, *num.flat)
+        if g > 1:
+            num, den = num // g, den // g
+    return num, den
+
+
 def _from_part(field, num, den):
     """The matrix num/den, for num an array of entries of canonical forms
-    over den.  num is canonical as it is when den = 1, as always over F_p;
-    otherwise ``_from_integers`` divides out gcd(content(num), den)."""
-    if den == 1:
-        return Matrix._from_form(field, num)
-    return Matrix._from_integers(field, num, den)
+    (residues over F_p) over den, brought to its canonical form by
+    ``_reduced`` with no reduction mod p."""
+    return Matrix._from_form(field, *_reduced(num, den))
+
+
+def _product(field, x, y):
+    """The product of two integer forms x = (N, D) and y, broadcast over
+    their leading axes, as a form: residues over 1 over F_p, and N_x.N_y
+    over D_x.D_y over Q, which ``_reduced`` brings to the canonical
+    form."""
+    (a, da), (b, db) = x, y
+    p = field.characteristic
+    if p:
+        return _kernels.matmul_mod(a, b, p), 1
+    return a @ b, da * db
+
+
+def _first_difference(x, y):
+    """The first index over the leading axes, in row-major order, at which
+    the integer forms x = (N, D) and y, of one shape, differ as matrices
+    over their last two axes, or None when they are equal: over F_p the
+    residues, over Q N_x.D_y and N_y.D_x."""
+    (a, da), (b, db) = x, y
+    if da != db:
+        a, b = a * db, b * da
+    differ = (a != b).any(axis=(-2, -1))
+    if not differ.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(differ.argmax(), differ.shape))
 
 
 def _submatrix(m, rows, cols):
-    """The block of m on the given row and column indices."""
-    return _from_part(m.field, m._num.take(rows, 0).take(cols, 1), m._den)
+    """The block of m on the given row and column indices, of every layer
+    of a stack."""
+    return _from_part(m.field, m._num.take(rows, -2).take(cols, -1), m._den)
+
+
+def _joined(mats, join):
+    """join (numpy's concatenate or stack) of the numerators of the
+    matrices, all of one shape but for their rows, over their least
+    common denominator."""
+    den = lcm(*(m._den for m in mats))
+    num = join([m._num if m._den == den else m._num * (den // m._den) for m in mats])
+    return _from_part(mats[0].field, num, den)
 
 
 def _stack(mats):
     """The matrices, all with the same columns, one above the other."""
-    den = lcm(*(m._den for m in mats))
-    num = np.concatenate([m._num if m._den == den else m._num * (den // m._den) for m in mats])
-    return _from_part(mats[0].field, num, den)
+    return _joined(mats, np.concatenate)
+
+
+def _stack_layers(mats):
+    """The matrices, all of one shape, as the layers of one stack."""
+    return _joined(mats, np.stack)
+
+
+def _layer(s, i):
+    """Layer i of a stack, as a canonical 2-d matrix."""
+    return _from_part(s.field, s._num[i], s._den)
+
+
+def _layer_rows(s):
+    """The layers of a stack one above the other, as one matrix; the
+    stack's canonical form is its own, as it holds the same entries."""
+    return Matrix._from_form(s.field, s._num.reshape(-1, s.cols), s._den)
 
 
 _ZERO = Fraction(0)
@@ -459,9 +530,10 @@ class Subspace:
 
 
 class Echelon:
-    """Incremental echelon store: vectors enter one at a time, as the N/D
-    of a ``Matrix`` flattened row by row, and those outside the span of
-    the vectors added before are added.
+    """Incremental echelon store: vectors enter one at a time, as an
+    integer form N/D, such as a matrix's ``to_integers()``, flattened row
+    by row, and those outside the span of the vectors added before are
+    added.
 
     Over F_p the stored rows are one residue array, fully reduced: row i
     is 1 at its own pivot and 0 at every other pivot.  A vector w is
@@ -498,14 +570,15 @@ class Echelon:
             self._pivots = []
             self._dens = []  # _dens[g]: the denominator of generator g
 
-    def insert(self, m):
-        """Try to add the N/D of a matrix, flattened row by row, as one
-        vector.  Returns (added, combo): combo rewrites a dependent vector
-        over the previously added generators, as a dict from generator
-        index to nonzero field scalar (only when tracking)."""
+    def insert(self, num, den=1):
+        """Try to add an integer form num/den, residues over F_p and any
+        integers over Q, flattened row by row, as one vector.  Returns
+        (added, combo): combo rewrites a dependent vector over the
+        previously added generators, as a dict from generator index to
+        nonzero field scalar (only when tracking)."""
         if self.field.characteristic:
-            return self._insert_mod(m._num.ravel())
-        return self._insert_rational(m._num.ravel().tolist(), m._den)
+            return self._insert_mod(num.ravel())
+        return self._insert_rational(num.ravel().tolist(), den)
 
     def _insert_mod(self, v):
         p, width, r = self.field.characteristic, self.width, self.rank
@@ -751,7 +824,7 @@ def minimal_polynomial(m):
         ech = Echelon(F, d, track=True)
         v = _submatrix(one, [start], range(d))
         while True:
-            added, combo = ech.insert(v)
+            added, combo = ech.insert(*v.to_integers())
             if not added:
                 k = ech.rank
                 coeffs = [F.neg(combo.get(j, F.zero)) for j in range(k)]

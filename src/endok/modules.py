@@ -9,12 +9,21 @@ splitting into local pieces supported at single maximal ideals.  Each
 maximal ideal is tagged by one interned ``MaximalIdealKey``, and the test
 whether a quotient k[T]/I is a field reads its regular representation.
 
+A tuple holds its n maps as the public tuple ``mats`` and as one stack S
+(``linalg._stack_layers``), built once at construction.  Every step that
+acts with all n maps at once does so on S, with one product where the
+per-map code took n: the commutation check, ``_close``, the restriction
+and quotient maps and their invariance check, the radical series, and
+the Buchberger-Moller children in ``_annihilator``.  A map is read off S
+as a matrix (``linalg._layer``) only where it acts alone, as in its
+characteristic polynomial.
+
 A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
 ``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
 that are invariant by construction.  ``_close``, the breadth-first closure
-of one-row matrices, ``_submodule_maps``, the invariance check that
-``restrict``, ``quotient`` and the split into local pieces all call,
-``_annihilator`` and ``_key`` are functions of the matrices alone.
+of rows, ``_submodule_maps``, the invariance check that ``restrict``,
+``quotient`` and the split into local pieces all call, ``_annihilator``
+and ``_key`` are functions of the stack alone.
 """
 
 import heapq
@@ -29,8 +38,15 @@ from .linalg import (
     Matrix,
     Subspace,
     _echelon_kernel,
+    _first_difference,
+    _from_part,
     _kernel_rows,
+    _layer,
+    _layer_rows,
+    _product,
+    _reduced,
     _stack,
+    _stack_layers,
     _submatrix,
     charpoly,
     eval_poly_at_matrix,
@@ -312,11 +328,14 @@ def _interned(field, nvars, gens, degree, ideal=None):
 class CommutingTuple:
     """n pairwise-commuting d x d matrices over an exact field.
 
-    Commutation is checked at construction; a failing pair is reported
-    with its indices.
+    ``_maps`` is the n maps as one stack (n, d, d), and ``mats`` the tuple
+    of its layers, as matrices.  Commutation is checked at construction, on the
+    stack: one product gives S_i.S_j and one S_j.S_i for every pair
+    i < j, and the first failing pair, in lexicographic order, is
+    reported with its indices.
     """
 
-    __slots__ = ("field", "nvars", "dim", "mats")
+    __slots__ = ("field", "nvars", "dim", "mats", "_maps")
 
     def __init__(self, field, nvars, dim, mats):
         mats = tuple(mats)
@@ -335,14 +354,34 @@ class CommutingTuple:
                 raise ValueError(
                     f"matrix {k} is {m.rows}x{m.cols}, expected {dim}x{dim}"
                 )
-        for i in range(nvars):
-            for j in range(i + 1, nvars):
-                if mats[i] @ mats[j] != mats[j] @ mats[i]:
-                    raise NonCommutingError(i, j)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mats", mats)
+        self._set(_stack_layers(mats))
+
+    @classmethod
+    def _from_stack(cls, s):
+        """The tuple of the layers of a stack (n, d, d), checked to
+        commute."""
+        t = object.__new__(cls)
+        t._set(s)
+        return t
+
+    def _set(self, s):
+        """Fill the slots from the stack s: ``mats`` are its layers, which
+        over F_p share its array."""
+        n = len(s.to_integers()[0])
+        if n > 1:
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            left, right = (list(ix) for ix in zip(*pairs))
+            (num, den), F = s.to_integers(), s.field
+            a, b = (num.take(left, 0), den), (num.take(right, 0), den)
+            k = _first_difference(_product(F, a, b), _product(F, b, a))
+            if k is not None:
+                raise NonCommutingError(*pairs[k[0]])
+        put = object.__setattr__
+        put(self, "field", s.field)
+        put(self, "nvars", n)
+        put(self, "dim", s.rows)
+        put(self, "mats", tuple(_layer(s, i) for i in range(n)))
+        put(self, "_maps", s)
 
     def __setattr__(self, name, value):
         raise AttributeError("CommutingTuple is immutable")
@@ -387,7 +426,7 @@ class CommutingTuple:
         ``Subspace``; a vector of another length is a ValueError."""
         F, d = self.field, self.dim
         rows = [Matrix(F, [v], cols=d) for v in vectors]
-        added = _close(self.mats, Echelon(F, d), rows)
+        added = _close(self._maps, Echelon(F, d), _stack(rows)) if rows else []
         return Subspace._row_space(_stack(added)) if added else Subspace.zero(F, d)
 
     def _generators(self):
@@ -401,7 +440,7 @@ class CommutingTuple:
         for j in range(d):
             if ech.rank == d:
                 break
-            if _close(self.mats, ech, [_submatrix(one, [j], range(d))]):
+            if _close(self._maps, ech, _submatrix(one, [j], range(d))):
                 taken.append(j)
         return taken
 
@@ -410,8 +449,9 @@ class CommutingTuple:
         basis."""
         if not isinstance(s, Subspace):
             raise TypeError(f"expected a Subspace, got {s!r}")
-        rs = _submodule_maps(self.mats, s.matrix.transpose(), s.pivots)
-        return CommutingTuple(self.field, self.nvars, s.dim, rs)
+        return CommutingTuple._from_stack(
+            _submodule_maps(self._maps, s.matrix.transpose(), s.pivots)
+        )
 
     def quotient(self, s):
         """The induced tuple on V/s, s an invariant ``Subspace``, over the
@@ -420,15 +460,13 @@ class CommutingTuple:
         basis of s."""
         if not isinstance(s, Subspace):
             raise TypeError(f"expected a Subspace, got {s!r}")
-        B = s.matrix.transpose()
-        _submodule_maps(self.mats, B, s.pivots)
+        B, maps = s.matrix.transpose(), self._maps
+        _submodule_maps(maps, B, s.pivots)
         comp = s.complement_coords()
         bc = _submatrix(B, comp, range(s.dim))
-        mats = [
-            _submatrix(m, comp, comp) - bc @ _submatrix(m, s.pivots, comp)
-            for m in self.mats
-        ]
-        return CommutingTuple(self.field, self.nvars, len(comp), mats)
+        return CommutingTuple._from_stack(
+            _submatrix(maps, comp, comp) - bc @ _submatrix(maps, s.pivots, comp)
+        )
 
     # -- annihilator ideal -----------------------------------------------------
 
@@ -444,7 +482,7 @@ class CommutingTuple:
         """
         one = Matrix.identity(self.field, self.dim)
         start = _submatrix(one, range(self.dim), self._generators())
-        return _annihilator(self.mats, start)
+        return _annihilator(self._maps, start)
 
     # -- radical and filtration --------------------------------------------
 
@@ -462,15 +500,15 @@ class CommutingTuple:
         s_i(f_i) of V once: rad W = sum_i s_i(f_i).W for every invariant W,
         as on W, s_i is W's own squarefree part times a factor u_i coprime
         to the characteristic polynomial of f_i on W, so u_i(f_i) is a
-        unit on W that commutes with every f."""
-        ss = [
-            eval_poly_at_matrix(squarefree_part(charpoly(m)), [m]).transpose()
-            for m in self.mats
-        ]
+        unit on W that commutes with every f.  The s_i(f_i)^T are one
+        stack, so each step is one product."""
+        ss = _stack_layers(
+            [eval_poly_at_matrix(squarefree_part(charpoly(m)), [m]) for m in self.mats]
+        ).transpose()
         w = Subspace.full(self.field, self.dim)
         yield w
         while not w.is_zero:
-            w = Subspace._row_space(_stack([w.matrix @ s for s in ss]))
+            w = Subspace._row_space(_layer_rows(w.matrix @ ss))
             yield w
 
     def semisimplify(self):
@@ -497,60 +535,64 @@ class CommutingTuple:
         canonical key order, the rows of W spanning the piece in V's
         coordinates, so that its dimension is W.rows.
 
-        A work item is (W, mats, qs): mats are the f on the span of W's
+        A work item is (W, S, qs): S is the stack of the f on the span of W's
         rows in that basis, and qs maps each generator already known to be
         primary on the item to the irreducible q_i of its characteristic
-        polynomial; restriction to an invariant subspace keeps it primary,
-        so each generator is factored once per lineage.  The first
-        generator m whose characteristic polynomial q_1^v_1...q_k^v_k has
-        two distinct factors splits the item into its generalised
-        eigenspaces, peeled off one at a time, largest deg q_j * v_j first
-        so that what remains shrinks fastest.  For j < k, one elimination
-        of A = q_j(m)^v_j on what remains gives both halves: its kernel
-        rows K (``linalg._echelon_kernel``) are child j, K.W, restricted by
-        ``_submodule_maps``; its image, the sum of the other eigenspaces,
-        is spanned by the pivot columns B of A, and as A = B.R' for R' the
-        nonzero rows of the reduced echelon form, every f commuting with A
-        has f.B = B.(R'.f[:, pivots]).  The split goes on in that image,
-        lifted as B^T.W, and its last and smallest piece is what remains,
-        with no elimination: k - 1 eliminations per split, on shrinking
-        matrices.  Each piece's dimension must be deg q_j * v_j, and each
-        restriction's invariance is checked once, by ``_invariant_maps``,
-        which raises RuntimeError here: the loop computed the subspace.
-        An item on which every generator is primary goes to ``_key``,
-        which either keys it or names an element g whose g(f) splits it
-        further, into at least two pieces, or the loop raises rather than
+        polynomial; restriction to an invariant subspace keeps it primary, so
+        each generator is factored once per lineage.  The first generator m
+        whose characteristic polynomial q_1^v_1...q_k^v_k has two distinct
+        factors splits the item into its generalised eigenspaces, peeled off
+        one at a time, largest deg q_j * v_j first so that what remains
+        shrinks fastest.  For j < k, one elimination of A = q_j(m)^v_j on what
+        remains gives both halves: its kernel rows K
+        (``linalg._echelon_kernel``) are child j, K.W, where the f act as the
+        free rows of S.K^T, one product (``_submodule_maps``); its image, the
+        sum of the other eigenspaces, is spanned by the pivot columns B of A,
+        and as A = B.R' for R' the nonzero rows of the reduced echelon form,
+        every f commuting with A has f.B = B.(R'.f[:, pivots]), one product
+        R'.S[:, :, pivots] for all f (``_on_image``).  The split goes on in
+        that image, lifted as B^T.W, and its last and smallest piece is what
+        remains, with no elimination: k - 1 eliminations per split, on
+        shrinking matrices.  Each piece's dimension must be deg q_j * v_j, and
+        each restriction's invariance is checked once, for all f at once, by
+        ``_invariant_maps``, which raises RuntimeError here: the loop computed
+        the subspace.  The step runs on integer forms (``linalg._product``);
+        only what the work list keeps, the child stacks, W and m, become
+        matrices.  An item on which every generator is primary goes to
+        ``_key``, which either keys it or names an element g whose g(f) splits
+        it further, into at least two pieces, or the loop raises rather than
         take the item again; so does, with no more primary tests, an item
-        where some q_i has degree W.rows, as it is simple (Schur's lemma,
-        see ``_key``), and ``_key`` keys it by the annihilator of its first
-        basis vector unless every generator is already primary.  At the
-        end the pieces' dimensions must add up to dim V and the stacked W
-        must have full rank.
+        where some q_i has degree W.rows, as it is simple (Schur's lemma, see
+        ``_key``), and ``_key`` keys it by the annihilator of its first basis
+        vector unless every generator is already primary.  At the end the
+        pieces' dimensions must add up to dim V and the stacked W must have
+        full rank.
         """
-        d = self.dim
+        F, n, d = self.field, self.nvars, self.dim
         if d == 0:
             return []
-        work = [(Matrix.identity(self.field, d), self.mats, {})]
+        work = [(Matrix.identity(F, d), self._maps, {})]
         out = []
         while work:
-            w, mats, qs = work.pop()
+            w, maps, qs = work.pop()
             split = None
-            for i, f in enumerate(mats):
+            for i in range(n):
                 if i in qs:
                     continue
                 if any(q.degree == w.rows for q in qs.values()):
                     break  # a simple piece: _key needs no other q_j
+                f = _layer(maps, i)
                 factors = factor_univariate(charpoly(f))
                 if len(factors) >= 2:
                     split = (f, factors, i)
                     break
                 qs[i] = factors[0][0]
             if split is None:
-                key, g = _key(mats, qs)
+                key, g = _key(maps, qs)
                 if key is not None:
                     out.append((w, key))
                     continue
-                m = eval_poly_at_matrix(g, list(mats))
+                m = eval_poly_at_matrix(g, [_layer(maps, i) for i in range(n)])
                 factors = factor_univariate(charpoly(m))
                 if len(factors) < 2:
                     raise RuntimeError(f"the key step's element {g} does not split a piece")
@@ -561,22 +603,19 @@ class CommutingTuple:
                 child_qs = dict(qs) if i is None else {**qs, i: q}
                 if j == len(factors) - 1:
                     _check_eigenspace(q, v, w.rows)
-                    work.append((w, mats, child_qs))
+                    work.append((w, maps, child_qs))
                     break
                 a = eval_poly_at_matrix(q, [m]).pow(v)
                 R, pivots = rref(a)
                 ker, free = _echelon_kernel(R, pivots)
                 _check_eigenspace(q, v, ker.rows)
-                maps = _submodule_maps(mats, ker.transpose(), free, RuntimeError)
-                work.append((ker @ w, maps, child_qs))
+                child = _submodule_maps(maps, ker.transpose(), free, RuntimeError)
+                work.append((ker @ w, child, child_qs))
                 # what remains is the image of a, in the basis of its pivot
                 # columns B, where f acts as R'.f[:, pivots]
-                rows = range(a.rows)
-                B = _submatrix(a, rows, pivots)
-                top = _submatrix(R, range(len(pivots)), rows)
-                rs = [top @ _submatrix(f, rows, pivots) for f in mats]
-                mats = _invariant_maps(mats, B, rs, error=RuntimeError)
-                m = mats[i] if i is not None else top @ _submatrix(m, rows, pivots)
+                B = _submatrix(a, range(a.rows), pivots)
+                maps = _invariant_maps(maps, B, _on_image(R, pivots, maps), error=RuntimeError)
+                m = _layer(maps, i) if i is not None else _from_part(F, *_on_image(R, pivots, m))
                 w = B.transpose() @ w
         if sum(w.rows for w, _ in out) != d:
             raise RuntimeError("primary decomposition lost dimensions")
@@ -607,56 +646,73 @@ class CommutingTuple:
         return pieces[0][1]
 
 
-def _close(mats, ech, rows):
-    """Insert one-row matrices into ech and close its span under every f
-    in mats, breadth-first, a row v going to v.f^T; returns the rows it
-    added, which span the new part of the closure."""
-    fts = [f.transpose() for f in mats]
-    added = [v for v in rows if ech.insert(v)[0]]
-    queue = deque(added)
-    while queue:
-        v = queue.popleft()
-        for ft in fts:
-            w = v @ ft
-            if ech.insert(w)[0]:
-                added.append(w)
-                queue.append(w)
-    return added
+def _close(maps, ech, rows):
+    """Insert the rows of a matrix into ech and close their span under
+    every f in the stack maps, breadth-first, level by level: one product
+    V.S^T gives every row v.f^T of the next level, in the order of a
+    queue, row by row and f by f.  Returns the matrices of the rows it
+    added, one per level, which span the new part of the closure."""
+    F = maps.field
+    st = maps.transpose().to_integers()
+    added = []
+    level = rows.to_integers()
+    while True:
+        num, den = level
+        kept = [r for r, v in enumerate(num) if ech.insert(v, den)[0]]
+        if not kept:
+            return added
+        level = _reduced(num.take(kept, 0), den)
+        added.append(Matrix._from_form(F, *level))
+        num, den = _product(F, level, st)
+        level = (num.swapaxes(0, 1).reshape(-1, maps.cols), den)
 
 
-def _submodule_maps(mats, B, coords, error=ValueError):
-    """The matrices R_k of the f_k in mats on the span of the columns of B,
-    in that basis, for a B whose rows at coords form the identity: an
-    echelon basis with its pivots, or kernel rows with their free columns
-    (``linalg._kernel_rows``).  R_k is the rows coords of f_k.B.  As w is
-    in the span iff w = B.w[coords], B.R_k == f_k.B is exactly invariance
-    under f_k, checked by ``_invariant_maps`` (raising error); a B over
-    another field or of another height than the f_k raises ValueError."""
-    if B.field != mats[0].field or B.rows != mats[0].rows:
+def _on_image(R, pivots, f):
+    """The integer form R'.f[:, pivots], for R' the nonzero rows of R, the
+    reduced echelon form of some A = B.R' with B its pivot columns: the
+    map, or stack of maps, f, commuting with A, on the image of A in the
+    basis B, as f.B = f.A[:, pivots] = A.f[:, pivots] = B.R'.f[:, pivots]."""
+    (r, rd), (num, den) = R.to_integers(), f.to_integers()
+    return _product(R.field, (r[: len(pivots)], rd), (num.take(pivots, -1), den))
+
+
+def _submodule_maps(maps, B, coords, error=ValueError):
+    """The stack R of the f_k in the stack maps on the span of the columns
+    of B, in that basis, for a B whose rows at coords form the identity:
+    an echelon basis with its pivots, or kernel rows with their free
+    columns (``linalg._kernel_rows``).  R is the rows coords of S.B, one
+    product for all k.  As w is in the span iff w = B.w[coords], B.R_k ==
+    f_k.B is exactly invariance under f_k, checked by ``_invariant_maps``
+    (raising error); a B over another field or of another height than the
+    f_k raises ValueError."""
+    if B.field != maps.field or B.rows != maps.rows:
         raise ValueError("subspace does not live in the module's space")
-    fbs = [m @ B for m in mats]
-    rs = [_submatrix(fb, coords, range(B.cols)) for fb in fbs]
-    return _invariant_maps(mats, B, rs, fbs, error)
+    fb = _product(maps.field, maps.to_integers(), B.to_integers())
+    return _invariant_maps(maps, B, (fb[0].take(coords, -2), fb[1]), fb, error)
 
 
-def _invariant_maps(mats, B, rs, fbs=None, error=ValueError):
-    """rs, the claimed matrices R_k of the f_k in mats on the span of the
-    columns of B (full column rank) in that basis, once B.R_k == f_k.B holds
-    for every k: the invariance check, and the only one.  fbs holds the
-    products f_k.B when the caller has them.  A failure raises error naming
-    k: ValueError on a caller's subspace, RuntimeError on one the split
-    loop computed.  The R_k commute because the f_k do: B.R_i.R_j =
-    f_i.f_j.B = f_j.f_i.B = B.R_j.R_i, and B cancels."""
-    if fbs is None:
-        fbs = [m @ B for m in mats]
-    for k, (r, fb) in enumerate(zip(rs, fbs)):
-        if B @ r != fb:
-            raise error(f"subspace is not invariant under matrix {k}")
-    return rs
+def _invariant_maps(maps, B, rs, fb=None, error=ValueError):
+    """The stack of the R_k in the integer form rs, the claimed matrices of
+    the f_k in the stack maps on the span of the columns of B (full column
+    rank) in that basis, once B.R_k == f_k.B holds for every k: the
+    invariance check, and the only one, one product B.R and one product
+    S.B, unless the caller has it as fb, for all k at once.  A failure
+    raises error naming the first failing k: ValueError on a caller's
+    subspace, RuntimeError on one the split loop computed.  The R_k
+    commute because the f_k do: B.R_i.R_j = f_i.f_j.B = f_j.f_i.B =
+    B.R_j.R_i, and B cancels."""
+    F, b = maps.field, B.to_integers()
+    if fb is None:
+        fb = _product(F, maps.to_integers(), b)
+    k = _first_difference(_product(F, b, rs), fb)
+    if k is not None:
+        raise error(f"subspace is not invariant under matrix {k[0]}")
+    return _from_part(F, *rs)
 
 
-def _annihilator(mats, start):
-    """The ideal of all p with p(f).start = 0, for f in mats, start d x c.
+def _annihilator(maps, start):
+    """The ideal of all p with p(f).start = 0, for f in the stack maps,
+    start d x c.
 
     Buchberger-Moller, breadth-first over monomials in increasing
     graded-lex order: monomial m maps to f^m.start, whose d*c flattened
@@ -664,42 +720,42 @@ def _annihilator(mats, start):
     tracking ``Echelon`` (integer rows); a dependency yields a generator,
     m minus its combination of standard monomials (and m is not
     expanded), independence makes m standard and enqueues its variable
-    multiples.  Terminates because the standard count is at most d*c.
+    multiples m + e_i, with their vectors f_i.(f^m.start): one product
+    S.(f^m.start) for all i, kept as integer forms and brought to their
+    canonical form (``linalg._reduced``) only when popped.  Terminates
+    because the standard count is at most d*c.
 
     A monomial m that is popped lies outside the multiples of every
     leading monomial found so far, and so do all its divisors, which
-    come earlier in the order; so each divisor is standard, and f^m.start
-    is one product f_i.(f^(m - e_i).start) for the first i with m_i > 0.
+    come earlier in the order; so each divisor is standard, and m was
+    enqueued with its vector when the first of them was found standard.
+    A popped monomial with no vector raises RuntimeError.
     """
-    F, n = start.field, len(mats)
+    F = start.field
+    s = maps.to_integers()
+    n = len(s[0])
     ech = Echelon(F, start.rows * start.cols, track=True)
     std = []
-    std_mats = {}
     gens = []
     leads = []
     origin = (0,) * n
     heap = [(grlex_key(origin), origin)]
-    seen = {origin}
+    vectors = {origin: start.to_integers()}
     while heap:
         _, m = heapq.heappop(heap)
         if any(mono_divides(lm, m) for lm in leads):
             continue
-        if m == origin:
-            mat = start
-        else:
-            i = next(i for i, e in enumerate(m) if e)
-            parent = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            if parent not in std_mats:
-                raise RuntimeError(f"no standard parent for monomial {m}")
-            mat = mats[i] @ std_mats[parent]
-        added, combo = ech.insert(mat)
+        if m not in vectors:
+            raise RuntimeError(f"no standard parent for monomial {m}")
+        v = _reduced(*vectors[m])
+        added, combo = ech.insert(*v)
         if added:
-            std_mats[m] = mat
             std.append(m)
+            num, den = _product(F, s, v)
             for i in range(n):
-                child = tuple(e + 1 if j == i else e for j, e in enumerate(m))
-                if child not in seen:
-                    seen.add(child)
+                child = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                if child not in vectors:
+                    vectors[child] = (num[i], den)
                     heapq.heappush(heap, (grlex_key(child), child))
         else:
             terms = [(m, F.one)] + [(std[g], F.neg(c)) for g, c in combo.items()]
@@ -708,8 +764,8 @@ def _annihilator(mats, start):
     return Ideal(F, n, gens, std)
 
 
-def _key(mats, qs):
-    """For commuting f in mats, each f_i in qs with characteristic
+def _key(maps, qs):
+    """For commuting f in the stack maps, each f_i in qs with characteristic
     polynomial a power of the irreducible qs[i] (every f_i, unless some
     deg q_i = d = dim V): (key, None) when their module V is local, or
     (None, g) when it is not, with g(f) splitting it.
@@ -741,16 +797,16 @@ def _key(mats, qs):
     only point of V iff it kills Soc: a generator g of M with g(f).Soc !=
     0 is nilpotent on the piece at M and a unit on another, so g(f)
     splits V."""
-    F, n, d = mats[0].field, len(mats), mats[0].rows
+    F, n, d = maps.field, len(maps.to_integers()[0]), maps.rows
     if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
         return _principal_key([qs[i] for i in range(n)], d), None
     simple = any(q.degree == d for q in qs.values())
     if simple:
         socle = Matrix.identity(F, d)
     else:
-        parts = [eval_poly_at_matrix(q, [mats[i]]) for i, q in qs.items()]
+        parts = [eval_poly_at_matrix(q, [_layer(maps, i)]) for i, q in qs.items()]
         socle = _kernel_rows(_stack(parts))[0].transpose()
-    ideal = _annihilator(mats, _submatrix(socle, range(d), [0]))
+    ideal = _annihilator(maps, _submatrix(socle, range(d), [0]))
     rd = ideal.quotient_dim
     if rd != max(q.degree for q in qs.values()):
         if simple:
@@ -759,8 +815,9 @@ def _key(mats, qs):
         if g is not None:
             return None, g
     if socle.cols > rd:
+        mats = [_layer(maps, i) for i in range(n)]
         for g in ideal.gens:
-            if not (eval_poly_at_matrix(g, list(mats)) @ socle).is_zero:
+            if not (eval_poly_at_matrix(g, mats) @ socle).is_zero:
                 return None, g
     # local: Soc is a vector space over the residue field k[T]/M
     return _local_key(ideal, socle.cols), None

@@ -191,7 +191,12 @@ class _ExprParser:
             tok = self.take()
             if tok.kind != "int":
                 self.fail("exponent must be a nonnegative integer", tok)
-            base = base ** _integer(tok.text, tok.line, tok.col)
+            exponent = _integer(tok.text, tok.line, tok.col)
+            try:
+                base = base ** exponent
+            except (MemoryError, OverflowError):
+                # a constant's power is a Python integer longer than memory
+                self.fail("entry too large", tok)
         return -base if negate else base
 
     def parse_atom(self):

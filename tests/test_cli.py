@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from endok import modules
+from endok import cli, modules
 from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
 from endok.fields import GF, QQ
 from endok.linalg import Matrix
 from endok.modules import CommutingTuple
 from endok.parse import class_from_json
+from endok.poly import MultiPoly
 
 from conftest import conjugate, fat_point, job_text, src_env
 
@@ -295,6 +296,32 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
     code, out, err = run(capsys, ["class", job(tmp_path, f"field Q\nvars 1\ndim 1\n[[{nested(100, '1/2')}]]\n")])
     assert (code, out, err) == (0, "1 * [t - 1/2]\n", "")
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_huge_constant_power_is_an_input_error(error, tmp_path, capsys, monkeypatch):
+    # 2^9999999999999 does not fit in memory; a stand-in power raises as
+    # the real one would, so that the test allocates nothing, and the job
+    # ends in exit 1 at the exponent's line:column, with no traceback
+    def too_large(self, e):
+        raise error
+
+    monkeypatch.setattr(MultiPoly, "__pow__", too_large)
+    path = job(tmp_path, "field Q\nvars 1\ndim 1\n[[2^9999999999999]]\n")
+    code, out, err = run(capsys, ["class", path])
+    assert (code, out, err) == (1, "", "error: 4:5: entry too large\n")
+
+
+def test_memory_error_anywhere_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a MemoryError outside the parser, here from a stand-in class
+    # computation, is one error line and exit 1, not a traceback
+    def no_memory(t):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "k0_class", no_memory)
+    code, out, err = run(capsys, ["class", job(tmp_path, DIAG_Q)])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert "Traceback" not in err
 
 
 COMMAND_NAMES = (

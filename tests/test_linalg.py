@@ -463,11 +463,11 @@ def test_matmul_shape_and_field_checks():
 
 def test_echelon_tracking():
     ech = Echelon(QQ, 3, track=True)
-    added, _ = ech.insert(Matrix(QQ, [(1, 2, 0)]))
+    added, _ = ech.insert(*Matrix(QQ, [(1, 2, 0)]).to_integers())
     assert added
-    added, _ = ech.insert(Matrix(QQ, [(0, 1, 1)]))
+    added, _ = ech.insert(*Matrix(QQ, [(0, 1, 1)]).to_integers())
     assert added
-    added, combo = ech.insert(Matrix(QQ, [(2, 5, 1)]))  # = 2*g0 + 1*g1
+    added, combo = ech.insert(*Matrix(QQ, [(2, 5, 1)]).to_integers())  # = 2*g0 + 1*g1
     assert not added
     assert combo == {0: QQ.coerce(2), 1: QQ.coerce(1)}
 
@@ -881,9 +881,9 @@ def test_echelon_matches_plain_loop(case):
     tracked = Echelon(field, width, track=True)
     untracked = Echelon(field, width)
     for v, (added, combo) in zip(vectors, expected):
-        row = Matrix(field, [v], cols=width)
-        assert tracked.insert(row) == (added, combo), (v, combo)
-        assert untracked.insert(row) == (added, None)
+        row = Matrix(field, [v], cols=width).to_integers()
+        assert tracked.insert(*row) == (added, combo), (v, combo)
+        assert untracked.insert(*row) == (added, None)
         if combo:  # the field's own scalars, not integers over Q
             assert all(type(c) is type(field.one) for c in combo.values())
     assert tracked.rank == untracked.rank == rank
@@ -906,7 +906,7 @@ def test_echelon_dependencies_reproduce_the_vector(case):
     added = []
     for v in vectors:
         v = [field.coerce(x) for x in v]
-        is_new, combo = ech.insert(Matrix(field, [v], cols=width))
+        is_new, combo = ech.insert(*Matrix(field, [v], cols=width).to_integers())
         if is_new:
             added.append(v)
             continue

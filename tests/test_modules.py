@@ -4,6 +4,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from endok import modules
 from endok.bruteforce import random_commuting_tuple, random_vector
@@ -14,6 +16,7 @@ from endok.ktheory import k0_class
 from endok.linalg import (
     Matrix,
     Subspace,
+    _submatrix,
     charpoly,
     eval_poly_at_matrix,
     minimal_polynomial,
@@ -27,7 +30,16 @@ from endok.modules import (
 )
 from endok.poly import MultiPoly, UniPoly
 
-from conftest import ALL_FIELDS, P61, conjugate, fat_point, field_id, tensor, twisted_points
+from conftest import (
+    ALL_FIELDS,
+    P61,
+    assert_canonical,
+    conjugate,
+    fat_point,
+    field_id,
+    tensor,
+    twisted_points,
+)
 
 F2, F3, F5, F97 = GF(2), GF(3), GF(5), GF(97)
 J = Matrix(QQ, [[0, 1], [0, 0]])
@@ -196,6 +208,74 @@ def test_restrict_quotient_formulas(field):
                     assert project(apply(f, e)) == apply(q, project(e))
 
 
+# -- the stack of the maps against per-matrix products ------------------------------
+
+STACK_FIELDS = [F2, F97, QQ]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(2, 3), st.integers(0, 2**16))
+def test_stack_restrict_and_quotient_match_per_matrix_products(field, nvars, seed):
+    # a fat point moved to a random point, plus a random tuple, in a random
+    # basis: restrict and quotient by the submodule a random vector
+    # generates give, map by map, what the per-matrix products give
+    rng = random.Random(seed)
+    one = Matrix.identity(field, 1)
+    point = CommutingTuple(field, nvars, 1, [one.scale(rng.randint(0, 4)) for _ in range(nvars)])
+    parts = [
+        tensor(point, fat_point(field, nvars, 2)),
+        random_commuting_tuple(field, nvars, rng.randint(1, 3), rng),
+    ]
+    t = conjugate(CommutingTuple.direct_sum(*parts), rng)
+    s = t.generated_submodule([random_vector(field, t.dim, rng)])
+    B, comp = s.matrix.transpose(), s.complement_coords()
+    bc = _submatrix(B, comp, range(s.dim))
+    sub, quo = t.restrict(s), t.quotient(s)
+    assert (sub.nvars, quo.nvars) == (nvars, nvars)
+    for f, r, q in zip(t.mats, sub.mats, quo.mats):
+        assert_canonical(r)
+        assert_canonical(q)
+        fb = f @ B
+        assert B @ r == fb
+        assert r == _submatrix(fb, s.pivots, range(s.dim))
+        assert q == _submatrix(f, comp, comp) - bc @ _submatrix(f, s.pivots, comp)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(0, 2**16))
+def test_stack_invariance_check_names_the_failing_map(field, seed):
+    # two scalars, under which every subspace is invariant, and a shift N,
+    # in a random basis: a line that N moves fails for matrix 2 alone
+    rng = random.Random(seed)
+    d = rng.randint(2, 5)
+    shift = Matrix(field, [[int(i == j + 1) for j in range(d)] for i in range(d)])
+    scalars = [Matrix.identity(field, d).scale(rng.randint(-3, 3)) for _ in range(2)]
+    t = conjugate(CommutingTuple(field, 3, d, [*scalars, shift]), rng)
+    line = Subspace(field, d, [random_vector(field, d, rng)])
+    assume(not line.is_zero)
+    assume(not line.contains((line.matrix @ t.mats[2].transpose()).entries[0]))
+    for op in (t.restrict, t.quotient):
+        with pytest.raises(ValueError, match="not invariant under matrix 2$"):
+            op(line)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(0, 2**16))
+def test_stack_commutation_check_names_the_failing_pair(field, seed):
+    # a scalar commutes with two random matrices that do not commute with
+    # each other: the pair named is theirs, wherever the scalar sits
+    rng = random.Random(seed)
+    d = rng.randint(2, 4)
+    scalar = Matrix.identity(field, d).scale(rng.randint(-3, 3))
+    x, y = (random_poly_matrix(field, rng, d) for _ in range(2))
+    assume(x @ y != y @ x)
+    orders = (([scalar, x, y], (1, 2)), ([x, scalar, y], (0, 2)), ([x, y, scalar], (0, 1)))
+    for mats, pair in orders:
+        with pytest.raises(NonCommutingError) as exc:
+            CommutingTuple(field, 3, d, mats)
+        assert (exc.value.i, exc.value.j) == pair
+
+
 # -- annihilator ideal -----------------------------------------------------------------
 
 
@@ -284,7 +364,7 @@ def test_annihilator_soundness(field):
 
 def whole_identity_annihilator(t):
     """The annihilator from the whole identity: every column, d^2 wide."""
-    return modules._annihilator(t.mats, Matrix.identity(t.field, t.dim))
+    return modules._annihilator(t._maps, Matrix.identity(t.field, t.dim))
 
 
 def transpose(t):
@@ -448,10 +528,10 @@ def test_primary_decomposition_checks_each_piece_once(monkeypatch):
     checked = []
     check = modules._invariant_maps
 
-    def counting(mats, B, rs, *rest, **kwargs):
-        if mats is t.mats:
+    def counting(maps, B, rs, *rest, **kwargs):
+        if maps is t._maps:
             checked.append(Subspace._row_space(B.transpose()))
-        return check(mats, B, rs, *rest, **kwargs)
+        return check(maps, B, rs, *rest, **kwargs)
 
     monkeypatch.setattr(modules, "_invariant_maps", counting)
     pieces = t._local_pieces()

@@ -467,7 +467,7 @@ def test_key_skips_cayley_hamilton_zeros(monkeypatch):
         expected = t.maximal_ideal_key()
         calls.clear()
         monkeypatch.setattr(modules, "eval_poly_at_matrix", counted)
-        key, g = modules._key(t.mats, qs)
+        key, g = modules._key(t._maps, qs)
         monkeypatch.undo()
         assert g is None and key == expected and key.residue_degree == 2
         # the q_i(f_i) evaluated; the socle check then evaluates M's
@@ -530,12 +530,12 @@ def test_shortcut_key_matches_socle_annihilator(case):
         parts = [eval_poly_at_matrix(q, [piece.mats[i]]) for i, q in qs.items()]
         soc = kernel_basis(_stack(parts))
         s = _submatrix(soc.matrix.transpose(), range(piece.dim), [0])
-        assert modules._annihilator(piece.mats, s) == key.ideal
+        assert modules._annihilator(piece._maps, s) == key.ideal
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modules, "_annihilator", lambda *a: calls.append(a))
             patch.setattr(modules, "eval_poly_at_matrix", lambda *a: calls.append(a))
-            shortcut, g = modules._key(piece.mats, qs)
+            shortcut, g = modules._key(piece._maps, qs)
         assert calls == [] and g is None and shortcut is key
         shortcuts += 1
     assert shortcuts or not wide
@@ -618,11 +618,14 @@ def test_elimination_count_on_a_fixed_tuple(monkeypatch):
 def kernel_per_factor_pieces(t):
     """The split loop of ``_local_pieces`` with every generalised
     eigenspace taken as the kernel of q(m)^v on the whole item, one
-    elimination per factor: the reference for peeling."""
-    work = [(Matrix.identity(t.field, t.dim), t.mats, {})]
+    elimination per factor: the reference for peeling.  An item holds
+    the stack of its maps, as in ``_local_pieces``, and a piece the
+    maps read off it."""
+    work = [(Matrix.identity(t.field, t.dim), t._maps, {})]
     out = []
     while work:
-        w, mats, qs = work.pop()
+        w, maps, qs = work.pop()
+        mats = [linalg._layer(maps, i) for i in range(t.nvars)]
         split = None
         for i, f in enumerate(mats):
             if i in qs:
@@ -633,17 +636,17 @@ def kernel_per_factor_pieces(t):
                 break
             qs[i] = factors[0][0]
         if split is None:
-            key, g = modules._key(mats, qs)
+            key, g = modules._key(maps, qs)
             if key is not None:
                 out.append((w, mats, key))
                 continue
-            m = eval_poly_at_matrix(g, list(mats))
+            m = eval_poly_at_matrix(g, mats)
             split = (m, factor_univariate(charpoly(m)), None)
         m, factors, i = split
         for q, v in factors:
             ker, free = _kernel_rows(eval_poly_at_matrix(q, [m]).pow(v))
             assert ker.rows == q.degree * v
-            child = modules._submodule_maps(mats, ker.transpose(), free)
+            child = modules._submodule_maps(maps, ker.transpose(), free)
             work.append((ker @ w, child, dict(qs) if i is None else {**qs, i: q}))
     out.sort(key=lambda item: item[2].sort_key())
     return out
@@ -772,8 +775,8 @@ def test_simple_piece_keys_match_annihilators(field):
         for w, piece, key in pieces:
             d = piece.dim
             one = Matrix.identity(field, d)
-            whole = modules._annihilator(piece.mats, one)
-            last = modules._annihilator(piece.mats, _submatrix(one, range(d), [d - 1]))
+            whole = modules._annihilator(piece._maps, one)
+            last = modules._annihilator(piece._maps, _submatrix(one, range(d), [d - 1]))
             if fat:
                 # Ann(W) is M-primary, not M: the control
                 assert d == 3 * key.residue_degree
