@@ -76,8 +76,9 @@ def all_subspaces(field, dim):
 def all_invariant_submodules(t):
     """Exactly the subspaces closed under every matrix, by brute filter."""
     subs = []
+    transposes = [m.transpose() for m in t.mats]
     for s in all_subspaces(t.field, t.dim):
-        if all(s.contains(w) for m in t.mats for w in (s.matrix @ m.transpose()).entries):
+        if all(s.contains(w) for mt in transposes for w in (s.matrix @ mt).entries):
             subs.append(s)
     return subs
 

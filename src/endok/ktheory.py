@@ -14,7 +14,7 @@ import operator
 
 from .errors import FieldMismatchError
 from .factor import factor_univariate
-from .linalg import charpoly
+from .linalg import _layer_rows, charpoly
 from .modules import MaximalIdealKey, _principal_key
 from .poly import UniPoly, signed_reversal, uni_gcd
 
@@ -142,7 +142,8 @@ def k0_class(t, rng=None):
     class depends on a seed.  It goes once the benchmark's ``Workload.op``
     calls ``k0_class(case.tuple)`` (ROADMAP item 2, **Seed**)."""
     if t.nvars == 1:
-        factors = factor_univariate(charpoly(t.mats[0]))
+        # the one map is the stack's rows, canonical as they stand
+        factors = factor_univariate(charpoly(_layer_rows(t._maps)))
         pairs = [(_principal_key([q], q.degree), v) for q, v in factors]
         return GrothendieckClass(t.field, 1, pairs)
     pairs = []
@@ -246,7 +247,7 @@ def kelley_spanier_split(t):
     """A single endomorphism's class as (dimension, lambda_t part)."""
     if t.nvars != 1:
         raise ValueError("splitting is defined for a single endomorphism")
-    return t.dim, TildeClass(lambda_t(t.mats[0]))
+    return t.dim, TildeClass(lambda_t(_layer_rows(t._maps)))
 
 
 def principal_maximal_key(q):

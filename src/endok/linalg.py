@@ -12,10 +12,11 @@ N is 2-d for a matrix.  A stack of k matrices of one shape, such as the
 n maps of a ``modules.CommutingTuple``, is one ``Matrix`` whose N has a
 leading axis, (k, rows, cols), over one common D (``_stack_layers``);
 ``rows`` and ``cols`` are its last two axes, and ``@``, ``_submatrix``,
-``transpose``, sums, ``==`` and ``_from_integers`` act on the last two
-axes, broadcasting over the leading one, so one numpy call does the work
-of k.  ``_layer(S, i)`` reads layer i back as a canonical 2-d matrix, and
-``_layer_rows(S)`` the layers, one above the other, as one matrix.  Where
+``transpose``, sums, ``block_diag``, ``==`` and ``_from_integers`` act on
+the last two axes, broadcasting over the leading one, so one numpy call
+does the work of k.  ``_layer(S, i)`` reads layer i back as a canonical
+2-d matrix, and ``_layer_rows(S)`` the layers, one above the other, as
+one matrix: for k = 1 the one layer, with no canonical step.  Where
 a step needs only the numbers, ``_product`` multiplies two integer forms
 (N, D) with no ``Matrix`` and no canonical step, and ``_first_difference``
 compares two, layer by layer.
@@ -53,9 +54,9 @@ read only where the arithmetic differs:
   row by row): over F_p one fully reduced residue array, each insert one
   product in ``_kernels.echelon_insert_mod``; over Q primitive integer
   rows and fraction-free steps.
-* ``eval_poly_at_matrix``: over F_p the terms c.A^e summed on the
-  residue arrays and reduced mod p once per result; over Q summed as
-  matrices.
+* ``eval_poly_at_matrix``: the terms c.A^e are summed as one integer
+  form for both fields, and p is read only to reduce the sum mod p
+  after every ``_kernels.terms(p)`` terms.
 
 ``Fraction``s appear only in ``entries`` and in results that are field
 scalars.
@@ -69,7 +70,7 @@ rows of canonical scalars to the constructor, which coerces them again.
 
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import matmul
 
 import numpy as np
@@ -77,7 +78,7 @@ import numpy as np
 from . import _kernels
 from .errors import FieldMismatchError
 from .fields import is_prime
-from .poly import MultiPoly, UniPoly, _cleared, _power, _primitive, uni_lcm
+from .poly import MultiPoly, UniPoly, _cleared, _power, _primitive
 
 
 class Matrix:
@@ -156,14 +157,17 @@ class Matrix:
 
     @classmethod
     def block_diag(cls, field, blocks):
+        """The square blocks down the diagonal, or, for stacks of one
+        leading shape, the block sum of each layer."""
         if any(b.rows != b.cols or b.field != field for b in blocks):
             raise ValueError("block_diag needs square blocks over one field")
         den = lcm(*(b._den for b in blocks))
         size = sum(b.rows for b in blocks)
-        num = np.zeros((size, size), object)
+        lead = blocks[0]._num.shape[:-2] if blocks else ()
+        num = np.zeros(lead + (size, size), object)
         off = 0
         for b in blocks:
-            num[off : off + b.rows, off : off + b.rows] = b._num * (den // b._den)
+            num[..., off : off + b.rows, off : off + b.rows] = b._num * (den // b._den)
             off += b.rows
         return cls._from_integers(field, num, den)
 
@@ -378,7 +382,8 @@ def _layer(s, i):
 def _layer_rows(s):
     """The layers of a stack one above the other, as one matrix; the
     stack's canonical form is its own, as it holds the same entries."""
-    return Matrix._from_form(s.field, s._num.reshape(-1, s.cols), s._den)
+    num = s._num
+    return Matrix._from_form(s.field, num.reshape(prod(num.shape[:-1]), s.cols), s._den)
 
 
 _ZERO = Fraction(0)
@@ -812,42 +817,35 @@ def charpoly(m):
 
 
 def minimal_polynomial(m):
-    """Monic least-degree q with q(m) = 0, as the lcm of the annihilators
-    of the standard basis rows e under Krylov iteration e -> e.m^T."""
+    """Monic least-degree q with q(m) = 0, from one Krylov run: I, m, m^2,
+    .. enter one tracking ``Echelon`` of width d^2, and the first power
+    m^k that depends on those before it gives q = t^k minus its
+    combination of them."""
     if not m.is_square:
         raise ValueError("minimal polynomial needs a square matrix")
     F = m.field
-    d = m.rows
-    one, mt = Matrix.identity(F, d), m.transpose()
-    result = UniPoly.one(F)
-    for start in range(d):
-        ech = Echelon(F, d, track=True)
-        v = _submatrix(one, [start], range(d))
-        while True:
-            added, combo = ech.insert(*v.to_integers())
-            if not added:
-                k = ech.rank
-                coeffs = [F.neg(combo.get(j, F.zero)) for j in range(k)]
-                coeffs.append(F.one)
-                ann = UniPoly(F, coeffs)
-                break
-            v = v @ mt
-        result = uni_lcm(result, ann)
-        if result.degree == d:
-            break
-    return result
+    ech = Echelon(F, m.rows * m.cols, track=True)
+    power = Matrix.identity(F, m.rows)
+    while True:
+        added, combo = ech.insert(*power.to_integers())
+        if not added:
+            coeffs = [F.neg(combo.get(j, F.zero)) for j in range(ech.rank)]
+            return UniPoly(F, coeffs + [F.one])
+        power = power @ m
 
 
 def eval_poly_at_matrix(q, ms):
     """Evaluate a polynomial at square matrices (t_i -> ms[i]) as a sum of
     products of cached powers, each scaled by its term's coefficient.
 
-    Over F_p the sum runs on the residue arrays and is reduced mod p once
-    per result: each term c.N adds less than (p - 1)^2 to an entry, the
-    constant term adds c < p to the diagonal, so the sum is reduced only
+    The sum is one integer form num/den, for both fields: each term
+    c.N/D, c = a/b, adds a.N times den/(b.D) after den becomes the least
+    common multiple of den and b.D (over F_p both stay 1), and the
+    constant term adds to the diagonal.  ``_from_integers`` brings the
+    sum to its canonical form once, at the end.  Over F_p each term adds
+    less than (p - 1)^2 to an entry, so the sum is also reduced mod p
     after every ``_kernels.terms(p)`` terms, which keeps int64 entries
-    below 2^63, and once at the end.  Over Q the terms are added as
-    matrices, each sum brought to its canonical form.
+    below 2^63.
 
     Multivariate evaluation assumes the matrices commute pairwise, which
     callers passing CommutingTuple members always guarantee.
@@ -872,9 +870,9 @@ def eval_poly_at_matrix(q, ms):
     if q.field != F:
         raise FieldMismatchError("polynomial and matrix fields differ")
     p = F.characteristic
+    every = max(1, _kernels.terms(p)) if p else 0
     powers = [[None, m] for m in ms]
-    acc = np.zeros((d, d), _dtype(F)) if p else None
-    every = max(1, _kernels.terms(p)) if p else None
+    num, den = np.zeros((d, d), _dtype(F)), 1
     for k, (exps, c) in enumerate(terms, 1):
         term = None
         for i, e in enumerate(exps):
@@ -883,19 +881,14 @@ def eval_poly_at_matrix(q, ms):
                 while len(cache) <= e:
                     cache.append(cache[-1] @ ms[i])
                 term = cache[e] if term is None else term @ cache[e]
-        if p:
-            if term is None:
-                acc.flat[:: d + 1] += c
-            else:
-                acc += c * term._num
-            if not k % every:
-                acc %= p
-            continue
+        a, b = c.numerator, c.denominator * (1 if term is None else term._den)
+        if b != den:
+            common = lcm(den, b)
+            num, den, a = num * (common // den), common, a * (common // b)
         if term is None:
-            term = Matrix.identity(F, d)
-        if c != F.one:
-            term = term.scale(c)
-        acc = term if acc is None else acc + term
-    if p:
-        return Matrix._from_integers(F, acc)
-    return Matrix.zeros(F, d, d) if acc is None else acc
+            num.flat[:: d + 1] += a
+        else:
+            num += a * term._num
+        if every and not k % every:
+            num %= p
+    return Matrix._from_integers(F, num, den)

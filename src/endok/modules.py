@@ -9,14 +9,17 @@ splitting into local pieces supported at single maximal ideals.  Each
 maximal ideal is tagged by one interned ``MaximalIdealKey``, and the test
 whether a quotient k[T]/I is a field reads its regular representation.
 
-A tuple holds its n maps as the public tuple ``mats`` and as one stack S
-(``linalg._stack_layers``), built once at construction.  Every step that
-acts with all n maps at once does so on S, with one product where the
-per-map code took n: the commutation check, ``_close``, the restriction
-and quotient maps and their invariance check, the radical series, and
-the Buchberger-Moller children in ``_annihilator``.  A map is read off S
-as a matrix (``linalg._layer``) only where it acts alone, as in its
-characteristic polynomial.
+A tuple holds its n maps once, as one stack S (``linalg._stack_layers``),
+and checks that they commute once, where matrices come in: in the
+constructor.  ``restrict``, ``quotient`` and ``direct_sum`` build their
+tuples from stacks whose layers commute by construction, with no check.
+Every step that acts with all n maps at once does so on S, with one
+product where the per-map code took n: the commutation check, ``_close``,
+the restriction and quotient maps and their invariance check, the
+radical series, and the Buchberger-Moller children in ``_annihilator``.
+A map is read off S as a matrix (``linalg._layer``, or the ``mats``
+property for all n) only where it acts alone, as in its characteristic
+polynomial.
 
 A submodule is a plain ``linalg.Subspace`` of k^d.  ``generated_submodule``,
 ``radical_submodule`` and ``primary_decomposition`` return ``Subspace``s
@@ -328,14 +331,17 @@ def _interned(field, nvars, gens, degree, ideal=None):
 class CommutingTuple:
     """n pairwise-commuting d x d matrices over an exact field.
 
-    ``_maps`` is the n maps as one stack (n, d, d), and ``mats`` the tuple
-    of its layers, as matrices.  Commutation is checked at construction, on the
-    stack: one product gives S_i.S_j and one S_j.S_i for every pair
-    i < j, and the first failing pair, in lexicographic order, is
-    reported with its indices.
+    The tuple holds its n maps once, as the stack ``_maps`` (n, d, d);
+    ``mats`` reads its layers as matrices.  Commutation is checked once,
+    in the constructor, where matrices come from outside: one product
+    gives S_i.S_j and one S_j.S_i for every pair i < j, and the first
+    failing pair, in lexicographic order, is reported with its indices.
+    A tuple derived from a tuple (``restrict``, ``quotient``,
+    ``direct_sum``) commutes by construction and is built unchecked by
+    ``_from_stack``.
     """
 
-    __slots__ = ("field", "nvars", "dim", "mats", "_maps")
+    __slots__ = ("field", "nvars", "dim", "_maps")
 
     def __init__(self, field, nvars, dim, mats):
         mats = tuple(mats)
@@ -354,37 +360,44 @@ class CommutingTuple:
                 raise ValueError(
                     f"matrix {k} is {m.rows}x{m.cols}, expected {dim}x{dim}"
                 )
-        self._set(_stack_layers(mats))
+        s = _stack_layers(mats)
+        pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
+        if pairs:
+            num, den = s.to_integers()
+            a, b = ((num.take(ix, 0), den) for ix in zip(*pairs))
+            k = _first_difference(_product(field, a, b), _product(field, b, a))
+            if k is not None:
+                raise NonCommutingError(*pairs[k[0]])
+        self._set(s)
 
     @classmethod
     def _from_stack(cls, s):
-        """The tuple of the layers of a stack (n, d, d), checked to
-        commute."""
+        """The tuple of the layers of a stack (n, d, d) that commute by
+        construction, with no products.  Its callers' layers do:
+        ``restrict``'s R_k satisfy B.R_k = f_k.B for B of full column
+        rank, which forces R_i.R_j = R_j.R_i (``_invariant_maps``);
+        ``quotient``'s are the maps that commuting f_k induce on V/s,
+        once the same check has found s invariant; and ``direct_sum``'s
+        are block sums of commuting tuples."""
         t = object.__new__(cls)
         t._set(s)
         return t
 
     def _set(self, s):
-        """Fill the slots from the stack s: ``mats`` are its layers, which
-        over F_p share its array."""
-        n = len(s.to_integers()[0])
-        if n > 1:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            left, right = (list(ix) for ix in zip(*pairs))
-            (num, den), F = s.to_integers(), s.field
-            a, b = (num.take(left, 0), den), (num.take(right, 0), den)
-            k = _first_difference(_product(F, a, b), _product(F, b, a))
-            if k is not None:
-                raise NonCommutingError(*pairs[k[0]])
+        """Fill the slots from the stack s."""
         put = object.__setattr__
         put(self, "field", s.field)
-        put(self, "nvars", n)
+        put(self, "nvars", len(s.to_integers()[0]))
         put(self, "dim", s.rows)
-        put(self, "mats", tuple(_layer(s, i) for i in range(n)))
         put(self, "_maps", s)
 
     def __setattr__(self, name, value):
         raise AttributeError("CommutingTuple is immutable")
+
+    @property
+    def mats(self):
+        """The n maps, as matrices: the layers of the stack."""
+        return tuple(_layer(self._maps, i) for i in range(self.nvars))
 
     @classmethod
     def zeros(cls, field, nvars, dim):
@@ -398,23 +411,16 @@ class CommutingTuple:
         for t in tuples:
             if t.field != field or t.nvars != nvars:
                 raise FieldMismatchError("summands must share field and arity")
-        mats = [
-            Matrix.block_diag(field, [t.mats[i] for t in tuples])
-            for i in range(nvars)
-        ]
-        return cls(field, nvars, sum(t.dim for t in tuples), mats)
+        return cls._from_stack(Matrix.block_diag(field, [t._maps for t in tuples]))
 
     def __eq__(self, other):
+        # equal stacks are equal maps, as the canonical form is unique
         if isinstance(other, CommutingTuple):
-            return (
-                self.field == other.field
-                and self.nvars == other.nvars
-                and self.mats == other.mats
-            )
+            return self._maps == other._maps
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.nvars, self.mats))
+        return hash(self._maps)
 
     def __repr__(self):
         return f"CommutingTuple(n={self.nvars}, dim={self.dim} over {self.field!r})"

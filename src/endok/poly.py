@@ -539,12 +539,6 @@ def uni_gcd(f, g):
     return _as_monic(_gcd(_integral(f), _integral(g), 0), F)
 
 
-def uni_lcm(f, g):
-    if f.is_zero or g.is_zero:
-        return UniPoly.zero(f.field)
-    return ((f * g) // uni_gcd(f, g)).monic()
-
-
 def squarefree_part(f):
     """Product of the distinct monic irreducible factors of a monic f."""
     if f.is_zero:

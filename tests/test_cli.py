@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endok import cli, modules
 from endok.bruteforce import random_commuting_tuple
@@ -312,6 +317,30 @@ def test_huge_constant_power_is_an_input_error(error, tmp_path, capsys, monkeypa
     assert (code, out, err) == (1, "", "error: 4:5: entry too large\n")
 
 
+def test_huge_constant_power_under_a_memory_limit(tmp_path):
+    # the real 2^9999999999999, in a child whose address space alone is
+    # limited to 256 MB: the power runs out of memory within seconds, and
+    # the job ends in exit 1 at the exponent, with no traceback
+    resource = pytest.importorskip("resource")
+    limit = 256 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    path = job(tmp_path, "field Q\nvars 1\ndim 1\n[[2^9999999999999]]\n")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "endok.cli", "class", path],
+        capture_output=True,
+        text=True,
+        env={**src_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: 4:5: entry too large\n")
+    assert time.monotonic() - start < 5
+
+
 def test_memory_error_anywhere_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a MemoryError outside the parser, here from a stand-in class
     # computation, is one error line and exit 1, not a traceback
@@ -336,6 +365,49 @@ COMMAND_NAMES = (
     "tilde-map",
     "oracle-check",
 )
+
+
+# the valid jobs the fuzz property edits; '^' is neither in them nor among
+# the characters an edit puts in, so no edit makes a power, whose value
+# could outgrow memory (the test above runs one under a memory limit)
+HALF_PAIR_Q = "field Q\nvars 2\ndim 2\n[[1/2,1];[0,1/2]]\n[[-3,0];[0,-3]]\n"
+TILDE_Q = "field Q\nnum 1+2*t+t*t\nden 1-t\n"
+VALID_JOBS = (DIAG_Q, COMP_F3, PAIR_F2, HALF_PAIR_Q, TILDE_Q)
+EDIT_CHARS = "".join(sorted(set("".join(VALID_JOBS) + "#()\tx\u00e9")))
+
+
+@st.composite
+def edited_jobs(draw):
+    """A valid job with one to four characters inserted, deleted or
+    replaced."""
+    text = draw(st.sampled_from(VALID_JOBS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = draw(st.sampled_from(EDIT_CHARS))
+        if edit == "insert":
+            text = text[:i] + c + text[i:]
+        else:
+            text = text[:i] + (c if edit == "replace" else "") + text[i + 1 :]
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edited_jobs())
+def test_edited_jobs_end_in_an_exit_code_never_a_traceback(text):
+    # every command, in-process: a result, an input error or a failed
+    # verification, and never an exception or an internal error
+    for command in COMMAND_NAMES:
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "-"])
+        finally:
+            sys.stdin = stdin
+        message = err.getvalue()
+        assert code in (0, 1, 2), (command, message)
+        assert "Traceback" not in message and "internal" not in message
 
 
 def test_unknown_command_lists_every_command(capsys):
@@ -475,8 +547,6 @@ def test_closed_stdout_is_one_error_line(tmp_path):
 
 
 def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
-    import io
-
     raw = b"field Q\nvars 1\ndim 1\n[[\xff]]\n"
     path = tmp_path / "bad.job"
     path.write_bytes(raw)
@@ -497,8 +567,6 @@ def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(J2_Q))
     code = main(["class", "-"])
     out = capsys.readouterr().out

@@ -315,6 +315,70 @@ def test_minpoly_divides_charpoly_same_factors(field):
         assert mp_factors == cp_factors
 
 
+def krylov_lcm_minpoly(m):
+    """The minimal polynomial as the lcm of the annihilators of the
+    standard basis rows e under e -> e.m^T, one Krylov run of width d per
+    start vector."""
+    F, d = m.field, m.rows
+    mt = m.transpose()
+    result = UniPoly.one(F)
+    for start in range(d):
+        ech = Echelon(F, d, track=True)
+        v = Matrix(F, [[int(j == start) for j in range(d)]], cols=d)
+        while True:
+            added, combo = ech.insert(*v.to_integers())
+            if not added:
+                break
+            v = v @ mt
+        ann = UniPoly(F, [F.neg(combo.get(j, F.zero)) for j in range(ech.rank)] + [F.one])
+        result = (result * ann // uni_gcd(result, ann)).monic()
+    return result
+
+
+def inverse_by_rref(p):
+    """p^-1 for an invertible p, read off the reduced echelon form of
+    [p | I]."""
+    d = p.rows
+    grid = [row + tuple(int(i == j) for j in range(d)) for i, row in enumerate(p.entries)]
+    r, _ = rref(Matrix(p.field, grid, cols=2 * d))
+    return Matrix(p.field, [row[d:] for row in r.entries], cols=d)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.sampled_from([F2, GF(97), QQ]),
+    st.sampled_from(["empty", "scalar", "nilpotent", "random", "repeated"]),
+    st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+@example(QQ, "empty", 1, 0)
+@example(F2, "repeated", 6, 0)
+def test_minpoly_matches_lcm_of_krylov_annihilators(field, kind, d, seed):
+    # the one Krylov run of width d^2 against the lcm over start vectors:
+    # d = 0, scalars, nilpotents, random matrices, and a block repeated
+    # three times, whose minimal polynomial is that of the block
+    rng = random.Random(seed)
+    if kind == "empty":
+        m = Matrix.zeros(field, 0, 0)
+    elif kind == "scalar":
+        m = Matrix.identity(field, d).scale(rng.randint(-3, 3))
+    elif kind == "nilpotent":
+        grid = [[field.random_scalar(rng) if i < j else 0 for j in range(d)] for i in range(d)]
+        p = rand_matrix(field, rng, d)
+        while len(rref(p)[1]) < d:
+            p = rand_matrix(field, rng, d)
+        m = p @ Matrix(field, grid, cols=d) @ inverse_by_rref(p)
+    elif kind == "random":
+        m = rand_matrix(field, rng, d)
+    else:
+        block = rand_matrix(field, rng, (d + 2) // 3)
+        m = Matrix.block_diag(field, [block] * 3)
+    q = minimal_polynomial(m)
+    assert q == krylov_lcm_minpoly(m)
+    assert q.is_monic and q.degree <= m.rows
+    assert eval_poly_at_matrix(q, [m]).is_zero
+
+
 # -- polynomial evaluation -----------------------------------------------------------
 
 
@@ -429,6 +493,34 @@ def test_eval_over_fp_matches_horner(every, monkeypatch):
         value = eval_poly_at_matrix(q, ms)
         assert_canonical(value)
         assert value == horner(field, ms[0].rows, terms, ms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**16))
+def test_eval_over_q_with_mixed_denominators_matches_horner(nvars, d, seed):
+    # commuting matrices over different denominators and coefficients
+    # over others, so the one integer sum changes its denominator term by
+    # term; univariate and multivariate, with and without a constant term
+    rng = random.Random(seed)
+    ms = [
+        m.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+        for m in random_commuting_tuple(QQ, nvars, d, rng).mats
+    ]
+    terms = {
+        tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for _ in range(rng.randint(0, 6))
+    }
+    if rng.random() < 0.5:
+        terms[(0,) * nvars] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    terms = {e: c for e, c in terms.items() if c}
+    if nvars == 1:
+        top = max((e for (e,) in terms), default=-1)
+        q = UniPoly(QQ, [terms.get((e,), 0) for e in range(top + 1)])
+    else:
+        q = MultiPoly(QQ, nvars, terms)
+    value = eval_poly_at_matrix(q, ms)
+    assert_canonical(value)
+    assert value == horner(QQ, d, terms, ms)
 
 
 # -- matrices -------------------------------------------------------------------------

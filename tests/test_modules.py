@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -213,20 +214,25 @@ def test_restrict_quotient_formulas(field):
 STACK_FIELDS = [F2, F97, QQ]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from(STACK_FIELDS), st.integers(2, 3), st.integers(0, 2**16))
-def test_stack_restrict_and_quotient_match_per_matrix_products(field, nvars, seed):
-    # a fat point moved to a random point, plus a random tuple, in a random
-    # basis: restrict and quotient by the submodule a random vector
-    # generates give, map by map, what the per-matrix products give
-    rng = random.Random(seed)
+def fat_point_and_random_tuple(field, nvars, rng):
+    """(parts, t): a fat point moved to a random point and a random tuple,
+    and t their direct sum in a random basis."""
     one = Matrix.identity(field, 1)
     point = CommutingTuple(field, nvars, 1, [one.scale(rng.randint(0, 4)) for _ in range(nvars)])
     parts = [
         tensor(point, fat_point(field, nvars, 2)),
         random_commuting_tuple(field, nvars, rng.randint(1, 3), rng),
     ]
-    t = conjugate(CommutingTuple.direct_sum(*parts), rng)
+    return parts, conjugate(CommutingTuple.direct_sum(*parts), rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(2, 3), st.integers(0, 2**16))
+def test_stack_restrict_and_quotient_match_per_matrix_products(field, nvars, seed):
+    # restrict and quotient by the submodule a random vector generates
+    # give, map by map, what the per-matrix products give
+    rng = random.Random(seed)
+    _, t = fat_point_and_random_tuple(field, nvars, rng)
     s = t.generated_submodule([random_vector(field, t.dim, rng)])
     B, comp = s.matrix.transpose(), s.complement_coords()
     bc = _submatrix(B, comp, range(s.dim))
@@ -274,6 +280,99 @@ def test_stack_commutation_check_names_the_failing_pair(field, seed):
         with pytest.raises(NonCommutingError) as exc:
             CommutingTuple(field, 3, d, mats)
         assert (exc.value.i, exc.value.j) == pair
+
+
+# -- derived tuples, built from their stacks with no commutation check ----------------
+
+
+def block_sum_entries(tuples):
+    """The entries of each map of the direct sum of the tuples, placed
+    block by block one scalar at a time."""
+    F, size = tuples[0].field, sum(t.dim for t in tuples)
+    grids = [[[F.zero] * size for _ in range(size)] for _ in range(tuples[0].nvars)]
+    off = 0
+    for t in tuples:
+        for grid, m in zip(grids, t.mats):
+            for i, row in enumerate(m.entries):
+                grid[off + i][off : off + t.dim] = row
+        off += t.dim
+    return [tuple(map(tuple, grid)) for grid in grids]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(1, 3), st.integers(0, 2**16))
+def test_derived_tuples_equal_their_checked_rebuilds(field, nvars, seed):
+    # restrict, quotient and direct_sum skip the commutation check; what
+    # they build passes it, map by map, and direct_sum puts each summand
+    # on its own diagonal block
+    rng = random.Random(seed)
+    parts, t = fat_point_and_random_tuple(field, nvars, rng)
+    s = t.generated_submodule([random_vector(field, t.dim, rng)])
+    summands = [*parts, t.restrict(s), t]
+    total = CommutingTuple.direct_sum(*summands)
+    for r in (t.restrict(s), t.quotient(s), total):
+        assert r == CommutingTuple(field, nvars, r.dim, r.mats)
+        for m in r.mats:
+            assert_canonical(m)
+    assert [m.entries for m in total.mats] == block_sum_entries(summands)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(1, 3), st.integers(0, 2**16))
+def test_tuple_equality_and_hash_agree_with_the_maps(field, nvars, seed):
+    # tuples compare and hash by their stacks; that is equality of the
+    # maps one by one, mixed denominators over Q included
+    rng = random.Random(seed)
+    parts, t = fat_point_and_random_tuple(field, nvars, rng)
+    d = t.dim
+    half = Matrix.identity(field, d).scale(Fraction(1, 2) if field == QQ else 1)
+    other = F97 if field == QQ else QQ
+    candidates = [
+        t,
+        CommutingTuple(field, nvars, d, t.mats),
+        CommutingTuple(field, nvars, d, t.mats[::-1]),
+        CommutingTuple(field, nvars, d, [t.mats[0] + half, *t.mats[1:]]),
+        CommutingTuple(field, nvars, d, [m.scale(Fraction(1, 3) if field == QQ else 2) for m in t.mats]),
+        conjugate(t, rng),
+        t.restrict(t.generated_submodule([random_vector(field, d, rng)])),
+        *parts,
+        CommutingTuple.zeros(field, nvars, d),
+        CommutingTuple.zeros(other, nvars, d),
+        CommutingTuple.zeros(field, nvars + 1, d),
+    ]
+    assert candidates[0] == candidates[1] and candidates[0] != candidates[3]
+    for a, b in product(candidates, repeat=2):
+        same = (
+            a.field == b.field
+            and a.nvars == b.nvars
+            and a.dim == b.dim
+            and all(x == y for x, y in zip(a.mats, b.mats))
+        )
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(STACK_FIELDS), st.integers(1, 3), st.integers(0, 2**16))
+def test_only_the_invariance_check_compares_in_derived_tuples(field, nvars, seed):
+    # restrict and quotient compare once, in the invariance check, and
+    # direct_sum never; the constructor compares once for n >= 2, in the
+    # commutation check
+    rng = random.Random(seed)
+    parts, t = fat_point_and_random_tuple(field, nvars, rng)
+    s = t.generated_submodule([random_vector(field, t.dim, rng)])
+    builds = [
+        (lambda: t.restrict(s), 1),
+        (lambda: t.quotient(s), 1),
+        (lambda: CommutingTuple.direct_sum(*parts), 0),
+        (lambda: CommutingTuple(field, nvars, t.dim, t.mats), int(nvars > 1)),
+    ]
+    with patch.object(modules, "_first_difference", wraps=modules._first_difference) as spy:
+        for build, calls in builds:
+            spy.reset_mock()
+            build()
+            assert spy.call_count == calls
 
 
 # -- annihilator ideal -----------------------------------------------------------------

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import endok
 
+from mutants import MUTANTS, ROOT
+
 MODULES = sorted(p for p in Path(endok.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
@@ -59,3 +61,13 @@ def test_every_export_has_a_caller():
             }
     unread = [name for name in exported if name not in read and name not in DOCUMENTED_API]
     assert not unread
+
+
+def test_every_mutant_patch_applies():
+    # each patch of the catalogue finds its old text exactly once, and
+    # names tests in files that exist
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old and m.tests, m.name
+        assert all((ROOT / test.partition("::")[0]).is_file() for test in m.tests), m.name
