@@ -4,8 +4,9 @@ Raw scalars are plain Python values: ``fractions.Fraction`` over Q (always
 reduced, positive denominator) and ``int`` residues in ``[0, p)`` over F_p,
 so equal elements always have identical representations.  ``FieldSpec``
 has one subclass per field, ``Rationals`` (the instance ``QQ``) and
-``PrimeField`` (built by ``GF(p)``), each with the arithmetic on its own
-raw values.
+``PrimeField`` (built by ``GF(p)``).  It describes its field and carries
+no arithmetic: raw scalars are added and multiplied with Python's
+operators, and ``coerce`` brings a result to its canonical form.
 
 No floating point is used anywhere; every operation is exact.
 """
@@ -65,9 +66,11 @@ class FieldSpec:
 
     ``characteristic`` is 0 for the rationals and p for F_p.  Both are
     perfect fields, which the radical computation downstream relies on.
-    Each subclass supplies ``zero``, ``one`` and the raw scalar arithmetic
-    for its own representation; fields are equal when their class and
-    characteristic are.
+    Each subclass supplies ``zero``, ``one``, ``coerce`` (an int or
+    Fraction to its canonical raw scalar, the one reduction of results
+    computed with Python's operators), ``inv`` (which rejects zero) and
+    ``random_scalar`` for its own representation; fields are equal when
+    their class and characteristic are.
     """
 
     __slots__ = ()
@@ -76,9 +79,6 @@ class FieldSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def render(self, a):
         """The text of a raw scalar, ``a`` or ``a/b``, however many digits
@@ -112,18 +112,6 @@ class Rationals(FieldSpec):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if not a:
@@ -160,20 +148,8 @@ class PrimeField(FieldSpec):
             return x % self.characteristic
         if isinstance(x, Fraction):
             p = self.characteristic
-            return self.div(x.numerator % p, x.denominator % p)
+            return x.numerator * self.inv(x.denominator % p) % p
         raise TypeError(f"cannot interpret {x!r} as an element of {self}")
-
-    def add(self, a, b):
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return a * b % self.characteristic
-
-    def neg(self, a):
-        return -a % self.characteristic
 
     def inv(self, a):
         if not a:

@@ -150,7 +150,7 @@ class Matrix:
         if not q.is_monic or q.degree < 1:
             raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
         d = q.degree
-        nums, den = _cleared([q.field.neg(c) for c in q.coeffs[:d]])
+        nums, den = _cleared([-c for c in q.coeffs[:d]])
         num = np.eye(d, k=-1, dtype=object) * den
         num[:, d - 1] = nums
         return cls._from_integers(q.field, num, den)
@@ -829,7 +829,7 @@ def minimal_polynomial(m):
     while True:
         added, combo = ech.insert(*power.to_integers())
         if not added:
-            coeffs = [F.neg(combo.get(j, F.zero)) for j in range(ech.rank)]
+            coeffs = [-combo.get(j, F.zero) for j in range(ech.rank)]
             return UniPoly(F, coeffs + [F.one])
         power = power @ m
 

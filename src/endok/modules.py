@@ -194,12 +194,12 @@ def _regular_maps(ideal):
     return [multiplication_matrix(ideal, MultiPoly.variable(F, n, i)) for i in range(n)]
 
 
-def _split_or_field(ideal):
+def _split_or_field(ideal, ts):
     """For a reduced A = k[T]/I, a product of finite field extensions of
     k: None when A is a field, else an element g of A whose multiplication
     has two distinct irreducible factors, so that g(f) splits any module
-    over A that contains A.  Both fields start from the T_i of
-    ``_regular_maps``.
+    over A that contains A.  Both fields start from ts, the T_i of
+    ``_regular_maps``, which the caller builds.
 
     Over F_p the fixed algebra of the Frobenius Phi: a -> a^p is F_p^r, r
     the number of points of A (Berlekamp), so A is a field iff
@@ -215,7 +215,6 @@ def _split_or_field(ideal):
     """
     F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
     p = F.characteristic
-    ts = _regular_maps(ideal)
     if not p:
         for c in count():
             g = _merge(F, n, [(tuple(int(j == i) for j in range(n)), c**i) for i in range(n)])
@@ -240,12 +239,12 @@ def quotient_is_field(ideal):
     """Decide whether k[T]/I is a field (i.e. I is maximal).
 
     The input is the regular representation, the T_i of
-    ``_regular_maps``: the quotient is reduced iff the radical of that
-    module is zero, and a reduced quotient is a field iff
-    ``_split_or_field`` finds no element that splits it.  The class path
-    never calls it, ``class_from_json`` does; it is not independent of the
-    key path, which calls ``_split_or_field`` too, so the tests also check
-    keys over F_p by enumerating the quotient.
+    ``_regular_maps``, built once for both tests: the quotient is reduced
+    iff the radical of that module is zero, and a reduced quotient is a
+    field iff ``_split_or_field`` finds no element that splits it.  The
+    class path never calls it, ``class_from_json`` does; it is not
+    independent of the key path, which calls ``_split_or_field`` too, so
+    the tests also check keys over F_p by enumerating the quotient.
 
     >>> from endok.fields import GF
     >>> from endok.parse import parse_poly
@@ -260,9 +259,10 @@ def quotient_is_field(ideal):
     if ideal.is_unit:
         return False  # the zero ring
     F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
-    if not CommutingTuple(F, n, k, _regular_maps(ideal)).radical_submodule().is_zero:
+    ts = _regular_maps(ideal)
+    if not CommutingTuple(F, n, k, ts).radical_submodule().is_zero:
         return False  # some t_i has a nonzero nilpotent part
-    return _split_or_field(ideal) is None
+    return _split_or_field(ideal, ts) is None
 
 
 class MaximalIdealKey:
@@ -764,7 +764,7 @@ def _annihilator(maps, start):
                     vectors[child] = (num[i], den)
                     heapq.heappush(heap, (grlex_key(child), child))
         else:
-            terms = [(m, F.one)] + [(std[g], F.neg(c)) for g, c in combo.items()]
+            terms = [(m, F.one)] + [(std[g], -c) for g, c in combo.items()]
             gens.append(_merge(F, n, terms))
             leads.append(m)
     return Ideal(F, n, gens, std)
@@ -817,7 +817,7 @@ def _key(maps, qs):
     if rd != max(q.degree for q in qs.values()):
         if simple:
             raise RuntimeError("a simple piece is not local")
-        g = _split_or_field(ideal)
+        g = _split_or_field(ideal, _regular_maps(ideal))
         if g is not None:
             return None, g
     if socle.cols > rd:

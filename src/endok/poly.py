@@ -21,6 +21,10 @@ Two representations:
   ``+``, ``*`` and ``scale`` hand it raw (exponents, scalar) pairs, and it
   coerces each sum once, drops zeros and sorts.
 
+Both compute on raw scalars with Python's operators; the field brings in
+no arithmetic of its own, and a result is made canonical once, by one
+``% p`` in the list helpers or by the field's ``coerce`` elsewhere.
+
 Canonical text rendering lives here as well; it is shared by the CLI and
 by the deterministic sort keys used for ideals.
 """
@@ -201,10 +205,9 @@ def _monic(f, p):
 
 
 def _pow_mod(f, e, m, p):
-    """f**e modulo a nonzero m, by ``_power`` on the residue of f."""
-    one = [1] if p else [Fraction(1)]
+    """f**e modulo a nonzero m over F_p, by ``_power`` on the residue of f."""
     return _power(
-        _divmod(f, m, p)[1], e, lambda: one, lambda a, b: _divmod(_mul(a, b, p), m, p)[1]
+        _divmod(f, m, p)[1], e, lambda: [1], lambda a, b: _divmod(_mul(a, b, p), m, p)[1]
     )
 
 
@@ -261,12 +264,11 @@ def _gcd(f, g, p):
 
 
 def _gcdex(f, g, p):
-    """Extended Euclid over F_p, or over Q on Fractions (p = 0): (d, s, t)
-    with s*f + t*g = d and d the monic gcd of f and g, not both zero."""
-    one = [1] if p else [Fraction(1)]
+    """Extended Euclid over F_p: (d, s, t) with s*f + t*g = d and d the
+    monic gcd of f and g, not both zero."""
     old_r, r = list(f), list(g)
-    old_s, s = one, []
-    old_t, t = [], one
+    old_s, s = [1], []
+    old_t, t = [], [1]
     while r:
         q, rem = _divmod(old_r, r, p)
         old_r, r = r, rem
@@ -485,7 +487,7 @@ class UniPoly:
         x = F.coerce(x)
         acc = F.zero
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+            acc = F.coerce(acc * x + c)
         return acc
 
     # -- value semantics -----------------------------------------------------
@@ -569,7 +571,7 @@ def signed_reversal(q, inverse=False):
     elif q.is_zero or not q.is_monic:
         raise ValueError("forward reversal needs a monic polynomial")
     d = q.degree
-    r = UniPoly(F, [q[d - j] if j % 2 == 0 else F.neg(q[d - j]) for j in range(d + 1)])
+    r = UniPoly(F, [q[d - j] if j % 2 == 0 else -q[d - j] for j in range(d + 1)])
     return -r if inverse and d % 2 else r
 
 
@@ -762,7 +764,9 @@ def normal_form(p, basis):
 
     No term of the result is divisible by any basis leading monomial, which
     makes the map idempotent; when basis is a Groebner basis this is the
-    canonical representative of p modulo the ideal.
+    canonical representative of p modulo the ideal.  Each working
+    coefficient is computed with Python's operators and coerced once, so
+    the remainder's terms go to ``_merge`` as they are.
     """
     for b in basis:
         p._check(b)
@@ -778,11 +782,12 @@ def normal_form(p, basis):
         for lm, b in lead:
             if mono_divides(lm, m):
                 # subtract (c / lc(b)) * x^(m-lm) * b; the lead term cancels
-                factor = F.div(c, b.leading_coeff)
+                # to 0 only because c and each v are coerced
+                factor = F.coerce(c * F.inv(b.leading_coeff))
                 shift = mono_quot(m, lm)
                 for e, bc in b.terms:
                     e2 = mono_mul(shift, e)
-                    v = F.sub(work.get(e2, F.zero), F.mul(factor, bc))
+                    v = F.coerce(work.get(e2, F.zero) - factor * bc)
                     if v:
                         work[e2] = v
                     elif e2 in work:
@@ -791,4 +796,4 @@ def normal_form(p, basis):
         else:
             rem[m] = c
             del work[m]
-    return MultiPoly(F, p.nvars, rem)
+    return _merge(F, p.nvars, rem.items())

@@ -215,7 +215,7 @@ def tensor(a, b):
 
     def kron(x, y):
         grid = [
-            [F.mul(u, v) for u in xrow for v in yrow]
+            [u * v for u in xrow for v in yrow]
             for xrow in x.entries
             for yrow in y.entries
         ]

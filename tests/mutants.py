@@ -13,9 +13,10 @@ Running this file,
 copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` to a new
 temporary directory for each mutant (``TMPDIR`` picks where), applies its
 patch there, runs its tests with ``-x`` and reports it killed (a test
-failed), survived (every test passed) or broken (pytest could not run
-them).  It runs every mutant, or those named, and exits 1 unless every
-one was killed.  The checkout itself is never changed.
+failed, or the tests did not end within ``TIMEOUT`` seconds: a mutant
+can make a loop endless), survived (every test passed) or broken (pytest
+could not run them).  It runs every mutant, or those named, and exits 1
+unless every one was killed.  The checkout itself is never changed.
 """
 
 import os
@@ -27,12 +28,15 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 120  # seconds; the tests of a mutant whose loops end take far less
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 KERNELS = "src/endok/_kernels.py"
+FIELDS = "src/endok/fields.py"
 LINALG = "src/endok/linalg.py"
 MODULES = "src/endok/modules.py"
+POLY = "src/endok/poly.py"
 
 MUTANTS = [
     # power sums modulo p^e
@@ -101,6 +105,22 @@ MUTANTS = [
         ["tests/test_kernels.py::test_rref_mod_matches_plain_gauss_jordan"],
     ),
     Mutant(
+        "fraction-residue-unreduced",
+        FIELDS,
+        "return x.numerator * self.inv(x.denominator % p) % p",
+        "return x.numerator * self.inv(x.denominator % p)",
+        ["tests/test_fields.py::test_canonical_forms"],
+    ),
+    Mutant(
+        # a residue left unreduced never cancels as a lead term: the loop
+        # does not end, and the timeout kills the mutant
+        "normal-form-subtraction-unreduced",
+        POLY,
+        "v = F.coerce(work.get(e2, F.zero) - factor * bc)",
+        "v = work.get(e2, F.zero) - factor * bc",
+        ["tests/test_differential.py::test_normal_forms_and_multiplication_matrices_match_sympy"],
+    ),
+    Mutant(
         "from-part-no-gcd",
         LINALG,
         "    return Matrix._from_form(field, *_reduced(num, den))\n",
@@ -161,7 +181,7 @@ MUTANTS = [
     Mutant(
         "minpoly-sign-flipped",
         LINALG,
-        "coeffs = [F.neg(combo.get(j, F.zero)) for j in range(ech.rank)]",
+        "coeffs = [-combo.get(j, F.zero) for j in range(ech.rank)]",
         "coeffs = [combo.get(j, F.zero) for j in range(ech.rank)]",
         ["tests/test_linalg.py::test_minpoly_matches_lcm_of_krylov_annihilators"],
     ),
@@ -191,12 +211,17 @@ def run(mutant):
         if text.count(mutant.old) != 1:
             return "broken (old text not found once)"
         path.write_text(text.replace(mutant.old, mutant.new))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy,
-            env={**os.environ, "PYTHONPATH": str(copy / "src")},
-            capture_output=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+                + mutant.tests,
+                cwd=copy,
+                env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                capture_output=True,
+                timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return "killed"  # the tests hang
     # pytest exits 1 when a test failed and 0 when all passed
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"broken (exit {proc.returncode})")
 

@@ -4,7 +4,8 @@ blocks of polynomial powers, on members of random commuting tuples and on
 rational matrices with entries past 10^12; the squarefree split and gcd
 over Q; reduced row echelon forms over Q; and the reduced graded-lex
 Groebner bases of annihilator ideals of random commuting tuples up to
-dim 24.
+dim 24; and normal forms and multiplication matrices modulo the reduced
+Groebner bases of the tuple builders' annihilators and keys.
 
 Factoring takes linear factors first: over small F_p by evaluating f
 everywhere and dividing each root out for as long as it divides, over Q
@@ -50,9 +51,18 @@ from endok.bruteforce import random_commuting_tuple, random_matrix
 from endok.factor import factor_univariate
 from endok.fields import GF, QQ, is_prime
 from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
-from endok.poly import UniPoly, _squarefree_parts, uni_gcd
+from endok.modules import CommutingTuple, multiplication_matrix
+from endok.poly import MultiPoly, UniPoly, _squarefree_parts, normal_form, uni_gcd
 
-from conftest import field_id, largest_prime_below
+from conftest import (
+    conjugate as conjugate_tuple,
+    fat_point,
+    field_id,
+    largest_prime_below,
+    simple_point,
+    tensor,
+    twisted_points,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -661,6 +671,14 @@ def sympy_scalar(x, field):
     return int(x) % field.characteristic
 
 
+def to_expr(f, syms):
+    """A MultiPoly as a sympy expression in syms."""
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**e for s, e in zip(syms, m))
+        for m, c in f.terms
+    )
+
+
 def algebra_dim(t):
     """dim k[f1..fn]: the rank of the span of the products f^m, closed
     breadth-first under multiplication by each f_i and measured by rref."""
@@ -690,14 +708,7 @@ def test_annihilator_groebner_basis_matches_sympy(field):
         ideal = t.annihilator_ideal()
         syms = sympy.symbols(f"t1:{nvars + 1}")
         kw = {} if field.is_rationals else {"modulus": field.characteristic}
-        exprs = [
-            sum(
-                sympy.Rational(c.numerator, c.denominator)
-                * sympy.prod(s**e for s, e in zip(syms, m))
-                for m, c in g.terms
-            )
-            for g in ideal.gens
-        ]
+        exprs = [to_expr(g, syms) for g in ideal.gens]
         basis = sympy.groebner(exprs, *syms, order="grlex", **kw)
         theirs = sorted(
             sorted((m, sympy_scalar(c, field)) for m, c in sympy.Poly(g, *syms, **kw).terms())
@@ -710,3 +721,60 @@ def test_annihilator_groebner_basis_matches_sympy(field):
         # each rref of the span there takes about a second
         if field.is_prime_field or d <= 16:
             assert ideal.quotient_dim == algebra_dim(t)
+
+
+def builder_ideals(field, rng):
+    """Reduced Groebner bases from the tuple builders: the annihilators of
+    twisted points of an irreducible quadratic, alone and summed, of a
+    simple point, of a fat point and of a point tensored with it, and the
+    keys of their local pieces."""
+    q = UniPoly(field, {2: [1, 1, 1], 97: [-5, 0, 1], 0: [-2, 0, 1]}[field.characteristic])
+    points = twisted_points(q, rng)
+    fat = fat_point(field, 2, 3)
+    tuples = [
+        *points,
+        conjugate_tuple(CommutingTuple.direct_sum(*points), rng),
+        simple_point(q, [UniPoly(field, [1, 1])], rng),
+        fat,
+        conjugate_tuple(CommutingTuple.direct_sum(tensor(points[1], fat), points[0]), rng),
+    ]
+    ideals = []
+    for t in tuples:
+        for ideal in [t.annihilator_ideal(), *(key.ideal for _, key in t._local_pieces())]:
+            if ideal not in ideals:
+                ideals.append(ideal)
+    return ideals
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(97), QQ], ids=field_id)
+def test_normal_forms_and_multiplication_matrices_match_sympy(field):
+    # sympy's remainders mod p are symmetric residues, read back by
+    # sympy_scalar; the reduced polynomials have degree up to 10, past
+    # every leading monomial
+    rng = random.Random(61)
+    syms = sympy.symbols("t1:3")
+    kw = {} if field.is_rationals else {"modulus": field.characteristic}
+
+    def reduced(f, basis):
+        r = sympy.reduced(to_expr(f, syms), basis, *syms, order="grlex", **kw)[1]
+        terms = sympy.Poly(r, *syms, **kw).terms()
+        return {m: c for m, x in terms if (c := sympy_scalar(x, field))}
+
+    ideals = builder_ideals(field, rng)
+    assert len(ideals) >= 5 and max(i.quotient_dim for i in ideals) >= 6
+    for ideal in ideals:
+        basis = [to_expr(g, syms) for g in ideal.gens]
+        std = ideal.standard_monomials
+        for _ in range(3):
+            f = MultiPoly(
+                field,
+                2,
+                {
+                    (rng.randint(0, 5), rng.randint(0, 5)): field.random_scalar(rng)
+                    for _ in range(8)
+                },
+            )
+            assert dict(normal_form(f, ideal.gens).terms) == reduced(f, basis)
+            columns = [reduced(f * MultiPoly(field, 2, {m: 1}), basis) for m in std]
+            grid = [[column.get(e, 0) for column in columns] for e in std]
+            assert multiplication_matrix(ideal, f) == Matrix(field, grid, cols=len(std))

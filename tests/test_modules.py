@@ -189,12 +189,12 @@ def test_restrict_quotient_formulas(field):
             def combine(coeffs):
                 out = [F.zero] * d
                 for b, c in zip(sp.basis, coeffs):
-                    out = [F.add(x, F.mul(c, y)) for x, y in zip(out, b)]
+                    out = [F.coerce(x + c * y) for x, y in zip(out, b)]
                 return tuple(out)
 
             def project(v):
                 w = combine([v[p] for p in sp.pivots])
-                return tuple(F.sub(v[c], w[c]) for c in comp)
+                return tuple(F.coerce(v[c] - w[c]) for c in comp)
 
             def apply(m, v):
                 # m.v, the product with v as a column
@@ -774,6 +774,11 @@ IRREDUCIBLES = {
 }
 
 
+def split_or_field(ideal):
+    """``_split_or_field`` on the regular representation of k[T]/I."""
+    return modules._split_or_field(ideal, modules._regular_maps(ideal))
+
+
 def field_test_cases(field, rng):
     """(tuple, is_field): twisted points, alone and summed, in a random
     basis; a twisted pair with one or two rational points, so 3 or 4
@@ -802,9 +807,9 @@ def test_field_test_matches_enumeration(field, monkeypatch):
     recorded, known = [], {}
     original = modules._split_or_field
 
-    def recording(ideal):
+    def recording(ideal, ts):
         recorded.append(ideal)
-        return original(ideal)
+        return original(ideal, ts)
 
     monkeypatch.setattr(modules, "_split_or_field", recording)
     for t, is_field in field_test_cases(field, rng):
@@ -820,7 +825,7 @@ def test_field_test_matches_enumeration(field, monkeypatch):
     p = field.characteristic
     enumerated = set()
     for ideal in [*recorded, *known]:
-        g = modules._split_or_field(ideal)
+        g = split_or_field(ideal)
         if ideal in known:
             assert (g is None) == known[ideal]
         if p**ideal.quotient_dim <= 4096:
@@ -843,12 +848,39 @@ def test_field_test_at_large_primes():
         points = twisted_points(UniPoly(field, [p - a, 0, 1]), rng)
         assert points[0] != points[1]
         for point in points:
-            assert modules._split_or_field(point.annihilator_ideal()) is None
+            assert split_or_field(point.annihilator_ideal()) is None
         ideal = CommutingTuple.direct_sum(*points).annihilator_ideal()
-        g = modules._split_or_field(ideal)
+        g = split_or_field(ideal)
         assert len(multiplication_factors(ideal, g)) == 2
         assert quotient_is_field(points[0].annihilator_ideal())
         assert not quotient_is_field(ideal)
+
+
+def test_quotient_is_field_builds_the_regular_maps_once(monkeypatch):
+    # the radical test and _split_or_field share one regular representation
+    rng = random.Random(53)
+    cases = [
+        (fat_point(F3, 2, 2).annihilator_ideal(), False),  # not reduced
+        (compositum(UniPoly(QQ, [-2, 0, 1]), UniPoly(QQ, [-3, 0, 1])).annihilator_ideal(), True),
+    ]
+    for q in (UniPoly(F2, [1, 1, 1]), UniPoly(QQ, [-2, 0, 1])):
+        points = twisted_points(q, rng)
+        while points[0] == points[1]:
+            points = twisted_points(q, rng)
+        cases.append((points[0].annihilator_ideal(), True))
+        cases.append((CommutingTuple.direct_sum(*points).annihilator_ideal(), False))
+    calls = []
+    original = modules._regular_maps
+
+    def counted(ideal):
+        calls.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(modules, "_regular_maps", counted)
+    for ideal, is_field in cases:
+        calls.clear()
+        assert quotient_is_field(ideal) == is_field
+        assert calls == [ideal]
 
 
 def test_field_test_over_q_tries_few_linear_forms(monkeypatch):
@@ -865,7 +897,7 @@ def test_field_test_over_q_tries_few_linear_forms(monkeypatch):
     def field_test(ideal):
         tries.clear()
         monkeypatch.setattr(modules, "charpoly", counted)
-        g = modules._split_or_field(ideal)
+        g = split_or_field(ideal)
         monkeypatch.undo()
         k = ideal.quotient_dim
         assert 1 <= len(tries) <= (ideal.nvars - 1) * comb(k, 2) + 1
@@ -880,9 +912,9 @@ def test_field_test_over_q_tries_few_linear_forms(monkeypatch):
     ideals = []
     recorded = modules._split_or_field
 
-    def recording(ideal):
+    def recording(ideal, ts):
         ideals.append(ideal)
-        return recorded(ideal)
+        return recorded(ideal, ts)
 
     for a in (2, 3, 5):
         for _ in range(3):

@@ -95,8 +95,8 @@ def count_separating_elements(monkeypatch):
     hits = []
     original = modules._split_or_field
 
-    def counted(ideal):
-        g = original(ideal)
+    def counted(ideal, ts):
+        g = original(ideal, ts)
         if g is not None:
             hits.append(g)
         return g
