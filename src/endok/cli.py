@@ -79,14 +79,14 @@ def _cmd_decompose(job):
     lines = []
     pieces = []
     for i, (w, key) in enumerate(t._local_pieces(), 1):
-        gens = ", ".join(key.ideal.generator_strings())
+        gens = ", ".join(key.generator_strings())
         lines.append(
             f"piece {i}: dim {w.rows}, key [{gens}], residue {key.residue_degree}"
         )
         pieces.append(
             {
                 "dim": w.rows,
-                "generators": list(key.ideal.generator_strings()),
+                "generators": list(key.generator_strings()),
                 "residue_degree": key.residue_degree,
             }
         )
@@ -123,14 +123,15 @@ def _cmd_radical(job):
 def _cmd_annihilator(job):
     t = job.tuple()
     ideal = t.annihilator_ideal()
-    lines = [f"generator {g}" for g in ideal.generator_strings()]
+    gens = ideal.generator_strings()
+    lines = [f"generator {g}" for g in gens]
     monos = [render_monomial(m, t.nvars) or "1" for m in ideal.standard_monomials]
     lines.append("standard " + ", ".join(monos) if monos else "standard")
     lines.append(f"dimension {ideal.quotient_dim}")
     payload = {
         "nvars": t.nvars,
         "dim": t.dim,
-        "generators": list(ideal.generator_strings()),
+        "generators": list(gens),
         "standard_monomials": monos,
         "dimension": ideal.quotient_dim,
     }

@@ -9,6 +9,9 @@ no arithmetic: raw scalars are added and multiplied with Python's
 operators, and ``coerce`` brings a result to its canonical form.
 
 No floating point is used anywhere; every operation is exact.
+
+The module also holds ``Immutable``, the one base of the package's value
+types, as it imports nothing from the package.
 """
 
 import operator
@@ -60,7 +63,18 @@ def _decimal(n):
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-class FieldSpec:
+class Immutable:
+    """Base of the package's value types.  Each sets its slots once, with
+    ``object.__setattr__``, and any later assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FieldSpec(Immutable):
     """Shared base of the two supported exact fields, ``Rationals`` and
     ``PrimeField``; build them as ``QQ`` and ``GF(p)``.
 
@@ -76,9 +90,6 @@ class FieldSpec:
     __slots__ = ()
     is_rationals = False
     is_prime_field = False
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def render(self, a):
         """The text of a raw scalar, ``a`` or ``a/b``, however many digits

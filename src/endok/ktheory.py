@@ -14,12 +14,13 @@ import operator
 
 from .errors import FieldMismatchError
 from .factor import factor_univariate
+from .fields import Immutable
 from .linalg import _layer_rows, charpoly
 from .modules import MaximalIdealKey, _principal_key
 from .poly import UniPoly, signed_reversal, uni_gcd
 
 
-class GrothendieckClass:
+class GrothendieckClass(Immutable):
     """Finitely supported integer map on maximal-ideal keys; a
     multiplicity that is not an integer (``operator.index``) is a
     TypeError.
@@ -56,9 +57,6 @@ class GrothendieckClass:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_support", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrothendieckClass is immutable")
 
     @classmethod
     def zero(cls, field, nvars):
@@ -110,14 +108,14 @@ class GrothendieckClass:
     def lines(self):
         """Canonical human rendering, one 'mult * [generators]' per key."""
         return [
-            f"{mult} * [{', '.join(key.ideal.generator_strings())}]"
+            f"{mult} * [{', '.join(key.generator_strings())}]"
             for key, mult in self.items()
         ]
 
     def to_json_entries(self):
         return [
             {
-                "generators": list(key.ideal.generator_strings()),
+                "generators": list(key.generator_strings()),
                 "degree": key.residue_degree,
                 "multiplicity": mult,
             }
@@ -144,7 +142,7 @@ def k0_class(t, rng=None):
     if t.nvars == 1:
         # the one map is the stack's rows, canonical as they stand
         factors = factor_univariate(charpoly(_layer_rows(t._maps)))
-        pairs = [(_principal_key([q], q.degree), v) for q, v in factors]
+        pairs = [(_principal_key([q]), v) for q, v in factors]
         return GrothendieckClass(t.field, 1, pairs)
     pairs = []
     for w, key in t._local_pieces():
@@ -175,7 +173,7 @@ def lambda_t(m):
     return signed_reversal(charpoly(m))
 
 
-class TildeClass:
+class TildeClass(Immutable):
     """A reduced fraction of constant-term-1 polynomials.
 
     The constructor accepts any pair with equal nonzero constant terms (the
@@ -206,9 +204,6 @@ class TildeClass:
         den = den.scale(F.inv(den.constant_term))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TildeClass is immutable")
 
     @classmethod
     def one(cls, field):
@@ -260,7 +255,7 @@ def principal_maximal_key(q):
         raise ValueError("need a monic polynomial of degree >= 1")
     if factor_univariate(q) != [(q, 1)]:
         raise ValueError(f"({q}) is not a maximal ideal: {q} is reducible")
-    return _principal_key([q], q.degree)
+    return _principal_key([q])
 
 
 def tilde_to_free_abelian(a):
@@ -277,7 +272,7 @@ def tilde_to_free_abelian(a):
         for r, e in factor_univariate(poly):
             r1 = r.scale(F.inv(r.constant_term))
             q = signed_reversal(r1, inverse=True)
-            pairs.append((_principal_key([q], q.degree), sign * e))
+            pairs.append((_principal_key([q]), sign * e))
     return GrothendieckClass(F, 1, pairs)
 
 

@@ -77,11 +77,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import FieldMismatchError
-from .fields import is_prime
+from .fields import Immutable, is_prime
 from .poly import MultiPoly, UniPoly, _cleared, _power, _primitive
 
 
-class Matrix:
+class Matrix(Immutable):
     """Immutable dense matrix over an exact field, held as N/D.
 
     N is a read-only numpy array of integers, 2-d, or 3-d for a stack of
@@ -112,9 +112,6 @@ class Matrix:
             nums, den = _cleared(list(chain.from_iterable(grid)))
             num = np.array(nums, dtype=object)
         _init(self, field, num.reshape(len(grid), width), den, grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def _from_integers(cls, field, num, den=1):
@@ -444,7 +441,7 @@ def rref(m):
     return Matrix._from_integers(F, np.array(rows, dtype=object), den), pivots
 
 
-class Subspace:
+class Subspace(Immutable):
     """A subspace of k^n held in canonical reduced-echelon form.
 
     ``matrix`` holds the basis as its rows, in the field's integer form;
@@ -479,9 +476,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, field, ambient_dim):

@@ -36,6 +36,7 @@ from itertools import count, islice
 
 from .errors import FieldMismatchError, NonCommutingError
 from .factor import factor_univariate
+from .fields import Immutable
 from .linalg import (
     Echelon,
     Matrix,
@@ -61,11 +62,12 @@ from .poly import (
     grlex_key,
     mono_divides,
     normal_form,
+    render_terms,
     squarefree_part,
 )
 
 
-class Ideal:
+class Ideal(Immutable):
     """A zero-dimensional ideal of k[t1..tn], held as a reduced Groebner
     basis in the global graded-lex order, together with the standard
     monomials (a basis of the finite-dimensional quotient).
@@ -74,7 +76,7 @@ class Ideal:
     equality of ideals is literal equality of these canonical tuples.
     """
 
-    __slots__ = ("field", "nvars", "gens", "standard_monomials", "_strings")
+    __slots__ = ("field", "nvars", "gens", "standard_monomials")
 
     def __init__(self, field, nvars, gens, standard_monomials):
         gens = tuple(
@@ -92,10 +94,6 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "standard_monomials", std)
-        object.__setattr__(self, "_strings", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
 
     @classmethod
     def from_groebner_basis(cls, field, nvars, gens):
@@ -140,16 +138,8 @@ class Ideal:
     def is_unit(self):
         return self.quotient_dim == 0
 
-    def normal_form(self, p):
-        return normal_form(p, list(self.gens))
-
     def generator_strings(self):
-        # rendered once: keys sort by them, and _KEYS shares each key
-        strings = self._strings
-        if strings is None:
-            strings = tuple(str(g) for g in self.gens)
-            object.__setattr__(self, "_strings", strings)
-        return strings
+        return tuple(str(g) for g in self.gens)
 
     def __eq__(self, other):
         if isinstance(other, Ideal):
@@ -177,7 +167,7 @@ def multiplication_matrix(ideal, p):
     cols = []
     for m in std:
         mono = _merge(F, ideal.nvars, [(m, F.one)])
-        r = ideal.normal_form(p * mono)
+        r = normal_form(p * mono, ideal.gens)
         col = [F.zero] * len(std)
         for e, c in r.terms:
             col[index[e]] = c
@@ -218,8 +208,7 @@ def _split_or_field(ideal, ts):
     if not p:
         for c in count():
             g = _merge(F, n, [(tuple(int(j == i) for j in range(n)), c**i) for i in range(n)])
-            m = sum((t.scale(c**i) for i, t in enumerate(ts) if i), ts[0])
-            factors = factor_univariate(charpoly(m))
+            factors = factor_univariate(charpoly(eval_poly_at_matrix(g, ts)))
             if len(factors) >= 2:
                 return g
             if factors[0][0].degree == k:
@@ -236,15 +225,9 @@ def _split_or_field(ideal, ts):
 
 
 def quotient_is_field(ideal):
-    """Decide whether k[T]/I is a field (i.e. I is maximal).
-
-    The input is the regular representation, the T_i of
-    ``_regular_maps``, built once for both tests: the quotient is reduced
-    iff the radical of that module is zero, and a reduced quotient is a
-    field iff ``_split_or_field`` finds no element that splits it.  The
-    class path never calls it, ``class_from_json`` does; it is not
-    independent of the key path, which calls ``_split_or_field`` too, so
-    the tests also check keys over F_p by enumerating the quotient.
+    """Decide whether k[T]/I is a field (i.e. I is maximal), by
+    ``_is_field`` on the regular representation, the T_i of
+    ``_regular_maps``.
 
     >>> from endok.fields import GF
     >>> from endok.parse import parse_poly
@@ -256,16 +239,27 @@ def quotient_is_field(ideal):
     >>> quotient_is_field(ideal("t1^2 + t1 + 1", "t2^3 + t2 + 1"))  # F64
     True
     """
+    F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
+    return _is_field(ideal, CommutingTuple(F, n, k, _regular_maps(ideal)))
+
+
+def _is_field(ideal, regular):
+    """Whether k[T]/I is a field, for regular the tuple of its regular
+    representation, built once by the caller for both tests: the quotient
+    is reduced iff the radical of that module is zero, and a reduced
+    quotient is a field iff ``_split_or_field`` finds no element that
+    splits it.  The class path never calls it, ``class_from_json`` does,
+    with the tuple it has built for its own check; it is not independent
+    of the key path, which calls ``_split_or_field`` too, so the tests
+    also check keys over F_p by enumerating the quotient."""
     if ideal.is_unit:
         return False  # the zero ring
-    F, n, k = ideal.field, ideal.nvars, ideal.quotient_dim
-    ts = _regular_maps(ideal)
-    if not CommutingTuple(F, n, k, ts).radical_submodule().is_zero:
+    if not regular.radical_submodule().is_zero:
         return False  # some t_i has a nonzero nilpotent part
-    return _split_or_field(ideal, ts) is None
+    return _split_or_field(ideal, regular.mats) is None
 
 
-class MaximalIdealKey:
+class MaximalIdealKey(Immutable):
     """Canonical tag of a maximal ideal M of k[t1..tn]: its reduced
     Groebner basis, with the residue degree dim_k k[T]/M.
 
@@ -275,18 +269,16 @@ class MaximalIdealKey:
     the q_i alone, and either returns the live key of that form if there
     is one.  So one ideal has one key object, whichever path made it, keys
     compare by identity, and the classes a caller keeps hold each basis
-    once.  A key made without an ``Ideal`` builds one on the first read of
-    ``ideal``; ``field``, ``nvars`` and ``residue_degree`` need none.  The
-    caller vouches that the ideal is maximal."""
+    once.  A key sorts and renders from its own term tuples
+    (``generator_strings``); a key made without an ``Ideal`` builds one
+    only on the first read of ``ideal``, which the tilde maps and the
+    tests make.  The caller vouches that the ideal is maximal."""
 
-    __slots__ = ("field", "nvars", "residue_degree", "_gens", "_ideal", "__weakref__")
+    __slots__ = ("field", "nvars", "residue_degree", "_gens", "_ideal", "_strings", "__weakref__")
 
     def __new__(cls, ideal):
         gens = tuple(g.terms for g in ideal.gens)
         return _interned(ideal.field, ideal.nvars, gens, ideal.quotient_dim, ideal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MaximalIdealKey is immutable")
 
     @property
     def ideal(self):
@@ -298,11 +290,20 @@ class MaximalIdealKey:
             object.__setattr__(self, "_ideal", ideal)
         return ideal
 
+    def generator_strings(self):
+        """The text of each generator, rendered once from its term tuple."""
+        strings = self._strings
+        if strings is None:
+            F, n = self.field, self.nvars
+            strings = tuple(render_terms(F, terms, n) for terms in self._gens)
+            object.__setattr__(self, "_strings", strings)
+        return strings
+
     def sort_key(self):
-        return (self.residue_degree, self.ideal.generator_strings())
+        return (self.residue_degree, self.generator_strings())
 
     def __repr__(self):
-        return f"MaximalIdealKey([{', '.join(self.ideal.generator_strings())}])"
+        return f"MaximalIdealKey([{', '.join(self.generator_strings())}])"
 
 
 # The live keys, by canonical form, that MaximalIdealKey and _principal_key
@@ -323,12 +324,13 @@ def _interned(field, nvars, gens, degree, ideal=None):
             ("residue_degree", degree),
             ("_gens", gens),
             ("_ideal", ideal),
+            ("_strings", None),
         ):
             object.__setattr__(key, name, value)
     return key
 
 
-class CommutingTuple:
+class CommutingTuple(Immutable):
     """n pairwise-commuting d x d matrices over an exact field.
 
     The tuple holds its n maps once, as the stack ``_maps`` (n, d, d);
@@ -390,9 +392,6 @@ class CommutingTuple:
         put(self, "nvars", len(s.to_integers()[0]))
         put(self, "dim", s.rows)
         put(self, "_maps", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CommutingTuple is immutable")
 
     @property
     def mats(self):
@@ -786,7 +785,8 @@ def _key(maps, qs):
     q_i(t_i) kills V and M is prime.  When every q_i is known and at most
     one has degree above 1, the others are t_i - a_i and k[T]/I =
     k[t_j]/(q_j) is a field; I is maximal, so M = I and V is local at I,
-    keyed by ``_principal_key`` with no linear algebra.
+    keyed by ``_principal_key`` with no linear algebra, and V is a vector
+    space over k[T]/M.
 
     Otherwise M comes from the socle Soc, the intersection of the
     ker q_i(f_i), as the q_i(t_i) generate the Jacobson radical
@@ -802,47 +802,49 @@ def _key(maps, qs):
     names a g that splits k[T].s, a submodule of V.  A maximal M is the
     only point of V iff it kills Soc: a generator g of M with g(f).Soc !=
     0 is nilpotent on the piece at M and a unit on another, so g(f)
-    splits V."""
+    splits V, and otherwise Soc is a vector space over k[T]/M.
+
+    Either way the dimension of that vector space, V's or Soc's, must be
+    a multiple of the residue degree, the one check on a key's degree."""
     F, n, d = maps.field, len(maps.to_integers()[0]), maps.rows
     if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
-        return _principal_key([qs[i] for i in range(n)], d), None
-    simple = any(q.degree == d for q in qs.values())
-    if simple:
-        socle = Matrix.identity(F, d)
+        key, dim = _principal_key([qs[i] for i in range(n)]), d
     else:
-        parts = [eval_poly_at_matrix(q, [_layer(maps, i)]) for i, q in qs.items()]
-        socle = _kernel_rows(_stack(parts))[0].transpose()
-    ideal = _annihilator(maps, _submatrix(socle, range(d), [0]))
-    rd = ideal.quotient_dim
-    if rd != max(q.degree for q in qs.values()):
+        simple = any(q.degree == d for q in qs.values())
         if simple:
-            raise RuntimeError("a simple piece is not local")
-        g = _split_or_field(ideal, _regular_maps(ideal))
-        if g is not None:
-            return None, g
-    if socle.cols > rd:
-        mats = [_layer(maps, i) for i in range(n)]
-        for g in ideal.gens:
-            if not (eval_poly_at_matrix(g, mats) @ socle).is_zero:
+            socle = Matrix.identity(F, d)
+        else:
+            parts = [eval_poly_at_matrix(q, [_layer(maps, i)]) for i, q in qs.items()]
+            socle = _kernel_rows(_stack(parts))[0].transpose()
+        ideal = _annihilator(maps, _submatrix(socle, range(d), [0]))
+        rd = ideal.quotient_dim
+        if rd != max(q.degree for q in qs.values()):
+            if simple:
+                raise RuntimeError("a simple piece is not local")
+            g = _split_or_field(ideal, _regular_maps(ideal))
+            if g is not None:
                 return None, g
-    # local: Soc is a vector space over the residue field k[T]/M
-    return _local_key(ideal, socle.cols), None
+        if socle.cols > rd:
+            mats = [_layer(maps, i) for i in range(n)]
+            for g in ideal.gens:
+                if not (eval_poly_at_matrix(g, mats) @ socle).is_zero:
+                    return None, g
+        key, dim = MaximalIdealKey(ideal), socle.cols
+    if dim % key.residue_degree:
+        raise RuntimeError("dimension is not a multiple of the residue degree")
+    return key, None
 
 
-def _principal_key(qs, dim):
+def _principal_key(qs):
     """The key of the maximal ideal (q_1(t_1), .., q_n(t_n)), for monic
-    irreducible q_i, at most one of degree above 1, once dim, the
-    dimension of a vector space over its residue field, is checked to be
-    a multiple of the residue degree, max deg q_i.  Its reduced graded-lex
-    basis is the q_i(t_i) themselves (pairwise coprime leading monomials,
-    and no other term divisible by a leading monomial), by degree, then
-    by variable, so its form is read off the coefficients of the q_i
-    with no ``MultiPoly`` or ``Ideal``."""
+    irreducible q_i, at most one of degree above 1, of residue degree
+    max deg q_i.  Its reduced graded-lex basis is the q_i(t_i) themselves
+    (pairwise coprime leading monomials, and no other term divisible by a
+    leading monomial), by degree, then by variable, so its form is read
+    off the coefficients of the q_i with no ``MultiPoly`` or ``Ideal``."""
     n = len(qs)
     order = sorted(range(n), key=lambda i: -qs[i].degree)
     degree = qs[order[0]].degree
-    if dim % degree:
-        raise RuntimeError("dimension is not a multiple of the residue degree")
     gens = tuple(
         tuple(
             ((0,) * i + (k,) + (0,) * (n - 1 - i), c)
@@ -852,15 +854,6 @@ def _principal_key(qs, dim):
         for i in order
     )
     return _interned(qs[0].field, n, gens, degree)
-
-
-def _local_key(ideal, dim):
-    """The key of a maximal ideal, once dim, the dimension of a vector
-    space over its residue field, is checked to be a multiple of the
-    residue degree."""
-    if dim % ideal.quotient_dim:
-        raise RuntimeError("dimension is not a multiple of the residue degree")
-    return MaximalIdealKey(ideal)
 
 
 def _check_eigenspace(q, v, dim):

@@ -44,8 +44,8 @@ from .modules import (
     CommutingTuple,
     Ideal,
     MaximalIdealKey,
+    _is_field,
     _regular_maps,
-    quotient_is_field,
 )
 from .poly import MultiPoly
 
@@ -483,7 +483,7 @@ def class_from_json(obj):
     are not the reduced Groebner basis of a maximal ideal.  They are that
     basis exactly when the T_i of the regular representation commute and
     their annihilator is the same ideal, and it is maximal exactly when
-    ``quotient_is_field`` holds."""
+    ``modules._is_field`` holds on that regular tuple."""
     field = field_from_string(obj["field"])
     nvars = _json_integer(obj, "nvars")
     pairs = []
@@ -499,7 +499,7 @@ def class_from_json(obj):
         if (
             regular is None
             or regular.annihilator_ideal() != ideal
-            or not quotient_is_field(ideal)
+            or not _is_field(ideal, regular)
         ):
             raise ValueError(
                 f"[{', '.join(entry['generators'])}] is not a maximal ideal "

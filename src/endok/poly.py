@@ -34,6 +34,7 @@ from math import gcd, lcm
 from operator import attrgetter, index, mul
 
 from .errors import FieldMismatchError
+from .fields import Immutable
 
 NEG_INF = float("-inf")
 
@@ -205,9 +206,13 @@ def _monic(f, p):
 
 
 def _pow_mod(f, e, m, p):
-    """f**e modulo a nonzero m over F_p, by ``_power`` on the residue of f."""
+    """f**e modulo a nonzero m over F_p, by ``_power`` on the residue of f;
+    f**0 is the residue of 1, which is 0 for a unit m."""
     return _power(
-        _divmod(f, m, p)[1], e, lambda: [1], lambda a, b: _divmod(_mul(a, b, p), m, p)[1]
+        _divmod(f, m, p)[1],
+        e,
+        lambda: _divmod([1], m, p)[1],
+        lambda a, b: _divmod(_mul(a, b, p), m, p)[1],
     )
 
 
@@ -343,7 +348,7 @@ def _power(base, e, one, mul):
 # dense univariate polynomials
 
 
-class UniPoly:
+class UniPoly(Immutable):
     """Dense univariate polynomial; immutable value type.
 
     >>> from endok.fields import QQ
@@ -359,9 +364,6 @@ class UniPoly:
             raw.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(raw))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def _from_canonical(cls, field, coeffs):
@@ -605,7 +607,7 @@ def _variable_index(i, nvars):
     return i
 
 
-class MultiPoly:
+class MultiPoly(Immutable):
     """Sparse polynomial in t1..tn; terms sorted descending in grlex.
 
     The constructor checks and coerces outside input; it and the
@@ -625,9 +627,6 @@ class MultiPoly:
                 raise ValueError("negative exponent")
             checked.append((exps, field.coerce(c)))
         _merge(field, nvars, checked, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def zero(cls, field, nvars):

@@ -36,6 +36,7 @@ KERNELS = "src/endok/_kernels.py"
 FIELDS = "src/endok/fields.py"
 LINALG = "src/endok/linalg.py"
 MODULES = "src/endok/modules.py"
+PARSE = "src/endok/parse.py"
 POLY = "src/endok/poly.py"
 
 MUTANTS = [
@@ -126,6 +127,28 @@ MUTANTS = [
         "    return Matrix._from_form(field, *_reduced(num, den))\n",
         "    return Matrix._from_form(field, num, den)\n",
         ["tests/test_linalg.py::test_every_operation_keeps_the_canonical_form"],
+    ),
+    Mutant(
+        "pow-mod-unit-one",
+        POLY,
+        "        lambda: _divmod([1], m, p)[1],\n",
+        "        lambda: [1],\n",
+        ["tests/test_poly.py::test_lcm_and_pow_mod"],
+    ),
+    # the key layer
+    Mutant(
+        "key-renders-generators-reversed",
+        MODULES,
+        "render_terms(F, terms, n) for terms in self._gens)",
+        "render_terms(F, terms, n) for terms in reversed(self._gens))",
+        ["tests/test_modules.py::test_keys_render_their_own_term_tuples"],
+    ),
+    Mutant(
+        "class-json-skips-annihilator-check",
+        PARSE,
+        "            or regular.annihilator_ideal() != ideal\n",
+        "",
+        ["tests/test_parse.py::test_class_json_rejects_keys_that_are_not_maximal_in_reduced_form"],
     ),
     # the stack of the maps
     Mutant(

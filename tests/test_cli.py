@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -17,10 +18,11 @@ from endok import cli, modules
 from endok.bruteforce import random_commuting_tuple
 from endok.cli import main
 from endok.fields import GF, QQ
+from endok.ktheory import k0_class
 from endok.linalg import Matrix
-from endok.modules import CommutingTuple
-from endok.parse import class_from_json
-from endok.poly import MultiPoly
+from endok.modules import CommutingTuple, Ideal
+from endok.parse import class_from_json, parse_input
+from endok.poly import MultiPoly, UniPoly
 
 from conftest import conjugate, fat_point, job_text, src_env
 
@@ -138,6 +140,21 @@ def test_verify_additivity_output(tmp_path, capsys):
     assert out == "additivity ok (4 submodules)\n"
 
 
+def test_verify_additivity_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # the documented failure path, with the check failing on submodule 1
+    path = job(tmp_path, DIAG_Q)
+    for args in (["verify-additivity", path], ["verify-additivity", path, "--json"]):
+        seen = []
+        monkeypatch.setattr(cli, "verify_additivity", lambda t, s: seen.append(s) or len(seen) != 2)
+        code, out, err = run(capsys, args)
+        assert code == 2 and err == "" and len(seen) == 4
+        if "--json" in args:
+            obj = json.loads(out)
+            assert obj["ok"] is False and obj["failures"] == [1] and obj["submodules"] == 4
+        else:
+            assert out == "additivity FAILED for submodule 1\n"
+
+
 def test_oracle_check_output(tmp_path, capsys):
     code, out, _ = run(capsys, ["oracle-check", job(tmp_path, PAIR_F2)])
     assert code == 0
@@ -156,6 +173,54 @@ def test_tilde_commands(tmp_path, capsys):
     assert code == 0 and out == "1 * [t - 1]\n"
     code, _, err = run(capsys, ["tilde-map", job(tmp_path, "field Q\n")])
     assert code == 1 and "exactly one" in err
+
+
+def principal_job(field, r, a, b, c):
+    """A pair whose pieces all get principal keys: t1 acts as
+    C (+) C (+) a.I_2, C the companion matrix of an irreducible t^2 - r,
+    and t2 as b.I_4 (+) c.I_2, so that each piece is wider than its
+    residue degree."""
+    i2 = Matrix.identity(field, 2)
+    block = CommutingTuple(field, 2, 2, [Matrix.companion(UniPoly(field, [-r, 0, 1])), i2.scale(b)])
+    point = CommutingTuple(field, 2, 2, [i2.scale(a), i2.scale(c)])
+    return job_text(CommutingTuple.direct_sum(block, block, point))
+
+
+PRINCIPAL = {
+    "F97": (
+        principal_job(GF(97), 5, 11, 41, 53),
+        ["2 * [t1 + 86, t2 + 44]", "2 * [t1^2 + 92, t2 + 56]"],
+    ),
+    "Q": (
+        principal_job(QQ, 7, -3, 5, Fraction(1, 2)),
+        ["2 * [t1 + 3, t2 - 1/2]", "2 * [t1^2 - 7, t2 - 5]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PRINCIPAL))
+def test_principal_keys_sort_and_render_with_no_ideal(field, tmp_path, capsys, monkeypatch):
+    # a key made from the q_i renders its own term tuples: sorting and
+    # printing its class, in-process and through the CLI, builds no Ideal
+    text, expected = PRINCIPAL[field]
+    calls = []
+    build = Ideal.from_groebner_basis.__func__
+    monkeypatch.setattr(
+        Ideal, "from_groebner_basis", classmethod(lambda *a: calls.append(a) or build(*a))
+    )
+    gc.collect()  # no live key from an earlier test has its ideal yet
+    cls = k0_class(parse_input(text).tuple())
+    assert cls.lines() == expected
+    assert [e["degree"] for e in cls.to_json_entries()] == [1, 2]
+    path = job(tmp_path, text)
+    code, out, _ = run(capsys, ["class", path, "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    code, out, _ = run(capsys, ["decompose", path])
+    assert code == 0 and out.count("piece") == 2
+    assert calls == []
+    # reading the class back builds one Ideal per entry, from its text
+    assert class_from_json(obj) == cls and len(calls) == 2
 
 
 def test_json_output_and_roundtrip(tmp_path, capsys):

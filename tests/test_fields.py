@@ -7,9 +7,11 @@ import pytest
 from endok import _kernels
 from endok.errors import FieldMismatchError
 from endok.fields import GF, QQ, is_prime
-from endok.linalg import Matrix
+from endok.ktheory import TildeClass, k0_class
+from endok.linalg import Matrix, Subspace
+from endok.modules import CommutingTuple
 from endok.parse import field_from_string, parse_input
-from endok.poly import UniPoly
+from endok.poly import MultiPoly, UniPoly
 
 from conftest import field_id
 
@@ -139,3 +141,32 @@ def test_render_writes_every_digit_past_the_str_limit():
     assert QQ.render(Fraction(n * 10**7)) == "1" + "0" * (2 * limit - 1) + "1" + "0" * 7
     assert QQ.render(Fraction(-7, 2)) == "-7/2" and GF(5).render(4) == "4"
     assert sys.get_int_max_str_digits() == limit
+
+
+def _value_of_every_type():
+    """One value of each immutable type of the package, by class name."""
+    t = CommutingTuple.zeros(QQ, 2, 1)
+    key = t.maximal_ideal_key()
+    return {
+        "Matrix": Matrix.identity(QQ, 2),
+        "Subspace": Subspace(QQ, 2, [[1, 0]]),
+        "Ideal": key.ideal,
+        "MaximalIdealKey": key,
+        "CommutingTuple": t,
+        "UniPoly": UniPoly.gen(QQ),
+        "MultiPoly": MultiPoly.variable(QQ, 2, 0),
+        "GrothendieckClass": k0_class(t),
+        "TildeClass": TildeClass(UniPoly(QQ, [1, 1])),
+        "Rationals": QQ,
+        "PrimeField": GF(5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_of_every_type()))
+def test_values_are_immutable(name):
+    # one body, in fields.Immutable, names the class of the value
+    value = _value_of_every_type()[name]
+    assert type(value).__name__ == name
+    for attr in ("field", "nvars", "_unset"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)

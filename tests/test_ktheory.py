@@ -82,6 +82,21 @@ def test_class_group_operations():
         a + GrothendieckClass.zero(QQ, 2)
 
 
+def test_equal_classes_hash_equal():
+    # equal values built in different ways are one dict key
+    z = CommutingTuple(QQ, 1, 2, [Matrix.zeros(QQ, 2, 2)])
+    diag = CommutingTuple(QQ, 1, 2, [Matrix(QQ, [[0, 0], [0, 1]])])
+    a = k0_class(CommutingTuple.direct_sum(z, diag))
+    k, k1 = principal_maximal_key(UniPoly.gen(QQ)), principal_maximal_key(UniPoly(QQ, [-1, 1]))
+    b = GrothendieckClass(QQ, 1, [(k1, 2), (k, 3), (k1, -1)])
+    assert a == b and hash(a) == hash(b) and {a: "v"}[b] == "v"
+    t = UniPoly.gen(QQ)
+    one = UniPoly.one(QQ)
+    x = TildeClass(one + t) * TildeClass(one - t)
+    y = TildeClass(3 * (one - t * t) * (one + 2 * t), UniPoly.constant(QQ, 3) * (one + 2 * t))
+    assert x == y and hash(x) == hash(y) and {x: "v"}[y] == "v"
+
+
 @pytest.mark.parametrize("mult", [1.5, 2.0, "2", Fraction(3), None], ids=repr)
 def test_class_rejects_non_integer_multiplicities(mult):
     # never rounded or parsed: 1.5 is not stored as 1, nor "2" as 2

@@ -29,7 +29,7 @@ from endok.modules import (
     multiplication_matrix,
     quotient_is_field,
 )
-from endok.poly import MultiPoly, UniPoly
+from endok.poly import MultiPoly, UniPoly, normal_form
 
 from conftest import (
     ALL_FIELDS,
@@ -407,7 +407,7 @@ def test_annihilator_dim_zero_is_unit_ideal():
     z = CommutingTuple.zeros(QQ, 2, 0)
     ideal = z.annihilator_ideal()
     assert ideal.is_unit and ideal.standard_monomials == ()
-    assert ideal.normal_form(MultiPoly.one(QQ, 2)).is_zero
+    assert normal_form(MultiPoly.one(QQ, 2), ideal.gens).is_zero
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
@@ -455,7 +455,7 @@ def test_annihilator_soundness(field):
                     for _ in range(3)
                 },
             )
-            nf = ideal.normal_form(p)
+            nf = normal_form(p, ideal.gens)
             val = eval_poly_at_matrix(p, list(t.mats))
             assert val == eval_poly_at_matrix(nf, list(t.mats))
             assert nf.is_zero == (val == zero)
@@ -551,7 +551,7 @@ def test_equal_ideals_built_apart_hash_equal():
     assert hash(found) == hash(written) == hash(written)
     assert {found: 1}[written] == 1
     assert hash(written) == hash((QQ, 2, written.gens))
-    for name in ("gens", "_strings"):
+    for name in ("gens", "standard_monomials"):
         with pytest.raises(AttributeError):
             setattr(written, name, None)
     assert hash(written) == hash(found)
@@ -729,6 +729,27 @@ def test_quotient_is_field_rejects_nonmaximal():
     assert not quotient_is_field(diag.annihilator_ideal())  # k x k
     tJ = CommutingTuple(QQ, 1, 2, [J])
     assert not quotient_is_field(tJ.annihilator_ideal())  # k[t]/(t^2)
+    for field in (QQ, F2):
+        for n in (1, 2):
+            # the unit ideal: k[T]/I is the zero ring
+            assert not quotient_is_field(CommutingTuple.zeros(field, n, 0).annihilator_ideal())
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=field_id)
+def test_keys_render_their_own_term_tuples(field):
+    # a key's text, read off its term tuples, is its ideal's, generator by
+    # generator, for keys from the q_i, from a socle and from a simple piece
+    rng = random.Random(39)
+    seen = 0
+    for _ in range(12):
+        t = random_commuting_tuple(field, rng.randint(2, 3), rng.randint(1, 5), rng)
+        for _, key in t._local_pieces():
+            strings = key.ideal.generator_strings()
+            assert key.generator_strings() == strings
+            assert repr(key) == f"MaximalIdealKey([{', '.join(strings)}])"
+            assert key.sort_key() == (key.residue_degree, strings)
+            seen += len(strings) > 1
+    assert seen
 
 
 # -- the exact field test ----------------------------------------------------

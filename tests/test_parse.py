@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from endok import modules
 from endok import parse as parse_module
 from endok.errors import ParseError
 from endok.fields import GF, QQ
@@ -485,6 +486,24 @@ def test_class_json_adds_repeated_keys():
     obj["class"] = [entry(2), dict(entry(1), degree=2)]
     with pytest.raises(ValueError):
         class_from_json(obj)
+
+
+def test_class_json_builds_one_regular_representation_per_entry(monkeypatch):
+    # the entry's commutation and annihilator check and its field test
+    # share one regular tuple
+    calls = []
+    original = modules._regular_maps
+    for module in (modules, parse_module):
+        monkeypatch.setattr(module, "_regular_maps", lambda i: calls.append(i) or original(i))
+    entries = [
+        {"generators": ["t1^2 + 92", "t2 + 92"], "degree": 2, "multiplicity": 1},
+        {"generators": ["t1 + 3", "t2"], "degree": 1, "multiplicity": 2},
+    ]
+    obj = {"field": "F97", "nvars": 2, "class": entries[:1]}
+    assert class_from_json(obj).lines() == ["1 * [t1^2 + 92, t2 + 92]"]
+    assert len(calls) == 1
+    obj["class"] = entries
+    assert len(class_from_json(obj).items()) == 2 and len(calls) == 3
 
 
 def test_class_json_roundtrip_zero():

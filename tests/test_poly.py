@@ -152,6 +152,8 @@ def test_lcm_and_pow_mod():
     m = [1, 0, 1]  # t^2 + 1 over F5
     assert _pow_mod([0, 1], 4, m, 5) == [1]  # t^4 = 1 mod t^2+1
     assert _pow_mod([0, 1], 0, m, 5) == [1]
+    # modulo a unit every residue is 0, the 0th power too
+    assert _pow_mod([0, 1], 0, [3], 5) == _pow_mod([0, 1], 1, [3], 5) == []
     with pytest.raises(ValueError, match="negative exponent"):
         _pow_mod([0, 1], -1, m, 5)
 

@@ -41,6 +41,8 @@ def test_every_module_level_import_is_read():
 DOCUMENTED_API = {
     "compare_splittings": "the README's n = 1 consistency check",
     "principal_maximal_key": "the README's key of (q) for an irreducible q of the caller's",
+    "quotient_is_field": "the README's field test on a caller's ideal; class_from_json "
+    "calls its body, _is_field, with the regular tuple it has built",
     "random_commuting_tuple": "perfbench/gen.py imports it from endok",
 }
 
@@ -61,6 +63,27 @@ def test_every_export_has_a_caller():
             }
     unread = [name for name in exported if name not in read and name not in DOCUMENTED_API]
     assert not unread
+
+
+def test_every_private_function_has_a_caller():
+    # the twin of the export check for the package's module-level helpers:
+    # each _function is read, by name or as a module attribute, somewhere
+    # in the package outside its own definition
+    defined, read = [], set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, ast.FunctionDef) and own.startswith("_"):
+                defined.append(own)
+            names = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                or isinstance(sub, ast.Attribute)
+            }
+            read |= names - {own}
+    assert len(defined) > 50
+    assert [name for name in defined if name not in read] == []
 
 
 def test_every_mutant_patch_applies():
