@@ -33,10 +33,17 @@ divisor f of g is that product reduced mod f, so one Q serves every
 modulus of g's splitting.  Everything else, gcds and products included,
 runs on the coefficient lists of :mod:`endok.poly` (raw residues, one
 reduction mod p per coefficient).  Distinct-degree splitting takes one
-such step per degree; equal-degree splitting takes r^((p^d - 1)/2) as
-the norm r.r^p...r^(p^(d-1)), d - 1 steps, raised to the power
-(p - 1)/2, and over F_2 the trace r + r^2 + ... + r^(2^(d-1)) in d - 1
-steps (von zur Gathen-Shoup).
+such step per degree.  Equal-degree splitting of a product h of k
+irreducibles of degree d, for p <= ROOT_EVAL_LIMIT, takes the trace
+T = r + r^p + ... + r^(p^(d-1)) mod h of a random r in d - 1 steps: T
+takes one value in F_p on each factor, two factors share it with
+probability 1/p, and h splits into one part gcd(h, T - c) per root c of
+T's minimal polynomial, of degree <= k, found from the powers of T mod h
+and the same evaluation as the roots of f (von zur Gathen-Gerhard,
+Modern Computer Algebra, 14.3 and 14.8).  Past the limit it takes
+r^((p^d - 1)/2) as the norm r.r^p...r^(p^(d-1)), d - 1 steps, raised to
+the power (p - 1)/2, which splits two factors with probability 1/2
+(Cantor-Zassenhaus, von zur Gathen-Shoup).
 
 Over Q the parts are primitive integer polynomials, and a linear part is
 its own factor.  Zassenhaus factors each other part: reduce modulo a good
@@ -61,8 +68,9 @@ Recombination tries at most ``RECOMBINATION_BUDGET`` subsets per
 squarefree part and raises ValueError past it, so its exponential worst
 case stays bounded.
 
-Cantor-Zassenhaus, the one randomized step, draws from its own generator
-seeded with ``DEFAULT_SEED``; the sorted factors do not depend on the draws.
+Equal-degree splitting, the one randomized step, draws from its own
+generator seeded with ``DEFAULT_SEED``; the sorted factors do not depend
+on the draws.
 """
 
 import math
@@ -282,8 +290,19 @@ def _distinct_degree_split(g, p, q, lowest):
 
 
 def _equal_degree_split(h, d, p, rng, q):
-    """Cantor-Zassenhaus split of h into its degree-d irreducible factors,
-    for q the Frobenius matrix of a multiple of h."""
+    """Split h into its degree-d irreducible factors, for q the Frobenius
+    matrix of a multiple of h, from random r reduced mod h.
+
+    For p <= ROOT_EVAL_LIMIT by the values of the trace T = r + r^p + ..
+    + r^(p^(d-1)) mod h, d - 1 Frobenius steps: T^p = T, so T takes one
+    value c in F_p on each factor, and its minimal polynomial mu is the
+    product of the t - c over those values.  The roots of mu, found by
+    ``_roots``, give the parts gcd(h, T - c), each the product of the
+    factors on which T is c; a constant T splits nothing and is drawn
+    again.  Over F_2 these are the two parts of the trace split.  For
+    larger p, where no root can be found by evaluation, Cantor-Zassenhaus:
+    r^((p^d - 1)/2) = (r.r^p...r^(p^(d-1)))^((p - 1)/2) is +-1 on each
+    factor, and gcd(h, r^((p^d - 1)/2) - 1) splits h in two."""
     n = len(h) - 1
     if n == d:
         return [h]
@@ -292,19 +311,24 @@ def _equal_degree_split(h, d, p, rng, q):
         if len(r) < 2:
             continue
         r = _divmod(r, h, p)[1]
-        if p == 2:
-            # trace map r + r^2 + ... + r^(2^(d-1)) splits half the factors
-            probe = r
+        if p <= ROOT_EVAL_LIMIT:
+            trace = r
             for _ in range(d - 1):
                 r = _frobenius_step(r, q, h, p)
-                probe = _add(probe, r, p)
-        else:
-            # r^((p^d - 1)/2) = (r.r^p...r^(p^(d-1)))^((p - 1)/2)
-            norm = r
-            for _ in range(d - 1):
-                r = _frobenius_step(r, q, h, p)
-                norm = _divmod(_mul(norm, r, p), h, p)[1]
-            probe = _sub(_pow_mod(norm, (p - 1) // 2, h, p), [1], p)
+                trace = _add(trace, r, p)
+            if len(trace) < 2:
+                continue
+            values = _roots(_minimal_polynomial(trace, h, p), p)
+            return [
+                f
+                for c in values
+                for f in _equal_degree_split(_gcd(h, _sub(trace, [c], p), p), d, p, rng, q)
+            ]
+        norm = r
+        for _ in range(d - 1):
+            r = _frobenius_step(r, q, h, p)
+            norm = _divmod(_mul(norm, r, p), h, p)[1]
+        probe = _sub(_pow_mod(norm, (p - 1) // 2, h, p), [1], p)
         if not probe:
             continue
         g = _gcd(h, probe, p)
@@ -312,6 +336,30 @@ def _equal_degree_split(h, d, p, rng, q):
             return _equal_degree_split(g, d, p, rng, q) + _equal_degree_split(
                 _divmod(h, g, p)[0], d, p, rng, q
             )
+
+
+def _minimal_polynomial(a, h, p):
+    """The monic minimal polynomial of a mod h over F_p: the powers 1, a,
+    a^2, .. mod h, each reduced against the ones before it by elimination
+    on coefficient lists, with the combination of powers it stands for,
+    until one reduces to zero; that combination is the polynomial."""
+    rows = []  # (pivot, row, combination), row[pivot] == 1
+    power = [1]
+    while True:
+        v = power + [0] * (len(h) - 1 - len(power))
+        combo = [0] * len(rows) + [1]
+        for pivot, row, c in rows:
+            x = v[pivot]
+            if x:
+                v = [(y - x * z) % p for y, z in zip(v, row)]
+                for j, z in enumerate(c):
+                    combo[j] = (combo[j] - x * z) % p
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return combo
+        inv = pow(v[pivot], -1, p)
+        rows.append((pivot, [x * inv % p for x in v], [x * inv % p for x in combo]))
+        power = _divmod(_mul(power, a, p), h, p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,8 @@ class GrothendieckClass(Immutable):
 def k0_class(t, rng=None):
     """The class of a commuting tuple: for each local piece with key M,
     dim(piece) / residue_degree(M) composition factors at M.  The division
-    is exact; dimension bookkeeping gives
+    is exact, as the key step checks for every piece; dimension
+    bookkeeping gives
     sum mult(M) * residue_degree(M) = dim V.
 
     For one endomorphism f the class is read off the factored
@@ -144,13 +145,7 @@ def k0_class(t, rng=None):
         factors = factor_univariate(charpoly(_layer_rows(t._maps)))
         pairs = [(_principal_key([q]), v) for q, v in factors]
         return GrothendieckClass(t.field, 1, pairs)
-    pairs = []
-    for w, key in t._local_pieces():
-        if w.rows % key.residue_degree:
-            raise RuntimeError(
-                "piece dimension is not a multiple of its residue degree"
-            )
-        pairs.append((key, w.rows // key.residue_degree))
+    pairs = [(key, w.rows // key.residue_degree) for w, key in t._local_pieces()]
     return GrothendieckClass(t.field, t.nvars, pairs)
 
 

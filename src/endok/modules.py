@@ -32,7 +32,10 @@ and ``_key`` are functions of the stack alone.
 import heapq
 import weakref
 from collections import deque
+from fractions import Fraction
 from itertools import count, islice
+
+import numpy as np
 
 from .errors import FieldMismatchError, NonCommutingError
 from .factor import factor_univariate
@@ -265,11 +268,11 @@ class MaximalIdealKey(Immutable):
 
     Keys are interned by a canonical form of that basis, the field, the
     arity and the generators' term tuples: ``MaximalIdealKey(ideal)``
-    derives it from the ideal, ``_principal_key`` from the coefficients of
-    the q_i alone, and either returns the live key of that form if there
-    is one.  So one ideal has one key object, whichever path made it, keys
-    compare by identity, and the classes a caller keeps hold each basis
-    once.  A key sorts and renders from its own term tuples
+    derives it from the ideal, ``_affine_key`` from the coefficients of a
+    q_i and of the affine maps alone, and either returns the live key of
+    that form if there is one.  So one ideal has one key object, whichever
+    path made it, keys compare by identity, and the classes a caller keeps
+    hold each basis once.  A key sorts and renders from its own term tuples
     (``generator_strings``); a key made without an ``Ideal`` builds one
     only on the first read of ``ideal``, which the tilde maps and the
     tests make.  The caller vouches that the ideal is maximal."""
@@ -306,7 +309,7 @@ class MaximalIdealKey(Immutable):
         return f"MaximalIdealKey([{', '.join(self.generator_strings())}])"
 
 
-# The live keys, by canonical form, that MaximalIdealKey and _principal_key
+# The live keys, by canonical form, that MaximalIdealKey and _affine_key
 # intern; the table holds no key strongly.
 _KEYS = weakref.WeakValueDictionary()
 
@@ -568,10 +571,11 @@ class CommutingTuple(Immutable):
         it further, into at least two pieces, or the loop raises rather than
         take the item again; so does, with no more primary tests, an item
         where some q_i has degree W.rows, as it is simple (Schur's lemma, see
-        ``_key``), and ``_key`` keys it by the annihilator of its first basis
-        vector unless every generator is already primary.  At the end the
-        pieces' dimensions must add up to dim V and the stacked W must have
-        full rank.
+        ``_key``): ``_key`` reads its key off the coefficients when every
+        other generator is affine in f_i, and otherwise keys it by the
+        annihilator of its first basis vector.  At the end the pieces'
+        dimensions must add up to dim V and the stacked W must have full
+        rank.
         """
         F, n, d = self.field, self.nvars, self.dim
         if d == 0:
@@ -775,11 +779,6 @@ def _key(maps, qs):
     deg q_i = d = dim V): (key, None) when their module V is local, or
     (None, g) when it is not, with g(f) splitting it.
 
-    When deg q_i = d, V is simple (Schur's lemma): K = k[f_i] is a field
-    of degree d, V is a K-line, and each f_j commutes with f_i, so it is
-    K-linear, multiplication by an element of K; the f_j not yet in qs are
-    left out, and V is keyed by the annihilator of its first basis vector.
-
     Each q_i(f_i) is nilpotent on V, so every maximal ideal M of the
     support of V contains I = (q_1(t_1), .., q_n(t_n)): a power of
     q_i(t_i) kills V and M is prime.  When every q_i is known and at most
@@ -787,6 +786,14 @@ def _key(maps, qs):
     k[t_j]/(q_j) is a field; I is maximal, so M = I and V is local at I,
     keyed by ``_principal_key`` with no linear algebra, and V is a vector
     space over k[T]/M.
+
+    When deg q_i = d, V is simple (Schur's lemma): K = k[f_i] is a field
+    of degree d, V is a K-line, and each f_j commutes with f_i, so it is
+    K-linear, multiplication by an element of K; the f_j not yet in qs are
+    left out.  When every f_j is affine in f_i, f_j = a_j + b_j f_i
+    (``_affine_partners``: always at d <= 2, and whenever the f_j are
+    scalars), M is read off the a_j and b_j by ``_affine_key``.
+    Otherwise V is keyed by the annihilator of its first basis vector.
 
     Otherwise M comes from the socle Soc, the intersection of the
     ker q_i(f_i), as the q_i(t_i) generate the Jacobson radical
@@ -804,14 +811,18 @@ def _key(maps, qs):
     0 is nilpotent on the piece at M and a unit on another, so g(f)
     splits V, and otherwise Soc is a vector space over k[T]/M.
 
-    Either way the dimension of that vector space, V's or Soc's, must be
-    a multiple of the residue degree, the one check on a key's degree."""
+    V is a vector space over k[T]/M up to its composition series, so the
+    dimension of V, and of Soc for a key read off the socle, must be a
+    multiple of the residue degree: the one check on a key's degree,
+    made here for every key."""
     F, n, d = maps.field, len(maps.to_integers()[0]), maps.rows
+    simple = next((i for i, q in qs.items() if q.degree == d), None)
     if len(qs) == n and sum(q.degree > 1 for q in qs.values()) <= 1:
-        key, dim = _principal_key([qs[i] for i in range(n)]), d
+        key, socle_dim = _principal_key([qs[i] for i in range(n)]), d
+    elif simple is not None and (ab := _affine_partners(maps, simple)) is not None:
+        key, socle_dim = _affine_key(qs[simple], *ab), d
     else:
-        simple = any(q.degree == d for q in qs.values())
-        if simple:
+        if simple is not None:
             socle = Matrix.identity(F, d)
         else:
             parts = [eval_poly_at_matrix(q, [_layer(maps, i)]) for i, q in qs.items()]
@@ -819,7 +830,7 @@ def _key(maps, qs):
         ideal = _annihilator(maps, _submatrix(socle, range(d), [0]))
         rd = ideal.quotient_dim
         if rd != max(q.degree for q in qs.values()):
-            if simple:
+            if simple is not None:
                 raise RuntimeError("a simple piece is not local")
             g = _split_or_field(ideal, _regular_maps(ideal))
             if g is not None:
@@ -829,31 +840,110 @@ def _key(maps, qs):
             for g in ideal.gens:
                 if not (eval_poly_at_matrix(g, mats) @ socle).is_zero:
                     return None, g
-        key, dim = MaximalIdealKey(ideal), socle.cols
-    if dim % key.residue_degree:
+        key, socle_dim = MaximalIdealKey(ideal), socle.cols
+    if d % key.residue_degree or socle_dim % key.residue_degree:
         raise RuntimeError("dimension is not a multiple of the residue degree")
     return key, None
 
 
+def _affine_partners(maps, i):
+    """(a, b) with f_j = a_j + b_j f_i for every f_j in the stack maps, as
+    raw scalars with a_i = 0 and b_i = 1, or None when some f_j is not
+    affine in f_i, on a simple piece where f_i has an irreducible
+    characteristic polynomial of degree d = dim.
+
+    At d = 1 every map is a scalar, a_j, with b_j = 0.  At d >= 2 f_i is
+    not a scalar, so some off-diagonal entry x = f_i[k, l] is nonzero,
+    and on the integer forms N_j / D of the stack an affine f_j has
+    b_j = y_j / x for y_j = N_j[k, l], and x.N_j - y_j.N_i = c_j.1 with
+    c_j read at (k, k), a_j = c_j / (x.D).  The entry (l, l) rejects most
+    f_j that are not affine; one comparison of the whole stack proves the
+    rest, reduced mod p over F_p, exactly over Q."""
+    F = maps.field
+    p = F.characteristic
+    num, den = maps.to_integers()
+    n, d = len(num), maps.rows
+
+    def ratio(u, v):
+        return int(u) * pow(int(v), -1, p) % p if p else Fraction(int(u), int(v))
+
+    if d == 1:
+        return [0 if j == i else ratio(num[j, 0, 0], den) for j in range(n)], [
+            int(j == i) for j in range(n)
+        ]
+    fi = num[i]
+    off = fi != 0
+    off[range(d), range(d)] = False
+    k, l = (int(e) for e in np.argwhere(off)[0])
+    x, y = fi[k, l], num[:, k, l]
+    c = x * num[:, k, k] - y * fi[k, k]
+    rest = x * num[:, l, l] - y * fi[l, l] - c
+    if (rest % p if p else rest).any():
+        return None
+    rest = x * num - y[:, None, None] * fi
+    rest[:, range(d), range(d)] -= c[:, None]
+    if (rest % p if p else rest).any():
+        return None
+    return [ratio(cj, x * den) for cj in c], [ratio(yj, x) for yj in y]
+
+
+def _affine_key(q, a, b):
+    """The key of the maximal ideal M of the points with f_j = a_j + b_j x
+    for x a root of the monic irreducible q of degree d, a_j and b_j raw
+    scalars with some b_j != 0, of residue degree d.
+
+    For s the last index with b_s != 0, f_s = a_s + b_s x is a root of
+    q_s(t) = b_s^d q((t - a_s) / b_s), monic, and every f_j = a_j +
+    b_j (f_s - a_s) / b_s.  So the reduced graded-lex basis of M is
+    q_s(t_s) and t_j - (b_j / b_s) t_s - (a_j - a_s b_j / b_s) for
+    j != s, where b_j = 0 for j > s: the leading monomials t_s^d and t_j
+    are pairwise coprime, no other term is divisible by one, and the
+    quotient has dimension d.  Its term tuples are read off these
+    coefficients, coerced as ``_merge`` does, with no ``MultiPoly`` or
+    ``Ideal``, by degree, then by variable."""
+    F, d, n = q.field, q.degree, len(a)
+    coerce, one = F.coerce, F.one
+    s = n - 1
+    while not b[s]:
+        s -= 1
+    acc = q.coeffs
+    if b[s] != 1 or a[s]:
+        # Horner on b_s^d q(u / b_s), u = t - a_s: acc <- acc.u + q_k b_s^(d-k)
+        acc, scale = [one], one
+        for c in reversed(q.coeffs[:-1]):
+            scale = coerce(scale * b[s])
+            acc = [coerce(y - a[s] * z) for y, z in zip([0] + acc, acc + [0])]
+            acc[0] = coerce(acc[0] + c * scale)
+    zero = (0,) * n
+    head, tail = zero[:s], zero[s + 1 :]
+    gens = [tuple((head + (e,) + tail, acc[e]) for e in range(d, -1, -1) if acc[e])]
+    for j in range(n):
+        if j == s:
+            continue
+        tj = zero[:j] + (1,) + zero[j + 1 :]
+        if b[j]:
+            slope = coerce(b[j] * F.inv(coerce(b[s])))
+            terms = ((tj, one), (head + (1,) + tail, -slope), (zero, a[s] * slope - a[j]))
+        else:
+            terms = ((tj, one), (zero, -a[j]))
+        gens.append(tuple((e, c) for e, x in terms if (c := coerce(x))))
+    if d == 1:
+        # every leading monomial is a t_j, so the order is by variable
+        gens.insert(s, gens.pop(0))
+    return _interned(F, n, tuple(gens), d)
+
+
 def _principal_key(qs):
     """The key of the maximal ideal (q_1(t_1), .., q_n(t_n)), for monic
-    irreducible q_i, at most one of degree above 1, of residue degree
-    max deg q_i.  Its reduced graded-lex basis is the q_i(t_i) themselves
-    (pairwise coprime leading monomials, and no other term divisible by a
-    leading monomial), by degree, then by variable, so its form is read
-    off the coefficients of the q_i with no ``MultiPoly`` or ``Ideal``."""
-    n = len(qs)
-    order = sorted(range(n), key=lambda i: -qs[i].degree)
-    degree = qs[order[0]].degree
-    gens = tuple(
-        tuple(
-            ((0,) * i + (k,) + (0,) * (n - 1 - i), c)
-            for k, c in reversed(list(enumerate(qs[i].coeffs)))
-            if c
-        )
-        for i in order
-    )
-    return _interned(qs[0].field, n, gens, degree)
+    irreducible q_i, at most one of degree above 1: the points with
+    f_i = x for x a root of the q_i of largest degree, and f_j = a_j for
+    the others, q_j = t - a_j; ``_affine_key`` with every other b_j = 0,
+    whose basis is then the q_i(t_i) themselves."""
+    degrees = [q.degree for q in qs]
+    i = degrees.index(max(degrees))
+    a = [0 if j == i else -q.coeffs[0] for j, q in enumerate(qs)]
+    b = [int(j == i) for j in range(len(qs))]
+    return _affine_key(qs[i], a, b)
 
 
 def _check_eigenspace(q, v, dim):

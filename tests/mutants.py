@@ -32,6 +32,7 @@ TIMEOUT = 120  # seconds; the tests of a mutant whose loops end take far less
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
+FACTOR = "src/endok/factor.py"
 KERNELS = "src/endok/_kernels.py"
 FIELDS = "src/endok/fields.py"
 LINALG = "src/endok/linalg.py"
@@ -135,7 +136,35 @@ MUTANTS = [
         "        lambda: [1],\n",
         ["tests/test_poly.py::test_lcm_and_pow_mod"],
     ),
+    # equal-degree splitting by trace values
+    Mutant(
+        "trace-split-keeps-one-value",
+        FACTOR,
+        "                for c in values\n",
+        "                for c in values[:1]\n",
+        ["tests/test_differential.py::test_equal_degree_products_match_sympy"],
+    ),
     # the key layer
+    Mutant(
+        "affine-key-skips-its-check",
+        MODULES,
+        "    rest = x * num[:, l, l] - y * fi[l, l] - c\n"
+        "    if (rest % p if p else rest).any():\n"
+        "        return None\n"
+        "    rest = x * num - y[:, None, None] * fi\n"
+        "    rest[:, range(d), range(d)] -= c[:, None]\n"
+        "    if (rest % p if p else rest).any():\n"
+        "        return None\n",
+        "",
+        ["tests/test_split.py::test_read_off_keys_are_the_annihilators_keys"],
+    ),
+    Mutant(
+        "affine-key-unscaled-slope",
+        MODULES,
+        "slope = coerce(b[j] * F.inv(coerce(b[s])))",
+        "slope = coerce(b[j])",
+        ["tests/test_split.py::test_read_off_keys_are_the_annihilators_keys"],
+    ),
     Mutant(
         "key-renders-generators-reversed",
         MODULES,

@@ -16,7 +16,9 @@ root 0 the root stage proves, rational roots with denominators, large
 roots, modular roots that lift to no rational root, and a root bound that
 is too small are checked against sympy too, and so is recombination at
 the half-degree bound, where only the side of a subset with at most half
-the degree is rebuilt.
+the degree is rebuilt.  So are products of several irreducibles of one
+degree, which equal-degree splitting separates by the values of a trace
+up to the evaluation limit and by norm powers past it.
 
 The class path factors ``linalg.charpoly`` with ``factor_univariate`` to
 split pieces into generalised eigenspaces, and keys them by annihilators;
@@ -52,7 +54,7 @@ from endok.factor import factor_univariate
 from endok.fields import GF, QQ, is_prime
 from endok.linalg import Matrix, charpoly, eval_poly_at_matrix, rref
 from endok.modules import CommutingTuple, multiplication_matrix
-from endok.poly import MultiPoly, UniPoly, _squarefree_parts, normal_form, uni_gcd
+from endok.poly import MultiPoly, UniPoly, _mul, _squarefree_parts, normal_form, uni_gcd
 
 from conftest import (
     conjugate as conjugate_tuple,
@@ -232,6 +234,66 @@ def test_roots_with_multiplicities_match_sympy(p, monkeypatch):
         assert all(not factor._roots(g, p) for _, g in stages if len(g) > 1)
     else:
         assert not found
+
+
+@pytest.mark.parametrize("p", [3, 5, 97, 2039, 2053], ids=str)
+def test_equal_degree_products_match_sympy(p, monkeypatch):
+    # products of 3 to 6 distinct irreducibles of one degree d, times
+    # linear factors: up to ROOT_EVAL_LIMIT equal-degree splitting reads
+    # the parts off the values of a trace, past it (2053) it takes norm
+    # powers and finds no minimal polynomial
+    assert 2039 <= factor.ROOT_EVAL_LIMIT < 2053
+    minimal = spy(monkeypatch, "_minimal_polynomial")
+    F = GF(p)
+    rng = random.Random(61 + p)
+    for d in (2, 3, 4):
+        for _ in range(3):
+            # F_3 has 3 monic irreducible quadratics
+            count = min(rng.randint(3, 6), 3 if (p, d) == (3, 2) else 6)
+            factors = set()
+            while len(factors) < count:
+                factors.add(random_irreducible(F, d, rng))
+            f = UniPoly.constant(F, rng.randrange(1, p))
+            for q in factors:
+                f = f * q
+            for a in rng.sample(range(p), rng.randint(0, 3)):
+                f = f * UniPoly(F, [-a, 1])
+            assert_factors_match_sympy(f)
+    assert bool(minimal) == (p <= factor.ROOT_EVAL_LIMIT)
+    # each minimal polynomial of a trace is a product of distinct t - c
+    for mu in minimal:
+        assert len(factor._roots(mu, p)) == len(mu) - 1 >= 2
+
+
+def test_constant_trace_is_drawn_again(monkeypatch):
+    # over F_3 with d = 3, r = t^3 - t has trace x^3 - x + (x^3 - x)^3 +
+    # (x^3 - x)^9 = 0 on every point x of F_27: a constant, which splits
+    # nothing, so a second r is drawn before any minimal polynomial
+    F = GF(3)
+    rng = random.Random(5)
+    factors = set()
+    while len(factors) < 3:
+        factors.add(tuple(random_irreducible(F, 3, rng).coeffs))
+    h = [1]
+    for q in factors:
+        h = _mul(h, list(q), 3)
+    first = iter([0, 2, 0, 1, 0, 0])  # t^3 - t, lowest degree first
+    draws = []
+    rest = random.Random(0)
+
+    class Stub:
+        def randrange(self, n):
+            draws.append(n)
+            return next(first, None) if len(draws) <= 6 else rest.randrange(n)
+
+    at = []
+    real = factor._minimal_polynomial
+    monkeypatch.setattr(
+        factor, "_minimal_polynomial", lambda *a: at.append(len(draws)) or real(*a)
+    )
+    split = factor._equal_degree_split(h, 3, 3, Stub(), factor._frobenius(h, 3))
+    assert sorted(map(tuple, split)) == sorted(factors)
+    assert at and at[0] >= 12
 
 
 def test_powers_of_t_match_sympy(monkeypatch):

@@ -327,12 +327,14 @@ def test_odd_prime_cantor_zassenhaus():
     assert prod == f
 
 
-# -- Frobenius-matrix DDF and Cantor-Zassenhaus against _pow_mod ----------------
+# -- Frobenius-matrix DDF and equal-degree splitting against _pow_mod -----------
 #
 # The reference takes every p-th power with _pow_mod (square-and-multiply
-# on coefficient lists) and r^((p^d - 1)/2) in one _pow_mod; the draws
-# from rng are the same, so the factor lists and the rng state after the
-# call must be identical.
+# on coefficient lists) and r^((p^d - 1)/2) in one _pow_mod, and over F_2
+# splits by the trace.  Where the package takes the same steps, over F_2
+# and past ROOT_EVAL_LIMIT, the draws from rng are the same, so the
+# factor lists and the rng state after the call must be identical; the
+# split by trace values at other p must give the same sorted factors.
 
 
 def pow_mod_ddf(g, p):
@@ -398,9 +400,14 @@ def squarefree_inputs(p, rng, count):
 )
 def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
     # _factor_squarefree_modp makes its one generator only when some part
-    # sent to Cantor-Zassenhaus still needs an equal-degree split; for
+    # sent to equal-degree splitting still needs a split; for
     # p <= ROOT_EVAL_LIMIT _linear_factors takes the roots first, and
-    # the root-free cofactor's distinct-degree split starts at degree 2
+    # the root-free cofactor's distinct-degree split starts at degree 2.
+    # Over F_2 the split by trace values is the reference's trace split,
+    # and past ROOT_EVAL_LIMIT both take the same norm powers, so the
+    # draws and the factor lists match draw by draw; at other p the trace
+    # takes up to p values at once, and the sorted factors match
+    pinned = p == 2 or p > factor.ROOT_EVAL_LIMIT
     made = []
 
     def recording(seed):
@@ -419,8 +426,11 @@ def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
             seen.add(d > 1 and len(h) - 1 > d)
             ours, theirs = random.Random(k), random.Random(k)
             split = factor._equal_degree_split(h, d, p, ours, q)
-            assert split == pow_mod_edf(h, d, p, theirs)
-            assert ours.getstate() == theirs.getstate()
+            if pinned:
+                assert split == pow_mod_edf(h, d, p, theirs)
+                assert ours.getstate() == theirs.getstate()
+            else:
+                assert sorted(split) == sorted(pow_mod_edf(h, d, p, theirs))
         expected = sorted(f for h, d in parts for f in pow_mod_edf(h, d, p, random.Random(k)))
         sent = [(h, d) for h, d in parts if d > 1 or p > factor.ROOT_EVAL_LIMIT]
         theirs = random.Random(factor.DEFAULT_SEED)
@@ -436,7 +446,8 @@ def test_frobenius_splitting_matches_pow_mod(p, count, monkeypatch):
         got = [q for q, _ in linear] + factor._factor_squarefree_modp(rest, p)
         assert sorted(got) == expected
         assert len(made) == any(len(h) - 1 > d for h, d in sent)
-        assert all(ours.getstate() == theirs.getstate() for ours in made)
+        if pinned:
+            assert all(ours.getstate() == theirs.getstate() for ours in made)
     # some inputs split into several factors of one degree above 1
     assert True in seen
 

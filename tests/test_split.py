@@ -16,6 +16,8 @@ import ast
 import heapq
 import inspect
 import random
+import weakref
+from fractions import Fraction
 from itertools import count
 
 import pytest
@@ -792,14 +794,94 @@ def test_simple_piece_keys_match_annihilators(field):
         assert [mult for _, mult in cls.items()] == [3 if fat else 1] * len(points)
 
 
+def partner(q, kind, rng):
+    """h for a coordinate h(C) of a point at q: a constant, of degree 1
+    with a slope other than 1 where the field has one, or (deg q >= 3)
+    of degree 2..deg q - 1, which is not affine in C."""
+    F = q.field
+    p = F.characteristic
+    if kind == "higher" and q.degree >= 3:
+        degree = rng.randint(2, q.degree - 1)
+        return UniPoly(F, [rng.randint(-3, 3) for _ in range(degree)] + [rng.randint(1, 4)])
+    if kind == "scalar":
+        return UniPoly(F, [rng.randint(-5, 5)])
+    slope = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 3])) if not p else rng.randrange(1, p)
+    return UniPoly(F, [rng.randint(-5, 5), slope])
+
+
+@st.composite
+def affine_cases(draw):
+    """(tuple, q, affine): a simple point at a seeded irreducible q of
+    degree 1..5, with n = 2 or 3 and other coordinates of each kind of
+    ``partner``; affine when every other coordinate is affine in the
+    first."""
+    field = draw(st.sampled_from(KEY_FIELDS))
+    degree = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["scalar", "linear", "higher"]), min_size=1, max_size=2))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    q = irreducible(field, degree, rng)
+    hs = [partner(q, kind, rng) for kind in kinds]
+    affine = degree == 1 or all(h.degree <= 1 for h in hs)
+    return simple_point(q, hs, rng), q, affine
+
+
+def read_and_searched_keys(t, q, read_first):
+    """The key _key reads off the simple point t, with the annihilator
+    calls it makes, and the key of the annihilator of e_0, built in the
+    order read_first names."""
+    e0 = _submatrix(Matrix.identity(t.field, t.dim), range(t.dim), [0])
+    calls = []
+    original = modules._annihilator
+
+    def read():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modules, "_annihilator", lambda *a: calls.append(a) or original(*a))
+            key, g = modules._key(t._maps, {0: q})
+        assert g is None
+        return key
+
+    def searched():
+        ideal = original(t._maps, e0)
+        return modules.MaximalIdealKey(ideal), ideal
+
+    if read_first:
+        key = read()
+        return key, *searched(), len(calls)
+    theirs, ideal = searched()
+    return read(), theirs, ideal, len(calls)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(affine_cases())
+def test_read_off_keys_are_the_annihilators_keys(case):
+    # on a simple point whose other coordinates are affine in the first,
+    # _key reads the reduced basis off their coefficients with no
+    # annihilator; the key is the very object that interning the
+    # annihilator of e_0 gives, whichever is built first, and renders the
+    # same; any other point runs the annihilator once
+    t, q, affine = case
+    for read_first in (True, False):
+        ours, theirs, ideal, calls = read_and_searched_keys(t, q, read_first)
+        assert ours is theirs
+        assert ours.generator_strings() == ideal.generator_strings()
+        assert ours.residue_degree == ideal.quotient_dim == q.degree
+        assert calls == (0 if affine else 1)
+        # the key of this round dies with its last reference, so the next
+        # round interns its form afresh, in the other order
+        live = weakref.ref(ours)
+        del ours, theirs
+        assert live() is None
+
+
 def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     # f_1 splits a sum of simple points into its points, each with f_1's q
-    # of full degree: no charpoly or factorization runs on them, only the
-    # annihilator of the first basis vector, whether or not the other
-    # generator is scalar.  The twisted pair shares every q_i, so its
-    # 4-dimensional piece runs the primary test of f_2 and a split by an
-    # element g that the key step names; the two simple pieces it splits
-    # into run nothing but their annihilators.
+    # of full degree: no charpoly or factorization runs on them.  A point
+    # whose other generator is affine in f_1 (a scalar, or h of degree 1)
+    # is keyed by reading off its coefficients; only the others run the
+    # annihilator of the first basis vector.  The twisted pair shares
+    # every q_i, so its 4-dimensional piece runs the primary test of f_2
+    # and a split by an element g that the key step names; the two simple
+    # pieces it splits into, of dimension 2, are read off.
     rng = random.Random(45)
     cubic, other_cubic = irreducible(F97, 3, rng), irreducible(F97, 3, rng)
     assert cubic != other_cubic
@@ -809,10 +891,14 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     points = [
         simple_point(UniPoly(F97, [-4, 1]), [UniPoly(F97, [7])], rng),
         simple_point(cubic, [UniPoly(F97, [5])], rng),
-        simple_point(other_cubic, [coordinate(other_cubic, False, rng)], rng),
-        simple_point(quintic, [coordinate(quintic, False, rng)], rng),
-        *twisted,
     ]
+    degrees = []
+    for q in (other_cubic, quintic):
+        h = coordinate(q, False, rng)
+        degrees.append(h.degree)
+        points.append(simple_point(q, [h], rng))
+    assert degrees == [2, 1]
+    points += twisted
     t = conjugate(CommutingTuple.direct_sum(*points), rng)
     charpolys, factor_calls, starts = [], [], []
     original_charpoly = modules.charpoly
@@ -841,9 +927,8 @@ def test_simple_pieces_are_neither_factored_nor_searched(monkeypatch):
     assert len(factor_calls) == len(charpolys)
     assert charpolys.count(t.dim) == 1
     assert set(charpolys) == {t.dim, 4}
-    # the twisted piece's key, its two points, the 1-dimensional point,
-    # both cubics and the quintic
-    assert sorted(starts) == [1, 2, 2, 3, 3, 4, 5]
+    # the twisted piece's socle key and the cubic with h of degree 2
+    assert sorted(starts) == [3, 4]
 
 
 # -- every internal check of the split loop ends in exit 3 ----------------------
@@ -864,10 +949,11 @@ def calls_at_most(bound, fn):
 
 
 def q_pair():
-    """(C, 3C) over Q for C the companion matrix of t^2 - 2: a simple
-    piece, as f_1's q has degree 2 = dim."""
-    c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
-    return CommutingTuple(QQ, 2, 2, [c, c.scale(3)])
+    """(C, C^2) over Q for C the companion matrix of t^3 - 2: a simple
+    piece, as f_1's q has degree 3 = dim, whose f_2 is not affine in f_1,
+    so that its key runs the annihilator of its first basis vector."""
+    c = Matrix.companion(UniPoly(QQ, [-2, 0, 0, 1]))
+    return CommutingTuple(QQ, 2, 3, [c, c @ c])
 
 
 def fault_progress(patch):
@@ -892,7 +978,7 @@ def fault_progress(patch):
 
 def fault_simple_piece(patch):
     # the annihilator of the simple piece's first basis vector comes back
-    # as (t1, t2), of codimension 1 instead of dim W = 2
+    # as (t1, t2), of codimension 1 instead of dim W = 3
     origin = Ideal.from_groebner_basis(QQ, 2, [MultiPoly.variable(QQ, 2, i) for i in range(2)])
     patch.setattr(modules, "_annihilator", calls_at_most(10, lambda mats, start: origin))
     return q_pair(), "a simple piece is not local"
@@ -911,6 +997,26 @@ def fault_residue_degree(patch):
         return [qv for qv in factors if qv[0].degree > 1] or factors
 
     patch.setattr(modules, "factor_univariate", calls_at_most(10, lossy))
+    return t, "dimension is not a multiple of the residue degree"
+
+
+def fault_socle_residue_degree(patch):
+    # (J_2(C) + C, the same) over Q, C the companion matrix of t^2 - 2:
+    # both q_i are t^2 - 2, so the piece is keyed from its socle, of
+    # dimension 4 in the piece's 6.  Its annihilator comes back as the
+    # maximal ideal (t1^2 - 2, t2^2 - t1), of residue degree 4: a field,
+    # which divides the socle's dimension, so only the piece's is left
+    # to catch it
+    c = Matrix.companion(UniPoly(QQ, [-2, 0, 1]))
+    shift = Matrix(QQ, [[int(j == i + 2) for j in range(4)] for i in range(4)])
+    f = Matrix.block_diag(QQ, [Matrix.block_diag(QQ, [c, c]) + shift, c])
+    t = CommutingTuple(QQ, 2, 6, [f, f])
+    gens = [
+        MultiPoly(QQ, 2, {(2, 0): 1, (0, 0): -2}),
+        MultiPoly(QQ, 2, {(0, 2): 1, (1, 0): -1}),
+    ]
+    quartic = Ideal.from_groebner_basis(QQ, 2, gens)
+    patch.setattr(modules, "_annihilator", calls_at_most(10, lambda mats, start: quartic))
     return t, "dimension is not a multiple of the residue degree"
 
 
@@ -1023,6 +1129,7 @@ FAULTS = {
     "progress": fault_progress,
     "simple-piece": fault_simple_piece,
     "residue-degree": fault_residue_degree,
+    "residue-degree-socle-key": fault_socle_residue_degree,
     # (t - 2)^4 is peeled first, and its kernel is 3-dimensional
     "eigenspace-peeled": eigenspace_fault(UniPoly(QQ, [-2, 1]), 4),
     # (t - 2)^3 is peeled, and what remains, (t - 5), is 1-dimensional
@@ -1044,6 +1151,18 @@ def test_internal_checks_end_in_exit_3(fault, monkeypatch, tmp_path, capsys):
     path = tmp_path / "job.txt"
     path.write_text(job_text(t))
     assert main(["class", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: internal: {message}\n")
+
+
+@pytest.mark.parametrize("fault", ["residue-degree", "residue-degree-socle-key"])
+def test_decompose_checks_the_residue_degree(fault, monkeypatch, tmp_path, capsys):
+    # the key step checks every key's degree, so decompose, which builds
+    # no class, stops at the same faults as class
+    t, message = FAULTS[fault](monkeypatch)
+    path = tmp_path / "job.txt"
+    path.write_text(job_text(t))
+    assert main(["decompose", str(path)]) == 3
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: internal: {message}\n")
 
