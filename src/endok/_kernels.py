@@ -27,6 +27,15 @@ which is p itself when p > d, and divides the p-part of each j out
 exactly.  Its int64 sums need d M^2 < 2^63: an entry of a product sums d
 products below M^2, and the contraction, which sums d^2 of them per power
 sum, runs in chunks of ``terms(M)``, each reduced mod M.
+
+numpy multiplies int64 matrices without BLAS: a 32 x 32 product takes
+20-30 us in int64 and about 2 us in float64.  float64 holds every integer
+below 2^53 exactly, so ``charpoly_mod`` takes its stack products in
+float64 where d (M - 1)^2 < 2^53, which bounds every entry sum, and where
+the stack does at least ``BLAS_WORK`` = 2^12 multiply-adds (k d^3 for k
+layers), the measured crossover below which the casts cost more than BLAS
+saves.  The products are cast back to int64 and reduced there: ``%`` on
+float64 is three times slower than on int64.
 """
 
 from math import gcd, isqrt
@@ -38,6 +47,13 @@ PRIME_LIMIT = 1 << 20
 
 # Every int64 sum stays below this.
 INT64_BOUND = 1 << 63
+
+# float64 holds every integer below this exactly.
+FLOAT64_EXACT = 1 << 53
+
+# The fewest multiply-adds, k d^3, for which a (k, d, d) stack product runs
+# faster in float64, by BLAS, than in int64: the measured crossover.
+BLAS_WORK = 1 << 12
 
 # The benchmark's run record (perfbench/run.py) reads this name.
 BACKEND = "numpy"
@@ -186,7 +202,10 @@ def charpoly_mod(a, primes):
     No int64 sum overflows: an entry of a product sums d products of two
     residues below M, less than 2^63 in all; the contraction sums d^2 of
     them, so it runs in chunks of ``terms(M)`` terms, reduced mod M after
-    each.  Newton's identities run on Python integers.
+    each.  Where d (M - 1)^2 < 2^53 for the largest M and k d^3 >=
+    ``BLAS_WORK``, the baby and giant steps are float64 products, exact as
+    every entry sum stays below 2^53, cast back to int64 and reduced there.
+    Newton's identities run on Python integers.
 
     The companion matrix of x^2 - 3x + 2 mod 7, a 3 x 3 matrix with every
     entry 6 = -1 mod 7, whose characteristic polynomial is x^3 + 3x^2, and
@@ -211,13 +230,24 @@ def charpoly_mod(a, primes):
     giant = np.zeros((k, g, d, d), np.int64)
     baby.reshape(k, m, d * d)[:, 0, :: d + 1] = 1
     giant.reshape(k, g, d * d)[:, 0, :: d + 1] = 1
+    exact = d * (max(moduli) - 1) ** 2 < FLOAT64_EXACT
+    if exact and k * d**3 >= BLAS_WORK:
+
+        def step(x, y):
+            return np.matmul(x, y, dtype=np.float64).astype(np.int64) % mod
+
+    else:
+
+        def step(x, y):
+            return x @ y % mod
+
     baby[:, 1] = a
     for r in range(2, m):
-        baby[:, r] = baby[:, r - 1] @ a % mod
+        baby[:, r] = step(baby[:, r - 1], a)
     if g > 1:
-        giant[:, 1] = baby[:, m - 1] @ a % mod
+        giant[:, 1] = step(baby[:, m - 1], a)
         for i in range(2, g):
-            giant[:, i] = giant[:, i - 1] @ giant[:, 1] % mod
+            giant[:, i] = step(giant[:, i - 1], giant[:, 1])
     flat = giant.reshape(k, g, d * d)
     flat_t = baby.swapaxes(2, 3).reshape(k, m, d * d).swapaxes(1, 2)
     sums = np.zeros((k, g, m), np.int64)  # sums[:, i, r] = tr(A^(im + r))

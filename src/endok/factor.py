@@ -7,15 +7,19 @@ added up.  Over Q the parts are Yun's (``poly._squarefree_parts``, on
 f's primitive integer multiple).
 
 Over F_p the roots come first when p <= ROOT_EVAL_LIMIT: the monic f is
-evaluated at every element of F_p at once (Horner on int64 arrays, after
-folding f modulo t^p - t to degree < p), and each zero a is divided out
+folded modulo t^p - t to degree < p and evaluated at every element of F_p
+at once, by one float64 product of its coefficients with a table of the
+powers x^0..x^63 of every x in F_p, exact as each value sums at most 64
+products below p^2 (past degree 63, blocks of 64 coefficients, joined by
+Horner in x^64 on int64 arrays), and each zero a is divided out
 by synthetic division for as long as t - a divides, which gives its
 multiplicity in any characteristic, multiplicities >= p included.  Yun's
 squarefree split, distinct-degree splitting and Cantor-Zassenhaus
 equal-degree splitting then see only the root-free cofactor, whose
 factors have degree 2 or more: below degree 4 it is irreducible, and
-distinct-degree splitting starts at degree 2.  The limit is a measured
-crossover: evaluation costs about min(deg, p) * p array steps, and on
+distinct-degree splitting starts at degree 2.  The limit is a crossover
+measured with evaluation by Horner on int64 arrays, before the power
+table: evaluation cost about min(deg, p) * p array steps, and on
 products of k distinct linear factors (some squared) with a random monic
 cofactor, degree 2 to 64, 20 inputs each, best of 5, against the same
 inputs with the root stage off, the root stage won or tied on every shape
@@ -62,8 +66,12 @@ Recombination rebuilds, for each subset, whichever of the subset and its
 complement has at most half the cofactor's degree, so the lift need only
 recover factors of degree <= m = floor(deg F / 2): p^l above
 2 C(m, floor(m/2)) ceil(||F||_2) (Mignotte; von zur Gathen-Gerhard,
-Theorem 6.32).  Integer polynomials use the same coefficient-list helpers
-with p = 0, and only the monic irreducible factors become Fractions.
+Theorem 6.32).  The lift to p^l climbs the ladder of exponents 1, ..,
+ceil(l/2), l, each step at most doubling the exponent, so no step works
+modulo more than p^l; the last step lifts only the factors, not their
+Bezout cofactors (von zur Gathen-Gerhard 15.4).  Integer polynomials use
+the same coefficient-list helpers with p = 0, and only the monic
+irreducible factors become Fractions.
 Recombination tries at most ``RECOMBINATION_BUDGET`` subsets per
 squarefree part and raises ValueError past it, so its exponential worst
 case stays bounded.
@@ -73,6 +81,7 @@ generator seeded with ``DEFAULT_SEED``; the sorted factors do not depend
 on the draws.
 """
 
+import functools
 import math
 import random
 from itertools import combinations, count
@@ -107,6 +116,12 @@ RECOMBINATION_BUDGET = 1 << 14
 # F_p with p at most this many elements takes the roots of f first, by
 # evaluation; below the measured crossover (see above), with a margin
 ROOT_EVAL_LIMIT = 1 << 11
+# ``_roots`` evaluates blocks of POWER_TABLE_TOP coefficients by one product
+# with the powers x^0..x^(POWER_TABLE_TOP - 1) of every x in F_p, and joins
+# them by Horner in x^POWER_TABLE_TOP: a table of at most 65 * 2^11 floats,
+# about 1 MB, kept for the last POWER_TABLE_PRIMES primes
+POWER_TABLE_TOP = 64
+POWER_TABLE_PRIMES = 8
 
 
 def factor_univariate(f):
@@ -201,20 +216,51 @@ def _factor_squarefree_modp(g, p):
 
 def _roots(h, p):
     """The zeros in F_p of h, in increasing order: h evaluated at every
-    element at once, by Horner on int64 arrays (p^2 + p < 2^63).  As
-    a^p = a on F_p, h is first folded modulo t^p - t, to degree < p."""
+    element at once.  As a^p = a on F_p, h is first folded modulo t^p - t,
+    to degree < p.  Up to degree ``POWER_TABLE_TOP`` - 1 the values are one
+    product of the coefficients with the rows x^0, x^1, .. of
+    ``_power_table(p)``; past it the coefficients are cut into blocks of
+    ``POWER_TABLE_TOP``, each block is evaluated by that product, and the
+    blocks are joined by Horner in x^POWER_TABLE_TOP.  A product sums at
+    most 64 products of two residues, exact in float64 for p < 2^23."""
     if len(h) > p:
         folded = h[:p]
         for k in range(p, len(h)):
             folded[(k - 1) % (p - 1) + 1] += h[k]
         h = folded
+    table = _power_table(p)
+    top = POWER_TABLE_TOP
+    coeffs = np.array([c % p for c in h], np.float64)
+    if len(h) <= top:
+        values = (coeffs @ table[: len(h)]).astype(np.int64) % p
+    else:
+        blocks = np.zeros(-(-len(h) // top) * top)
+        blocks[: len(h)] = coeffs
+        parts = (blocks.reshape(-1, top) @ table[:top]).astype(np.int64)
+        step = table[top].astype(np.int64)
+        values = parts[-1] % p
+        for part in parts[-2::-1]:
+            values *= step
+            values += part
+            values %= p
+    return np.flatnonzero(values == 0).tolist()
+
+
+@functools.lru_cache(maxsize=POWER_TABLE_PRIMES)
+def _power_table(p):
+    """The read-only (POWER_TABLE_TOP + 1, p) float64 array of x^e mod p,
+    row e for e = 0..POWER_TABLE_TOP and column x for x in F_p, built by
+    doubling: rows k..2k - 1 are rows 0..k - 1 times x^k."""
     x = np.arange(p, dtype=np.int64)
-    acc = np.full(p, h[-1] % p, np.int64)
-    for c in reversed(h[:-1]):
-        acc *= x
-        acc += c % p
-        acc %= p
-    return np.flatnonzero(acc == 0).tolist()
+    table = np.ones((POWER_TABLE_TOP + 1, p), np.int64)
+    k = 1
+    while k <= POWER_TABLE_TOP:
+        power = table[k - 1] * x % p
+        table[k : 2 * k] = table[: min(k, POWER_TABLE_TOP + 1 - k)] * power % p
+        k *= 2
+    table = table.astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def _frobenius(g, p):
@@ -381,10 +427,10 @@ def _ztrunc_sym(f, m):
     return _trim(out)
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """Quadratic Hensel step: from f = g*h and s*g + t*h = 1 (mod m) to the
-    same congruences mod m**2, with h kept monic.  Gathen & Gerhard 15.10."""
-    M = m * m
+def _hensel_step(M, f, g, h, s, t, last):
+    """Hensel step: from f = g*h and s*g + t*h = 1 (mod m) to the same
+    congruences mod M, for M a divisor of m**2, with h kept monic.  On the
+    last step of a lift only g and h are lifted.  Gathen & Gerhard 15.10."""
     e = _ztrunc_sym(_sub(f, _mul(g, h, 0), 0), M)
     q, r = _divmod(_mul(s, e, 0), h, 0)
     q = _ztrunc_sym(q, M)
@@ -392,6 +438,8 @@ def _hensel_step(m, f, g, h, s, t):
     u = _add(_mul(t, e, 0), _mul(q, g, 0), 0)
     G = _ztrunc_sym(_add(g, u, 0), M)
     H = _ztrunc_sym(_add(h, r, 0), M)
+    if last:
+        return G, H, s, t
     u = _add(_mul(s, G, 0), _mul(t, H, 0), 0)
     b = _ztrunc_sym(_sub(u, [1], 0), M)
     c, d = _divmod(_mul(s, b, 0), H, 0)
@@ -405,15 +453,18 @@ def _hensel_step(m, f, g, h, s, t):
 
 def _hensel_lift(p, f, flist, l):
     """Lift monic pairwise-coprime factors of f mod p to factors mod p**l,
-    splitting the factor list in two and recursing."""
+    splitting the factor list in two and recursing.  Each split is lifted
+    up the ladder of exponents 1, .., ceil(l/2), l, each at most twice the
+    one before it, so no step works modulo more than p**l."""
     r = len(flist)
     lc = f[-1]
     if r == 1:
         inv = pow(lc, -1, p**l)
         return [_ztrunc_sym([c * inv for c in f], p**l)]
-    m = p
     k = r // 2
-    steps = max(1, math.ceil(math.log2(l)))
+    ladder = [l]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
     gp = [lc % p]
     for fi in flist[:k]:
         gp = _mul(gp, fi, p)
@@ -422,9 +473,8 @@ def _hensel_lift(p, f, flist, l):
         hp = _mul(hp, fi, p)
     _, sp, tp = _gcdex(gp, hp, p)
     g, h, s, t = (_ztrunc_sym(x, p) for x in (gp, hp, sp, tp))
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+    for e in reversed(ladder[:-1]):
+        g, h, s, t = _hensel_step(p**e, f, g, h, s, t, e == l)
     return _hensel_lift(p, g, flist[:k], l) + _hensel_lift(p, h, flist[k:], l)
 
 

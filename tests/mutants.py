@@ -78,6 +78,13 @@ MUTANTS = [
         ["tests/test_kernels.py::test_power_sums_chunk_a_mixed_stack_by_its_largest_modulus"],
     ),
     Mutant(
+        "blas-past-float64-bound",
+        KERNELS,
+        "    exact = d * (max(moduli) - 1) ** 2 < FLOAT64_EXACT\n",
+        "    exact = True\n",
+        ["tests/test_kernels.py::test_power_sums_on_both_sides_of_the_float64_bound"],
+    ),
+    Mutant(
         "crt-one-prime-too-few",
         LINALG,
         "    residues = num % np.array(primes, object)[:, None, None]\n",
@@ -143,6 +150,21 @@ MUTANTS = [
         "                for c in values\n",
         "                for c in values[:1]\n",
         ["tests/test_differential.py::test_equal_degree_products_match_sympy"],
+    ),
+    # roots by the power table, and the Hensel ladder
+    Mutant(
+        "power-table-block-short",
+        FACTOR,
+        "        step = table[top].astype(np.int64)\n",
+        "        step = table[top - 1].astype(np.int64)\n",
+        ["tests/test_factor.py::test_roots_match_evaluation_at_every_element"],
+    ),
+    Mutant(
+        "hensel-ladder-one-short",
+        FACTOR,
+        "    ladder = [l]\n",
+        "    ladder = [l - 1]\n",
+        ["tests/test_factor.py::test_hensel_lift_reaches_p_to_the_l"],
     ),
     # the key layer
     Mutant(

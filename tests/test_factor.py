@@ -2,6 +2,7 @@ import random
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from endok import _kernels, factor
@@ -481,3 +482,68 @@ def test_factoring_needs_no_array_kernel(monkeypatch):
         for q, e in factor_univariate(f):
             prod = prod * q**e
         assert prod == f
+
+
+def evaluated_roots(h, p):
+    """The zeros of h in F_p, by Horner at every element."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, np.int64)
+    for c in reversed(h):
+        acc = (acc * x + c) % p
+    return np.flatnonzero(acc == 0).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2039], ids=str)
+def test_roots_match_evaluation_at_every_element(p):
+    # degrees 1..200: one product with the power table up to degree 63,
+    # blocks of 64 joined by Horner in x^64 past it, folded modulo t^p - t
+    # from degree p on; half the inputs have planted roots
+    rng = random.Random(p)
+    for deg in range(1, 201):
+        roots = [rng.randrange(p) for _ in range(rng.randint(0, min(deg, 6)) * (deg % 2))]
+        h = [1]
+        for r in roots:
+            h = _mul(h, [-r % p, 1], p)
+        h = _mul(h, [rng.randrange(p) for _ in range(deg - len(roots))] + [1], p)
+        assert len(h) == deg + 1
+        got = factor._roots(h, p)
+        assert got == evaluated_roots(h, p)
+        assert set(roots) <= set(got)
+
+
+def test_power_tables_are_kept_for_a_bounded_number_of_primes():
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:20]
+    for p in primes:
+        factor._roots([1, 1, 1], p)
+    info = factor._power_table.cache_info()
+    assert info.maxsize == factor.POWER_TABLE_PRIMES < len(primes)
+    assert info.currsize <= factor.POWER_TABLE_PRIMES
+    # the largest prime up to ROOT_EVAL_LIMIT has the largest table
+    table = factor._power_table(2039)
+    assert table.shape == (factor.POWER_TABLE_TOP + 1, 2039) and table.nbytes < 1.1e6
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_hensel_lift_reaches_p_to_the_l(count):
+    # F = lc * prod f_i + p R for random monic f_i, pairwise coprime mod p:
+    # for every l the lift gives monic g_i = f_i mod p with
+    # lc * prod g_i = F mod p^l
+    p = 5
+    rng = random.Random(count)
+    while True:
+        fs = [[rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1] for _ in range(count)]
+        if all(len(_gcd(a, b, p)) == 1 for i, a in enumerate(fs) for b in fs[i + 1 :]):
+            break
+    lc = rng.choice([1, 2, -3, 7])
+    F = [lc]
+    for f in fs:
+        F = _mul(F, f, 0)
+    F = _add(F, [p * rng.randint(-9, 9) for _ in range(len(F) - 1)], 0)
+    for l in range(1, 13):
+        lifted = factor._hensel_lift(p, F, fs, l)
+        assert [g[-1] for g in lifted] == [1] * count
+        assert [[c % p for c in g] for g in lifted] == fs
+        prod = [lc]
+        for g in lifted:
+            prod = _mul(prod, g, 0)
+        assert all(c % p**l == 0 for c in _sub(prod, F, 0))

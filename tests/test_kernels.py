@@ -492,3 +492,62 @@ def test_power_sums_chunk_a_mixed_stack_by_its_largest_modulus():
         [[[rng.randrange(max(p - 8, 0), p) for _ in range(16)] for _ in range(16)] for p in (2, q)]
     )
     assert _kernels.charpoly_mod(stack, [2, q]) == list_charpolys(stack, [2, q])
+
+
+# -- the float64 products of the power sums -----------------------------------
+
+
+def edge_stacks(d, primes, rng):
+    """Three (len(primes), d, d) stacks, one layer per prime p: every entry
+    p - 1; every entry p - 1 but p - 2 on the diagonal, so that for odd p
+    each diagonal entry of A^2, (p - 2)^2 + (d - 1) (p - 1)^2, is odd and
+    close to the largest an entry can be; and random residues."""
+    top = np.array([np.full((d, d), p - 1) for p in primes], np.int64)
+    odd = top - np.eye(d, dtype=np.int64)
+    rand = np.array([[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for p in primes])
+    return top, odd, rand.astype(np.int64)
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+def test_power_sums_on_both_sides_of_the_float64_bound(d):
+    # the products run in float64 while d (M - 1)^2 < 2^53: for the
+    # largest prime p below that bound they do, for the next prime above
+    # it they do not, and a diagonal entry of A^2 for the second stack is
+    # odd and past 2^53, which float64 cannot hold; the primes are above
+    # PRIME_LIMIT, so their residues come as object arrays, cast to int64
+    x = isqrt(((1 << 53) - 1) // d)  # the largest p - 1 with d (p - 1)^2 < 2^53
+    below = largest_prime_below(x + 2)
+    above = x + 2
+    while not is_prime(above):
+        above += 1
+    assert d * (below - 1) ** 2 < 1 << 53 <= d * (above - 1) ** 2
+    assert (above - 2) ** 2 + (d - 1) * (above - 1) ** 2 > 1 << 53
+    assert below > _kernels.PRIME_LIMIT
+    rng = random.Random(d)
+    for p in (below, above):
+        for stack in edge_stacks(d, [p], rng):
+            residues = stack.astype(object)
+            assert linalg._charpoly_residues(residues, [p]) == list_charpolys(stack, [p])
+
+
+def test_power_sums_of_crt_primes_in_float64():
+    # eight CRT primes below 2^20 at d = 24: the stack's products run in
+    # float64, as 24 (2^20)^2 < 2^53
+    primes = [linalg._crt_prime(i) for i in range(8)]
+    assert 24 * max(primes) ** 2 < 1 << 53
+    for stack in edge_stacks(24, primes, random.Random(107)):
+        assert _kernels.charpoly_mod(stack, primes) == list_charpolys(stack, primes)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_power_sums_over_f2_and_f3_where_the_modulus_grows(p):
+    # at d = 16..31 the Newton modulus M = p^e, e = 1 + v_p(d!), grows to
+    # 2^27 over F_2 and 3^15 over F_3: F_2 crosses d (M - 1)^2 = 2^53 from
+    # d = 28 on, so its products leave float64 for int64 there
+    crossed = [d for d in range(16, 32) if d * (_kernels.newton_modulus(p, d) - 1) ** 2 >= 1 << 53]
+    assert crossed == ([28, 29, 30, 31] if p == 2 else [])
+    rng = random.Random(p)
+    for d in range(16, 32):
+        top, _, rand = edge_stacks(d, [p], rng)
+        for stack in (top, rand):
+            assert _kernels.charpoly_mod(stack, [p]) == list_charpolys(stack, [p])
